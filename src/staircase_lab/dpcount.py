@@ -2,29 +2,32 @@
 
 The enumeration oracle answers every question by visiting all
 ``(n+1)!`` tableaux; this module answers the same questions in
-polynomial time per state by sweeping columns left to right and
-remembering only what the filling rules can still see: one bit per
-live row ("does it hold a symbol yet", which decides whether a beta
-may land there) and one flag per column ("is there a symbol above in
-this column", which decides whether an alpha may land).  Weights
-attach locally: a column's ``a`` factor is resolved the moment its
-topmost symbol turns out to be a beta, a row's ``b`` factor the moment
-its first symbol turns out to be an alpha.
+polynomial time per state by sweeping columns and remembering only
+what the filling rules can still see: one bit per live row ("does it
+hold a symbol yet", which decides whether a beta may land there) and
+one flag per column ("is there a symbol above in this column", which
+decides whether an alpha may land).  Weights attach locally: a
+column's ``a`` factor is resolved the moment its topmost symbol turns
+out to be a beta, a row's ``b`` factor the moment its first symbol
+turns out to be an alpha.
 
 State space is ``2^height`` per column, so sizes up to :data:`N_DP`
-are practical.  Two interchangeable engines cover it:
+are practical.  Two independent engines cover it:
 
-* ``fractions``: a dictionary sweep in exact rational arithmetic,
-  simple enough to audit by eye, for small sizes;
-* ``crt``: numpy sweeps over residues modulo enough 31-bit primes to
-  cover an a-priori bound on the scaled integer total, recombined by
-  the Chinese remainder theorem.  Exact, with no modular inversions of
-  data values, so parameters whose denominators share factors with a
-  prime cost nothing.
+* ``crt``: counts completions right to left, bottom-up in each column,
+  in numpy arrays of residues modulo enough 31-bit primes to cover the
+  scaled integer total, recombined by the Chinese remainder theorem.
+  Exact, with no modular inversions of data values.  The chain-rule
+  sampler reads its conditional laws off the same kernel and plan.
+* ``fractions``: a left-to-right dictionary sweep in exact rational
+  arithmetic, simple enough to audit by eye; it shares no code with
+  the kernel and stays the independent reference at small sizes.
 
 Both engines honour :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
-joint probabilities of cell events.
+joint probabilities of cell events.  Kernel arrays grow with counter
+slots and ``2^n``; one memory budget, shared with the sampler, is
+checked before they are allocated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +50,14 @@ from .pmf import Pmf
 #: roughly the point where the arrays stop being cheap.
 N_DP = 22
 
-_ENGINES = ("auto", "crt", "fractions")
+_ENGINES = ("crt", "fractions")
+
+#: Peak bytes the counting sweeps and the chain-rule tables may claim.
+_MEM_BUDGET = 1_500_000_000
 
 
 def sweep_order(n: int) -> Tuple[Box, ...]:
-    """The box order both engines fill: by column, top to bottom."""
+    """The box order of forward walks: by column, top to bottom."""
     return tuple((i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))
 
 
@@ -91,6 +97,10 @@ class ScaledWeights:
             self.q * (self.pa + self.pb) + i * self.q * self.q for i in range(n)
         )
 
+    def primes(self, n: int) -> Tuple[int, ...]:
+        """The prime plan of every size-n count and chain-rule table."""
+        return _primes_covering(self.total_bound(n))
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -98,7 +108,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(x: int) -> bool:
     if x < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if x % p == 0:
             return x == p
     d, s = x - 1, 0
@@ -157,6 +167,12 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     return out
 
 
+def _check_memory(need: int, what: str) -> None:
+    if need > _MEM_BUDGET:
+        raise ValueError(f"{what} would need about {need / 1e9:.1f} GB; "
+                         "use a smaller size")
+
+
 def _check_args(n: int, engine: str) -> None:
     if not 1 <= n <= N_DP:
         raise ValueError(f"size must be in 1..{N_DP}, got {n}")
@@ -197,79 +213,81 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 # ----------------------------------------------------------------------
 # CRT engine
 
-def _sweep_mod_p(n: int, p: int, factors: Tuple[int, int, int, int],
-                 allowed: Dict[Box, str], slots: int,
-                 bump: Optional[Dict[Box, str]] = None) -> np.ndarray:
-    """One full column sweep modulo ``p``.
+#: The fill rules as (cell code, factor index, "symbol above" flag, row
+#: bit): alpha in a clean and in a dirty row, beta topmost in its column
+#: and below another symbol.  Each applies where the flag and the box's
+#: row bit hold these values, and sets both.
+_MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
-    Arrays hold one row of length ``2^height`` per counter value
-    (``slots`` of them); ``bump`` maps a box to the cell codes that
-    push mass up one counter slot there.  Returns the ``slots`` final
-    residues.  Raises if mass ever tries to leave the top slot, which
-    would mean the counter was sized below the statistic's true range.
+
+def _column_levels(n: int, j: int, boundary: np.ndarray, primes: Sequence[int],
+                   factors: Tuple[int, int, int, int], allowed: Dict[Box, str],
+                   bump: Optional[Dict[Box, str]]) -> Iterator[np.ndarray]:
+    """Completion counts through column j, box by box from the bottom up.
+
+    ``boundary[prime, slot, mask]`` counts the weighted ways to fill
+    columns j+1..n from each dirty-row mask with ``slot`` counter bumps
+    to come.  Yields ``level[prime, slot, above, mask]`` for the
+    hand-off past the diagonal box (whose row bit must be set), then
+    just before each box, bottom to top: one array updated in place, so
+    a caller that keeps levels copies them.  ``bump`` maps a box to the
+    cell codes that count there; a count that would need a slot past
+    the last raises.  Entries are residues, reduced only where read.
     """
-    f_acl, f_adr, f_btop, f_blow = (f % p for f in factors)
-    state0 = np.zeros((slots, 1 << n), dtype=np.int64)
-    state0[0, 0] = 1
-    state1 = np.zeros_like(state0)
-
-    def deposit(dst: np.ndarray, src: np.ndarray, f: int, lift: bool) -> None:
-        term = src * f % p
-        if lift:
-            if src[-1].any():
+    height = n + 1 - j
+    plan, slots = boundary.shape[:2]
+    pvec = np.array(primes, dtype=np.int64).reshape(plan, 1, 1, 1)
+    facs = [np.array([f % p for p in primes], dtype=np.int64).reshape(plan, 1, 1, 1)
+            for f in factors]
+    level = np.zeros((plan, slots, 2, 1 << height), dtype=np.int64)
+    level.reshape(plan, slots, 2, 2, -1)[:, :, :, 1, :] = boundary[:, :, None, :]
+    yield level
+    buffers = np.empty((2, plan, slots, 1 << (height - 1)), dtype=np.int64)
+    for i in range(height, 0, -1):
+        codes = allowed[(i, j)]
+        lifted = bump.get((i, j), "") if bump else ""
+        seg, half = 1 << (height - i), 1 << (i - 1)
+        view = level.reshape(plan, slots, 2, seg, 2, half)
+        src, step = buffers.reshape(2, plan, slots, seg, half)
+        # every move sets the flag and the row bit, and none writes there
+        np.remainder(view[:, :, 1, :, 1, :], pvec, out=src)
+        if "." not in codes:
+            level.fill(0)
+        for code, k, above, bit in _MOVES:
+            if code not in codes:
+                continue
+            np.remainder(np.multiply(src, facs[k], out=step), pvec, out=step)
+            if code not in lifted:
+                view[:, :, above, :, bit, :] += step
+            elif src[:, -1].any():
                 raise RuntimeError("statistic counter overflowed its cap")
-            dst[1:] += term[:-1]
-        else:
-            dst += term
-
-    for j in range(1, n + 1):
-        height = n + 1 - j
-        for i in range(1, height + 1):
-            box = (i, j)
-            codes = allowed[box]
-            lifted = bump.get(box, "") if bump else ""
-            seg, half = 1 << (height - i), 1 << (i - 1)
-            s0 = state0.reshape(slots, seg, 2, half)
-            s1 = state1.reshape(slots, seg, 2, half)
-            new0 = np.zeros_like(state0)
-            new1 = np.zeros_like(state1)
-            n1 = new1.reshape(slots, seg, 2, half)
-            if "." in codes:
-                new0 += state0
-                new1 += state1
-            if "A" in codes:
-                deposit(n1[:, :, 1, :], s0[:, :, 0, :], f_acl, "A" in lifted)
-                deposit(n1[:, :, 1, :], s0[:, :, 1, :], f_adr, "A" in lifted)
-            if "B" in codes:
-                deposit(n1[:, :, 1, :], s0[:, :, 0, :], f_btop, "B" in lifted)
-                deposit(n1[:, :, 1, :], s1[:, :, 0, :], f_blow, "B" in lifted)
-            state0 = new0
-            state1 = new1 % p
-        assert not state0.any()  # the diagonal box cannot stay empty
-        merged = (state0 + state1) % p
-        state0 = merged.reshape(slots, 2, 1 << (height - 1))[:, 1, :].copy()
-        state1 = np.zeros_like(state0)
-    return state0[:, 0]
+            else:
+                view[:, 1:, above, :, bit, :] += step[:, :-1]
+        yield level
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
                 bump: Optional[Dict[Box, str]] = None) -> List[int]:
-    """Scaled integer masses per counter slot, exactly reconstructed."""
+    """Scaled integer masses per counter slot, one kernel pass per prime."""
+    _check_memory(8 * 4 * slots * (1 << (n + 1)), f"{slots}-slot sweeps at n={n}")
     scaled = ScaledWeights.of(w)
-    primes = _primes_covering(scaled.total_bound(n))
-    per_prime = [
-        _sweep_mod_p(n, p, scaled.factors(), allowed, slots, bump) for p in primes
-    ]
-    return [
-        _crt([int(res[k]) for res in per_prime], primes) for k in range(slots)
-    ]
+    primes, factors = scaled.primes(n), scaled.factors()
+    per_prime = []
+    for p in primes:
+        boundary = np.eye(slots, 1, dtype=np.int64)[None]  # no bump to come
+        for j in range(n, 0, -1):
+            for level in _column_levels(n, j, boundary, (p,), factors, allowed, bump):
+                pass
+            boundary = level[:, :, 0, :] % p  # a new array: the level is freed
+        per_prime.append(boundary[0, :, 0].tolist())
+    return [_crt([res[k] for res in per_prime], primes) for k in range(slots)]
 
 
 # ----------------------------------------------------------------------
 # public operations
 
 def constrained_partition(n: int, w: Weights, c: Optional[ConstraintSet] = None,
-                          engine: str = "auto") -> Fraction:
+                          engine: str = "crt") -> Fraction:
     """Sum of normalized weights over tableaux satisfying ``c``.
 
     With no constraints this is ``(a + b)^(rising n)``.  Unsatisfiable
@@ -285,14 +303,14 @@ def constrained_partition(n: int, w: Weights, c: Optional[ConstraintSet] = None,
 
 
 def event_prob(n: int, w: Weights, c: ConstraintSet,
-               engine: str = "auto") -> Fraction:
+               engine: str = "crt") -> Fraction:
     """Probability that a random tableau satisfies every constraint."""
     return constrained_partition(n, w, c, engine) / w.normalizer(n)
 
 
 def conditional_cell_law(n: int, w: Weights, box: Box,
                          given: Optional[ConstraintSet] = None,
-                         engine: str = "auto") -> BoxLaw:
+                         engine: str = "crt") -> BoxLaw:
     """Law of one cell conditioned on an arbitrary cell event.
 
     Computed as a ratio of constrained partition sums.  Conditioning
@@ -341,11 +359,11 @@ def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, str], int]:
 def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     """Exact law of a named counting statistic, in one counting sweep.
 
-    The sweep carries the running count as an extra array axis; one
-    sentinel slot past the structural cap stays empty and any attempt
-    to spill past it raises rather than miscounting.
+    The sweep carries the count still to come as an extra array axis;
+    one sentinel slot past the structural cap stays empty and any
+    attempt to spill past it raises rather than miscounting.
     """
-    _check_args(n, "auto")
+    _check_args(n, "crt")
     bump, cap = _statistic_plan(n, statistic)
     allowed = _allowed_map(n, None)
     masses = _masses_crt(n, w, allowed, slots=cap + 2, bump=bump)

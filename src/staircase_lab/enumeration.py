@@ -78,7 +78,6 @@ def enumerate_tableaux(n: int) -> Iterator[Tableau]:
         raise ValueError("size must be at least 1")
     memo: Dict[Tuple[int, int], List[Tuple[str, int]]] = {}
     columns: List[str] = [""] * n
-    row_range = range(n)
 
     def configs(height: int, mask: int) -> List[Tuple[str, int]]:
         key = (height, mask)
@@ -91,9 +90,9 @@ def enumerate_tableaux(n: int) -> Iterator[Tableau]:
         for column, next_mask in configs(n - j, mask):
             columns[j] = column
             if j + 1 == n:
-                yield Tableau._trusted(tuple(
-                    "".join(columns[c][i] for c in range(n - i)) for i in row_range
-                ))
+                # column c holds n - c boxes, so row i reads columns 0..n-i-1
+                yield Tableau._trusted(tuple(map(
+                    "".join, itertools.zip_longest(*columns, fillvalue=""))))
             else:
                 yield from walk(j + 1, next_mask)
 

@@ -8,11 +8,13 @@ Two interchangeable backends draw from the same measure:
   ``(n+1)!`` entries.
 * ``chain_rule``: walk the column sweep box by box, drawing each cell
   from its exact conditional law given everything placed so far.  The
-  conditionals come from backward completion tables: integer counts
-  (held as residues modulo the counting engine's primes) of the total
-  weight of ways to finish the tableau from each reachable state.  No
-  rejection and no rounding; every draw consumes one uniform integer
-  below the exact number of weighted continuations.
+  conditionals come from completion counts: integer counts of the
+  total weight of ways to finish the tableau from each reachable
+  state, computed right to left by the counting engine's kernel as
+  residues over its own prime plan.  That plan covers the scaled
+  total, which bounds every count a draw reads.  No rejection and no
+  rounding; every draw consumes one uniform integer below the exact
+  number of weighted continuations.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all
@@ -25,26 +27,24 @@ draws (each path is deterministic on its own).
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .core import Tableau, diagonal_statistic
-from .dpcount import N_DP, ScaledWeights, _crt, _primes_covering
+from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory,
+                      _column_levels, _crt)
 from .enumeration import N_ENUM, enumerate_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
-
-#: Peak bytes the chain-rule backward tables may claim; one column of
-#: size-n tables is (n+1) levels of (primes, 2, 2^n) int64 arrays, so
-#: this caps the practical size around 16..18 depending on the weights.
-_MEM_BUDGET = 1_500_000_000
 
 
 # ----------------------------------------------------------------------
@@ -88,80 +88,41 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
 class _ChainTables:
     """Backward completion counts for one (n, w), shared across draws.
 
-    ``boundary[j]`` holds, per prime, the weighted number of ways to
-    fill columns j..n starting from each dirty-row mask (the column-j
-    flag "symbol above" being necessarily clear at entry).  The
-    per-box tables inside one column are rebuilt on demand since they
-    dominate memory.
+    ``boundary[j][p, 0, mask]`` holds, per prime, the weighted number
+    of ways to fill columns j..n starting from each dirty-row mask (the
+    column-j flag "symbol above" being necessarily clear at entry).
+    The per-box levels inside one column are rebuilt on demand since
+    they dominate memory.
     """
 
     def __init__(self, n: int, w: Weights):
         self.n = n
         self.scaled = ScaledWeights.of(w)
-        boxes = n * (n + 1) // 2
-        worst = max(self.scaled.factors())
-        self.primes = _primes_covering((3 * worst) ** boxes)
+        self.primes = self.scaled.primes(n)
         plan = len(self.primes)
-        peak = 8 * plan * 2 * (1 << n) * (n + 2) + 8 * plan * (1 << (n + 1))
-        if peak > _MEM_BUDGET:
-            raise ValueError(
-                f"chain_rule tables for n={n} with these weights would need "
-                f"about {peak / 1e9:.1f} GB; use a smaller size"
-            )
-        self._pvec = np.array(self.primes, dtype=np.int64).reshape(plan, 1, 1)
-        self._facs = np.array(
-            [[f % p for f in self.scaled.factors()] for p in self.primes],
-            dtype=np.int64,
-        ).reshape(plan, 4, 1, 1)
-        self.boundary: List[Optional[np.ndarray]] = [None] * (n + 2)
-        self.boundary[n + 1] = np.ones((plan, 1), dtype=np.int64)
+        _check_memory(8 * plan * 2 * (1 << n) * (n + 2) + 8 * plan * (1 << (n + 1)),
+                      f"chain_rule tables for n={n} with these weights")
+        self.allowed = _allowed_map(n, None)
+        self.boundary = [None] * (n + 1) + [np.ones((plan, 1, 1), dtype=np.int64)]
+        pvec = np.array(self.primes, dtype=np.int64).reshape(plan, 1, 1)
         for j in range(n, 0, -1):
-            self.boundary[j] = self._column_levels(j)[0][:, 0, :].copy()
+            for level in _column_levels(n, j, self.boundary[j + 1], self.primes,
+                                        self.scaled.factors(), self.allowed, None):
+                pass
+            self.boundary[j] = level[:, :, 0, :] % pvec
 
     def _column_levels(self, j: int) -> List[np.ndarray]:
-        """Completion counts at every box of column j, bottom-up.
-
-        ``levels[i-1][p, above, mask]`` counts completions starting
-        just before box i of the column; ``levels[height]`` encodes the
-        hand-off to the next column: the departing diagonal row's bit
-        must be set, and its mask bit is dropped.
-        """
-        n, height = self.n, self.n + 1 - j
-        plan = len(self.primes)
-        after = np.zeros((plan, 2, 1 << height), dtype=np.int64)
-        after.reshape(plan, 2, 2, 1 << (height - 1))[:, :, 1, :] = \
-            self.boundary[j + 1][:, None, :]
-        levels = [after]
-        f = self._facs
-        for i in range(height, 0, -1):
-            nxt = levels[-1]
-            cur = np.zeros_like(nxt)
-            if i < height:  # the diagonal box may not stay empty
-                cur += nxt
-            seg, half = 1 << (height - i), 1 << (i - 1)
-            cur_v = cur.reshape(plan, 2, seg, 2, half)
-            set_next = nxt.reshape(plan, 2, seg, 2, half)[:, 1, :, 1, :]
-            cur_v[:, 0, :, 0, :] += set_next * f[:, 0] % self._pvec  # alpha, clean row
-            cur_v[:, 0, :, 1, :] += set_next * f[:, 1] % self._pvec  # alpha, dirty row
-            cur_v[:, 0, :, 0, :] += set_next * f[:, 2] % self._pvec  # beta, topmost
-            cur_v[:, 1, :, 0, :] += set_next * f[:, 3] % self._pvec  # beta, below
-            levels.append(cur % self._pvec)
-        levels.reverse()
-        return levels
+        """Copies of column j's levels, top-down: ``levels[i-1]`` is just
+        before box i, ``levels[height]`` past the diagonal box."""
+        return [level.copy() for level in _column_levels(
+            self.n, j, self.boundary[j + 1], self.primes, self.scaled.factors(),
+            self.allowed, None)][::-1]
 
     def reconstruct(self, level: np.ndarray, above: int, mask: int) -> int:
-        return _crt([int(level[k, above, mask]) for k in range(len(self.primes))],
-                    self.primes)
+        return _crt(level[:, 0, above, mask].tolist(), self.primes)
 
 
-_chain_cache: Dict[Tuple[int, Weights], _ChainTables] = {}
-
-
-def _chain_tables(n: int, w: Weights) -> _ChainTables:
-    tables = _chain_cache.get((n, w))
-    if tables is None:
-        tables = _chain_cache[(n, w)] = _ChainTables(n, w)
-    return tables
+_chain_tables = functools.cache(_ChainTables)
 
 
 def _choice_weights(tables: _ChainTables, levels: List[np.ndarray], i: int,
@@ -173,22 +134,17 @@ def _choice_weights(tables: _ChainTables, levels: List[np.ndarray], i: int,
     """
     nxt = levels[i]
     bit = 1 << (i - 1)
-    facs = tables.scaled.factors()
     out = []
-    if i < height:
+    if i < height:  # the diagonal box may not stay empty
         count = tables.reconstruct(nxt, above, mask)
         if count:
             out.append((".", count, mask, above))
-    if not above:
-        f = facs[1] if mask & bit else facs[0]
-        count = f * tables.reconstruct(nxt, 1, mask | bit)
-        if count:
-            out.append(("A", count, mask | bit, 1))
-    if not mask & bit:
-        f = facs[2] if not above else facs[3]
-        count = f * tables.reconstruct(nxt, 1, mask | bit)
-        if count:
-            out.append(("B", count, mask | bit, 1))
+    for code, k, flag, dirty in _MOVES:
+        if flag == above and dirty == (mask >> (i - 1)) & 1:
+            # past a zero factor the plan need not cover the count; it is zeroed
+            count = tables.scaled.factors()[k] * tables.reconstruct(nxt, 1, mask | bit)
+            if count:
+                out.append((code, count, mask | bit, 1))
     return out
 
 
@@ -205,11 +161,9 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
             memo: Dict[Tuple[int, int], List[Tuple[str, int, int, int]]] = {}
             for k in range(count):
                 key = (masks[k], flags[k])
-                choices = memo.get(key)
-                if choices is None:
-                    choices = memo[key] = _choice_weights(
-                        tables, levels, i, height, *key
-                    )
+                if key not in memo:
+                    memo[key] = _choice_weights(tables, levels, i, height, *key)
+                choices = memo[key]
                 draw = rng.randrange(sum(c[1] for c in choices))
                 for code, weight, mask, flag in choices:
                     if draw < weight:
@@ -221,10 +175,9 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
         for k in range(count):
             grids[k].append("".join(cells[k]))
             masks[k] &= keep
+        del levels  # free them before the next column's are built
     return [
-        Tableau._trusted(tuple(
-            "".join(grid[c][i] for c in range(n - i)) for i in range(n)
-        ))
+        Tableau._trusted(tuple(map("".join, itertools.zip_longest(*grid, fillvalue=""))))
         for grid in grids
     ]
 
