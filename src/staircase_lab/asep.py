@@ -4,10 +4,13 @@ exclusion process.
 A four-symbol tableau's main diagonal encodes a particle configuration
 (its type), and the tableau weight, after filling every empty box with
 a hop rate u or q, gives that configuration's stationary weight.  This
-module computes the stationary law two independent ways:
+module computes the stationary law two independent ways, both in
+integers after the rates are cleared of their common denominator:
 
-* summing u/q-filled four-symbol tableau weights by type, and
-* solving the continuous-time Markov generator exactly,
+* summing u/q-filled four-symbol tableau weights by type, with a
+  right-to-left column transfer over the closed rows, and
+* solving the continuous-time Markov generator by fraction-free
+  elimination, which never reads a tableau,
 
 so their agreement is a machine-checked fact rather than an assumption.
 The mapping from diagonal symbols to occupied sites exists in two
@@ -27,12 +30,12 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .core import Tableau
-from .enumeration import enumerate_tableaux
 from .measure import _as_fraction
 from .pmf import Pmf
 
 CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
 
+_RATE_NAMES = ("alpha", "beta", "gamma", "delta", "u", "q")
 _N_TABLEAUX = 8
 _N_GENERATOR = 10
 
@@ -54,7 +57,7 @@ class AsepParams:
     q: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "u", "q"):
+        for name in _RATE_NAMES:
             value = _as_fraction(getattr(self, name), name)
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -77,8 +80,7 @@ class AsepParams:
                           Fraction(1), self.q / self.u)
 
     def as_dict(self) -> Dict[str, str]:
-        return {name: str(getattr(self, name))
-                for name in ("alpha", "beta", "gamma", "delta", "u", "q")}
+        return {name: str(getattr(self, name)) for name in _RATE_NAMES}
 
 
 def _check_convention(convention: str) -> None:
@@ -163,139 +165,124 @@ def uq_fill(t: Tableau) -> FilledGrid:
     return FilledGrid(tableau=t, rows=tuple(out))
 
 
+def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
+    """The six rates times their common denominator.
+
+    Neither stationary law moves under a common scale: the generator's
+    is invariant under time scaling, and every filled grid carries one
+    rate per box, so the scale cancels in the tableau normalization.
+    """
+    scale = math.lcm(*(getattr(p, f).denominator for f in _RATE_NAMES))
+    return tuple(int(getattr(p, f) * scale) for f in _RATE_NAMES)
+
+
 # ----------------------------------------------------------------------
 # stationary law via weighted tableaux
 
-def _column_type_split(rows: Tuple[str, ...], nearest_right: List[str],
-                       j: int, n: int, rates: Tuple[int, ...],
-                       u_pow: List[int], q_pow: List[int],
-                       convention: str) -> Tuple[int, int]:
-    """Sum the four-symbol expansions of one column of a two-symbol
-    tableau, split by whether the diagonal choice reads as filled.
-
-    State: (filled bit, whether the nearest symbol below the current
-    box is an alpha or a delta).  Each beta/delta choice also pays for
-    the j-1 empty boxes to its left, which is what makes columns
-    independent.
-    """
-    ra, rb, rg, rd, ru, rq = rates
-    height = n + 1 - j
-    # slot (bit, flag); the diagonal box of the column seeds it
-    acc = [0, 0, 0, 0]
-    diag = rows[height - 1][j - 1]
-    if diag == "A":
-        alpha_filled = 1  # alpha reads filled under both conventions
-        gamma_filled = 1 if convention == "paper_alpha_gamma" else 0
-        acc[2 * alpha_filled + 1] += ra
-        acc[2 * gamma_filled + 0] += rg
-    else:
-        beta_filled = 0  # beta reads empty under both conventions
-        delta_filled = 0 if convention == "paper_alpha_gamma" else 1
-        acc[2 * beta_filled + 0] += rb * u_pow[j - 1]
-        acc[2 * delta_filled + 1] += rd * q_pow[j - 1]
-    for i in range(height - 1, 0, -1):
-        code = rows[i - 1][j - 1]
-        if code == ".":
-            if nearest_right[(i - 1) * n + (j - 1)] in "BD":
-                continue  # paid for by that beta/delta choice
-            acc = [acc[0] * rq, acc[1] * ru, acc[2] * rq, acc[3] * ru]
-        elif code == "A":
-            acc = [
-                (acc[0] + acc[1]) * rg,
-                (acc[0] + acc[1]) * ra,
-                (acc[2] + acc[3]) * rg,
-                (acc[2] + acc[3]) * ra,
-            ]
-        else:
-            fb, fd = rb * u_pow[j - 1], rd * q_pow[j - 1]
-            acc = [
-                (acc[0] + acc[1]) * fb,
-                (acc[0] + acc[1]) * fd,
-                (acc[2] + acc[3]) * fb,
-                (acc[2] + acc[3]) * fd,
-            ]
-    return acc[0] + acc[1], acc[2] + acc[3]
+def _accumulate(acc: Dict, key, vec: List[int], factor: int) -> None:
+    """Add factor * vec into acc[key], entry by entry."""
+    if factor:
+        old = acc.get(key)
+        acc[key] = ([x * factor for x in vec] if old is None
+                    else [y + x * factor for x, y in zip(vec, old)])
 
 
 def steady_state_via_tableaux(n: int, p: AsepParams,
                               convention: str = "alpha_delta") -> Pmf:
     """Stationary law as normalized type-grouped tableau weights.
 
-    Streams the two-symbol tableaux and sums each one's four-symbol
-    u/q-filled expansion column by column, so no four-symbol tableau
-    is ever materialized.  All six rates are cleared to integers
-    first; every filled grid carries exactly one rate per box, so the
-    common scale cancels in the normalization.
+    Sums every u/q-filled four-symbol tableau by a column transfer
+    from right to left, each column from its diagonal box up, so no
+    tableau is ever materialized.  A row is closed once its leftmost
+    symbol so far is a beta or delta: every box left of it is empty,
+    and choosing that symbol in column j paid u^(j-1) or q^(j-1) for
+    them.  Inside a column, the symbol nearest below the current box
+    says both how an empty box reads (u above an alpha or delta, q
+    above a beta or gamma) and whether the box is blocked (empty above
+    an alpha or gamma).  The state maps each set of closed rows to the
+    weights by type of the columns processed so far; each diagonal
+    choice appends its column's type bit, so site 1, processed first,
+    ends as the most significant bit of the index.
     """
     _check_convention(convention)
     if not 1 <= n <= _N_TABLEAUX:
         raise ValueError(f"supported sizes are 1..{_N_TABLEAUX}, got {n}")
-    scale = math.lcm(*(getattr(p, f).denominator
-                       for f in ("alpha", "beta", "gamma", "delta", "u", "q")))
-    rates = tuple(int(getattr(p, f) * scale)
-                  for f in ("alpha", "beta", "gamma", "delta", "u", "q"))
-    u_pow = [rates[4] ** k for k in range(n)]
-    q_pow = [rates[5] ** k for k in range(n)]
-    totals = [0] * (1 << n)
-    for t in enumerate_tableaux(n):
-        nearest_right = [""] * (n * n)
-        for i in range(1, n + 1):
-            row = t.rows[i - 1]
-            seen = ""
-            for j in range(n + 1 - i, 0, -1):
-                if row[j - 1] != ".":
-                    seen = row[j - 1]
-                nearest_right[(i - 1) * n + (j - 1)] = seen
-        vec = [1]
-        # column j holds site n+1-j, so ascending columns leave site 1
-        # in the most significant bit of the index
-        for j in range(1, n + 1):
-            we, wf = _column_type_split(t.rows, nearest_right, j, n, rates,
-                                        u_pow, q_pow, convention)
-            vec = [x * we for x in vec] + [x * wf for x in vec]
-        for idx, value in enumerate(vec):
-            totals[idx] += value
+    ra, rb, rg, rd, ru, rq = _integer_rates(p)
+    gamma_bit = int(convention == "paper_alpha_gamma")
+    filled = {"A": 1, "G": gamma_bit, "B": 0, "D": 1 - gamma_bit}
+    states: Dict[int, List[int]] = {0: [1]}  # closed rows (row i at bit i-1)
+    for j in range(n, 0, -1):
+        symbols = (("A", ra), ("G", rg),
+                   ("B", rb * ru ** (j - 1)), ("D", rd * rq ** (j - 1)))
+        row = 1 << (n - j)  # the diagonal box
+        column: Dict[Tuple[int, str], List[int]] = {}
+        while states:  # popped, so each vector is freed once carried over
+            closed, vec = states.popitem()
+            for code, factor in symbols:
+                spread = [0] * (2 * len(vec))
+                spread[filled[code]::2] = vec
+                _accumulate(column, (closed | row if code in "BD" else closed, code),
+                            spread, factor)
+        row >>= 1
+        while row:
+            above: Dict[Tuple[int, str], List[int]] = {}
+            while column:
+                (closed, below), vec = column.popitem()
+                if closed & row:  # paid for by its beta or delta
+                    _accumulate(above, (closed, below), vec, 1)
+                    continue
+                _accumulate(above, (closed, below), vec, ru if below in "AD" else rq)
+                if below in "BD":
+                    for code, factor in symbols:
+                        _accumulate(above, (closed | row if code in "BD" else closed,
+                                            code), vec, factor)
+            column = above
+            row >>= 1
+        while column:
+            (closed, _), vec = column.popitem()
+            _accumulate(states, closed, vec, 1)
+    totals = [sum(weights) for weights in zip(*states.values())]
     return Pmf.from_weighted_counts(
-        {idx: Fraction(value) for idx, value in enumerate(totals) if value}
-    )
+        {idx: value for idx, value in enumerate(totals) if value})
 
 
 # ----------------------------------------------------------------------
 # stationary law via the Markov generator
 
-def _transitions(n: int, p: AsepParams, s: int) -> Iterable[Tuple[int, Fraction]]:
+def _transitions(n: int, rates: Sequence[int], s: int) -> Iterable[Tuple[int, int]]:
+    """Moves out of state s with their rates, given in the order of
+    ``_RATE_NAMES``."""
+    alpha, beta, gamma, delta, u, q = rates
     top = 1 << (n - 1)  # site 1
     if s & top:
-        if p.gamma:
-            yield s ^ top, p.gamma
-    elif p.alpha:
-        yield s ^ top, p.alpha
+        if gamma:
+            yield s ^ top, gamma
+    elif alpha:
+        yield s ^ top, alpha
     if s & 1:  # site n
-        if p.beta:
-            yield s ^ 1, p.beta
-    elif p.delta:
-        yield s ^ 1, p.delta
+        if beta:
+            yield s ^ 1, beta
+    elif delta:
+        yield s ^ 1, delta
     for i in range(n - 1):  # bond between sites n-1-i and n-i
         pair = 0b11 << i
         both = s & pair
         if both == (0b10 << i):
-            if p.u:
-                yield s ^ pair, p.u
+            if u:
+                yield s ^ pair, u
         elif both == (0b01 << i):
-            if p.q:
-                yield s ^ pair, p.q
+            if q:
+                yield s ^ pair, q
 
 
-def _check_irreducible(n: int, p: AsepParams) -> None:
-    size = 1 << n
-    for reverse in (False, True):
-        edges: List[List[int]] = [[] for _ in range(size)]
-        for s in range(size):
-            for t, _ in _transitions(n, p, s):
-                if reverse:
-                    edges[t].append(s)
-                else:
-                    edges[s].append(t)
+def _check_irreducible(moves: List[List[Tuple[int, int]]]) -> None:
+    size = len(moves)
+    forward = [[t for t, _ in out] for out in moves]
+    backward: List[List[int]] = [[] for _ in range(size)]
+    for s, targets in enumerate(forward):
+        for t in targets:
+            backward[t].append(s)
+    for edges in (forward, backward):
         seen = {0}
         queue = deque([0])
         while queue:
@@ -313,34 +300,45 @@ def _check_irreducible(n: int, p: AsepParams) -> None:
 def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     """Exact stationary vector of the continuous-time generator.
 
-    Builds the transpose generator over all 2^n configurations,
-    swaps one (redundant) balance equation for the normalization, and
-    solves by fraction-exact elimination.  The rows of the transpose
-    generator sum to zero, so dropping any one of them keeps full
-    information and the replaced system is nonsingular for an
-    irreducible chain.
+    Builds the transpose generator over all 2^n configurations at
+    integer rates, swaps one (redundant) balance equation for the
+    normalization, and solves by fraction-free (Bareiss) elimination.
+    The rows of the transpose generator sum to zero, so dropping any
+    one of them keeps full information and the replaced system is
+    nonsingular for an irreducible chain.  Every division is exact:
+    elimination leaves the determinant, up to sign, as the last pivot,
+    and back-substitution yields det * mass for each state, which is
+    an integer by Cramer's rule.
     """
     if not 1 <= n <= _N_GENERATOR:
         raise ValueError(f"supported sizes are 1..{_N_GENERATOR}, got {n}")
-    _check_irreducible(n, p)
     size = 1 << n
-    matrix = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    for s in range(size):
-        for t, rate in _transitions(n, p, s):
+    rates = _integer_rates(p)
+    moves = [list(_transitions(n, rates, s)) for s in range(size)]
+    _check_irreducible(moves)
+    matrix = [[0] * (size + 1) for _ in range(size)]  # last column: rhs
+    for s, out in enumerate(moves):
+        for t, rate in out:
             matrix[t][s] += rate
             matrix[s][s] -= rate
-    matrix[-1] = [Fraction(1)] * size + [Fraction(1)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if matrix[r][col])
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        lead = matrix[col][col]
-        for r in range(size):
-            if r != col and matrix[r][col]:
-                factor = matrix[r][col] / lead
-                matrix[r] = [x - factor * y
-                             for x, y in zip(matrix[r], matrix[col])]
-    masses = {s: matrix[s][size] / matrix[s][s] for s in range(size)}
-    return Pmf.from_weighted_counts({s: m for s, m in masses.items() if m})
+    matrix[-1] = [1] * (size + 1)
+    det = 1
+    for k in range(size):
+        pivot = next(r for r in range(k, size) if matrix[r][k])
+        matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+        lead, tail = matrix[k][k], matrix[k][k + 1:]
+        for row in matrix[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [(lead * x - factor * y) // det
+                           for x, y in zip(row[k + 1:], tail)]
+        det = lead
+    scaled = [0] * size  # det * mass
+    for s in range(size - 1, -1, -1):
+        row = matrix[s]
+        scaled[s] = (det * row[size] - sum(
+            row[t] * scaled[t] for t in range(s + 1, size))) // row[s]
+    return Pmf.from_weighted_counts(
+        {s: Fraction(m, det) for s, m in enumerate(scaled) if m})
 
 
 # ----------------------------------------------------------------------

@@ -324,9 +324,9 @@ def _selftest_suites():
         return all(t.is_valid for t in draws)
 
     def asep_bridge():
-        report = asep.cross_validate(
-            2, asep.AsepParams(2, 1, 3, 1, u=1, q=Fraction(1, 2)))
-        return "alpha_delta" in report["matching_conventions"]
+        p = asep.AsepParams(2, 1, 3, 1, u=1, q=Fraction(1, 2))
+        return all("alpha_delta" in asep.cross_validate(n, p)["matching_conventions"]
+                   for n in range(1, 5))
 
     return [
         ("counts_match_factorial", counts),

@@ -1,5 +1,8 @@
 """Both stationary-law routes, the u/q filling, and the type reading."""
 
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,8 +20,25 @@ from staircase_lab.asep import (
     tableau_type,
     uq_fill,
 )
+from staircase_lab.asep import _RATE_NAMES, _transitions
 from staircase_lab.core import Tableau
-from staircase_lab.enumeration import enumerate_four_symbol
+from staircase_lab.enumeration import enumerate_four_symbol, enumerate_tableaux
+from staircase_lab.pmf import Pmf
+
+#: sha256 over the canonical JSON of cross_validate(n, p) for n = 1..6
+#: and every rate set in PINNED_RATES, recorded while the generator was
+#: still solved by Fraction Gauss-Jordan and the tableaux were streamed.
+PINNED_REPORTS = "7dce0e45daf54f717c4dd2c9704eb6d8301b08e31c0462badecfd463cfe4425f"
+PINNED_RATES = [
+    AsepParams(2, 1, 3, 1, u=1, q=0),                          # q = 0
+    AsepParams(F(3, 2), 2, 0, 1, u=1, q=F(1, 2)),              # gamma = 0
+    AsepParams(1, F(3, 4), 2, 0, u=1, q=2),                    # delta = 0
+    AsepParams(2, 1, F(5, 3), F(5, 3), u=1, q=F(1, 3)),        # gamma = delta
+    AsepParams(2, 1, 3, 1, u=2, q=F(1, 2)),                    # non-unit u
+    AsepParams(F(1, 2), F(2, 3), F(3, 5), F(5, 7), u=F(7, 4), q=F(11, 13)),
+    AsepParams(1, 1, 0, 0, u=3, q=0),                          # TASEP, no back rates
+    AsepParams(F(1, 3), F(1, 5), F(1, 7), F(2, 9), u=1, q=1),
+]
 
 GRID7 = Tableau(("A..G..A", ".....D", "..B.G", "...D", "..B", ".G", "B"))
 
@@ -99,6 +119,61 @@ def test_tableaux_route_point_values():
         steady_state_via_tableaux(2, ones, "diagonal")
 
 
+def _rates(p):
+    return [getattr(p, f) for f in _RATE_NAMES]
+
+
+def reference_tableaux_law(n, p, convention):
+    """The two-symbol tableau stream the tableaux route once summed.
+
+    Each column's four-symbol expansions are split by the column's type
+    bit; acc[2 * bit + flag] tracks whether the nearest symbol below
+    reads u (alpha or delta).  A beta or delta pays for the empty boxes
+    to its left, so empties whose nearest symbol to the right is a B
+    are skipped.  Rates are cleared to integers, which the
+    normalization cancels.
+    """
+    scale = math.lcm(*(r.denominator for r in _rates(p)))
+    ra, rb, rg, rd, ru, rq = (int(r * scale) for r in _rates(p))
+    gamma_bit = int(convention == "paper_alpha_gamma")
+    totals = {}
+    for t in enumerate_tableaux(n):
+        vec = [1]
+        for j in range(1, n + 1):
+            fb, fd = rb * ru ** (j - 1), rd * rq ** (j - 1)
+            acc = [0] * 4
+            if t.rows[n - j][j - 1] == "A":
+                acc[3] += ra
+                acc[2 * gamma_bit] += rg
+            else:
+                acc[0] += fb
+                acc[3 - 2 * gamma_bit] += fd
+            for i in range(n - j, 0, -1):
+                row = t.rows[i - 1]
+                if row[j - 1] == ".":
+                    if next(c for c in row[j:] if c != ".") == "B":
+                        continue
+                    acc = [acc[0] * rq, acc[1] * ru, acc[2] * rq, acc[3] * ru]
+                else:
+                    lo, hi = (rg, ra) if row[j - 1] == "A" else (fb, fd)
+                    empty, filled = acc[0] + acc[1], acc[2] + acc[3]
+                    acc = [empty * lo, empty * hi, filled * lo, filled * hi]
+            we, wf = acc[0] + acc[1], acc[2] + acc[3]
+            vec = [x * we for x in vec] + [x * wf for x in vec]
+        for idx, value in enumerate(vec):
+            totals[idx] = totals.get(idx, 0) + value
+    return Pmf.from_weighted_counts({idx: v for idx, v in totals.items() if v})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tableaux_route_matches_tableau_stream(n):
+    rng = random.Random(500 + n)
+    for p in [random_rates(rng) for _ in range(3)]:
+        for convention in CONVENTIONS:
+            got = steady_state_via_tableaux(n, p, convention)
+            assert got == reference_tableaux_law(n, p, convention), (p, convention)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tableaux_route_matches_four_symbol_enumeration(n):
     p = AsepParams(F(1, 2), 2, F(2, 3), 1, u=1, q=F(3, 4))
@@ -113,24 +188,62 @@ def test_tableaux_route_matches_four_symbol_enumeration(n):
             assert law.mass(idx) == totals.get(idx, 0) / z
 
 
+def reference_generator_law(n, p):
+    """Gauss-Jordan on Fractions, as the generator route once solved it."""
+    size = 1 << n
+    m = [[F(0)] * (size + 1) for _ in range(size)]
+    for s in range(size):
+        for t, rate in _transitions(n, _rates(p), s):
+            m[t][s], m[s][s] = m[t][s] + rate, m[s][s] - rate
+    m[-1] = [F(1)] * (size + 1)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(size):
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] / m[col][col] * y for x, y in zip(m[r], m[col])]
+    return Pmf.from_weighted_counts({s: m[s][size] / m[s][s] for s in range(size)})
+
+
+def random_rates(rng):
+    """Irreducible rates: alpha, beta and u stay positive; gamma,
+    delta and q are each zero in about a third of the draws."""
+    def rate(may_vanish=False):
+        if may_vanish and rng.random() < 1 / 3:
+            return F(0)
+        return F(rng.randint(1, 6), rng.randint(1, 4))
+    return AsepParams(rate(), rate(), rate(True), rate(True), u=rate(), q=rate(True))
+
+
 def test_generator_point_values_and_stationarity():
     p = AsepParams(2, 1, 3, 1)
     law = steady_state_via_generator(1, p)
     assert law.mass(1) == F(3, 7) and law.mass(0) == F(4, 7)
 
-    n, p = 3, AsepParams(F(1, 2), 2, F(2, 3), 1, u=1, q=F(3, 4))
-    law = steady_state_via_generator(n, p)
-    assert sum(law.masses) == 1
-    from staircase_lab.asep import _transitions
-    for s in range(1 << n):
-        outflow = law.mass(s) * sum(rate for _, rate in _transitions(n, p, s))
-        inflow = sum(
-            law.mass(r) * rate
-            for r in range(1 << n)
-            for t, rate in _transitions(n, p, r)
-            if t == s
-        )
-        assert inflow == outflow
+    rng = random.Random(400)
+    for n in range(1, 6):
+        for p in [AsepParams(F(1, 2), 2, F(2, 3), 1, u=1, q=F(3, 4)), random_rates(rng)]:
+            law = steady_state_via_generator(n, p)
+            assert sum(law.masses) == 1
+            inflow = [F(0)] * (1 << n)
+            outflow = [F(0)] * (1 << n)
+            for r in range(1 << n):
+                for t, rate in _transitions(n, _rates(p), r):
+                    outflow[r] += law.mass(r) * rate
+                    inflow[t] += law.mass(r) * rate
+            assert inflow == outflow
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_matches_fraction_gauss_jordan(n):
+    rng = random.Random(300 + n)
+    cases = [random_rates(rng) for _ in range(6)] + [
+        AsepParams(2, 1, 3, 1, u=1, q=0),
+        AsepParams(3, 2, 0, 0, u=F(1, 2), q=0),
+        AsepParams(0, 1, 2, 1, u=1, q=F(2, 3)),  # entry at site n only
+    ]
+    for p in cases:
+        assert steady_state_via_generator(n, p) == reference_generator_law(n, p), p
 
 
 def test_generator_rejects_bad_inputs():
@@ -139,7 +252,7 @@ def test_generator_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # fills but can never empty: no exit and no leftward relief
         steady_state_via_generator(1, AsepParams(1, 0, 0, 1, u=1, q=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reducible"):
         # site 1 unreachable: no entry there and no left hops
         steady_state_via_generator(2, AsepParams(0, 1, 0, 1, u=1, q=0))
 
@@ -183,3 +296,13 @@ def test_alpha_delta_reading_matches_generator_on_random_rates(n):
         p = AsepParams(*rates, u=1, q=q)
         report = cross_validate(n, p)
         assert "alpha_delta" in report["matching_conventions"]
+
+
+def test_cross_validate_reports_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for p in PINNED_RATES:
+            report = cross_validate(n, p)
+            digest.update((json.dumps(report, sort_keys=True, separators=(",", ":"))
+                           + "\n").encode())
+    assert digest.hexdigest() == PINNED_REPORTS
