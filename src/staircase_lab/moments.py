@@ -4,15 +4,15 @@ The joint cell laws on the second and third diagonals have product
 form, so the r-th factorial moment of each diagonal count is r! times
 a sum of products over admissible column r-subsets.  A change of
 variables turns those sums into complete monotone-tuple sums that a
-small two-dimensional recurrence evaluates exactly, which is what
-makes sizes in the hundreds reachable: no tableau is ever enumerated.
+small two-dimensional recurrence evaluates on a scaled integer table,
+so sizes in the hundreds are reachable: no tableau is ever enumerated.
 
-Moment sequences convert to exact laws by inclusion-exclusion (the
-count's support is finite, so finitely many factorial moments pin the
-distribution down), and total variation distances to the Poisson
-limits are evaluated in interval arithmetic with an analytically
-summed tail, escalating the working precision until the enclosure is
-tighter than the requested tolerance.
+Moment sequences convert to exact laws by inclusion-exclusion, summed
+in integers over one denominator (the support is finite, so finitely
+many factorial moments pin the law down), and total variation
+distances to the Poisson limits are evaluated in interval arithmetic
+with an analytically summed tail, escalating the working precision
+until the enclosure is tighter than the requested tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import mpmath
 
 from . import dpcount
-from .measure import Weights, _as_fraction, falling_factorial, rising_factorial
+from .measure import Weights, _as_fraction
 from .pmf import Pmf
 
 #: Limit law rates: symbol counts on either diagonal tend to
@@ -63,32 +63,81 @@ def third_diag_max_count(n: int) -> int:
     return (odd + 1) // 2 + (even + 1) // 2
 
 
-def _tuple_sum_table(factor: Callable[[int, int], Fraction], tmax: int,
-                     kmax: int) -> List[List[Fraction]]:
-    """Sums of factor products over monotone tuples.
+def _tuple_sum_table(b: Fraction, n: int, step: int, R: int) -> List[List[int]]:
+    """Monotone-tuple sums, scaled by ``bd**k`` to integers.
 
-    ``T[t][k]`` is the sum over non-decreasing tuples
-    ``0 <= u_1 <= ... <= u_k <= t - 1`` of ``prod_l factor(u_l + 1, l)``,
-    via ``T[t][k] = T[t-1][k] + factor(t, k) * T[t][k-1]`` (the last
-    coordinate either stays below t - 1 or sits exactly there).
+    ``T[t][k]`` sums ``prod_l (b + u_l + (step - 2)(l - 1))`` over tuples
+    ``0 <= u_1 <= ... <= u_k <= t - 1``, via ``T[t][k] = T[t-1][k] +
+    (b + t - 1 + (step - 2)(k - 1)) T[t][k-1]`` (the last coordinate
+    stays below t - 1 or sits there); ``bd`` is b's denominator.  Size
+    n reads ``T[n - step r + 1][r]`` only, so rows are triangular.
     """
-    table = [[Fraction(1)] + [Fraction(0)] * kmax]
-    for t in range(1, tmax + 1):
-        row = [Fraction(1)]
-        for k in range(1, kmax + 1):
-            row.append(table[t - 1][k] + factor(t, k) * row[k - 1])
+    bn, bd = b.numerator, b.denominator
+    table = [[1] + [0] * min(R, n // step)]
+    for t in range(1, n - step + 2):
+        prev, row = table[-1], [1]
+        for k in range(1, min(R, (n + 1 - t) // step) + 1):
+            factor = bn + (t - 1 + (step - 2) * (k - 1)) * bd
+            row.append(prev[k] + factor * row[k - 1])
         table.append(row)
     return table
 
 
-def _check_kind(kind: str) -> None:
+def _moment_numerators(n: int, w: Weights, kind: str, R: int,
+                       step: int) -> Tuple[List[int], int]:
+    """Integers ``c_0..c_R`` and ``L`` with ``m_r / r! = c_r / L``.
+
+    ``step`` is the least column gap: 2 on the second diagonal, 3 for
+    the third's main term.  With ``s - 1 = S / D`` and ``P_j = prod_(i<j)
+    (S - i D)``, ``m_r / r! = h_r D^(jr) / (g^r P_(jr))``, where alpha has
+    a scaled tuple sum h_r, g = den(b), j = 2, and nonempty has h_r =
+    C(n - (step - 1) r, r), g = j = 1.  Moments vanish past n // step.
+    """
+    if kind == "beta":
+        w, kind = w.swapped(), "alpha"
+    top = min(R, n // step)
+    S, D = (n + w.a + w.b - 1).as_integer_ratio()
+    if kind == "nonempty":
+        heads = [math.comb(n - (step - 1) * r, r) for r in range(top + 1)]
+        g, j = 1, 1
+    else:
+        table = _tuple_sum_table(w.b, n, step, top)
+        heads = [1] + [table[n - step * r + 1][r] for r in range(1, top + 1)]
+        g, j = w.b.denominator, 2
+    c = [0] * (R + 1)
+    tail = 1  # g^(top - r) * prod_(j r <= i < j top) (S - i D)
+    for r in range(top, 0, -1):
+        c[r] = heads[r] * D ** (j * r) * tail
+        tail *= g * math.prod(S - i * D for i in range(j * r - j, j * r))
+    c[0] = tail
+    return c, tail
+
+
+def _invert(c: Sequence[int], L: int) -> Pmf:
+    """The law with factorial moments ``m_r = r! c_r / L``.
+
+    Masses ``sum_r (-1)^(r-k) C(r, k) c_r / L`` are the coefficients of
+    ``sum_r c_r (x - 1)^r / L``: a Taylor shift by -1, in integers.
+    """
+    shifted = list(c)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] -= shifted[j + 1]
+    masses = tuple(Fraction(num, L) for num in shifted)
+    for k, mass in enumerate(masses):
+        if mass < 0:
+            raise ValueError(
+                f"moments are inconsistent: reconstructed mass at {k} is {mass}")
+    return Pmf(masses)
+
+
+def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-
-
-def _check_r(R: int, cap: int) -> None:
-    if not 1 <= R <= cap + 1:
-        raise ValueError(f"R must lie in 1..{cap + 1}, got {R}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 1 <= R <= max_count(n) + 1:
+        raise ValueError(f"R must lie in 1..{max_count(n) + 1}, got {R}")
 
 
 def factorial_moments_second_diag(n: int, w: Weights, kind: str,
@@ -99,27 +148,9 @@ def factorial_moments_second_diag(n: int, w: Weights, kind: str,
     column r-subsets; subsets with adjacent columns carry no mass, and
     the gap-two subsets reindex to monotone tuples.
     """
-    _check_kind(kind)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_r(R, second_diag_max_count(n))
-    if kind == "beta":
-        return factorial_moments_second_diag(n, w.swapped(), "alpha", R)
-    s = n + w.a + w.b
-    if kind == "nonempty":
-        return [
-            Fraction(math.factorial(r) * math.comb(n - r, r))
-            / rising_factorial(s - r, r)
-            for r in range(1, R + 1)
-        ]
-    table = _tuple_sum_table(lambda t, k: w.b + t - 1, max(n - 1, 0), R)
-    out = []
-    for r in range(1, R + 1):
-        t = n - 2 * r + 1
-        total = table[t][r] if t >= 1 else Fraction(0)
-        out.append(math.factorial(r) * total / falling_factorial(s - 1, 2 * r)
-                   if total else Fraction(0))
-    return out
+    _check(n, kind, R, second_diag_max_count)
+    c, L = _moment_numerators(n, w, kind, R, 2)
+    return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]
 
 
 def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
@@ -132,32 +163,15 @@ def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
     leading-order product laws over column subsets with all gaps at
     least three; the two agree up to one extra power of 1/(n+a+b).
     """
-    _check_kind(kind)
+    _check(n, kind, R, third_diag_max_count)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_r(R, third_diag_max_count(n))
-    if kind == "beta":
-        return factorial_moments_third_diag(n, w.swapped(), "alpha", R, mode)
     if mode == "exact_dp":
-        law = dpcount.statistic_pmf(n, w, "A3" if kind == "alpha" else "X3")
+        law = dpcount.statistic_pmf(n, w.swapped() if kind == "beta" else w,
+                                    "X3" if kind == "nonempty" else "A3")
         return [law.factorial_moment(r) for r in range(1, R + 1)]
-    s = n + w.a + w.b
-    if kind == "nonempty":
-        return [
-            Fraction(math.factorial(r) * math.comb(max(n - 2 * r, 0), r))
-            / rising_factorial(s - r, r)
-            for r in range(1, R + 1)
-        ]
-    table = _tuple_sum_table(lambda t, k: w.b + t + k - 2, max(n - 2, 0), R)
-    out = []
-    for r in range(1, R + 1):
-        t = n - 3 * r + 1
-        total = table[t][r] if t >= 1 else Fraction(0)
-        out.append(math.factorial(r) * total / falling_factorial(s - 1, 2 * r)
-                   if total else Fraction(0))
-    return out
+    c, L = _moment_numerators(n, w, kind, R, 3)
+    return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]
 
 
 def pmf_from_factorial_moments(m: Sequence) -> Pmf:
@@ -171,20 +185,9 @@ def pmf_from_factorial_moments(m: Sequence) -> Pmf:
     mus = [_as_fraction(x, f"m[{i}]") for i, x in enumerate(m)]
     if not mus or mus[0] != 1:
         raise ValueError("m[0] must be 1, the zeroth factorial moment")
-    top = len(mus) - 1
-    masses = []
-    for k in range(top + 1):
-        mass = sum(
-            (-1) ** (r - k) * mus[r]
-            / (math.factorial(k) * math.factorial(r - k))
-            for r in range(k, top + 1)
-        )
-        if mass < 0:
-            raise ValueError(
-                f"moments are inconsistent: reconstructed mass at {k} is {mass}"
-            )
-        masses.append(mass)
-    return Pmf(tuple(masses))
+    scaled = [mu / math.factorial(r) for r, mu in enumerate(mus)]
+    L = math.lcm(*(q.denominator for q in scaled))
+    return _invert([q.numerator * (L // q.denominator) for q in scaled], L)
 
 
 def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
@@ -196,11 +199,7 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     """
     if statistic in ("A2", "B2", "X2"):
         kind = {"A2": "alpha", "B2": "beta", "X2": "nonempty"}[statistic]
-        cap = second_diag_max_count(n)
-        mus = [Fraction(1)]
-        if cap >= 1:
-            mus.extend(factorial_moments_second_diag(n, w, kind, cap))
-        return pmf_from_factorial_moments(mus)
+        return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))
     if statistic in ("A3", "X3", "Nalpha", "Nbeta"):
         return dpcount.statistic_pmf(n, w, statistic)
     raise ValueError(f"unknown statistic {statistic!r}")
@@ -220,7 +219,6 @@ def tv_to_poisson(p: Pmf, lam, precision: float = 1e-12) -> float:
         raise ValueError("lam must be positive")
     if precision <= 0:
         raise ValueError("precision must be positive")
-    top = p.max_value
     saved = mpmath.iv.dps
     try:
         for dps in (40, 80, 160, 320, 640):
@@ -230,9 +228,8 @@ def tv_to_poisson(p: Pmf, lam, precision: float = 1e-12) -> float:
             power = mpmath.iv.mpf(1)
             gap = mpmath.iv.mpf(0)
             seen = mpmath.iv.mpf(0)
-            for k in range(top + 1):
+            for k, mass in p.items():
                 pois = decay * power / math.factorial(k)
-                mass = p.mass(k)
                 exact = mpmath.iv.mpf(mass.numerator) / mpmath.iv.mpf(mass.denominator)
                 gap += abs(exact - pois)
                 seen += pois

@@ -71,7 +71,9 @@ class Pmf:
         """``E[X (X-1) ... (X-r+1)]``, exactly."""
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        return sum(Fraction(math.perm(k, r)) * m for k, m in self.items() if k >= r)
+        den = math.lcm(*(m.denominator for m in self.masses))
+        return Fraction(sum(math.perm(k, r) * m.numerator * (den // m.denominator)
+                            for k, m in self.items()), den)
 
     def tv_distance(self, other: "Pmf") -> Fraction:
         """Total variation distance to another pmf, exactly."""

@@ -1,14 +1,16 @@
 """Moment formulas checked against brute sums, oracles, and inversion."""
 
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from staircase_lab import dpcount, formulas, moments
 from staircase_lab.enumeration import oracle_statistic_pmf
-from staircase_lab.measure import Weights
+from staircase_lab.measure import Weights, falling_factorial, rising_factorial
 from staircase_lab.moments import (
     CSV_HEADER,
     POISSON_RATES,
@@ -32,21 +34,104 @@ WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1)]
 
 @pytest.mark.parametrize("position_shift", [False, True])
 def test_tuple_sum_table_matches_brute_listing(position_shift):
-    b = F(2, 3)
-    if position_shift:
-        factor = lambda t, k: b + t + k - 2
-        value = lambda u, pos: b + u + pos - 1
+    step = 3 if position_shift else 2
+    n = 7 + 3 * step  # rows up to t = 7 still reach k = 3
+    for b in (F(2, 3), F(0), F(7, 4)):
+        if position_shift:
+            value = lambda u, pos: b + u + pos - 1
+        else:
+            value = lambda u, pos: b + u
+        table = moments._tuple_sum_table(b, n, step, 3)
+        assert [len(row) for row in table] == [
+            min(3, (n + 1 - t) // step) + 1 if t else 4
+            for t in range(n - step + 2)
+        ]
+        for t in range(8):
+            for k in range(4):
+                brute = sum(
+                    math.prod(value(u, pos) for pos, u in enumerate(tup, start=1))
+                    for tup in itertools.combinations_with_replacement(range(t), k)
+                )
+                assert F(table[t][k], b.denominator ** k) == brute, (b, t, k)
+
+
+# ----------------------------------------------------------------------
+# the integer route against the Fraction route it replaced
+
+def _fraction_tuple_sum_table(factor, tmax, kmax):
+    table = [[F(1)] + [F(0)] * kmax]
+    for t in range(1, tmax + 1):
+        row = [F(1)]
+        for k in range(1, kmax + 1):
+            row.append(table[t - 1][k] + factor(t, k) * row[k - 1])
+        table.append(row)
+    return table
+
+
+def _fraction_moments(n, w, kind, R, step):
+    """Factorial moments 1..R by the Fraction route: step 2 is the
+    second diagonal, step 3 the third diagonal's main term."""
+    if kind == "beta":
+        return _fraction_moments(n, w.swapped(), "alpha", R, step)
+    s = n + w.a + w.b
+    if kind == "nonempty":
+        return [F(math.factorial(r) * math.comb(max(n - (step - 1) * r, 0), r))
+                / rising_factorial(s - r, r) for r in range(1, R + 1)]
+    if step == 2:
+        table = _fraction_tuple_sum_table(lambda t, k: w.b + t - 1, max(n - 1, 0), R)
     else:
-        factor = lambda t, k: b + t - 1
-        value = lambda u, pos: b + u
-    table = moments._tuple_sum_table(factor, 7, 3)
-    for t in range(8):
-        for k in range(4):
-            brute = sum(
-                math.prod(value(u, pos) for pos, u in enumerate(tup, start=1))
-                for tup in itertools.combinations_with_replacement(range(t), k)
-            )
-            assert table[t][k] == brute, (t, k)
+        table = _fraction_tuple_sum_table(lambda t, k: w.b + t + k - 2, max(n - 2, 0), R)
+    out = []
+    for r in range(1, R + 1):
+        t = n - step * r + 1
+        total = table[t][r] if t >= 1 else F(0)
+        out.append(math.factorial(r) * total / falling_factorial(s - 1, 2 * r)
+                   if total else F(0))
+    return out
+
+
+def _fraction_inversion(mus):
+    top = len(mus) - 1
+    return Pmf(tuple(
+        sum((-1) ** (r - k) * mus[r] / (math.factorial(k) * math.factorial(r - k))
+            for r in range(k, top + 1))
+        for k in range(top + 1)
+    ))
+
+
+def _differential_weights(seed):
+    rng = random.Random(seed)
+    ws = [Weights(0, 1), Weights(F(5, 2), 0), Weights(F(13, 7), F(1000, 3))]
+    while len(ws) < 6:
+        a = F(rng.randint(0, 9), rng.randint(1, 12))
+        b = F(rng.randint(0, 9), rng.randint(1, 12))
+        if a or b:
+            ws.append(Weights(a, b))
+    return ws
+
+
+@pytest.mark.parametrize("statistic", ["A2", "B2", "X2"])
+def test_exact_laws_match_fraction_route(statistic):
+    kind = {"A2": "alpha", "B2": "beta", "X2": "nonempty"}[statistic]
+    for n in range(1, 49):
+        for w in _differential_weights(n):
+            cap = second_diag_max_count(n)
+            mus = [F(1)] + (_fraction_moments(n, w, kind, cap, 2) if cap else [])
+            assert exact_statistic_pmf(n, w, statistic) == _fraction_inversion(mus), (n, w)
+
+
+@pytest.mark.parametrize("step", [2, 3])
+def test_moments_match_fraction_route(step):
+    for n in range(1, 41):
+        for w in _differential_weights(100 + n):
+            for kind in ("alpha", "beta", "nonempty"):
+                if step == 2:
+                    R = second_diag_max_count(n) + 1
+                    got = factorial_moments_second_diag(n, w, kind, R)
+                else:
+                    R = third_diag_max_count(n) + 1
+                    got = factorial_moments_third_diag(n, w, kind, R, "main_term")
+                assert got == _fraction_moments(n, w, kind, R, step), (n, w, kind)
 
 
 # ----------------------------------------------------------------------
@@ -261,3 +346,18 @@ def test_convergence_report_parallel_matches_serial():
     serial = convergence_report([4, 6, 9], w, "A2")
     parallel = convergence_report([4, 6, 9], w, "A2", threads=2)
     assert serial == parallel
+
+
+def test_convergence_reports_are_pinned():
+    # recorded from the Fraction moment route before it moved to integers
+    ladder = [1, 2, 3, 5, 16, 31, 64, 128, 256]
+    weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1), Weights(2, 0),
+               Weights(F(13, 7), F(1000, 3)), Weights(F(3, 4), F(5, 6))]
+    h = hashlib.sha256()
+    for stat in ("A2", "B2", "X2"):
+        for w in weights:
+            for row in convergence_report(ladder, w, stat):
+                moms = " ".join(f"{m.numerator}/{m.denominator}" for m in row.moments)
+                h.update(f"{stat} {w.a} {w.b} {row.n} {moms} {row.tv!r}\n".encode())
+    assert h.hexdigest() == (
+        "6b49779888fe6cbae43d4ad6981bf299f8b4a707f4fe6517540bbf351eff1a06")
