@@ -15,10 +15,13 @@ State space is ``2^height`` per column, so sizes up to :data:`N_DP`
 are practical.  Two independent engines cover it:
 
 * ``crt``: counts completions right to left, bottom-up in each column,
-  in numpy arrays of residues modulo enough 31-bit primes to cover the
-  scaled integer total, recombined by the Chinese remainder theorem.
-  Exact, with no modular inversions of data values.  The chain-rule
-  sampler reads its conditional laws off the same kernel and plan.
+  in numpy ``uint64`` arrays of residues modulo 2^64 and, when the
+  scaled integer total needs more, enough 31-bit primes to cover it,
+  recombined by the Chinese remainder theorem.  The 2^64 plane is
+  unsigned arithmetic's own wrap-around, so it costs no remainder
+  operation; only the prime planes are reduced.  Exact, with no
+  modular inversions of data values.  The chain-rule sampler reads its
+  conditional laws off the same kernel and plan.
 * ``fractions``: a left-to-right dictionary sweep in exact rational
   arithmetic, simple enough to audit by eye; it shares no code with
   the kernel and stays the independent reference at small sizes.
@@ -97,10 +100,14 @@ class ScaledWeights:
             self.q * (self.pa + self.pb) + i * self.q * self.q for i in range(n)
         )
 
-    def primes(self, n: int) -> Tuple[int, ...]:
-        """The prime plan of every size-n count and chain-rule table."""
-        return _primes_covering(self.total_bound(n))
+    def moduli(self, n: int) -> Tuple[int, ...]:
+        """The modulus plan of every size-n count and chain-rule table:
+        2^64, then 31-bit primes until the product passes the bound."""
+        return (_WRAP,) + _primes_covering(self.total_bound(n) >> 64)
 
+
+#: The free modulus: numpy's uint64 arithmetic wraps around it.
+_WRAP = 1 << 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -220,29 +227,43 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 
-def _column_levels(n: int, j: int, boundary: np.ndarray, primes: Sequence[int],
+def _reduce(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """Reduce ``x[plane]`` modulo ``moduli[plane]`` in place and return it.
+
+    A leading 2^64 plane needs nothing: uint64 arithmetic wraps.
+    """
+    wrap = int(moduli[0] == _WRAP)
+    if len(moduli) > wrap:
+        tail = x[wrap:]
+        primes = np.array(moduli[wrap:], dtype=np.uint64)
+        np.remainder(tail, primes.reshape((-1,) + (1,) * (x.ndim - 1)), out=tail)
+    return x
+
+
+def _column_levels(n: int, j: int, boundary: np.ndarray, moduli: Sequence[int],
                    factors: Tuple[int, int, int, int], allowed: Dict[Box, str],
                    bump: Optional[Dict[Box, str]]) -> Iterator[np.ndarray]:
     """Completion counts through column j, box by box from the bottom up.
 
-    ``boundary[prime, slot, mask]`` counts the weighted ways to fill
-    columns j+1..n from each dirty-row mask with ``slot`` counter bumps
-    to come.  Yields ``level[prime, slot, above, mask]`` for the
-    hand-off past the diagonal box (whose row bit must be set), then
-    just before each box, bottom to top: one array updated in place, so
-    a caller that keeps levels copies them.  ``bump`` maps a box to the
-    cell codes that count there; a count that would need a slot past
-    the last raises.  Entries are residues, reduced only where read.
+    ``boundary[plane, slot, mask]`` counts, modulo ``moduli[plane]``,
+    the weighted ways to fill columns j+1..n from each dirty-row mask
+    with ``slot`` counter bumps to come.  Yields
+    ``level[plane, slot, above, mask]`` for the hand-off past the
+    diagonal box (whose row bit must be set), then just before each
+    box, bottom to top: one uint64 array updated in place, so a caller
+    that keeps levels copies them.  ``bump`` maps a box to the cell
+    codes that count there; a count that would need a slot past the
+    last raises.  Entries are residues, reduced only where read.
     """
     height = n + 1 - j
     plan, slots = boundary.shape[:2]
-    pvec = np.array(primes, dtype=np.int64).reshape(plan, 1, 1, 1)
-    facs = [np.array([f % p for p in primes], dtype=np.int64).reshape(plan, 1, 1, 1)
+    facs = [np.array([f % m for m in moduli], dtype=np.uint64).reshape(plan, 1, 1, 1)
             for f in factors]
-    level = np.zeros((plan, slots, 2, 1 << height), dtype=np.int64)
+    level = np.zeros((plan, slots, 2, 1 << height), dtype=np.uint64)
     level.reshape(plan, slots, 2, 2, -1)[:, :, :, 1, :] = boundary[:, :, None, :]
+    del boundary  # freed here if the caller dropped it too
     yield level
-    buffers = np.empty((2, plan, slots, 1 << (height - 1)), dtype=np.int64)
+    buffers = np.empty((2, plan, slots, 1 << (height - 1)), dtype=np.uint64)
     for i in range(height, 0, -1):
         codes = allowed[(i, j)]
         lifted = bump.get((i, j), "") if bump else ""
@@ -250,13 +271,14 @@ def _column_levels(n: int, j: int, boundary: np.ndarray, primes: Sequence[int],
         view = level.reshape(plan, slots, 2, seg, 2, half)
         src, step = buffers.reshape(2, plan, slots, seg, half)
         # every move sets the flag and the row bit, and none writes there
-        np.remainder(view[:, :, 1, :, 1, :], pvec, out=src)
+        np.copyto(src, view[:, :, 1, :, 1, :])
+        _reduce(src, moduli)
         if "." not in codes:
             level.fill(0)
         for code, k, above, bit in _MOVES:
             if code not in codes:
                 continue
-            np.remainder(np.multiply(src, facs[k], out=step), pvec, out=step)
+            _reduce(np.multiply(src, facs[k], out=step), moduli)
             if code not in lifted:
                 view[:, :, above, :, bit, :] += step
             elif src[:, -1].any():
@@ -266,21 +288,36 @@ def _column_levels(n: int, j: int, boundary: np.ndarray, primes: Sequence[int],
         yield level
 
 
+def _sweep_bytes(n: int, slots: int) -> int:
+    """Peak bytes of one counting pass, reached in column 1.
+
+    In units of ``8 * slots * 2^n`` bytes: 2 for the level, 1 for the
+    two buffers, and 1 for numpy's iteration buffers inside a box (at
+    most 128 KiB) or for the outgoing boundary.  The previous level and
+    the incoming boundary are freed by then.  32 KiB more covers the
+    call's small objects.
+    """
+    return 8 * 4 * slots * (1 << n) + (1 << 15)
+
+
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
                 bump: Optional[Dict[Box, str]] = None) -> List[int]:
-    """Scaled integer masses per counter slot, one kernel pass per prime."""
-    _check_memory(8 * 4 * slots * (1 << (n + 1)), f"{slots}-slot sweeps at n={n}")
+    """Scaled integer masses per counter slot, one kernel pass per modulus."""
+    _check_memory(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}")
     scaled = ScaledWeights.of(w)
-    primes, factors = scaled.primes(n), scaled.factors()
-    per_prime = []
-    for p in primes:
-        boundary = np.eye(slots, 1, dtype=np.int64)[None]  # no bump to come
+    moduli, factors = scaled.moduli(n), scaled.factors()
+    residues = []
+    for m in moduli:
+        boundary = np.eye(slots, 1, dtype=np.uint64)[None]  # no bump to come
         for j in range(n, 0, -1):
-            for level in _column_levels(n, j, boundary, (p,), factors, allowed, bump):
+            levels = _column_levels(n, j, boundary, (m,), factors, allowed, bump)
+            del boundary  # the kernel frees it once copied, as _sweep_bytes assumes
+            for level in levels:
                 pass
-            boundary = level[:, :, 0, :] % p  # a new array: the level is freed
-        per_prime.append(boundary[0, :, 0].tolist())
-    return [_crt([res[k] for res in per_prime], primes) for k in range(slots)]
+            boundary = _reduce(level[:, :, 0, :].copy(), (m,))
+            del level  # freed before the next column allocates its own
+        residues.append(boundary[0, :, 0].tolist())
+    return [_crt([res[k] for res in residues], moduli) for k in range(slots)]
 
 
 # ----------------------------------------------------------------------
@@ -313,21 +350,24 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
                          engine: str = "crt") -> BoxLaw:
     """Law of one cell conditioned on an arbitrary cell event.
 
-    Computed as a ratio of constrained partition sums.  Conditioning
-    on an impossible event raises.
+    Computed as a ratio of constrained partition sums.  The box holds
+    exactly one of alpha, beta or empty, so the three sums add up to the
+    conditioning event's own.  Conditioning on an impossible event
+    raises.
     """
     _check_args(n, engine)
     base = given if given is not None else ConstraintSet.empty(n)
-    denominator = constrained_partition(n, w, base, engine)
+    values = {
+        name: constrained_partition(
+            n, w, ConstraintSet(base.n, base.items + ((box, req),)), engine)
+        for name, req in (("alpha", Requirement.MUST_ALPHA),
+                          ("beta", Requirement.MUST_BETA),
+                          ("empty", Requirement.MUST_EMPTY))
+    }
+    denominator = sum(values.values())
     if denominator == 0:
         raise ValueError("conditioning event has probability zero")
-    values = {}
-    for name, req in (("alpha", Requirement.MUST_ALPHA),
-                      ("beta", Requirement.MUST_BETA),
-                      ("empty", Requirement.MUST_EMPTY)):
-        extended = ConstraintSet(base.n, base.items + ((box, req),))
-        values[name] = constrained_partition(n, w, extended, engine) / denominator
-    return BoxLaw(**values)
+    return BoxLaw(**{name: v / denominator for name, v in values.items()})
 
 
 def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, str], int]:

@@ -28,8 +28,10 @@ class Pmf:
             raise ValueError("a pmf needs at least the mass at zero")
         if any(m < 0 for m in masses):
             raise ValueError("masses must be nonnegative")
-        if sum(masses) != 1:
-            raise ValueError(f"masses must sum to 1, got {sum(masses)}")
+        den = math.lcm(*(m.denominator for m in masses))
+        total = sum(m.numerator * (den // m.denominator) for m in masses)
+        if total != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(total, den)}")
 
     @classmethod
     def from_mapping(cls, masses: Mapping[int, Fraction]) -> "Pmf":

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import Tableau, diagonal_statistic
 from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory,
-                      _column_levels, _crt)
+                      _column_levels, _crt, _reduce)
 from .enumeration import N_ENUM, enumerate_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
@@ -88,38 +88,37 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
 class _ChainTables:
     """Backward completion counts for one (n, w), shared across draws.
 
-    ``boundary[j][p, 0, mask]`` holds, per prime, the weighted number
-    of ways to fill columns j..n starting from each dirty-row mask (the
-    column-j flag "symbol above" being necessarily clear at entry).
-    The per-box levels inside one column are rebuilt on demand since
-    they dominate memory.
+    ``boundary[j][plane, 0, mask]`` holds, per modulus of the plan, the
+    weighted number of ways to fill columns j..n starting from each
+    dirty-row mask (the column-j flag "symbol above" being necessarily
+    clear at entry).  The per-box levels inside one column are rebuilt
+    on demand since they dominate memory.
     """
 
     def __init__(self, n: int, w: Weights):
         self.n = n
         self.scaled = ScaledWeights.of(w)
-        self.primes = self.scaled.primes(n)
-        plan = len(self.primes)
+        self.moduli = self.scaled.moduli(n)
+        plan = len(self.moduli)
         _check_memory(8 * plan * 2 * (1 << n) * (n + 2) + 8 * plan * (1 << (n + 1)),
                       f"chain_rule tables for n={n} with these weights")
         self.allowed = _allowed_map(n, None)
-        self.boundary = [None] * (n + 1) + [np.ones((plan, 1, 1), dtype=np.int64)]
-        pvec = np.array(self.primes, dtype=np.int64).reshape(plan, 1, 1)
+        self.boundary = [None] * (n + 1) + [np.ones((plan, 1, 1), dtype=np.uint64)]
         for j in range(n, 0, -1):
-            for level in _column_levels(n, j, self.boundary[j + 1], self.primes,
+            for level in _column_levels(n, j, self.boundary[j + 1], self.moduli,
                                         self.scaled.factors(), self.allowed, None):
                 pass
-            self.boundary[j] = level[:, :, 0, :] % pvec
+            self.boundary[j] = _reduce(level[:, :, 0, :].copy(), self.moduli)
 
     def _column_levels(self, j: int) -> List[np.ndarray]:
         """Copies of column j's levels, top-down: ``levels[i-1]`` is just
         before box i, ``levels[height]`` past the diagonal box."""
         return [level.copy() for level in _column_levels(
-            self.n, j, self.boundary[j + 1], self.primes, self.scaled.factors(),
+            self.n, j, self.boundary[j + 1], self.moduli, self.scaled.factors(),
             self.allowed, None)][::-1]
 
     def reconstruct(self, level: np.ndarray, above: int, mask: int) -> int:
-        return _crt(level[:, 0, above, mask].tolist(), self.primes)
+        return _crt(level[:, 0, above, mask].tolist(), self.moduli)
 
 
 _chain_tables = functools.cache(_ChainTables)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
-from staircase_lab.dpcount import (N_DP, ScaledWeights, conditional_cell_law,
+from staircase_lab.dpcount import (_MEM_BUDGET, N_DP, ScaledWeights, _is_prime,
+                                   _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
                                    statistic_pmf, sweep_order)
 from staircase_lab.enumeration import (all_tableaux, oracle_event_prob,
@@ -16,6 +19,7 @@ from staircase_lab.formulas import (box_law, partition_closed,
                                     second_diag_joint_alpha,
                                     second_diag_joint_nonempty)
 from staircase_lab.measure import Weights
+from staircase_lab.moments import exact_statistic_pmf
 
 F = Fraction
 R = Requirement
@@ -139,14 +143,16 @@ def test_conditional_cell_law_chains_to_tableau_prob():
 
 
 def test_conditional_cell_law_marginal_and_errors():
-    w = Weights(1, 2)
-    law = conditional_cell_law(6, w, (2, 3))
-    direct = box_law(6, w, (2, 3))
-    assert (law.alpha, law.beta, law.empty) == \
-        (direct.alpha, direct.beta, direct.empty)
+    for n in (5, 6, 7):
+        for w in (Weights(1, 2), Weights(F(2, 3), F(5, 7)), Weights(0, 1),
+                  Weights(F(5, 2), 0)):
+            for box in staircase_boxes(n):
+                law, direct = conditional_cell_law(n, w, box), box_law(n, w, box)
+                assert (law.alpha, law.beta, law.empty) == \
+                    (direct.alpha, direct.beta, direct.empty), (n, w, box)
     impossible = ConstraintSet.of(6, {(1, 6): R.MUST_EMPTY})
-    with pytest.raises(ValueError):
-        conditional_cell_law(6, w, (1, 1), impossible)
+    with pytest.raises(ValueError, match="probability zero"):
+        conditional_cell_law(6, Weights(1, 2), (1, 1), impossible)
 
 
 def test_statistic_pmf_cross_checks_tuple_sums():
@@ -159,3 +165,90 @@ def test_statistic_pmf_cross_checks_tuple_sums():
         for cols in itertools.combinations(range(1, n), 2)
     )
     assert pmf.factorial_moment(2) == 2 * pair_sum
+
+
+def _random_constraints(rng, n, count):
+    boxes = list(staircase_boxes(n))
+    chosen = rng.sample(boxes, count)
+    return ConstraintSet.of(n, {box: rng.choice(list(R)) for box in chosen})
+
+
+# Scaled totals just below and just above 2^64: at n = 9 the 2^64 plane
+# alone carries every count, at n = 10 the CRT needs primes beside it.
+AROUND_WRAP = [(9, Weights(50, 50)), (10, Weights(50, 50))]
+
+
+def test_moduli_start_with_the_free_wrap_and_cover_the_bound():
+    below, above = (ScaledWeights.of(w).total_bound(n) for n, w in AROUND_WRAP)
+    assert below < 2 ** 64 < above
+    for n, w in AROUND_WRAP + [(14, Weights(F(13, 7), F(1000, 3)))]:
+        scaled = ScaledWeights.of(w)
+        moduli = scaled.moduli(n)
+        assert moduli[0] == 2 ** 64
+        assert math.prod(moduli) > scaled.total_bound(n)
+        # the primes alone do not cover it: no prime is wasted
+        assert math.prod(moduli[:-1]) <= scaled.total_bound(n)
+        assert all(_is_prime(p) and p < 2 ** 31 for p in moduli[1:])
+        assert len(set(moduli)) == len(moduli)
+    assert ScaledWeights.of(Weights(50, 50)).moduli(9) == (2 ** 64,)
+    assert len(ScaledWeights.of(Weights(50, 50)).moduli(10)) == 2
+
+
+def test_counts_around_the_wrap_match_closed_form_and_fractions():
+    rng = random.Random(64)
+    for n, w in AROUND_WRAP:
+        assert constrained_partition(n, w) == partition_closed(n, w)
+        for _ in range(4):
+            c = _random_constraints(rng, n, rng.randint(1, 4))
+            assert constrained_partition(n, w, c) == \
+                constrained_partition(n, w, c, engine="fractions"), (n, c)
+
+
+def test_second_diag_laws_around_the_wrap_match_the_moment_route():
+    for n, w in AROUND_WRAP + [(12, Weights(F(13, 7), F(1000, 3)))]:
+        for statistic in ("A2", "B2", "X2"):
+            assert statistic_pmf(n, w, statistic) == \
+                exact_statistic_pmf(n, w, statistic), (n, w, statistic)
+
+
+def test_conditional_cell_law_matches_fractions_engine():
+    rng = random.Random(3)
+    for n in (3, 5, 7):
+        boxes = list(staircase_boxes(n))
+        for w in (Weights(1, 1), Weights(F(2, 7), F(5, 3)), Weights(0, F(1, 2))):
+            tried = 0
+            while tried < 6:
+                box = rng.choice(boxes)
+                given = _random_constraints(rng, n, rng.randint(0, 4))
+                if box in given.as_dict():
+                    continue
+                tried += 1
+                try:
+                    want = conditional_cell_law(n, w, box, given, engine="fractions")
+                except ValueError:
+                    with pytest.raises(ValueError, match="probability zero"):
+                        conditional_cell_law(n, w, box, given)
+                    continue
+                got = conditional_cell_law(n, w, box, given)
+                assert (got.alpha, got.beta, got.empty) == \
+                    (want.alpha, want.beta, want.empty), (n, w, box, given)
+                assert got.alpha + got.beta + got.empty == 1
+
+
+def test_counting_memory_estimate_is_tight():
+    # the budget check's estimate against the traced peak of the whole call
+    for n in (10, 11, 12, 13):
+        for statistic in ("Nalpha", "A2"):
+            estimate = _sweep_bytes(n, _statistic_plan(n, statistic)[1] + 2)
+            for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
+                tracemalloc.start()
+                try:
+                    statistic_pmf(n, w, statistic)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= estimate <= 1.3 * peak, (n, statistic, w, peak, estimate)
+    # so A2 fits the budget at n = 21, while Nalpha stops at n = 20
+    slots = {s: _statistic_plan(21, s)[1] + 2 for s in ("A2", "Nalpha")}
+    assert _sweep_bytes(21, slots["A2"]) <= _MEM_BUDGET < _sweep_bytes(21, slots["Nalpha"])
+    assert _sweep_bytes(20, _statistic_plan(20, "Nalpha")[1] + 2) <= _MEM_BUDGET

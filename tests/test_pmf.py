@@ -11,8 +11,10 @@ def test_validation_and_trimming():
     p = Pmf((F(1, 2), F(1, 2), F(0), F(0)))
     assert p.masses == (F(1, 2), F(1, 2))
     assert p.max_value == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="masses must sum to 1, got 5/6"):
         Pmf((F(1, 2), F(1, 3)))
+    with pytest.raises(ValueError, match="got 7/6"):
+        Pmf((F(1, 2), F(0), F(2, 3)))
     with pytest.raises(ValueError):
         Pmf((F(3, 2), F(-1, 2)))
     with pytest.raises(ValueError):
