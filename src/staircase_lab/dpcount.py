@@ -15,12 +15,14 @@ State space is ``2^height`` per column, so sizes up to :data:`N_DP`
 are practical.  Two independent engines cover it:
 
 * ``crt``: counts completions right to left, bottom-up in each column,
-  in numpy ``uint64`` arrays of residues modulo 2^64 and, when the
-  scaled integer total needs more, enough 31-bit primes to cover it,
+  in numpy ``uint64`` arrays modulo 2^64 and, when the scaled integer
+  total needs more, modulo enough primes below 2^29 to cover it,
   recombined by the Chinese remainder theorem.  The 2^64 plane is
   unsigned arithmetic's own wrap-around, so it costs no remainder
-  operation; only the prime planes are reduced.  Exact, with no
-  modular inversions of data values.  The chain-rule sampler reads its
+  operation.  A prime plane takes one remainder per box, on the slice
+  every move reads; products accumulate unreduced, which primes this
+  small leave room for within a column.  Exact, with no modular
+  inversions of data values.  The chain-rule sampler reads its
   conditional laws off the same kernel and plan.
 * ``fractions``: a left-to-right dictionary sweep in exact rational
   arithmetic, simple enough to audit by eye; it shares no code with
@@ -36,6 +38,7 @@ checked before they are allocated.
 from __future__ import annotations
 
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +105,8 @@ class ScaledWeights:
 
     def moduli(self, n: int) -> Tuple[int, ...]:
         """The modulus plan of every size-n count and chain-rule table:
-        2^64, then 31-bit primes until the product passes the bound."""
+        2^64, then the largest primes below 2^29, as few as take the
+        product past the bound."""
         return (_WRAP,) + _primes_covering(self.total_bound(n) >> 64)
 
 
@@ -135,18 +139,36 @@ def _is_prime(x: int) -> bool:
     return True
 
 
+#: Prime planes use primes below 2^29 so that the kernel may defer
+#: reductions.  Level entries enter a column reduced, below p, and each
+#: box adds at most two products of reduced values, each at most
+#: (p-1)^2, to any entry: only alpha-clean and beta-topmost share a
+#: target.  A column has at most N_DP boxes, so every entry stays below
+#: p + 2 * N_DP * (p-1)^2, which is below 2^64: a prime plane never
+#: wraps.
+_PRIME_LIMIT = 1 << 29
+assert _PRIME_LIMIT + 2 * N_DP * (_PRIME_LIMIT - 1) ** 2 < _WRAP
+
+#: The primes below _PRIME_LIMIT in descending order, found on demand.
+_PRIMES: List[int] = []
+_PRIMES_LOCK = threading.Lock()
+
+
 def _primes_covering(bound: int) -> Tuple[int, ...]:
-    """Distinct primes below 2^31 whose product exceeds ``bound``."""
-    primes: List[int] = []
-    candidate = (1 << 31) - 1
-    product = 1
+    """The largest primes below 2^29, as few as take the product past
+    ``bound``."""
+    product, count = 1, 0
     while product <= bound:
-        while not _is_prime(candidate):
-            candidate -= 2
-        primes.append(candidate)
-        product *= candidate
-        candidate -= 2
-    return tuple(primes)
+        if count == len(_PRIMES):
+            with _PRIMES_LOCK:
+                if count == len(_PRIMES):
+                    candidate = _PRIMES[-1] - 2 if _PRIMES else _PRIME_LIMIT - 1
+                    while not _is_prime(candidate):
+                        candidate -= 2
+                    _PRIMES.append(candidate)
+        product *= _PRIMES[count]
+        count += 1
+    return tuple(_PRIMES[:count])
 
 
 def _crt(residues: Sequence[int], primes: Sequence[int]) -> int:
@@ -253,7 +275,10 @@ def _column_levels(n: int, j: int, boundary: np.ndarray, moduli: Sequence[int],
     box, bottom to top: one uint64 array updated in place, so a caller
     that keeps levels copies them.  ``bump`` maps a box to the cell
     codes that count there; a count that would need a slot past the
-    last raises.  Entries are residues, reduced only where read.
+    last raises.  On a prime plane p, entries are congruent to the
+    counts but not reduced: they stay below p + 2 * height * (p-1)^2
+    (see ``_PRIME_LIMIT``), and only the slice each box reads is
+    reduced.
     """
     height = n + 1 - j
     plan, slots = boundary.shape[:2]
@@ -278,7 +303,7 @@ def _column_levels(n: int, j: int, boundary: np.ndarray, moduli: Sequence[int],
         for code, k, above, bit in _MOVES:
             if code not in codes:
                 continue
-            _reduce(np.multiply(src, facs[k], out=step), moduli)
+            np.multiply(src, facs[k], out=step)
             if code not in lifted:
                 view[:, :, above, :, bit, :] += step
             elif src[:, -1].any():

@@ -10,11 +10,14 @@ Two interchangeable backends draw from the same measure:
   from its exact conditional law given everything placed so far.  The
   conditionals come from completion counts: integer counts of the
   total weight of ways to finish the tableau from each reachable
-  state, computed right to left by the counting engine's kernel as
-  residues over its own prime plan.  That plan covers the scaled
-  total, which bounds every count a draw reads.  No rejection and no
-  rounding; every draw consumes one uniform integer below the exact
-  number of weighted continuations.
+  state, computed right to left by the counting engine's kernel over
+  its own modulus plan: 2^64, then primes below 2^29 when the scaled
+  total needs more.  Inside a column the kernel leaves prime-plane
+  entries unreduced; the Chinese remainder step reduces each one
+  where a draw reads it.  The plan covers the scaled total, which
+  bounds every count a draw reads.  No rejection and no rounding;
+  every draw consumes one uniform integer below the exact number of
+  weighted continuations.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all

@@ -1,15 +1,19 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from staircase_lab import dpcount
 from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
-from staircase_lab.dpcount import (_MEM_BUDGET, N_DP, ScaledWeights, _is_prime,
+from staircase_lab.dpcount import (_MEM_BUDGET, _PRIME_LIMIT, N_DP, ScaledWeights,
+                                   _crt, _is_prime, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
                                    statistic_pmf, sweep_order)
@@ -188,8 +192,11 @@ def test_moduli_start_with_the_free_wrap_and_cover_the_bound():
         assert math.prod(moduli) > scaled.total_bound(n)
         # the primes alone do not cover it: no prime is wasted
         assert math.prod(moduli[:-1]) <= scaled.total_bound(n)
-        assert all(_is_prime(p) and p < 2 ** 31 for p in moduli[1:])
+        assert all(_is_prime(p) and p < 2 ** 29 for p in moduli[1:])
         assert len(set(moduli)) == len(moduli)
+        # the largest primes below the limit, none skipped
+        assert list(moduli[1:]) == [x for x in range(_PRIME_LIMIT - 1, moduli[-1] - 1, -1)
+                                    if _is_prime(x)]
     assert ScaledWeights.of(Weights(50, 50)).moduli(9) == (2 ** 64,)
     assert len(ScaledWeights.of(Weights(50, 50)).moduli(10)) == 2
 
@@ -252,3 +259,83 @@ def test_counting_memory_estimate_is_tight():
     slots = {s: _statistic_plan(21, s)[1] + 2 for s in ("A2", "Nalpha")}
     assert _sweep_bytes(21, slots["A2"]) <= _MEM_BUDGET < _sweep_bytes(21, slots["Nalpha"])
     assert _sweep_bytes(20, _statistic_plan(20, "Nalpha")[1] + 2) <= _MEM_BUDGET
+
+
+def test_prime_limit_leaves_room_for_unreduced_products():
+    # a level entry starts below p and takes at most two products of
+    # reduced values per box, in at most N_DP boxes of one column
+    largest = _primes_covering(1)[0]
+    assert largest < _PRIME_LIMIT == 2 ** 29
+    assert largest + 2 * N_DP * (largest - 1) ** 2 < 2 ** 64
+    # while primes just below 2^31 would let uint64 wrap
+    assert 2 ** 31 + 2 * N_DP * (2 ** 31 - 2) ** 2 >= 2 ** 64
+
+
+def test_prime_list_grows_once_under_threads(monkeypatch):
+    bound = 1 << 600  # about 21 primes
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(dpcount, "_PRIMES", [])
+            results = []
+            threads = [threading.Thread(
+                target=lambda: results.append(_primes_covering(bound)))
+                for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6 and len(set(results)) == 1
+            assert dpcount._PRIMES == sorted(set(dpcount._PRIMES), reverse=True)
+    finally:
+        sys.setswitchinterval(switch)
+    assert math.prod(results[0][:-1]) <= bound < math.prod(results[0])
+
+
+def test_crt_ignores_multiples_of_each_modulus():
+    # the kernel hands over entries that are congruent, not reduced
+    rng = random.Random(29)
+    moduli = ScaledWeights.of(Weights(F(2999, 1000), F(400, 143))).moduli(6)
+    for _ in range(20):
+        x = rng.randrange(math.prod(moduli))
+        residues = [x % m for m in moduli]
+        assert _crt(residues, moduli) == x
+        lifted = [r + rng.randrange(2 ** 64 // m) * m for r, m in zip(residues, moduli)]
+        assert _crt(lifted, moduli) == x
+
+
+#: Scaled factors far above every plan prime, on plans of 6 to 24
+#: moduli: their residues spread over the whole plane, so the products
+#: the kernel sums unreduced reach the size of p^2, which small factors
+#: never do.
+LARGE_FACTORS = [Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1)),
+                 Weights(F(2999, 1000), F(400, 143))]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("w", LARGE_FACTORS)
+def test_large_factors_match_independent_routes(n, w):
+    scaled = ScaledWeights.of(w)
+    assert max(scaled.factors()) > 2 ** 31 and len(scaled.moduli(n)) >= 6
+    assert constrained_partition(n, w) == partition_closed(n, w)
+    for statistic in STATISTIC_NAMES:
+        assert statistic_pmf(n, w, statistic) == \
+            oracle_statistic_pmf(n, w, statistic), statistic
+    rng = random.Random(n)
+    boxes = list(staircase_boxes(n))
+    checked = 0
+    while checked < 3:
+        box = rng.choice(boxes)
+        given = _random_constraints(rng, n, 2)
+        if box in given.as_dict():
+            continue
+        try:
+            want = conditional_cell_law(n, w, box, given, engine="fractions")
+        except ValueError:
+            continue
+        got = conditional_cell_law(n, w, box, given)
+        assert (got.alpha, got.beta, got.empty) == \
+            (want.alpha, want.beta, want.empty), (box, given)
+        checked += 1

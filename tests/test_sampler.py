@@ -19,7 +19,9 @@ from staircase_lab.sampler import (
     sample_many,
 )
 
-WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1)]
+WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1),
+           # scaled factors far above every plan prime
+           Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))]
 
 #: sha256 over the fixed-seed draws of test_fixed_seed_draws_are_pinned,
 #: recorded while the chain-rule tables still sized their own prime
@@ -60,6 +62,28 @@ def test_chain_conditionals_reproduce_the_measure(n, w):
     assert sum(walked) == 1
     for t, p in zip(all_tableaux(n), walked):
         assert p == w.prob(t)
+
+
+def test_chain_counts_split_exactly_with_large_factors():
+    # each count before a box is the sum of its weighted continuations,
+    # modulo the plan: here 24 prime planes whose unreduced entries sum
+    # products of the size of p^2
+    n, w = 6, WEIGHTS[-1]
+    tables = sampler._chain_tables(n, w)
+    modulus = math.prod(tables.moduli)
+    assert len(tables.moduli) == 24
+    assert tables.reconstruct(tables._column_levels(1)[0], 0, 0) == \
+        tables.scaled.total_bound(n)
+    for j in range(1, n + 1):
+        height = n + 1 - j
+        levels = tables._column_levels(j)
+        for i in range(1, height + 1):
+            for mask in range(1 << height):
+                for above in (0, 1):
+                    choices = sampler._choice_weights(tables, levels, i, height,
+                                                      mask, above)
+                    assert sum(c[1] for c in choices) % modulus == \
+                        tables.reconstruct(levels[i - 1], above, mask), (j, i, mask)
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
