@@ -18,8 +18,10 @@ from .core import (
     Tableau,
     diagonal_statistic,
     main_diagonal,
+    second_diag_max_count,
     second_diagonal,
     staircase_boxes,
+    third_diag_max_count,
     third_diagonal,
 )
 from .dpcount import conditional_cell_law, constrained_partition, event_prob, \
@@ -38,8 +40,6 @@ from .moments import (
     factorial_moments_second_diag,
     factorial_moments_third_diag,
     pmf_from_factorial_moments,
-    second_diag_max_count,
-    third_diag_max_count,
     tv_to_poisson,
 )
 from .pmf import Pmf

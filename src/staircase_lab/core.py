@@ -75,6 +75,24 @@ def third_diagonal(n: int) -> Tuple[Box, ...]:
     return tuple((n - j - 1, j) for j in range(1, n - 1))
 
 
+def second_diag_max_count(n: int) -> int:
+    """Most cells the second diagonal can hold: no two adjacent."""
+    return n // 2
+
+
+def third_diag_max_count(n: int) -> int:
+    """Most cells the third diagonal can hold.
+
+    Columns at distance exactly two exclude each other, so the odd and
+    even column positions form two independent exclusion paths.
+    """
+    m = n - 2
+    if m <= 0:
+        return 0
+    odd, even = (m + 1) // 2, m // 2
+    return (odd + 1) // 2 + (even + 1) // 2
+
+
 def in_staircase(n: int, box: Box) -> bool:
     i, j = box
     return 1 <= i and 1 <= j and i + j <= n + 1

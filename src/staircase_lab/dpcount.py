@@ -31,8 +31,8 @@ are practical.  Two independent engines cover it:
 Both engines honour :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
 joint probabilities of cell events.  Kernel arrays grow with counter
-slots and ``2^n``; one memory budget, shared with the sampler, is
-checked before they are allocated.
+slots and ``2^n``; one memory budget, shared with the sampler and the
+enumeration's tableau lists, is checked before they are allocated.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constraints import ConstraintSet, Requirement
-from .core import Box, second_diagonal, staircase_boxes, third_diagonal
+from .core import (Box, second_diag_max_count, second_diagonal, staircase_boxes,
+                   third_diag_max_count, third_diagonal)
 from .formulas import BoxLaw
 from .measure import Weights
 from .pmf import Pmf
@@ -58,13 +59,8 @@ N_DP = 22
 
 _ENGINES = ("crt", "fractions")
 
-#: Peak bytes the counting sweeps and the chain-rule tables may claim.
+#: Peak bytes a counting sweep, chain-rule tables or a tableau list may claim.
 _MEM_BUDGET = 1_500_000_000
-
-
-def sweep_order(n: int) -> Tuple[Box, ...]:
-    """The box order of forward walks: by column, top to bottom."""
-    return tuple((i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))
 
 
 # ----------------------------------------------------------------------
@@ -398,23 +394,18 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
 def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, str], int]:
     """Which boxes bump the counter, and the statistic's largest value.
 
-    Caps are structural: second-diagonal boxes can never be filled in
-    adjacent columns, third-diagonal boxes never exactly two columns
-    apart, and the whole tableau holds at most n alphas and n betas.
-    The sweep itself verifies the cap by refusing to overflow it.
+    Caps are structural (see :func:`~staircase_lab.core.second_diag_max_count`
+    and :func:`~staircase_lab.core.third_diag_max_count`), and the whole
+    tableau holds at most n alphas and n betas.  The sweep itself
+    verifies the cap by refusing to overflow it.
     """
     if statistic in ("Nalpha", "Nbeta"):
         boxes = tuple(staircase_boxes(n))
         return {box: statistic[1].upper() for box in boxes}, n
     if statistic in ("A2", "B2", "X2"):
-        boxes = second_diagonal(n)
-        cap = (len(boxes) + 1) // 2
+        boxes, cap = second_diagonal(n), second_diag_max_count(n)
     elif statistic in ("A3", "X3"):
-        boxes = third_diagonal(n)
-        m = len(boxes)
-        # no two filled boxes sit at distance 2, so filled columns form
-        # independent sets of two parity paths
-        cap = ((m + 1) // 2 + 1) // 2 + (m // 2 + 1) // 2
+        boxes, cap = third_diagonal(n), third_diag_max_count(n)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
     codes = {"A": "A", "B": "B", "X": "AB"}[statistic[0]]

@@ -19,6 +19,7 @@ the exact-rational arithmetic off the hot loop.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +27,7 @@ from typing import Dict, Iterator, List, Tuple, Union
 
 from .constraints import ConstraintSet
 from .core import Tableau, diagonal_statistic
+from .dpcount import _check_memory
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
@@ -33,7 +35,7 @@ from .pmf import Pmf
 #: tableaux stream in well under a minute, one size larger does not.
 N_ENUM = 9
 
-#: Sizes whose full tableau list is kept in memory once generated.
+#: Largest size whose oracle passes read the cached list, not a stream.
 _CACHE_MAX = 7
 
 
@@ -104,11 +106,19 @@ def count_tableaux(n: int) -> int:
     return sum(1 for _ in enumerate_tableaux(n))
 
 
+def _list_bytes(n: int) -> int:
+    """Bytes of the size-n list: per row, a string (at most 64 bytes as
+    allocated) and its tuple slot; per tableau, the object, the tuple
+    header and the list slot."""
+    return math.factorial(n + 1) * (72 * n + 104)
+
+
 @lru_cache(maxsize=None)
 def all_tableaux(n: int) -> Tuple[Tableau, ...]:
-    """The full tableau list, cached for repeated oracle passes."""
-    if n > _CACHE_MAX:
-        raise ValueError(f"refusing to cache {n=}; stream enumerate_tableaux instead")
+    """Every size-n tableau in enumeration order, built once per size
+    and shared by the oracles and the ``enum_alias`` sampler.  The
+    memory budget, checked first, admits n = 8 but not n = 9."""
+    _check_memory(_list_bytes(n), f"the tableau list for n={n}")
     return tuple(enumerate_tableaux(n))
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import mpmath
 
 from . import dpcount
+from .core import second_diag_max_count, third_diag_max_count
 from .measure import Weights, _as_fraction
 from .pmf import Pmf
 
@@ -43,24 +44,6 @@ CSV_HEADER = "n,r1,r2,r3,r4,tv"
 
 _KINDS = ("alpha", "beta", "nonempty")
 _MODES = ("exact_dp", "main_term")
-
-
-def second_diag_max_count(n: int) -> int:
-    """Most cells the second diagonal can hold: no two adjacent."""
-    return n // 2
-
-
-def third_diag_max_count(n: int) -> int:
-    """Most cells the third diagonal can hold.
-
-    Columns at distance exactly two exclude each other, so the odd and
-    even column positions form two independent exclusion paths.
-    """
-    m = n - 2
-    if m <= 0:
-        return 0
-    odd, even = (m + 1) // 2, m // 2
-    return (odd + 1) // 2 + (even + 1) // 2
 
 
 def _tuple_sum_table(b: Fraction, n: int, step: int, R: int) -> List[List[int]]:

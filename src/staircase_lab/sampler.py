@@ -2,10 +2,10 @@
 
 Two interchangeable backends draw from the same measure:
 
-* ``enum_alias``: materialize every tableau once per (n, a, b) with its
-  scaled integer weight, then invert a uniform integer draw into the
-  cumulative table.  Exact, and cheap per draw, but the table has
-  ``(n+1)!`` entries.
+* ``enum_alias``: invert a uniform integer draw into the running sums
+  of scaled integer weights over ``all_tableaux(n)``, the one list per
+  size that the oracles also read; a weight pair keeps only its sums.
+  Exact and cheap per draw; the memory budget admits n <= 8.
 * ``chain_rule``: walk the column sweep box by box, drawing each cell
   from its exact conditional law given everything placed so far.  The
   conditionals come from completion counts: integer counts of the
@@ -43,7 +43,7 @@ import numpy as np
 from .core import Tableau, diagonal_statistic
 from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory,
                       _column_levels, _crt, _reduce)
-from .enumeration import N_ENUM, enumerate_tableaux
+from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
@@ -53,36 +53,27 @@ _METHODS = ("enum_alias", "chain_rule")
 # ----------------------------------------------------------------------
 # enum_alias backend
 
-_alias_cache: Dict[Tuple[int, Weights], Tuple[List[Tuple[str, ...]], List[int]]] = {}
-
-
-def _alias_table(n: int, w: Weights) -> Tuple[List[Tuple[str, ...]], List[int]]:
-    table = _alias_cache.get((n, w))
-    if table is None:
-        scaled = ScaledWeights.of(w)
-        rows_list: List[Tuple[str, ...]] = []
-        cumulative: List[int] = []
-        running = 0
-        for t in enumerate_tableaux(n):
-            joined = "".join(t.rows)
-            na, nb = joined.count("A"), joined.count("B")
-            running += (scaled.pa ** (n - na) * scaled.pb ** (n - nb)
-                        * scaled.q ** (na + nb))
-            rows_list.append(t.rows)
-            cumulative.append(running)
-        if running != scaled.total_bound(n):
-            raise RuntimeError("alias table weights do not sum to the partition total")
-        table = _alias_cache[(n, w)] = (rows_list, cumulative)
-    return table
+@functools.cache
+def _alias_cumulative(n: int, w: Weights) -> List[int]:
+    """Running sums of the scaled integer weights of ``all_tableaux(n)``."""
+    scaled = ScaledWeights.of(w)
+    cumulative, running = [], 0
+    for t in all_tableaux(n):
+        joined = "".join(t.rows)
+        na, nb = joined.count("A"), joined.count("B")
+        running += (scaled.pa ** (n - na) * scaled.pb ** (n - nb)
+                    * scaled.q ** (na + nb))
+        cumulative.append(running)
+    if running != scaled.total_bound(n):
+        raise RuntimeError("alias table weights do not sum to the partition total")
+    return cumulative
 
 
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    rows_list, cumulative = _alias_table(n, w)
+    tableaux, cumulative = all_tableaux(n), _alias_cumulative(n, w)
     total = cumulative[-1]
-    return [
-        Tableau._trusted(rows_list[bisect.bisect_right(cumulative, rng.randrange(total))])
-        for _ in range(count)
-    ]
+    return [tableaux[bisect.bisect_right(cumulative, rng.randrange(total))]
+            for _ in range(count)]
 
 
 # ----------------------------------------------------------------------

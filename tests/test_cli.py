@@ -177,6 +177,13 @@ def test_sample_is_deterministic_per_seed(runner):
     assert other != run(runner, *args)
 
 
+def test_sample_refuses_an_alias_table_over_budget(runner):
+    result = runner.invoke(cli.main, ["sample", "--n", "9", "--method", "enum_alias",
+                                      "--seed", "1"])
+    assert result.exit_code == 2
+    assert "GB" in result.output
+
+
 def test_sample_requires_seed(runner):
     result = runner.invoke(cli.main, ["sample", "--n", "3"])
     assert result.exit_code == 2

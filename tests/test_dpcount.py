@@ -16,7 +16,7 @@ from staircase_lab.dpcount import (_MEM_BUDGET, _PRIME_LIMIT, N_DP, ScaledWeight
                                    _crt, _is_prime, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
-                                   statistic_pmf, sweep_order)
+                                   statistic_pmf)
 from staircase_lab.enumeration import (all_tableaux, oracle_event_prob,
                                        oracle_statistic_pmf)
 from staircase_lab.formulas import (box_law, partition_closed,
@@ -29,11 +29,6 @@ F = Fraction
 R = Requirement
 GRID = [Weights(1, 1), Weights(F(1, 2), 3), Weights(3, F(1, 2)),
         Weights(0, 1), Weights(F(5, 2), 0)]
-
-
-def test_sweep_order():
-    assert sweep_order(2) == ((1, 1), (2, 1), (1, 2))
-    assert len(sweep_order(5)) == 15
 
 
 def test_scaled_weights():
@@ -138,7 +133,8 @@ def test_conditional_cell_law_chains_to_tableau_prob():
         req_of = {"A": R.MUST_ALPHA, "B": R.MUST_BETA, ".": R.MUST_EMPTY}
         prob = F(1)
         seen = {}
-        for box in sweep_order(n):
+        # column by column, top to bottom
+        for box in [(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j)]:
             law = conditional_cell_law(n, w, box, ConstraintSet.of(n, seen))
             code = t.cell(*box)
             prob *= {"A": law.alpha, "B": law.beta, ".": law.empty}[code]

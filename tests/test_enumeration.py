@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from staircase_lab.constraints import ConstraintSet, Requirement, second_diag_event
 from staircase_lab.core import Tableau, diagonal_statistic
-from staircase_lab.enumeration import (all_tableaux, brute_partition,
+from staircase_lab.dpcount import _MEM_BUDGET
+from staircase_lab.enumeration import (_list_bytes, all_tableaux, brute_partition,
                                        count_tableaux, enumerate_four_symbol,
                                        enumerate_tableaux, oracle_event_prob,
                                        oracle_statistic_pmf)
@@ -45,8 +47,23 @@ def test_enumerated_tableaux_are_valid_and_distinct():
 def test_all_tableaux_cache():
     assert len(all_tableaux(4)) == 120
     assert all_tableaux(4) is all_tableaux(4)
-    with pytest.raises(ValueError):
-        all_tableaux(8)
+    with pytest.raises(ValueError, match="GB"):
+        all_tableaux(9)
+
+
+def test_tableau_list_memory_estimate_is_tight():
+    # the budget check's estimate against the traced peak of an uncached build
+    for n in (5, 6, 7):
+        tracemalloc.start()
+        try:
+            all_tableaux.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = _list_bytes(n)
+        assert peak <= estimate <= 1.3 * peak, (n, peak, estimate)
+    # so the list fits the budget at n = 8 and not at n = 9
+    assert _list_bytes(8) <= _MEM_BUDGET < _list_bytes(9)
 
 
 def test_brute_partition_matches_closed_form():

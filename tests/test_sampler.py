@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,9 @@ WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1),
 #: plan from (3 * largest factor)^boxes.  Draws read only exact counts,
 #: so no change of plan or kernel may move them.
 GOLDEN_DRAWS = "56a67e7f0d323d0fa6df2a7469e7a56cc19d9be6a2089d7adf028904b6ca92cc"
+#: sha256 over the fixed-seed draws of test_fixed_seed_alias_draws_are_pinned,
+#: recorded while enum_alias still kept its own rows per (n, weights).
+GOLDEN_ALIAS_DRAWS = "217526ad30e04d31031d7bf6e8bdda0d7a2a254a0633e13f9cdd702ffb0a8d5b"
 GOLDEN_WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1), Weights(F(5, 2), 0),
                   Weights(F(13, 7), F(1000, 3)), Weights(3, F(1, 2)),
                   Weights(F(2, 7), F(5, 3)), Weights(0, F(4, 9))]
@@ -104,6 +108,29 @@ def test_fixed_seed_draws_are_pinned():
             for t in sample_many(n, w, rng, 12) + [sample(n, w, rng) for _ in range(2)]:
                 digest.update(("/".join(t.rows) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_DRAWS
+
+
+def test_fixed_seed_alias_draws_are_pinned():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 5, 6, 7):
+        for k, w in enumerate(GOLDEN_WEIGHTS[:5]):
+            rng = random.Random(100 * n + k)
+            draws = sample_many(n, w, rng, 12, "enum_alias")
+            draws += [sample(n, w, rng, "enum_alias") for _ in range(2)]
+            for t in draws:
+                digest.update(("/".join(t.rows) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_ALIAS_DRAWS
+
+
+def test_alias_refuses_size_nine_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GB"):
+            sample(9, Weights(1, 1), random.Random(0), "enum_alias")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_memory_budget_is_checked_before_allocating(monkeypatch):
