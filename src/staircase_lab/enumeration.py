@@ -18,6 +18,7 @@ the exact-rational arithmetic off the hot loop.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from collections import Counter
@@ -117,9 +118,18 @@ def _list_bytes(n: int) -> int:
 def all_tableaux(n: int) -> Tuple[Tableau, ...]:
     """Every size-n tableau in enumeration order, built once per size
     and shared by the oracles and the ``enum_alias`` sampler.  The
-    memory budget, checked first, admits n = 8 but not n = 9."""
+    memory budget, checked first, admits n = 8 but not n = 9.  The
+    cyclic collector is paused while the list grows: the tableaux hold
+    no cycles, and each full collection would walk all those kept so
+    far."""
     _check_memory(_list_bytes(n), f"the tableau list for n={n}")
-    return tuple(enumerate_tableaux(n))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(enumerate_tableaux(n))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _tableaux(n: int) -> Union[Tuple[Tableau, ...], Iterator[Tableau]]:

@@ -9,10 +9,13 @@ so sizes in the hundreds are reachable: no tableau is ever enumerated.
 
 Moment sequences convert to exact laws by inclusion-exclusion, summed
 in integers over one denominator (the support is finite, so finitely
-many factorial moments pin the law down), and total variation
-distances to the Poisson limits are evaluated in interval arithmetic
-with an analytically summed tail, escalating the working precision
-until the enclosure is tighter than the requested tolerance.
+many factorial moments pin the law down).  The total variation
+distance to a Poisson limit is the exact law's excess over it on the
+points where the exact law is the larger: an integer sum over the
+law's common denominator minus e^(-lam) times an exact rational.  Only
+that last product is evaluated in interval arithmetic, escalating the
+working precision until the enclosure is tighter than the requested
+tolerance.
 """
 
 from __future__ import annotations
@@ -191,35 +194,54 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
 def tv_to_poisson(p: Pmf, lam, precision: float = 1e-12) -> float:
     """Total variation distance between a finite law and Poisson(lam).
 
-    The Poisson mass beyond the law's support all counts toward the
-    distance, so the infinite tail reduces to 1 minus a finite sum and
-    the whole distance is a finite expression.  It is evaluated in
-    interval arithmetic, doubling the working precision until the
-    enclosure is narrower than ``precision``.
+    The distance is the positive-part sum ``P(S) - e^(-lam) C(S)`` over
+    ``S = {k : p_k > pi_k}``, which lies inside p's support; with ``lam
+    = u/v`` and the masses ``N_k / L`` over their common denominator,
+    ``P(S)`` sums the ``N_k`` and ``C(S)`` sums ``u^k / (v^k k!)``, both
+    exactly.  Each k is placed by integer comparisons of ``N_k v^k k!``
+    with ``L u^k`` times the rational endpoints of one interval
+    enclosure of ``e^(-lam)``, and the difference is evaluated once in
+    interval arithmetic; the result is the midpoint of the first
+    enclosure narrower than ``precision``.  The working precision
+    doubles while some k is undecided or the enclosure is too wide.
+    For rational lam > 0, ``e^(-lam)`` is irrational, so no ``pi_k``
+    equals a rational ``p_k`` and enough digits decide every k; past
+    640 digits the search stops with an ``ArithmeticError``.
     """
     lam = _as_fraction(lam, "lam")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if precision <= 0:
+    if not precision > 0:
         raise ValueError("precision must be positive")
+    u, v = lam.numerator, lam.denominator
+    L = p.denominator
     saved = mpmath.iv.dps
     try:
         for dps in (40, 80, 160, 320, 640):
             mpmath.iv.dps = dps
-            lam_iv = mpmath.iv.mpf(lam.numerator) / mpmath.iv.mpf(lam.denominator)
-            decay = mpmath.iv.exp(-lam_iv)
-            power = mpmath.iv.mpf(1)
-            gap = mpmath.iv.mpf(0)
-            seen = mpmath.iv.mpf(0)
-            for k, mass in p.items():
-                pois = decay * power / math.factorial(k)
-                exact = mpmath.iv.mpf(mass.numerator) / mpmath.iv.mpf(mass.denominator)
-                gap += abs(exact - pois)
-                seen += pois
-                power *= lam_iv
-            tv = (gap + (1 - seen)) / 2
-            if float(mpmath.mpf(tv.delta)) < precision:
-                return float(mpmath.mpf(tv.mid))
+            decay = mpmath.iv.exp(-mpmath.iv.mpf(u) / v)
+            # exact endpoints, read off the raw mpf tuples at full precision
+            (lo_n, lo_d), (hi_n, hi_d) = map(mpmath.libmp.to_rational, decay._mpi_)
+            p_num, terms = 0, []  # P(S) = p_num / L; (u^k, v^k k!) for k in S
+            uk = vk = 1
+            for k, num in enumerate(p.numerators):
+                if k:
+                    uk, vk = uk * u, vk * v * k
+                if not num:
+                    continue
+                x, y = num * vk, L * uk  # p_k > pi_k iff x > y e^(-lam)
+                if x * hi_d > y * hi_n:
+                    p_num += num
+                    terms.append((uk, vk))
+                elif x * lo_d >= y * lo_n:
+                    break  # this enclosure cannot place k
+            else:
+                c_den = terms[-1][1]  # C(S) = c_num / c_den
+                c_num = sum(uk * (c_den // vk) for uk, vk in terms)
+                tv = (mpmath.iv.mpf(p_num) / mpmath.iv.mpf(L)
+                      - decay * mpmath.iv.mpf(c_num) / mpmath.iv.mpf(c_den))
+                if float(mpmath.mpf(tv.delta)) < precision:
+                    return float(mpmath.mpf(tv.mid))
     finally:
         mpmath.iv.dps = saved
     raise ArithmeticError("could not enclose the distance tightly enough")

@@ -4,13 +4,15 @@ Masses are Fractions indexed by the integer value, stored densely from
 zero up to the largest point with positive mass.  Everything downstream
 (total-variation distances, factorial moments, oracle cross-checks)
 works with these, so equality between two independently computed laws
-is literal object equality.
+is literal object equality.  The masses are also kept as integer
+numerators over their least common denominator, found once when the
+law is built, so exact sums over the law run in integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -18,6 +20,9 @@ from typing import Dict, Iterable, Mapping, Tuple
 @dataclass(frozen=True, slots=True)
 class Pmf:
     masses: Tuple[Fraction, ...]
+    #: ``masses[k] == numerators[k] / denominator``, the least common one.
+    numerators: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         masses = tuple(Fraction(m) for m in self.masses)
@@ -29,9 +34,11 @@ class Pmf:
         if any(m < 0 for m in masses):
             raise ValueError("masses must be nonnegative")
         den = math.lcm(*(m.denominator for m in masses))
-        total = sum(m.numerator * (den // m.denominator) for m in masses)
-        if total != den:
-            raise ValueError(f"masses must sum to 1, got {Fraction(total, den)}")
+        nums = tuple(m.numerator * (den // m.denominator) for m in masses)
+        if sum(nums) != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(sum(nums), den)}")
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def from_mapping(cls, masses: Mapping[int, Fraction]) -> "Pmf":
@@ -73,9 +80,8 @@ class Pmf:
         """``E[X (X-1) ... (X-r+1)]``, exactly."""
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        den = math.lcm(*(m.denominator for m in self.masses))
-        return Fraction(sum(math.perm(k, r) * m.numerator * (den // m.denominator)
-                            for k, m in self.items()), den)
+        return Fraction(sum(math.perm(k, r) * num
+                            for k, num in enumerate(self.numerators)), self.denominator)
 
     def tv_distance(self, other: "Pmf") -> Fraction:
         """Total variation distance to another pmf, exactly."""

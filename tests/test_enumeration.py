@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from staircase_lab import enumeration
 from staircase_lab.constraints import ConstraintSet, Requirement, second_diag_event
 from staircase_lab.core import Tableau, diagonal_statistic
 from staircase_lab.dpcount import _MEM_BUDGET
@@ -64,6 +66,32 @@ def test_tableau_list_memory_estimate_is_tight():
         assert peak <= estimate <= 1.3 * peak, (n, peak, estimate)
     # so the list fits the budget at n = 8 and not at n = 9
     assert _list_bytes(8) <= _MEM_BUDGET < _list_bytes(9)
+
+
+def test_tableau_list_build_restores_the_collector(monkeypatch):
+    build = all_tableaux.__wrapped__  # uncached
+    states = []
+
+    def spy(n):
+        states.append(gc.isenabled())
+        return enumerate_tableaux(n)
+
+    def broken(n):
+        raise RuntimeError("enumeration failed")
+
+    monkeypatch.setattr(enumeration, "enumerate_tableaux", spy)
+    assert gc.isenabled()
+    assert len(build(4)) == 120 and gc.isenabled()
+    gc.disable()
+    try:
+        assert len(build(4)) == 120 and not gc.isenabled()
+    finally:
+        gc.enable()
+    assert states == [False, False]
+    monkeypatch.setattr(enumeration, "enumerate_tableaux", broken)
+    with pytest.raises(RuntimeError):
+        build(4)
+    assert gc.isenabled()
 
 
 def test_brute_partition_matches_closed_form():

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from staircase_lab import dpcount, formulas, moments
@@ -314,11 +315,86 @@ def test_tv_to_poisson_validation_and_precision():
         tv_to_poisson(p, 0)
     with pytest.raises(ValueError):
         tv_to_poisson(p, 1, precision=0)
+    with pytest.raises(ValueError):
+        tv_to_poisson(p, 1, precision=float("nan"))
     with pytest.raises(TypeError):
         tv_to_poisson(p, 0.5)
     loose = tv_to_poisson(p, F(1, 2), precision=1e-6)
     tight = tv_to_poisson(p, F(1, 2), precision=1e-12)
     assert math.isclose(loose, tight, abs_tol=1e-6)
+
+
+def _per_point_tv(p, lam, precision=1e-12):
+    """The distance as it was first computed: sum |p_k - pi_k| point by
+    point in intervals, plus the Poisson mass beyond the support."""
+    saved = mpmath.iv.dps
+    try:
+        for dps in (40, 80, 160, 320, 640):
+            mpmath.iv.dps = dps
+            lam_iv = mpmath.iv.mpf(lam.numerator) / mpmath.iv.mpf(lam.denominator)
+            decay = mpmath.iv.exp(-lam_iv)
+            power = mpmath.iv.mpf(1)
+            gap = mpmath.iv.mpf(0)
+            seen = mpmath.iv.mpf(0)
+            for k, mass in p.items():
+                pois = decay * power / math.factorial(k)
+                exact = mpmath.iv.mpf(mass.numerator) / mpmath.iv.mpf(mass.denominator)
+                gap += abs(exact - pois)
+                seen += pois
+                power *= lam_iv
+            tv = (gap + (1 - seen)) / 2
+            if float(mpmath.mpf(tv.delta)) < precision:
+                return float(mpmath.mpf(tv.mid))
+    finally:
+        mpmath.iv.dps = saved
+    raise ArithmeticError("could not enclose the distance tightly enough")
+
+
+@pytest.mark.parametrize("statistic", ["A2", "B2", "X2"])
+def test_tv_matches_per_point_route(statistic):
+    lam = POISSON_RATES[statistic]
+    for w in (Weights(1, 1), Weights(0, 1), Weights(2, 0),
+              Weights(F(13, 7), F(1000, 3)), Weights(F(3, 4), F(5, 6))):
+        for n in (1, 2, 3, 5, 16, 31, 64, 128, 256):
+            laws = [exact_statistic_pmf(n, w, statistic)]
+            if n <= 8:
+                laws.append(oracle_statistic_pmf(n, w, statistic))
+                assert laws[1] == laws[0]
+            for law in laws:
+                assert tv_to_poisson(law, lam) == _per_point_tv(law, lam), (n, w)
+
+
+def _two_point_law_near_poisson(digits):
+    """A law on {0, 1} whose p_1 sits below pi_1 = e^-1 of Poisson(1) by
+    less than 10^-digits, with that distance's exact value."""
+    with mpmath.workdps(digits + 60):
+        p1 = F(int(mpmath.floor(mpmath.exp(-1) * 10 ** digits)), 10 ** digits)
+        tv = 1 - mpmath.mpf(p1.numerator) / p1.denominator - mpmath.exp(-1)
+        return Pmf((1 - p1, p1)), float(tv)
+
+
+def test_tv_escalates_until_every_point_is_placed(monkeypatch):
+    law, expected = _two_point_law_near_poisson(50)
+    saved = mpmath.iv.dps
+    real_exp = mpmath.iv.exp
+    levels = []
+
+    def spy(x):
+        levels.append(mpmath.iv.dps)
+        return real_exp(x)
+
+    monkeypatch.setattr(mpmath.iv, "exp", spy)
+    assert tv_to_poisson(law, 1) == expected
+    assert levels == [40, 80]  # 40 digits cannot tell p_1 from pi_1
+    assert mpmath.iv.dps == saved
+
+
+def test_tv_escalation_stops_at_the_top_of_the_ladder():
+    saved = mpmath.iv.dps
+    law, _ = _two_point_law_near_poisson(700)
+    with pytest.raises(ArithmeticError):
+        tv_to_poisson(law, 1)
+    assert mpmath.iv.dps == saved
 
 
 def test_convergence_report_rows_and_pairing():

@@ -24,6 +24,8 @@ def test_validation_and_trimming():
 def test_constructors():
     p = Pmf.from_mapping({0: F(1, 4), 2: F(3, 4)})
     assert p.masses == (F(1, 4), F(0), F(3, 4))
+    assert (p.numerators, p.denominator) == ((1, 0, 3), 4)
+    assert p == Pmf((F(1, 4), F(0), F(3, 4), F(0))) and "numerators" not in repr(p)
     assert Pmf.point_mass(2).mass(2) == 1
     q = Pmf.from_weighted_counts({0: F(2), 1: F(6)})
     assert q.masses == (F(1, 4), F(3, 4))
