@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .core import Tableau
@@ -242,8 +243,7 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
             (closed, _), vec = column.popitem()
             _accumulate(states, closed, vec, 1)
     totals = [sum(weights) for weights in zip(*states.values())]
-    return Pmf.from_weighted_counts(
-        {idx: value for idx, value in enumerate(totals) if value})
+    return Pmf.from_integers(totals, sum(totals))
 
 
 # ----------------------------------------------------------------------
@@ -337,8 +337,7 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
         row = matrix[s]
         scaled[s] = (det * row[size] - sum(
             row[t] * scaled[t] for t in range(s + 1, size))) // row[s]
-    return Pmf.from_weighted_counts(
-        {s: Fraction(m, det) for s, m in enumerate(scaled) if m})
+    return Pmf.from_integers(scaled, det)
 
 
 # ----------------------------------------------------------------------
@@ -366,17 +365,16 @@ def cross_validate(n: int, p: AsepParams,
         "conventions": [],
         "matching_conventions": [],
     }
+    labels = [format(s, f"0{n}b") for s in range(1 << n)]  # as index_state reads
+    generator_probs = generator.masses
     for convention in conventions:
-        tableaux = steady_state_via_tableaux(n, scaled, convention)
-        per_state = []
-        for s in range(1 << n):
-            t_prob, g_prob = tableaux.mass(s), generator.mass(s)
-            per_state.append({
-                "state": "".join(map(str, index_state(s, n))),
-                "tableaux_prob": str(t_prob),
-                "generator_prob": str(g_prob),
-                "equal": t_prob == g_prob,
-            })
+        tableaux_probs = steady_state_via_tableaux(n, scaled, convention).masses
+        per_state = [  # masses are trimmed, so the labels run longest
+            {"state": label, "tableaux_prob": str(t_prob),
+             "generator_prob": str(g_prob), "equal": t_prob == g_prob}
+            for label, t_prob, g_prob in zip_longest(
+                labels, tableaux_probs, generator_probs, fillvalue=Fraction(0))
+        ]
         matches = all(entry["equal"] for entry in per_state)
         report["conventions"].append({
             "convention": convention,

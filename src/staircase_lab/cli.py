@@ -23,7 +23,6 @@ import click
 from . import asep, constraints, dpcount, enumeration, formulas, moments, sampler
 from .core import STATISTIC_NAMES, Tableau, diagonal_statistic
 from .measure import FourWeights, Weights, parse_rational
-from .pmf import Pmf
 
 
 class RationalType(click.ParamType):
@@ -46,6 +45,13 @@ def _ints(text: str, what: str) -> List[int]:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise click.UsageError(f"{what} must be comma-separated integers, got {text!r}")
+
+
+def _rationals(text: str, option: str, count: str, names: str) -> List[Fraction]:
+    parts = text.split(",")
+    if len(parts) != len(names.split(",")):
+        raise click.UsageError(f"{option} needs exactly {count} rationals {names}")
+    return [RATIONAL.convert(part, None, None) for part in parts]
 
 
 def _weights(a: Fraction, b: Fraction) -> Weights:
@@ -93,12 +99,8 @@ def main():
 def count(n, a, b, four, as_json):
     """Partition value: closed product and, at small sizes, brute force."""
     if four is not None:
-        parts = four.split(",")
-        if len(parts) != 4:
-            raise click.UsageError("--four needs exactly four rationals A,B,G,D")
         w = _fail_on_value_error(
-            FourWeights, *[RATIONAL.convert(p, None, None) for p in parts]
-        )
+            FourWeights, *_rationals(four, "--four", "four", "A,B,G,D"))
     else:
         w = _weights(a, b)
     rows: List[Tuple[str, Fraction]] = [
@@ -146,22 +148,16 @@ def joint(diag, kind, cols, n, a, b, as_json):
             n, w, columns,
         )
         rows.append(("closed", closed.value, closed.reason or "exact"))
-        event = constraints.second_diag_event(
-            n, columns,
-            constraints.Requirement.MUST_ALPHA if kind == "alpha"
-            else constraints.Requirement.MUST_NONEMPTY,
-        )
     else:
         term = _fail_on_value_error(formulas.third_diag_main_term, n, w, columns, kind)
         note = term.reason or f"remainder_order_{term.remainder_exponent}"
         if term.order_only:
             note += ",order_only"
         rows.append(("main_term", term.value, note))
-        event = constraints.third_diag_event(
-            n, columns,
-            constraints.Requirement.MUST_ALPHA if kind == "alpha"
-            else constraints.Requirement.MUST_NONEMPTY,
-        )
+    requirement = (constraints.Requirement.MUST_ALPHA if kind == "alpha"
+                   else constraints.Requirement.MUST_NONEMPTY)
+    event = (constraints.second_diag_event if diag == "2"
+             else constraints.third_diag_event)(n, columns, requirement)
     if n <= dpcount.N_DP:
         rows.append(("exact_dp", dpcount.event_prob(n, w, event), "exact"))
     if n <= 7:
@@ -263,10 +259,7 @@ def sample(n, a, b, count, seed, method):
               help="alpha,beta,gamma,delta,u,q as rationals.")
 def asep_verify(n, rates):
     """Cross-validate the tableaux route against the generator solve."""
-    parts = rates.split(",")
-    if len(parts) != 6:
-        raise click.UsageError("--rates needs exactly six rationals A,B,G,D,U,Q")
-    values = [RATIONAL.convert(p, None, None) for p in parts]
+    values = _rationals(rates, "--rates", "six", "A,B,G,D,U,Q")
     params = _fail_on_value_error(asep.AsepParams, *values[:4], u=values[4],
                                   q=values[5])
     report = _fail_on_value_error(asep.cross_validate, n, params)

@@ -423,11 +423,9 @@ def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     bump, cap = _statistic_plan(n, statistic)
     allowed = _allowed_map(n, None)
     masses = _masses_crt(n, w, allowed, slots=cap + 2, bump=bump)
-    scaled = ScaledWeights.of(w)
-    if sum(masses) != scaled.total_bound(n):
+    total = ScaledWeights.of(w).total_bound(n)
+    if sum(masses) != total:
         raise RuntimeError("statistic masses do not add up to the partition total")
     if masses[-1] != 0:
         raise RuntimeError("statistic reached past its structural cap")
-    return Pmf.from_weighted_counts(
-        {k: Fraction(m) for k, m in enumerate(masses) if m}
-    )
+    return Pmf.from_integers(masses, total)

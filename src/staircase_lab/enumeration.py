@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
@@ -136,22 +136,22 @@ def _tableaux(n: int) -> Union[Tuple[Tableau, ...], Iterator[Tableau]]:
     return all_tableaux(n) if n <= _CACHE_MAX else enumerate_tableaux(n)
 
 
+def _symbol_counts(t: Tableau) -> Tuple[int, int]:
+    """(N_alpha, N_beta) of one tableau."""
+    joined = "".join(t.rows)
+    return joined.count("A"), joined.count("B")
+
+
 @lru_cache(maxsize=None)
-def _symbol_count_profile(n: int) -> Tuple[Tuple[int, int, int], ...]:
-    """How many tableaux have each (N_alpha, N_beta) pair."""
-    counter: Counter = Counter()
-    for t in enumerate_tableaux(n):
-        joined = "".join(t.rows)
-        counter[(joined.count("A"), joined.count("B"))] += 1
-    return tuple((na, nb, mult) for (na, nb), mult in sorted(counter.items()))
+def _symbol_count_profile(n: int) -> Counter:
+    """How many tableaux have each (N_alpha, N_beta) pair; not to be mutated."""
+    return Counter(map(_symbol_counts, enumerate_tableaux(n)))
 
 
-def _grouped_weight_sum(n: int, w: Weights,
-                        profile: Tuple[Tuple[int, int, int], ...]) -> Fraction:
-    return sum(
-        (mult * w.a ** (n - na) * w.b ** (n - nb) for na, nb, mult in profile),
-        start=Fraction(0),
-    )
+def _grouped_weight_sum(n: int, w: Weights, counts: Counter) -> Fraction:
+    """Sum of weights over tableaux tallied by (N_alpha, N_beta)."""
+    return sum((mult * w.a ** (n - na) * w.b ** (n - nb)
+                for (na, nb), mult in counts.items()), start=Fraction(0))
 
 
 def brute_partition(n: int, w: Union[Weights, FourWeights]) -> Fraction:
@@ -168,7 +168,7 @@ def brute_partition(n: int, w: Union[Weights, FourWeights]) -> Fraction:
     if isinstance(w, Weights):
         return _grouped_weight_sum(n, w, profile)
     sa, sb = w.alpha + w.gamma, w.beta + w.delta
-    return sum((mult * sa ** na * sb ** nb for na, nb, mult in profile),
+    return sum((mult * sa ** na * sb ** nb for (na, nb), mult in profile.items()),
                start=Fraction(0))
 
 
@@ -193,26 +193,14 @@ def oracle_event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
     """P(constraints all hold) by summing over every tableau."""
     if c.n != n:
         raise ValueError(f"constraints built for size {c.n}, not {n}")
-    hit = Counter()
-    for t in _tableaux(n):
-        if c.satisfied_by(t):
-            joined = "".join(t.rows)
-            hit[(joined.count("A"), joined.count("B"))] += 1
-    profile = tuple((na, nb, mult) for (na, nb), mult in sorted(hit.items()))
-    return _grouped_weight_sum(n, w, profile) / w.normalizer(n)
+    hit = Counter(_symbol_counts(t) for t in _tableaux(n) if c.satisfied_by(t))
+    return _grouped_weight_sum(n, w, hit) / w.normalizer(n)
 
 
 def oracle_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     """Exact law of a named counting statistic, by enumeration."""
-    buckets: Dict[int, Counter] = {}
+    buckets: Dict[int, Counter] = defaultdict(Counter)
     for t in _tableaux(n):
-        k = diagonal_statistic(t, statistic)
-        joined = "".join(t.rows)
-        buckets.setdefault(k, Counter())[(joined.count("A"), joined.count("B"))] += 1
-    weights = {
-        k: _grouped_weight_sum(
-            n, w, tuple((na, nb, mult) for (na, nb), mult in sorted(hit.items()))
-        )
-        for k, hit in buckets.items()
-    }
-    return Pmf.from_weighted_counts(weights)
+        buckets[diagonal_statistic(t, statistic)][_symbol_counts(t)] += 1
+    return Pmf.from_weighted_counts(
+        {k: _grouped_weight_sum(n, w, hit) for k, hit in buckets.items()})

@@ -8,14 +8,14 @@ small two-dimensional recurrence evaluates on a scaled integer table,
 so sizes in the hundreds are reachable: no tableau is ever enumerated.
 
 Moment sequences convert to exact laws by inclusion-exclusion, summed
-in integers over one denominator (the support is finite, so finitely
-many factorial moments pin the law down).  The total variation
-distance to a Poisson limit is the exact law's excess over it on the
-points where the exact law is the larger: an integer sum over the
-law's common denominator minus e^(-lam) times an exact rational.  Only
-that last product is evaluated in interval arithmetic, escalating the
-working precision until the enclosure is tighter than the requested
-tolerance.
+in integers over one denominator, the form a law itself is kept in (the
+support is finite, so finitely many factorial moments pin it down).
+The total variation distance to a Poisson limit is the exact law's
+excess over it on the points where the exact law is the larger: an
+integer sum over the law's denominator minus e^(-lam) times an exact
+rational.  Only that last product is evaluated in interval arithmetic,
+escalating the working precision until the enclosure is tighter than
+the requested tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import mpmath
 from . import dpcount
 from .core import second_diag_max_count, third_diag_max_count
 from .measure import Weights, _as_fraction
-from .pmf import Pmf
+from .pmf import Pmf, _over_common_denominator
 
 #: Limit law rates: symbol counts on either diagonal tend to
 #: Poisson(1/2), nonempty counts to Poisson(1).
@@ -109,12 +109,11 @@ def _invert(c: Sequence[int], L: int) -> Pmf:
     for i in range(len(shifted) - 1):
         for j in range(len(shifted) - 2, i - 1, -1):
             shifted[j] -= shifted[j + 1]
-    masses = tuple(Fraction(num, L) for num in shifted)
-    for k, mass in enumerate(masses):
-        if mass < 0:
-            raise ValueError(
-                f"moments are inconsistent: reconstructed mass at {k} is {mass}")
-    return Pmf(masses)
+    for k, num in enumerate(shifted):
+        if num < 0:
+            raise ValueError("moments are inconsistent: reconstructed mass "
+                             f"at {k} is {Fraction(num, L)}")
+    return Pmf.from_integers(shifted, L)
 
 
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
@@ -171,9 +170,8 @@ def pmf_from_factorial_moments(m: Sequence) -> Pmf:
     mus = [_as_fraction(x, f"m[{i}]") for i, x in enumerate(m)]
     if not mus or mus[0] != 1:
         raise ValueError("m[0] must be 1, the zeroth factorial moment")
-    scaled = [mu / math.factorial(r) for r, mu in enumerate(mus)]
-    L = math.lcm(*(q.denominator for q in scaled))
-    return _invert([q.numerator * (L // q.denominator) for q in scaled], L)
+    return _invert(*_over_common_denominator(
+        mu / math.factorial(r) for r, mu in enumerate(mus)))
 
 
 def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:

@@ -34,6 +34,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -242,15 +243,8 @@ def empirical_pmf(n: int, w: Weights, statistic: str, samples: int,
     """Sample the named statistic and tabulate its empirical law."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    counts: Dict[int, int] = {}
-    batch = sample_many(n, w, rng, samples, method)
-    for t in batch:
-        k = diagonal_statistic(t, statistic)
-        counts[k] = counts.get(k, 0) + 1
-    pmf = Pmf.from_weighted_counts(
-        {k: Fraction(c, samples) for k, c in counts.items()}
-    )
-    stderr = tuple(
-        math.sqrt(float(m) * float(1 - m) / samples) for m in pmf.masses
-    )
+    counts = Counter(diagonal_statistic(t, statistic)
+                     for t in sample_many(n, w, rng, samples, method))
+    pmf = Pmf.from_integers([counts[k] for k in range(max(counts) + 1)], samples)
+    stderr = tuple(math.sqrt(float(m) * float(1 - m) / samples) for m in pmf.masses)
     return EmpiricalLaw(pmf=pmf, draws=samples, stderr=stderr)

@@ -1,3 +1,6 @@
+import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,3 +63,45 @@ def test_tv_distance():
     assert p.tv_distance(q) == (F(1, 4) + F(1, 2) + F(3, 4)) / 2
     assert p.tv_distance(p) == 0
     assert Pmf.point_mass(0).tv_distance(Pmf.point_mass(3)) == 1
+
+
+def test_from_integers_matches_fraction_construction():
+    # interior zeros, trailing zeros and a shared factor, against Pmf(masses)
+    rng = random.Random(2024)
+    for _ in range(300):
+        factor = rng.choice((1, 2, 6, 35, 2 ** 70))
+        weights = [factor * rng.choice((0, 0, 1, rng.randrange(10 ** 12)))
+                   for _ in range(rng.randrange(1, 12))]
+        weights += [0] * rng.randrange(4)
+        if not any(weights):
+            weights[0] = factor
+        total = sum(weights)
+        got = Pmf.from_integers(weights, total)
+        want = Pmf(tuple(F(x, total) for x in weights))
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and got.masses == want.masses
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+        assert math.gcd(got.denominator, *got.numerators) == 1
+        assert got.numerators[-1] != 0 or got.max_value == 0
+        assert Pmf.from_integers([-x for x in weights], -total) == got
+
+
+def test_from_integers_rejects_bad_input_with_value_errors():
+    with pytest.raises(ValueError):
+        Pmf.from_integers([0, 0], 0)
+    with pytest.raises(ValueError):
+        Pmf.from_integers([1, 2], 0)
+    with pytest.raises(ValueError, match="masses must sum to 1, got 5/6"):
+        Pmf.from_integers([3, 2], 6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Pmf.from_integers([3, -1], 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Pmf.from_integers([-3, 1], -2)
+    with pytest.raises(ValueError):
+        Pmf.from_integers([], 1)
+
+
+def test_pickle_round_trip():
+    p = Pmf.from_integers([2, 0, 6, 0], 8)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p) and q.masses == (F(1, 4), F(0), F(3, 4))
