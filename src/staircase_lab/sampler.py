@@ -12,35 +12,44 @@ Two interchangeable backends draw from the same measure:
   total weight of ways to finish the tableau from each reachable
   state, computed right to left by the counting engine's kernel over
   its own modulus plan: 2^64, then primes below 2^29 when the scaled
-  total needs more.  Inside a column the kernel leaves prime-plane
-  entries unreduced; the Chinese remainder step reduces each one
-  where a draw reads it.  The plan covers the scaled total, which
-  bounds every count a draw reads.  No rejection and no rounding;
-  every draw consumes one uniform integer below the exact number of
-  weighted continuations.
+  total needs more.  One kernel pass per (n, w) keeps, for every box,
+  only the reduced counts just after a symbol lands there; the
+  Chinese remainder step combines the planes where a draw reads them.
+  Each walker carries its own state's exact count, so an empty box
+  takes what the symbol moves leave of it.  The plan covers the
+  scaled total, which bounds every count a draw reads.  No rejection
+  and no rounding; every draw consumes one uniform integer below the
+  exact number of weighted continuations.
+
+Each backend keeps the tables of its last :data:`_CACHE_SIZE` (n, w)
+keys, so a warm call builds nothing; before a build it evicts the
+least recently used tables until the bytes they hold plus the new
+table's estimate fit the memory budget.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all
-samples through one column at a time so the backward tables for a
-column are built once per batch rather than once per draw; a batch of
-k therefore consumes the stream in a different order than k single
-draws (each path is deterministic on its own).
+samples through the boxes together, and walkers in the same state
+share that box's choice weights; a batch of k therefore consumes the
+stream in a different order than k single draws (each path is
+deterministic on its own).
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import random
-from collections import Counter
+import sys
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from . import dpcount
 from .core import Tableau, diagonal_statistic
 from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory,
                       _column_levels, _crt, _reduce)
@@ -52,9 +61,50 @@ _METHODS = ("enum_alias", "chain_rule")
 
 
 # ----------------------------------------------------------------------
+# table caches
+
+#: Tables each backend keeps, the least recently used evicted first.
+_CACHE_SIZE = 8
+
+
+class _TableCache:
+    """The last :data:`_CACHE_SIZE` tables one backend used, by key.
+
+    ``build(*key)`` makes a table and ``estimate(*key)`` bounds the
+    bytes its build claims at peak; a kept table is charged its
+    estimate.  Before a build, tables are evicted, oldest first, until
+    the bytes charged plus the new estimate fit the memory budget; an
+    estimate past the whole budget raises before anything is evicted
+    or allocated.  Lookups and builds hold one lock, so a key is built
+    once however many threads ask for it.
+    """
+
+    def __init__(self, build: Callable, estimate: Callable[..., int], what: str):
+        self._build, self._estimate, self._what = build, estimate, what
+        self._tables: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.held = 0  # bytes charged to the kept tables
+
+    def get(self, *key):
+        with self._lock:
+            hit = self._tables.get(key)
+            if hit is not None:
+                self._tables.move_to_end(key)
+                return hit[0]
+            need = self._estimate(*key)
+            _check_memory(need, self._what.format(*key))
+            while self._tables and (len(self._tables) >= _CACHE_SIZE
+                                    or self.held + need > dpcount._MEM_BUDGET):
+                self.held -= self._tables.popitem(last=False)[1][1]
+            table = self._build(*key)
+            self._tables[key] = (table, need)
+            self.held += need
+            return table
+
+
+# ----------------------------------------------------------------------
 # enum_alias backend
 
-@functools.cache
 def _alias_cumulative(n: int, w: Weights) -> List[int]:
     """Running sums of the scaled integer weights of ``all_tableaux(n)``."""
     scaled = ScaledWeights.of(w)
@@ -70,8 +120,19 @@ def _alias_cumulative(n: int, w: Weights) -> List[int]:
     return cumulative
 
 
+def _alias_bytes(n: int, w: Weights) -> int:
+    """Bytes of the running sums: per tableau, an int no larger than the
+    total plus the carry digit its addition allocates, and a list slot
+    with append's one-eighth over-allocation."""
+    return math.factorial(n + 1) * (sys.getsizeof(ScaledWeights.of(w).total_bound(n)) + 13)
+
+
+_alias_tables = _TableCache(_alias_cumulative, _alias_bytes,
+                            "enum_alias sums for n={0} with these weights")
+
+
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    tableaux, cumulative = all_tableaux(n), _alias_cumulative(n, w)
+    tableaux, cumulative = all_tableaux(n), _alias_tables.get(n, w)
     total = cumulative[-1]
     return [tableaux[bisect.bisect_right(cumulative, rng.randrange(total))]
             for _ in range(count)]
@@ -80,96 +141,124 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
 # ----------------------------------------------------------------------
 # chain_rule backend
 
-class _ChainTables:
-    """Backward completion counts for one (n, w), shared across draws.
+#: The symbol moves open to a state, by its "symbol above" flag and
+#: its row bit at the box: (cell code, factor index), alpha first.
+_OPEN_MOVES = [[[(code, k) for code, k, flag, bit in _MOVES
+                 if (flag, bit) == (above, dirty)] for dirty in (0, 1)]
+               for above in (0, 1)]
 
-    ``boundary[j][plane, 0, mask]`` holds, per modulus of the plan, the
-    weighted number of ways to fill columns j..n starting from each
-    dirty-row mask (the column-j flag "symbol above" being necessarily
-    clear at entry).  The per-box levels inside one column are rebuilt
-    on demand since they dominate memory.
+
+class _ChainTables:
+    """Completion counts after every symbol move, for one (n, w).
+
+    ``slices[j][i - 1][plane, k]`` is, modulo ``moduli[plane]``, the
+    weighted number of ways to finish the tableau just after a symbol
+    lands in box (i, j): the column's "symbol above" flag set, and the
+    k-th of the dirty-row masks that have row i set, in increasing
+    order.  These are the reduced slices the counting kernel reads at
+    each box, copied out of its one right-to-left pass; every other
+    level entry is dropped.  A walker carries its own exact count,
+    so the count after an empty box is that count less the symbol
+    moves' weights.
     """
 
     def __init__(self, n: int, w: Weights):
         self.n = n
-        self.scaled = ScaledWeights.of(w)
-        self.moduli = self.scaled.moduli(n)
+        scaled = ScaledWeights.of(w)
+        self.total = scaled.total_bound(n)
+        self.moduli, self.factors = scaled.moduli(n), scaled.factors()
         plan = len(self.moduli)
-        _check_memory(8 * plan * 2 * (1 << n) * (n + 2) + 8 * plan * (1 << (n + 1)),
-                      f"chain_rule tables for n={n} with these weights")
-        self.allowed = _allowed_map(n, None)
-        self.boundary = [None] * (n + 1) + [np.ones((plan, 1, 1), dtype=np.uint64)]
+        allowed = _allowed_map(n, None)
+        self.slices: List[List[np.ndarray]] = [[] for _ in range(n + 1)]
+        boundary = np.ones((plan, 1, 1), dtype=np.uint64)
         for j in range(n, 0, -1):
-            for level in _column_levels(n, j, self.boundary[j + 1], self.moduli,
-                                        self.scaled.factors(), self.allowed, None):
-                pass
-            self.boundary[j] = _reduce(level[:, :, 0, :].copy(), self.moduli)
+            height = n + 1 - j
+            levels = _column_levels(n, j, boundary, self.moduli, self.factors,
+                                    allowed, None)
+            del boundary  # the kernel frees it once copied
+            column = self.slices[j] = [None] * height
+            # the kernel yields the level just after box i, then updates it for box i
+            for i, level in zip(range(height, 0, -1), levels):
+                view = level.reshape(plan, 2, 1 << (height - i), 2, 1 << (i - 1))
+                column[i - 1] = _reduce(np.array(view[:, 1, :, 1, :]).reshape(plan, -1),
+                                        self.moduli)
+            if j > 1:
+                level = next(levels)
+                boundary = _reduce(level[:, :, 0, :].copy(), self.moduli)
+            del levels, level  # freed before the next column allocates its own
 
-    def _column_levels(self, j: int) -> List[np.ndarray]:
-        """Copies of column j's levels, top-down: ``levels[i-1]`` is just
-        before box i, ``levels[height]`` past the diagonal box."""
-        return [level.copy() for level in _column_levels(
-            self.n, j, self.boundary[j + 1], self.moduli, self.scaled.factors(),
-            self.allowed, None)][::-1]
+    def symbols(self, j: int, i: int, mask: int, above: int) -> List[Tuple[str, int, int]]:
+        """(cell code, weight, count after) of each symbol that may land
+        in box (i, j) from state (mask, above) with weight > 0, alpha
+        before beta.  Every such move leads to the same state."""
+        moves = _OPEN_MOVES[above][mask >> (i - 1) & 1]
+        if not moves:
+            return []
+        low = (1 << (i - 1)) - 1
+        row = self.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & low].tolist()
+        after = _crt(row, self.moduli) if len(row) > 1 else row[0]
+        # past a zero factor the plan need not cover the count; it is zeroed
+        return [(code, weight, after) for code, k in moves
+                if (weight := self.factors[k] * after)]
 
-    def reconstruct(self, level: np.ndarray, above: int, mask: int) -> int:
-        return _crt(level[:, 0, above, mask].tolist(), self.moduli)
+    def choices(self, j: int, i: int, mask: int, above: int,
+                count: int) -> List[Tuple[str, int, int, int, int]]:
+        """(cell code, weight, next mask, next flag, count after) of each
+        legal cell at box (i, j) with weight > 0, in the fixed order
+        empty, alpha, beta.  ``count`` is the state's exact completion
+        count; the weights sum to it."""
+        moves = self.symbols(j, i, mask, above)
+        rest = count - sum(move[1] for move in moves)
+        if rest < 0 or (rest and i == self.n + 1 - j):  # the diagonal box must fill
+            raise RuntimeError("chain-rule weights do not add up to the completion count")
+        out = [(".", rest, mask, above, rest)] if rest else []
+        bit = 1 << (i - 1)
+        out += [(code, weight, mask | bit, 1, after) for code, weight, after in moves]
+        return out
 
 
-_chain_tables = functools.cache(_ChainTables)
+def _chain_bytes(n: int, w: Weights) -> int:
+    """Peak bytes of a :class:`_ChainTables` build, reached in column 1.
 
-
-def _choice_weights(tables: _ChainTables, levels: List[np.ndarray], i: int,
-                    height: int, mask: int, above: int) -> List[Tuple[str, int, int, int]]:
-    """Continuation counts of each legal cell at box i of a column.
-
-    Returns (cell code, count, next mask, next flag) with count > 0,
-    in the fixed order empty, alpha, beta.
+    In units of ``8 * plan`` bytes: ``h * 2^(h-1)`` kept per column of
+    height h, ``(n-1) * 2^n + 1`` in all, and 4 * 2^n for the kernel
+    pass as in ``_sweep_bytes``; 32 KiB more covers the small objects.
     """
-    nxt = levels[i]
-    bit = 1 << (i - 1)
-    out = []
-    if i < height:  # the diagonal box may not stay empty
-        count = tables.reconstruct(nxt, above, mask)
-        if count:
-            out.append((".", count, mask, above))
-    for code, k, flag, dirty in _MOVES:
-        if flag == above and dirty == (mask >> (i - 1)) & 1:
-            # past a zero factor the plan need not cover the count; it is zeroed
-            count = tables.scaled.factors()[k] * tables.reconstruct(nxt, 1, mask | bit)
-            if count:
-                out.append((code, count, mask | bit, 1))
-    return out
+    plan = len(ScaledWeights.of(w).moduli(n))
+    return 8 * plan * ((n + 3) * (1 << n) + 1) + (1 << 15)
+
+
+_chain_tables = _TableCache(_ChainTables, _chain_bytes,
+                            "chain_rule tables for n={0} with these weights")
 
 
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    tables = _chain_tables(n, w)
+    tables = _chain_tables.get(n, w)
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count
+    counts = [tables.total] * count  # per walker: its exact completion count
     for j in range(1, n + 1):
         height = n + 1 - j
-        levels = tables._column_levels(j)
         flags = [0] * count
         cells = [[] for _ in range(count)]
         for i in range(1, height + 1):
-            memo: Dict[Tuple[int, int], List[Tuple[str, int, int, int]]] = {}
+            memo: Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]] = {}
             for k in range(count):
                 key = (masks[k], flags[k])
-                if key not in memo:
-                    memo[key] = _choice_weights(tables, levels, i, height, *key)
-                choices = memo[key]
-                draw = rng.randrange(sum(c[1] for c in choices))
-                for code, weight, mask, flag in choices:
+                choices = memo.get(key)
+                if choices is None:
+                    choices = memo[key] = tables.choices(j, i, *key, counts[k])
+                draw = rng.randrange(counts[k])
+                for code, weight, mask, flag, after in choices:
                     if draw < weight:
                         break
                     draw -= weight
                 cells[k].append(code)
-                masks[k], flags[k] = mask, flag
+                masks[k], flags[k], counts[k] = mask, flag, after
         keep = (1 << (height - 1)) - 1
         for k in range(count):
             grids[k].append("".join(cells[k]))
             masks[k] &= keep
-        del levels  # free them before the next column's are built
     return [
         Tableau._trusted(tuple(map("".join, itertools.zip_longest(*grid, fillvalue=""))))
         for grid in grids

@@ -314,28 +314,24 @@ def test_c07_third_diag_main_terms():
     _line(7, "third-diagonal main terms and remainders", ok)
 
 
-def _walk_probability(n, t, tables, levels, memo):
+def _walk_probability(n, t, tables, memo):
     prob = F(1)
-    mask = 0
+    mask, count = 0, tables.total
     for j in range(1, n + 1):
         height = n + 1 - j
-        level = levels[j]
         above = 0
         for i in range(1, height + 1):
             key = (j, i, mask, above)
-            hit = memo.get(key)
-            if hit is None:
-                choices = sampler._choice_weights(tables, level, i, height,
-                                                  mask, above)
-                hit = (choices, sum(c[1] for c in choices))
-                memo[key] = hit
-            choices, total = hit
+            choices = memo.get(key)
+            if choices is None:
+                choices = memo[key] = tables.choices(j, i, mask, above, count)
             code = t.rows[i - 1][j - 1]
             match = [c for c in choices if c[0] == code]
             if not match:
                 return F(0)
-            _, weight, mask, above = match[0]
-            prob *= F(weight, total)
+            _, weight, mask, above, after = match[0]
+            prob *= F(weight, count)
+            count = after
         mask &= (1 << (height - 1)) - 1
     return prob
 
@@ -344,12 +340,11 @@ def test_c08_sampler_exactness():
     ok = True
     for w in (Weights(1, 1), Weights(F(1, 2), 3)):
         for n in range(1, 7):
-            tables = sampler._chain_tables(n, w)
-            levels = {j: tables._column_levels(j) for j in range(1, n + 1)}
+            tables = sampler._ChainTables(n, w)
             memo = {}
             total = F(0)
             for t in all_tableaux(n):
-                p = _walk_probability(n, t, tables, levels, memo)
+                p = _walk_probability(n, t, tables, memo)
                 ok = ok and p == w.prob(t)
                 total += p
             ok = ok and total == 1

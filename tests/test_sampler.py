@@ -3,9 +3,12 @@
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from staircase_lab import dpcount, sampler
@@ -39,22 +42,22 @@ GOLDEN_WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1), Weights(F(5
 
 def _chain_probability(n, w, t):
     """Product of the chain sampler's conditionals along t's own path."""
-    tables = sampler._chain_tables(n, w)
+    tables = sampler._ChainTables(n, w)
     prob = F(1)
-    mask = 0
+    mask, count = 0, tables.total
     for j in range(1, n + 1):
         height = n + 1 - j
-        levels = tables._column_levels(j)
         above = 0
         for i in range(1, height + 1):
-            choices = sampler._choice_weights(tables, levels, i, height, mask, above)
-            total = sum(c[1] for c in choices)
+            choices = tables.choices(j, i, mask, above, count)
+            assert sum(c[1] for c in choices) == count
             code = t.rows[i - 1][j - 1]
             match = [c for c in choices if c[0] == code]
             if not match:
                 return F(0)
-            _, weight, mask, above = match[0]
-            prob *= F(weight, total)
+            _, weight, mask, above, after = match[0]
+            prob *= F(weight, count)
+            count = after
         mask &= (1 << (height - 1)) - 1
     return prob
 
@@ -68,26 +71,45 @@ def test_chain_conditionals_reproduce_the_measure(n, w):
         assert p == w.prob(t)
 
 
+def test_chain_walk_refuses_a_count_its_moves_do_not_match():
+    tables = sampler._ChainTables(3, Weights(1, 1))
+    right = tables.choices(1, 1, 0, 0, tables.total)[0][-1]  # after "."
+    assert sum(c[1] for c in tables.choices(1, 2, 0, 0, right)) == right
+    with pytest.raises(RuntimeError, match="completion count"):
+        tables.choices(1, 2, 0, 0, 1)  # less than the symbol moves weigh
+    with pytest.raises(RuntimeError, match="completion count"):
+        tables.choices(3, 1, 0, 0, 3)  # the diagonal box weighs 2 in all
+
+
 def test_chain_counts_split_exactly_with_large_factors():
-    # each count before a box is the sum of its weighted continuations,
-    # modulo the plan: here 24 prime planes whose unreduced entries sum
+    # the kept symbol counts against a fresh kernel pass: before each
+    # box, a state's count less its symbol moves' weights is the count
+    # it keeps when the box stays empty (none on the diagonal), modulo
+    # the plan: here 24 prime planes whose unreduced entries sum
     # products of the size of p^2
     n, w = 6, WEIGHTS[-1]
-    tables = sampler._chain_tables(n, w)
-    modulus = math.prod(tables.moduli)
-    assert len(tables.moduli) == 24
-    assert tables.reconstruct(tables._column_levels(1)[0], 0, 0) == \
-        tables.scaled.total_bound(n)
-    for j in range(1, n + 1):
+    tables = sampler._ChainTables(n, w)
+    moduli, modulus = tables.moduli, math.prod(tables.moduli)
+    assert len(moduli) == 24
+    allowed = dpcount._allowed_map(n, None)
+
+    def count(level, above, mask):
+        return dpcount._crt(level[:, 0, above, mask].tolist(), moduli)
+
+    boundary = np.ones((len(moduli), 1, 1), dtype=np.uint64)
+    for j in range(n, 0, -1):
         height = n + 1 - j
-        levels = tables._column_levels(j)
+        levels = [level.copy() for level in dpcount._column_levels(
+            n, j, boundary, moduli, tables.factors, allowed, None)][::-1]
+        boundary = dpcount._reduce(levels[0][:, :, 0, :].copy(), moduli)
         for i in range(1, height + 1):
             for mask in range(1 << height):
                 for above in (0, 1):
-                    choices = sampler._choice_weights(tables, levels, i, height,
-                                                      mask, above)
-                    assert sum(c[1] for c in choices) % modulus == \
-                        tables.reconstruct(levels[i - 1], above, mask), (j, i, mask)
+                    symbols = sum(s[1] for s in tables.symbols(j, i, mask, above))
+                    empty = count(levels[i], above, mask) if i < height else 0
+                    assert (count(levels[i - 1], above, mask) - symbols - empty) \
+                        % modulus == 0, (j, i, mask, above)
+    assert count(levels[0], 0, 0) == tables.total
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
@@ -140,6 +162,120 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
         dpcount.statistic_pmf(8, w, "X2")
     with pytest.raises(ValueError, match="GB"):
         sample(8, w, random.Random(0))
+
+
+def _fresh(cache):
+    """An empty cache that builds and estimates as ``cache`` does."""
+    return sampler._TableCache(cache._build, cache._estimate, cache._what)
+
+
+def test_warm_chain_call_runs_no_kernel_pass(monkeypatch):
+    columns = []
+    kernel = sampler._column_levels
+
+    def counted(n, j, *rest):
+        columns.append(j)
+        return kernel(n, j, *rest)
+
+    monkeypatch.setattr(sampler, "_column_levels", counted)
+    monkeypatch.setattr(sampler, "_chain_tables", _fresh(sampler._chain_tables))
+    n, w = 9, Weights(F(1, 2), 3)
+    first = sample_many(n, w, random.Random(1), 5)
+    assert sorted(columns) == list(range(1, n + 1))
+    columns.clear()
+    assert sample_many(n, w, random.Random(1), 5) == first
+    assert columns == []
+
+
+def test_cache_evicts_the_least_recently_used_table(monkeypatch):
+    cache = _fresh(sampler._chain_tables)
+    monkeypatch.setattr(sampler, "_chain_tables", cache)
+    keys = [(3, Weights(k, 1)) for k in range(sampler._CACHE_SIZE + 1)]
+    for key in keys[:-1]:
+        sample(*key, random.Random(0))
+    sample(*keys[0], random.Random(0))  # now the most recently used
+    sample(*keys[-1], random.Random(0))
+    assert list(cache._tables) == keys[2:-1] + [keys[0], keys[-1]]
+    assert cache.held == sum(sampler._chain_bytes(*key) for key in cache._tables)
+
+
+def test_budget_evicts_before_it_refuses(monkeypatch):
+    cache = _fresh(sampler._chain_tables)
+    monkeypatch.setattr(sampler, "_chain_tables", cache)
+    first, second = (10, Weights(1, 1)), (10, Weights(2, 1))
+    need = sampler._chain_bytes(*first)
+    assert sampler._chain_bytes(*second) == need
+    monkeypatch.setattr(dpcount, "_MEM_BUDGET", need + need // 2)
+    sample(*first, random.Random(0))
+    sample(*second, random.Random(0))
+    assert list(cache._tables) == [second]
+    assert cache.held == need
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GB"):
+            sample(12, Weights(1, 1), random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert list(cache._tables) == [second]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3))])
+def test_chain_memory_estimate_is_tight(n, w):
+    tracemalloc.start()
+    try:
+        sampler._ChainTables(n, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampler._chain_bytes(n, w) <= 1.3 * peak
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
+                               Weights(F(13, 7), F(1000, 3))])
+def test_alias_memory_estimate_is_tight(n, w):
+    all_tableaux(n)  # shared by every weight pair and budgeted on its own
+    tracemalloc.start()
+    try:
+        sampler._alias_cumulative(n, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampler._alias_bytes(n, w) <= 1.3 * peak
+
+
+def test_threads_on_distinct_keys_draw_as_a_serial_run(monkeypatch):
+    keys = [(method, n, w)
+            for method, ns in (("chain_rule", (6, 8, 9)), ("enum_alias", (5, 6)))
+            for n in ns for w in WEIGHTS[:3]]
+
+    def draws(k):
+        method, n, w = keys[k]
+        return sample_many(n, w, random.Random(k), 20, method)
+
+    def run(workers):
+        chain, alias = _fresh(sampler._chain_tables), _fresh(sampler._alias_tables)
+        monkeypatch.setattr(sampler, "_chain_tables", chain)
+        monkeypatch.setattr(sampler, "_alias_tables", alias)
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(draws, k) for k in range(len(keys))]
+            out = [f.result(timeout=120) for f in futures]
+        return out, chain, alias
+
+    serial = run(1)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded, chain, alias = run(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert len(chain._tables) == sampler._CACHE_SIZE  # 9 keys: one evicted
+    for cache in (chain, alias):
+        assert cache.held == sum(cache._estimate(*key) for key in cache._tables)
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
