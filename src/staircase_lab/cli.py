@@ -106,7 +106,7 @@ def count(n, a, b, four, as_json):
     rows: List[Tuple[str, Fraction]] = [
         ("closed", _fail_on_value_error(formulas.partition_closed, n, w))
     ]
-    if n <= enumeration.N_ENUM:
+    if 1 <= n <= enumeration.N_ENUM:
         rows.append(("brute", enumeration.brute_partition(n, w)))
     _emit(("form", "value"), rows, as_json)
 

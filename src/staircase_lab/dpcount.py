@@ -15,15 +15,15 @@ State space is ``2^height`` per column, so sizes up to :data:`N_DP`
 are practical.  Two independent engines cover it:
 
 * ``crt``: counts completions right to left, bottom-up in each column,
-  in numpy ``uint64`` arrays modulo 2^64 and, when the scaled integer
-  total needs more, modulo enough primes below 2^29 to cover it,
-  recombined by the Chinese remainder theorem.  The 2^64 plane is
-  unsigned arithmetic's own wrap-around, so it costs no remainder
-  operation.  A prime plane takes one remainder per box, on the slice
-  every move reads; products accumulate unreduced, which primes this
-  small leave room for within a column.  Exact, with no modular
-  inversions of data values.  The chain-rule sampler reads its
-  conditional laws off the same kernel and plan.
+  in numpy ``uint64`` arrays, one pass of :func:`_sweep` per modulus:
+  2^64 and, when the scaled integer total needs more, enough primes
+  below 2^29 to cover it, recombined by the Chinese remainder theorem.
+  The 2^64 pass is unsigned arithmetic's own wrap-around, so it costs
+  no remainder operation.  A prime pass takes one remainder per box,
+  on the slice every move reads; products accumulate unreduced, which
+  primes this small leave room for within a column.  Exact, with no
+  modular inversions of data values.  The chain-rule sampler runs the
+  same passes over the same plan and keeps the slices they read.
 * ``fractions``: a left-to-right dictionary sweep in exact rational
   arithmetic, simple enough to audit by eye; it shares no code with
   the kernel and stays the independent reference at small sizes.
@@ -42,7 +42,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,68 +245,68 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 
-def _reduce(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """Reduce ``x[plane]`` modulo ``moduli[plane]`` in place and return it.
+def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box, str],
+           slots: int = 1, bump: Optional[Dict[Box, str]] = None,
+           keep: Optional[Callable[[int, int, np.ndarray], None]] = None) -> List[int]:
+    """One right-to-left counting pass modulo ``m``: each slot's residue.
 
-    A leading 2^64 plane needs nothing: uint64 arithmetic wraps.
+    ``level[slot, above, mask]`` counts, modulo ``m``, the weighted ways
+    to fill the rest of the tableau from the state with that "symbol
+    above" flag and dirty-row mask, with ``slot`` counter bumps to come.
+    Columns run right to left and each column bottom-up; the residues
+    are the counts from the empty state before column 1.  ``bump`` maps
+    a box to the cell codes that count there; a count that would need a
+    slot past the last raises.  Before a box's moves run, ``keep(i, j,
+    counts)`` sees the slice they read, reduced: ``counts[slot, high,
+    low]`` for the flag set and the mask ``high << i | 1 << (i-1) |
+    low``, the state just after a symbol lands in box (i, j).  The next
+    box overwrites it, so a caller that keeps it copies it.  Modulo a
+    prime p, level entries are congruent to the counts but not reduced:
+    they stay below p + 2 * height * (p-1)^2 (see ``_PRIME_LIMIT``),
+    and only the slice each box reads is reduced.  Modulo 2^64 nothing
+    is: uint64 arithmetic wraps.
     """
-    wrap = int(moduli[0] == _WRAP)
-    if len(moduli) > wrap:
-        tail = x[wrap:]
-        primes = np.array(moduli[wrap:], dtype=np.uint64)
-        np.remainder(tail, primes.reshape((-1,) + (1,) * (x.ndim - 1)), out=tail)
-    return x
-
-
-def _column_levels(n: int, j: int, boundary: np.ndarray, moduli: Sequence[int],
-                   factors: Tuple[int, int, int, int], allowed: Dict[Box, str],
-                   bump: Optional[Dict[Box, str]]) -> Iterator[np.ndarray]:
-    """Completion counts through column j, box by box from the bottom up.
-
-    ``boundary[plane, slot, mask]`` counts, modulo ``moduli[plane]``,
-    the weighted ways to fill columns j+1..n from each dirty-row mask
-    with ``slot`` counter bumps to come.  Yields
-    ``level[plane, slot, above, mask]`` for the hand-off past the
-    diagonal box (whose row bit must be set), then just before each
-    box, bottom to top: one uint64 array updated in place, so a caller
-    that keeps levels copies them.  ``bump`` maps a box to the cell
-    codes that count there; a count that would need a slot past the
-    last raises.  On a prime plane p, entries are congruent to the
-    counts but not reduced: they stay below p + 2 * height * (p-1)^2
-    (see ``_PRIME_LIMIT``), and only the slice each box reads is
-    reduced.
-    """
-    height = n + 1 - j
-    plan, slots = boundary.shape[:2]
-    facs = [np.array([f % m for m in moduli], dtype=np.uint64).reshape(plan, 1, 1, 1)
-            for f in factors]
-    level = np.zeros((plan, slots, 2, 1 << height), dtype=np.uint64)
-    level.reshape(plan, slots, 2, 2, -1)[:, :, :, 1, :] = boundary[:, :, None, :]
-    del boundary  # freed here if the caller dropped it too
-    yield level
-    buffers = np.empty((2, plan, slots, 1 << (height - 1)), dtype=np.uint64)
-    for i in range(height, 0, -1):
-        codes = allowed[(i, j)]
-        lifted = bump.get((i, j), "") if bump else ""
-        seg, half = 1 << (height - i), 1 << (i - 1)
-        view = level.reshape(plan, slots, 2, seg, 2, half)
-        src, step = buffers.reshape(2, plan, slots, seg, half)
-        # every move sets the flag and the row bit, and none writes there
-        np.copyto(src, view[:, :, 1, :, 1, :])
-        _reduce(src, moduli)
-        if "." not in codes:
-            level.fill(0)
-        for code, k, above, bit in _MOVES:
-            if code not in codes:
-                continue
-            np.multiply(src, facs[k], out=step)
-            if code not in lifted:
-                view[:, :, above, :, bit, :] += step
-            elif src[:, -1].any():
-                raise RuntimeError("statistic counter overflowed its cap")
-            else:
-                view[:, 1:, above, :, bit, :] += step[:, :-1]
-        yield level
+    modulus = None if m == _WRAP else np.uint64(m)
+    facs = [np.uint64(f % m) for f in factors]
+    boundary = np.eye(slots, 1, dtype=np.uint64)  # no bump to come
+    for j in range(n, 0, -1):
+        height = n + 1 - j
+        level = np.zeros((slots, 2, 1 << height), dtype=np.uint64)
+        # past the diagonal box, whose row bit must be set, the bottom row retires
+        level.reshape(slots, 2, 2, -1)[:, :, 1, :] = boundary[:, None, :]
+        del boundary
+        buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
+        for i in range(height, 0, -1):
+            codes = allowed[(i, j)]
+            lifted = bump.get((i, j), "") if bump else ""
+            seg, half = 1 << (height - i), 1 << (i - 1)
+            view = level.reshape(slots, 2, seg, 2, half)
+            src, step = buffers.reshape(2, slots, seg, half)
+            # every move sets the flag and the row bit, and none writes there
+            np.copyto(src, view[:, 1, :, 1, :])
+            if modulus is not None:
+                np.remainder(src, modulus, out=src)
+            if keep is not None:
+                keep(i, j, src)
+            if "." not in codes:
+                level.fill(0)
+            for code, k, above, bit in _MOVES:
+                if code not in codes:
+                    continue
+                np.multiply(src, facs[k], out=step)
+                if code not in lifted:
+                    view[:, above, :, bit, :] += step
+                elif src[-1].any():
+                    raise RuntimeError("statistic counter overflowed its cap")
+                else:
+                    view[1:, above, :, bit, :] += step[:-1]
+        # each freed as soon as it is done with, as _sweep_bytes assumes
+        del buffers, view, src, step
+        boundary = level[:, 0, :].copy()
+        if modulus is not None:
+            np.remainder(boundary, modulus, out=boundary)
+        del level
+    return boundary[:, 0].tolist()
 
 
 def _sweep_bytes(n: int, slots: int) -> int:
@@ -327,18 +327,8 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
     _check_memory(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}")
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
-    residues = []
-    for m in moduli:
-        boundary = np.eye(slots, 1, dtype=np.uint64)[None]  # no bump to come
-        for j in range(n, 0, -1):
-            levels = _column_levels(n, j, boundary, (m,), factors, allowed, bump)
-            del boundary  # the kernel frees it once copied, as _sweep_bytes assumes
-            for level in levels:
-                pass
-            boundary = _reduce(level[:, :, 0, :].copy(), (m,))
-            del level  # freed before the next column allocates its own
-        residues.append(boundary[0, :, 0].tolist())
-    return [_crt([res[k] for res in residues], moduli) for k in range(slots)]
+    residues = [_sweep(n, m, factors, allowed, slots, bump) for m in moduli]
+    return [_crt(slot, moduli) for slot in zip(*residues)]
 
 
 # ----------------------------------------------------------------------

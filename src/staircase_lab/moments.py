@@ -181,6 +181,8 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     inversion, which works at any size; the rest need the counting
     engine and inherit its size limit.
     """
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
     if statistic in ("A2", "B2", "X2"):
         kind = {"A2": "alpha", "B2": "beta", "X2": "nonempty"}[statistic]
         return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))

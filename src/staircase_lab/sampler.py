@@ -12,9 +12,10 @@ Two interchangeable backends draw from the same measure:
   total weight of ways to finish the tableau from each reachable
   state, computed right to left by the counting engine's kernel over
   its own modulus plan: 2^64, then primes below 2^29 when the scaled
-  total needs more.  One kernel pass per (n, w) keeps, for every box,
-  only the reduced counts just after a symbol lands there; the
-  Chinese remainder step combines the planes where a draw reads them.
+  total needs more.  For each (n, w), one kernel pass per modulus
+  keeps, for every box, only the reduced counts just after a symbol
+  lands there; the Chinese remainder step combines the moduli where a
+  draw reads them.
   Each walker carries its own state's exact count, so an empty box
   takes what the symbol moves leave of it.  The plan covers the
   scaled total, which bounds every count a draw reads.  No rejection
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import dpcount
 from .core import Tableau, diagonal_statistic
-from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory,
-                      _column_levels, _crt, _reduce)
+from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory, _crt,
+                      _sweep)
 from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
@@ -156,10 +157,10 @@ class _ChainTables:
     lands in box (i, j): the column's "symbol above" flag set, and the
     k-th of the dirty-row masks that have row i set, in increasing
     order.  These are the reduced slices the counting kernel reads at
-    each box, copied out of its one right-to-left pass; every other
-    level entry is dropped.  A walker carries its own exact count,
-    so the count after an empty box is that count less the symbol
-    moves' weights.
+    each box, and each modulus's pass writes its own row of them;
+    every other level entry is dropped.  A walker carries its own
+    exact count, so the count after an empty box is that count less
+    the symbol moves' weights.
     """
 
     def __init__(self, n: int, w: Weights):
@@ -169,63 +170,47 @@ class _ChainTables:
         self.moduli, self.factors = scaled.moduli(n), scaled.factors()
         plan = len(self.moduli)
         allowed = _allowed_map(n, None)
-        self.slices: List[List[np.ndarray]] = [[] for _ in range(n + 1)]
-        boundary = np.ones((plan, 1, 1), dtype=np.uint64)
-        for j in range(n, 0, -1):
-            height = n + 1 - j
-            levels = _column_levels(n, j, boundary, self.moduli, self.factors,
-                                    allowed, None)
-            del boundary  # the kernel frees it once copied
-            column = self.slices[j] = [None] * height
-            # the kernel yields the level just after box i, then updates it for box i
-            for i, level in zip(range(height, 0, -1), levels):
-                view = level.reshape(plan, 2, 1 << (height - i), 2, 1 << (i - 1))
-                column[i - 1] = _reduce(np.array(view[:, 1, :, 1, :]).reshape(plan, -1),
-                                        self.moduli)
-            if j > 1:
-                level = next(levels)
-                boundary = _reduce(level[:, :, 0, :].copy(), self.moduli)
-            del levels, level  # freed before the next column allocates its own
-
-    def symbols(self, j: int, i: int, mask: int, above: int) -> List[Tuple[str, int, int]]:
-        """(cell code, weight, count after) of each symbol that may land
-        in box (i, j) from state (mask, above) with weight > 0, alpha
-        before beta.  Every such move leads to the same state."""
-        moves = _OPEN_MOVES[above][mask >> (i - 1) & 1]
-        if not moves:
-            return []
-        low = (1 << (i - 1)) - 1
-        row = self.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & low].tolist()
-        after = _crt(row, self.moduli) if len(row) > 1 else row[0]
-        # past a zero factor the plan need not cover the count; it is zeroed
-        return [(code, weight, after) for code, k in moves
-                if (weight := self.factors[k] * after)]
+        self.slices: List[List[np.ndarray]] = [[]] + [
+            [np.empty((plan, 1 << (n - j)), dtype=np.uint64) for _ in range(n + 1 - j)]
+            for j in range(1, n + 1)]
+        for plane, m in enumerate(self.moduli):
+            def keep(i: int, j: int, counts: np.ndarray, plane: int = plane) -> None:
+                self.slices[j][i - 1][plane] = counts.reshape(-1)
+            _sweep(n, m, self.factors, allowed, keep=keep)
 
     def choices(self, j: int, i: int, mask: int, above: int,
                 count: int) -> List[Tuple[str, int, int, int, int]]:
         """(cell code, weight, next mask, next flag, count after) of each
         legal cell at box (i, j) with weight > 0, in the fixed order
         empty, alpha, beta.  ``count`` is the state's exact completion
-        count; the weights sum to it."""
-        moves = self.symbols(j, i, mask, above)
-        rest = count - sum(move[1] for move in moves)
+        count; the weights sum to it, and every symbol move leads to
+        the same state."""
+        bit = 1 << (i - 1)
+        out = []
+        moves = _OPEN_MOVES[above][mask >> (i - 1) & 1]
+        if moves:
+            row = self.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & (bit - 1)].tolist()
+            after = _crt(row, self.moduli) if len(row) > 1 else row[0]
+            # past a zero factor the plan need not cover the count; it is zeroed
+            out = [(code, weight, mask | bit, 1, after) for code, k in moves
+                   if (weight := self.factors[k] * after)]
+        rest = count - sum(move[1] for move in out)
         if rest < 0 or (rest and i == self.n + 1 - j):  # the diagonal box must fill
             raise RuntimeError("chain-rule weights do not add up to the completion count")
-        out = [(".", rest, mask, above, rest)] if rest else []
-        bit = 1 << (i - 1)
-        out += [(code, weight, mask | bit, 1, after) for code, weight, after in moves]
-        return out
+        return ([(".", rest, mask, above, rest)] if rest else []) + out
 
 
 def _chain_bytes(n: int, w: Weights) -> int:
-    """Peak bytes of a :class:`_ChainTables` build, reached in column 1.
+    """Peak bytes of a :class:`_ChainTables` build, reached in column 1
+    of a pass.
 
-    In units of ``8 * plan`` bytes: ``h * 2^(h-1)`` kept per column of
-    height h, ``(n-1) * 2^n + 1`` in all, and 4 * 2^n for the kernel
-    pass as in ``_sweep_bytes``; 32 KiB more covers the small objects.
+    In units of 8 bytes: ``plan * h * 2^(h-1)`` kept per column of
+    height h, ``plan * ((n-1) * 2^n + 1)`` in all, allocated before the
+    first pass, and 4 * 2^n for one single-slot pass as in
+    ``_sweep_bytes``; 32 KiB more covers the small objects.
     """
     plan = len(ScaledWeights.of(w).moduli(n))
-    return 8 * plan * ((n + 3) * (1 << n) + 1) + (1 << 15)
+    return 8 * (plan * ((n - 1) * (1 << n) + 1) + 4 * (1 << n)) + (1 << 15)
 
 
 _chain_tables = _TableCache(_ChainTables, _chain_bytes,

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from staircase_lab import cli, dpcount
-from staircase_lab.core import Tableau
+from staircase_lab.core import STATISTIC_NAMES, Tableau
 from staircase_lab.measure import Weights
 
 
@@ -38,6 +38,25 @@ def test_count_four_symbol_json(runner):
 def test_count_skips_brute_force_at_large_sizes(runner):
     out = run(runner, "count", "--n", "40")
     assert "brute" not in out and out.startswith("form,value\nclosed,")
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_no_size_produces_a_traceback(runner, n):
+    # run() lets any exception out, so each case ends in output or a usage error
+    if n == "0":
+        assert run(runner, "count", "--n", n) == "form,value\nclosed,1\n"
+    else:
+        assert "nonnegative" in run(runner, "count", "--n", n, expect=2)
+    for stat in STATISTIC_NAMES:
+        assert "size must" in run(runner, "pmf", "--stat", stat, "--n", n, expect=2)
+    for diag in ("2", "3"):
+        run(runner, "moments", "--diag", diag, "--kind", "alpha", "--n", n, "--r", "1",
+            expect=2)
+    run(runner, "joint", "--diag", "2", "--kind", "alpha", "--cols", "1,2", "--n", n,
+        expect=2)
+    run(runner, "prob", "--n", n, "--box", "1,1", expect=2)
+    run(runner, "sample", "--n", n, "--seed", "1", expect=2)
+    run(runner, "asep-verify", "--n", n, "--rates", "2,1,3,1,1,1/2", expect=2)
 
 
 def test_count_rejects_malformed_four(runner):

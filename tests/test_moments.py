@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 from staircase_lab import dpcount, formulas, moments
+from staircase_lab.core import STATISTIC_NAMES
 from staircase_lab.enumeration import oracle_statistic_pmf
 from staircase_lab.measure import Weights, falling_factorial, rising_factorial
 from staircase_lab.moments import (
@@ -247,6 +248,10 @@ def test_exact_statistic_pmf_dispatch():
     assert exact_statistic_pmf(4, w, "Nalpha") == dpcount.statistic_pmf(4, w, "Nalpha")
     with pytest.raises(ValueError):
         exact_statistic_pmf(4, w, "Z9")
+    for statistic in STATISTIC_NAMES:
+        for n in (-1, 0):
+            with pytest.raises(ValueError, match="size"):
+                exact_statistic_pmf(n, w, statistic)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from staircase_lab import dpcount, sampler
@@ -22,6 +21,7 @@ from staircase_lab.sampler import (
     sample,
     sample_many,
 )
+from test_acceptance import _walk_probability
 
 WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1),
            # scaled factors far above every plan prime
@@ -82,34 +82,16 @@ def test_chain_walk_refuses_a_count_its_moves_do_not_match():
 
 
 def test_chain_counts_split_exactly_with_large_factors():
-    # the kept symbol counts against a fresh kernel pass: before each
-    # box, a state's count less its symbol moves' weights is the count
-    # it keeps when the box stays empty (none on the diagonal), modulo
-    # the plan: here 24 prime planes whose unreduced entries sum
-    # products of the size of p^2
+    # 24 moduli, each written into the tables by its own kernel pass,
+    # with scaled factors far above every plan prime, so prime-plane
+    # entries sum unreduced products of the size of p^2; every walk
+    # reads all 24 rows of each slice it crosses
     n, w = 6, WEIGHTS[-1]
     tables = sampler._ChainTables(n, w)
-    moduli, modulus = tables.moduli, math.prod(tables.moduli)
-    assert len(moduli) == 24
-    allowed = dpcount._allowed_map(n, None)
-
-    def count(level, above, mask):
-        return dpcount._crt(level[:, 0, above, mask].tolist(), moduli)
-
-    boundary = np.ones((len(moduli), 1, 1), dtype=np.uint64)
-    for j in range(n, 0, -1):
-        height = n + 1 - j
-        levels = [level.copy() for level in dpcount._column_levels(
-            n, j, boundary, moduli, tables.factors, allowed, None)][::-1]
-        boundary = dpcount._reduce(levels[0][:, :, 0, :].copy(), moduli)
-        for i in range(1, height + 1):
-            for mask in range(1 << height):
-                for above in (0, 1):
-                    symbols = sum(s[1] for s in tables.symbols(j, i, mask, above))
-                    empty = count(levels[i], above, mask) if i < height else 0
-                    assert (count(levels[i - 1], above, mask) - symbols - empty) \
-                        % modulus == 0, (j, i, mask, above)
-    assert count(levels[0], 0, 0) == tables.total
+    assert len(tables.moduli) == 24
+    memo = {}
+    for t in all_tableaux(n):
+        assert _walk_probability(n, t, tables, memo) == w.prob(t), t
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
@@ -170,21 +152,23 @@ def _fresh(cache):
 
 
 def test_warm_chain_call_runs_no_kernel_pass(monkeypatch):
-    columns = []
-    kernel = sampler._column_levels
+    passes = []
+    kernel = sampler._sweep
 
-    def counted(n, j, *rest):
-        columns.append(j)
-        return kernel(n, j, *rest)
+    def counted(n, m, *rest, **kwargs):
+        passes.append(m)
+        return kernel(n, m, *rest, **kwargs)
 
-    monkeypatch.setattr(sampler, "_column_levels", counted)
+    monkeypatch.setattr(sampler, "_sweep", counted)
     monkeypatch.setattr(sampler, "_chain_tables", _fresh(sampler._chain_tables))
-    n, w = 9, Weights(F(1, 2), 3)
+    n, w = 9, Weights(F(13, 7), F(1000, 3))
+    moduli = dpcount.ScaledWeights.of(w).moduli(n)
+    assert len(moduli) > 1
     first = sample_many(n, w, random.Random(1), 5)
-    assert sorted(columns) == list(range(1, n + 1))
-    columns.clear()
+    assert passes == list(moduli)  # one pass per modulus
+    passes.clear()
     assert sample_many(n, w, random.Random(1), 5) == first
-    assert columns == []
+    assert passes == []
 
 
 def test_cache_evicts_the_least_recently_used_table(monkeypatch):
@@ -222,7 +206,7 @@ def test_budget_evicts_before_it_refuses(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
-@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3))])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3)), WEIGHTS[-1]])
 def test_chain_memory_estimate_is_tight(n, w):
     tracemalloc.start()
     try:
