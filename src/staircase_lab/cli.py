@@ -269,6 +269,7 @@ def asep_verify(n, rates):
 def _selftest_suites():
     ones = Weights(1, 1)
     mixed = Weights(Fraction(1, 2), 3)
+    fractional = Weights(Fraction(2, 3), Fraction(5, 4))  # q > 1 on both sides
 
     def counts():
         return all(enumeration.count_tableaux(n) == math.factorial(n + 1)
@@ -283,16 +284,17 @@ def _selftest_suites():
     def box_laws():
         for n in (5, 6):
             for box in ((1, n), (2, 3), (3, 1)):
-                law = formulas.box_law(n, mixed, box)
-                got = dpcount.conditional_cell_law(n, mixed, box)
-                if (law.alpha, law.beta, law.empty) != (got.alpha, got.beta, got.empty):
-                    return False
+                for w in (mixed, fractional):
+                    law = formulas.box_law(n, w, box)
+                    got = dpcount.conditional_cell_law(n, w, box)
+                    if (law.alpha, law.beta, law.empty) != (got.alpha, got.beta, got.empty):
+                        return False
         return True
 
     def statistic_laws():
         return all(
             dpcount.statistic_pmf(4, w, s) == enumeration.oracle_statistic_pmf(4, w, s)
-            for w in (ones, mixed) for s in STATISTIC_NAMES
+            for w in (ones, mixed, fractional) for s in STATISTIC_NAMES
         )
 
     def moment_formulas():

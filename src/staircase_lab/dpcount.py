@@ -15,9 +15,11 @@ State space is ``2^height`` per column, so sizes up to :data:`N_DP`
 are practical.  Two independent engines cover it:
 
 * ``crt``: counts completions right to left, bottom-up in each column,
-  in numpy ``uint64`` arrays, one pass of :func:`_sweep` per modulus:
-  2^64 and, when the scaled integer total needs more, enough primes
-  below 2^29 to cover it, recombined by the Chinese remainder theorem.
+  in numpy ``uint64`` arrays, one pass of :func:`_sweep` per modulus.
+  Weights are scaled to integers by q^n, q the common denominator of
+  a and b (see :class:`ScaledWeights`); the plan is 2^64 and, when
+  the scaled total needs more, enough primes below 2^29 to cover it,
+  recombined by the Chinese remainder theorem.
   The 2^64 pass is unsigned arithmetic's own wrap-around, so it costs
   no remainder operation.  A prime pass takes one remainder per box,
   on the slice every move reads; products accumulate unreduced, which
@@ -73,7 +75,11 @@ class ScaledWeights:
     Scaling every tableau weight by ``q^(2n)`` makes all four local
     factors integers: an alpha contributes ``q * pb`` in a clean row
     and ``q`` in a dirty one, a beta ``q * pa`` as the column's topmost
-    symbol and ``q`` otherwise.
+    symbol and ``q`` otherwise.  Each factor carries exactly one q, and
+    each of the n diagonal boxes holds a symbol, so q^n divides every
+    count; the counting kernel divides it out by giving a diagonal
+    box's moves the factors without their q, ``(pb, 1, pa, 1)``.  Its
+    counts are the tableau weights scaled by ``q^n``.
     """
 
     q: int
@@ -85,19 +91,20 @@ class ScaledWeights:
         q = math.lcm(w.a.denominator, w.b.denominator)
         return cls(q, int(w.a * q), int(w.b * q))
 
-    def factors(self) -> Tuple[int, int, int, int]:
-        """(alpha clean, alpha dirty, beta topmost, beta below)."""
-        return (self.q * self.pb, self.q, self.q * self.pa, self.q)
+    def factors(self) -> Tuple[Tuple[int, int, int, int], Tuple[int, int, int, int]]:
+        """(alpha clean, alpha dirty, beta topmost, beta below) off the
+        diagonal, then on it."""
+        q, pa, pb = self.q, self.pa, self.pb
+        return (q * pb, q, q * pa, q), (pb, 1, pa, 1)
 
     def total_bound(self, n: int) -> int:
-        """The scaled unconstrained total, prod_i (q(pa+pb) + i q^2).
+        """The kernel's unconstrained total, prod_i (pa + pb + i q).
 
-        Every quantity either engine reads out (constrained totals,
-        per-count masses) is a subsum of it, so it bounds them all.
+        It is the normalizer scaled by q^n.  Every quantity the kernel
+        reads out (constrained totals, per-count masses, completion
+        counts) is a subsum of it, so it bounds them all.
         """
-        return math.prod(
-            self.q * (self.pa + self.pb) + i * self.q * self.q for i in range(n)
-        )
+        return math.prod(self.pa + self.pb + i * self.q for i in range(n))
 
     def moduli(self, n: int) -> Tuple[int, ...]:
         """The modulus plan of every size-n count and chain-rule table:
@@ -245,7 +252,8 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 
-def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box, str],
+def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
+           allowed: Dict[Box, str],
            slots: int = 1, bump: Optional[Dict[Box, str]] = None,
            keep: Optional[Callable[[int, int, np.ndarray], None]] = None) -> List[int]:
     """One right-to-left counting pass modulo ``m``: each slot's residue.
@@ -254,7 +262,9 @@ def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box
     to fill the rest of the tableau from the state with that "symbol
     above" flag and dirty-row mask, with ``slot`` counter bumps to come.
     Columns run right to left and each column bottom-up; the residues
-    are the counts from the empty state before column 1.  ``bump`` maps
+    are the counts from the empty state before column 1.  ``factors``
+    holds the four move factors off the diagonal and on it, as
+    :meth:`ScaledWeights.factors` gives them.  ``bump`` maps
     a box to the cell codes that count there; a count that would need a
     slot past the last raises.  Before a box's moves run, ``keep(i, j,
     counts)`` sees the slice they read, reduced: ``counts[slot, high,
@@ -267,7 +277,7 @@ def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box
     is: uint64 arithmetic wraps.
     """
     modulus = None if m == _WRAP else np.uint64(m)
-    facs = [np.uint64(f % m) for f in factors]
+    facs = [[np.uint64(f % m) for f in four] for four in factors]
     boundary = np.eye(slots, 1, dtype=np.uint64)  # no bump to come
     for j in range(n, 0, -1):
         height = n + 1 - j
@@ -277,7 +287,7 @@ def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box
         del boundary
         buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
         for i in range(height, 0, -1):
-            codes = allowed[(i, j)]
+            codes, fac = allowed[(i, j)], facs[i == height]
             lifted = bump.get((i, j), "") if bump else ""
             seg, half = 1 << (height - i), 1 << (i - 1)
             view = level.reshape(slots, 2, seg, 2, half)
@@ -293,7 +303,7 @@ def _sweep(n: int, m: int, factors: Tuple[int, int, int, int], allowed: Dict[Box
             for code, k, above, bit in _MOVES:
                 if code not in codes:
                     continue
-                np.multiply(src, facs[k], out=step)
+                np.multiply(src, fac[k], out=step)
                 if code not in lifted:
                     view[:, above, :, bit, :] += step
                 elif src[-1].any():
@@ -345,9 +355,8 @@ def constrained_partition(n: int, w: Weights, c: Optional[ConstraintSet] = None,
     allowed = _allowed_map(n, c)
     if engine == "fractions":
         return _partition_fractions(n, w, allowed)
-    scaled = ScaledWeights.of(w)
     total = _masses_crt(n, w, allowed, slots=1)[0]
-    return Fraction(total, scaled.q ** (2 * n))
+    return Fraction(total, ScaledWeights.of(w).q ** n)
 
 
 def event_prob(n: int, w: Weights, c: ConstraintSet,

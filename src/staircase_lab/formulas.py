@@ -117,6 +117,11 @@ class JointValue:
     reason: Optional[str] = None
 
 
+def _check_size(n: int, least: int, what: str) -> None:
+    if n < least:
+        raise ValueError(f"the {what} is empty below size {least}, got n={n}")
+
+
 def _checked_columns(cols: Iterable[int], top: int, what: str) -> Tuple[int, ...]:
     cols = tuple(sorted(cols))
     if not cols:
@@ -159,6 +164,7 @@ def second_diag_joint_alpha(n: int, w: Weights, cols: Iterable[int]) -> JointVal
     boxes would force contradictory symbols into the main-diagonal box
     wedged between them; that case returns 0 with a reason code.
     """
+    _check_size(n, 2, "second diagonal")
     cols = _checked_columns(cols, n - 1, "second-diagonal")
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
@@ -172,6 +178,7 @@ def second_diag_joint_nonempty(n: int, w: Weights, cols: Iterable[int]) -> Joint
     which, as long as they are pairwise at distance 2 or more; adjacent
     columns are impossible just as in the alpha case.
     """
+    _check_size(n, 2, "second diagonal")
     cols = _checked_columns(cols, n - 1, "second-diagonal")
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
@@ -210,8 +217,7 @@ def third_diag_main_term(n: int, w: Weights, cols: Iterable[int],
     """
     if kind not in ("alpha", "nonempty"):
         raise ValueError(f"kind must be 'alpha' or 'nonempty', got {kind!r}")
-    if n < 3:
-        raise ValueError("the third diagonal is empty below size 3")
+    _check_size(n, 3, "third diagonal")
     cols = _checked_columns(cols, n - 2, "third-diagonal")
     r = len(cols)
     gaps = [c2 - c1 for c1, c2 in itertools.pairwise(cols)]

@@ -107,7 +107,8 @@ class _TableCache:
 # enum_alias backend
 
 def _alias_cumulative(n: int, w: Weights) -> List[int]:
-    """Running sums of the scaled integer weights of ``all_tableaux(n)``."""
+    """Running sums of the integer weights of ``all_tableaux(n)``, each
+    scaled by q^(2n)."""
     scaled = ScaledWeights.of(w)
     cumulative, running = [], 0
     for t in all_tableaux(n):
@@ -116,7 +117,7 @@ def _alias_cumulative(n: int, w: Weights) -> List[int]:
         running += (scaled.pa ** (n - na) * scaled.pb ** (n - nb)
                     * scaled.q ** (na + nb))
         cumulative.append(running)
-    if running != scaled.total_bound(n):
+    if running != scaled.total_bound(n) * scaled.q ** n:
         raise RuntimeError("alias table weights do not sum to the partition total")
     return cumulative
 
@@ -125,7 +126,9 @@ def _alias_bytes(n: int, w: Weights) -> int:
     """Bytes of the running sums: per tableau, an int no larger than the
     total plus the carry digit its addition allocates, and a list slot
     with append's one-eighth over-allocation."""
-    return math.factorial(n + 1) * (sys.getsizeof(ScaledWeights.of(w).total_bound(n)) + 13)
+    scaled = ScaledWeights.of(w)
+    total = scaled.total_bound(n) * scaled.q ** n
+    return math.factorial(n + 1) * (sys.getsizeof(total) + 13)
 
 
 _alias_tables = _TableCache(_alias_cumulative, _alias_bytes,
@@ -158,16 +161,21 @@ class _ChainTables:
     k-th of the dirty-row masks that have row i set, in increasing
     order.  These are the reduced slices the counting kernel reads at
     each box, and each modulus's pass writes its own row of them;
-    every other level entry is dropped.  A walker carries its own
-    exact count, so the count after an empty box is that count less
-    the symbol moves' weights.
+    every other level entry is dropped.  The kernel's diagonal factors
+    carry no q, so a slice holds the count scaled by q^n less one q per
+    diagonal box still to fill; :meth:`choices` multiplies those back,
+    and a walker sees every count and weight at the q^(2n) scale.  A
+    walker carries its own exact count, so the count after an empty
+    box is that count less the symbol moves' weights.
     """
 
     def __init__(self, n: int, w: Weights):
         self.n = n
         scaled = ScaledWeights.of(w)
-        self.total = scaled.total_bound(n)
-        self.moduli, self.factors = scaled.moduli(n), scaled.factors()
+        self.q, self.total = scaled.q, scaled.total_bound(n) * scaled.q ** n
+        self.moduli, factors = scaled.moduli(n), scaled.factors()
+        self.factors = factors[0]
+        self.powers = [scaled.q ** d for d in range(n + 1)]
         plan = len(self.moduli)
         allowed = _allowed_map(n, None)
         self.slices: List[List[np.ndarray]] = [[]] + [
@@ -176,7 +184,7 @@ class _ChainTables:
         for plane, m in enumerate(self.moduli):
             def keep(i: int, j: int, counts: np.ndarray, plane: int = plane) -> None:
                 self.slices[j][i - 1][plane] = counts.reshape(-1)
-            _sweep(n, m, self.factors, allowed, keep=keep)
+            _sweep(n, m, factors, allowed, keep=keep)
 
     def choices(self, j: int, i: int, mask: int, above: int,
                 count: int) -> List[Tuple[str, int, int, int, int]]:
@@ -185,17 +193,19 @@ class _ChainTables:
         empty, alpha, beta.  ``count`` is the state's exact completion
         count; the weights sum to it, and every symbol move leads to
         the same state."""
-        bit = 1 << (i - 1)
+        bit, height = 1 << (i - 1), self.n + 1 - j
         out = []
         moves = _OPEN_MOVES[above][mask >> (i - 1) & 1]
         if moves:
             row = self.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & (bit - 1)].tolist()
             after = _crt(row, self.moduli) if len(row) > 1 else row[0]
+            if self.q > 1:  # one q per diagonal box still to fill
+                after *= self.powers[self.n - j + (i < height)]
             # past a zero factor the plan need not cover the count; it is zeroed
             out = [(code, weight, mask | bit, 1, after) for code, k in moves
                    if (weight := self.factors[k] * after)]
         rest = count - sum(move[1] for move in out)
-        if rest < 0 or (rest and i == self.n + 1 - j):  # the diagonal box must fill
+        if rest < 0 or (rest and i == height):  # the diagonal box must fill
             raise RuntimeError("chain-rule weights do not add up to the completion count")
         return ([(".", rest, mask, above, rest)] if rest else []) + out
 

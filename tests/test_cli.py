@@ -59,6 +59,16 @@ def test_no_size_produces_a_traceback(runner, n):
     run(runner, "asep-verify", "--n", n, "--rates", "2,1,3,1,1,1/2", expect=2)
 
 
+def test_joint_names_a_size_too_small_for_its_diagonal(runner):
+    # the size is checked before the columns, whose range would be empty
+    for diag, least in (("2", 2), ("3", 3)):
+        for kind in ("alpha", "nonempty"):
+            for n in range(-1, least):
+                out = run(runner, "joint", "--diag", diag, "--kind", kind, "--cols", "1",
+                          "--n", str(n), expect=2)
+                assert f"empty below size {least}, got n={n}" in out
+
+
 def test_count_rejects_malformed_four(runner):
     run(runner, "count", "--n", "3", "--four", "1,1,1", expect=2)
     run(runner, "count", "--n", "3", "--four", "1,1,x,1", expect=2)

@@ -34,10 +34,11 @@ GRID = [Weights(1, 1), Weights(F(1, 2), 3), Weights(3, F(1, 2)),
 def test_scaled_weights():
     s = ScaledWeights.of(Weights(F(1, 2), F(2, 3)))
     assert (s.q, s.pa, s.pb) == (6, 3, 4)
-    assert s.factors() == (24, 6, 18, 6)
-    # the bound is exactly the scaled unconstrained total
+    # off the diagonal each factor carries one q; on it, none
+    assert s.factors() == ((24, 6, 18, 6), (4, 1, 3, 1))
+    # the bound is exactly the kernel's unconstrained total, scaled by q^n
     w = Weights(F(1, 2), F(2, 3))
-    assert s.total_bound(4) == w.normalizer(4) * s.q ** 8
+    assert s.total_bound(4) == w.normalizer(4) * s.q ** 4
 
 
 def test_unconstrained_partition_both_engines():
@@ -302,19 +303,23 @@ def test_crt_ignores_multiples_of_each_modulus():
         assert _crt(lifted, moduli) == x
 
 
-#: Scaled factors far above every plan prime, on plans of 6 to 24
+#: Scaled factors far above every plan prime, on plans of 9 to 11
 #: moduli: their residues spread over the whole plane, so the products
 #: the kernel sums unreduced reach the size of p^2, which small factors
 #: never do.
 LARGE_FACTORS = [Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1)),
-                 Weights(F(2999, 1000), F(400, 143))]
+                 Weights(F(1, 10 ** 9 + 7), F(3, 10 ** 9 + 9))]
 
 
 @pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("w", LARGE_FACTORS)
+@pytest.mark.parametrize("w", LARGE_FACTORS + [
+    # large factors on a short plan: 3 moduli at n = 5 and 6
+    Weights(F(2999, 1000), F(400, 143))])
 def test_large_factors_match_independent_routes(n, w):
     scaled = ScaledWeights.of(w)
-    assert max(scaled.factors()) > 2 ** 31 and len(scaled.moduli(n)) >= 6
+    assert max(scaled.factors()[0]) > 2 ** 31
+    if w in LARGE_FACTORS:
+        assert len(scaled.moduli(n)) >= 6
     assert constrained_partition(n, w) == partition_closed(n, w)
     for statistic in STATISTIC_NAMES:
         assert statistic_pmf(n, w, statistic) == \
@@ -335,3 +340,39 @@ def test_large_factors_match_independent_routes(n, w):
         assert (got.alpha, got.beta, got.empty) == \
             (want.alpha, want.beta, want.empty), (box, given)
         checked += 1
+
+
+#: Both denominators above 1, so every diagonal factor drops a q, and a
+#: zero weight on either side, so a diagonal factor is 0.
+DIAGONAL_WEIGHTS = [Weights(F(2, 3), F(5, 4)), Weights(F(7, 10), F(9, 14)),
+                    Weights(0, F(3, 7)), Weights(F(5, 6), 0)]
+
+
+@pytest.mark.parametrize("w", DIAGONAL_WEIGHTS)
+def test_diagonal_factors_match_fractions_and_oracle(w):
+    for n in (1, 2, 3, 5, 6):
+        diagonal = [(i, n + 1 - i) for i in range(1, n + 1)]
+        assert constrained_partition(n, w) == \
+            constrained_partition(n, w, engine="fractions") == partition_closed(n, w)
+        events = []
+        for box in {diagonal[0], diagonal[n // 2], diagonal[-1]}:
+            i, j = box
+            for req in (R.MUST_ALPHA, R.MUST_BETA):
+                events.append(ConstraintSet.of(n, {box: req}))
+                if i > 1:  # and a symbol above it, so beta is not topmost
+                    events.append(ConstraintSet.of(n, {box: req, (i - 1, j): R.MUST_NONEMPTY}))
+                if j > 1:  # and a symbol left of it, so the row is dirty
+                    events.append(ConstraintSet.of(n, {box: req, (i, j - 1): R.MUST_ALPHA}))
+        for c in events:
+            want = oracle_event_prob(n, w, c)
+            assert event_prob(n, w, c) == event_prob(n, w, c, engine="fractions") == want, c
+            assert constrained_partition(n, w, c) == \
+                constrained_partition(n, w, c, engine="fractions"), c
+        for box in diagonal:
+            empty = ConstraintSet.of(n, {box: R.MUST_EMPTY})
+            for engine in ("crt", "fractions"):
+                assert constrained_partition(n, w, empty, engine) == 0
+                assert event_prob(n, w, empty, engine) == 0
+        for statistic in STATISTIC_NAMES:
+            assert statistic_pmf(n, w, statistic) == \
+                oracle_statistic_pmf(n, w, statistic), (n, statistic)

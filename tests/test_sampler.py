@@ -86,7 +86,7 @@ def test_chain_counts_split_exactly_with_large_factors():
     # with scaled factors far above every plan prime, so prime-plane
     # entries sum unreduced products of the size of p^2; every walk
     # reads all 24 rows of each slice it crosses
-    n, w = 6, WEIGHTS[-1]
+    n, w = 6, Weights(F(1, 2 ** 63 + 11), F(7, 3 * 2 ** 62 + 1))
     tables = sampler._ChainTables(n, w)
     assert len(tables.moduli) == 24
     memo = {}
