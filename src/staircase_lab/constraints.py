@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .core import Box, Tableau, in_staircase, second_diagonal, third_diagonal
+from .formulas import _check_size
 
 
 class Requirement(enum.Enum):
@@ -99,9 +100,11 @@ def _diagonal_event(boxes: Tuple[Box, ...], n: int, cols: Iterable[int],
 
 def second_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the second-diagonal boxes in the given columns."""
+    _check_size(n, 2, "second diagonal")
     return _diagonal_event(second_diagonal(n), n, cols, req, "second-diagonal")
 
 
 def third_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the third-diagonal boxes in the given columns."""
+    _check_size(n, 3, "third diagonal")
     return _diagonal_event(third_diagonal(n), n, cols, req, "third-diagonal")

@@ -33,8 +33,8 @@ are practical.  Two independent engines cover it:
 Both engines honour :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
 joint probabilities of cell events.  Kernel arrays grow with counter
-slots and ``2^n``; one memory budget, shared with the sampler and the
-enumeration's tableau lists, is checked before they are allocated.
+slots and ``2^n``; a sweep reserves its peak in the process's one
+memory ledger, which evicts kept tables to fit, before it allocates.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _budget
 from .constraints import ConstraintSet, Requirement
 from .core import (Box, second_diag_max_count, second_diagonal, staircase_boxes,
                    third_diag_max_count, third_diagonal)
@@ -60,9 +61,6 @@ from .pmf import Pmf
 N_DP = 22
 
 _ENGINES = ("crt", "fractions")
-
-#: Peak bytes a counting sweep, chain-rule tables or a tableau list may claim.
-_MEM_BUDGET = 1_500_000_000
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +197,6 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     return out
 
 
-def _check_memory(need: int, what: str) -> None:
-    if need > _MEM_BUDGET:
-        raise ValueError(f"{what} would need about {need / 1e9:.1f} GB; "
-                         "use a smaller size")
-
-
 def _check_args(n: int, engine: str) -> None:
     if not 1 <= n <= N_DP:
         raise ValueError(f"size must be in 1..{N_DP}, got {n}")
@@ -334,10 +326,10 @@ def _sweep_bytes(n: int, slots: int) -> int:
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
                 bump: Optional[Dict[Box, str]] = None) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per modulus."""
-    _check_memory(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}")
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
-    residues = [_sweep(n, m, factors, allowed, slots, bump) for m in moduli]
+    with _budget.reserve(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}"):
+        residues = [_sweep(n, m, factors, allowed, slots, bump) for m in moduli]
     return [_crt(slot, moduli) for slot in zip(*residues)]
 
 

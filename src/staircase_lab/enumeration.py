@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
+from . import _budget
 from .constraints import ConstraintSet
 from .core import Tableau, diagonal_statistic
-from .dpcount import _check_memory
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
@@ -114,22 +114,21 @@ def _list_bytes(n: int) -> int:
     return math.factorial(n + 1) * (72 * n + 104)
 
 
-@lru_cache(maxsize=None)
-def all_tableaux(n: int) -> Tuple[Tableau, ...]:
-    """Every size-n tableau in enumeration order, built once per size
-    and shared by the oracles and the ``enum_alias`` sampler.  The
-    memory budget, checked first, admits n = 8 but not n = 9.  The
-    cyclic collector is paused while the list grows: the tableaux hold
-    no cycles, and each full collection would walk all those kept so
-    far."""
-    _check_memory(_list_bytes(n), f"the tableau list for n={n}")
+def _build_list(n: int) -> Tuple[Tableau, ...]:
     enabled = gc.isenabled()
-    gc.disable()
+    gc.disable()  # no cycles, and a full collection would walk every tableau so far
     try:
         return tuple(enumerate_tableaux(n))
     finally:
         if enabled:
             gc.enable()
+
+
+def all_tableaux(n: int) -> Tuple[Tableau, ...]:
+    """Every size-n tableau in enumeration order, shared by the oracles
+    and the ``enum_alias`` sampler; the memory ledger keeps it like any
+    other table, and its budget admits n = 8 but not n = 9."""
+    return _budget.get(_build_list, _list_bytes, "the tableau list for n={0}", n)
 
 
 def _tableaux(n: int) -> Union[Tuple[Tableau, ...], Iterator[Tableau]]:

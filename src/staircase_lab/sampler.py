@@ -22,10 +22,10 @@ Two interchangeable backends draw from the same measure:
   and no rounding; every draw consumes one uniform integer below the
   exact number of weighted continuations.
 
-Each backend keeps the tables of its last :data:`_CACHE_SIZE` (n, w)
-keys, so a warm call builds nothing; before a build it evicts the
-least recently used tables until the bytes they hold plus the new
-table's estimate fit the memory budget.
+Both backends keep their tables in the process's one memory ledger,
+up to eight (n, w) keys each, so a warm call builds nothing.  A build
+that does not fit the one budget, beside the running sweeps, first
+evicts the least recently used tables of every holder.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all
@@ -42,65 +42,21 @@ import itertools
 import math
 import random
 import sys
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from . import dpcount
+from . import _budget
 from .core import Tableau, diagonal_statistic
-from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_memory, _crt,
-                      _sweep)
+from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _sweep
 from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
-
-
-# ----------------------------------------------------------------------
-# table caches
-
-#: Tables each backend keeps, the least recently used evicted first.
-_CACHE_SIZE = 8
-
-
-class _TableCache:
-    """The last :data:`_CACHE_SIZE` tables one backend used, by key.
-
-    ``build(*key)`` makes a table and ``estimate(*key)`` bounds the
-    bytes its build claims at peak; a kept table is charged its
-    estimate.  Before a build, tables are evicted, oldest first, until
-    the bytes charged plus the new estimate fit the memory budget; an
-    estimate past the whole budget raises before anything is evicted
-    or allocated.  Lookups and builds hold one lock, so a key is built
-    once however many threads ask for it.
-    """
-
-    def __init__(self, build: Callable, estimate: Callable[..., int], what: str):
-        self._build, self._estimate, self._what = build, estimate, what
-        self._tables: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.held = 0  # bytes charged to the kept tables
-
-    def get(self, *key):
-        with self._lock:
-            hit = self._tables.get(key)
-            if hit is not None:
-                self._tables.move_to_end(key)
-                return hit[0]
-            need = self._estimate(*key)
-            _check_memory(need, self._what.format(*key))
-            while self._tables and (len(self._tables) >= _CACHE_SIZE
-                                    or self.held + need > dpcount._MEM_BUDGET):
-                self.held -= self._tables.popitem(last=False)[1][1]
-            table = self._build(*key)
-            self._tables[key] = (table, need)
-            self.held += need
-            return table
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +87,11 @@ def _alias_bytes(n: int, w: Weights) -> int:
     return math.factorial(n + 1) * (sys.getsizeof(total) + 13)
 
 
-_alias_tables = _TableCache(_alias_cumulative, _alias_bytes,
-                            "enum_alias sums for n={0} with these weights")
-
-
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    tableaux, cumulative = all_tableaux(n), _alias_tables.get(n, w)
+    # the sums first: their build fetches the list and may evict one fetched before
+    cumulative = _budget.get(_alias_cumulative, _alias_bytes,
+                             "enum_alias sums for n={0} with these weights", n, w)
+    tableaux = all_tableaux(n)
     total = cumulative[-1]
     return [tableaux[bisect.bisect_right(cumulative, rng.randrange(total))]
             for _ in range(count)]
@@ -223,12 +178,9 @@ def _chain_bytes(n: int, w: Weights) -> int:
     return 8 * (plan * ((n - 1) * (1 << n) + 1) + 4 * (1 << n)) + (1 << 15)
 
 
-_chain_tables = _TableCache(_ChainTables, _chain_bytes,
-                            "chain_rule tables for n={0} with these weights")
-
-
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    tables = _chain_tables.get(n, w)
+    tables = _budget.get(_ChainTables, _chain_bytes,
+                         "chain_rule tables for n={0} with these weights", n, w)
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count
     counts = [tables.total] * count  # per walker: its exact completion count

@@ -1,0 +1,161 @@
+"""The process-wide memory ledger: one budget for kept tables and sweeps."""
+
+import gc
+import multiprocessing
+import random
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction as F
+
+import pytest
+
+from staircase_lab import _budget, dpcount, enumeration, sampler
+from staircase_lab.constraints import ConstraintSet, Requirement
+from staircase_lab.formulas import partition_closed
+from staircase_lab.measure import Weights
+
+
+def _charges(ledger):
+    return sum(charge for _, charge in ledger.kept.values())
+
+
+def test_kept_tables_and_lists_stay_within_one_budget(monkeypatch, fresh_ledger):
+    # eight n = 14 chain tables, then eight n = 7 alias sums over their
+    # shared tableau list: each fits alone, together they do not
+    budget = 30_000_000
+    ledger = fresh_ledger()
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        for k in range(1, 9):
+            sampler.sample_many(14, Weights(k, 1), random.Random(k), 2)
+        for k in range(1, 9):
+            sampler.sample_many(7, Weights(k, 1), random.Random(k), 2, "enum_alias")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= budget
+    assert ledger.held == _charges(ledger) <= budget and ledger.reserved == 0
+    # the list was read last, so it outlived the sums built before it
+    assert list(ledger.kept)[-1] == (enumeration._build_list, 7)
+
+
+def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledger):
+    n, w, statistic = 10, Weights(F(13, 7), F(1000, 3)), "X2"
+    expected = dpcount.statistic_pmf(n, w, statistic)
+    ledger = fresh_ledger()
+    sampler.sample(n, w, random.Random(0))
+    kept = ledger.held
+    sweep = dpcount._sweep_bytes(n, dpcount._statistic_plan(n, statistic)[1] + 2)
+    assert kept == sampler._chain_bytes(n, w) and ledger.reserved == 0
+    # the sweep fits the budget alone, but not beside the kept table
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", sweep + kept // 2)
+    assert dpcount.statistic_pmf(n, w, statistic) == expected
+    assert not ledger.kept and ledger.held == 0 and ledger.reserved == 0
+
+
+def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
+    ledger = fresh_ledger()
+    sampler.sample(8, Weights(1, 1), random.Random(0))
+    before = dict(ledger.kept)
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1) - 1)
+    with pytest.raises(ValueError, match="GB"):
+        dpcount.constrained_partition(8, Weights(1, 1))
+    assert ledger.kept == before and ledger.reserved == 0
+
+
+def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh_ledger):
+    weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(F(13, 7), F(1000, 3))]
+    jobs = [("chain_rule", n, w) for n in (8, 9, 10) for w in weights]
+    jobs += [("enum_alias", 6, w) for w in weights]
+    jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (9, 10)
+             for w in weights]
+    jobs += [("cell", 8, w) for w in weights]
+
+    def run(k):
+        what, n, w = jobs[k]
+        if what in sampler._METHODS:
+            return sampler.sample_many(n, w, random.Random(k), 10, what)
+        if what == "cell":
+            given = ConstraintSet.of(n, {(2, 2): Requirement.MUST_NONEMPTY})
+            return dpcount.conditional_cell_law(n, w, (1, 3), given)
+        return dpcount.statistic_pmf(n, w, what)
+
+    serial = [run(k) for k in range(len(jobs))]
+    workers = 4
+    sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2)
+                for s, n, _ in jobs if s in ("X2", "Nalpha"))
+    # room for every other worker's sweep beside the largest nested build,
+    # and too little to keep every table: builds evict, none is refused
+    budget = ((workers - 1) * sweep + enumeration._list_bytes(6)
+              + max(sampler._alias_bytes(6, w) for w in weights))
+    kept_all = (enumeration._list_bytes(6)
+                + sum(sampler._alias_bytes(6, w) for w in weights)
+                + sum(sampler._chain_bytes(n, w) for _, n, w in jobs[:9]))
+    assert budget < kept_all + sweep
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
+    ledger = fresh_ledger()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, k) for k in range(len(jobs))]
+            threaded = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert ledger.held == _charges(ledger) <= budget
+    assert ledger.reserved == 0
+
+
+def test_failed_build_leaves_the_tally_unchanged(monkeypatch, fresh_ledger):
+    ledger = fresh_ledger()
+    enumeration.all_tableaux(4)
+    before = (dict(ledger.kept), ledger.held)
+
+    def broken(n):
+        raise RuntimeError("enumeration failed")
+
+    monkeypatch.setattr(enumeration, "enumerate_tableaux", broken)
+    with pytest.raises(RuntimeError):
+        enumeration.all_tableaux(5)
+    with pytest.raises(RuntimeError):  # the alias build fails inside its list's build
+        sampler.sample(5, Weights(1, 1), random.Random(0), "enum_alias")
+    assert (dict(ledger.kept), ledger.held) == before
+    assert len(enumeration.all_tableaux(4)) == 120  # still kept, not rebuilt
+
+
+def test_builder_keeps_at_most_its_cap_beside_others(fresh_ledger):
+    ledger = fresh_ledger()
+    enumeration.all_tableaux(3)  # the oldest entry, of another builder
+    for k in range(_budget._CACHE_SIZE + 1):
+        sampler.sample(3, Weights(k, 1), random.Random(0))
+    chains = [key for key in ledger.kept if key[0] is sampler._ChainTables]
+    assert len(chains) == _budget._CACHE_SIZE
+    assert (sampler._ChainTables, 3, Weights(0, 1)) not in ledger.kept
+    assert (enumeration._build_list, 3) in ledger.kept
+
+
+def test_forked_child_does_not_wait_on_a_lock_held_by_another_thread(fresh_ledger):
+    ledger = fresh_ledger()
+    holding, done = threading.Event(), threading.Event()
+
+    def hold():  # as a build in another thread would
+        with ledger.lock:
+            holding.set()
+            done.wait(60)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    assert holding.wait(60)
+    try:
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            job = pool.apply_async(dpcount.constrained_partition, (4, Weights(1, 1)))
+            total = job.get(timeout=30)
+    finally:
+        done.set()
+        thread.join()
+    assert total == partition_closed(4, Weights(1, 1))

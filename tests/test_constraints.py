@@ -51,3 +51,10 @@ def test_diagonal_event_builders():
         second_diag_event(4, [4], R.MUST_ALPHA)
     with pytest.raises(ValueError):
         third_diag_event(5, [1, 1], R.MUST_ALPHA)
+    # a size too small for the diagonal is named, as formulas name it
+    for build, least, name in ((second_diag_event, 2, "second"),
+                               (third_diag_event, 3, "third")):
+        for n in range(least):
+            with pytest.raises(ValueError, match=f"^the {name} diagonal is empty "
+                                                 f"below size {least}, got n={n}$"):
+                build(n, [1], R.MUST_ALPHA)

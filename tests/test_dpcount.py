@@ -12,7 +12,8 @@ from staircase_lab import dpcount
 from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
-from staircase_lab.dpcount import (_MEM_BUDGET, _PRIME_LIMIT, N_DP, ScaledWeights,
+from staircase_lab._budget import _MEM_BUDGET
+from staircase_lab.dpcount import (_PRIME_LIMIT, N_DP, ScaledWeights,
                                    _crt, _is_prime, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,

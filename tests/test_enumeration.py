@@ -10,7 +10,7 @@ import pytest
 from staircase_lab import enumeration
 from staircase_lab.constraints import ConstraintSet, Requirement, second_diag_event
 from staircase_lab.core import Tableau, diagonal_statistic
-from staircase_lab.dpcount import _MEM_BUDGET
+from staircase_lab._budget import _MEM_BUDGET
 from staircase_lab.enumeration import (_list_bytes, all_tableaux, brute_partition,
                                        count_tableaux, enumerate_four_symbol,
                                        enumerate_tableaux, oracle_event_prob,
@@ -58,7 +58,7 @@ def test_tableau_list_memory_estimate_is_tight():
     for n in (5, 6, 7):
         tracemalloc.start()
         try:
-            all_tableaux.__wrapped__(n)
+            enumeration._build_list(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -69,7 +69,7 @@ def test_tableau_list_memory_estimate_is_tight():
 
 
 def test_tableau_list_build_restores_the_collector(monkeypatch):
-    build = all_tableaux.__wrapped__  # uncached
+    build = enumeration._build_list  # uncached
     states = []
 
     def spy(n):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_lab import dpcount, sampler
+from staircase_lab import _budget, dpcount, enumeration, sampler
 from staircase_lab.core import Tableau, diagonal_statistic
 from staircase_lab.enumeration import all_tableaux
 from staircase_lab.measure import FourWeights, Weights
@@ -138,7 +138,7 @@ def test_alias_refuses_size_nine_before_allocating():
 
 
 def test_memory_budget_is_checked_before_allocating(monkeypatch):
-    monkeypatch.setattr(dpcount, "_MEM_BUDGET", 1000)
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", 1000)
     w = Weights(F(7, 11), F(3, 13))  # no other test builds tables for it
     with pytest.raises(ValueError, match="GB"):
         dpcount.statistic_pmf(8, w, "X2")
@@ -146,12 +146,7 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
         sample(8, w, random.Random(0))
 
 
-def _fresh(cache):
-    """An empty cache that builds and estimates as ``cache`` does."""
-    return sampler._TableCache(cache._build, cache._estimate, cache._what)
-
-
-def test_warm_chain_call_runs_no_kernel_pass(monkeypatch):
+def test_warm_chain_call_runs_no_kernel_pass(monkeypatch, fresh_ledger):
     passes = []
     kernel = sampler._sweep
 
@@ -160,7 +155,7 @@ def test_warm_chain_call_runs_no_kernel_pass(monkeypatch):
         return kernel(n, m, *rest, **kwargs)
 
     monkeypatch.setattr(sampler, "_sweep", counted)
-    monkeypatch.setattr(sampler, "_chain_tables", _fresh(sampler._chain_tables))
+    fresh_ledger()
     n, w = 9, Weights(F(13, 7), F(1000, 3))
     moduli = dpcount.ScaledWeights.of(w).moduli(n)
     assert len(moduli) > 1
@@ -171,29 +166,33 @@ def test_warm_chain_call_runs_no_kernel_pass(monkeypatch):
     assert passes == []
 
 
-def test_cache_evicts_the_least_recently_used_table(monkeypatch):
-    cache = _fresh(sampler._chain_tables)
-    monkeypatch.setattr(sampler, "_chain_tables", cache)
-    keys = [(3, Weights(k, 1)) for k in range(sampler._CACHE_SIZE + 1)]
+def _chain_keys(ledger):
+    """The (n, w) keys of the chain-rule tables the ledger keeps, oldest first."""
+    return [key[1:] for key in ledger.kept if key[0] is sampler._ChainTables]
+
+
+def test_cache_evicts_the_least_recently_used_table(fresh_ledger):
+    ledger = fresh_ledger()
+    keys = [(3, Weights(k, 1)) for k in range(_budget._CACHE_SIZE + 1)]
     for key in keys[:-1]:
         sample(*key, random.Random(0))
     sample(*keys[0], random.Random(0))  # now the most recently used
     sample(*keys[-1], random.Random(0))
-    assert list(cache._tables) == keys[2:-1] + [keys[0], keys[-1]]
-    assert cache.held == sum(sampler._chain_bytes(*key) for key in cache._tables)
+    assert list(ledger.kept) == [(sampler._ChainTables,) + key
+                                 for key in keys[2:-1] + [keys[0], keys[-1]]]
+    assert ledger.held == sum(sampler._chain_bytes(*key) for key in _chain_keys(ledger))
 
 
-def test_budget_evicts_before_it_refuses(monkeypatch):
-    cache = _fresh(sampler._chain_tables)
-    monkeypatch.setattr(sampler, "_chain_tables", cache)
+def test_budget_evicts_before_it_refuses(monkeypatch, fresh_ledger):
+    ledger = fresh_ledger()
     first, second = (10, Weights(1, 1)), (10, Weights(2, 1))
     need = sampler._chain_bytes(*first)
     assert sampler._chain_bytes(*second) == need
-    monkeypatch.setattr(dpcount, "_MEM_BUDGET", need + need // 2)
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", need + need // 2)
     sample(*first, random.Random(0))
     sample(*second, random.Random(0))
-    assert list(cache._tables) == [second]
-    assert cache.held == need
+    assert list(ledger.kept) == [(sampler._ChainTables,) + second]
+    assert ledger.held == need
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="GB"):
@@ -202,7 +201,7 @@ def test_budget_evicts_before_it_refuses(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert list(cache._tables) == [second]
+    assert list(ledger.kept) == [(sampler._ChainTables,) + second]
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
@@ -221,7 +220,7 @@ def test_chain_memory_estimate_is_tight(n, w):
 @pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
                                Weights(F(13, 7), F(1000, 3))])
 def test_alias_memory_estimate_is_tight(n, w):
-    all_tableaux(n)  # shared by every weight pair and budgeted on its own
+    all_tableaux(n)  # shared by every weight pair and charged on its own
     tracemalloc.start()
     try:
         sampler._alias_cumulative(n, w)
@@ -231,7 +230,7 @@ def test_alias_memory_estimate_is_tight(n, w):
     assert peak <= sampler._alias_bytes(n, w) <= 1.3 * peak
 
 
-def test_threads_on_distinct_keys_draw_as_a_serial_run(monkeypatch):
+def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
     keys = [(method, n, w)
             for method, ns in (("chain_rule", (6, 8, 9)), ("enum_alias", (5, 6)))
             for n in ns for w in WEIGHTS[:3]]
@@ -241,25 +240,25 @@ def test_threads_on_distinct_keys_draw_as_a_serial_run(monkeypatch):
         return sample_many(n, w, random.Random(k), 20, method)
 
     def run(workers):
-        chain, alias = _fresh(sampler._chain_tables), _fresh(sampler._alias_tables)
-        monkeypatch.setattr(sampler, "_chain_tables", chain)
-        monkeypatch.setattr(sampler, "_alias_tables", alias)
+        ledger = fresh_ledger()
         with ThreadPoolExecutor(workers) as pool:
             futures = [pool.submit(draws, k) for k in range(len(keys))]
             out = [f.result(timeout=120) for f in futures]
-        return out, chain, alias
+        return out, ledger
 
     serial = run(1)[0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threaded, chain, alias = run(4)
+        threaded, ledger = run(4)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert len(chain._tables) == sampler._CACHE_SIZE  # 9 keys: one evicted
-    for cache in (chain, alias):
-        assert cache.held == sum(cache._estimate(*key) for key in cache._tables)
+    assert len(_chain_keys(ledger)) == _budget._CACHE_SIZE  # 9 keys: one evicted
+    estimates = {sampler._ChainTables: sampler._chain_bytes,
+                 sampler._alias_cumulative: sampler._alias_bytes,
+                 enumeration._build_list: enumeration._list_bytes}
+    assert ledger.held == sum(estimates[key[0]](*key[1:]) for key in ledger.kept)
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
