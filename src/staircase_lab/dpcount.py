@@ -23,9 +23,14 @@ are practical.  Two independent engines cover it:
   The 2^64 pass is unsigned arithmetic's own wrap-around, so it costs
   no remainder operation.  A prime pass takes one remainder per box,
   on the slice every move reads; products accumulate unreduced, which
-  primes this small leave room for within a column.  Exact, with no
-  modular inversions of data values.  The chain-rule sampler runs the
-  same passes over the same plan and keeps the slices they read.
+  primes this small leave room for within a column.  Moves that land
+  on the same state add their factors, and moves with equal factors
+  share one product, so an entry takes at most two products per box.
+  Column 1 is the first column a tableau fills, so all rows enter it
+  clean and its box i only works on the 2^i masks below 2^i.  Exact,
+  with no modular inversions of data values.  The chain-rule sampler
+  runs the same passes over the same plan and keeps the slices they
+  read.
 * ``fractions``: a left-to-right dictionary sweep in exact rational
   arithmetic, simple enough to audit by eye; it shares no code with
   the kernel and stays the independent reference at small sizes.
@@ -143,10 +148,13 @@ def _is_prime(x: int) -> bool:
 #: Prime planes use primes below 2^29 so that the kernel may defer
 #: reductions.  Level entries enter a column reduced, below p, and each
 #: box adds at most two products of reduced values, each at most
-#: (p-1)^2, to any entry: only alpha-clean and beta-topmost share a
-#: target.  A column has at most N_DP boxes, so every entry stays below
-#: p + 2 * N_DP * (p-1)^2, which is below 2^64: a prime plane never
-#: wraps.
+#: (p-1)^2, to any entry.  Only alpha-clean and beta-topmost share a
+#: target, and merged they take one product of their reduced factor
+#: sum; a second reaches the entry only when one of them is lifted to
+#: the next counter slot and the other is not.  A factor of 1 adds the
+#: reduced slice itself.  A column has at most N_DP boxes, so every
+#: entry stays below p + 2 * N_DP * (p-1)^2, which is below 2^64: a
+#: prime plane never wraps.
 _PRIME_LIMIT = 1 << 29
 assert _PRIME_LIMIT + 2 * N_DP * (_PRIME_LIMIT - 1) ** 2 < _WRAP
 
@@ -244,6 +252,27 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 
+def _merge_moves(m: int, four: Tuple[int, ...], codes: str,
+                 lifted: str) -> Tuple[bool, list]:
+    """The moves open at a box, merged: moves onto one target, the same
+    (lifted, flag, bit), add their factors modulo ``m`` into one; targets
+    with equal factors share one product; a factor of 1 needs no product
+    and a factor of 0 no move.  Returns whether a lifted code may land
+    there, and ``[(factor, or None for 1, [target, ...]), ...]``."""
+    factor_of: Dict[Tuple[bool, int, int], int] = {}
+    for code, k, above, bit in _MOVES:
+        if code in codes:
+            target = (code in lifted, above, bit)
+            factor_of[target] = (factor_of.get(target, 0) + four[k]) % m
+    targets_of: Dict[int, List[Tuple[bool, int, int]]] = {}
+    for target, factor in factor_of.items():
+        if factor:
+            targets_of.setdefault(factor, []).append(target)
+    guarded = any(code in lifted for code in codes)
+    return guarded, [(None if factor == 1 else np.uint64(factor), targets)
+                     for factor, targets in targets_of.items()]
+
+
 def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str],
            slots: int = 1, bump: Optional[Dict[Box, str]] = None,
@@ -258,18 +287,28 @@ def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
     holds the four move factors off the diagonal and on it, as
     :meth:`ScaledWeights.factors` gives them.  ``bump`` maps
     a box to the cell codes that count there; a count that would need a
-    slot past the last raises.  Before a box's moves run, ``keep(i, j,
-    counts)`` sees the slice they read, reduced: ``counts[slot, high,
-    low]`` for the flag set and the mask ``high << i | 1 << (i-1) |
-    low``, the state just after a symbol lands in box (i, j).  The next
-    box overwrites it, so a caller that keeps it copies it.  Modulo a
-    prime p, level entries are congruent to the counts but not reduced:
-    they stay below p + 2 * height * (p-1)^2 (see ``_PRIME_LIMIT``),
-    and only the slice each box reads is reduced.  Modulo 2^64 nothing
-    is: uint64 arithmetic wraps.
+    slot past the last raises.
+
+    Column 1 is the first column a tableau fills, so every row enters
+    it clean: before its box i only masks below 2^(i-1) occur, and the
+    box reads and writes only ``level[..., :2^i]``.  Entries past that
+    prefix are never read again.  Moves onto the same target add their
+    factors and take one product, and moves with equal factors share
+    one (:func:`_merge_moves`).
+
+    Before a box's moves run, ``keep(i, j, counts)`` sees the slice
+    they read, reduced: ``counts[slot, high, low]`` for the flag set
+    and the mask ``high << i | 1 << (i-1) | low``, the state just after
+    a symbol lands in box (i, j); in column 1, ``high`` is 0 alone.
+    The next box overwrites it, so a caller that keeps it copies it.
+    Modulo a prime p, level entries are congruent to the counts but not
+    reduced: they stay below p + 2 * height * (p-1)^2 (see
+    ``_PRIME_LIMIT``), and only the slice each box reads is reduced.
+    Modulo 2^64 nothing is: uint64 arithmetic wraps.
     """
     modulus = None if m == _WRAP else np.uint64(m)
-    facs = [[np.uint64(f % m) for f in four] for four in factors]
+    # merged moves by (codes, lifted codes, diagonal), built once per pass
+    merged: Dict[Tuple[str, str, bool], Tuple[bool, list]] = {}
     boundary = np.eye(slots, 1, dtype=np.uint64)  # no bump to come
     for j in range(n, 0, -1):
         height = n + 1 - j
@@ -277,13 +316,18 @@ def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
         # past the diagonal box, whose row bit must be set, the bottom row retires
         level.reshape(slots, 2, 2, -1)[:, :, 1, :] = boundary[:, None, :]
         del boundary
-        buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
+        buffers = np.empty(slots << height, dtype=np.uint64)
         for i in range(height, 0, -1):
-            codes, fac = allowed[(i, j)], facs[i == height]
+            codes = allowed[(i, j)]
             lifted = bump.get((i, j), "") if bump else ""
-            seg, half = 1 << (height - i), 1 << (i - 1)
-            view = level.reshape(slots, 2, seg, 2, half)
-            src, step = buffers.reshape(2, slots, seg, half)
+            key = (codes, lifted, i == height)
+            if key not in merged:
+                merged[key] = _merge_moves(m, factors[i == height], codes, lifted)
+            guarded, moves = merged[key]
+            width = 1 << (height if j > 1 else i)  # the reachable prefix
+            seg, half = width >> i, 1 << (i - 1)
+            view = level[:, :, :width].reshape(slots, 2, seg, 2, half)
+            src, step = buffers[:slots * width].reshape(2, slots, seg, half)
             # every move sets the flag and the row bit, and none writes there
             np.copyto(src, view[:, 1, :, 1, :])
             if modulus is not None:
@@ -291,17 +335,17 @@ def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
             if keep is not None:
                 keep(i, j, src)
             if "." not in codes:
-                level.fill(0)
-            for code, k, above, bit in _MOVES:
-                if code not in codes:
-                    continue
-                np.multiply(src, fac[k], out=step)
-                if code not in lifted:
-                    view[:, above, :, bit, :] += step
-                elif src[-1].any():
-                    raise RuntimeError("statistic counter overflowed its cap")
-                else:
-                    view[1:, above, :, bit, :] += step[:-1]
+                view.fill(0)
+            if guarded and src[-1].any():
+                raise RuntimeError("statistic counter overflowed its cap")
+            for factor, targets in moves:
+                product = src if factor is None else np.multiply(src, factor, out=step)
+                for bumped, above, bit in targets:
+                    if bumped:
+                        view[1:, above, :, bit, :] += product[:-1]
+                    else:
+                        view[:, above, :, bit, :] += product
+                del product  # a view of the buffers, which must not outlive them
         # each freed as soon as it is done with, as _sweep_bytes assumes
         del buffers, view, src, step
         boundary = level[:, 0, :].copy()

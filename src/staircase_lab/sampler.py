@@ -116,12 +116,16 @@ class _ChainTables:
     k-th of the dirty-row masks that have row i set, in increasing
     order.  These are the reduced slices the counting kernel reads at
     each box, and each modulus's pass writes its own row of them;
-    every other level entry is dropped.  The kernel's diagonal factors
-    carry no q, so a slice holds the count scaled by q^n less one q per
-    diagonal box still to fill; :meth:`choices` multiplies those back,
-    and a walker sees every count and weight at the q^(2n) scale.  A
-    walker carries its own exact count, so the count after an empty
-    box is that count less the symbol moves' weights.
+    every other level entry is dropped.  A column of height h keeps
+    2^(h-1) masks per box, except column 1: every row enters it clean,
+    so box (i, 1) keeps only the 2^(i-1) masks below 2^i, and the
+    walker's index ``(mask >> i) << (i-1) | low`` stays below that.
+    The kernel's diagonal factors carry no q, so a slice holds the
+    count scaled by q^n less one q per diagonal box still to fill;
+    :meth:`choices` multiplies those back, and a walker sees every
+    count and weight at the q^(2n) scale.  A walker carries its own
+    exact count, so the count after an empty box is that count less
+    the symbol moves' weights.
     """
 
     def __init__(self, n: int, w: Weights):
@@ -134,10 +138,11 @@ class _ChainTables:
         plan = len(self.moduli)
         allowed = _allowed_map(n, None)
         self.slices: List[List[np.ndarray]] = [[]] + [
-            [np.empty((plan, 1 << (n - j)), dtype=np.uint64) for _ in range(n + 1 - j)]
-            for j in range(1, n + 1)]
+            [np.empty(0, dtype=np.uint64)] * (n + 1 - j) for j in range(1, n + 1)]
         for plane, m in enumerate(self.moduli):
             def keep(i: int, j: int, counts: np.ndarray, plane: int = plane) -> None:
+                if plane == 0:  # the first pass sizes each box's slice
+                    self.slices[j][i - 1] = np.empty((plan, counts.size), dtype=np.uint64)
                 self.slices[j][i - 1][plane] = counts.reshape(-1)
             _sweep(n, m, factors, allowed, keep=keep)
 
@@ -170,12 +175,16 @@ def _chain_bytes(n: int, w: Weights) -> int:
     of a pass.
 
     In units of 8 bytes: ``plan * h * 2^(h-1)`` kept per column of
-    height h, ``plan * ((n-1) * 2^n + 1)`` in all, allocated before the
-    first pass, and 4 * 2^n for one single-slot pass as in
-    ``_sweep_bytes``; 32 KiB more covers the small objects.
+    height h below n, and ``plan * (2^n - 1)`` in column 1, so
+    ``plan * n * 2^(n-1)`` in all, allocated by the first pass, and
+    3 * 2^n for one single-slot pass: its level and two buffers, which
+    with one slot need no numpy iteration buffers beside them.  Then
+    320 bytes per box for its slice's array object and its entry in
+    the allowed map, and 16 KiB for the other small objects.
     """
     plan = len(ScaledWeights.of(w).moduli(n))
-    return 8 * (plan * ((n - 1) * (1 << n) + 1) + 4 * (1 << n)) + (1 << 15)
+    return (8 * (plan * n * (1 << (n - 1)) + 3 * (1 << n))
+            + 320 * n * (n + 1) // 2 + (1 << 14))
 
 
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:

@@ -159,3 +159,78 @@ def test_forked_child_does_not_wait_on_a_lock_held_by_another_thread(fresh_ledge
         done.set()
         thread.join()
     assert total == partition_closed(4, Weights(1, 1))
+
+
+def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
+    ledger = fresh_ledger()
+    w = Weights(F(1, 2), 3)
+    warm = sampler.sample_many(6, w, random.Random(0), 3)  # builds and keeps (6, w)
+    started, release, done = threading.Event(), threading.Event(), threading.Event()
+    builds, results = [], {}
+
+    def held_open(name):
+        builds.append(name)
+        started.set()
+        assert release.wait(60)
+        return [name]
+
+    def fetch(k):
+        results[k] = _budget.get(held_open, lambda name: 1000, "a table {0}", "key")
+
+    def others():
+        results["sweep"] = dpcount.constrained_partition(6, w)
+        results["draw"] = sampler.sample_many(6, w, random.Random(0), 3)
+        done.set()
+
+    threads = [threading.Thread(target=fetch, args=(0,))]
+    threads[0].start()
+    try:
+        assert started.wait(60)
+        threads += [threading.Thread(target=fetch, args=(1,)),  # the same key: it waits
+                    threading.Thread(target=others)]
+        for thread in threads[1:]:
+            thread.start()
+        # a sweep and a warm draw of another key finish while the build is open
+        assert done.wait(60)
+        assert not release.is_set() and threads[0].is_alive()
+        assert (held_open, "key") in ledger.building
+        assert ledger.held == sampler._chain_bytes(6, w) + 1000
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert builds == ["key"] and results[0] is results[1] == ["key"]
+    assert results["sweep"] == partition_closed(6, w) and results["draw"] == warm
+    assert not ledger.building and ledger.held == _charges(ledger)
+    assert list(ledger.kept)[-1] == (held_open, "key")
+
+
+def test_builds_side_by_side_keep_their_builder_within_its_cap(fresh_ledger):
+    ledger = fresh_ledger()
+    cap = _budget._CACHE_SIZE
+    release = threading.Event()
+    started = {cap - 1: threading.Event(), cap: threading.Event()}
+
+    def build(k):
+        if k in started:
+            started[k].set()
+            assert release.wait(60)
+        return k
+
+    for k in range(cap - 1):
+        _budget.get(build, lambda k: 1, "table {0}", k)
+    threads = [threading.Thread(target=_budget.get,
+                                args=(build, lambda k: 1, "table {0}", k))
+               for k in started]
+    for thread in threads:
+        thread.start()
+    try:  # both admitted while the builder keeps one less than its cap
+        assert all(event.wait(60) for event in started.values())
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [key[1] for key in ledger.kept][:-2] == list(range(1, cap - 1))
+    assert len(ledger.kept) == cap and ledger.held == cap

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from staircase_lab import dpcount
@@ -377,3 +378,101 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
         for statistic in STATISTIC_NAMES:
             assert statistic_pmf(n, w, statistic) == \
                 oracle_statistic_pmf(n, w, statistic), (n, statistic)
+
+
+def _reference_sweep(n, m, factors, allowed, slots=1, bump=None, keep=None):
+    """The counting pass as it stood before column 1 skipped unreachable
+    states and moves were merged: every box updates the whole level,
+    one product per move.  Kept as the reference the kernel must match."""
+    moves = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
+    modulus = None if m == 2 ** 64 else np.uint64(m)
+    facs = [[np.uint64(f % m) for f in four] for four in factors]
+    boundary = np.eye(slots, 1, dtype=np.uint64)
+    for j in range(n, 0, -1):
+        height = n + 1 - j
+        level = np.zeros((slots, 2, 1 << height), dtype=np.uint64)
+        level.reshape(slots, 2, 2, -1)[:, :, 1, :] = boundary[:, None, :]
+        buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
+        for i in range(height, 0, -1):
+            codes, fac = allowed[(i, j)], facs[i == height]
+            lifted = bump.get((i, j), "") if bump else ""
+            seg, half = 1 << (height - i), 1 << (i - 1)
+            view = level.reshape(slots, 2, seg, 2, half)
+            src, step = buffers.reshape(2, slots, seg, half)
+            np.copyto(src, view[:, 1, :, 1, :])
+            if modulus is not None:
+                np.remainder(src, modulus, out=src)
+            if keep is not None:
+                keep(i, j, src)
+            if "." not in codes:
+                level.fill(0)
+            for code, k, above, bit in moves:
+                if code not in codes:
+                    continue
+                np.multiply(src, fac[k], out=step)
+                if code not in lifted:
+                    view[:, above, :, bit, :] += step
+                elif src[-1].any():
+                    raise RuntimeError("statistic counter overflowed its cap")
+                else:
+                    view[1:, above, :, bit, :] += step[:-1]
+        boundary = level[:, 0, :].copy()
+        if modulus is not None:
+            np.remainder(boundary, modulus, out=boundary)
+    return boundary[:, 0].tolist()
+
+
+#: Weights for the kernel's differential test: unit and integer factors
+#: (q = 1, so "1" moves take no product), q > 1 with unequal
+#: factors, a zero on either side, and factors far above every plan prime.
+KERNEL_WEIGHTS = [Weights(1, 1), Weights(5, 7), Weights(F(13, 7), F(1000, 3)),
+                  Weights(F(2, 3), F(5, 4)), Weights(0, F(3, 7)), Weights(F(5, 2), 0),
+                  Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))]
+
+
+@pytest.mark.parametrize("w", KERNEL_WEIGHTS)
+def test_kernel_matches_the_reference_pass(w):
+    # every modulus of the plan and a foreign prime small enough that
+    # merged factors such as q * (pa + pb) often vanish or reduce to 1
+    rng = random.Random(str(w))
+    scaled = ScaledWeights.of(w)
+    for n in range(1, 8):
+        bumps = [(None, 1)] + [(bump, cap + 2) for bump, cap in
+                               (_statistic_plan(n, s) for s in STATISTIC_NAMES)]
+        for _ in range(3):
+            given = _random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
+            allowed = dpcount._allowed_map(n, given)
+            for bump, slots in bumps:
+                for m in scaled.moduli(n) + (7,):
+                    kept, reference = {}, {}
+                    got = dpcount._sweep(
+                        n, m, scaled.factors(), allowed, slots, bump,
+                        lambda i, j, counts: kept.__setitem__((i, j), counts.copy()))
+                    want = _reference_sweep(
+                        n, m, scaled.factors(), allowed, slots, bump,
+                        lambda i, j, counts: reference.__setitem__((i, j), counts.copy()))
+                    assert got == want, (n, m, given, bump)
+                    assert kept.keys() == reference.keys()
+                    for (i, j), counts in kept.items():
+                        # column 1 holds only the masks below 2^i: high = 0
+                        full = reference[(i, j)][:, :1] if j == 1 else reference[(i, j)]
+                        assert np.array_equal(counts, full), (n, m, i, j)
+
+
+@pytest.mark.parametrize("statistic", ["Nalpha", "X2"])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3))])
+def test_counter_guards_refuse_a_cap_too_small(monkeypatch, statistic, w):
+    # Nalpha bumps in column 1, where the kernel skips unreachable
+    # states; X2 only past it.  One modulus at a = b = 1, several at
+    # (13/7, 1000/3).
+    n = 9
+    plan = _statistic_plan(n, statistic)
+    assert (len(ScaledWeights.of(w).moduli(n)) == 1) == (w == Weights(1, 1))
+    # one below the cap: the sentinel slot fills, and the masses check sees it
+    monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 1))
+    with pytest.raises(RuntimeError, match="reached past its structural cap"):
+        statistic_pmf(n, w, statistic)
+    # two below: the count spills past the last slot, and the kernel refuses it
+    monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 2))
+    with pytest.raises(RuntimeError, match="overflowed its cap"):
+        statistic_pmf(n, w, statistic)
