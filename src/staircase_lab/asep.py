@@ -9,8 +9,9 @@ integers after the rates are cleared of their common denominator:
 
 * summing u/q-filled four-symbol tableau weights by type, with a
   right-to-left column transfer over the closed rows, and
-* solving the continuous-time Markov generator by fraction-free
-  elimination, which never reads a tableau,
+* solving the continuous-time Markov generator by p-adic lifting from
+  one inverse modulo a prime, accepting only the rational law that
+  balances every state exactly, which never reads a tableau,
 
 so their agreement is a machine-checked fact rather than an assumption.
 The mapping from diagonal symbols to occupied sites exists in two
@@ -30,6 +31,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from . import _budget
 from .core import Tableau
 from .measure import _as_fraction
 from .pmf import Pmf
@@ -297,47 +301,182 @@ def _check_irreducible(moves: List[List[Tuple[int, int]]]) -> None:
             )
 
 
+#: Dixon's lift reduces the replaced generator and its inverse modulo
+#: a prime below 2^26.  Gauss-Jordan subtracts from each entry one
+#: product of reduced values, below (p-1)^2, per pivot, and the inverse
+#: times a reduced residue sums 2^n such products: up to _N_GENERATOR
+#: sites neither wraps int64.  Only the matrix modulo p enters int64,
+#: so rates of any size are safe; the residual stays in Python integers.
+_PRIME_LIMIT = 1 << 26
+assert _PRIME_LIMIT + (1 << _N_GENERATOR) * (_PRIME_LIMIT - 1) ** 2 < 1 << 63
+
+#: The largest primes below _PRIME_LIMIT, tried in turn until one does
+#: not divide the determinant.
+_PRIMES = (67108859, 67108837, 67108819, 67108777,
+           67108763, 67108757, 67108753, 67108747)
+assert max(_PRIMES) < _PRIME_LIMIT
+
+
+def _inverse_mod(matrix: np.ndarray, p: int):
+    """(C, perm) with C @ v[perm] = matrix^-1 @ v modulo p, by
+    Gauss-Jordan in place, or None if p divides the determinant.
+
+    Each step keeps the eliminated column's part of the inverse in that
+    column, so no identity is carried alongside, and row swaps permute
+    the right-hand side, which ``perm`` records.  Only the pivot row
+    and column are reduced as they are used: every other entry takes
+    one product below (p-1)^2 per step and is reduced once at the end.
+    """
+    size = len(matrix)
+    perm = np.arange(size)
+    product = np.empty_like(matrix)
+    for k in range(size):
+        factors = matrix[:, k] % p
+        if not factors[k]:
+            nonzero = np.flatnonzero(factors[k:])
+            if not nonzero.size:
+                return None
+            pivot = k + int(nonzero[0])
+            for vector in (matrix, factors, perm):
+                vector[[k, pivot]] = vector[[pivot, k]]
+        inverse = pow(int(factors[k]), -1, p)
+        row = matrix[k]
+        row %= p
+        row[k] = 1
+        row *= inverse
+        row %= p
+        factors[k] = 0
+        matrix[:, k] = 0
+        row[k] = inverse
+        np.multiply(factors[:, None], row, out=product)
+        matrix -= product
+    matrix %= p
+    return matrix, perm
+
+
+def _reconstruct(residues: Sequence[int], modulus: int):
+    """(numerators, d) with numerators[i] = d * residues[i] modulo
+    ``modulus``, or None.
+
+    Let B = isqrt((modulus - 1) / 2), so that 2 * B^2 < modulus.  One
+    entry comes back as the only fraction a/d with |a| <= B and
+    0 < d <= B, if there is one.  A vector of fractions a_i/d with
+    |a_i| <= d <= B, such as a law, comes back whole: each entry times
+    the denominator so far is either small already or rebuilt by the
+    half extended Euclidean algorithm, whose cofactor multiplies the
+    denominator (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 5.10).
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    nums: List[int] = []
+    den = 1
+    for x in residues:
+        c = x * den % modulus
+        if c > modulus - c:
+            c -= modulus
+        if abs(c) > bound:
+            r0, r1, t0, t1 = modulus, c % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            if t1 * den > bound or math.gcd(r1, t1) != 1:
+                return None
+            nums = [a * t1 for a in nums]
+            den *= t1
+            c = r1
+        nums.append(c)
+    return nums, den
+
+
+def _balanced(moves: List[List[Tuple[int, int]]], outflow: List[int],
+              nums: Sequence[int], den: int) -> bool:
+    """Whether nums/den sums to 1 and inflow equals outflow at every
+    state: for an irreducible chain, only the stationary law does."""
+    if sum(nums) != den:
+        return False
+    inflow = [0] * len(moves)
+    for out, a in zip(moves, nums):
+        for t, rate in out:
+            inflow[t] += rate * a
+    return all(i == o * a for i, o, a in zip(inflow, outflow, nums))
+
+
 def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     """Exact stationary vector of the continuous-time generator.
 
     Builds the transpose generator over all 2^n configurations at
-    integer rates, swaps one (redundant) balance equation for the
-    normalization, and solves by fraction-free (Bareiss) elimination.
-    The rows of the transpose generator sum to zero, so dropping any
-    one of them keeps full information and the replaced system is
-    nonsingular for an irreducible chain.  Every division is exact:
-    elimination leaves the determinant, up to sign, as the last pivot,
-    and back-substitution yields det * mass for each state, which is
-    an integer by Cramer's rule.
+    integer rates and swaps one (redundant) balance equation for the
+    normalization.  The rows of the transpose generator sum to zero, so
+    dropping any one of them keeps full information and the replaced
+    system A x = e_last is nonsingular for an irreducible chain.
+
+    It is solved by Dixon's p-adic lifting (Numer. Math. 40, 1982): A
+    is inverted once modulo a prime p, and each step takes one more
+    base-p digit y = A^-1 r mod p of x, then replaces the residual r by
+    (r - A y)/p, exactly and from the sparse moves.  After each step
+    the masses are rebuilt from x mod p^k by rational reconstruction,
+    and a candidate is accepted only if it balances inflow and outflow
+    at every state and sums to 1, which only the stationary law does.
+    Once p^k passes twice the squared Hadamard bound on det A, the true
+    masses are within reach of the reconstruction, so a further miss
+    raises ``RuntimeError``.
     """
     if not 1 <= n <= _N_GENERATOR:
         raise ValueError(f"supported sizes are 1..{_N_GENERATOR}, got {n}")
     size = 1 << n
     rates = _integer_rates(p)
-    moves = [list(_transitions(n, rates, s)) for s in range(size)]
+    moves = []
+    for s in range(size):  # at n = 1, alpha and delta both fill the one site
+        out: Dict[int, int] = {}
+        for t, rate in _transitions(n, rates, s):
+            out[t] = out.get(t, 0) + rate
+        moves.append(list(out.items()))
     _check_irreducible(moves)
-    matrix = [[0] * (size + 1) for _ in range(size)]  # last column: rhs
+    outflow = [sum(rate for _, rate in out) for out in moves]
+    squares = [0] * size  # A's squared row norms
+    targets, sources, values = [], [], []
     for s, out in enumerate(moves):
-        for t, rate in out:
-            matrix[t][s] += rate
-            matrix[s][s] -= rate
-    matrix[-1] = [1] * (size + 1)
-    det = 1
-    for k in range(size):
-        pivot = next(r for r in range(k, size) if matrix[r][k])
-        matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
-        lead, tail = matrix[k][k], matrix[k][k + 1:]
-        for row in matrix[k + 1:]:
-            factor = row[k]
-            row[k + 1:] = [(lead * x - factor * y) // det
-                           for x, y in zip(row[k + 1:], tail)]
-        det = lead
-    scaled = [0] * size  # det * mass
-    for s in range(size - 1, -1, -1):
-        row = matrix[s]
-        scaled[s] = (det * row[size] - sum(
-            row[t] * scaled[t] for t in range(s + 1, size))) // row[s]
-    return Pmf.from_integers(scaled, det)
+        for t, rate in out + [(s, -outflow[s])]:
+            targets.append(t)
+            sources.append(s)
+            values.append(rate)
+            squares[t] += rate * rate
+    squares[-1] = size  # A's last row is the normalization, all ones
+    cap = 2 * math.prod(squares)  # twice the squared Hadamard bound on det A
+    # the numpy peak: the int64 matrix, inverted in place, and one product
+    with _budget.reserve(2 * 8 * size * size, f"a generator solve at n={n}"):
+        for prime in _PRIMES:
+            matrix = np.zeros((size, size), dtype=np.int64)
+            matrix[targets, sources] = [v % prime for v in values]
+            matrix[-1] = 1
+            solved = _inverse_mod(matrix, prime)
+            if solved is not None:
+                break
+        else:
+            raise RuntimeError("the generator is singular modulo every prime tried")
+        inverse, perm = solved
+        residual = [0] * (size - 1) + [1]
+        x = [0] * size
+        modulus = 1
+        while True:
+            reduced = np.array([r % prime for r in residual], dtype=np.int64)
+            digits = (inverse @ reduced[perm] % prime).tolist()
+            image = [-o * y for o, y in zip(outflow, digits)]  # A @ digits
+            for out, y in zip(moves, digits):
+                for t, rate in out:
+                    image[t] += rate * y
+            image[-1] = sum(digits)
+            residual = [(r - a) // prime for r, a in zip(residual, image)]
+            x = [xi + y * modulus for xi, y in zip(x, digits)]
+            modulus *= prime
+            candidate = _reconstruct(x, modulus)
+            if candidate is not None and _balanced(moves, outflow, *candidate):
+                return Pmf.from_integers(*candidate)
+            if modulus > cap:
+                raise RuntimeError("p-adic lifting passed the Hadamard bound "
+                                   "without a balanced law")
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +491,9 @@ def cross_validate(n: int, p: AsepParams,
     and unit u is where they are claimed to coincide.  The report is
     JSON-ready, and a mismatch is an outcome, not an error.
     """
-    if not 1 <= n <= 6:
-        raise ValueError(f"cross-validation supports sizes 1..6, got {n}")
+    cap = min(_N_TABLEAUX, _N_GENERATOR)
+    if not 1 <= n <= cap:
+        raise ValueError(f"cross-validation supports sizes 1..{cap}, got {n}")
     for convention in conventions:
         _check_convention(convention)
     scaled = p.unit_u()

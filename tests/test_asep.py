@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,8 @@ from staircase_lab.asep import (
     tableau_type,
     uq_fill,
 )
-from staircase_lab.asep import _RATE_NAMES, _transitions
+from staircase_lab import _budget, asep
+from staircase_lab.asep import _RATE_NAMES, _integer_rates, _transitions
 from staircase_lab.core import Tableau
 from staircase_lab.enumeration import enumerate_four_symbol, enumerate_tableaux
 from staircase_lab.pmf import Pmf
@@ -257,6 +259,152 @@ def test_generator_rejects_bad_inputs():
         steady_state_via_generator(2, AsepParams(0, 1, 0, 1, u=1, q=0))
 
 
+def reference_bareiss_law(n, p):
+    """Fraction-free (Bareiss) elimination, as the generator route once
+    solved it, with the determinant of the replaced system up to sign."""
+    size = 1 << n
+    matrix = [[0] * (size + 1) for _ in range(size)]  # last column: rhs
+    for s in range(size):
+        for t, rate in _transitions(n, _integer_rates(p), s):
+            matrix[t][s] += rate
+            matrix[s][s] -= rate
+    matrix[-1] = [1] * (size + 1)
+    det = 1
+    for k in range(size):
+        pivot = next(r for r in range(k, size) if matrix[r][k])
+        matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+        lead, tail = matrix[k][k], matrix[k][k + 1:]
+        for row in matrix[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [(lead * x - factor * y) // det
+                           for x, y in zip(row[k + 1:], tail)]
+        det = lead
+    scaled = [0] * size  # det * mass
+    for s in range(size - 1, -1, -1):
+        row = matrix[s]
+        scaled[s] = (det * row[size] - sum(
+            row[t] * scaled[t] for t in range(s + 1, size))) // row[s]
+    return Pmf.from_integers(scaled, det), det
+
+
+#: 40-bit numerators over one 40-bit denominator: cleared of it, the
+#: largest rate times a base-p digit passes 2^63.
+_BIG = random.Random(40)
+_DENOMINATOR = _BIG.getrandbits(40) | 1 << 39
+BIG_RATES = AsepParams(*(F(_BIG.getrandbits(40) | 1 << 39, _DENOMINATOR)
+                         for _ in range(4)),
+                       u=F(_BIG.getrandbits(40) | 1 << 39, _DENOMINATOR),
+                       q=F(_BIG.getrandbits(40) | 1 << 39, _DENOMINATOR))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lifted_solve_matches_bareiss(n):
+    assert max(_integer_rates(BIG_RATES)) * (asep._PRIMES[0] - 1) >= 1 << 63
+    rng = random.Random(700 + n)
+    for p in [random_rates(rng) for _ in range(6)] + PINNED_RATES + [BIG_RATES]:
+        assert steady_state_via_generator(n, p) == reference_bareiss_law(n, p)[0], p
+
+
+@pytest.mark.parametrize("p", [
+    AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)),
+    AsepParams(F(1, 2), F(2, 3), F(3, 5), F(5, 7), u=F(7, 4), q=F(11, 13)),
+])
+def test_lifted_solve_matches_bareiss_at_n7(p):
+    assert steady_state_via_generator(7, p) == reference_bareiss_law(7, p)[0]
+
+
+def test_lift_moves_past_a_prime_dividing_the_determinant(monkeypatch):
+    n, p = 4, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
+    law, det = reference_bareiss_law(n, p)
+    factor = next(f for f in range(2, 1 << 16) if det % f == 0)
+    tried = []
+    inverse_mod = asep._inverse_mod
+
+    def spy(matrix, prime):
+        solved = inverse_mod(matrix, prime)
+        tried.append((prime, solved is None))
+        return solved
+
+    monkeypatch.setattr(asep, "_PRIMES", (factor,) + asep._PRIMES)
+    monkeypatch.setattr(asep, "_inverse_mod", spy)
+    assert steady_state_via_generator(n, p) == law
+    assert tried == [(factor, True), (asep._PRIMES[1], False)]
+
+
+def test_lift_gives_up_at_the_hadamard_cap(monkeypatch):
+    n, p = 3, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
+    size, rates = 1 << n, _integer_rates(p)
+    rows = [[0] * size for _ in range(size)]
+    for s in range(size):
+        for t, rate in _transitions(n, rates, s):
+            rows[t][s] += rate
+            rows[s][s] -= rate
+    rows[-1] = [1] * size
+    cap = 2 * math.prod(sum(x * x for x in row) for row in rows)
+    steps = next(k for k in range(1, 100) if asep._PRIMES[0] ** k > cap)
+    attempts = []
+    reconstruct = asep._reconstruct
+    monkeypatch.setattr(asep, "_reconstruct",
+                        lambda x, m: attempts.append(m) or reconstruct(x, m))
+    monkeypatch.setattr(asep, "_balanced", lambda *args: False)
+    with pytest.raises(RuntimeError, match="Hadamard"):
+        steady_state_via_generator(n, p)
+    assert len(attempts) == steps
+
+
+def test_certificate_needs_balance_and_normalization():
+    n, p = 3, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
+    law = steady_state_via_generator(n, p)
+    nums, den = list(law.numerators), law.denominator
+    moves = [list(_transitions(n, _integer_rates(p), s)) for s in range(1 << n)]
+    outflow = [sum(rate for _, rate in out) for out in moves]
+    assert asep._balanced(moves, outflow, nums, den)
+    assert not asep._balanced(moves, outflow, [1] * 8, 8)  # sums to 1 only
+    assert not asep._balanced(moves, outflow, [2 * a for a in nums], den)  # balanced only
+
+
+def test_lift_passes_over_rejected_candidates(monkeypatch):
+    n, p = 5, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
+    law = reference_bareiss_law(n, p)[0]
+    nums, den = list(law.numerators), law.denominator
+    wrong = iter([([1] * 32, 32), ([2 * a for a in nums], den)])
+    reconstruct = asep._reconstruct
+    monkeypatch.setattr(asep, "_reconstruct",
+                        lambda x, m: next(wrong, None) or reconstruct(x, m))
+    assert steady_state_via_generator(n, p) == law
+
+
+@pytest.mark.parametrize("prime, top", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
+def test_reconstruction_finds_the_one_fraction_within_its_bound(prime, top):
+    for k in range(2 if prime == 2 else 1, top + 1):  # bound 0 at modulus 2
+        modulus = prime ** k
+        bound = math.isqrt((modulus - 1) // 2)
+        expected = {}
+        for d in range(1, bound + 1):
+            if d % prime:
+                for a in range(-bound, bound + 1):
+                    if math.gcd(a, d) == 1:
+                        c = a * pow(d, -1, modulus) % modulus
+                        assert c not in expected  # 2 * bound^2 < modulus
+                        expected[c] = ([a], d)
+        for c in range(modulus):
+            assert asep._reconstruct([c], modulus) == expected.get(c), (c, modulus)
+
+
+def test_generator_solve_reserves_its_peak_first(monkeypatch):
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", 4_000_000)
+    with pytest.raises(ValueError, match="reducible"):
+        steady_state_via_generator(10, AsepParams(0, 1, 0, 1, u=1, q=0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GB"):
+            steady_state_via_generator(10, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # the 2^10 x 2^10 int64 matrix alone takes 8 MiB
+
+
 def test_cross_validate_resolves_the_convention():
     report = cross_validate(1, AsepParams(2, 1, 3, 1, u=1, q=1))
     assert report["matching_conventions"] == ["alpha_delta"]
@@ -271,7 +419,7 @@ def test_cross_validate_resolves_the_convention():
     assert sym["matching_conventions"] == list(CONVENTIONS)
 
     with pytest.raises(ValueError):
-        cross_validate(7, AsepParams(1, 1, 1, 1))
+        cross_validate(9, AsepParams(1, 1, 1, 1))
     with pytest.raises(ValueError):
         cross_validate(2, AsepParams(1, 1, 1, 1, u=0, q=1))
 
@@ -296,6 +444,14 @@ def test_alpha_delta_reading_matches_generator_on_random_rates(n):
         p = AsepParams(*rates, u=1, q=q)
         report = cross_validate(n, p)
         assert "alpha_delta" in report["matching_conventions"]
+
+
+@pytest.mark.parametrize("p", [
+    AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)),
+    AsepParams(F(1, 2), F(2, 3), F(3, 5), F(5, 7), u=F(7, 4), q=F(11, 13)),
+])
+def test_alpha_delta_reading_matches_generator_at_n7(p):
+    assert cross_validate(7, p)["matching_conventions"] == ["alpha_delta"]
 
 
 def test_cross_validate_reports_are_pinned():

@@ -226,12 +226,13 @@ def test_sample_validates_before_emitting_anything(runner):
 
 
 def test_asep_verify_reports_matching_convention(runner):
-    out = json.loads(run(runner, "asep-verify", "--n", "2",
-                         "--rates", "2,1,3,1,1,1/2"))
-    assert out["matching_conventions"] == ["alpha_delta"]
-    states = {row["state"] for conv in out["conventions"]
-              for row in conv["per_state"]}
-    assert states == {"00", "01", "10", "11"}
+    for n in (2, 7):
+        out = json.loads(run(runner, "asep-verify", "--n", str(n),
+                             "--rates", "2,1,3,1,1,1/2"))
+        assert out["matching_conventions"] == ["alpha_delta"]
+        states = {row["state"] for conv in out["conventions"]
+                  for row in conv["per_state"]}
+        assert states == {format(s, f"0{n}b") for s in range(1 << n)}
 
 
 def test_asep_verify_rejects_bad_rates(runner):
