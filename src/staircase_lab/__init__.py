@@ -13,7 +13,6 @@ from .constraints import ConstraintSet, Requirement, second_diag_event, \
     third_diag_event
 from .core import (
     STATISTIC_NAMES,
-    CellState,
     SymbolCounts,
     Tableau,
     diagonal_statistic,
@@ -49,7 +48,6 @@ from .sampler import EmpiricalLaw, empirical_pmf, randomize_four_params, \
 __all__ = [
     "AsepParams",
     "BoxLaw",
-    "CellState",
     "ConstraintSet",
     "ConvergenceRow",
     "EmpiricalLaw",

@@ -8,7 +8,7 @@ module computes the stationary law two independent ways, both in
 integers after the rates are cleared of their common denominator:
 
 * summing u/q-filled four-symbol tableau weights by type, with a
-  right-to-left column transfer over the closed rows, and
+  right-to-left column transfer over the number of closed rows, and
 * solving the continuous-time Markov generator by p-adic lifting from
   one inverse modulo a prime, accepting only the rational law that
   balances every state exactly, which never reads a tableau,
@@ -41,8 +41,8 @@ from .pmf import Pmf
 CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
 
 _RATE_NAMES = ("alpha", "beta", "gamma", "delta", "u", "q")
-_N_TABLEAUX = 8
-_N_GENERATOR = 10
+#: Largest size either route, and so cross_validate, accepts.
+_N_MAX = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,52 +200,48 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
     from right to left, each column from its diagonal box up, so no
     tableau is ever materialized.  A row is closed once its leftmost
     symbol so far is a beta or delta: every box left of it is empty,
-    and choosing that symbol in column j paid u^(j-1) or q^(j-1) for
-    them.  Inside a column, the symbol nearest below the current box
-    says both how an empty box reads (u above an alpha or delta, q
-    above a beta or gamma) and whether the box is blocked (empty above
-    an alpha or gamma).  The state maps each set of closed rows to the
-    weights by type of the columns processed so far; each diagonal
-    choice appends its column's type bit, so site 1, processed first,
-    ends as the most significant bit of the index.
+    choosing that symbol in column j paid u^(j-1) or q^(j-1) for them,
+    and the "nearest symbol below" rule skips them.  So a column's
+    weights depend only on how many rows are closed, not on which.
+    Inside a column, the symbol nearest below the current box says both
+    how an empty box reads (u above an alpha or delta, q above a beta
+    or gamma) and whether the box is blocked (empty above an alpha or
+    gamma).  The state maps the closed-row count to the weights by type
+    of the columns processed so far; each diagonal choice appends its
+    column's type bit, so site 1, processed first, ends as the most
+    significant bit of the index.
     """
     _check_convention(convention)
-    if not 1 <= n <= _N_TABLEAUX:
-        raise ValueError(f"supported sizes are 1..{_N_TABLEAUX}, got {n}")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
     ra, rb, rg, rd, ru, rq = _integer_rates(p)
     gamma_bit = int(convention == "paper_alpha_gamma")
     filled = {"A": 1, "G": gamma_bit, "B": 0, "D": 1 - gamma_bit}
-    states: Dict[int, List[int]] = {0: [1]}  # closed rows (row i at bit i-1)
+    states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
     for j in range(n, 0, -1):
         symbols = (("A", ra), ("G", rg),
                    ("B", rb * ru ** (j - 1)), ("D", rd * rq ** (j - 1)))
-        row = 1 << (n - j)  # the diagonal box
-        column: Dict[Tuple[int, str], List[int]] = {}
+        after: Dict[int, List[int]] = {}
         while states:  # popped, so each vector is freed once carried over
             closed, vec = states.popitem()
-            for code, factor in symbols:
+            column: Dict[Tuple[int, str], List[int]] = {}  # by (count, symbol below)
+            for code, factor in symbols:  # the diagonal box
                 spread = [0] * (2 * len(vec))
                 spread[filled[code]::2] = vec
-                _accumulate(column, (closed | row if code in "BD" else closed, code),
-                            spread, factor)
-        row >>= 1
-        while row:
-            above: Dict[Tuple[int, str], List[int]] = {}
+                _accumulate(column, (closed + (code in "BD"), code), spread, factor)
+            for _ in range(n - j - closed):  # the open rows above it
+                above: Dict[Tuple[int, str], List[int]] = {}
+                while column:
+                    (count, below), vec = column.popitem()
+                    _accumulate(above, (count, below), vec, ru if below in "AD" else rq)
+                    if below in "BD":
+                        for code, factor in symbols:
+                            _accumulate(above, (count + (code in "BD"), code), vec, factor)
+                column = above
             while column:
-                (closed, below), vec = column.popitem()
-                if closed & row:  # paid for by its beta or delta
-                    _accumulate(above, (closed, below), vec, 1)
-                    continue
-                _accumulate(above, (closed, below), vec, ru if below in "AD" else rq)
-                if below in "BD":
-                    for code, factor in symbols:
-                        _accumulate(above, (closed | row if code in "BD" else closed,
-                                            code), vec, factor)
-            column = above
-            row >>= 1
-        while column:
-            (closed, _), vec = column.popitem()
-            _accumulate(states, closed, vec, 1)
+                (count, _), vec = column.popitem()
+                _accumulate(after, count, vec, 1)
+        states = after
     totals = [sum(weights) for weights in zip(*states.values())]
     return Pmf.from_integers(totals, sum(totals))
 
@@ -304,11 +300,11 @@ def _check_irreducible(moves: List[List[Tuple[int, int]]]) -> None:
 #: Dixon's lift reduces the replaced generator and its inverse modulo
 #: a prime below 2^26.  Gauss-Jordan subtracts from each entry one
 #: product of reduced values, below (p-1)^2, per pivot, and the inverse
-#: times a reduced residue sums 2^n such products: up to _N_GENERATOR
+#: times a reduced residue sums 2^n such products: up to _N_MAX
 #: sites neither wraps int64.  Only the matrix modulo p enters int64,
 #: so rates of any size are safe; the residual stays in Python integers.
 _PRIME_LIMIT = 1 << 26
-assert _PRIME_LIMIT + (1 << _N_GENERATOR) * (_PRIME_LIMIT - 1) ** 2 < 1 << 63
+assert _PRIME_LIMIT + (1 << _N_MAX) * (_PRIME_LIMIT - 1) ** 2 < 1 << 63
 
 #: The largest primes below _PRIME_LIMIT, tried in turn until one does
 #: not divide the determinant.
@@ -423,8 +419,8 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     masses are within reach of the reconstruction, so a further miss
     raises ``RuntimeError``.
     """
-    if not 1 <= n <= _N_GENERATOR:
-        raise ValueError(f"supported sizes are 1..{_N_GENERATOR}, got {n}")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
     size = 1 << n
     rates = _integer_rates(p)
     moves = []
@@ -491,9 +487,8 @@ def cross_validate(n: int, p: AsepParams,
     and unit u is where they are claimed to coincide.  The report is
     JSON-ready, and a mismatch is an outcome, not an error.
     """
-    cap = min(_N_TABLEAUX, _N_GENERATOR)
-    if not 1 <= n <= cap:
-        raise ValueError(f"cross-validation supports sizes 1..{cap}, got {n}")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"cross-validation supports sizes 1..{_N_MAX}, got {n}")
     for convention in conventions:
         _check_convention(convention)
     scaled = p.unit_u()

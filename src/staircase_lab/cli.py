@@ -321,7 +321,7 @@ def _selftest_suites():
     def asep_bridge():
         p = asep.AsepParams(2, 1, 3, 1, u=1, q=Fraction(1, 2))
         return all("alpha_delta" in asep.cross_validate(n, p)["matching_conventions"]
-                   for n in range(1, 7))
+                   for n in range(1, 9))
 
     return [
         ("counts_match_factorial", counts),

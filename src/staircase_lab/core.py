@@ -21,24 +21,10 @@ the on-disk text format (a size line followed by one row per line).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Tuple
+from typing import Iterator, Mapping, NamedTuple, Tuple
 
 Box = Tuple[int, int]
-
-
-class CellState(str, enum.Enum):
-    """Content of a single box, interchangeable with its one-char code."""
-
-    EMPTY = "."
-    ALPHA = "A"
-    BETA = "B"
-    GAMMA = "G"
-    DELTA = "D"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 _CELL_CHARS = frozenset(".ABGD")
@@ -126,10 +112,6 @@ class Tableau:
 
     # ------------------------------------------------------------------
     # construction helpers
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[str]) -> "Tableau":
-        return cls(tuple(rows))
 
     @classmethod
     def _trusted(cls, rows: Tuple[str, ...]) -> "Tableau":

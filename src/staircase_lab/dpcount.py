@@ -12,10 +12,11 @@ out to be a beta, a row's ``b`` factor the moment its first symbol
 turns out to be an alpha.
 
 State space is ``2^height`` per column, so sizes up to :data:`N_DP`
-are practical.  Two independent engines cover it:
+are practical.  Two independent passes cover it:
 
-* ``crt``: counts completions right to left, bottom-up in each column,
-  in numpy ``uint64`` arrays, one pass of :func:`_sweep` per modulus.
+* the kernel counts completions right to left, bottom-up in each
+  column, in numpy ``uint64`` arrays, one pass of :func:`_sweep` per
+  modulus.
   Weights are scaled to integers by q^n, q the common denominator of
   a and b (see :class:`ScaledWeights`); the plan is 2^64 and, when
   the scaled total needs more, enough primes below 2^29 to cover it,
@@ -31,11 +32,12 @@ are practical.  Two independent engines cover it:
   with no modular inversions of data values.  The chain-rule sampler
   runs the same passes over the same plan and keeps the slices they
   read.
-* ``fractions``: a left-to-right dictionary sweep in exact rational
-  arithmetic, simple enough to audit by eye; it shares no code with
-  the kernel and stays the independent reference at small sizes.
+* :func:`_partition_fractions`: a left-to-right dictionary sweep in
+  exact rational arithmetic, simple enough to audit by eye; it shares
+  no code with the kernel, and the tests hold the kernel to it at
+  small sizes.
 
-Both engines honour :class:`~staircase_lab.constraints.ConstraintSet`
+Both honour :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
 joint probabilities of cell events.  Kernel arrays grow with counter
 slots and ``2^n``; a sweep reserves its peak in the process's one
@@ -61,11 +63,9 @@ from .formulas import BoxLaw
 from .measure import Weights
 from .pmf import Pmf
 
-#: Largest size the counting engines accept; 2^22 states per column is
+#: Largest size the counting kernel accepts; 2^22 states per column is
 #: roughly the point where the arrays stop being cheap.
 N_DP = 22
-
-_ENGINES = ("crt", "fractions")
 
 
 # ----------------------------------------------------------------------
@@ -205,15 +205,13 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     return out
 
 
-def _check_args(n: int, engine: str) -> None:
+def _check_args(n: int) -> None:
     if not 1 <= n <= N_DP:
         raise ValueError(f"size must be in 1..{N_DP}, got {n}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
 
 
 # ----------------------------------------------------------------------
-# exact-rational reference engine
+# exact-rational reference
 
 def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fraction:
     a, b = w.a, w.b
@@ -243,7 +241,7 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 
 
 # ----------------------------------------------------------------------
-# CRT engine
+# counting kernel
 
 #: The fill rules as (cell code, factor index, "symbol above" flag, row
 #: bit): alpha in a clean and in a dirty row, beta topmost in its column
@@ -380,30 +378,25 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
 # ----------------------------------------------------------------------
 # public operations
 
-def constrained_partition(n: int, w: Weights, c: Optional[ConstraintSet] = None,
-                          engine: str = "crt") -> Fraction:
+def constrained_partition(n: int, w: Weights,
+                          c: Optional[ConstraintSet] = None) -> Fraction:
     """Sum of normalized weights over tableaux satisfying ``c``.
 
     With no constraints this is ``(a + b)^(rising n)``.  Unsatisfiable
     constraint sets simply sum an empty set of tableaux and return 0.
     """
-    _check_args(n, engine)
-    allowed = _allowed_map(n, c)
-    if engine == "fractions":
-        return _partition_fractions(n, w, allowed)
-    total = _masses_crt(n, w, allowed, slots=1)[0]
+    _check_args(n)
+    total = _masses_crt(n, w, _allowed_map(n, c), slots=1)[0]
     return Fraction(total, ScaledWeights.of(w).q ** n)
 
 
-def event_prob(n: int, w: Weights, c: ConstraintSet,
-               engine: str = "crt") -> Fraction:
+def event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
     """Probability that a random tableau satisfies every constraint."""
-    return constrained_partition(n, w, c, engine) / w.normalizer(n)
+    return constrained_partition(n, w, c) / w.normalizer(n)
 
 
 def conditional_cell_law(n: int, w: Weights, box: Box,
-                         given: Optional[ConstraintSet] = None,
-                         engine: str = "crt") -> BoxLaw:
+                         given: Optional[ConstraintSet] = None) -> BoxLaw:
     """Law of one cell conditioned on an arbitrary cell event.
 
     Computed as a ratio of constrained partition sums.  The box holds
@@ -411,11 +404,11 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     conditioning event's own.  Conditioning on an impossible event
     raises.
     """
-    _check_args(n, engine)
+    _check_args(n)
     base = given if given is not None else ConstraintSet.empty(n)
     values = {
         name: constrained_partition(
-            n, w, ConstraintSet(base.n, base.items + ((box, req),)), engine)
+            n, w, ConstraintSet(base.n, base.items + ((box, req),)))
         for name, req in (("alpha", Requirement.MUST_ALPHA),
                           ("beta", Requirement.MUST_BETA),
                           ("empty", Requirement.MUST_EMPTY))
@@ -454,7 +447,7 @@ def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     one sentinel slot past the structural cap stays empty and any
     attempt to spill past it raises rather than miscounting.
     """
-    _check_args(n, "crt")
+    _check_args(n)
     bump, cap = _statistic_plan(n, statistic)
     allowed = _allowed_map(n, None)
     masses = _masses_crt(n, w, allowed, slots=cap + 2, bump=bump)

@@ -116,7 +116,7 @@ def test_tableaux_route_point_values():
     assert steady_state_via_tableaux(1, p, "alpha_delta").mass(1) == F(3, 7)
     assert steady_state_via_tableaux(1, p, "paper_alpha_gamma").mass(1) == F(5, 7)
     with pytest.raises(ValueError):
-        steady_state_via_tableaux(9, ones)
+        steady_state_via_tableaux(11, ones)
     with pytest.raises(ValueError):
         steady_state_via_tableaux(2, ones, "diagonal")
 
@@ -167,10 +167,10 @@ def reference_tableaux_law(n, p, convention):
     return Pmf.from_weighted_counts({idx: v for idx, v in totals.items() if v})
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_tableaux_route_matches_tableau_stream(n):
     rng = random.Random(500 + n)
-    for p in [random_rates(rng) for _ in range(3)]:
+    for p in [random_rates(rng) for _ in range(3 if n < 7 else 1)]:
         for convention in CONVENTIONS:
             got = steady_state_via_tableaux(n, p, convention)
             assert got == reference_tableaux_law(n, p, convention), (p, convention)
@@ -419,7 +419,7 @@ def test_cross_validate_resolves_the_convention():
     assert sym["matching_conventions"] == list(CONVENTIONS)
 
     with pytest.raises(ValueError):
-        cross_validate(9, AsepParams(1, 1, 1, 1))
+        cross_validate(11, AsepParams(1, 1, 1, 1))
     with pytest.raises(ValueError):
         cross_validate(2, AsepParams(1, 1, 1, 1, u=0, q=1))
 
@@ -452,6 +452,15 @@ def test_alpha_delta_reading_matches_generator_on_random_rates(n):
 ])
 def test_alpha_delta_reading_matches_generator_at_n7(p):
     assert cross_validate(7, p)["matching_conventions"] == ["alpha_delta"]
+
+
+@pytest.mark.parametrize("n, p", [
+    (9, AsepParams(F(3, 2), F(2, 3), F(1, 3), F(1, 5), u=1, q=0)),
+    (9, AsepParams(F(1, 2), F(4, 3), 0, 0, u=F(7, 4), q=F(11, 13))),
+    (10, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))),
+])
+def test_alpha_delta_reading_matches_generator_at_the_largest_sizes(n, p):
+    assert "alpha_delta" in cross_validate(n, p)["matching_conventions"]
 
 
 def test_cross_validate_reports_are_pinned():

@@ -226,7 +226,7 @@ def test_sample_validates_before_emitting_anything(runner):
 
 
 def test_asep_verify_reports_matching_convention(runner):
-    for n in (2, 7):
+    for n in (2, 7, 9):
         out = json.loads(run(runner, "asep-verify", "--n", str(n),
                              "--rates", "2,1,3,1,1,1/2"))
         assert out["matching_conventions"] == ["alpha_delta"]

@@ -43,13 +43,27 @@ def test_scaled_weights():
     assert s.total_bound(4) == w.normalizer(4) * s.q ** 4
 
 
+def fractions_partition(n, w, c=None):
+    """constrained_partition by the exact-rational reference sweep."""
+    return dpcount._partition_fractions(n, w, dpcount._allowed_map(n, c))
+
+
+def fractions_cell_law(n, w, box, given):
+    """conditional_cell_law's (alpha, beta, empty) by the exact-rational
+    reference sweep, or None when the conditioning event is impossible."""
+    values = [fractions_partition(n, w, ConstraintSet(n, given.items + ((box, req),)))
+              for req in (R.MUST_ALPHA, R.MUST_BETA, R.MUST_EMPTY)]
+    total = sum(values)
+    return tuple(v / total for v in values) if total else None
+
+
 def test_unconstrained_partition_both_engines():
     for n in (1, 2, 3, 5, 8):
         for w in GRID:
             closed = partition_closed(n, w)
-            assert constrained_partition(n, w, engine="crt") == closed
+            assert constrained_partition(n, w) == closed
             if n <= 5:
-                assert constrained_partition(n, w, engine="fractions") == closed
+                assert fractions_partition(n, w) == closed
 
 
 def test_size_two_event_probabilities():
@@ -61,8 +75,8 @@ def test_size_two_event_probabilities():
 
 def test_contradictory_constraints_give_zero():
     c = ConstraintSet.of(4, {(1, 4): R.MUST_EMPTY})  # main-diagonal box
-    for engine in ("crt", "fractions"):
-        assert constrained_partition(4, Weights(1, 1), c, engine=engine) == 0
+    assert constrained_partition(4, Weights(1, 1), c) == 0
+    assert fractions_partition(4, Weights(1, 1), c) == 0
 
 
 def test_random_constraint_sets_match_oracle():
@@ -75,8 +89,8 @@ def test_random_constraint_sets_match_oracle():
                 chosen = rng.sample(boxes, rng.randint(1, min(5, len(boxes))))
                 c = ConstraintSet.of(n, {box: rng.choice(reqs) for box in chosen})
                 want = oracle_event_prob(n, w, c)
-                assert event_prob(n, w, c, engine="crt") == want
-                assert event_prob(n, w, c, engine="fractions") == want
+                assert event_prob(n, w, c) == want
+                assert fractions_partition(n, w, c) / w.normalizer(n) == want
 
 
 def test_diagonal_events_match_closed_forms_beyond_enumeration():
@@ -206,8 +220,7 @@ def test_counts_around_the_wrap_match_closed_form_and_fractions():
         assert constrained_partition(n, w) == partition_closed(n, w)
         for _ in range(4):
             c = _random_constraints(rng, n, rng.randint(1, 4))
-            assert constrained_partition(n, w, c) == \
-                constrained_partition(n, w, c, engine="fractions"), (n, c)
+            assert constrained_partition(n, w, c) == fractions_partition(n, w, c), (n, c)
 
 
 def test_second_diag_laws_around_the_wrap_match_the_moment_route():
@@ -229,15 +242,13 @@ def test_conditional_cell_law_matches_fractions_engine():
                 if box in given.as_dict():
                     continue
                 tried += 1
-                try:
-                    want = conditional_cell_law(n, w, box, given, engine="fractions")
-                except ValueError:
+                want = fractions_cell_law(n, w, box, given)
+                if want is None:
                     with pytest.raises(ValueError, match="probability zero"):
                         conditional_cell_law(n, w, box, given)
                     continue
                 got = conditional_cell_law(n, w, box, given)
-                assert (got.alpha, got.beta, got.empty) == \
-                    (want.alpha, want.beta, want.empty), (n, w, box, given)
+                assert (got.alpha, got.beta, got.empty) == want, (n, w, box, given)
                 assert got.alpha + got.beta + got.empty == 1
 
 
@@ -334,13 +345,11 @@ def test_large_factors_match_independent_routes(n, w):
         given = _random_constraints(rng, n, 2)
         if box in given.as_dict():
             continue
-        try:
-            want = conditional_cell_law(n, w, box, given, engine="fractions")
-        except ValueError:
+        want = fractions_cell_law(n, w, box, given)
+        if want is None:
             continue
         got = conditional_cell_law(n, w, box, given)
-        assert (got.alpha, got.beta, got.empty) == \
-            (want.alpha, want.beta, want.empty), (box, given)
+        assert (got.alpha, got.beta, got.empty) == want, (box, given)
         checked += 1
 
 
@@ -354,8 +363,8 @@ DIAGONAL_WEIGHTS = [Weights(F(2, 3), F(5, 4)), Weights(F(7, 10), F(9, 14)),
 def test_diagonal_factors_match_fractions_and_oracle(w):
     for n in (1, 2, 3, 5, 6):
         diagonal = [(i, n + 1 - i) for i in range(1, n + 1)]
-        assert constrained_partition(n, w) == \
-            constrained_partition(n, w, engine="fractions") == partition_closed(n, w)
+        assert constrained_partition(n, w) == fractions_partition(n, w) == \
+            partition_closed(n, w)
         events = []
         for box in {diagonal[0], diagonal[n // 2], diagonal[-1]}:
             i, j = box
@@ -367,14 +376,14 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
                     events.append(ConstraintSet.of(n, {box: req, (i, j - 1): R.MUST_ALPHA}))
         for c in events:
             want = oracle_event_prob(n, w, c)
-            assert event_prob(n, w, c) == event_prob(n, w, c, engine="fractions") == want, c
-            assert constrained_partition(n, w, c) == \
-                constrained_partition(n, w, c, engine="fractions"), c
+            assert event_prob(n, w, c) == \
+                fractions_partition(n, w, c) / w.normalizer(n) == want, c
+            assert constrained_partition(n, w, c) == fractions_partition(n, w, c), c
         for box in diagonal:
             empty = ConstraintSet.of(n, {box: R.MUST_EMPTY})
-            for engine in ("crt", "fractions"):
-                assert constrained_partition(n, w, empty, engine) == 0
-                assert event_prob(n, w, empty, engine) == 0
+            assert constrained_partition(n, w, empty) == \
+                fractions_partition(n, w, empty) == 0
+            assert event_prob(n, w, empty) == 0
         for statistic in STATISTIC_NAMES:
             assert statistic_pmf(n, w, statistic) == \
                 oracle_statistic_pmf(n, w, statistic), (n, statistic)
