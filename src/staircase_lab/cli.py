@@ -15,6 +15,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -315,8 +316,14 @@ def _selftest_suites():
 
     def sampler_chain():
         rng = random.Random(7)
-        draws = sampler.sample_many(4, mixed, rng, 200, "chain_rule")
-        return all(t.is_valid for t in draws)
+        draws = [t for _ in range(20)
+                 for t in sampler.sample_many(4, mixed, rng, 200, "chain_rule")]
+        seen = Counter(t.rows for t in draws)
+        laws = [(seen[t.rows], float(mixed.prob(t))) for t in enumeration.all_tableaux(4)]
+        # every tableau's count within 5 sigma of its exact probability
+        return all(t.is_valid for t in draws) and all(
+            abs(k - len(draws) * p) <= 5 * math.sqrt(len(draws) * p * (1 - p))
+            for k, p in laws)
 
     def asep_bridge():
         p = asep.AsepParams(2, 1, 3, 1, u=1, q=Fraction(1, 2))

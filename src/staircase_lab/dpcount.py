@@ -180,12 +180,22 @@ def _primes_covering(bound: int) -> Tuple[int, ...]:
     return tuple(_PRIMES[:count])
 
 
-def _crt(residues: Sequence[int], primes: Sequence[int]) -> int:
-    """The unique x with x = r_i mod p_i, 0 <= x < prod p_i."""
-    x, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        x += (r - x) * pow(modulus, -1, p) % p * modulus
-        modulus *= p
+def _garner(moduli: Sequence[int]) -> Tuple[Tuple[int, int, int], ...]:
+    """Garner's constants of a plan, for :func:`_crt`: each modulus m_i
+    with the product M_i of those before it and M_i^-1 mod m_i."""
+    out, product = [], 1
+    for m in moduli:
+        out.append((m, pow(product, -1, m), product))
+        product *= m
+    return tuple(out)
+
+
+def _crt(residues: Sequence[int], garner: Sequence[Tuple[int, int, int]]) -> int:
+    """The unique x with x = r_i mod m_i, 0 <= x < prod m_i, given the
+    plan's :func:`_garner` constants."""
+    x = 0
+    for r, (m, inverse, product) in zip(residues, garner):
+        x += (r - x) * inverse % m * product
     return x
 
 
@@ -372,7 +382,8 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
     moduli, factors = scaled.moduli(n), scaled.factors()
     with _budget.reserve(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}"):
         residues = [_sweep(n, m, factors, allowed, slots, bump) for m in moduli]
-    return [_crt(slot, moduli) for slot in zip(*residues)]
+    garner = _garner(moduli)
+    return [_crt(slot, garner) for slot in zip(*residues)]
 
 
 # ----------------------------------------------------------------------

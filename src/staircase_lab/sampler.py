@@ -29,10 +29,12 @@ evicts the least recently used tables of every holder.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all
-samples through the boxes together, and walkers in the same state
-share that box's choice weights; a batch of k therefore consumes the
-stream in a different order than k single draws (each path is
-deterministic on its own).
+samples through the boxes together, each drawing one integer per box
+in walker order.  Walkers with the same dirty-row mask share that
+box's count after a symbol lands, read from the tables once; each
+weighs its own cells from that count and the move factors.  A batch
+of k therefore consumes the stream in a different order than k
+single draws (each path is deterministic on its own).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import _budget
 from .core import Tableau, diagonal_statistic
-from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _sweep
+from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _sweep
 from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
@@ -66,12 +68,12 @@ def _alias_cumulative(n: int, w: Weights) -> List[int]:
     """Running sums of the integer weights of ``all_tableaux(n)``, each
     scaled by q^(2n)."""
     scaled = ScaledWeights.of(w)
+    weights = [[scaled.pa ** (n - na) * scaled.pb ** (n - nb) * scaled.q ** (na + nb)
+                for nb in range(n + 1)] for na in range(n + 1)]  # by alpha, beta count
     cumulative, running = [], 0
     for t in all_tableaux(n):
         joined = "".join(t.rows)
-        na, nb = joined.count("A"), joined.count("B")
-        running += (scaled.pa ** (n - na) * scaled.pb ** (n - nb)
-                    * scaled.q ** (na + nb))
+        running += weights[joined.count("A")][joined.count("B")]
         cumulative.append(running)
     if running != scaled.total_bound(n) * scaled.q ** n:
         raise RuntimeError("alias table weights do not sum to the partition total")
@@ -107,6 +109,17 @@ _OPEN_MOVES = [[[(code, k) for code, k, flag, bit in _MOVES
                for above in (0, 1)]
 
 
+def _weigh(moves: List[Tuple[int, str]]) -> Tuple[int, List[Tuple[int, str]], str]:
+    """The walker's reading of the (factor, cell code) moves open at a
+    state: their total factor, the running factor and code of each
+    move but the last, and the last move's code."""
+    cuts, running = [], 0
+    for factor, code in moves:
+        running += factor
+        cuts.append((running, code))
+    return running, cuts[:-1], cuts[-1][1] if cuts else ""
+
+
 class _ChainTables:
     """Completion counts after every symbol move, for one (n, w).
 
@@ -119,13 +132,18 @@ class _ChainTables:
     every other level entry is dropped.  A column of height h keeps
     2^(h-1) masks per box, except column 1: every row enters it clean,
     so box (i, 1) keeps only the 2^(i-1) masks below 2^i, and the
-    walker's index ``(mask >> i) << (i-1) | low`` stays below that.
+    index ``(mask >> i) << (i-1) | low`` stays below that.
     The kernel's diagonal factors carry no q, so a slice holds the
-    count scaled by q^n less one q per diagonal box still to fill;
-    :meth:`choices` multiplies those back, and a walker sees every
-    count and weight at the q^(2n) scale.  A walker carries its own
-    exact count, so the count after an empty box is that count less
-    the symbol moves' weights.
+    count scaled by q^n less one q per diagonal box still to fill.
+    :meth:`after` reads one entry per plane, combines the planes with
+    the plan's Garner constants and multiplies those q back, so a
+    walker sees every count at the q^(2n) scale.  There a symbol move
+    weighs ``factors[k]`` times the count after it, and all symbol
+    moves open at a state lead to the same state, so that one count
+    weighs them all: ``weighs[above][bit]`` holds their factors, as
+    :func:`_weigh` reads them, for each "symbol above" flag and row
+    bit.  A walker carries its own exact count, so the count after an
+    empty box is that count less the symbol moves' weights.
     """
 
     def __init__(self, n: int, w: Weights):
@@ -133,7 +151,12 @@ class _ChainTables:
         scaled = ScaledWeights.of(w)
         self.q, self.total = scaled.q, scaled.total_bound(n) * scaled.q ** n
         self.moduli, factors = scaled.moduli(n), scaled.factors()
+        self.garner = _garner(self.moduli)
         self.factors = factors[0]
+        # a move of factor 0 never lands, and past it the plan need not cover the count
+        self.weighs = [[_weigh([(self.factors[k], code) for code, k in moves
+                                if self.factors[k]]) for moves in by_bit]
+                       for by_bit in _OPEN_MOVES]
         self.powers = [scaled.q ** d for d in range(n + 1)]
         plan = len(self.moduli)
         allowed = _allowed_map(n, None)
@@ -146,28 +169,20 @@ class _ChainTables:
                 self.slices[j][i - 1][plane] = counts.reshape(-1)
             _sweep(n, m, factors, allowed, keep=keep)
 
-    def choices(self, j: int, i: int, mask: int, above: int,
-                count: int) -> List[Tuple[str, int, int, int, int]]:
-        """(cell code, weight, next mask, next flag, count after) of each
-        legal cell at box (i, j) with weight > 0, in the fixed order
-        empty, alpha, beta.  ``count`` is the state's exact completion
-        count; the weights sum to it, and every symbol move leads to
-        the same state."""
-        bit, height = 1 << (i - 1), self.n + 1 - j
-        out = []
-        moves = _OPEN_MOVES[above][mask >> (i - 1) & 1]
-        if moves:
-            row = self.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & (bit - 1)].tolist()
-            after = _crt(row, self.moduli) if len(row) > 1 else row[0]
-            if self.q > 1:  # one q per diagonal box still to fill
-                after *= self.powers[self.n - j + (i < height)]
-            # past a zero factor the plan need not cover the count; it is zeroed
-            out = [(code, weight, mask | bit, 1, after) for code, k in moves
-                   if (weight := self.factors[k] * after)]
-        rest = count - sum(move[1] for move in out)
-        if rest < 0 or (rest and i == height):  # the diagonal box must fill
-            raise RuntimeError("chain-rule weights do not add up to the completion count")
-        return ([(".", rest, mask, above, rest)] if rest else []) + out
+    def after(self, j: int, i: int, mask: int) -> int:
+        """The exact completion count, at the q^(2n) scale, just after a
+        symbol lands in box (i, j) on the dirty-row mask ``mask``.  The
+        plan covers it wherever a move of positive weight leads there."""
+        index = (mask >> i) << (i - 1) | mask & ((1 << (i - 1)) - 1)
+        kept = self.slices[j][i - 1]
+        if len(self.garner) == 1:
+            count = kept.item(0, index)
+        else:
+            count = _crt([kept.item(plane, index) for plane in range(len(self.garner))],
+                         self.garner)
+        if self.q > 1:  # one q per diagonal box still to fill
+            count *= self.powers[self.n - j + (i < self.n + 1 - j)]
+        return count
 
 
 def _chain_bytes(n: int, w: Weights) -> int:
@@ -190,30 +205,45 @@ def _chain_bytes(n: int, w: Weights) -> int:
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
     tables = _budget.get(_ChainTables, _chain_bytes,
                          "chain_rule tables for n={0} with these weights", n, w)
+    randrange, weighs = rng.randrange, tables.weighs
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count
     counts = [tables.total] * count  # per walker: its exact completion count
     for j in range(1, n + 1):
         height = n + 1 - j
         flags = [0] * count
-        cells = [[] for _ in range(count)]
+        column = []  # per box: each walker's cell code
         for i in range(1, height + 1):
-            memo: Dict[Tuple[int, int], List[Tuple[str, int, int, int, int]]] = {}
+            bit, shift, diagonal = 1 << (i - 1), i - 1, i == height
+            afters: Dict[int, int] = {}  # per mask: the count after a symbol lands
+            codes = [""] * count
             for k in range(count):
-                key = (masks[k], flags[k])
-                choices = memo.get(key)
-                if choices is None:
-                    choices = memo[key] = tables.choices(j, i, *key, counts[k])
-                draw = rng.randrange(counts[k])
-                for code, weight, mask, flag, after in choices:
-                    if draw < weight:
+                mask, have = masks[k], counts[k]
+                draw = randrange(have)
+                total, cuts, code = weighs[flags[k]][mask >> shift & 1]
+                if total:
+                    after = afters.get(mask)
+                    if after is None:
+                        after = afters[mask] = tables.after(j, i, mask)
+                    rest = have - total * after
+                else:
+                    rest = have
+                if rest < 0 or (rest and diagonal):  # the diagonal box must fill
+                    raise RuntimeError("chain-rule weights do not add up to the completion count")
+                if draw < rest:
+                    codes[k], counts[k] = ".", rest
+                    continue
+                draw -= rest
+                for cut, cut_code in cuts:
+                    if draw < cut * after:
+                        code = cut_code
                         break
-                    draw -= weight
-                cells[k].append(code)
-                masks[k], flags[k], counts[k] = mask, flag, after
+                codes[k] = code
+                masks[k], flags[k], counts[k] = mask | bit, 1, after
+            column.append(codes)
         keep = (1 << (height - 1)) - 1
-        for k in range(count):
-            grids[k].append("".join(cells[k]))
+        for k, cells in enumerate(zip(*column)):
+            grids[k].append("".join(cells))
             masks[k] &= keep
     return [
         Tableau._trusted(tuple(map("".join, itertools.zip_longest(*grid, fillvalue=""))))
@@ -224,6 +254,14 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
 # ----------------------------------------------------------------------
 # public surface
 
+def _check_count(count: int, name: str) -> None:
+    # a bool is an int to isinstance, and True would draw one sample
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"{name} must be an int, got {count!r}")
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {name}={count}")
+
+
 def sample(n: int, w: Weights, rng: random.Random,
            method: str = "chain_rule") -> Tableau:
     """Draw one tableau distributed exactly as the (a, b) measure."""
@@ -233,8 +271,7 @@ def sample(n: int, w: Weights, rng: random.Random,
 def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
     """Draw a batch, walking all samples through each column together."""
-    if count < 1:
-        raise ValueError("need at least one sample")
+    _check_count(count, "count")
     if method == "enum_alias":
         if not 1 <= n <= N_ENUM:
             raise ValueError(f"enum_alias supports sizes 1..{N_ENUM}, got {n}")
@@ -286,8 +323,7 @@ class EmpiricalLaw:
 def empirical_pmf(n: int, w: Weights, statistic: str, samples: int,
                   rng: random.Random, method: str = "chain_rule") -> EmpiricalLaw:
     """Sample the named statistic and tabulate its empirical law."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_count(samples, "samples")
     counts = Counter(diagonal_statistic(t, statistic)
                      for t in sample_many(n, w, rng, samples, method))
     pmf = Pmf.from_integers([counts[k] for k in range(max(counts) + 1)], samples)

@@ -314,6 +314,25 @@ def test_c07_third_diag_main_terms():
     _line(7, "third-diagonal main terms and remainders", ok)
 
 
+def _split(tables, j, i, mask, above, count):
+    """(cell code, weight, next mask, next flag, count after) of each
+    legal cell at box (i, j) with weight > 0, empty first, alpha before
+    beta: the symbol moves open there, each weighing its factor times
+    the one count after them, and the empty cell what they leave of
+    ``count``, the state's exact completion count."""
+    bit, height = 1 << (i - 1), tables.n + 1 - j
+    out = []
+    moves = sampler._OPEN_MOVES[above][mask >> (i - 1) & 1]
+    if moves:
+        after = tables.after(j, i, mask)
+        out = [(code, weight, mask | bit, 1, after) for code, k in moves
+               if (weight := tables.factors[k] * after)]
+    rest = count - sum(c[1] for c in out)
+    if rest < 0 or (rest and i == height):  # the diagonal box must fill
+        raise RuntimeError("chain-rule weights do not add up to the completion count")
+    return ([(".", rest, mask, above, rest)] if rest else []) + out
+
+
 def _walk_probability(n, t, tables, memo):
     prob = F(1)
     mask, count = 0, tables.total
@@ -324,7 +343,7 @@ def _walk_probability(n, t, tables, memo):
             key = (j, i, mask, above)
             choices = memo.get(key)
             if choices is None:
-                choices = memo[key] = tables.choices(j, i, mask, above, count)
+                choices = memo[key] = _split(tables, j, i, mask, above, count)
             code = t.rows[i - 1][j - 1]
             match = [c for c in choices if c[0] == code]
             if not match:

@@ -15,7 +15,7 @@ from staircase_lab.constraints import (ConstraintSet, Requirement,
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
 from staircase_lab._budget import _MEM_BUDGET
 from staircase_lab.dpcount import (_PRIME_LIMIT, N_DP, ScaledWeights,
-                                   _crt, _is_prime, _primes_covering,
+                                   _crt, _garner, _is_prime, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
                                    statistic_pmf)
@@ -308,12 +308,13 @@ def test_crt_ignores_multiples_of_each_modulus():
     # the kernel hands over entries that are congruent, not reduced
     rng = random.Random(29)
     moduli = ScaledWeights.of(Weights(F(2999, 1000), F(400, 143))).moduli(6)
+    garner = _garner(moduli)
     for _ in range(20):
         x = rng.randrange(math.prod(moduli))
         residues = [x % m for m in moduli]
-        assert _crt(residues, moduli) == x
+        assert _crt(residues, garner) == x
         lifted = [r + rng.randrange(2 ** 64 // m) * m for r, m in zip(residues, moduli)]
-        assert _crt(lifted, moduli) == x
+        assert _crt(lifted, garner) == x
 
 
 #: Scaled factors far above every plan prime, on plans of 9 to 11

@@ -1,6 +1,7 @@
 """Exact and statistical checks for the tableau samplers."""
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -21,7 +22,7 @@ from staircase_lab.sampler import (
     sample,
     sample_many,
 )
-from test_acceptance import _walk_probability
+from test_acceptance import _split, _walk_probability
 
 WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1),
            # scaled factors far above every plan prime
@@ -49,7 +50,7 @@ def _chain_probability(n, w, t):
         height = n + 1 - j
         above = 0
         for i in range(1, height + 1):
-            choices = tables.choices(j, i, mask, above, count)
+            choices = _split(tables, j, i, mask, above, count)
             assert sum(c[1] for c in choices) == count
             code = t.rows[i - 1][j - 1]
             match = [c for c in choices if c[0] == code]
@@ -73,12 +74,12 @@ def test_chain_conditionals_reproduce_the_measure(n, w):
 
 def test_chain_walk_refuses_a_count_its_moves_do_not_match():
     tables = sampler._ChainTables(3, Weights(1, 1))
-    right = tables.choices(1, 1, 0, 0, tables.total)[0][-1]  # after "."
-    assert sum(c[1] for c in tables.choices(1, 2, 0, 0, right)) == right
+    right = _split(tables, 1, 1, 0, 0, tables.total)[0][-1]  # after "."
+    assert sum(c[1] for c in _split(tables, 1, 2, 0, 0, right)) == right
     with pytest.raises(RuntimeError, match="completion count"):
-        tables.choices(1, 2, 0, 0, 1)  # less than the symbol moves weigh
+        _split(tables, 1, 2, 0, 0, 1)  # less than the symbol moves weigh
     with pytest.raises(RuntimeError, match="completion count"):
-        tables.choices(3, 1, 0, 0, 3)  # the diagonal box weighs 2 in all
+        _split(tables, 3, 1, 0, 0, 3)  # the diagonal box weighs 2 in all
 
 
 def test_chain_counts_split_exactly_with_large_factors():
@@ -92,6 +93,117 @@ def test_chain_counts_split_exactly_with_large_factors():
     memo = {}
     for t in all_tableaux(n):
         assert _walk_probability(n, t, tables, memo) == w.prob(t), t
+
+
+def _reference_crt(residues, moduli):
+    x, modulus = 0, 1
+    for r, p in zip(residues, moduli):
+        x += (r - x) * pow(modulus, -1, p) % p * modulus
+        modulus *= p
+    return x
+
+
+def _reference_choices(tables, j, i, mask, above, count):
+    """The per-state choice list the walker once built at every new
+    state, read from the kept slices directly."""
+    bit, height = 1 << (i - 1), tables.n + 1 - j
+    out = []
+    moves = sampler._OPEN_MOVES[above][mask >> (i - 1) & 1]
+    if moves:
+        row = tables.slices[j][i - 1][:, (mask >> i) << (i - 1) | mask & (bit - 1)].tolist()
+        after = _reference_crt(row, tables.moduli) if len(row) > 1 else row[0]
+        if tables.q > 1:
+            after *= tables.powers[tables.n - j + (i < height)]
+        out = [(code, weight, mask | bit, 1, after) for code, k in moves
+               if (weight := tables.factors[k] * after)]
+    rest = count - sum(move[1] for move in out)
+    if rest < 0 or (rest and i == height):
+        raise RuntimeError("chain-rule weights do not add up to the completion count")
+    return ([(".", rest, mask, above, rest)] if rest else []) + out
+
+
+def _reference_chain(n, w, rng, count):
+    """The batch walk that shared each state's choice list, kept as the
+    reference the walker must match draw for draw."""
+    tables = _budget.get(sampler._ChainTables, sampler._chain_bytes, "reference", n, w)
+    grids = [[] for _ in range(count)]
+    masks = [0] * count
+    counts = [tables.total] * count
+    for j in range(1, n + 1):
+        height = n + 1 - j
+        flags = [0] * count
+        cells = [[] for _ in range(count)]
+        for i in range(1, height + 1):
+            memo = {}
+            for k in range(count):
+                key = (masks[k], flags[k])
+                choices = memo.get(key)
+                if choices is None:
+                    choices = memo[key] = _reference_choices(tables, j, i, *key, counts[k])
+                draw = rng.randrange(counts[k])
+                for code, weight, mask, flag, after in choices:
+                    if draw < weight:
+                        break
+                    draw -= weight
+                cells[k].append(code)
+                masks[k], flags[k], counts[k] = mask, flag, after
+        keep = (1 << (height - 1)) - 1
+        for k in range(count):
+            grids[k].append("".join(cells[k]))
+            masks[k] &= keep
+    return [Tableau(tuple(map("".join, itertools.zip_longest(*grid, fillvalue=""))))
+            for grid in grids]
+
+
+class _Recording(random.Random):
+    """A stream that logs every randrange bound it is asked for."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, *args):
+        self.bounds.append(args)
+        return super().randrange(*args)
+
+
+def _assert_walks_match(n, w, count, seed):
+    new, old = _Recording(seed), _Recording(seed)
+    assert sample_many(n, w, new, count) == _reference_chain(n, w, old, count)
+    assert new.bounds == old.bounds  # one randrange(count) per walker per box
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chain_walk_matches_the_reference_draw_for_draw(n):
+    for k, w in enumerate(GOLDEN_WEIGHTS):
+        for count in (1, 2, 5, 64):
+            _assert_walks_match(n, w, count, 1000 * n + 10 * k + count)
+
+
+def test_chain_walk_matches_the_reference_on_large_batches_and_plans():
+    _assert_walks_match(6, Weights(F(1, 2), 3), 1000, 6)
+    large = Weights(F(1, 2 ** 63 + 11), F(7, 3 * 2 ** 62 + 1))  # 24 moduli at n = 6
+    for count in (1, 5, 64):
+        _assert_walks_match(6, large, count, count)
+
+
+@pytest.mark.parametrize("w, plane", [(Weights(1, 1), 0),
+                                      (Weights(F(1, 2 ** 63 + 11), F(7, 3 * 2 ** 62 + 1)), 5)])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_chain_walk_refuses_a_corrupted_count(fresh_ledger, w, plane, delta):
+    # every walk reads the last column's one entry in its diagonal box;
+    # one unit more and the symbol moves outweigh the count, one less
+    # and they leave the box a share it may not take
+    ledger = fresh_ledger()
+    n = 3
+    first = sample_many(n, w, random.Random(3), 8)
+    tables = ledger.kept[(sampler._ChainTables, n, w)][0]
+    assert sample_many(n, w, random.Random(3), 8) == first
+    kept = tables.slices[n][0]
+    kept[plane, 0] = int(kept[plane, 0]) + delta
+    with pytest.raises(RuntimeError, match="do not add up"):
+        sample_many(n, w, random.Random(3), 8)
 
 
 @pytest.mark.parametrize("method", ["enum_alias", "chain_rule"])
@@ -301,6 +413,12 @@ def test_method_and_size_validation():
         sample_many(3, w, rng, 0)
     with pytest.raises(ValueError):
         empirical_pmf(3, w, "X2", 0, rng)
+    for bad in (True, 2.0, "3"):
+        for method in ("enum_alias", "chain_rule"):
+            with pytest.raises(ValueError, match=f"count must be an int, got {bad!r}"):
+                sample_many(3, w, rng, bad, method)
+        with pytest.raises(ValueError, match=f"samples must be an int, got {bad!r}"):
+            empirical_pmf(3, w, "X2", bad, rng)
 
 
 def test_randomize_four_params_flips_exactly():
