@@ -292,6 +292,30 @@ def _selftest_suites():
                         return False
         return True
 
+    def conditional_laws():
+        # under nonempty events: each cell's law times P(event) against
+        # the enumerated probability of the event with the cell fixed
+        req = constraints.Requirement
+        for n in (4, 5):
+            events = ({(2, 2): req.MUST_NONEMPTY},
+                      {(1, 1): req.MUST_ALPHA, (2, n - 2): req.MUST_EMPTY})
+            for w in (mixed, fractional):
+                for event in events:
+                    given = constraints.ConstraintSet.of(n, event)
+                    p_given = enumeration.oracle_event_prob(n, w, given)
+                    if p_given == 0:
+                        return False
+                    for box in ((1, n), (n, 1), (1, 2), (3, 2)):
+                        if box in event:
+                            continue
+                        law = dpcount.conditional_cell_law(n, w, box, given)
+                        for cell, got in ((req.MUST_ALPHA, law.alpha), (req.MUST_BETA, law.beta),
+                                          (req.MUST_EMPTY, law.empty)):
+                            joint = constraints.ConstraintSet.of(n, {**event, box: cell})
+                            if enumeration.oracle_event_prob(n, w, joint) != got * p_given:
+                                return False
+        return True
+
     def statistic_laws():
         return all(
             dpcount.statistic_pmf(4, w, s) == enumeration.oracle_statistic_pmf(4, w, s)
@@ -334,6 +358,7 @@ def _selftest_suites():
         ("counts_match_factorial", counts),
         ("brute_partition_matches_closed", partitions),
         ("box_laws_match_counting_engine", box_laws),
+        ("conditional_laws_match_oracle", conditional_laws),
         ("statistic_laws_match_oracle", statistic_laws),
         ("moment_formulas_match_oracle", moment_formulas),
         ("moment_inversion_matches_counting_engine", inversion),

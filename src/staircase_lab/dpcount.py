@@ -15,14 +15,17 @@ State space is ``2^height`` per column, so sizes up to :data:`N_DP`
 are practical.  Two independent passes cover it:
 
 * the kernel counts completions right to left, bottom-up in each
-  column, in numpy ``uint64`` arrays, one pass of :func:`_sweep` per
-  modulus.
+  column, in numpy ``uint64`` arrays.
   Weights are scaled to integers by q^n, q the common denominator of
   a and b (see :class:`ScaledWeights`); the plan is 2^64 and, when
   the scaled total needs more, enough primes below 2^29 to cover it,
-  recombined by the Chinese remainder theorem.
-  The 2^64 pass is unsigned arithmetic's own wrap-around, so it costs
-  no remainder operation.  A prime pass takes one remainder per box,
+  recombined by the Chinese remainder theorem.  One pass of
+  :func:`_sweep` walks the boxes once for a group of moduli, stacked
+  as planes of one array, so the Python work per box is paid once per
+  group; a plan runs in as few groups as keep each level within
+  :data:`_GROUP_ENTRIES`.
+  The 2^64 plane is unsigned arithmetic's own wrap-around, so it costs
+  no remainder operation.  A prime plane takes one remainder per box,
   on the slice every move reads; products accumulate unreduced, which
   primes this small leave room for within a column.  Moves that land
   on the same state add their factors, and moves with equal factors
@@ -39,9 +42,10 @@ are practical.  Two independent passes cover it:
 
 Both honour :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
-joint probabilities of cell events.  Kernel arrays grow with counter
-slots and ``2^n``; a sweep reserves its peak in the process's one
-memory ledger, which evicts kept tables to fit, before it allocates.
+joint probabilities of cell events.  Kernel arrays grow with the
+group's planes, counter slots and ``2^n``; a sweep reserves its peak
+in the process's one memory ledger, which evicts kept tables to fit,
+before it allocates.
 """
 
 from __future__ import annotations
@@ -149,9 +153,9 @@ def _is_prime(x: int) -> bool:
 #: reductions.  Level entries enter a column reduced, below p, and each
 #: box adds at most two products of reduced values, each at most
 #: (p-1)^2, to any entry.  Only alpha-clean and beta-topmost share a
-#: target, and merged they take one product of their reduced factor
-#: sum; a second reaches the entry only when one of them is lifted to
-#: the next counter slot and the other is not.  A factor of 1 adds the
+#: target, and merged they take one product of their integer factor
+#: sum reduced modulo p; a second reaches the entry only when the two take
+#: different lifts to later counter slots.  A factor of 1 adds the
 #: reduced slice itself.  A column has at most N_DP boxes, so every
 #: entry stays below p + 2 * N_DP * (p-1)^2, which is below 2^64: a
 #: prime plane never wraps.
@@ -215,7 +219,14 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     return out
 
 
+def _check_int(value: int, name: str) -> None:
+    # a bool is an int to isinstance, and True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_args(n: int) -> None:
+    _check_int(n, "size")
     if not 1 <= n <= N_DP:
         raise ValueError(f"size must be in 1..{N_DP}, got {n}")
 
@@ -259,129 +270,176 @@ def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fractio
 #: row bit hold these values, and sets both.
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
+#: Most level entries, planes * slots * 2^n, that one kernel pass walks
+#: at once: a plan runs in as few groups of moduli as stay within it.
+#: Below it, walking the boxes once for several moduli saves Python
+#: work per box; above it, the arrays fit the cache worse.
+_GROUP_ENTRIES = 1 << 18
 
-def _merge_moves(m: int, four: Tuple[int, ...], codes: str,
-                 lifted: str) -> Tuple[bool, list]:
+
+def _groups(moduli: Sequence[int], slots: int, n: int) -> List[Tuple[int, ...]]:
+    """The plan cut into as few runs as keep ``planes * slots * 2^n``
+    within :data:`_GROUP_ENTRIES`, one plane at least, in order and of
+    sizes that differ by at most one."""
+    size = max(1, _GROUP_ENTRIES // (slots << n))
+    count = -(-len(moduli) // size)
+    cuts = [len(moduli) * k // count for k in range(count + 1)]
+    return [tuple(moduli[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _per_plane(values: Sequence[int]):
+    """``uint64`` values, one per plane, shaped to broadcast against a
+    level slice; a numpy scalar for a single plane, which numpy applies
+    with less overhead."""
+    if len(values) == 1:
+        return np.uint64(values[0])
+    return np.array(values, dtype=np.uint64).reshape(-1, 1, 1, 1)
+
+
+def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
+                 lift: Tuple[Tuple[str, int], ...]) -> Tuple[int, list]:
     """The moves open at a box, merged: moves onto one target, the same
-    (lifted, flag, bit), add their factors modulo ``m`` into one; targets
-    with equal factors share one product; a factor of 1 needs no product
-    and a factor of 0 no move.  Returns whether a lifted code may land
-    there, and ``[(factor, or None for 1, [target, ...]), ...]``."""
-    factor_of: Dict[Tuple[bool, int, int], int] = {}
+    (lift, flag, bit), add their integer factors into one; targets with
+    equal factors share one product; a factor of 1 needs no product and
+    a factor of 0 no move.  Returns the largest lift of a code that may
+    land there, and ``[(factor per plane, or None for 1, [target, ...]),
+    ...]``, each factor reduced modulo its plane's modulus."""
+    up = dict(lift)
+    factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
         if code in codes:
-            target = (code in lifted, above, bit)
-            factor_of[target] = (factor_of.get(target, 0) + four[k]) % m
-    targets_of: Dict[int, List[Tuple[bool, int, int]]] = {}
+            target = (up.get(code, 0), above, bit)
+            factor_of[target] = factor_of.get(target, 0) + four[k]
+    targets_of: Dict[int, List[Tuple[int, int, int]]] = {}
     for target, factor in factor_of.items():
         if factor:
             targets_of.setdefault(factor, []).append(target)
-    guarded = any(code in lifted for code in codes)
-    return guarded, [(None if factor == 1 else np.uint64(factor), targets)
-                     for factor, targets in targets_of.items()]
+    reach = max([up.get(code, 0) for code in codes], default=0)
+    return reach, [(None if factor == 1 else _per_plane([factor % m for m in moduli]), targets)
+                   for factor, targets in targets_of.items()]
 
 
-def _sweep(n: int, m: int, factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
-           allowed: Dict[Box, str],
-           slots: int = 1, bump: Optional[Dict[Box, str]] = None,
-           keep: Optional[Callable[[int, int, np.ndarray], None]] = None) -> List[int]:
-    """One right-to-left counting pass modulo ``m``: each slot's residue.
+def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
+           allowed: Dict[Box, str], slots: int = 1,
+           lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None,
+           keep: Optional[Callable[[int, int, np.ndarray], None]] = None) -> List[List[int]]:
+    """One right-to-left counting pass for a group of moduli, one plane
+    each: per plane, each slot's residue.
 
-    ``level[slot, above, mask]`` counts, modulo ``m``, the weighted ways
-    to fill the rest of the tableau from the state with that "symbol
-    above" flag and dirty-row mask, with ``slot`` counter bumps to come.
-    Columns run right to left and each column bottom-up; the residues
-    are the counts from the empty state before column 1.  ``factors``
-    holds the four move factors off the diagonal and on it, as
-    :meth:`ScaledWeights.factors` gives them.  ``bump`` maps
-    a box to the cell codes that count there; a count that would need a
-    slot past the last raises.
+    ``level[plane, slot, above, mask]`` counts, modulo the plane's
+    modulus, the weighted ways to fill the rest of the tableau from the
+    state with that "symbol above" flag and dirty-row mask, with
+    ``slot`` counter steps to come.  Columns run right to left and each
+    column bottom-up; the residues are the counts from the empty state
+    before column 1.  ``factors`` holds the four move factors off the
+    diagonal and on it, as :meth:`ScaledWeights.factors` gives them.
+    ``lifts`` maps a box to ``((code, steps), ...)``: a symbol of that
+    code there lifts the count by that many slots, and an empty cell
+    never does.  A lift that would pass the last slot while the slots
+    it lifts from hold mass raises.  Every plane walks the boxes
+    together: moves and merged factors are worked out once per box, and
+    each numpy call spans all planes.  The 2^64 plane, which a plan
+    puts first, wraps on its own; only the prime planes take remainders.
 
-    Column 1 is the first column a tableau fills, so every row enters
-    it clean: before its box i only masks below 2^(i-1) occur, and the
-    box reads and writes only ``level[..., :2^i]``.  Entries past that
-    prefix are never read again.  Moves onto the same target add their
-    factors and take one product, and moves with equal factors share
-    one (:func:`_merge_moves`).
+    A pass touches only the slots that can hold mass so far: one at
+    the start, growing by each box's largest lift.  Column 1 is the
+    first column a tableau fills, so every row enters it clean: before
+    its box i only masks below 2^(i-1) occur, and the box reads and
+    writes only ``level[..., :2^i]``.  Entries past that prefix are
+    never read again.  Moves onto the same target add their factors
+    and take one product, and moves with equal factors share one
+    (:func:`_merge_moves`).
 
     Before a box's moves run, ``keep(i, j, counts)`` sees the slice
-    they read, reduced: ``counts[slot, high, low]`` for the flag set
-    and the mask ``high << i | 1 << (i-1) | low``, the state just after
-    a symbol lands in box (i, j); in column 1, ``high`` is 0 alone.
-    The next box overwrites it, so a caller that keeps it copies it.
-    Modulo a prime p, level entries are congruent to the counts but not
-    reduced: they stay below p + 2 * height * (p-1)^2 (see
-    ``_PRIME_LIMIT``), and only the slice each box reads is reduced.
-    Modulo 2^64 nothing is: uint64 arithmetic wraps.
+    they read, reduced: ``counts[plane, slot, high, low]`` for the slots
+    that may hold mass so far, the flag set and the mask
+    ``high << i | 1 << (i-1) | low``, the state just after a symbol
+    lands in box (i, j); in column 1, ``high`` is 0 alone.  The next
+    box overwrites it, so a caller that keeps it copies it.  Modulo a
+    prime p, level entries are congruent to the counts but not reduced:
+    they stay below p + 2 * height * (p-1)^2 (see ``_PRIME_LIMIT``), and
+    only the slice each box reads is reduced.  Modulo 2^64 nothing is:
+    uint64 arithmetic wraps.
     """
-    modulus = None if m == _WRAP else np.uint64(m)
-    # merged moves by (codes, lifted codes, diagonal), built once per pass
-    merged: Dict[Tuple[str, str, bool], Tuple[bool, list]] = {}
-    boundary = np.eye(slots, 1, dtype=np.uint64)  # no bump to come
+    planes = len(moduli)
+    wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
+    primes = _per_plane(moduli[wraps:]) if wraps < planes else None
+    # merged moves by (codes, lift, diagonal), built once per pass
+    merged: Dict[Tuple[str, tuple, bool], Tuple[int, list]] = {}
+    live = 1  # the slots that may hold mass so far
+    boundary = np.ones((planes, live, 1, 1), dtype=np.uint64)  # no step to come
     for j in range(n, 0, -1):
         height = n + 1 - j
-        level = np.zeros((slots, 2, 1 << height), dtype=np.uint64)
+        level = np.zeros((planes, slots, 2, 1 << height), dtype=np.uint64)
         # past the diagonal box, whose row bit must be set, the bottom row retires
-        level.reshape(slots, 2, 2, -1)[:, :, 1, :] = boundary[:, None, :]
+        level.reshape(planes, slots, 2, 2, -1)[:, :live, :, 1, :] = boundary
         del boundary
-        buffers = np.empty(slots << height, dtype=np.uint64)
+        buffers = np.empty(planes * slots << height, dtype=np.uint64)
         for i in range(height, 0, -1):
             codes = allowed[(i, j)]
-            lifted = bump.get((i, j), "") if bump else ""
-            key = (codes, lifted, i == height)
+            lift = lifts.get((i, j), ()) if lifts else ()
+            key = (codes, lift, i == height)
             if key not in merged:
-                merged[key] = _merge_moves(m, factors[i == height], codes, lifted)
-            guarded, moves = merged[key]
+                merged[key] = _merge_moves(moduli, factors[i == height], codes, lift)
+            reach, moves = merged[key]
             width = 1 << (height if j > 1 else i)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
-            view = level[:, :, :width].reshape(slots, 2, seg, 2, half)
-            src, step = buffers[:slots * width].reshape(2, slots, seg, half)
+            view = level[..., :width].reshape(planes, slots, 2, seg, 2, half)
+            src, step = buffers[:planes * live * width].reshape(2, planes, live, seg, half)
             # every move sets the flag and the row bit, and none writes there
-            np.copyto(src, view[:, 1, :, 1, :])
-            if modulus is not None:
-                np.remainder(src, modulus, out=src)
+            np.copyto(src, view[:, :live, 1, :, 1, :])
+            if primes is not None:
+                np.remainder(src[wraps:], primes, out=src[wraps:])
             if keep is not None:
                 keep(i, j, src)
             if "." not in codes:
-                view.fill(0)
-            if guarded and src[-1].any():
+                view[:, :live].fill(0)
+            if slots - reach < live and src[:, slots - reach:].any():
                 raise RuntimeError("statistic counter overflowed its cap")
             for factor, targets in moves:
                 product = src if factor is None else np.multiply(src, factor, out=step)
-                for bumped, above, bit in targets:
-                    if bumped:
-                        view[1:, above, :, bit, :] += product[:-1]
-                    else:
-                        view[:, above, :, bit, :] += product
-                del product  # a view of the buffers, which must not outlive them
+                for up, above, bit in targets:
+                    into = view[:, up:up + live, above, :, bit, :]
+                    np.add(into, product[:, :into.shape[1]], out=into)
+                del product, into  # views of the buffers and level, which must not outlive them
+            live = min(slots, live + reach)
         # each freed as soon as it is done with, as _sweep_bytes assumes
         del buffers, view, src, step
-        boundary = level[:, 0, :].copy()
-        if modulus is not None:
-            np.remainder(boundary, modulus, out=boundary)
+        boundary = level[:, :live, :1, :].copy()
+        if primes is not None:
+            np.remainder(boundary[wraps:], primes, out=boundary[wraps:])
         del level
-    return boundary[:, 0].tolist()
+    residues = np.zeros((planes, slots), dtype=np.uint64)
+    residues[:, :live] = boundary[:, :, 0, 0]
+    return residues.tolist()
 
 
-def _sweep_bytes(n: int, slots: int) -> int:
-    """Peak bytes of one counting pass, reached in column 1.
+def _sweep_bytes(n: int, slots: int, moduli: Sequence[int]) -> int:
+    """Peak bytes of the counting passes over the plan ``moduli``,
+    reached in column 1 of a pass over its largest group.
 
-    In units of ``8 * slots * 2^n`` bytes: 2 for the level, 1 for the
-    two buffers, and 1 for numpy's iteration buffers inside a box (at
-    most 128 KiB) or for the outgoing boundary.  The previous level and
-    the incoming boundary are freed by then.  32 KiB more covers the
-    call's small objects.
+    In units of ``8 * planes * slots * 2^n`` bytes for that group: 2
+    for the level and 1 for the two buffers; the previous level and the
+    incoming boundary are freed by then, and the outgoing boundary
+    takes the buffers' place.  numpy's iteration buffers inside a box
+    add at most 192 KiB, three operands of 64 KiB, and never more than
+    one unit.  Then 64 bytes per slot and modulus for the residues and
+    their recombination, and 64 KiB for the call's other small objects.
     """
-    return 8 * 4 * slots * (1 << n) + (1 << 15)
+    planes = max(map(len, _groups(moduli, slots, n)))
+    unit = 8 * planes * slots << n
+    return 3 * unit + min(unit, 3 << 16) + 64 * slots * len(moduli) + (1 << 16)
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
-                bump: Optional[Dict[Box, str]] = None) -> List[int]:
-    """Scaled integer masses per counter slot, one kernel pass per modulus."""
+                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[int]:
+    """Scaled integer masses per counter slot, one kernel pass per group
+    of the plan's moduli."""
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
-    with _budget.reserve(_sweep_bytes(n, slots), f"{slots}-slot sweeps at n={n}"):
-        residues = [_sweep(n, m, factors, allowed, slots, bump) for m in moduli]
+    with _budget.reserve(_sweep_bytes(n, slots, moduli), f"{slots}-slot sweeps at n={n}"):
+        residues = [plane for group in _groups(moduli, slots, n)
+                    for plane in _sweep(n, group, factors, allowed, slots, lifts)]
     garner = _garner(moduli)
     return [_crt(slot, garner) for slot in zip(*residues)]
 
@@ -410,28 +468,29 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
                          given: Optional[ConstraintSet] = None) -> BoxLaw:
     """Law of one cell conditioned on an arbitrary cell event.
 
-    Computed as a ratio of constrained partition sums.  The box holds
-    exactly one of alpha, beta or empty, so the three sums add up to the
-    conditioning event's own.  Conditioning on an impossible event
-    raises.
+    Computed as a ratio of constrained partition sums, all three in one
+    3-slot pass over ``given``'s allowed map: an empty cell at ``box``
+    leaves the count in slot 0, an alpha lifts it to slot 1 and a beta
+    to slot 2.  The box holds exactly one of them, so the three sums
+    add up to the conditioning event's own.  Conditioning on an
+    impossible event raises.
     """
     _check_args(n)
     base = given if given is not None else ConstraintSet.empty(n)
-    values = {
-        name: constrained_partition(
-            n, w, ConstraintSet(base.n, base.items + ((box, req),)))
-        for name, req in (("alpha", Requirement.MUST_ALPHA),
-                          ("beta", Requirement.MUST_BETA),
-                          ("empty", Requirement.MUST_EMPTY))
-    }
-    denominator = sum(values.values())
+    # the box joins the event free, so a box outside it or already constrained raises
+    free = ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))
+    empty, alpha, beta = _masses_crt(n, w, _allowed_map(n, free), slots=3,
+                                     lifts={box: (("A", 1), ("B", 2))})
+    denominator = empty + alpha + beta
     if denominator == 0:
         raise ValueError("conditioning event has probability zero")
-    return BoxLaw(**{name: v / denominator for name, v in values.items()})
+    return BoxLaw(alpha=Fraction(alpha, denominator), beta=Fraction(beta, denominator),
+                  empty=Fraction(empty, denominator))
 
 
-def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, str], int]:
-    """Which boxes bump the counter, and the statistic's largest value.
+def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, Tuple[Tuple[str, int], ...]], int]:
+    """Which codes lift the counter by one at which boxes, and the
+    statistic's largest value.
 
     Caps are structural (see :func:`~staircase_lab.core.second_diag_max_count`
     and :func:`~staircase_lab.core.third_diag_max_count`), and the whole
@@ -439,16 +498,16 @@ def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, str], int]:
     verifies the cap by refusing to overflow it.
     """
     if statistic in ("Nalpha", "Nbeta"):
-        boxes = tuple(staircase_boxes(n))
-        return {box: statistic[1].upper() for box in boxes}, n
+        lift = ((statistic[1].upper(), 1),)
+        return {box: lift for box in staircase_boxes(n)}, n
     if statistic in ("A2", "B2", "X2"):
         boxes, cap = second_diagonal(n), second_diag_max_count(n)
     elif statistic in ("A3", "X3"):
         boxes, cap = third_diagonal(n), third_diag_max_count(n)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    codes = {"A": "A", "B": "B", "X": "AB"}[statistic[0]]
-    return {box: codes for box in boxes}, cap
+    lift = tuple((code, 1) for code in {"A": "A", "B": "B", "X": "AB"}[statistic[0]])
+    return {box: lift for box in boxes}, cap
 
 
 def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
@@ -459,9 +518,8 @@ def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     attempt to spill past it raises rather than miscounting.
     """
     _check_args(n)
-    bump, cap = _statistic_plan(n, statistic)
-    allowed = _allowed_map(n, None)
-    masses = _masses_crt(n, w, allowed, slots=cap + 2, bump=bump)
+    lifts, cap = _statistic_plan(n, statistic)
+    masses = _masses_crt(n, w, _allowed_map(n, None), slots=cap + 2, lifts=lifts)
     total = ScaledWeights.of(w).total_bound(n)
     if sum(masses) != total:
         raise RuntimeError("statistic masses do not add up to the partition total")

@@ -12,10 +12,10 @@ Two interchangeable backends draw from the same measure:
   total weight of ways to finish the tableau from each reachable
   state, computed right to left by the counting engine's kernel over
   its own modulus plan: 2^64, then primes below 2^29 when the scaled
-  total needs more.  For each (n, w), one kernel pass per modulus
-  keeps, for every box, only the reduced counts just after a symbol
-  lands there; the Chinese remainder step combines the moduli where a
-  draw reads them.
+  total needs more.  For each (n, w), the kernel's passes over the
+  plan, as few as its group bound allows, keep for every box only the
+  reduced counts just after a symbol lands there; the Chinese
+  remainder step combines the moduli where a draw reads them.
   Each walker carries its own state's exact count, so an empty box
   takes what the symbol moves leave of it.  The plan covers the
   scaled total, which bounds every count a draw reads.  No rejection
@@ -53,7 +53,8 @@ import numpy as np
 
 from . import _budget
 from .core import Tableau, diagonal_statistic
-from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _sweep
+from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_int, _crt, _garner,
+                      _groups, _sweep)
 from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
@@ -128,7 +129,7 @@ class _ChainTables:
     lands in box (i, j): the column's "symbol above" flag set, and the
     k-th of the dirty-row masks that have row i set, in increasing
     order.  These are the reduced slices the counting kernel reads at
-    each box, and each modulus's pass writes its own row of them;
+    each box; each pass writes the rows of its group of moduli, and
     every other level entry is dropped.  A column of height h keeps
     2^(h-1) masks per box, except column 1: every row enters it clean,
     so box (i, 1) keeps only the 2^(i-1) masks below 2^i, and the
@@ -162,12 +163,14 @@ class _ChainTables:
         allowed = _allowed_map(n, None)
         self.slices: List[List[np.ndarray]] = [[]] + [
             [np.empty(0, dtype=np.uint64)] * (n + 1 - j) for j in range(1, n + 1)]
-        for plane, m in enumerate(self.moduli):
-            def keep(i: int, j: int, counts: np.ndarray, plane: int = plane) -> None:
-                if plane == 0:  # the first pass sizes each box's slice
-                    self.slices[j][i - 1] = np.empty((plan, counts.size), dtype=np.uint64)
-                self.slices[j][i - 1][plane] = counts.reshape(-1)
-            _sweep(n, m, factors, allowed, keep=keep)
+        first = 0
+        for group in _groups(self.moduli, 1, n):
+            def keep(i: int, j: int, counts: np.ndarray, first: int = first) -> None:
+                if first == 0:  # the first pass sizes each box's slice
+                    self.slices[j][i - 1] = np.empty((plan, counts[0].size), dtype=np.uint64)
+                self.slices[j][i - 1][first:first + len(counts)] = counts.reshape(len(counts), -1)
+            _sweep(n, group, factors, allowed, keep=keep)
+            first += len(group)
 
     def after(self, j: int, i: int, mask: int) -> int:
         """The exact completion count, at the q^(2n) scale, just after a
@@ -192,14 +195,21 @@ def _chain_bytes(n: int, w: Weights) -> int:
     In units of 8 bytes: ``plan * h * 2^(h-1)`` kept per column of
     height h below n, and ``plan * (2^n - 1)`` in column 1, so
     ``plan * n * 2^(n-1)`` in all, allocated by the first pass, and
-    3 * 2^n for one single-slot pass: its level and two buffers, which
-    with one slot need no numpy iteration buffers beside them.  Then
-    320 bytes per box for its slice's array object and its entry in
-    the allowed map, and 16 KiB for the other small objects.
+    3 * planes * 2^n for one single-slot pass over the largest group of
+    ``planes`` moduli: its level and two buffers.  A single plane needs
+    no numpy iteration buffers beside them; several planes broadcast
+    their factors and moduli, and numpy buffers that iteration in at
+    most 192 KiB, as the counting passes do, and in no more than
+    ``planes * 2^n`` entries.  Then 320 bytes per box for its slice's
+    array object and its entry in the allowed map, 512 bytes per
+    modulus for the factors, moduli and Garner constants each plane
+    carries, and 16 KiB for the other small objects.
     """
-    plan = len(ScaledWeights.of(w).moduli(n))
-    return (8 * (plan * n * (1 << (n - 1)) + 3 * (1 << n))
-            + 320 * n * (n + 1) // 2 + (1 << 14))
+    moduli = ScaledWeights.of(w).moduli(n)
+    planes = max(map(len, _groups(moduli, 1, n)))
+    iteration = min(3 << 16, 8 * planes << n) if planes > 1 else 0
+    return (8 * (len(moduli) * n * (1 << (n - 1)) + 3 * planes * (1 << n)) + iteration
+            + 320 * n * (n + 1) // 2 + 512 * len(moduli) + (1 << 14))
 
 
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
@@ -255,9 +265,7 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
 # public surface
 
 def _check_count(count: int, name: str) -> None:
-    # a bool is an int to isinstance, and True would draw one sample
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"{name} must be an int, got {count!r}")
+    _check_int(count, name)
     if count < 1:
         raise ValueError(f"need at least one sample, got {name}={count}")
 
@@ -271,6 +279,7 @@ def sample(n: int, w: Weights, rng: random.Random,
 def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
     """Draw a batch, walking all samples through each column together."""
+    _check_int(n, "size")
     _check_count(count, "count")
     if method == "enum_alias":
         if not 1 <= n <= N_ENUM:

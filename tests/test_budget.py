@@ -49,7 +49,12 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
     ledger = fresh_ledger()
     sampler.sample(n, w, random.Random(0))
     kept = ledger.held
-    sweep = dpcount._sweep_bytes(n, dpcount._statistic_plan(n, statistic)[1] + 2)
+    # one grouped pass, all the plan's planes at once, and its reservation
+    moduli = dpcount.ScaledWeights.of(w).moduli(n)
+    slots = dpcount._statistic_plan(n, statistic)[1] + 2
+    assert dpcount._groups(moduli, slots, n) == [moduli] and len(moduli) > 1
+    sweep = dpcount._sweep_bytes(n, slots, moduli)
+    assert sweep > dpcount._sweep_bytes(n, slots, moduli[:1])
     assert kept == sampler._chain_bytes(n, w) and ledger.reserved == 0
     # the sweep fits the budget alone, but not beside the kept table
     monkeypatch.setattr(_budget, "_MEM_BUDGET", sweep + kept // 2)
@@ -58,20 +63,25 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
 
 
 def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
-    ledger = fresh_ledger()
-    sampler.sample(8, Weights(1, 1), random.Random(0))
-    before = dict(ledger.kept)
-    monkeypatch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1) - 1)
-    with pytest.raises(ValueError, match="GB"):
-        dpcount.constrained_partition(8, Weights(1, 1))
-    assert ledger.kept == before and ledger.reserved == 0
+    # one plane, then a plan of three that one grouped pass runs together
+    for w, planes in ((Weights(1, 1), 1), (Weights(F(13, 7), F(1000, 3)), 3)):
+        ledger = fresh_ledger()
+        sampler.sample(8, w, random.Random(0))
+        before = dict(ledger.kept)
+        moduli = dpcount.ScaledWeights.of(w).moduli(8)
+        assert len(moduli) == planes and dpcount._groups(moduli, 1, 8) == [moduli]
+        with monkeypatch.context() as patch:
+            patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli) - 1)
+            with pytest.raises(ValueError, match="GB"):
+                dpcount.constrained_partition(8, w)
+        assert ledger.kept == before and ledger.reserved == 0
 
 
 def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh_ledger):
     weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(F(13, 7), F(1000, 3))]
     jobs = [("chain_rule", n, w) for n in (8, 9, 10) for w in weights]
     jobs += [("enum_alias", 6, w) for w in weights]
-    jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (9, 10)
+    jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (8, 9)
              for w in weights]
     jobs += [("cell", 8, w) for w in weights]
 
@@ -86,8 +96,9 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
 
     serial = [run(k) for k in range(len(jobs))]
     workers = 4
-    sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2)
-                for s, n, _ in jobs if s in ("X2", "Nalpha"))
+    sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2,
+                                     dpcount.ScaledWeights.of(w).moduli(n))
+                for s, n, w in jobs if s in ("X2", "Nalpha"))
     # room for every other worker's sweep beside the largest nested build,
     # and too little to keep every table: builds evict, none is refused
     budget = ((workers - 1) * sweep + enumeration._list_bytes(6)

@@ -243,7 +243,8 @@ def test_asep_verify_rejects_bad_rates(runner):
 def test_selftest_passes(runner):
     out = run(runner, "selftest")
     lines = out.splitlines()
-    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
+    assert len(lines) == 9 and all(line.startswith("ok ") for line in lines)
+    assert "ok conditional_laws_match_oracle" in lines
 
 
 def test_selftest_exits_three_on_mismatch(runner, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,8 +15,8 @@ from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
 from staircase_lab._budget import _MEM_BUDGET
-from staircase_lab.dpcount import (_PRIME_LIMIT, N_DP, ScaledWeights,
-                                   _crt, _garner, _is_prime, _primes_covering,
+from staircase_lab.dpcount import (_GROUP_ENTRIES, _PRIME_LIMIT, N_DP, ScaledWeights,
+                                   _crt, _garner, _groups, _is_prime, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
                                    statistic_pmf)
@@ -252,12 +253,77 @@ def test_conditional_cell_law_matches_fractions_engine():
                 assert got.alpha + got.beta + got.empty == 1
 
 
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_three_slot_cell_law_matches_fractions_at_the_edges(n):
+    # column 1, where the kernel skips unreachable states; the main
+    # diagonal, where a box must fill; and (1, n), the last box of the
+    # first row, each under events on boxes before and after it
+    rng = random.Random(n)
+    edges = [(1, 1), (2, 1), (n, 1), (n // 2, n + 1 - n // 2), (1, n)]
+    for w in (Weights(F(2, 7), F(5, 3)), Weights(F(13, 7), F(1000, 3)), Weights(0, F(1, 2))):
+        for box in edges:
+            others = [b for b in staircase_boxes(n) if b != box]
+            for _ in range(3):
+                given = ConstraintSet.of(n, {b: rng.choice((R.MUST_NONEMPTY, R.MUST_ALPHA,
+                                                            R.MUST_BETA, R.MUST_EMPTY))
+                                             for b in rng.sample(others, 2)})
+                want = fractions_cell_law(n, w, box, given)
+                if want is None:
+                    with pytest.raises(ValueError, match="probability zero"):
+                        conditional_cell_law(n, w, box, given)
+                    continue
+                got = conditional_cell_law(n, w, box, given)
+                assert (got.alpha, got.beta, got.empty) == want, (w, box, given)
+
+
+def test_conditional_cell_law_errors_are_unchanged():
+    w = Weights(1, 2)
+    given = ConstraintSet.of(5, {(2, 2): R.MUST_ALPHA})
+    cases = [
+        (5, (2, 2), given, "box (2, 2) is constrained twice"),
+        (5, (4, 3), given, "box (4, 3) lies outside the size-5 staircase"),
+        (5, (0, 1), None, "box (0, 1) lies outside the size-5 staircase"),
+        (6, (1, 1), given, "constraints built for size 5, not 6"),
+        # outside the size given was built for, though inside n's
+        (6, (1, 6), given, "box (1, 6) lies outside the size-5 staircase"),
+        (6, (1, 1), ConstraintSet.of(6, {(1, 6): R.MUST_EMPTY}),
+         "conditioning event has probability zero"),
+        # a beta needs every box left of it in its row empty
+        (5, (2, 1), ConstraintSet.of(5, {(1, 2): R.MUST_BETA, (1, 3): R.MUST_BETA}),
+         "conditioning event has probability zero"),
+    ]
+    for n, box, event, text in cases:
+        with pytest.raises(ValueError) as info:
+            conditional_cell_law(n, w, box, event)
+        assert str(info.value) == text, (n, box, event)
+        assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", None])
+def test_a_size_that_is_not_an_int_is_refused(size):
+    w = Weights(1, 1)
+    calls = [lambda: constrained_partition(size, w),
+             lambda: event_prob(size, w, ConstraintSet.empty(2)),
+             lambda: statistic_pmf(size, w, "A2"),
+             lambda: conditional_cell_law(size, w, (1, 1))]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"size must be an int, got {re.escape(repr(size))}"):
+            call()
+
+
+def _largest_group(n, w, slots):
+    return max(map(len, _groups(ScaledWeights.of(w).moduli(n), slots, n)))
+
+
 def test_counting_memory_estimate_is_tight():
     # the budget check's estimate against the traced peak of the whole call
+    sizes = set()
     for n in (10, 11, 12, 13):
         for statistic in ("Nalpha", "A2"):
-            estimate = _sweep_bytes(n, _statistic_plan(n, statistic)[1] + 2)
+            slots = _statistic_plan(n, statistic)[1] + 2
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
+                sizes.add(_largest_group(n, w, slots))
+                estimate = _sweep_bytes(n, slots, ScaledWeights.of(w).moduli(n))
                 tracemalloc.start()
                 try:
                     statistic_pmf(n, w, statistic)
@@ -265,10 +331,26 @@ def test_counting_memory_estimate_is_tight():
                 finally:
                     tracemalloc.stop()
                 assert peak <= estimate <= 1.3 * peak, (n, statistic, w, peak, estimate)
-    # so A2 fits the budget at n = 21, while Nalpha stops at n = 20
-    slots = {s: _statistic_plan(21, s)[1] + 2 for s in ("A2", "Nalpha")}
-    assert _sweep_bytes(21, slots["A2"]) <= _MEM_BUDGET < _sweep_bytes(21, slots["Nalpha"])
-    assert _sweep_bytes(20, _statistic_plan(20, "Nalpha")[1] + 2) <= _MEM_BUDGET
+    assert {1, 2, 3, 4, 5} <= sizes  # single planes and groups of two to five
+    # past the group bound every pass runs one plane; so the budget admits
+    # the diagonal statistics up to n = 22, and Nalpha up to n = 21
+    assert _largest_group(18, Weights(F(13, 7), F(1000, 3)), 1) == 1
+    one = (2 ** 64,)
+    slots = {s: _statistic_plan(22, s)[1] + 2 for s in ("X2", "Nalpha")}
+    assert _sweep_bytes(22, slots["X2"], one) <= _MEM_BUDGET < _sweep_bytes(22, slots["Nalpha"], one)
+    assert _sweep_bytes(21, _statistic_plan(21, "Nalpha")[1] + 2, one) <= _MEM_BUDGET
+
+
+def test_groups_cut_the_plan_in_order_under_the_bound():
+    plan = ScaledWeights.of(Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))).moduli(12)
+    assert len(plan) == 25
+    for n, slots in ((6, 1), (10, 7), (12, 1), (12, 8), (13, 15), (15, 9), (18, 1)):
+        groups = _groups(plan, slots, n)
+        assert sum(groups, ()) == plan
+        sizes = [len(g) for g in groups]
+        assert max(sizes) - min(sizes) <= 1
+        largest = max(1, _GROUP_ENTRIES // (slots << n))
+        assert max(sizes) <= largest and len(groups) == -(-len(plan) // largest)
 
 
 def test_prime_limit_leaves_room_for_unreduced_products():
@@ -390,10 +472,13 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
                 oracle_statistic_pmf(n, w, statistic), (n, statistic)
 
 
-def _reference_sweep(n, m, factors, allowed, slots=1, bump=None, keep=None):
+def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None, keep=None):
     """The counting pass as it stood before column 1 skipped unreachable
-    states and moves were merged: every box updates the whole level,
-    one product per move.  Kept as the reference the kernel must match."""
+    states, moves were merged and moduli were stacked as planes: one
+    modulus, every box updates every slot of the whole level, one
+    product per move.  A symbol of a code that ``lifts`` names at a box
+    moves the count up that many slots.  Kept as the reference the
+    kernel must match."""
     moves = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
     modulus = None if m == 2 ** 64 else np.uint64(m)
     facs = [[np.uint64(f % m) for f in four] for four in factors]
@@ -405,7 +490,7 @@ def _reference_sweep(n, m, factors, allowed, slots=1, bump=None, keep=None):
         buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
         for i in range(height, 0, -1):
             codes, fac = allowed[(i, j)], facs[i == height]
-            lifted = bump.get((i, j), "") if bump else ""
+            up = dict(lifts.get((i, j), ())) if lifts else {}
             seg, half = 1 << (height - i), 1 << (i - 1)
             view = level.reshape(slots, 2, seg, 2, half)
             src, step = buffers.reshape(2, slots, seg, half)
@@ -420,12 +505,10 @@ def _reference_sweep(n, m, factors, allowed, slots=1, bump=None, keep=None):
                 if code not in codes:
                     continue
                 np.multiply(src, fac[k], out=step)
-                if code not in lifted:
-                    view[:, above, :, bit, :] += step
-                elif src[-1].any():
+                lift = up.get(code, 0)
+                if src[slots - lift:].any():
                     raise RuntimeError("statistic counter overflowed its cap")
-                else:
-                    view[1:, above, :, bit, :] += step[:-1]
+                view[lift:, above, :, bit, :] += step[:slots - lift]
         boundary = level[:, 0, :].copy()
         if modulus is not None:
             np.remainder(boundary, modulus, out=boundary)
@@ -434,39 +517,96 @@ def _reference_sweep(n, m, factors, allowed, slots=1, bump=None, keep=None):
 
 #: Weights for the kernel's differential test: unit and integer factors
 #: (q = 1, so "1" moves take no product), q > 1 with unequal
-#: factors, a zero on either side, and factors far above every plan prime.
+#: factors, a zero on either side, and factors far above every plan
+#: prime.  The last two have factors that vanish or reduce to 1 modulo
+#: a plan prime without being 0 or 1: b = 536870909 is the first plan
+#: prime, so alpha-clean is 0 modulo it and alpha-clean plus beta-topmost
+#: is 1; 536870879, the second, divides every off-diagonal factor of
+#: a = 1/536870879, and the merged diagonal factor pb + pa is 1 modulo it.
 KERNEL_WEIGHTS = [Weights(1, 1), Weights(5, 7), Weights(F(13, 7), F(1000, 3)),
                   Weights(F(2, 3), F(5, 4)), Weights(0, F(3, 7)), Weights(F(5, 2), 0),
-                  Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))]
+                  Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1)),
+                  Weights(1, 536870909), Weights(F(1, 536870879), 1)]
+
+
+def _kernel_cases(n, rng):
+    """(allowed map, lifts, slots) for the differential test: random
+    constraints under no lift, each statistic's plan and the 3-slot cell
+    law at a free box."""
+    for _ in range(3):
+        given = _random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
+        allowed = dpcount._allowed_map(n, given)
+        yield allowed, None, 1
+        for statistic in STATISTIC_NAMES:
+            lifts, cap = _statistic_plan(n, statistic)
+            yield allowed, lifts, cap + 2
+        free = [box for box in staircase_boxes(n) if box not in given.as_dict()]
+        if free:
+            yield allowed, {rng.choice(free): (("A", 1), ("B", 2))}, 3
 
 
 @pytest.mark.parametrize("w", KERNEL_WEIGHTS)
 def test_kernel_matches_the_reference_pass(w):
     # every modulus of the plan and a foreign prime small enough that
-    # merged factors such as q * (pa + pb) often vanish or reduce to 1
+    # merged factors such as q * (pa + pb) often vanish or reduce to 1,
+    # run alone, in runs of two and all together in one pass
     rng = random.Random(str(w))
     scaled = ScaledWeights.of(w)
     for n in range(1, 8):
-        bumps = [(None, 1)] + [(bump, cap + 2) for bump, cap in
-                               (_statistic_plan(n, s) for s in STATISTIC_NAMES)]
-        for _ in range(3):
-            given = _random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
-            allowed = dpcount._allowed_map(n, given)
-            for bump, slots in bumps:
-                for m in scaled.moduli(n) + (7,):
-                    kept, reference = {}, {}
-                    got = dpcount._sweep(
-                        n, m, scaled.factors(), allowed, slots, bump,
-                        lambda i, j, counts: kept.__setitem__((i, j), counts.copy()))
-                    want = _reference_sweep(
-                        n, m, scaled.factors(), allowed, slots, bump,
-                        lambda i, j, counts: reference.__setitem__((i, j), counts.copy()))
-                    assert got == want, (n, m, given, bump)
-                    assert kept.keys() == reference.keys()
+        plan = scaled.moduli(n)
+        moduli = plan + (7,)
+        groups = ([(m,) for m in moduli] + [moduli[k:k + 2] for k in range(0, len(moduli), 2)]
+                  + [plan, moduli])
+        for allowed, lifts, slots in _kernel_cases(n, rng):
+            want, reference = {}, {}
+            for m in moduli:
+                reference[m] = {}
+                want[m] = _reference_sweep(
+                    n, m, scaled.factors(), allowed, slots, lifts,
+                    lambda i, j, counts, m=m: reference[m].__setitem__((i, j), counts.copy()))
+            for group in groups:
+                kept = {}
+                got = dpcount._sweep(
+                    n, group, scaled.factors(), allowed, slots, lifts,
+                    lambda i, j, counts: kept.__setitem__((i, j), counts.copy()))
+                assert got == [want[m] for m in group], (n, group, allowed, lifts)
+                for plane, m in enumerate(group):
+                    assert kept.keys() == reference[m].keys()
                     for (i, j), counts in kept.items():
-                        # column 1 holds only the masks below 2^i: high = 0
-                        full = reference[(i, j)][:, :1] if j == 1 else reference[(i, j)]
-                        assert np.array_equal(counts, full), (n, m, i, j)
+                        # column 1 holds only the masks below 2^i: high = 0;
+                        # slots past those that may hold mass so far hold none
+                        full = reference[m][(i, j)][:, :1] if j == 1 else reference[m][(i, j)]
+                        live = counts.shape[1]
+                        assert np.array_equal(counts[plane], full[:live]), (n, m, i, j)
+                        assert not full[live:].any(), (n, m, i, j)
+
+
+def test_kernel_matches_the_reference_on_a_wrap_only_plan():
+    # at n = 9 the 2^64 plane alone carries every count of (50, 50)
+    n, w = AROUND_WRAP[0]
+    scaled = ScaledWeights.of(w)
+    assert scaled.moduli(n) == (2 ** 64,)
+    rng = random.Random(9)
+    for allowed, lifts, slots in _kernel_cases(n, rng):
+        want = _reference_sweep(n, 2 ** 64, scaled.factors(), allowed, slots, lifts)
+        assert dpcount._sweep(n, (2 ** 64,), scaled.factors(), allowed, slots, lifts) == [want]
+
+
+@pytest.mark.parametrize("w", KERNEL_WEIGHTS[-2:])
+def test_factors_congruent_to_zero_or_one_match_independent_routes(w):
+    scaled = ScaledWeights.of(w)
+    n = 6
+    plan = scaled.moduli(n)
+    off, on = scaled.factors()
+    # single and merged factors above 1, some of them 0 and 1 modulo a plan prime
+    merged = [f for f in (off[0], off[1], off[0] + off[2], on[0], on[0] + on[2]) if f > 1]
+    assert {0, 1} <= {f % p for f in merged for p in plan[1:]}
+    assert constrained_partition(n, w) == partition_closed(n, w)
+    for statistic in STATISTIC_NAMES:
+        assert statistic_pmf(n, w, statistic) == oracle_statistic_pmf(n, w, statistic), statistic
+    for box in ((1, 1), (2, 3), (1, n), (n, 1)):
+        law, direct = conditional_cell_law(n, w, box), box_law(n, w, box)
+        assert (law.alpha, law.beta, law.empty) == (direct.alpha, direct.beta, direct.empty)
 
 
 @pytest.mark.parametrize("statistic", ["Nalpha", "X2"])

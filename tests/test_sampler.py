@@ -258,24 +258,32 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
         sample(8, w, random.Random(0))
 
 
+#: A plan of 53 moduli at n = 13, which the chain tables run in two
+#: groups: every level of a pass stays under the kernel's group bound.
+SPLIT_PLAN = Weights(F(1, 2 ** 61 - 1), F(7, 3 * 2 ** 60 + 1))
+
+
 def test_warm_chain_call_runs_no_kernel_pass(monkeypatch, fresh_ledger):
     passes = []
     kernel = sampler._sweep
 
-    def counted(n, m, *rest, **kwargs):
-        passes.append(m)
-        return kernel(n, m, *rest, **kwargs)
+    def counted(n, moduli, *rest, **kwargs):
+        passes.append(moduli)
+        return kernel(n, moduli, *rest, **kwargs)
 
     monkeypatch.setattr(sampler, "_sweep", counted)
-    fresh_ledger()
-    n, w = 9, Weights(F(13, 7), F(1000, 3))
-    moduli = dpcount.ScaledWeights.of(w).moduli(n)
-    assert len(moduli) > 1
-    first = sample_many(n, w, random.Random(1), 5)
-    assert passes == list(moduli)  # one pass per modulus
-    passes.clear()
-    assert sample_many(n, w, random.Random(1), 5) == first
-    assert passes == []
+    # a plan of three in one pass, then one of 53 in two
+    for n, w, groups in ((9, Weights(F(13, 7), F(1000, 3)), 1), (13, SPLIT_PLAN, 2)):
+        fresh_ledger()
+        moduli = dpcount.ScaledWeights.of(w).moduli(n)
+        assert len(moduli) > 1
+        first = sample_many(n, w, random.Random(1), 5)
+        # one pass per group, the groups in plan order
+        assert passes == dpcount._groups(moduli, 1, n) and sum(passes, ()) == moduli
+        assert len(passes) == groups
+        passes.clear()
+        assert sample_many(n, w, random.Random(1), 5) == first
+        assert passes == []
 
 
 def _chain_keys(ledger):
@@ -317,8 +325,11 @@ def test_budget_evicts_before_it_refuses(monkeypatch, fresh_ledger):
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
-@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3)), WEIGHTS[-1]])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3)), WEIGHTS[-1],
+                               SPLIT_PLAN])
 def test_chain_memory_estimate_is_tight(n, w):
+    # one plane, one group of 4 or 5, one of 21 to 27, and a plan of 40
+    # to 53 moduli, in one group up to n = 12 and in two of 26 and 27 at 13
     tracemalloc.start()
     try:
         sampler._ChainTables(n, w)
@@ -419,6 +430,13 @@ def test_method_and_size_validation():
                 sample_many(3, w, rng, bad, method)
         with pytest.raises(ValueError, match=f"samples must be an int, got {bad!r}"):
             empirical_pmf(3, w, "X2", bad, rng)
+    # a size that is a bool or not an int: True once drew size-1 tableaux
+    for bad in (True, 2.0, "3"):
+        for method in ("enum_alias", "chain_rule"):
+            with pytest.raises(ValueError, match=f"size must be an int, got {bad!r}"):
+                sample_many(bad, w, rng, 2, method)
+            with pytest.raises(ValueError, match=f"size must be an int, got {bad!r}"):
+                sample(bad, w, rng, method)
 
 
 def test_randomize_four_params_flips_exactly():
