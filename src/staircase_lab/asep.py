@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _budget
 from .core import Tableau
-from .measure import _as_fraction
+from .measure import _as_fraction, _check_int
 from .pmf import Pmf
 
 CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
@@ -86,6 +86,12 @@ class AsepParams:
 
     def as_dict(self) -> Dict[str, str]:
         return {name: str(getattr(self, name)) for name in _RATE_NAMES}
+
+
+def _check_size(n: int) -> None:
+    _check_int(n, "size")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
 
 
 def _check_convention(convention: str) -> None:
@@ -212,8 +218,7 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
     significant bit of the index.
     """
     _check_convention(convention)
-    if not 1 <= n <= _N_MAX:
-        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
+    _check_size(n)
     ra, rb, rg, rd, ru, rq = _integer_rates(p)
     gamma_bit = int(convention == "paper_alpha_gamma")
     filled = {"A": 1, "G": gamma_bit, "B": 0, "D": 1 - gamma_bit}
@@ -419,8 +424,7 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     masses are within reach of the reconstruction, so a further miss
     raises ``RuntimeError``.
     """
-    if not 1 <= n <= _N_MAX:
-        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
+    _check_size(n)
     size = 1 << n
     rates = _integer_rates(p)
     moves = []
@@ -487,8 +491,7 @@ def cross_validate(n: int, p: AsepParams,
     and unit u is where they are claimed to coincide.  The report is
     JSON-ready, and a mismatch is an outcome, not an error.
     """
-    if not 1 <= n <= _N_MAX:
-        raise ValueError(f"cross-validation supports sizes 1..{_N_MAX}, got {n}")
+    _check_size(n)
     for convention in conventions:
         _check_convention(convention)
     scaled = p.unit_u()

@@ -32,9 +32,9 @@ are practical.  Two independent passes cover it:
   share one product, so an entry takes at most two products per box.
   Column 1 is the first column a tableau fills, so all rows enter it
   clean and its box i only works on the 2^i masks below 2^i.  Exact,
-  with no modular inversions of data values.  The chain-rule sampler
-  runs the same passes over the same plan and keeps the slices they
-  read.
+  with no modular inversions of data values.  :func:`_masses_crt`
+  alone runs the passes; the chain-rule sampler keeps, through it,
+  the slices they read.
 * :func:`_partition_fractions`: a left-to-right dictionary sweep in
   exact rational arithmetic, simple enough to audit by eye; it shares
   no code with the kernel, and the tests hold the kernel to it at
@@ -50,6 +50,7 @@ before it allocates.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import defaultdict
@@ -64,7 +65,7 @@ from .constraints import ConstraintSet, Requirement
 from .core import (Box, second_diag_max_count, second_diagonal, staircase_boxes,
                    third_diag_max_count, third_diagonal)
 from .formulas import BoxLaw
-from .measure import Weights
+from .measure import Weights, _check_int
 from .pmf import Pmf
 
 #: Largest size the counting kernel accepts; 2^22 states per column is
@@ -217,12 +218,6 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
             codes &= c.allowed_cells(box)
         out[box] = "".join(sorted(codes))
     return out
-
-
-def _check_int(value: int, name: str) -> None:
-    # a bool is an int to isinstance, and True would pass as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_args(n: int) -> None:
@@ -416,30 +411,39 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
 
 def _sweep_bytes(n: int, slots: int, moduli: Sequence[int]) -> int:
     """Peak bytes of the counting passes over the plan ``moduli``,
-    reached in column 1 of a pass over its largest group.
+    reached in column 1 of a pass over its largest group: the one model
+    of a pass, which every caller of :func:`_masses_crt` reserves.
 
     In units of ``8 * planes * slots * 2^n`` bytes for that group: 2
     for the level and 1 for the two buffers; the previous level and the
     incoming boundary are freed by then, and the outgoing boundary
-    takes the buffers' place.  numpy's iteration buffers inside a box
-    add at most 192 KiB, three operands of 64 KiB, and never more than
-    one unit.  Then 64 bytes per slot and modulus for the residues and
-    their recombination, and 64 KiB for the call's other small objects.
+    takes the buffers' place.  A pass of one plane and one slot runs
+    without numpy iteration buffers; any other may buffer the three
+    operands of a box's moves, each at most 64 KiB and half a unit.
+    Then 64 bytes per slot and modulus for the residues and their
+    recombination, 192 bytes per box for the allowed map and the merged
+    moves, and 8 KiB for the call's other small objects.
     """
     planes = max(map(len, _groups(moduli, slots, n)))
     unit = 8 * planes * slots << n
-    return 3 * unit + min(unit, 3 << 16) + 64 * slots * len(moduli) + (1 << 16)
+    iteration = min(3 * unit // 2, 3 << 16) if planes * slots > 1 else 0
+    return 3 * unit + iteration + 64 * slots * len(moduli) + 96 * n * (n + 1) + (1 << 13)
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
-                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[int]:
+                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None,
+                keep: Optional[Callable[[int, int, int, np.ndarray], None]] = None) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
-    of the plan's moduli."""
+    of the plan's moduli.  ``keep(first, i, j, counts)`` sees what
+    :func:`_sweep`'s ``keep`` sees, ``first`` the plan index of the
+    group's first modulus."""
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
+    residues: List[List[int]] = []
     with _budget.reserve(_sweep_bytes(n, slots, moduli), f"{slots}-slot sweeps at n={n}"):
-        residues = [plane for group in _groups(moduli, slots, n)
-                    for plane in _sweep(n, group, factors, allowed, slots, lifts)]
+        for group in _groups(moduli, slots, n):
+            residues += _sweep(n, group, factors, allowed, slots, lifts,
+                               keep and functools.partial(keep, len(residues)))
     garner = _garner(moduli)
     return [_crt(slot, garner) for slot in zip(*residues)]
 

@@ -48,6 +48,12 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
     raise TypeError(f"{what} must be a rational number, got {value!r}")
 
 
+def _check_int(value: int, name: str) -> None:
+    # a bool is an int to isinstance, and True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def rising_factorial(x: Fraction, k: int) -> Fraction:
     """``x (x+1) ... (x+k-1)``; the empty product for ``k = 0``."""
     if k < 0:

@@ -30,7 +30,7 @@ import mpmath
 
 from . import dpcount
 from .core import second_diag_max_count, third_diag_max_count
-from .measure import Weights, _as_fraction
+from .measure import Weights, _as_fraction, _check_int
 from .pmf import Pmf, _over_common_denominator
 
 #: Limit law rates: symbol counts on either diagonal tend to
@@ -119,6 +119,7 @@ def _invert(c: Sequence[int], L: int) -> Pmf:
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    _check_int(n, "size")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 1 <= R <= max_count(n) + 1:
@@ -181,6 +182,7 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     inversion, which works at any size; the rest need the counting
     engine and inherit its size limit.
     """
+    _check_int(n, "size")
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
     if statistic in ("A2", "B2", "X2"):
@@ -280,7 +282,9 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str,
     that contradicts that pairing is rejected rather than silently
     gauged against the wrong target.
     """
-    ns = [int(n) for n in ns]
+    ns = list(ns)
+    for n in ns:
+        _check_int(n, "size")
     if not ns or any(n < 1 for n in ns):
         raise ValueError("ns must be a nonempty list of positive sizes")
     rate = POISSON_RATES.get(statistic)

@@ -12,10 +12,10 @@ Two interchangeable backends draw from the same measure:
   total weight of ways to finish the tableau from each reachable
   state, computed right to left by the counting engine's kernel over
   its own modulus plan: 2^64, then primes below 2^29 when the scaled
-  total needs more.  For each (n, w), the kernel's passes over the
-  plan, as few as its group bound allows, keep for every box only the
-  reduced counts just after a symbol lands there; the Chinese
-  remainder step combines the moduli where a draw reads them.
+  total needs more.  For each (n, w), one run of the counting engine's
+  passes over the plan keeps for every box only the reduced counts
+  just after a symbol lands there; the Chinese remainder step combines
+  the moduli where a draw reads them.
   Each walker carries its own state's exact count, so an empty box
   takes what the symbol moves leave of it.  The plan covers the
   scaled total, which bounds every count a draw reads.  No rejection
@@ -23,9 +23,11 @@ Two interchangeable backends draw from the same measure:
   exact number of weighted continuations.
 
 Both backends keep their tables in the process's one memory ledger,
-up to eight (n, w) keys each, so a warm call builds nothing.  A build
-that does not fit the one budget, beside the running sweeps, first
-evicts the least recently used tables of every holder.
+up to eight (n, w) keys each, so a warm call builds nothing.  A kept
+table is charged the bytes it keeps; a ``chain_rule`` build's passes
+reserve their own while they run, as every counting pass does.  A
+build that does not fit the one budget, beside the running passes,
+first evicts the least recently used tables of every holder.
 
 Both backends take the caller's :class:`random.Random` stream, so a
 seed pins down the whole sample sequence.  Batch draws walk all
@@ -53,10 +55,9 @@ import numpy as np
 
 from . import _budget
 from .core import Tableau, diagonal_statistic
-from .dpcount import (_MOVES, N_DP, ScaledWeights, _allowed_map, _check_int, _crt, _garner,
-                      _groups, _sweep)
+from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
 from .enumeration import N_ENUM, all_tableaux
-from .measure import FourWeights, Weights
+from .measure import FourWeights, Weights, _check_int
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
@@ -124,16 +125,11 @@ def _weigh(moves: List[Tuple[int, str]]) -> Tuple[int, List[Tuple[int, str]], st
 class _ChainTables:
     """Completion counts after every symbol move, for one (n, w).
 
-    ``slices[j][i - 1][plane, k]`` is, modulo ``moduli[plane]``, the
-    weighted number of ways to finish the tableau just after a symbol
-    lands in box (i, j): the column's "symbol above" flag set, and the
-    k-th of the dirty-row masks that have row i set, in increasing
-    order.  These are the reduced slices the counting kernel reads at
-    each box; each pass writes the rows of its group of moduli, and
-    every other level entry is dropped.  A column of height h keeps
-    2^(h-1) masks per box, except column 1: every row enters it clean,
-    so box (i, 1) keeps only the 2^(i-1) masks below 2^i, and the
-    index ``(mask >> i) << (i-1) | low`` stays below that.
+    ``slices[j][i - 1]`` holds, one row per modulus of the plan, the
+    counts that :func:`~staircase_lab.dpcount._sweep` hands its ``keep``
+    at box (i, j), flattened, so the state with dirty-row mask ``mask``
+    sits at ``(mask >> i) << (i-1) | low``; one run of
+    :func:`~staircase_lab.dpcount._masses_crt` over the plan fills them.
     The kernel's diagonal factors carry no q, so a slice holds the
     count scaled by q^n less one q per diagonal box still to fill.
     :meth:`after` reads one entry per plane, combines the planes with
@@ -151,26 +147,23 @@ class _ChainTables:
         self.n = n
         scaled = ScaledWeights.of(w)
         self.q, self.total = scaled.q, scaled.total_bound(n) * scaled.q ** n
-        self.moduli, factors = scaled.moduli(n), scaled.factors()
+        self.moduli, self.factors = scaled.moduli(n), scaled.factors()[0]
         self.garner = _garner(self.moduli)
-        self.factors = factors[0]
         # a move of factor 0 never lands, and past it the plan need not cover the count
         self.weighs = [[_weigh([(self.factors[k], code) for code, k in moves
                                 if self.factors[k]]) for moves in by_bit]
                        for by_bit in _OPEN_MOVES]
         self.powers = [scaled.q ** d for d in range(n + 1)]
         plan = len(self.moduli)
-        allowed = _allowed_map(n, None)
         self.slices: List[List[np.ndarray]] = [[]] + [
             [np.empty(0, dtype=np.uint64)] * (n + 1 - j) for j in range(1, n + 1)]
-        first = 0
-        for group in _groups(self.moduli, 1, n):
-            def keep(i: int, j: int, counts: np.ndarray, first: int = first) -> None:
-                if first == 0:  # the first pass sizes each box's slice
-                    self.slices[j][i - 1] = np.empty((plan, counts[0].size), dtype=np.uint64)
-                self.slices[j][i - 1][first:first + len(counts)] = counts.reshape(len(counts), -1)
-            _sweep(n, group, factors, allowed, keep=keep)
-            first += len(group)
+
+        def keep(first: int, i: int, j: int, counts: np.ndarray) -> None:
+            if first == 0:  # the first pass sizes each box's slice
+                self.slices[j][i - 1] = np.empty((plan, counts[0].size), dtype=np.uint64)
+            self.slices[j][i - 1][first:first + len(counts)] = counts.reshape(len(counts), -1)
+        if _masses_crt(n, w, _allowed_map(n, None), 1, keep=keep) != [scaled.total_bound(n)]:
+            raise RuntimeError("chain-rule tables do not add up to the partition total")
 
     def after(self, j: int, i: int, mask: int) -> int:
         """The exact completion count, at the q^(2n) scale, just after a
@@ -189,27 +182,20 @@ class _ChainTables:
 
 
 def _chain_bytes(n: int, w: Weights) -> int:
-    """Peak bytes of a :class:`_ChainTables` build, reached in column 1
-    of a pass.
+    """Bytes a :class:`_ChainTables` keeps: the charge it holds in the
+    ledger for as long as it is kept.
 
-    In units of 8 bytes: ``plan * h * 2^(h-1)`` kept per column of
-    height h below n, and ``plan * (2^n - 1)`` in column 1, so
-    ``plan * n * 2^(n-1)`` in all, allocated by the first pass, and
-    3 * planes * 2^n for one single-slot pass over the largest group of
-    ``planes`` moduli: its level and two buffers.  A single plane needs
-    no numpy iteration buffers beside them; several planes broadcast
-    their factors and moduli, and numpy buffers that iteration in at
-    most 192 KiB, as the counting passes do, and in no more than
-    ``planes * 2^n`` entries.  Then 320 bytes per box for its slice's
-    array object and its entry in the allowed map, 512 bytes per
-    modulus for the factors, moduli and Garner constants each plane
-    carries, and 16 KiB for the other small objects.
+    ``plan * h * 2^(h-1)`` counts of 8 bytes per column of height h
+    below n, and ``plan * (2^n - 1)`` in column 1, so
+    ``plan * n * 2^(n-1)`` in all; then 200 bytes per box for its
+    slice's array object, 512 per modulus for the moduli and Garner
+    constants and 2 * plan more for the Garner products, which grow
+    along the plan, and 8 KiB for the other small objects.  The build's
+    pass is not charged here: :func:`~staircase_lab.dpcount._masses_crt`
+    reserves it while it runs.
     """
-    moduli = ScaledWeights.of(w).moduli(n)
-    planes = max(map(len, _groups(moduli, 1, n)))
-    iteration = min(3 << 16, 8 * planes << n) if planes > 1 else 0
-    return (8 * (len(moduli) * n * (1 << (n - 1)) + 3 * planes * (1 << n)) + iteration
-            + 320 * n * (n + 1) // 2 + 512 * len(moduli) + (1 << 14))
+    plan = len(ScaledWeights.of(w).moduli(n))
+    return (8 * plan * n << (n - 1)) + 100 * n * (n + 1) + (512 + 2 * plan) * plan + (1 << 13)
 
 
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:

@@ -405,6 +405,14 @@ def test_generator_solve_reserves_its_peak_first(monkeypatch):
     assert peak < 8 << 20  # the 2^10 x 2^10 int64 matrix alone takes 8 MiB
 
 
+@pytest.mark.parametrize("size", [True, 2.0, "3"])
+def test_a_size_that_is_not_an_int_is_refused(size):
+    p = AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
+    for route in (cross_validate, steady_state_via_tableaux, steady_state_via_generator):
+        with pytest.raises(ValueError, match=f"size must be an int, got {size!r}"):
+            route(size, p)
+
+
 def test_cross_validate_resolves_the_convention():
     report = cross_validate(1, AsepParams(2, 1, 3, 1, u=1, q=1))
     assert report["matching_conventions"] == ["alpha_delta"]

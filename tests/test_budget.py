@@ -81,7 +81,7 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(F(13, 7), F(1000, 3))]
     jobs = [("chain_rule", n, w) for n in (8, 9, 10) for w in weights]
     jobs += [("enum_alias", 6, w) for w in weights]
-    jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (8, 9)
+    jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (7, 8)
              for w in weights]
     jobs += [("cell", 8, w) for w in weights]
 
@@ -99,9 +99,14 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2,
                                      dpcount.ScaledWeights.of(w).moduli(n))
                 for s, n, w in jobs if s in ("X2", "Nalpha"))
-    # room for every other worker's sweep beside the largest nested build,
-    # and too little to keep every table: builds evict, none is refused
-    budget = ((workers - 1) * sweep + enumeration._list_bytes(6)
+    # a chain build holds its table's charge and reserves its own pass
+    build = max(sampler._chain_bytes(n, w)
+                + dpcount._sweep_bytes(n, 1, dpcount.ScaledWeights.of(w).moduli(n))
+                for _, n, w in jobs[:9])
+    # room for every other worker's sweep or chain build beside the largest
+    # nested build, and too little to keep every table: builds evict, none
+    # is refused
+    budget = ((workers - 1) * max(sweep, build) + enumeration._list_bytes(6)
               + max(sampler._alias_bytes(6, w) for w in weights))
     kept_all = (enumeration._list_bytes(6)
                 + sum(sampler._alias_bytes(6, w) for w in weights)

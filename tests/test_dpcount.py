@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -316,21 +317,28 @@ def _largest_group(n, w, slots):
 
 
 def test_counting_memory_estimate_is_tight():
-    # the budget check's estimate against the traced peak of the whole call
+    # the budget check's estimate against the traced peak of the whole call:
+    # one-slot passes, with and without constraints, and two statistics
     sizes = set()
     for n in (10, 11, 12, 13):
+        event = ConstraintSet.of(n, {(1, 2): R.MUST_ALPHA, (n, 1): R.MUST_BETA})
+        calls = {"partition": (1, lambda w: constrained_partition(n, w)),
+                 "event": (1, lambda w: event_prob(n, w, event))}
         for statistic in ("Nalpha", "A2"):
-            slots = _statistic_plan(n, statistic)[1] + 2
+            calls[statistic] = (_statistic_plan(n, statistic)[1] + 2,
+                                lambda w, statistic=statistic: statistic_pmf(n, w, statistic))
+        for what, (slots, call) in calls.items():
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
                 sizes.add(_largest_group(n, w, slots))
                 estimate = _sweep_bytes(n, slots, ScaledWeights.of(w).moduli(n))
+                gc.collect()  # empty the free lists, so every allocation is traced
                 tracemalloc.start()
                 try:
-                    statistic_pmf(n, w, statistic)
+                    call(w)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= estimate <= 1.3 * peak, (n, statistic, w, peak, estimate)
+                assert peak <= estimate <= 1.3 * peak, (n, what, w, peak, estimate)
     assert {1, 2, 3, 4, 5} <= sizes  # single planes and groups of two to five
     # past the group bound every pass runs one plane; so the budget admits
     # the diagonal statistics up to n = 22, and Nalpha up to n = 21

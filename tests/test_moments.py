@@ -422,6 +422,20 @@ def test_convergence_report_rows_and_pairing():
     assert POISSON_RATES["A3"] == F(1, 2)
 
 
+@pytest.mark.parametrize("size", [True, 2.0, "3"])
+def test_a_size_that_is_not_an_int_is_refused(size):
+    w = Weights(1, 1)
+    calls = [lambda: exact_statistic_pmf(size, w, "A2"),
+             lambda: exact_statistic_pmf(size, w, "Nalpha"),
+             lambda: convergence_report([size], w, "A2"),
+             lambda: convergence_report([8, size], w, "X2"),
+             lambda: factorial_moments_second_diag(size, w, "alpha", 1),
+             lambda: factorial_moments_third_diag(size, w, "alpha", 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"size must be an int, got {size!r}"):
+            call()
+
+
 def test_convergence_report_parallel_matches_serial():
     w = Weights(F(1, 2), 3)
     serial = convergence_report([4, 6, 9], w, "A2")

@@ -1,5 +1,6 @@
 """Exact and statistical checks for the tableau samplers."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -265,13 +266,13 @@ SPLIT_PLAN = Weights(F(1, 2 ** 61 - 1), F(7, 3 * 2 ** 60 + 1))
 
 def test_warm_chain_call_runs_no_kernel_pass(monkeypatch, fresh_ledger):
     passes = []
-    kernel = sampler._sweep
+    kernel = dpcount._sweep
 
     def counted(n, moduli, *rest, **kwargs):
         passes.append(moduli)
         return kernel(n, moduli, *rest, **kwargs)
 
-    monkeypatch.setattr(sampler, "_sweep", counted)
+    monkeypatch.setattr(dpcount, "_sweep", counted)
     # a plan of three in one pass, then one of 53 in two
     for n, w, groups in ((9, Weights(F(13, 7), F(1000, 3)), 1), (13, SPLIT_PLAN, 2)):
         fresh_ledger()
@@ -308,7 +309,12 @@ def test_budget_evicts_before_it_refuses(monkeypatch, fresh_ledger):
     first, second = (10, Weights(1, 1)), (10, Weights(2, 1))
     need = sampler._chain_bytes(*first)
     assert sampler._chain_bytes(*second) == need
-    monkeypatch.setattr(_budget, "_MEM_BUDGET", need + need // 2)
+    # each build's pass runs one modulus: room for one table and its
+    # build's pass, not for a second table beside them
+    moduli = dpcount.ScaledWeights.of(second[1]).moduli(10)
+    assert moduli == dpcount.ScaledWeights.of(first[1]).moduli(10) == (2 ** 64,)
+    sweep = dpcount._sweep_bytes(10, 1, moduli)
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", need + sweep + need // 2)
     sample(*first, random.Random(0))
     sample(*second, random.Random(0))
     assert list(ledger.kept) == [(sampler._ChainTables,) + second]
@@ -329,14 +335,36 @@ def test_budget_evicts_before_it_refuses(monkeypatch, fresh_ledger):
                                SPLIT_PLAN])
 def test_chain_memory_estimate_is_tight(n, w):
     # one plane, one group of 4 or 5, one of 21 to 27, and a plan of 40
-    # to 53 moduli, in one group up to n = 12 and in two of 26 and 27 at 13
+    # to 53 moduli, in one group up to n = 12 and in two of 26 and 27 at 13;
+    # a build peaks at its table's charge plus its pass's reservation, and
+    # the table it leaves is charged what it keeps
+    charge = sampler._chain_bytes(n, w)
+    sweep = dpcount._sweep_bytes(n, 1, dpcount.ScaledWeights.of(w).moduli(n))
+    gc.collect()  # empty the free lists, so every allocation is traced
     tracemalloc.start()
     try:
-        sampler._ChainTables(n, w)
-        peak = tracemalloc.get_traced_memory()[1]
+        tables = sampler._ChainTables(n, w)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= sampler._chain_bytes(n, w) <= 1.3 * peak
+    assert tables.slices
+    assert peak <= charge + sweep <= 1.3 * peak
+    assert kept <= charge <= 1.3 * kept
+
+
+def test_chain_build_refuses_a_wrong_total(monkeypatch, fresh_ledger):
+    ledger = fresh_ledger()
+    kernel = dpcount._sweep
+
+    def off_by_one(*args, **kwargs):
+        residues = kernel(*args, **kwargs)
+        residues[0][0] += 1
+        return residues
+
+    monkeypatch.setattr(dpcount, "_sweep", off_by_one)
+    with pytest.raises(RuntimeError, match="partition total"):
+        sample(6, Weights(F(13, 7), F(1000, 3)), random.Random(0))
+    assert not ledger.kept and ledger.held == 0 and ledger.reserved == 0
 
 
 @pytest.mark.parametrize("n", [6, 7])
