@@ -198,55 +198,85 @@ def _accumulate(acc: Dict, key, vec: List[int], factor: int) -> None:
                     else [y + x * factor for x, y in zip(vec, old)])
 
 
+def _add(acc: Dict, key, value: int) -> None:
+    """Add a nonzero value into acc[key]."""
+    if value:
+        acc[key] = acc.get(key, 0) + value
+
+
+def _column_weights(symbols: Sequence[Tuple[int, str, int, int]], rows: int,
+                    ru: int, rq: int) -> List[Dict[Tuple[int, int], int]]:
+    """What one column adds, in integers, with 0..rows open rows above
+    its diagonal box.
+
+    ``symbols`` lists a box's four symbols as (rows it closes, code,
+    type bit, factor).  Entry r maps (rows closed in the column, the
+    diagonal box's type bit) to the summed weight of every filling of
+    the diagonal box and the r open boxes above it.  Going up, the
+    symbol nearest below the current box says both how an empty box
+    reads (u above an alpha or delta, q above a beta or gamma) and
+    whether the box is blocked (empty above an alpha or gamma).
+    """
+    column: Dict[Tuple[int, str, int], int] = {}  # by (closed, symbol below, bit)
+    for closes, code, bit, factor in symbols:  # the diagonal box
+        _add(column, (closes, code, bit), factor)
+    weights = []
+    for r in range(rows + 1):
+        if r:  # one more open row above
+            above: Dict[Tuple[int, str, int], int] = {}
+            for (closed, below, bit), weight in column.items():
+                _add(above, (closed, below, bit), weight * (ru if below in "AD" else rq))
+                if below in "BD":
+                    for closes, code, _, factor in symbols:
+                        _add(above, (closed + closes, code, bit), weight * factor)
+            column = above
+        table: Dict[Tuple[int, int], int] = {}
+        for (closed, _, bit), weight in column.items():
+            _add(table, (closed, bit), weight)
+        weights.append(table)
+    return weights
+
+
 def steady_state_via_tableaux(n: int, p: AsepParams,
                               convention: str = "alpha_delta") -> Pmf:
     """Stationary law as normalized type-grouped tableau weights.
 
     Sums every u/q-filled four-symbol tableau by a column transfer
-    from right to left, each column from its diagonal box up, so no
-    tableau is ever materialized.  A row is closed once its leftmost
-    symbol so far is a beta or delta: every box left of it is empty,
-    choosing that symbol in column j paid u^(j-1) or q^(j-1) for them,
-    and the "nearest symbol below" rule skips them.  So a column's
-    weights depend only on how many rows are closed, not on which.
-    Inside a column, the symbol nearest below the current box says both
-    how an empty box reads (u above an alpha or delta, q above a beta
-    or gamma) and whether the box is blocked (empty above an alpha or
-    gamma).  The state maps the closed-row count to the weights by type
-    of the columns processed so far; each diagonal choice appends its
-    column's type bit, so site 1, processed first, ends as the most
-    significant bit of the index.
+    from right to left, so no tableau is ever materialized.  A row is
+    closed once its leftmost symbol so far is a beta or delta: every
+    box left of it is empty, choosing that symbol in column j paid
+    u^(j-1) or q^(j-1) for them, and the "nearest symbol below" rule
+    skips them.  So what column j adds depends only on j and on the
+    number r of open rows above its diagonal box, not on which rows
+    they are.  ``_column_weights`` sums the column once in integers,
+    by the rows it closes and its type bit, for every r.
+
+    The state maps the closed-row count to the weights by type of the
+    columns processed so far.  Each column multiplies each count's
+    vector by one scalar per (rows closed, type bit) outcome and adds
+    it into the new count's vector at that bit's interleaved slots, so
+    site 1, processed first, ends as the most significant bit of the
+    index.
     """
     _check_convention(convention)
     _check_size(n)
     ra, rb, rg, rd, ru, rq = _integer_rates(p)
     gamma_bit = int(convention == "paper_alpha_gamma")
-    filled = {"A": 1, "G": gamma_bit, "B": 0, "D": 1 - gamma_bit}
     states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
     for j in range(n, 0, -1):
-        symbols = (("A", ra), ("G", rg),
-                   ("B", rb * ru ** (j - 1)), ("D", rd * rq ** (j - 1)))
-        after: Dict[int, List[int]] = {}
-        while states:  # popped, so each vector is freed once carried over
-            closed, vec = states.popitem()
-            column: Dict[Tuple[int, str], List[int]] = {}  # by (count, symbol below)
-            for code, factor in symbols:  # the diagonal box
-                spread = [0] * (2 * len(vec))
-                spread[filled[code]::2] = vec
-                _accumulate(column, (closed + (code in "BD"), code), spread, factor)
-            for _ in range(n - j - closed):  # the open rows above it
-                above: Dict[Tuple[int, str], List[int]] = {}
-                while column:
-                    (count, below), vec = column.popitem()
-                    _accumulate(above, (count, below), vec, ru if below in "AD" else rq)
-                    if below in "BD":
-                        for code, factor in symbols:
-                            _accumulate(above, (count + (code in "BD"), code), vec, factor)
-                column = above
-            while column:
-                (count, _), vec = column.popitem()
-                _accumulate(after, count, vec, 1)
-        states = after
+        symbols = ((0, "A", 1, ra), (0, "G", gamma_bit, rg),
+                   (1, "B", 0, rb * ru ** (j - 1)),
+                   (1, "D", 1 - gamma_bit, rd * rq ** (j - 1)))
+        weights = _column_weights(symbols, n - j, ru, rq)
+        halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
+        for closed, vec in states.items():
+            for (closes, bit), weight in weights[n - j - closed].items():
+                _accumulate(halves, (closed + closes, bit), vec, weight)
+        states = {}
+        for (closed, bit), half in halves.items():
+            if closed not in states:
+                states[closed] = [0] * (2 * len(half))
+            states[closed][bit::2] = half
     totals = [sum(weights) for weights in zip(*states.values())]
     return Pmf.from_integers(totals, sum(totals))
 

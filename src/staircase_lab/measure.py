@@ -43,7 +43,8 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
         raise TypeError(f"{what} must be exact (int, Fraction, or string), not float")
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, Rational):
+    # a bool is Rational to isinstance, and True would pass as 1
+    if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"{what} must be a rational number, got {value!r}")
 

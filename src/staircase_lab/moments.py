@@ -122,6 +122,7 @@ def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
     _check_int(n, "size")
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_int(R, "R")
     if not 1 <= R <= max_count(n) + 1:
         raise ValueError(f"R must lie in 1..{max_count(n) + 1}, got {R}")
 

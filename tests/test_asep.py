@@ -58,6 +58,10 @@ def test_params_validation():
         AsepParams(1, 1, 1, 1, u=0, q=0)
     with pytest.raises(TypeError):
         AsepParams(0.5, 1, 1, 1)
+    with pytest.raises(TypeError, match="alpha must be a rational number, got True"):
+        AsepParams(True, 1, 0, 0)
+    with pytest.raises(TypeError, match="q must be a rational number, got False"):
+        AsepParams(1, 1, 0, 0, q=False)
     with pytest.raises(ValueError):
         AsepParams(1, 1, 1, 1, u=0, q=1).unit_u()
 
@@ -189,6 +193,69 @@ def test_tableaux_route_matches_four_symbol_enumeration(n):
         for idx in range(1 << n):
             assert law.mass(idx) == totals.get(idx, 0) / z
 
+
+
+def reference_closed_count_law(n, p, convention):
+    """The closed-row-count transfer as the tableaux route once ran it:
+    one vector per (count, symbol below) key, stepped box by box up
+    each column."""
+    ra, rb, rg, rd, ru, rq = _integer_rates(p)
+    gamma_bit = int(convention == "paper_alpha_gamma")
+    filled = {"A": 1, "G": gamma_bit, "B": 0, "D": 1 - gamma_bit}
+
+    def accumulate(acc, key, vec, factor):
+        if factor:
+            old = acc.get(key)
+            acc[key] = ([x * factor for x in vec] if old is None
+                        else [y + x * factor for x, y in zip(vec, old)])
+
+    states = {0: [1]}
+    for j in range(n, 0, -1):
+        symbols = (("A", ra), ("G", rg),
+                   ("B", rb * ru ** (j - 1)), ("D", rd * rq ** (j - 1)))
+        after = {}
+        for closed, vec in states.items():
+            column = {}
+            for code, factor in symbols:
+                spread = [0] * (2 * len(vec))
+                spread[filled[code]::2] = vec
+                accumulate(column, (closed + (code in "BD"), code), spread, factor)
+            for _ in range(n - j - closed):
+                above = {}
+                for (count, below), vec in column.items():
+                    accumulate(above, (count, below), vec, ru if below in "AD" else rq)
+                    if below in "BD":
+                        for code, factor in symbols:
+                            accumulate(above, (count + (code in "BD"), code), vec, factor)
+                column = above
+            for (count, _), vec in column.items():
+                accumulate(after, count, vec, 1)
+        states = after
+    totals = [sum(weights) for weights in zip(*states.values())]
+    return Pmf.from_integers(totals, sum(totals))
+
+
+#: The README's two rate sets for the practical limits.
+README_RATES = [
+    AsepParams(2, 1, F(1, 3), F(3, 2), u=1, q=F(1, 2)),
+    AsepParams(F(1, 2), F(2, 3), F(3, 5), F(5, 7), u=F(7, 4), q=F(11, 13)).unit_u(),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_tableaux_route_matches_the_box_by_box_transfer(n):
+    rng = random.Random(800 + n)
+    for p in [random_rates(rng) for _ in range(12 if n < 7 else 4)]:
+        for convention in CONVENTIONS:
+            expected = reference_closed_count_law(n, p, convention)
+            assert steady_state_via_tableaux(n, p, convention) == expected, (p, convention)
+
+
+@pytest.mark.parametrize("p", README_RATES)
+def test_tableaux_route_matches_the_box_by_box_transfer_at_n10(p):
+    for convention in CONVENTIONS:
+        expected = reference_closed_count_law(10, p, convention)
+        assert steady_state_via_tableaux(10, p, convention) == expected
 
 def reference_generator_law(n, p):
     """Gauss-Jordan on Fractions, as the generator route once solved it."""

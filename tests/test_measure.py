@@ -39,6 +39,18 @@ def test_weights_validation():
         Weights(0.5, 1)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_weight(flag):
+    with pytest.raises(TypeError, match=f"a must be a rational number, got {flag!r}"):
+        Weights(flag, 1)
+    with pytest.raises(TypeError, match=f"b must be a rational number, got {flag!r}"):
+        Weights(1, flag)
+    with pytest.raises(TypeError, match=f"alpha must be a rational number, got {flag!r}"):
+        Weights.from_alpha_beta(flag, 1)
+    with pytest.raises(TypeError, match=f"delta must be a rational number, got {flag!r}"):
+        FourWeights(1, 1, 1, flag)
+
+
 def test_weights_from_alpha_beta():
     w = Weights.from_alpha_beta(2, "1/3")
     assert (w.a, w.b) == (Fraction(1, 2), Fraction(3))

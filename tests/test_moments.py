@@ -436,6 +436,24 @@ def test_a_size_that_is_not_an_int_is_refused(size):
             call()
 
 
+
+@pytest.mark.parametrize("order", [True, 2.0, "2"])
+def test_a_moment_order_that_is_not_an_int_is_refused(order):
+    w = Weights(1, 1)
+    calls = [lambda: factorial_moments_second_diag(8, w, "alpha", order),
+             lambda: factorial_moments_third_diag(8, w, "alpha", order),
+             lambda: factorial_moments_third_diag(8, w, "alpha", order, "main_term")]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"R must be an int, got {order!r}"):
+            call()
+
+
+def test_a_bool_rate_is_not_a_poisson_rate():
+    with pytest.raises(TypeError, match="lam must be a rational number, got True"):
+        tv_to_poisson(Pmf.point_mass(1), True)
+    with pytest.raises(TypeError, match="m\\[1\\] must be a rational number, got False"):
+        pmf_from_factorial_moments([1, False])
+
 def test_convergence_report_parallel_matches_serial():
     w = Weights(F(1, 2), 3)
     serial = convergence_report([4, 6, 9], w, "A2")
