@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _budget
 from .core import Tableau
-from .measure import _as_fraction, _check_int
+from .measure import _as_fraction, _check_size
 from .pmf import Pmf
 
 CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
@@ -86,12 +86,6 @@ class AsepParams:
 
     def as_dict(self) -> Dict[str, str]:
         return {name: str(getattr(self, name)) for name in _RATE_NAMES}
-
-
-def _check_size(n: int) -> None:
-    _check_int(n, "size")
-    if not 1 <= n <= _N_MAX:
-        raise ValueError(f"supported sizes are 1..{_N_MAX}, got {n}")
 
 
 def _check_convention(convention: str) -> None:
@@ -259,7 +253,7 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
     index.
     """
     _check_convention(convention)
-    _check_size(n)
+    _check_size(n, 1, _N_MAX)
     ra, rb, rg, rd, ru, rq = _integer_rates(p)
     gamma_bit = int(convention == "paper_alpha_gamma")
     states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
@@ -454,7 +448,7 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     masses are within reach of the reconstruction, so a further miss
     raises ``RuntimeError``.
     """
-    _check_size(n)
+    _check_size(n, 1, _N_MAX)
     size = 1 << n
     rates = _integer_rates(p)
     moves = []
@@ -521,7 +515,7 @@ def cross_validate(n: int, p: AsepParams,
     and unit u is where they are claimed to coincide.  The report is
     JSON-ready, and a mismatch is an outcome, not an error.
     """
-    _check_size(n)
+    _check_size(n, 1, _N_MAX)
     for convention in conventions:
         _check_convention(convention)
     scaled = p.unit_u()

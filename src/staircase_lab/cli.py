@@ -5,7 +5,7 @@ default with a ``--json`` alternative where tabular, JSON where the
 result is a structured report.  Exact rationals are printed as p/q
 and never silently rounded; the only float columns are the ones
 documented as approximations (total variation distances).  Exit code
-2 flags bad usage, 3 a self-test mismatch.
+2 flags bad usage or a value the library refuses, 3 a self-test mismatch.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ def _rationals(text: str, option: str, count: str, names: str) -> List[Fraction]
     return [RATIONAL.convert(part, None, None) for part in parts]
 
 
-def _weights(a: Fraction, b: Fraction) -> Weights:
-    try:
-        return Weights(a, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _cell(value):
     return value if isinstance(value, (int, float, str)) else str(value)
 
@@ -77,14 +70,21 @@ def _emit(header: Sequence[str], rows: Sequence[Sequence], as_json: bool) -> Non
             click.echo(",".join(str(cell) for cell in row))
 
 
-def _fail_on_value_error(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+class _Command(click.Command):
+    """A command whose library refusals exit 2 with the library's message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
 
 
-@click.group()
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Exact distributions, samplers, and cross-checks for weighted
     staircase tableaux."""
@@ -100,13 +100,10 @@ def main():
 def count(n, a, b, four, as_json):
     """Partition value: closed product and, at small sizes, brute force."""
     if four is not None:
-        w = _fail_on_value_error(
-            FourWeights, *_rationals(four, "--four", "four", "A,B,G,D"))
+        w = FourWeights(*_rationals(four, "--four", "four", "A,B,G,D"))
     else:
-        w = _weights(a, b)
-    rows: List[Tuple[str, Fraction]] = [
-        ("closed", _fail_on_value_error(formulas.partition_closed, n, w))
-    ]
+        w = Weights(a, b)
+    rows: List[Tuple[str, Fraction]] = [("closed", formulas.partition_closed(n, w))]
     if 1 <= n <= enumeration.N_ENUM:
         rows.append(("brute", enumeration.brute_partition(n, w)))
     _emit(("form", "value"), rows, as_json)
@@ -123,7 +120,7 @@ def prob(n, a, b, box, as_json):
     pair = _ints(box, "--box")
     if len(pair) != 2:
         raise click.UsageError("--box needs exactly two integers I,J")
-    law = _fail_on_value_error(formulas.box_law, n, _weights(a, b), tuple(pair))
+    law = formulas.box_law(n, Weights(a, b), tuple(pair))
     _emit(("cell", "probability"),
           [("alpha", law.alpha), ("beta", law.beta), ("empty", law.empty)],
           as_json)
@@ -140,17 +137,14 @@ def prob(n, a, b, box, as_json):
 def joint(diag, kind, cols, n, a, b, as_json):
     """Joint diagonal cell law by every applicable route."""
     columns = _ints(cols, "--cols")
-    w = _weights(a, b)
+    w = Weights(a, b)
     rows = []
     if diag == "2":
-        closed = _fail_on_value_error(
-            formulas.second_diag_joint_alpha if kind == "alpha"
-            else formulas.second_diag_joint_nonempty,
-            n, w, columns,
-        )
+        closed = (formulas.second_diag_joint_alpha if kind == "alpha"
+                  else formulas.second_diag_joint_nonempty)(n, w, columns)
         rows.append(("closed", closed.value, closed.reason or "exact"))
     else:
-        term = _fail_on_value_error(formulas.third_diag_main_term, n, w, columns, kind)
+        term = formulas.third_diag_main_term(n, w, columns, kind)
         note = term.reason or f"remainder_order_{term.remainder_exponent}"
         if term.order_only:
             note += ",order_only"
@@ -180,13 +174,11 @@ def joint(diag, kind, cols, n, a, b, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def moments_cmd(diag, kind, n, a, b, order, mode, as_json):
     """Exact factorial moments of a diagonal count."""
-    w = _weights(a, b)
+    w = Weights(a, b)
     if diag == "2":
-        values = _fail_on_value_error(
-            moments.factorial_moments_second_diag, n, w, kind, order)
+        values = moments.factorial_moments_second_diag(n, w, kind, order)
     else:
-        values = _fail_on_value_error(
-            moments.factorial_moments_third_diag, n, w, kind, order, mode)
+        values = moments.factorial_moments_third_diag(n, w, kind, order, mode)
     _emit(("r", "value"), list(enumerate(values, start=1)), as_json)
 
 
@@ -198,7 +190,7 @@ def moments_cmd(diag, kind, n, a, b, order, mode, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def pmf(stat, n, a, b, as_json):
     """Exact law of a named statistic."""
-    law = _fail_on_value_error(moments.exact_statistic_pmf, n, _weights(a, b), stat)
+    law = moments.exact_statistic_pmf(n, Weights(a, b), stat)
     _emit(("k", "probability"), law.items(), as_json)
 
 
@@ -220,10 +212,7 @@ def converge(stat, ns, a, b, lam, as_json):
         except ValueError:
             raise click.UsageError(
                 f"STAIRCASE_LAB_THREADS must be an integer, got {threads!r}")
-    rows = _fail_on_value_error(
-        moments.convergence_report,
-        _ints(ns, "--ns"), _weights(a, b), stat, lam, threads,
-    )
+    rows = moments.convergence_report(_ints(ns, "--ns"), Weights(a, b), stat, lam, threads)
     _emit(
         moments.CSV_HEADER.split(","),
         [(r.n, *[repr(float(mu)) for mu in r.moments], repr(r.tv)) for r in rows],
@@ -242,9 +231,8 @@ def converge(stat, ns, a, b, lam, as_json):
               default="chain_rule", show_default=True)
 def sample(n, a, b, count, seed, method):
     """Draw tableaux; a JSON header line, then one text block each."""
-    w = _weights(a, b)
-    draws = _fail_on_value_error(
-        sampler.sample_many, n, w, random.Random(seed), count, method)
+    w = Weights(a, b)
+    draws = sampler.sample_many(n, w, random.Random(seed), count, method)
     click.echo(json.dumps({
         "n": n, "a": str(w.a), "b": str(w.b), "seed": seed,
         "method": method, "count": count,
@@ -261,9 +249,8 @@ def sample(n, a, b, count, seed, method):
 def asep_verify(n, rates):
     """Cross-validate the tableaux route against the generator solve."""
     values = _rationals(rates, "--rates", "six", "A,B,G,D,U,Q")
-    params = _fail_on_value_error(asep.AsepParams, *values[:4], u=values[4],
-                                  q=values[5])
-    report = _fail_on_value_error(asep.cross_validate, n, params)
+    params = asep.AsepParams(*values[:4], u=values[4], q=values[5])
+    report = asep.cross_validate(n, params)
     click.echo(json.dumps(report, indent=2))
 
 

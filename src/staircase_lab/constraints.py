@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .core import Box, Tableau, in_staircase, second_diagonal, third_diagonal
-from .formulas import _check_size
+from .formulas import _check_diagonal
+from .measure import _check_size
 
 
 class Requirement(enum.Enum):
@@ -49,8 +50,7 @@ class ConstraintSet:
     items: Tuple[Tuple[Box, Requirement], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("size must be at least 1")
+        _check_size(self.n)
         seen = set()
         for box, req in self.items:
             if not in_staircase(self.n, box):
@@ -100,11 +100,11 @@ def _diagonal_event(boxes: Tuple[Box, ...], n: int, cols: Iterable[int],
 
 def second_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the second-diagonal boxes in the given columns."""
-    _check_size(n, 2, "second diagonal")
+    _check_diagonal(n, 2, "second diagonal")
     return _diagonal_event(second_diagonal(n), n, cols, req, "second-diagonal")
 
 
 def third_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the third-diagonal boxes in the given columns."""
-    _check_size(n, 3, "third diagonal")
+    _check_diagonal(n, 3, "third diagonal")
     return _diagonal_event(third_diagonal(n), n, cols, req, "third-diagonal")

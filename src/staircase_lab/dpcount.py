@@ -12,35 +12,28 @@ out to be a beta, a row's ``b`` factor the moment its first symbol
 turns out to be an alpha.
 
 State space is ``2^height`` per column, so sizes up to :data:`N_DP`
-are practical.  Two independent passes cover it:
+are practical.  The kernel counts completions right to left, bottom-up
+in each column, in numpy ``uint64`` arrays.  Weights are scaled to
+integers by q^n, q the common denominator of a and b (see
+:class:`ScaledWeights`); the plan is 2^64 and, when the scaled total
+needs more, enough primes below 2^29 to cover it, recombined by the
+Chinese remainder theorem.  One pass of :func:`_sweep` walks the boxes
+once for a group of moduli, stacked as planes of one array, so the
+Python work per box is paid once per group; a plan runs in as few
+groups as keep each level within :data:`_GROUP_ENTRIES`.
 
-* the kernel counts completions right to left, bottom-up in each
-  column, in numpy ``uint64`` arrays.
-  Weights are scaled to integers by q^n, q the common denominator of
-  a and b (see :class:`ScaledWeights`); the plan is 2^64 and, when
-  the scaled total needs more, enough primes below 2^29 to cover it,
-  recombined by the Chinese remainder theorem.  One pass of
-  :func:`_sweep` walks the boxes once for a group of moduli, stacked
-  as planes of one array, so the Python work per box is paid once per
-  group; a plan runs in as few groups as keep each level within
-  :data:`_GROUP_ENTRIES`.
-  The 2^64 plane is unsigned arithmetic's own wrap-around, so it costs
-  no remainder operation.  A prime plane takes one remainder per box,
-  on the slice every move reads; products accumulate unreduced, which
-  primes this small leave room for within a column.  Moves that land
-  on the same state add their factors, and moves with equal factors
-  share one product, so an entry takes at most two products per box.
-  Column 1 is the first column a tableau fills, so all rows enter it
-  clean and its box i only works on the 2^i masks below 2^i.  Exact,
-  with no modular inversions of data values.  :func:`_masses_crt`
-  alone runs the passes; the chain-rule sampler keeps, through it,
-  the slices they read.
-* :func:`_partition_fractions`: a left-to-right dictionary sweep in
-  exact rational arithmetic, simple enough to audit by eye; it shares
-  no code with the kernel, and the tests hold the kernel to it at
-  small sizes.
+The 2^64 plane is unsigned arithmetic's own wrap-around, so it costs
+no remainder operation.  A prime plane takes one remainder per box, on
+the slice every move reads; products accumulate unreduced, which
+primes this small leave room for within a column.  Moves that land on
+the same state add their factors, and moves with equal factors share
+one product, so an entry takes at most two products per box.  Column 1
+is the first column a tableau fills, so all rows enter it clean and
+its box i only works on the 2^i masks below 2^i.  Exact, with no
+modular inversions of data values.  :func:`_masses_crt` alone runs the
+passes; the chain-rule sampler keeps, through it, the slices they read.
 
-Both honour :class:`~staircase_lab.constraints.ConstraintSet`
+The kernel honours :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
 joint probabilities of cell events.  Kernel arrays grow with the
 group's planes, counter slots and ``2^n``; a sweep reserves its peak
@@ -53,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -65,7 +57,7 @@ from .constraints import ConstraintSet, Requirement
 from .core import (Box, second_diag_max_count, second_diagonal, staircase_boxes,
                    third_diag_max_count, third_diagonal)
 from .formulas import BoxLaw
-from .measure import Weights, _check_int
+from .measure import Weights, _check_size
 from .pmf import Pmf
 
 #: Largest size the counting kernel accepts; 2^22 states per column is
@@ -218,42 +210,6 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
             codes &= c.allowed_cells(box)
         out[box] = "".join(sorted(codes))
     return out
-
-
-def _check_args(n: int) -> None:
-    _check_int(n, "size")
-    if not 1 <= n <= N_DP:
-        raise ValueError(f"size must be in 1..{N_DP}, got {n}")
-
-
-# ----------------------------------------------------------------------
-# exact-rational reference
-
-def _partition_fractions(n: int, w: Weights, allowed: Dict[Box, str]) -> Fraction:
-    a, b = w.a, w.b
-    states: Dict[int, Fraction] = {0: Fraction(1)}
-    for j in range(1, n + 1):
-        height = n + 1 - j
-        col: Dict[Tuple[int, bool], Fraction] = {
-            (mask, False): wt for mask, wt in states.items()
-        }
-        for i in range(1, height + 1):
-            codes = allowed[(i, j)]
-            bit = 1 << (i - 1)
-            new: Dict[Tuple[int, bool], Fraction] = defaultdict(Fraction)
-            for (mask, above), wt in col.items():
-                if "." in codes:
-                    new[(mask, above)] += wt
-                if "A" in codes and not above:
-                    new[(mask | bit, True)] += wt if mask & bit else wt * b
-                if "B" in codes and not mask & bit:
-                    new[(mask | bit, True)] += wt * a if not above else wt
-            col = new
-        # the bottom row retires; its diagonal box guarantees its bit
-        states = defaultdict(Fraction)
-        for (mask, _), wt in col.items():
-            states[mask & ((1 << (height - 1)) - 1)] += wt
-    return states.get(0, Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +414,7 @@ def constrained_partition(n: int, w: Weights,
     With no constraints this is ``(a + b)^(rising n)``.  Unsatisfiable
     constraint sets simply sum an empty set of tableaux and return 0.
     """
-    _check_args(n)
+    _check_size(n, 1, N_DP)
     total = _masses_crt(n, w, _allowed_map(n, c), slots=1)[0]
     return Fraction(total, ScaledWeights.of(w).q ** n)
 
@@ -479,7 +435,7 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     add up to the conditioning event's own.  Conditioning on an
     impossible event raises.
     """
-    _check_args(n)
+    _check_size(n, 1, N_DP)
     base = given if given is not None else ConstraintSet.empty(n)
     # the box joins the event free, so a box outside it or already constrained raises
     free = ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))
@@ -521,7 +477,7 @@ def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     one sentinel slot past the structural cap stays empty and any
     attempt to spill past it raises rather than miscounting.
     """
-    _check_args(n)
+    _check_size(n, 1, N_DP)
     lifts, cap = _statistic_plan(n, statistic)
     masses = _masses_crt(n, w, _allowed_map(n, None), slots=cap + 2, lifts=lifts)
     total = ScaledWeights.of(w).total_bound(n)

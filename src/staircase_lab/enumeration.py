@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Tuple, Union
 from . import _budget
 from .constraints import ConstraintSet
 from .core import Tableau, diagonal_statistic
-from .measure import FourWeights, Weights
+from .measure import FourWeights, Weights, _check_size
 from .pmf import Pmf
 
 #: Largest size the exhaustive oracles are meant for; 10! = 3.6M
@@ -77,8 +77,7 @@ def _column_configs(height: int, mask: int) -> List[Tuple[str, int]]:
 
 def enumerate_tableaux(n: int) -> Iterator[Tableau]:
     """Yield every valid size-n tableau exactly once, streaming."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    _check_size(n)
     memo: Dict[Tuple[int, int], List[Tuple[str, int]]] = {}
     columns: List[str] = [""] * n
 
@@ -128,6 +127,7 @@ def all_tableaux(n: int) -> Tuple[Tableau, ...]:
     """Every size-n tableau in enumeration order, shared by the oracles
     and the ``enum_alias`` sampler; the memory ledger keeps it like any
     other table, and its budget admits n = 8 but not n = 9."""
+    _check_size(n)
     return _budget.get(_build_list, _list_bytes, "the tableau list for n={0}", n)
 
 
@@ -163,6 +163,7 @@ def brute_partition(n: int, w: Union[Weights, FourWeights]) -> Fraction:
     gammas and betas into deltas independently, which contribute
     ``(alpha+gamma)^N_alpha (beta+delta)^N_beta`` together.
     """
+    _check_size(n)
     profile = _symbol_count_profile(n)
     if isinstance(w, Weights):
         return _grouped_weight_sum(n, w, profile)
@@ -190,6 +191,7 @@ def enumerate_four_symbol(n: int) -> Iterator[Tableau]:
 
 def oracle_event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
     """P(constraints all hold) by summing over every tableau."""
+    _check_size(n)
     if c.n != n:
         raise ValueError(f"constraints built for size {c.n}, not {n}")
     hit = Counter(_symbol_counts(t) for t in _tableaux(n) if c.satisfied_by(t))
@@ -198,6 +200,7 @@ def oracle_event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
 
 def oracle_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     """Exact law of a named counting statistic, by enumeration."""
+    _check_size(n)
     buckets: Dict[int, Counter] = defaultdict(Counter)
     for t in _tableaux(n):
         buckets[diagonal_statistic(t, statistic)][_symbol_counts(t)] += 1

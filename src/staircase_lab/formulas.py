@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .core import Box
-from .measure import (FourWeights, Weights, falling_factorial,
-                      rising_factorial)
+from .measure import (FourWeights, Weights, _check_int, _check_size,
+                      falling_factorial, rising_factorial)
 
 __all__ = [
     "BoxLaw",
@@ -62,6 +62,7 @@ def partition_closed(n: int, w: Union[Weights, FourWeights]) -> Fraction:
     beta+delta.  For :class:`Weights` it is the normalized total
     ``(a + b)^(rising n)``, the denominator of every probability.
     """
+    _check_int(n, "size")
     if n < 0:
         raise ValueError("size must be nonnegative")
     if isinstance(w, Weights):
@@ -95,6 +96,7 @@ def box_law(n: int, w: Weights, box: Box) -> BoxLaw:
 
     with the rest of the mass on empty.
     """
+    _check_size(n)
     i, j = box
     if not (1 <= i and 1 <= j and i + j <= n + 1):
         raise ValueError(f"box {box} lies outside the size-{n} staircase")
@@ -117,7 +119,8 @@ class JointValue:
     reason: Optional[str] = None
 
 
-def _check_size(n: int, least: int, what: str) -> None:
+def _check_diagonal(n: int, least: int, what: str) -> None:
+    _check_int(n, "size")
     if n < least:
         raise ValueError(f"the {what} is empty below size {least}, got n={n}")
 
@@ -164,7 +167,7 @@ def second_diag_joint_alpha(n: int, w: Weights, cols: Iterable[int]) -> JointVal
     boxes would force contradictory symbols into the main-diagonal box
     wedged between them; that case returns 0 with a reason code.
     """
-    _check_size(n, 2, "second diagonal")
+    _check_diagonal(n, 2, "second diagonal")
     cols = _checked_columns(cols, n - 1, "second-diagonal")
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
@@ -178,7 +181,7 @@ def second_diag_joint_nonempty(n: int, w: Weights, cols: Iterable[int]) -> Joint
     which, as long as they are pairwise at distance 2 or more; adjacent
     columns are impossible just as in the alpha case.
     """
-    _check_size(n, 2, "second diagonal")
+    _check_diagonal(n, 2, "second diagonal")
     cols = _checked_columns(cols, n - 1, "second-diagonal")
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
@@ -217,7 +220,7 @@ def third_diag_main_term(n: int, w: Weights, cols: Iterable[int],
     """
     if kind not in ("alpha", "nonempty"):
         raise ValueError(f"kind must be 'alpha' or 'nonempty', got {kind!r}")
-    _check_size(n, 3, "third diagonal")
+    _check_diagonal(n, 3, "third diagonal")
     cols = _checked_columns(cols, n - 2, "third-diagonal")
     r = len(cols)
     gaps = [c2 - c1 for c1, c2 in itertools.pairwise(cols)]

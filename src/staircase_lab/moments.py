@@ -30,7 +30,7 @@ import mpmath
 
 from . import dpcount
 from .core import second_diag_max_count, third_diag_max_count
-from .measure import Weights, _as_fraction, _check_int
+from .measure import Weights, _as_fraction, _check_int, _check_size
 from .pmf import Pmf, _over_common_denominator
 
 #: Limit law rates: symbol counts on either diagonal tend to
@@ -119,9 +119,7 @@ def _invert(c: Sequence[int], L: int) -> Pmf:
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    _check_int(n, "size")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     _check_int(R, "R")
     if not 1 <= R <= max_count(n) + 1:
         raise ValueError(f"R must lie in 1..{max_count(n) + 1}, got {R}")
@@ -183,9 +181,7 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     inversion, which works at any size; the rest need the counting
     engine and inherit its size limit.
     """
-    _check_int(n, "size")
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
+    _check_size(n)
     if statistic in ("A2", "B2", "X2"):
         kind = {"A2": "alpha", "B2": "beta", "X2": "nonempty"}[statistic]
         return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))
@@ -284,10 +280,10 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str,
     gauged against the wrong target.
     """
     ns = list(ns)
+    if not ns:
+        raise ValueError("ns must be a nonempty list of sizes")
     for n in ns:
-        _check_int(n, "size")
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("ns must be a nonempty list of positive sizes")
+        _check_size(n)
     rate = POISSON_RATES.get(statistic)
     if rate is None:
         raise ValueError(f"{statistic!r} has no Poisson limit pairing")

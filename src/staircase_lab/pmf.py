@@ -16,6 +16,8 @@ from fractions import Fraction
 from operator import index
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+from .measure import _check_int
+
 
 def _over_common_denominator(values: Iterable) -> Tuple[List[int], int]:
     """Rationals as integer numerators over their least common denominator."""
@@ -79,6 +81,7 @@ class Pmf:
 
     @classmethod
     def point_mass(cls, k: int) -> "Pmf":
+        _check_int(k, "k")
         return cls.from_mapping({k: Fraction(1)})
 
     # ------------------------------------------------------------------
@@ -106,6 +109,7 @@ class Pmf:
 
     def factorial_moment(self, r: int) -> Fraction:
         """``E[X (X-1) ... (X-r+1)]``, exactly."""
+        _check_int(r, "r")
         if r < 0:
             raise ValueError("moment order must be nonnegative")
         return Fraction(sum(math.perm(k, r) * num

@@ -57,7 +57,7 @@ from . import _budget
 from .core import Tableau, diagonal_statistic
 from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
 from .enumeration import N_ENUM, all_tableaux
-from .measure import FourWeights, Weights, _check_int
+from .measure import FourWeights, Weights, _check_int, _check_size
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
@@ -265,17 +265,12 @@ def sample(n: int, w: Weights, rng: random.Random,
 def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
     """Draw a batch, walking all samples through each column together."""
-    _check_int(n, "size")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    alias = method == "enum_alias"
+    _check_size(n, 1, N_ENUM if alias else N_DP)
     _check_count(count, "count")
-    if method == "enum_alias":
-        if not 1 <= n <= N_ENUM:
-            raise ValueError(f"enum_alias supports sizes 1..{N_ENUM}, got {n}")
-        return _sample_enum(n, w, rng, count)
-    if method == "chain_rule":
-        if not 1 <= n <= N_DP:
-            raise ValueError(f"chain_rule supports sizes 1..{N_DP}, got {n}")
-        return _sample_chain(n, w, rng, count)
-    raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    return (_sample_enum if alias else _sample_chain)(n, w, rng, count)
 
 
 def randomize_four_params(t: Tableau, fw: FourWeights,

@@ -260,3 +260,41 @@ def test_rational_option_reads_decimals_exactly(runner):
     slashed = run(runner, "count", "--n", "3", "--a", "1/2", "--b", "1/4")
     assert decimal == slashed
     run(runner, "count", "--n", "3", "--a", "half", expect=2)
+
+
+# One path per library call a command makes: each refusal prints the
+# command's usage line and the library's own message, and exits 2.
+REFUSALS = [
+    (("count", "--n", "3", "--four", "0,1,0,1"),
+     "alpha+gamma and beta+delta must be positive"),
+    (("count", "--n", "-1"), "size must be nonnegative"),
+    (("prob", "--n", "4", "--box", "3,3"), "box (3, 3) lies outside the size-4 staircase"),
+    (("prob", "--n", "4", "--a", "0", "--b", "0", "--box", "1,1"),
+     "a and b must not both be zero"),
+    (("joint", "--diag", "2", "--kind", "alpha", "--cols", "1", "--n", "1"),
+     "the second diagonal is empty below size 2, got n=1"),
+    (("joint", "--diag", "3", "--kind", "nonempty", "--cols", "1", "--n", "2"),
+     "the third diagonal is empty below size 3, got n=2"),
+    (("moments", "--diag", "2", "--kind", "alpha", "--n", "5", "--r", "9"),
+     "R must lie in 1..3, got 9"),
+    (("moments", "--diag", "3", "--kind", "beta", "--n", "30", "--r", "1"),
+     "size must be in 1..22, got 30"),
+    (("pmf", "--stat", "A3", "--n", "30"), "size must be in 1..22, got 30"),
+    (("converge", "--stat", "A2", "--ns", "4,8", "--lam", "1"),
+     "A2 pairs with Poisson(1/2); refusing lam=1"),
+    (("sample", "--n", "9", "--method", "enum_alias", "--seed", "1"),
+     "the tableau list for n=9 would need about 2.7 GB; use a smaller size"),
+    (("asep-verify", "--n", "2", "--rates", "-1,1,1,1,1,0"), "alpha must be nonnegative, got -1"),
+    (("asep-verify", "--n", "11", "--rates", "2,1,3,1,1,1/2"), "size must be in 1..10, got 11"),
+    (("asep-verify", "--n", "2", "--rates", "0,1,0,1,1,0"),
+     "the chain is reducible with these rates; the stationary law is not unique"),
+]
+
+
+@pytest.mark.parametrize("args,message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_library_refusals_print_the_usage_and_the_library_message(runner, args, message):
+    command = args[0]
+    assert run(runner, *args, expect=2) == (
+        f"Usage: main {command} [OPTIONS]\n"
+        f"Try 'main {command} --help' for help.\n\n"
+        f"Error: {message}\n")

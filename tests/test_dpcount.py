@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +46,36 @@ def test_scaled_weights():
     assert s.total_bound(4) == w.normalizer(4) * s.q ** 4
 
 
+def _partition_fractions(n, w, allowed):
+    """A left-to-right dictionary sweep in exact rational arithmetic,
+    simple enough to audit by eye; it shares no code with the kernel."""
+    a, b = w.a, w.b
+    states = {0: Fraction(1)}
+    for j in range(1, n + 1):
+        height = n + 1 - j
+        col = {(mask, False): wt for mask, wt in states.items()}
+        for i in range(1, height + 1):
+            codes = allowed[(i, j)]
+            bit = 1 << (i - 1)
+            new = defaultdict(Fraction)
+            for (mask, above), wt in col.items():
+                if "." in codes:
+                    new[(mask, above)] += wt
+                if "A" in codes and not above:
+                    new[(mask | bit, True)] += wt if mask & bit else wt * b
+                if "B" in codes and not mask & bit:
+                    new[(mask | bit, True)] += wt * a if not above else wt
+            col = new
+        # the bottom row retires; its diagonal box guarantees its bit
+        states = defaultdict(Fraction)
+        for (mask, _), wt in col.items():
+            states[mask & ((1 << (height - 1)) - 1)] += wt
+    return states.get(0, Fraction(0))
+
+
 def fractions_partition(n, w, c=None):
     """constrained_partition by the exact-rational reference sweep."""
-    return dpcount._partition_fractions(n, w, dpcount._allowed_map(n, c))
+    return _partition_fractions(n, w, dpcount._allowed_map(n, c))
 
 
 def fractions_cell_law(n, w, box, given):

@@ -1,7 +1,12 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from staircase_lab import asep, dpcount, enumeration, formulas, moments, sampler
+from staircase_lab.constraints import (ConstraintSet, Requirement, second_diag_event,
+                                       third_diag_event)
 from staircase_lab.core import Tableau
 from staircase_lab.measure import (FourWeights, Weights, falling_factorial,
                                    parse_rational, rising_factorial)
@@ -94,3 +99,53 @@ def test_four_weights():
         FourWeights(0, 1, 0, 1)
     with pytest.raises(ValueError):
         FourWeights(1, 2, -1, 0)
+
+
+W, P = Weights(1, 2), asep.AsepParams(2, 1, 3, 1)
+EMPTY = ConstraintSet.empty(3)
+SIZE_TAKERS = {
+    "enumerate_tableaux": lambda n: enumeration.enumerate_tableaux(n),
+    "count_tableaux": lambda n: enumeration.count_tableaux(n),
+    "all_tableaux": lambda n: enumeration.all_tableaux(n),
+    # the ledger keys (build, True) and (build, 1) are equal
+    "all_tableaux_warm": lambda n: (enumeration.all_tableaux(1),
+                                    enumeration.all_tableaux(n)),
+    "brute_partition": lambda n: enumeration.brute_partition(n, W),
+    "oracle_event_prob": lambda n: enumeration.oracle_event_prob(n, W, EMPTY),
+    "oracle_statistic_pmf": lambda n: enumeration.oracle_statistic_pmf(n, W, "A2"),
+    "partition_closed": lambda n: formulas.partition_closed(n, W),
+    "box_law": lambda n: formulas.box_law(n, W, (1, 1)),
+    "second_diag_joint_alpha": lambda n: formulas.second_diag_joint_alpha(n, W, [1]),
+    "second_diag_joint_nonempty": lambda n: formulas.second_diag_joint_nonempty(n, W, [1]),
+    "third_diag_main_term": lambda n: formulas.third_diag_main_term(n, W, [1]),
+    "ConstraintSet": lambda n: ConstraintSet(n, ()),
+    "ConstraintSet.empty": lambda n: ConstraintSet.empty(n),
+    "ConstraintSet.of": lambda n: ConstraintSet.of(n, {}),
+    "second_diag_event": lambda n: second_diag_event(n, [1], Requirement.MUST_ALPHA),
+    "third_diag_event": lambda n: third_diag_event(n, [1], Requirement.MUST_ALPHA),
+    "constrained_partition": lambda n: dpcount.constrained_partition(n, W),
+    "event_prob": lambda n: dpcount.event_prob(n, W, EMPTY),
+    "conditional_cell_law": lambda n: dpcount.conditional_cell_law(n, W, (1, 1)),
+    "statistic_pmf": lambda n: dpcount.statistic_pmf(n, W, "A2"),
+    "sample_many_chain_rule":
+        lambda n: sampler.sample_many(n, W, random.Random(1), 1, "chain_rule"),
+    "sample_many_enum_alias":
+        lambda n: sampler.sample_many(n, W, random.Random(1), 1, "enum_alias"),
+    "exact_statistic_pmf": lambda n: moments.exact_statistic_pmf(n, W, "A2"),
+    "convergence_report": lambda n: moments.convergence_report([n], W, "X2"),
+    "factorial_moments_second_diag":
+        lambda n: moments.factorial_moments_second_diag(n, W, "alpha", 1),
+    "factorial_moments_third_diag":
+        lambda n: moments.factorial_moments_third_diag(n, W, "alpha", 1),
+    "steady_state_via_tableaux": lambda n: asep.steady_state_via_tableaux(n, P),
+    "steady_state_via_generator": lambda n: asep.steady_state_via_generator(n, P),
+    "cross_validate": lambda n: asep.cross_validate(n, P),
+}
+
+
+@pytest.mark.parametrize("size", [True, 2.0, "3"])
+@pytest.mark.parametrize("entry", sorted(SIZE_TAKERS))
+def test_every_size_taker_refuses_a_size_that_is_not_an_int(entry, size):
+    # True once passed as size 1, and a float size ran on as a float
+    with pytest.raises(ValueError, match=f"^size must be an int, got {re.escape(repr(size))}$"):
+        SIZE_TAKERS[entry](size)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,16 @@ def test_factorial_moments():
     assert p.factorial_moment(9) == 0
     with pytest.raises(ValueError):
         p.factorial_moment(-1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_an_order_or_point_that_is_not_an_int_is_refused(bad):
+    # True once gave the mean and a point mass at 1; 2.0 a TypeError from math.perm
+    p = Pmf(tuple(F(1, 4) for _ in range(4)))
+    with pytest.raises(ValueError, match=f"^r must be an int, got {re.escape(repr(bad))}$"):
+        p.factorial_moment(bad)
+    with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(bad))}$"):
+        Pmf.point_mass(bad)
 
 
 def test_tv_distance():
