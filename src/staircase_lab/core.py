@@ -22,7 +22,7 @@ the on-disk text format (a size line followed by one row per line).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Tuple
+from typing import Iterator, Mapping, NamedTuple, Optional, Tuple
 
 Box = Tuple[int, int]
 
@@ -39,30 +39,47 @@ class SymbolCounts(NamedTuple):
     delta: int
 
 
+def _check_int(value: int, name: str) -> None:
+    # a bool is an int to isinstance, and True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_size(n: int, least: int = 1, most: Optional[int] = None) -> None:
+    _check_int(n, "size")
+    if n < least or most is not None and n > most:
+        span = f"at least {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"size must be {span}, got {n}")
+
+
 def staircase_boxes(n: int) -> Iterator[Box]:
-    """Yield every box of the size-``n`` staircase in row-major order."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            yield (i, j)
+    """Every box of the size-``n`` staircase in row-major order; the
+    size is checked at the call, before the first box."""
+    _check_size(n)
+    return ((i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i))
 
 
 def main_diagonal(n: int) -> Tuple[Box, ...]:
     """Boxes ``(n+1-j, j)`` for ``j = 1..n``, listed by column."""
+    _check_size(n)
     return tuple((n + 1 - j, j) for j in range(1, n + 1))
 
 
 def second_diagonal(n: int) -> Tuple[Box, ...]:
     """Boxes ``(n-j, j)`` for ``j = 1..n-1``, one step inside the main one."""
+    _check_size(n)
     return tuple((n - j, j) for j in range(1, n))
 
 
 def third_diagonal(n: int) -> Tuple[Box, ...]:
     """Boxes ``(n-j-1, j)`` for ``j = 1..n-2``, two steps inside."""
+    _check_size(n)
     return tuple((n - j - 1, j) for j in range(1, n - 1))
 
 
 def second_diag_max_count(n: int) -> int:
     """Most cells the second diagonal can hold: no two adjacent."""
+    _check_size(n)
     return n // 2
 
 
@@ -72,6 +89,7 @@ def third_diag_max_count(n: int) -> int:
     Columns at distance exactly two exclude each other, so the odd and
     even column positions form two independent exclusion paths.
     """
+    _check_size(n)
     m = n - 2
     if m <= 0:
         return 0

@@ -30,8 +30,17 @@ the same state add their factors, and moves with equal factors share
 one product, so an entry takes at most two products per box.  Column 1
 is the first column a tableau fills, so all rows enter it clean and
 its box i only works on the 2^i masks below 2^i.  Exact, with no
-modular inversions of data values.  :func:`_masses_crt` alone runs the
-passes; the chain-rule sampler keeps, through it, the slices they read.
+modular inversions of data values.
+
+Box i's row bit splits the level into runs of 2^(i-1) masks, and numpy
+pays one inner-loop call per run along an operand's last axis.  When a
+run is shorter than a cache line (:data:`_LINE_ENTRIES`) and there are
+more runs than entries in each, the box works on the level with the
+two axes swapped, so its loops run across the runs instead: the values
+and the buffers are the same, only the strides change.
+
+:func:`_masses_crt` alone runs the passes; the chain-rule sampler
+keeps, through it, the slices they read.
 
 The kernel honours :class:`~staircase_lab.constraints.ConstraintSet`
 restrictions box by box, which is what turns the partition sum into
@@ -227,6 +236,11 @@ _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 #: work per box; above it, the arrays fit the cache worse.
 _GROUP_ENTRIES = 1 << 18
 
+#: uint64 entries per 64-byte cache line.  Below a line per run, numpy's
+#: per-run loop calls, not the arithmetic, set a box's cost, so a box
+#: with shorter runs loops across them (see :func:`_sweep`).
+_LINE_ENTRIES = 8
+
 
 def _groups(moduli: Sequence[int], slots: int, n: int) -> List[Tuple[int, ...]]:
     """The plan cut into as few runs as keep ``planes * slots * 2^n``
@@ -292,6 +306,15 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     each numpy call spans all planes.  The 2^64 plane, which a plan
     puts first, wraps on its own; only the prime planes take remainders.
 
+    Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
+    above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
+    inner loop follows the last axis, so when ``half`` is below
+    :data:`_LINE_ENTRIES` and ``seg`` exceeds it, the box takes the
+    level with those two axes swapped and lays its buffers out as
+    ``(half, seg)``: the copy, the remainder, the products and the adds
+    then loop along ``seg``.  Other boxes keep ``(seg, half)``, whose
+    long runs loop faster than swapped ones.
+
     A pass touches only the slots that can hold mass so far: one at
     the start, growing by each box's largest lift.  Column 1 is the
     first column a tableau fills, so every row enters it clean: before
@@ -306,7 +329,8 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     that may hold mass so far, the flag set and the mask
     ``high << i | 1 << (i-1) | low``, the state just after a symbol
     lands in box (i, j); in column 1, ``high`` is 0 alone.  The next
-    box overwrites it, so a caller that keeps it copies it.  Modulo a
+    box overwrites it, so a caller that keeps it copies it; it may be a
+    transposed view, whatever the box's axis order.  Modulo a
     prime p, level entries are congruent to the counts but not reduced:
     they stay below p + 2 * height * (p-1)^2 (see ``_PRIME_LIMIT``), and
     only the slice each box reads is reduced.  Modulo 2^64 nothing is:
@@ -336,13 +360,17 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
             width = 1 << (height if j > 1 else i)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
             view = level[..., :width].reshape(planes, slots, 2, seg, 2, half)
-            src, step = buffers[:planes * live * width].reshape(2, planes, live, seg, half)
+            flip = half < _LINE_ENTRIES and seg > half
+            if flip:
+                view = view.swapaxes(3, 5)
+            src, step = buffers[:planes * live * width].reshape(
+                (2, planes, live) + ((half, seg) if flip else (seg, half)))
             # every move sets the flag and the row bit, and none writes there
             np.copyto(src, view[:, :live, 1, :, 1, :])
             if primes is not None:
                 np.remainder(src[wraps:], primes, out=src[wraps:])
             if keep is not None:
-                keep(i, j, src)
+                keep(i, j, src.swapaxes(2, 3) if flip else src)
             if "." not in codes:
                 view[:, :live].fill(0)
             if slots - reach < live and src[:, slots - reach:].any():

@@ -176,17 +176,22 @@ def enumerate_four_symbol(n: int) -> Iterator[Tableau]:
     """Every four-symbol tableau, by relabelling the two-symbol ones.
 
     Exponential in the symbol count on top of ``(n+1)!``; useful as an
-    independent cross-check at very small sizes only.
+    independent cross-check at very small sizes only.  The size is
+    checked at the call, before the first tableau.
     """
-    for t in enumerate_tableaux(n):
-        spots = [(i, j) for i, j in t.boxes() if t.cell(i, j) != "."]
-        codes = [t.cell(i, j) for i, j in spots]
-        choices = [("A", "G") if c == "A" else ("B", "D") for c in codes]
-        for relabel in itertools.product(*choices):
-            grid = [list(row) for row in t.rows]
-            for (i, j), code in zip(spots, relabel):
-                grid[i - 1][j - 1] = code
-            yield Tableau._trusted(tuple("".join(row) for row in grid))
+    return itertools.chain.from_iterable(map(_relabellings, enumerate_tableaux(n)))
+
+
+def _relabellings(t: Tableau) -> Iterator[Tableau]:
+    """Each alpha of ``t`` as alpha or gamma, each beta as beta or delta."""
+    spots = [(i, j) for i, j in t.boxes() if t.cell(i, j) != "."]
+    codes = [t.cell(i, j) for i, j in spots]
+    choices = [("A", "G") if c == "A" else ("B", "D") for c in codes]
+    for relabel in itertools.product(*choices):
+        grid = [list(row) for row in t.rows]
+        for (i, j), code in zip(spots, relabel):
+            grid[i - 1][j - 1] = code
+        yield Tableau._trusted(tuple("".join(row) for row in grid))
 
 
 def oracle_event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:

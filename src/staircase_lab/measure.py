@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import Union
 
-from .core import Tableau
+# the size checks live in core, which measure imports; kept importable here
+from .core import Tableau, _check_int, _check_size
 
 RationalLike = Union[int, Fraction, str]
 
@@ -47,19 +48,6 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"{what} must be a rational number, got {value!r}")
-
-
-def _check_int(value: int, name: str) -> None:
-    # a bool is an int to isinstance, and True would pass as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def _check_size(n: int, least: int = 1, most: Optional[int] = None) -> None:
-    _check_int(n, "size")
-    if n < least or most is not None and n > most:
-        span = f"at least {least}" if most is None else f"in {least}..{most}"
-        raise ValueError(f"size must be {span}, got {n}")
 
 
 def rising_factorial(x: Fraction, k: int) -> Fraction:

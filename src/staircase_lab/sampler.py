@@ -161,7 +161,8 @@ class _ChainTables:
         def keep(first: int, i: int, j: int, counts: np.ndarray) -> None:
             if first == 0:  # the first pass sizes each box's slice
                 self.slices[j][i - 1] = np.empty((plan, counts[0].size), dtype=np.uint64)
-            self.slices[j][i - 1][first:first + len(counts)] = counts.reshape(len(counts), -1)
+            # counts may be a transposed view: copy it in place, with no flat temporary
+            self.slices[j][i - 1][first:first + len(counts)].reshape(counts.shape)[...] = counts
         if _masses_crt(n, w, _allowed_map(n, None), 1, keep=keep) != [scaled.total_bound(n)]:
             raise RuntimeError("chain-rule tables do not add up to the partition total")
 

@@ -6,10 +6,13 @@ from staircase_lab.core import (
     Tableau,
     in_staircase,
     main_diagonal,
+    second_diag_max_count,
     second_diagonal,
     staircase_boxes,
+    third_diag_max_count,
     third_diagonal,
 )
+from staircase_lab.enumeration import enumerate_four_symbol
 
 # A hand-checked valid size-7 tableau and its all-greek-relabelled twin.
 SIZE7_ROWS = ("A..G..A", ".....D", "..B.G", "...D", "..B", ".G", "B")
@@ -37,6 +40,17 @@ def test_box_enumeration():
     assert third_diagonal(2) == ()
     assert in_staircase(3, (2, 2)) and not in_staircase(3, (2, 3))
     assert not in_staircase(3, (0, 1))
+
+
+@pytest.mark.parametrize("helper", [staircase_boxes, main_diagonal, second_diagonal,
+                                    third_diagonal, second_diag_max_count,
+                                    third_diag_max_count, enumerate_four_symbol])
+@pytest.mark.parametrize("size", [0, -2])
+def test_geometry_refuses_a_size_below_one_at_the_call(helper, size):
+    # staircase_boxes(0) was an empty stream and third_diag_max_count(-2) was 0;
+    # the two streams refuse before their first item
+    with pytest.raises(ValueError, match=f"^size must be at least 1, got {size}$"):
+        helper(size)
 
 
 def test_cell_access():

@@ -568,9 +568,14 @@ KERNEL_WEIGHTS = [Weights(1, 1), Weights(5, 7), Weights(F(13, 7), F(1000, 3)),
 def _kernel_cases(n, rng):
     """(allowed map, lifts, slots) for the differential test: random
     constraints under no lift, each statistic's plan and the 3-slot cell
-    law at a free box."""
-    for _ in range(3):
-        given = _random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
+    law at a free box.  From n = 8 on, one more event forbids ``.`` at
+    boxes that run along the long axis (rows 2 and 3 of columns 2-4)."""
+    events = [_random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
+              for _ in range(3)]
+    if n >= 8:
+        events.append(ConstraintSet.of(n, {(2, 2): R.MUST_ALPHA, (3, 2): R.MUST_NONEMPTY,
+                                           (3, 3): R.MUST_BETA, (2, 4): R.MUST_NONEMPTY}))
+    for given in events:
         allowed = dpcount._allowed_map(n, given)
         yield allowed, None, 1
         for statistic in STATISTIC_NAMES:
@@ -581,14 +586,25 @@ def _kernel_cases(n, rng):
             yield allowed, {rng.choice(free): (("A", 1), ("B", 2))}, 3
 
 
-@pytest.mark.parametrize("w", KERNEL_WEIGHTS)
-def test_kernel_matches_the_reference_pass(w):
+#: Every kernel weight up to n = 7, and n = 8-9 for one weight whose plan
+#: is 2^64 alone and one whose plan needs primes beside it.  Up to n = 7
+#: a box with half = 4 runs along its long axis only in column 2; from
+#: n = 8 on, in several columns.
+KERNEL_SIZES = ([(w, range(1, 8)) for w in KERNEL_WEIGHTS]
+                + [(KERNEL_WEIGHTS[0], range(8, 10)), (KERNEL_WEIGHTS[2], range(8, 10))])
+
+
+@pytest.mark.parametrize("w, sizes", KERNEL_SIZES,
+                         ids=[f"w{k}" for k in range(len(KERNEL_WEIGHTS))]
+                         + ["single-modulus-n8-9", "primes-n8-9"])
+def test_kernel_matches_the_reference_pass(w, sizes):
     # every modulus of the plan and a foreign prime small enough that
     # merged factors such as q * (pa + pb) often vanish or reduce to 1,
     # run alone, in runs of two and all together in one pass
     rng = random.Random(str(w))
     scaled = ScaledWeights.of(w)
-    for n in range(1, 8):
+    flipped = set()  # (half, lifted, forbids ".", planes) of each box run along seg
+    for n in sizes:
         plan = scaled.moduli(n)
         moduli = plan + (7,)
         groups = ([(m,) for m in moduli] + [moduli[k:k + 2] for k in range(0, len(moduli), 2)]
@@ -602,9 +618,19 @@ def test_kernel_matches_the_reference_pass(w):
                     lambda i, j, counts, m=m: reference[m].__setitem__((i, j), counts.copy()))
             for group in groups:
                 kept = {}
-                got = dpcount._sweep(
-                    n, group, scaled.factors(), allowed, slots, lifts,
-                    lambda i, j, counts: kept.__setitem__((i, j), counts.copy()))
+
+                def keep(i, j, counts):
+                    # a box whose runs are shorter than a cache line, and
+                    # more of them than each holds, hands keep a transposed view
+                    seg, half = counts.shape[2:]
+                    flip = half < dpcount._LINE_ENTRIES and seg > half
+                    assert counts.flags.c_contiguous == (not flip or half == 1), (n, i, j)
+                    if flip:
+                        flipped.add((half, bool(lifts) and (i, j) in lifts,
+                                     "." not in allowed[(i, j)], len(group)))
+                    kept[(i, j)] = counts.copy()
+
+                got = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts, keep)
                 assert got == [want[m] for m in group], (n, group, allowed, lifts)
                 for plane, m in enumerate(group):
                     assert kept.keys() == reference[m].keys()
@@ -615,6 +641,12 @@ def test_kernel_matches_the_reference_pass(w):
                         live = counts.shape[1]
                         assert np.array_equal(counts[plane], full[:live]), (n, m, i, j)
                         assert not full[live:].any(), (n, m, i, j)
+    if sizes[-1] >= 8:
+        # the long-axis boxes ran at both short run lengths, lifted and
+        # not, forbidding "." and not, alone and stacked with other planes
+        for half in (2, 4):
+            assert {(lifted, forbids, planes > 1) for h, lifted, forbids, planes in flipped
+                    if h == half} == set(itertools.product((False, True), repeat=3)), half
 
 
 def test_kernel_matches_the_reference_on_a_wrap_only_plan():

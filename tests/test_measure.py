@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from staircase_lab import asep, dpcount, enumeration, formulas, moments, sampler
+from staircase_lab import asep, core, dpcount, enumeration, formulas, moments, sampler
 from staircase_lab.constraints import (ConstraintSet, Requirement, second_diag_event,
                                        third_diag_event)
 from staircase_lab.core import Tableau
@@ -104,7 +104,15 @@ def test_four_weights():
 W, P = Weights(1, 2), asep.AsepParams(2, 1, 3, 1)
 EMPTY = ConstraintSet.empty(3)
 SIZE_TAKERS = {
+    "staircase_boxes": lambda n: core.staircase_boxes(n),
+    "main_diagonal": lambda n: core.main_diagonal(n),
+    "second_diagonal": lambda n: core.second_diagonal(n),
+    "third_diagonal": lambda n: core.third_diagonal(n),
+    "second_diag_max_count": lambda n: core.second_diag_max_count(n),
+    "third_diag_max_count": lambda n: core.third_diag_max_count(n),
+    # the two streams must refuse at the call, not on the first next
     "enumerate_tableaux": lambda n: enumeration.enumerate_tableaux(n),
+    "enumerate_four_symbol": lambda n: enumeration.enumerate_four_symbol(n),
     "count_tableaux": lambda n: enumeration.count_tableaux(n),
     "all_tableaux": lambda n: enumeration.all_tableaux(n),
     # the ledger keys (build, True) and (build, 1) are equal
