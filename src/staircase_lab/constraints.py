@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .core import Box, Tableau, in_staircase, second_diagonal, third_diagonal
-from .formulas import _check_diagonal
+from .core import (Box, Tableau, _diagonal_columns, in_staircase, second_diagonal,
+                   third_diagonal)
 from .measure import _check_size
 
 
@@ -88,23 +88,13 @@ class ConstraintSet:
         return all(t.cell(i, j) in _ALLOWED[req] for (i, j), req in self.items)
 
 
-def _diagonal_event(boxes: Tuple[Box, ...], n: int, cols: Iterable[int],
-                    req: Requirement, what: str) -> ConstraintSet:
-    cols = tuple(cols)
-    if any(not 1 <= c <= len(boxes) for c in cols):
-        raise ValueError(f"{what} columns must lie in 1..{len(boxes)}, got {cols}")
-    if len(set(cols)) != len(cols):
-        raise ValueError(f"{what} columns must be distinct, got {cols}")
-    return ConstraintSet.of(n, {boxes[c - 1]: req for c in cols})
-
-
 def second_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the second-diagonal boxes in the given columns."""
-    _check_diagonal(n, 2, "second diagonal")
-    return _diagonal_event(second_diagonal(n), n, cols, req, "second-diagonal")
+    cols = _diagonal_columns(n, 2, cols)
+    return ConstraintSet.of(n, {second_diagonal(n)[c - 1]: req for c in cols})
 
 
 def third_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:
     """Require ``req`` at the third-diagonal boxes in the given columns."""
-    _check_diagonal(n, 3, "third diagonal")
-    return _diagonal_event(third_diagonal(n), n, cols, req, "third-diagonal")
+    cols = _diagonal_columns(n, 3, cols)
+    return ConstraintSet.of(n, {third_diagonal(n)[c - 1]: req for c in cols})

@@ -22,7 +22,8 @@ the on-disk text format (a size line followed by one row per line).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 Box = Tuple[int, int]
 
@@ -296,28 +297,67 @@ class Tableau:
         return self.to_text()
 
 
+#: The diagonals a statistic or a column list may name, by number (the
+#: main diagonal is the first): ordinal, boxes and most cells filled.
+_DIAGONALS = {2: ("second", second_diagonal, second_diag_max_count),
+              3: ("third", third_diagonal, third_diag_max_count)}
+
+
+def _diagonal_columns(n: int, diagonal: int, cols: Iterable[int]) -> Tuple[int, ...]:
+    """Columns on the second or third diagonal at size ``n``, sorted,
+    once the size has that diagonal and they are ints, at least one,
+    distinct and on it."""
+    what = _DIAGONALS[diagonal][0]
+    _check_int(n, "size")
+    if n < diagonal:
+        raise ValueError(f"the {what} diagonal is empty below size {diagonal}, got n={n}")
+    cols = tuple(cols)
+    for c in cols:
+        _check_int(c, f"{what}-diagonal column")
+    cols = tuple(sorted(cols))
+    if not cols:
+        raise ValueError(f"{what}-diagonal needs at least one column")
+    if cols[0] < 1 or cols[-1] > n + 1 - diagonal:
+        raise ValueError(f"{what}-diagonal columns must lie in 1..{n + 1 - diagonal}, got {cols}")
+    if len(set(cols)) < len(cols):
+        raise ValueError(f"{what}-diagonal columns must be distinct, got {cols}")
+    return cols
+
+
 #: Counting statistics of a tableau that the distribution machinery knows
-#: by name.  ``A2``/``B2``/``X2`` count alphas, betas, and nonempty boxes
-#: on the second diagonal; ``A3``/``X3`` do the same on the third;
-#: ``Nalpha``/``Nbeta`` count symbols over the whole tableau.
-STATISTIC_NAMES = ("A2", "B2", "X2", "A3", "X3", "Nalpha", "Nbeta")
+#: by name, each with the diagonal it reads (0 for the whole tableau),
+#: the kind of cell it counts and that kind's codes.  ``A2``/``B2``/``X2``
+#: count alphas, betas, and nonempty boxes on the second diagonal;
+#: ``A3``/``X3`` do the same on the third; ``Nalpha``/``Nbeta`` count
+#: symbols over the whole tableau.  Every symbol is nonempty, gamma and
+#: delta too.
+_STATISTICS = {"A2": (2, "alpha", "A"), "B2": (2, "beta", "B"), "X2": (2, "nonempty", "ABGD"),
+               "A3": (3, "alpha", "A"), "X3": (3, "nonempty", "ABGD"),
+               "Nalpha": (0, "alpha", "A"), "Nbeta": (0, "beta", "B")}
+STATISTIC_NAMES = tuple(_STATISTICS)
+
+
+def _statistic(name: str) -> Tuple[int, str, str]:
+    """A named statistic's row of the table; the one refusal of a name."""
+    if name not in STATISTIC_NAMES:
+        raise ValueError(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
+    return _STATISTICS[name]
+
+
+@lru_cache(maxsize=256)
+def _statistic_cells(n: int, name: str) -> Tuple[Tuple[Box, ...], str, int]:
+    """The boxes a named statistic reads at size ``n``, the codes it
+    counts there and its largest value; the whole tableau holds at most
+    one alpha per column and one beta per row.  Callers check ``n``
+    first, since the cache takes ``True`` for 1."""
+    diagonal, _, codes = _statistic(name)
+    if not diagonal:
+        return tuple(staircase_boxes(n)), codes, n
+    _, boxes, cap = _DIAGONALS[diagonal]
+    return boxes(n), codes, cap(n)
 
 
 def diagonal_statistic(t: Tableau, name: str) -> int:
     """Evaluate one of the named counting statistics on a tableau."""
-    if name == "Nalpha":
-        return t.symbol_counts().alpha
-    if name == "Nbeta":
-        return t.symbol_counts().beta
-    if name in ("A2", "B2", "X2"):
-        boxes = second_diagonal(t.n)
-    elif name in ("A3", "X3"):
-        boxes = third_diagonal(t.n)
-    else:
-        raise ValueError(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
-    cells = [t.cell(i, j) for i, j in boxes]
-    if name.startswith("A"):
-        return cells.count("A")
-    if name.startswith("B"):
-        return cells.count("B")
-    return sum(1 for c in cells if c != ".")
+    boxes, codes, _ = _statistic_cells(t.n, name)
+    return sum(t.rows[i - 1][j - 1] in codes for i, j in boxes)

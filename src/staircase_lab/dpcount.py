@@ -63,8 +63,7 @@ import numpy as np
 
 from . import _budget
 from .constraints import ConstraintSet, Requirement
-from .core import (Box, second_diag_max_count, second_diagonal, staircase_boxes,
-                   third_diag_max_count, third_diagonal)
+from .core import Box, _statistic_cells, staircase_boxes
 from .formulas import BoxLaw
 from .measure import Weights, _check_size
 from .pmf import Pmf
@@ -478,23 +477,11 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
 
 def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, Tuple[Tuple[str, int], ...]], int]:
     """Which codes lift the counter by one at which boxes, and the
-    statistic's largest value.
-
-    Caps are structural (see :func:`~staircase_lab.core.second_diag_max_count`
-    and :func:`~staircase_lab.core.third_diag_max_count`), and the whole
-    tableau holds at most n alphas and n betas.  The sweep itself
-    verifies the cap by refusing to overflow it.
-    """
-    if statistic in ("Nalpha", "Nbeta"):
-        lift = ((statistic[1].upper(), 1),)
-        return {box: lift for box in staircase_boxes(n)}, n
-    if statistic in ("A2", "B2", "X2"):
-        boxes, cap = second_diagonal(n), second_diag_max_count(n)
-    elif statistic in ("A3", "X3"):
-        boxes, cap = third_diagonal(n), third_diag_max_count(n)
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    lift = tuple((code, 1) for code in {"A": "A", "B": "B", "X": "AB"}[statistic[0]])
+    statistic's largest value, which the sweep verifies by refusing to
+    overflow it: :func:`~staircase_lab.core._statistic_cells` on the
+    alpha/beta tableaux the kernel fills."""
+    boxes, codes, cap = _statistic_cells(n, statistic)
+    lift = tuple((code, 1) for code in codes if code in "AB")
     return {box: lift for box in boxes}, cap
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
-from .core import Box
+from .core import Box, _diagonal_columns
 from .measure import (FourWeights, Weights, _check_int, _check_size,
                       falling_factorial, rising_factorial)
 
@@ -119,23 +119,6 @@ class JointValue:
     reason: Optional[str] = None
 
 
-def _check_diagonal(n: int, least: int, what: str) -> None:
-    _check_int(n, "size")
-    if n < least:
-        raise ValueError(f"the {what} is empty below size {least}, got n={n}")
-
-
-def _checked_columns(cols: Iterable[int], top: int, what: str) -> Tuple[int, ...]:
-    cols = tuple(sorted(cols))
-    if not cols:
-        raise ValueError(f"{what} needs at least one column")
-    if cols[0] < 1 or cols[-1] > top:
-        raise ValueError(f"{what} columns must lie in 1..{top}, got {cols}")
-    if any(c2 == c1 for c1, c2 in itertools.pairwise(cols)):
-        raise ValueError(f"{what} columns must be distinct, got {cols}")
-    return cols
-
-
 def _min_gap(cols: Tuple[int, ...]) -> int:
     return min((c2 - c1 for c1, c2 in itertools.pairwise(cols)), default=0)
 
@@ -167,8 +150,7 @@ def second_diag_joint_alpha(n: int, w: Weights, cols: Iterable[int]) -> JointVal
     boxes would force contradictory symbols into the main-diagonal box
     wedged between them; that case returns 0 with a reason code.
     """
-    _check_diagonal(n, 2, "second diagonal")
-    cols = _checked_columns(cols, n - 1, "second-diagonal")
+    cols = _diagonal_columns(n, 2, cols)
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
     return JointValue(_joint_alpha_product(n, w, cols))
@@ -181,8 +163,7 @@ def second_diag_joint_nonempty(n: int, w: Weights, cols: Iterable[int]) -> Joint
     which, as long as they are pairwise at distance 2 or more; adjacent
     columns are impossible just as in the alpha case.
     """
-    _check_diagonal(n, 2, "second diagonal")
-    cols = _checked_columns(cols, n - 1, "second-diagonal")
+    cols = _diagonal_columns(n, 2, cols)
     if len(cols) > 1 and _min_gap(cols) < 2:
         return JointValue(Fraction(0), ADJACENT_COLUMNS)
     return JointValue(_joint_nonempty_product(n, w, len(cols)))
@@ -220,8 +201,7 @@ def third_diag_main_term(n: int, w: Weights, cols: Iterable[int],
     """
     if kind not in ("alpha", "nonempty"):
         raise ValueError(f"kind must be 'alpha' or 'nonempty', got {kind!r}")
-    _check_diagonal(n, 3, "third diagonal")
-    cols = _checked_columns(cols, n - 2, "third-diagonal")
+    cols = _diagonal_columns(n, 3, cols)
     r = len(cols)
     gaps = [c2 - c1 for c1, c2 in itertools.pairwise(cols)]
     if any(g == 2 for g in gaps):

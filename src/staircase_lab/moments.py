@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import mpmath
 
 from . import dpcount
-from .core import second_diag_max_count, third_diag_max_count
+from .core import _statistic, second_diag_max_count, third_diag_max_count
 from .measure import Weights, _as_fraction, _check_int, _check_size
 from .pmf import Pmf, _over_common_denominator
 
@@ -182,12 +182,10 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     engine and inherit its size limit.
     """
     _check_size(n)
-    if statistic in ("A2", "B2", "X2"):
-        kind = {"A2": "alpha", "B2": "beta", "X2": "nonempty"}[statistic]
+    diagonal, kind, _ = _statistic(statistic)
+    if diagonal == 2:
         return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))
-    if statistic in ("A3", "X3", "Nalpha", "Nbeta"):
-        return dpcount.statistic_pmf(n, w, statistic)
-    raise ValueError(f"unknown statistic {statistic!r}")
+    return dpcount.statistic_pmf(n, w, statistic)
 
 
 def tv_to_poisson(p: Pmf, lam, precision: float = 1e-12) -> float:

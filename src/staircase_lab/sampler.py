@@ -54,7 +54,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import _budget
-from .core import Tableau, diagonal_statistic
+from .core import Tableau, _statistic, diagonal_statistic
 from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
 from .enumeration import N_ENUM, all_tableaux
 from .measure import FourWeights, Weights, _check_int, _check_size
@@ -315,6 +315,7 @@ def empirical_pmf(n: int, w: Weights, statistic: str, samples: int,
                   rng: random.Random, method: str = "chain_rule") -> EmpiricalLaw:
     """Sample the named statistic and tabulate its empirical law."""
     _check_count(samples, "samples")
+    _statistic(statistic)  # an unknown name is refused before any draw
     counts = Counter(diagonal_statistic(t, statistic)
                      for t in sample_many(n, w, rng, samples, method))
     pmf = Pmf.from_integers([counts[k] for k in range(max(counts) + 1)], samples)

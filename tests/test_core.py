@@ -1,9 +1,13 @@
 """Shape, rule, and transform checks for the Tableau type."""
 
+import itertools
+
 import pytest
 
 from staircase_lab.core import (
+    STATISTIC_NAMES,
     Tableau,
+    diagonal_statistic,
     in_staircase,
     main_diagonal,
     second_diag_max_count,
@@ -12,7 +16,8 @@ from staircase_lab.core import (
     third_diag_max_count,
     third_diagonal,
 )
-from staircase_lab.enumeration import enumerate_four_symbol
+from staircase_lab.dpcount import _statistic_plan
+from staircase_lab.enumeration import all_tableaux, enumerate_four_symbol
 
 # A hand-checked valid size-7 tableau and its all-greek-relabelled twin.
 SIZE7_ROWS = ("A..G..A", ".....D", "..B.G", "...D", "..B", ".G", "B")
@@ -156,3 +161,65 @@ def test_from_cells():
         Tableau.from_cells(2, {(2, 2): "A"})
     with pytest.raises(ValueError):
         Tableau.from_cells(2, {(1, 1): "X"})
+
+
+# ----------------------------------------------------------------------
+# the named statistics, against definitions written apart from the library
+
+
+def _reference(n, name):
+    """The boxes a statistic reads at size n and whether it counts a
+    cell code, as the README defines them: X counts every nonempty
+    cell, so gamma and delta too."""
+    second = [(n - j, j) for j in range(1, n)]  # one step inside the main diagonal
+    third = [(n - j - 1, j) for j in range(1, n - 1)]  # two steps inside
+    whole = [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+    return {
+        "A2": (second, lambda c: c == "A"),
+        "B2": (second, lambda c: c == "B"),
+        "X2": (second, lambda c: c != "."),
+        "A3": (third, lambda c: c == "A"),
+        "X3": (third, lambda c: c != "."),
+        "Nalpha": (whole, lambda c: c == "A"),
+        "Nbeta": (whole, lambda c: c == "B"),
+    }[name]
+
+
+def _reference_cap(n, name):
+    """A statistic's largest value: one alpha per column and one beta
+    per row over the whole tableau; on a diagonal, the largest set of
+    columns with no two second-diagonal boxes adjacent and no two
+    third-diagonal boxes exactly two apart."""
+    if name in ("Nalpha", "Nbeta"):
+        return n
+    columns, banned = (n - 1, 1) if name in ("A2", "B2", "X2") else (n - 2, 2)
+    return max((len(chosen) for r in range(columns + 1)
+                for chosen in itertools.combinations(range(1, columns + 1), r)
+                if all(b - a != banned for a, b in itertools.combinations(chosen, 2))),
+               default=0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_statistics_match_their_reference_on_two_and_four_symbol_tableaux(n):
+    assert STATISTIC_NAMES == ("A2", "B2", "X2", "A3", "X3", "Nalpha", "Nbeta")
+    tableaux = [*all_tableaux(n), *enumerate_four_symbol(n)]
+    for name in STATISTIC_NAMES:
+        boxes, counts = _reference(n, name)
+        largest = 0
+        for t in tableaux:
+            value = sum(counts(t.rows[i - 1][j - 1]) for i, j in boxes)
+            assert diagonal_statistic(t, name) == value, (t.rows, name)
+            largest = max(largest, value)
+        assert largest == _reference_cap(n, name), name
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_counting_plan_reads_each_statistic_as_its_reference(n):
+    for name in STATISTIC_NAMES:
+        boxes, counts = _reference(n, name)
+        lifts, cap = _statistic_plan(n, name)
+        # the kernel fills alpha/beta tableaux, so it lifts on those codes alone
+        lifted = {code: 1 for code in "AB" if counts(code)}
+        assert {box: dict(lift) for box, lift in lifts.items()} == \
+            {box: lifted for box in boxes}, name
+        assert cap == _reference_cap(n, name), name

@@ -157,3 +157,46 @@ def test_every_size_taker_refuses_a_size_that_is_not_an_int(entry, size):
     # True once passed as size 1, and a float size ran on as a float
     with pytest.raises(ValueError, match=f"^size must be an int, got {re.escape(repr(size))}$"):
         SIZE_TAKERS[entry](size)
+
+
+# The five functions that take a column list on a diagonal, at n = 6.
+COLUMN_TAKERS = {
+    "second_diag_joint_alpha": (2, lambda cols: formulas.second_diag_joint_alpha(6, W, cols)),
+    "second_diag_joint_nonempty":
+        (2, lambda cols: formulas.second_diag_joint_nonempty(6, W, cols)),
+    "third_diag_main_term": (3, lambda cols: formulas.third_diag_main_term(6, W, cols)),
+    "second_diag_event": (2, lambda cols: second_diag_event(6, cols, Requirement.MUST_ALPHA)),
+    "third_diag_event": (3, lambda cols: third_diag_event(6, cols, Requirement.MUST_ALPHA)),
+}
+
+
+@pytest.mark.parametrize("cols", [[2.0], [True], ["1"], []], ids=repr)
+@pytest.mark.parametrize("entry", sorted(COLUMN_TAKERS))
+def test_every_column_taker_refuses_a_column_that_is_not_an_int_or_no_column(entry, cols):
+    # a float column would give a float from an exact API, True would
+    # pass as column 1, and an empty list would build an empty event
+    diagonal, take = COLUMN_TAKERS[entry]
+    what = {2: "second", 3: "third"}[diagonal]
+    message = (f"{what}-diagonal column must be an int, got {cols[0]!r}" if cols
+               else f"{what}-diagonal needs at least one column")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take(cols)
+
+
+# Every function that takes a statistic's name.
+STATISTIC_TAKERS = {
+    "diagonal_statistic": lambda name: core.diagonal_statistic(Tableau((".A", "B")), name),
+    "statistic_pmf": lambda name: dpcount.statistic_pmf(3, W, name),
+    "exact_statistic_pmf": lambda name: moments.exact_statistic_pmf(3, W, name),
+    "oracle_statistic_pmf": lambda name: enumeration.oracle_statistic_pmf(3, W, name),
+    "empirical_pmf": lambda name: sampler.empirical_pmf(3, W, name, 5, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATISTIC_TAKERS))
+def test_every_statistic_taker_refuses_an_unknown_name_with_one_message(entry, monkeypatch):
+    # empirical_pmf refuses the name before it draws a sample
+    monkeypatch.setattr(sampler, "sample_many", lambda *args: pytest.fail("drew samples"))
+    message = f"unknown statistic 'Z9'; expected one of {core.STATISTIC_NAMES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        STATISTIC_TAKERS[entry]("Z9")
