@@ -34,8 +34,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import _budget
-from .core import Tableau
-from .measure import _as_fraction, _check_size
+from .core import Tableau, _check_choice, _check_size
+from .measure import _as_fraction
 from .pmf import Pmf
 
 CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
@@ -88,18 +88,13 @@ class AsepParams:
         return {name: str(getattr(self, name)) for name in _RATE_NAMES}
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-
-
 def tableau_type(t: Tableau, convention: str = "alpha_delta") -> Tuple[int, ...]:
     """The particle configuration a tableau's diagonal encodes.
 
     Site i reads the i-th diagonal entry; which two symbols mean
     "filled" is the convention choice that cross_validate resolves.
     """
-    _check_convention(convention)
+    _check_choice(convention, "convention", CONVENTIONS)
     filled = "AG" if convention == "paper_alpha_gamma" else "AD"
     return tuple(int(code in filled) for code in t.diagonal_entries())
 
@@ -252,7 +247,7 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
     site 1, processed first, ends as the most significant bit of the
     index.
     """
-    _check_convention(convention)
+    _check_choice(convention, "convention", CONVENTIONS)
     _check_size(n, 1, _N_MAX)
     ra, rb, rg, rd, ru, rq = _integer_rates(p)
     gamma_bit = int(convention == "paper_alpha_gamma")
@@ -506,8 +501,7 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
 # ----------------------------------------------------------------------
 # the two routes against each other
 
-def cross_validate(n: int, p: AsepParams,
-                   conventions: Sequence[str] = CONVENTIONS) -> Dict:
+def cross_validate(n: int, p: AsepParams) -> Dict:
     """Compare both stationary-law routes state by state.
 
     The comparison runs at u rescaled to 1: the generator's law is
@@ -516,8 +510,6 @@ def cross_validate(n: int, p: AsepParams,
     JSON-ready, and a mismatch is an outcome, not an error.
     """
     _check_size(n, 1, _N_MAX)
-    for convention in conventions:
-        _check_convention(convention)
     scaled = p.unit_u()
     generator = steady_state_via_generator(n, scaled)
     report = {
@@ -529,7 +521,7 @@ def cross_validate(n: int, p: AsepParams,
     }
     labels = [format(s, f"0{n}b") for s in range(1 << n)]  # as index_state reads
     generator_probs = generator.masses
-    for convention in conventions:
+    for convention in CONVENTIONS:
         tableaux_probs = steady_state_via_tableaux(n, scaled, convention).masses
         per_state = [  # masses are trimmed, so the labels run longest
             {"state": label, "tableaux_prob": str(t_prob),

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import click
 
 from . import asep, constraints, dpcount, enumeration, formulas, moments, sampler
-from .core import STATISTIC_NAMES, Tableau, diagonal_statistic
+from .core import _DIAGONALS, STATISTIC_NAMES
 from .measure import FourWeights, Weights, parse_rational
 
 
@@ -88,6 +88,10 @@ class _Group(click.Group):
 def main():
     """Exact distributions, samplers, and cross-checks for weighted
     staircase tableaux."""
+    # exact rationals print in full, past Python's cap on int-to-str digits
+    # (3.10.7 on); set here, not on import, so the library leaves it alone
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command()
@@ -117,18 +121,15 @@ def count(n, a, b, four, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def prob(n, a, b, box, as_json):
     """Exact single-box cell law."""
-    pair = _ints(box, "--box")
-    if len(pair) != 2:
-        raise click.UsageError("--box needs exactly two integers I,J")
-    law = formulas.box_law(n, Weights(a, b), tuple(pair))
+    law = formulas.box_law(n, Weights(a, b), _ints(box, "--box"))
     _emit(("cell", "probability"),
           [("alpha", law.alpha), ("beta", law.beta), ("empty", law.empty)],
           as_json)
 
 
 @main.command()
-@click.option("--diag", type=click.Choice(["2", "3"]), required=True)
-@click.option("--kind", type=click.Choice(["alpha", "nonempty"]), required=True)
+@click.option("--diag", type=click.Choice([str(d) for d in _DIAGONALS]), required=True)
+@click.option("--kind", type=click.Choice(formulas._KINDS), required=True)
 @click.option("--cols", required=True, metavar="J1,J2,..")
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=RATIONAL, default="1", show_default=True)
@@ -149,10 +150,8 @@ def joint(diag, kind, cols, n, a, b, as_json):
         if term.order_only:
             note += ",order_only"
         rows.append(("main_term", term.value, note))
-    requirement = (constraints.Requirement.MUST_ALPHA if kind == "alpha"
-                   else constraints.Requirement.MUST_NONEMPTY)
     event = (constraints.second_diag_event if diag == "2"
-             else constraints.third_diag_event)(n, columns, requirement)
+             else constraints.third_diag_event)(n, columns, constraints.Requirement(kind))
     if n <= dpcount.N_DP:
         rows.append(("exact_dp", dpcount.event_prob(n, w, event), "exact"))
     if n <= 7:
@@ -161,14 +160,13 @@ def joint(diag, kind, cols, n, a, b, as_json):
 
 
 @main.command("moments")
-@click.option("--diag", type=click.Choice(["2", "3"]), required=True)
-@click.option("--kind", type=click.Choice(["alpha", "beta", "nonempty"]),
-              required=True)
+@click.option("--diag", type=click.Choice([str(d) for d in _DIAGONALS]), required=True)
+@click.option("--kind", type=click.Choice(moments._KINDS), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--a", type=RATIONAL, default="1", show_default=True)
 @click.option("--b", type=RATIONAL, default="1", show_default=True)
 @click.option("--r", "order", type=int, required=True, help="Highest moment order.")
-@click.option("--mode", type=click.Choice(["exact_dp", "main_term"]),
+@click.option("--mode", type=click.Choice(moments._MODES),
               default="exact_dp", show_default=True,
               help="Third-diagonal route; ignored for --diag 2.")
 @click.option("--json", "as_json", is_flag=True)
@@ -227,7 +225,7 @@ def converge(stat, ns, a, b, lam, as_json):
 @click.option("--count", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, required=True,
               help="Explicit seed; there is no default on purpose.")
-@click.option("--method", type=click.Choice(["enum_alias", "chain_rule"]),
+@click.option("--method", type=click.Choice(sampler._METHODS),
               default="chain_rule", show_default=True)
 def sample(n, a, b, count, seed, method):
     """Draw tableaux; a JSON header line, then one text block each."""

@@ -14,9 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .core import (Box, Tableau, _diagonal_columns, in_staircase, second_diagonal,
+from .core import (Box, Tableau, _check_box, _check_size, _diagonal_columns, second_diagonal,
                    third_diagonal)
-from .measure import _check_size
 
 
 class Requirement(enum.Enum):
@@ -51,15 +50,15 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         _check_size(self.n)
+        items = tuple((_check_box(self.n, box), req) for box, req in self.items)
         seen = set()
-        for box, req in self.items:
-            if not in_staircase(self.n, box):
-                raise ValueError(f"box {box} lies outside the size-{self.n} staircase")
+        for box, req in items:
             if not isinstance(req, Requirement):
                 raise TypeError(f"requirement for box {box} must be a Requirement")
             if box in seen:
                 raise ValueError(f"box {box} is constrained twice")
             seen.add(box)
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def of(cls, n: int, boxes: Mapping[Box, Requirement]) -> "ConstraintSet":
@@ -82,10 +81,14 @@ class ConstraintSet:
                 return _ALLOWED[req]
         return _ALLOWED[Requirement.FREE]
 
+    def _check_built_for(self, n: int) -> None:
+        if self.n != n:
+            raise ValueError(f"constraints built for size {self.n}, not {n}")
+
     def satisfied_by(self, t: Tableau) -> bool:
-        if t.n != self.n:
-            raise ValueError(f"tableau has size {t.n}, constraints have size {self.n}")
-        return all(t.cell(i, j) in _ALLOWED[req] for (i, j), req in self.items)
+        self._check_built_for(t.n)
+        # the boxes were checked when the set was built
+        return all(t.rows[i - 1][j - 1] in _ALLOWED[req] for (i, j), req in self.items)
 
 
 def second_diag_event(n: int, cols: Iterable[int], req: Requirement) -> ConstraintSet:

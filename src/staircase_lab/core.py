@@ -103,6 +103,23 @@ def in_staircase(n: int, box: Box) -> bool:
     return 1 <= i and 1 <= j and i + j <= n + 1
 
 
+def _check_box(n: int, box: Box) -> Box:
+    try:
+        i, j = box
+    except (TypeError, ValueError):
+        raise ValueError(f"a box must be a pair of ints (i, j), got {box!r}") from None
+    _check_int(i, "row")
+    _check_int(j, "column")
+    if not in_staircase(n, (i, j)):
+        raise ValueError(f"box ({i}, {j}) lies outside the size-{n} staircase")
+    return i, j
+
+
+def _check_choice(value: str, name: str, choices: Tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Tableau:
     """An immutable staircase filling.
@@ -148,9 +165,8 @@ class Tableau:
         Unmentioned boxes stay empty.  Boxes outside the staircase raise.
         """
         grid = [["."] * (n + 1 - i) for i in range(1, n + 1)]
-        for (i, j), code in cells.items():
-            if not in_staircase(n, (i, j)):
-                raise ValueError(f"box ({i}, {j}) lies outside the size-{n} staircase")
+        for box, code in cells.items():
+            i, j = _check_box(n, box)
             code = str(code)
             if code not in _CELL_CHARS:
                 raise ValueError(f"unknown cell code {code!r} for box ({i}, {j})")
@@ -179,8 +195,7 @@ class Tableau:
         return len(self.rows)
 
     def cell(self, i: int, j: int) -> str:
-        if not in_staircase(self.n, (i, j)):
-            raise ValueError(f"box ({i}, {j}) lies outside the size-{self.n} staircase")
+        _check_box(self.n, (i, j))
         return self.rows[i - 1][j - 1]
 
     def boxes(self) -> Iterator[Box]:
@@ -241,8 +256,7 @@ class Tableau:
         rooted at box ``(i, j)``; validity of the filling is preserved.
         """
         n = self.n
-        if not in_staircase(n, (i, j)):
-            raise ValueError(f"box ({i}, {j}) lies outside the size-{n} staircase")
+        _check_box(n, (i, j))
         size = n - i - j + 2
         rows = tuple(
             self.rows[i + k - 2][j - 1 : j + size - k] for k in range(1, size + 1)
@@ -256,6 +270,8 @@ class Tableau:
         shape ``(n-1, ..., 1)`` are meaningful; anything else raises.
         """
         n = self.n
+        _check_int(i, "row")
+        _check_int(j, "column")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"row {i} / column {j} out of range for size {n}")
         kept = []
@@ -360,4 +376,7 @@ def _statistic_cells(n: int, name: str) -> Tuple[Tuple[Box, ...], str, int]:
 def diagonal_statistic(t: Tableau, name: str) -> int:
     """Evaluate one of the named counting statistics on a tableau."""
     boxes, codes, _ = _statistic_cells(t.n, name)
-    return sum(t.rows[i - 1][j - 1] in codes for i, j in boxes)
+    if _STATISTICS[name][0]:
+        return sum(t.rows[i - 1][j - 1] in codes for i, j in boxes)
+    joined = "".join(t.rows)  # the whole tableau: one count per code
+    return sum(map(joined.count, codes))

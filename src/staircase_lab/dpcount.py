@@ -63,9 +63,9 @@ import numpy as np
 
 from . import _budget
 from .constraints import ConstraintSet, Requirement
-from .core import Box, _statistic_cells, staircase_boxes
+from .core import Box, _check_box, _check_size, _statistic_cells, staircase_boxes
 from .formulas import BoxLaw
-from .measure import Weights, _check_size
+from .measure import Weights
 from .pmf import Pmf
 
 #: Largest size the counting kernel accepts; 2^22 states per column is
@@ -209,8 +209,8 @@ def _crt(residues: Sequence[int], garner: Sequence[Tuple[int, int, int]]) -> int
 
 def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     """Cell codes each box may take, merging rules and constraints."""
-    if c is not None and c.n != n:
-        raise ValueError(f"constraints built for size {c.n}, not {n}")
+    if c is not None:
+        c._check_built_for(n)
     out = {}
     for box in staircase_boxes(n):
         codes = set(".AB") if box[0] + box[1] <= n else set("AB")
@@ -463,6 +463,7 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     impossible event raises.
     """
     _check_size(n, 1, N_DP)
+    box = _check_box(n, box)
     base = given if given is not None else ConstraintSet.empty(n)
     # the box joins the event free, so a box outside it or already constrained raises
     free = ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))

@@ -28,8 +28,8 @@ from typing import Dict, Iterator, List, Tuple, Union
 
 from . import _budget
 from .constraints import ConstraintSet
-from .core import Tableau, diagonal_statistic
-from .measure import FourWeights, Weights, _check_size
+from .core import Tableau, _check_size, diagonal_statistic
+from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 #: Largest size the exhaustive oracles are meant for; 10! = 3.6M
@@ -184,9 +184,8 @@ def enumerate_four_symbol(n: int) -> Iterator[Tableau]:
 
 def _relabellings(t: Tableau) -> Iterator[Tableau]:
     """Each alpha of ``t`` as alpha or gamma, each beta as beta or delta."""
-    spots = [(i, j) for i, j in t.boxes() if t.cell(i, j) != "."]
-    codes = [t.cell(i, j) for i, j in spots]
-    choices = [("A", "G") if c == "A" else ("B", "D") for c in codes]
+    spots = [(i, j) for i, j in t.boxes() if t.rows[i - 1][j - 1] != "."]
+    choices = [("A", "G") if t.rows[i - 1][j - 1] == "A" else ("B", "D") for i, j in spots]
     for relabel in itertools.product(*choices):
         grid = [list(row) for row in t.rows]
         for (i, j), code in zip(spots, relabel):
@@ -197,8 +196,7 @@ def _relabellings(t: Tableau) -> Iterator[Tableau]:
 def oracle_event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
     """P(constraints all hold) by summing over every tableau."""
     _check_size(n)
-    if c.n != n:
-        raise ValueError(f"constraints built for size {c.n}, not {n}")
+    c._check_built_for(n)
     hit = Counter(_symbol_counts(t) for t in _tableaux(n) if c.satisfied_by(t))
     return _grouped_weight_sum(n, w, hit) / w.normalizer(n)
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
-from .core import Box, _diagonal_columns
-from .measure import (FourWeights, Weights, _check_int, _check_size,
-                      falling_factorial, rising_factorial)
+from .core import Box, _check_box, _check_choice, _check_int, _check_size, _diagonal_columns
+from .measure import FourWeights, Weights, falling_factorial, rising_factorial
 
 __all__ = [
     "BoxLaw",
@@ -48,6 +47,8 @@ GAP_TWO_ZERO = "gap_two_zero"
 #: probability is positive but no closed main term is provided, only
 #: the order bound O((n+a+b)^-r).
 GAP_BELOW_THREE = "gap_below_three"
+#: What a third-diagonal main term may require at its columns.
+_KINDS = ("alpha", "nonempty")
 
 
 def partition_closed(n: int, w: Union[Weights, FourWeights]) -> Fraction:
@@ -97,9 +98,7 @@ def box_law(n: int, w: Weights, box: Box) -> BoxLaw:
     with the rest of the mass on empty.
     """
     _check_size(n)
-    i, j = box
-    if not (1 <= i and 1 <= j and i + j <= n + 1):
-        raise ValueError(f"box {box} lies outside the size-{n} staircase")
+    i, j = _check_box(n, box)
     a, b = w.a, w.b
     if i + j == n + 1:
         den = n + a + b - 1
@@ -199,8 +198,7 @@ def third_diag_main_term(n: int, w: Weights, cols: Iterable[int],
     probability exactly 0.  Adjacent boxes are possible but carry no
     closed main term, only the order bound O((n+a+b)^-r).
     """
-    if kind not in ("alpha", "nonempty"):
-        raise ValueError(f"kind must be 'alpha' or 'nonempty', got {kind!r}")
+    _check_choice(kind, "kind", _KINDS)
     cols = _diagonal_columns(n, 3, cols)
     r = len(cols)
     gaps = [c2 - c1 for c1, c2 in itertools.pairwise(cols)]

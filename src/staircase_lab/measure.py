@@ -25,8 +25,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
-# the size checks live in core, which measure imports; kept importable here
-from .core import Tableau, _check_int, _check_size
+from .core import Tableau
 
 RationalLike = Union[int, Fraction, str]
 

@@ -29,8 +29,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import mpmath
 
 from . import dpcount
-from .core import _statistic, second_diag_max_count, third_diag_max_count
-from .measure import Weights, _as_fraction, _check_int, _check_size
+from .core import (_check_choice, _check_int, _check_size, _statistic, second_diag_max_count,
+                   third_diag_max_count)
+from .measure import Weights, _as_fraction
 from .pmf import Pmf, _over_common_denominator
 
 #: Limit law rates: symbol counts on either diagonal tend to
@@ -49,24 +50,27 @@ _KINDS = ("alpha", "beta", "nonempty")
 _MODES = ("exact_dp", "main_term")
 
 
-def _tuple_sum_table(b: Fraction, n: int, step: int, R: int) -> List[List[int]]:
-    """Monotone-tuple sums, scaled by ``bd**k`` to integers.
+def _tuple_sum_heads(b: Fraction, n: int, step: int, R: int) -> List[int]:
+    """Monotone-tuple sums ``T[n - step r + 1][r]`` for ``r = 0..R``,
+    scaled by ``bd**r`` to integers.
 
     ``T[t][k]`` sums ``prod_l (b + u_l + (step - 2)(l - 1))`` over tuples
     ``0 <= u_1 <= ... <= u_k <= t - 1``, via ``T[t][k] = T[t-1][k] +
     (b + t - 1 + (step - 2)(k - 1)) T[t][k-1]`` (the last coordinate
     stays below t - 1 or sits there); ``bd`` is b's denominator.  Size
-    n reads ``T[n - step r + 1][r]`` only, so rows are triangular.
+    n reads only the last entry of every step-th row, so one row rolls
+    forward in place, ascending in k, and is cut short as t grows.
     """
     bn, bd = b.numerator, b.denominator
-    table = [[1] + [0] * min(R, n // step)]
+    row, heads = [1] + [0] * R, [1] + [0] * R
     for t in range(1, n - step + 2):
-        prev, row = table[-1], [1]
-        for k in range(1, min(R, (n + 1 - t) // step) + 1):
+        r, rest = divmod(n + 1 - t, step)
+        for k in range(1, min(R, r) + 1):
             factor = bn + (t - 1 + (step - 2) * (k - 1)) * bd
-            row.append(prev[k] + factor * row[k - 1])
-        table.append(row)
-    return table
+            row[k] += factor * row[k - 1]
+        if not rest and r <= R:
+            heads[r] = row[r]
+    return heads
 
 
 def _moment_numerators(n: int, w: Weights, kind: str, R: int,
@@ -87,8 +91,7 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
         heads = [math.comb(n - (step - 1) * r, r) for r in range(top + 1)]
         g, j = 1, 1
     else:
-        table = _tuple_sum_table(w.b, n, step, top)
-        heads = [1] + [table[n - step * r + 1][r] for r in range(1, top + 1)]
+        heads = _tuple_sum_heads(w.b, n, step, top)
         g, j = w.b.denominator, 2
     c = [0] * (R + 1)
     tail = 1  # g^(top - r) * prod_(j r <= i < j top) (S - i D)
@@ -117,8 +120,7 @@ def _invert(c: Sequence[int], L: int) -> Pmf:
 
 
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    _check_choice(kind, "kind", _KINDS)
     _check_size(n)
     _check_int(R, "R")
     if not 1 <= R <= max_count(n) + 1:
@@ -149,8 +151,7 @@ def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
     least three; the two agree up to one extra power of 1/(n+a+b).
     """
     _check(n, kind, R, third_diag_max_count)
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_choice(mode, "mode", _MODES)
     if mode == "exact_dp":
         law = dpcount.statistic_pmf(n, w.swapped() if kind == "beta" else w,
                                     "X3" if kind == "nonempty" else "A3")
@@ -282,6 +283,7 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str,
         raise ValueError("ns must be a nonempty list of sizes")
     for n in ns:
         _check_size(n)
+    _statistic(statistic)
     rate = POISSON_RATES.get(statistic)
     if rate is None:
         raise ValueError(f"{statistic!r} has no Poisson limit pairing")

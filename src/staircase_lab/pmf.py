@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import index
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .measure import _check_int
+from .core import _check_int
 
 
 def _over_common_denominator(values: Iterable) -> Tuple[List[int], int]:

@@ -54,10 +54,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import _budget
-from .core import Tableau, _statistic, diagonal_statistic
+from .core import Tableau, _check_choice, _check_int, _check_size, _statistic, diagonal_statistic
 from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
 from .enumeration import N_ENUM, all_tableaux
-from .measure import FourWeights, Weights, _check_int, _check_size
+from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
@@ -266,8 +266,7 @@ def sample(n: int, w: Weights, rng: random.Random,
 def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
     """Draw a batch, walking all samples through each column together."""
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    _check_choice(method, "method", _METHODS)
     alias = method == "enum_alias"
     _check_size(n, 1, N_ENUM if alias else N_DP)
     _check_count(count, "count")

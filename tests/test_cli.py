@@ -40,6 +40,22 @@ def test_count_skips_brute_force_at_large_sizes(runner):
     assert "brute" not in out and out.startswith("form,value\nclosed,")
 
 
+def test_exact_rationals_print_past_the_int_to_str_digit_cap(runner):
+    # Python refuses str() of an int over 4300 digits unless told otherwise
+    count = run(runner, "count", "--n", "2000").splitlines()
+    assert count[0] == "form,value" and len(count[1]) > 4300
+    law = run(runner, "pmf", "--stat", "A2", "--n", "1200", "--a", "13/7", "--b", "2/5")
+    masses = [Fraction(line.split(",")[1]) for line in law.splitlines()[1:]]
+    assert len(masses) == 601 and sum(masses) == 1
+
+
+@pytest.mark.parametrize("box", ["1,2,3", "5"])
+def test_prob_refuses_a_box_that_is_not_a_pair(runner, box):
+    given = "[" + box.replace(",", ", ") + "]"
+    out = run(runner, "prob", "--n", "6", "--box", box, expect=2)
+    assert out.endswith(f"Error: a box must be a pair of ints (i, j), got {given}\n")
+
+
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_no_size_produces_a_traceback(runner, n):
     # run() lets any exception out, so each case ends in output or a usage error

@@ -9,7 +9,6 @@ import pytest
 
 from staircase_lab import enumeration
 from staircase_lab.constraints import ConstraintSet, Requirement, second_diag_event
-from staircase_lab.core import Tableau, diagonal_statistic
 from staircase_lab._budget import _MEM_BUDGET
 from staircase_lab.enumeration import (_list_bytes, all_tableaux, brute_partition,
                                        count_tableaux, enumerate_four_symbol,
@@ -173,8 +172,3 @@ def test_second_diag_event_against_closed_form():
             event = second_diag_event(n, cols, Requirement.MUST_ALPHA)
             assert oracle_event_prob(n, w, event) == \
                 second_diag_joint_alpha(n, w, cols).value
-
-
-def test_statistic_accessor_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        diagonal_statistic(Tableau((".A", "B")), "Z9")

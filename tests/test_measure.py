@@ -190,6 +190,7 @@ STATISTIC_TAKERS = {
     "exact_statistic_pmf": lambda name: moments.exact_statistic_pmf(3, W, name),
     "oracle_statistic_pmf": lambda name: enumeration.oracle_statistic_pmf(3, W, name),
     "empirical_pmf": lambda name: sampler.empirical_pmf(3, W, name, 5, random.Random(1)),
+    "convergence_report": lambda name: moments.convergence_report([3], W, name),
 }
 
 
@@ -200,3 +201,74 @@ def test_every_statistic_taker_refuses_an_unknown_name_with_one_message(entry, m
     message = f"unknown statistic 'Z9'; expected one of {core.STATISTIC_NAMES}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         STATISTIC_TAKERS[entry]("Z9")
+
+
+# Every function that takes a box, at n = 6, and both routes that price
+# a cell event; then Tableau's methods, which take the row and column
+# apart, so that only the pairs reach them.
+T6 = Tableau.from_cells(6, {})
+BOX_TAKERS = {
+    "box_law": lambda box: formulas.box_law(6, W, box),
+    "ConstraintSet": lambda box: ConstraintSet(6, ((box, Requirement.MUST_ALPHA),)),
+    "ConstraintSet.of": lambda box: ConstraintSet.of(6, {box: Requirement.MUST_ALPHA}),
+    "event_prob":
+        lambda box: dpcount.event_prob(6, W, ConstraintSet.of(6, {box: Requirement.MUST_ALPHA})),
+    "oracle_event_prob": lambda box: enumeration.oracle_event_prob(
+        6, W, ConstraintSet.of(6, {box: Requirement.MUST_ALPHA})),
+    "conditional_cell_law": lambda box: dpcount.conditional_cell_law(6, W, box),
+    "Tableau.from_cells": lambda box: Tableau.from_cells(6, {box: "A"}),
+}
+ROW_COLUMN_TAKERS = {"Tableau.cell": T6.cell, "Tableau.subtableau": T6.subtableau,
+                     "Tableau.delete_row_col": T6.delete_row_col}
+BAD_BOXES = {(2.0, 3): "row must be an int, got 2.0",
+             (True, 3): "row must be an int, got True",
+             (1, 2, 3): "a box must be a pair of ints (i, j), got (1, 2, 3)",
+             5: "a box must be a pair of ints (i, j), got 5"}
+
+
+@pytest.mark.parametrize("entry,box", [
+    *((entry, box) for entry in sorted(BOX_TAKERS) for box in BAD_BOXES),
+    *((entry, box) for entry in sorted(ROW_COLUMN_TAKERS) for box in ((2.0, 3), (True, 3))),
+], ids=repr)
+def test_every_box_taker_refuses_a_box_that_is_not_a_pair_of_ints(entry, box):
+    # a float box gave float laws, True passed as row 1, and the DP priced
+    # a float-box event that the oracle could not read
+    with pytest.raises(ValueError, match=f"^{re.escape(BAD_BOXES[box])}$"):
+        if entry in BOX_TAKERS:
+            BOX_TAKERS[entry](box)
+        else:
+            ROW_COLUMN_TAKERS[entry](*box)
+
+
+# Every function that takes a named choice other than a statistic, with
+# the options it offers.
+CONVENTIONS, METHODS = ("paper_alpha_gamma", "alpha_delta"), ("enum_alias", "chain_rule")
+KINDS = ("alpha", "beta", "nonempty")
+CHOICE_TAKERS = {
+    "tableau_type": ("convention", CONVENTIONS, lambda value: asep.tableau_type(T6, value)),
+    "steady_state_via_tableaux":
+        ("convention", CONVENTIONS, lambda value: asep.steady_state_via_tableaux(3, P, value)),
+    "sample": ("method", METHODS, lambda value: sampler.sample(3, W, random.Random(1), value)),
+    "sample_many":
+        ("method", METHODS, lambda value: sampler.sample_many(3, W, random.Random(1), 2, value)),
+    "empirical_pmf": ("method", METHODS, lambda value: sampler.empirical_pmf(
+        3, W, "A2", 5, random.Random(1), value)),
+    "factorial_moments_second_diag":
+        ("kind", KINDS, lambda value: moments.factorial_moments_second_diag(6, W, value, 1)),
+    "factorial_moments_third_diag":
+        ("kind", KINDS, lambda value: moments.factorial_moments_third_diag(6, W, value, 1)),
+    "factorial_moments_third_diag_mode": ("mode", ("exact_dp", "main_term"), lambda value:
+                                          moments.factorial_moments_third_diag(
+                                              6, W, "alpha", 1, value)),
+    "third_diag_main_term": ("kind", ("alpha", "nonempty"),
+                             lambda value: formulas.third_diag_main_term(6, W, [1], value)),
+}
+
+
+@pytest.mark.parametrize("value", ["bogus", ["alpha"]], ids=repr)
+@pytest.mark.parametrize("entry", sorted(CHOICE_TAKERS))
+def test_every_choice_taker_refuses_an_unknown_option_with_one_message(entry, value):
+    name, choices, take = CHOICE_TAKERS[entry]
+    message = f"{name} must be one of {choices}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take(value)

@@ -36,25 +36,24 @@ WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1)]
 
 @pytest.mark.parametrize("position_shift", [False, True])
 def test_tuple_sum_table_matches_brute_listing(position_shift):
+    # size n reads the sum over r-tuples below t = n - step r + 1, for each r
     step = 3 if position_shift else 2
-    n = 7 + 3 * step  # rows up to t = 7 still reach k = 3
     for b in (F(2, 3), F(0), F(7, 4)):
         if position_shift:
             value = lambda u, pos: b + u + pos - 1
         else:
             value = lambda u, pos: b + u
-        table = moments._tuple_sum_table(b, n, step, 3)
-        assert [len(row) for row in table] == [
-            min(3, (n + 1 - t) // step) + 1 if t else 4
-            for t in range(n - step + 2)
-        ]
-        for t in range(8):
-            for k in range(4):
-                brute = sum(
-                    math.prod(value(u, pos) for pos, u in enumerate(tup, start=1))
-                    for tup in itertools.combinations_with_replacement(range(t), k)
-                )
-                assert F(table[t][k], b.denominator ** k) == brute, (b, t, k)
+        for n in range(1, 7 + 3 * step + 1):  # up to t = 7 at r = 3
+            for R in range(4):
+                heads = moments._tuple_sum_heads(b, n, step, R)
+                assert len(heads) == R + 1
+                for r, head in enumerate(heads):
+                    brute = sum(
+                        math.prod(value(u, pos) for pos, u in enumerate(tup, start=1))
+                        for tup in itertools.combinations_with_replacement(
+                            range(n - step * r + 1), r)
+                    )
+                    assert F(head, b.denominator ** r) == brute, (b, n, R, r)
 
 
 # ----------------------------------------------------------------------
