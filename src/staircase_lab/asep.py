@@ -143,6 +143,9 @@ def uq_fill(t: Tableau) -> FilledGrid:
     when it is a beta or a gamma.
     """
     n = t.n
+    for i, row in enumerate(t.rows, 1):
+        if row[-1] == ".":
+            raise ValueError(f"box ({i}, {n + 1 - i}) on the main diagonal is empty")
     out = []
     for i in range(1, n + 1):
         row = t.rows[i - 1]

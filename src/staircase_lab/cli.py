@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter
@@ -198,19 +197,10 @@ def pmf(stat, n, a, b, as_json):
 @click.option("--ns", required=True, metavar="N1,N2,..")
 @click.option("--a", type=RATIONAL, default="1", show_default=True)
 @click.option("--b", type=RATIONAL, default="1", show_default=True)
-@click.option("--lam", type=RATIONAL, default=None,
-              help="Poisson rate; must match the statistic's limit.")
 @click.option("--json", "as_json", is_flag=True)
-def converge(stat, ns, a, b, lam, as_json):
+def converge(stat, ns, a, b, as_json):
     """Moment table and Poisson distances across sizes."""
-    threads = os.environ.get("STAIRCASE_LAB_THREADS")
-    if threads is not None:
-        try:
-            threads = int(threads)
-        except ValueError:
-            raise click.UsageError(
-                f"STAIRCASE_LAB_THREADS must be an integer, got {threads!r}")
-    rows = moments.convergence_report(_ints(ns, "--ns"), Weights(a, b), stat, lam, threads)
+    rows = moments.convergence_report(_ints(ns, "--ns"), Weights(a, b), stat)
     _emit(
         moments.CSV_HEADER.split(","),
         [(r.n, *[repr(float(mu)) for mu in r.moments], repr(r.tv)) for r in rows],

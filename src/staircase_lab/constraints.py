@@ -62,8 +62,10 @@ class ConstraintSet:
 
     @classmethod
     def of(cls, n: int, boxes: Mapping[Box, Requirement]) -> "ConstraintSet":
+        _check_size(n)  # _check_box compares each box with n
         items = tuple(sorted(
-            (box, req) for box, req in boxes.items() if req is not Requirement.FREE
+            (_check_box(n, box), req) for box, req in boxes.items()
+            if req is not Requirement.FREE
         ))
         return cls(n, items)
 

@@ -164,6 +164,7 @@ class Tableau:
 
         Unmentioned boxes stay empty.  Boxes outside the staircase raise.
         """
+        _check_size(n)
         grid = [["."] * (n + 1 - i) for i in range(1, n + 1)]
         for box, code in cells.items():
             i, j = _check_box(n, box)

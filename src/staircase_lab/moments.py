@@ -21,27 +21,23 @@ the requested tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import mpmath
 
 from . import dpcount
-from .core import (_check_choice, _check_int, _check_size, _statistic, second_diag_max_count,
-                   third_diag_max_count)
+from .core import (_STATISTICS, _check_choice, _check_int, _check_size, _statistic,
+                   second_diag_max_count, third_diag_max_count)
 from .measure import Weights, _as_fraction
 from .pmf import Pmf, _over_common_denominator
 
-#: Limit law rates: symbol counts on either diagonal tend to
-#: Poisson(1/2), nonempty counts to Poisson(1).
+#: Limit law rates of the diagonal statistics: alpha or beta counts
+#: tend to Poisson(1/2), nonempty counts to Poisson(1).
 POISSON_RATES: Dict[str, Fraction] = {
-    "A2": Fraction(1, 2),
-    "B2": Fraction(1, 2),
-    "X2": Fraction(1),
-    "A3": Fraction(1, 2),
-    "X3": Fraction(1),
+    name: Fraction(1, 1 if kind == "nonempty" else 2)
+    for name, (diagonal, kind, _) in _STATISTICS.items() if diagonal
 }
 
 CSV_HEADER = "n,r1,r2,r3,r4,tv"
@@ -261,22 +257,13 @@ class ConvergenceRow:
         )
 
 
-def _convergence_row(args) -> ConvergenceRow:
-    n, w, statistic, lam = args
-    law = exact_statistic_pmf(n, w, statistic)
-    moments = tuple(law.factorial_moment(r) for r in range(1, 5))
-    return ConvergenceRow(n=n, moments=moments, tv=tv_to_poisson(law, lam))
-
-
-def convergence_report(ns: Sequence[int], w: Weights, statistic: str,
-                       lam=None, threads: Optional[int] = None) -> List[ConvergenceRow]:
+def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[ConvergenceRow]:
     """Exact moments and Poisson distance across a range of sizes.
 
     Each row holds the first four factorial moments of the statistic's
     exact law (beyond the support they are exact zeros) and its total
-    variation distance to the statistic's own Poisson limit; a ``lam``
-    that contradicts that pairing is rejected rather than silently
-    gauged against the wrong target.
+    variation distance to the statistic's own Poisson limit,
+    ``POISSON_RATES[statistic]``.
     """
     ns = list(ns)
     if not ns:
@@ -284,17 +271,12 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str,
     for n in ns:
         _check_size(n)
     _statistic(statistic)
-    rate = POISSON_RATES.get(statistic)
-    if rate is None:
-        raise ValueError(f"{statistic!r} has no Poisson limit pairing")
+    lam = POISSON_RATES.get(statistic)
     if lam is None:
-        lam = rate
-    elif _as_fraction(lam, "lam") != rate:
-        raise ValueError(
-            f"{statistic} pairs with Poisson({rate}); refusing lam={lam}"
-        )
-    jobs = [(n, w, statistic, lam) for n in ns]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_convergence_row, jobs))
-    return [_convergence_row(job) for job in jobs]
+        raise ValueError(f"{statistic!r} has no Poisson limit pairing")
+    rows = []
+    for n in ns:
+        law = exact_statistic_pmf(n, w, statistic)
+        moments = tuple(law.factorial_moment(r) for r in range(1, 5))
+        rows.append(ConvergenceRow(n=n, moments=moments, tv=tv_to_poisson(law, lam)))
+    return rows

@@ -98,6 +98,7 @@ class Pmf:
         return len(self.numerators) - 1
 
     def mass(self, k: int) -> Fraction:
+        _check_int(k, "k")
         num = self.numerators[k] if 0 <= k < len(self.numerators) else 0
         return Fraction(num, self.denominator)
 

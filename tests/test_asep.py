@@ -108,6 +108,8 @@ def test_uq_fill_small_cases():
         rows = uq_fill(t).rows
         assert all("." not in row for row in rows)
         assert tuple(len(row) for row in rows) == (4, 3, 2, 1)
+    with pytest.raises(ValueError, match=r"^box \(1, 2\) on the main diagonal is empty$"):
+        uq_fill(Tableau(("..", ".")))
 
 
 def test_tableaux_route_point_values():

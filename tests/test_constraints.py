@@ -25,6 +25,13 @@ def test_validation():
         ConstraintSet(3, (((1, 1), "alpha"),))
 
 
+def test_a_bad_box_is_refused_before_the_boxes_are_sorted():
+    with pytest.raises(ValueError, match="^row must be an int, got 'a'$"):
+        ConstraintSet.of(4, {("a", 1): R.MUST_ALPHA, (1, 1): R.MUST_BETA})
+    with pytest.raises(ValueError, match="^size must be an int, got '3'$"):
+        ConstraintSet.of("3", {(1, 1): R.MUST_ALPHA})
+
+
 def test_allowed_cells():
     c = ConstraintSet.of(3, {(1, 1): R.MUST_NONEMPTY, (2, 1): R.MUST_EMPTY})
     assert c.allowed_cells((1, 1)) == frozenset("AB")

@@ -127,6 +127,7 @@ SIZE_TAKERS = {
     "second_diag_joint_nonempty": lambda n: formulas.second_diag_joint_nonempty(n, W, [1]),
     "third_diag_main_term": lambda n: formulas.third_diag_main_term(n, W, [1]),
     "ConstraintSet": lambda n: ConstraintSet(n, ()),
+    "Tableau.from_cells": lambda n: Tableau.from_cells(n, {}),
     "ConstraintSet.empty": lambda n: ConstraintSet.empty(n),
     "ConstraintSet.of": lambda n: ConstraintSet.of(n, {}),
     "second_diag_event": lambda n: second_diag_event(n, [1], Requirement.MUST_ALPHA),

@@ -411,14 +411,16 @@ def test_convergence_report_rows_and_pairing():
     for row in rows:
         assert row.moments[0] == exact_statistic_pmf(row.n, w, "X2").factorial_moment(1)
         assert len(row.as_csv().split(",")) == len(CSV_HEADER.split(","))
-    assert convergence_report([8], w, "X2", lam=1) == [rows[0]]
-    with pytest.raises(ValueError):
-        convergence_report([8], w, "X2", lam=F(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^'Nalpha' has no Poisson limit pairing$"):
         convergence_report([8], w, "Nalpha")
     with pytest.raises(ValueError):
         convergence_report([], w, "X2")
-    assert POISSON_RATES["A3"] == F(1, 2)
+
+
+def test_poisson_rates_follow_the_statistic_table():
+    # the paper's limits: Poisson(1/2) for a symbol count, Poisson(1) for a nonempty one
+    assert list(POISSON_RATES.items()) == [
+        ("A2", F(1, 2)), ("B2", F(1, 2)), ("X2", F(1)), ("A3", F(1, 2)), ("X3", F(1))]
 
 
 @pytest.mark.parametrize("size", [True, 2.0, "3"])
@@ -452,13 +454,6 @@ def test_a_bool_rate_is_not_a_poisson_rate():
         tv_to_poisson(Pmf.point_mass(1), True)
     with pytest.raises(TypeError, match="m\\[1\\] must be a rational number, got False"):
         pmf_from_factorial_moments([1, False])
-
-def test_convergence_report_parallel_matches_serial():
-    w = Weights(F(1, 2), 3)
-    serial = convergence_report([4, 6, 9], w, "A2")
-    parallel = convergence_report([4, 6, 9], w, "A2", threads=2)
-    assert serial == parallel
-
 
 def test_convergence_reports_are_pinned():
     # recorded from the Fraction moment route before it moved to integers

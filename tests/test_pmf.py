@@ -66,6 +66,8 @@ def test_an_order_or_point_that_is_not_an_int_is_refused(bad):
         p.factorial_moment(bad)
     with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(bad))}$"):
         Pmf.point_mass(bad)
+    with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(bad))}$"):
+        p.mass(bad)
 
 
 def test_tv_distance():
