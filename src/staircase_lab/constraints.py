@@ -40,9 +40,8 @@ _ALLOWED = {
 class ConstraintSet:
     """A frozen mapping from boxes to requirements at a fixed size.
 
-    The items are stored sorted so equal events hash and compare equal
-    regardless of construction order; counting backends rely on that to
-    cache work per event.
+    The items are stored sorted by box, so equal events hash and compare
+    equal regardless of construction order.
     """
 
     n: int
@@ -58,16 +57,12 @@ class ConstraintSet:
             if box in seen:
                 raise ValueError(f"box {box} is constrained twice")
             seen.add(box)
-        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "items", tuple(sorted(items, key=lambda item: item[0])))
 
     @classmethod
     def of(cls, n: int, boxes: Mapping[Box, Requirement]) -> "ConstraintSet":
-        _check_size(n)  # _check_box compares each box with n
-        items = tuple(sorted(
-            (_check_box(n, box), req) for box, req in boxes.items()
-            if req is not Requirement.FREE
-        ))
-        return cls(n, items)
+        return cls(n, tuple((box, req) for box, req in boxes.items()
+                            if req is not Requirement.FREE))
 
     @classmethod
     def empty(cls, n: int) -> "ConstraintSet":

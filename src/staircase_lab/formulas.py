@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
@@ -222,8 +223,9 @@ def gap_index_sets(r: int, m: int, min_gap: int = 2) -> Iterator[Tuple[int, ...]
         raise ValueError("need r >= 0 and min_gap >= 1")
     shift = min_gap - 1
     top = m - shift * (r - 1)
+    offsets = [shift * k for k in range(r)]
     for base in itertools.combinations(range(1, top + 1), r):
-        yield tuple(j + shift * k for k, j in enumerate(base))
+        yield tuple(map(operator.add, base, offsets))
 
 
 def gap_index_product_sum(r: int, m: int) -> Tuple[Fraction, Fraction]:

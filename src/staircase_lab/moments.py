@@ -13,9 +13,9 @@ support is finite, so finitely many factorial moments pin it down).
 The total variation distance to a Poisson limit is the exact law's
 excess over it on the points where the exact law is the larger: an
 integer sum over the law's denominator minus e^(-lam) times an exact
-rational.  Only that last product is evaluated in interval arithmetic,
-escalating the working precision until the enclosure is tighter than
-the requested tolerance.
+rational.  Rational bounds on e^(-lam), from Taylor terms of e^lam,
+enclose that distance between two exact rationals; more terms are
+taken until both round to one float.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import mpmath
 
 from . import dpcount
 from .core import (_STATISTICS, _check_choice, _check_int, _check_size, _statistic,
@@ -185,59 +183,60 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     return dpcount.statistic_pmf(n, w, statistic)
 
 
-def tv_to_poisson(p: Pmf, lam, precision: float = 1e-12) -> float:
-    """Total variation distance between a finite law and Poisson(lam).
+#: Taylor terms of e^lam tried in turn, as multiples of ``16 + 3 ceil(lam)``.
+_TERM_LADDER = (1, 2, 4, 8, 16)
+
+
+def tv_to_poisson(p: Pmf, lam) -> float:
+    """Total variation distance between a finite law and Poisson(lam):
+    the float nearest its exact value.
 
     The distance is the positive-part sum ``P(S) - e^(-lam) C(S)`` over
     ``S = {k : p_k > pi_k}``, which lies inside p's support; with ``lam
     = u/v`` and the masses ``N_k / L`` over their common denominator,
     ``P(S)`` sums the ``N_k`` and ``C(S)`` sums ``u^k / (v^k k!)``, both
     exactly.  Each k is placed by integer comparisons of ``N_k v^k k!``
-    with ``L u^k`` times the rational endpoints of one interval
-    enclosure of ``e^(-lam)``, and the difference is evaluated once in
-    interval arithmetic; the result is the midpoint of the first
-    enclosure narrower than ``precision``.  The working precision
-    doubles while some k is undecided or the enclosure is too wide.
-    For rational lam > 0, ``e^(-lam)`` is irrational, so no ``pi_k``
-    equals a rational ``p_k`` and enough digits decide every k; past
-    640 digits the search stops with an ``ArithmeticError``.
+    with ``L u^k`` times rational bounds ``lo < e^(-lam) < hi``, which
+    put the distance in ``[P(S) - hi C(S), P(S) - lo C(S)]``; the answer
+    is the float both ends round to.  The bounds take K Taylor terms of
+    ``e^lam``, K running through ``_TERM_LADDER``; at lam <= 1 its last
+    rung pins ``e^(-lam)`` within a relative 10^-624.  ``e^(-lam)`` is
+    irrational, so enough terms decide every k; past the ladder the
+    search stops with an ``ArithmeticError``.
     """
     lam = _as_fraction(lam, "lam")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if not precision > 0:
-        raise ValueError("precision must be positive")
     u, v = lam.numerator, lam.denominator
     L = p.denominator
-    saved = mpmath.iv.dps
-    try:
-        for dps in (40, 80, 160, 320, 640):
-            mpmath.iv.dps = dps
-            decay = mpmath.iv.exp(-mpmath.iv.mpf(u) / v)
-            # exact endpoints, read off the raw mpf tuples at full precision
-            (lo_n, lo_d), (hi_n, hi_d) = map(mpmath.libmp.to_rational, decay._mpi_)
-            p_num, terms = 0, []  # P(S) = p_num / L; (u^k, v^k k!) for k in S
-            uk = vk = 1
-            for k, num in enumerate(p.numerators):
-                if k:
-                    uk, vk = uk * u, vk * v * k
-                if not num:
-                    continue
-                x, y = num * vk, L * uk  # p_k > pi_k iff x > y e^(-lam)
-                if x * hi_d > y * hi_n:
-                    p_num += num
-                    terms.append((uk, vk))
-                elif x * lo_d >= y * lo_n:
-                    break  # this enclosure cannot place k
-            else:
-                c_den = terms[-1][1]  # C(S) = c_num / c_den
-                c_num = sum(uk * (c_den // vk) for uk, vk in terms)
-                tv = (mpmath.iv.mpf(p_num) / mpmath.iv.mpf(L)
-                      - decay * mpmath.iv.mpf(c_num) / mpmath.iv.mpf(c_den))
-                if float(mpmath.mpf(tv.delta)) < precision:
-                    return float(mpmath.mpf(tv.mid))
-    finally:
-        mpmath.iv.dps = saved
+    for rung in _TERM_LADDER:
+        # K terms sum, by Horner, to N / D with D = v^(K-1) (K-1)!; the rest is
+        # below u^K / (v^K K!) times (K+1) v / g, as g = (K+1) v - u > 0
+        K = (16 + 3 * math.ceil(lam)) * rung
+        N = D = 1
+        for j in range(K - 1, 0, -1):
+            N, D = j * v * D + u * N, j * v * D
+        g = (K + 1) * v - u
+        lo_n, lo_d, hi_n, hi_d = D * K * g, N * K * g + u ** K * (K + 1), D, N
+        p_num, terms = 0, []  # P(S) = p_num / L; (u^k, v^k k!) for k in S
+        uk = vk = 1
+        for k, num in enumerate(p.numerators):
+            if k:
+                uk, vk = uk * u, vk * v * k
+            if not num:
+                continue
+            x, y = num * vk, L * uk  # p_k > pi_k iff x > y e^(-lam)
+            if x * hi_d > y * hi_n:
+                p_num += num
+                terms.append((uk, vk))
+            elif x * lo_d >= y * lo_n:
+                break  # these bounds cannot place k
+        else:
+            c_den = terms[-1][1]  # C(S) = c_num / c_den
+            c_num = sum(uk * (c_den // vk) for uk, vk in terms)
+            low = (p_num * hi_d * c_den - hi_n * c_num * L) / (L * hi_d * c_den)
+            if low == (p_num * lo_d * c_den - lo_n * c_num * L) / (L * lo_d * c_den):
+                return low
     raise ArithmeticError("could not enclose the distance tightly enough")
 
 
@@ -248,13 +247,6 @@ class ConvergenceRow:
     n: int
     moments: Tuple[Fraction, Fraction, Fraction, Fraction]
     tv: float
-
-    def as_csv(self) -> str:
-        return ",".join(
-            [str(self.n)]
-            + [repr(float(mu)) for mu in self.moments]
-            + [repr(self.tv)]
-        )
 
 
 def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[ConvergenceRow]:

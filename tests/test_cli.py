@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from staircase_lab import cli, dpcount
+from staircase_lab import cli, dpcount, moments
 from staircase_lab.core import STATISTIC_NAMES, Tableau
 from staircase_lab.measure import Weights
 
@@ -192,7 +192,8 @@ def test_converge_golden_and_decreasing(runner):
     out = run(runner, "converge", "--stat", "X2", "--ns", "8,16,32",
               "--a", "1", "--b", "1")
     lines = out.splitlines()
-    assert lines[0] == "n,r1,r2,r3,r4,tv"
+    assert lines[0] == "n,r1,r2,r3,r4,tv" == moments.CSV_HEADER
+    assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
     tvs = [float(line.split(",")[-1]) for line in lines[1:]]
     assert tvs == sorted(tvs, reverse=True) and len(tvs) == 3
 

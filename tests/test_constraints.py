@@ -16,6 +16,14 @@ def test_construction_and_normalization():
     assert ConstraintSet.of(4, {(1, 1): R.FREE}) == ConstraintSet.empty(4)
 
 
+def test_the_constructor_and_of_build_one_event():
+    items = (((2, 2), R.MUST_ALPHA), ((1, 3), R.MUST_BETA), ((1, 1), R.MUST_EMPTY))
+    built = ConstraintSet(4, items)
+    assert built == ConstraintSet.of(4, dict(items))
+    assert hash(built) == hash(ConstraintSet.of(4, dict(items)))
+    assert built.items == (((1, 1), R.MUST_EMPTY), ((1, 3), R.MUST_BETA), ((2, 2), R.MUST_ALPHA))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ConstraintSet.of(3, {(3, 3): R.MUST_ALPHA})  # outside the staircase

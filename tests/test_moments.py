@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import mpmath
@@ -14,7 +18,6 @@ from staircase_lab.core import STATISTIC_NAMES
 from staircase_lab.enumeration import oracle_statistic_pmf
 from staircase_lab.measure import Weights, falling_factorial, rising_factorial
 from staircase_lab.moments import (
-    CSV_HEADER,
     POISSON_RATES,
     ConvergenceRow,
     convergence_report,
@@ -300,8 +303,10 @@ def test_main_term_approaches_exact_moments():
 # Poisson distances
 
 def test_tv_to_poisson_point_mass():
-    tv = tv_to_poisson(Pmf.point_mass(0), 1)
-    assert math.isclose(tv, 1 - math.exp(-1), rel_tol=1e-12)
+    # the float nearest the distance, 1 - e^-1 at k = 0 and 1 - e^-1/2 at k = 2
+    with mpmath.workdps(60):
+        assert tv_to_poisson(Pmf.point_mass(0), 1) == float(1 - mpmath.exp(-1))
+        assert tv_to_poisson(Pmf.point_mass(2), 1) == float(1 - mpmath.exp(-1) / 2)
 
 
 def test_tv_to_poisson_truncated_poisson_is_tiny():
@@ -313,19 +318,17 @@ def test_tv_to_poisson_truncated_poisson_is_tiny():
     assert tv_to_poisson(law, lam) < 1e-40
 
 
-def test_tv_to_poisson_validation_and_precision():
+def test_tv_to_poisson_validation():
     p = Pmf.point_mass(2)
     with pytest.raises(ValueError):
         tv_to_poisson(p, 0)
     with pytest.raises(ValueError):
-        tv_to_poisson(p, 1, precision=0)
-    with pytest.raises(ValueError):
-        tv_to_poisson(p, 1, precision=float("nan"))
+        tv_to_poisson(p, F(-1, 2))
     with pytest.raises(TypeError):
         tv_to_poisson(p, 0.5)
-    loose = tv_to_poisson(p, F(1, 2), precision=1e-6)
-    tight = tv_to_poisson(p, F(1, 2), precision=1e-12)
-    assert math.isclose(loose, tight, abs_tol=1e-6)
+    # no knob loosens or tightens the answer: it is one float
+    with pytest.raises(TypeError):
+        tv_to_poisson(p, 1, precision=1e-6)
 
 
 def _per_point_tv(p, lam, precision=1e-12):
@@ -379,26 +382,52 @@ def _two_point_law_near_poisson(digits):
 
 def test_tv_escalates_until_every_point_is_placed(monkeypatch):
     law, expected = _two_point_law_near_poisson(50)
-    saved = mpmath.iv.dps
-    real_exp = mpmath.iv.exp
-    levels = []
-
-    def spy(x):
-        levels.append(mpmath.iv.dps)
-        return real_exp(x)
-
-    monkeypatch.setattr(mpmath.iv, "exp", spy)
     assert tv_to_poisson(law, 1) == expected
-    assert levels == [40, 80]  # 40 digits cannot tell p_1 from pi_1
-    assert mpmath.iv.dps == saved
+    # 19 terms bound e^-1 from below within about 10^-22, too coarse to tell p_1
+    # from pi_1; 38 terms bound it within 5 * 10^-51, which places p_1
+    ladder = moments._TERM_LADDER
+    monkeypatch.setattr(moments, "_TERM_LADDER", ladder[:1])
+    with pytest.raises(ArithmeticError):
+        tv_to_poisson(law, 1)
+    monkeypatch.setattr(moments, "_TERM_LADDER", ladder[:2])
+    assert tv_to_poisson(law, 1) == expected
 
 
 def test_tv_escalation_stops_at_the_top_of_the_ladder():
-    saved = mpmath.iv.dps
     law, _ = _two_point_law_near_poisson(700)
     with pytest.raises(ArithmeticError):
         tv_to_poisson(law, 1)
-    assert mpmath.iv.dps == saved
+
+
+@pytest.mark.parametrize("lam", [F(1, 1000), F(25), F(300), F(1000)], ids=str)
+def test_tv_matches_per_point_route_far_from_the_limit_rates(lam):
+    for n in (1, 5, 31, 64):
+        law = exact_statistic_pmf(n, Weights(F(3, 4), F(5, 6)), "X2")
+        assert tv_to_poisson(law, lam) == _per_point_tv(law, lam), n
+
+
+def test_tv_from_threads_matches_serial():
+    calls = [(exact_statistic_pmf(n, w, stat), POISSON_RATES[stat])
+             for stat in ("A2", "X2") for n in (5, 31, 128)
+             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3)))]
+    calls += [(law, lam) for law, _ in calls[:3] for lam in (F(1, 3), F(7, 2))]
+    serial = [tv_to_poisson(law, lam) for law, lam in calls]
+    with ThreadPoolExecutor(4) as pool:
+        runs = [pool.submit(lambda: [tv_to_poisson(law, lam) for law, lam in calls])
+                for _ in range(4)]
+        assert all(run.result() == serial for run in runs)
+
+
+def test_the_library_runs_without_mpmath():
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "import staircase_lab\n"
+            "rows = staircase_lab.convergence_report([8, 16], staircase_lab.Weights(1, 1), 'X2')\n"
+            "print(rows[-1].tv)\n")
+    src = os.path.dirname(os.path.dirname(moments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert float(out) == convergence_report([16], Weights(1, 1), "X2")[0].tv
 
 
 def test_convergence_report_rows_and_pairing():
@@ -410,7 +439,6 @@ def test_convergence_report_rows_and_pairing():
     assert tvs[0] > tvs[1] > tvs[2] > 0
     for row in rows:
         assert row.moments[0] == exact_statistic_pmf(row.n, w, "X2").factorial_moment(1)
-        assert len(row.as_csv().split(",")) == len(CSV_HEADER.split(","))
     with pytest.raises(ValueError, match="^'Nalpha' has no Poisson limit pairing$"):
         convergence_report([8], w, "Nalpha")
     with pytest.raises(ValueError):
