@@ -4,7 +4,9 @@ Two interchangeable backends draw from the same measure:
 
 * ``enum_alias``: invert a uniform integer draw into the running sums
   of scaled integer weights over ``all_tableaux(n)``, the one list per
-  size that the oracles also read; a weight pair keeps only its sums.
+  size that the oracles also read.  Each size also keeps one byte per
+  tableau, its symbol counts as (n+1) * alphas + betas, so a new weight
+  pair sums a lookup of (n+1)^2 weights and keeps only its sums.
   Exact and cheap per draw; the memory budget admits n <= 8.
 * ``chain_rule``: walk the column sweep box by box, drawing each cell
   from its exact conditional law given everything placed so far.  The
@@ -23,20 +25,24 @@ Two interchangeable backends draw from the same measure:
   exact number of weighted continuations.
 
 Both backends keep their tables in the process's one memory ledger,
-up to eight (n, w) keys each, so a warm call builds nothing.  A kept
-table is charged the bytes it keeps; a ``chain_rule`` build's passes
-reserve their own while they run, as every counting pass does.  A
-build that does not fit the one budget, beside the running passes,
-first evicts the least recently used tables of every holder.
+up to eight (n, w) keys each (and ``enum_alias`` one code table per
+size), so a warm call builds nothing.  A kept table is charged the
+bytes it keeps; a ``chain_rule`` build's passes reserve their own
+while they run, as every counting pass does.  A build that does not
+fit the one budget, beside the running passes, first evicts the least
+recently used tables of every holder.
 
 Both backends take the caller's :class:`random.Random` stream, so a
-seed pins down the whole sample sequence.  Batch draws walk all
-samples through the boxes together, each drawing one integer per box
-in walker order.  Walkers with the same dirty-row mask share that
-box's count after a symbol lands, read from the tables once; each
-weighs its own cells from that count and the move factors.  A batch
-of k therefore consumes the stream in a different order than k
-single draws (each path is deterministic on its own).
+seed pins down the whole sample sequence.  Every draw of an integer
+below a bound goes through :func:`_below`, which consumes the stream
+as ``random.Random.randrange(bound)`` does, by ``getrandbits``
+rejection; a subclass's own ``randrange`` is not consulted.  Batch
+draws walk all samples through the boxes together, each drawing one
+integer per box in walker order.  Walkers with the same dirty-row
+mask share that box's count after a symbol lands, read from the
+tables once; each weighs its own cells from that count and the move
+factors.  A batch of k therefore consumes the stream in a different
+order than k single draws (each path is deterministic on its own).
 """
 
 from __future__ import annotations
@@ -56,28 +62,55 @@ import numpy as np
 from . import _budget
 from .core import Tableau, _check_choice, _check_int, _check_size, _statistic, diagonal_statistic
 from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
-from .enumeration import N_ENUM, all_tableaux
+from .enumeration import N_ENUM, _symbol_counts, all_tableaux
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
 
 
+def _below(getrandbits, bound: int) -> int:
+    """A uniform integer in [0, bound), drawn as ``randrange(bound)``
+    draws it from the stream whose ``getrandbits`` this is: bound's bit
+    length in bits at a time until a draw falls below it."""
+    if bound < 1:  # getrandbits(0) is 0, so the loop would never end
+        raise ValueError(f"need a positive bound to draw below, got {bound}")
+    bits = bound.bit_length()
+    draw = getrandbits(bits)
+    while draw >= bound:
+        draw = getrandbits(bits)
+    return draw
+
+
 # ----------------------------------------------------------------------
 # enum_alias backend
+
+def _alias_codes(n: int) -> bytearray:
+    """One byte per tableau of ``all_tableaux(n)``, in its order: the
+    tableau's (n+1) * alphas + betas.  Shared by every weight pair; not
+    to be mutated."""
+    tableaux = all_tableaux(n)
+    codes = bytearray(len(tableaux))  # sized once, so the build keeps what it allocates
+    for k, (alphas, betas) in enumerate(map(_symbol_counts, tableaux)):
+        codes[k] = (n + 1) * alphas + betas
+    return codes
+
+
+def _codes_bytes(n: int) -> int:
+    """Bytes of the code table: one per tableau, plus the array object
+    and its build's loop state."""
+    return math.factorial(n + 1) + 1024
+
 
 def _alias_cumulative(n: int, w: Weights) -> List[int]:
     """Running sums of the integer weights of ``all_tableaux(n)``, each
     scaled by q^(2n)."""
+    codes = _budget.get(_alias_codes, _codes_bytes, "the symbol-count codes for n={0}", n)
     scaled = ScaledWeights.of(w)
-    weights = [[scaled.pa ** (n - na) * scaled.pb ** (n - nb) * scaled.q ** (na + nb)
-                for nb in range(n + 1)] for na in range(n + 1)]  # by alpha, beta count
-    cumulative, running = [], 0
-    for t in all_tableaux(n):
-        joined = "".join(t.rows)
-        running += weights[joined.count("A")][joined.count("B")]
-        cumulative.append(running)
-    if running != scaled.total_bound(n) * scaled.q ** n:
+    weights = [scaled.pa ** (n - na) * scaled.pb ** (n - nb) * scaled.q ** (na + nb)
+               for na in range(n + 1) for nb in range(n + 1)]  # at code (n+1) * na + nb
+    cumulative = list(itertools.accumulate(map(weights.__getitem__, codes)))
+    if cumulative[-1] != scaled.total_bound(n) * scaled.q ** n:
         raise RuntimeError("alias table weights do not sum to the partition total")
     return cumulative
 
@@ -85,7 +118,7 @@ def _alias_cumulative(n: int, w: Weights) -> List[int]:
 def _alias_bytes(n: int, w: Weights) -> int:
     """Bytes of the running sums: per tableau, an int no larger than the
     total plus the carry digit its addition allocates, and a list slot
-    with append's one-eighth over-allocation."""
+    with the list's one-eighth over-allocation."""
     scaled = ScaledWeights.of(w)
     total = scaled.total_bound(n) * scaled.q ** n
     return math.factorial(n + 1) * (sys.getsizeof(total) + 13)
@@ -96,8 +129,8 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
     cumulative = _budget.get(_alias_cumulative, _alias_bytes,
                              "enum_alias sums for n={0} with these weights", n, w)
     tableaux = all_tableaux(n)
-    total = cumulative[-1]
-    return [tableaux[bisect.bisect_right(cumulative, rng.randrange(total))]
+    getrandbits, total = rng.getrandbits, cumulative[-1]
+    return [tableaux[bisect.bisect_right(cumulative, _below(getrandbits, total))]
             for _ in range(count)]
 
 
@@ -202,7 +235,7 @@ def _chain_bytes(n: int, w: Weights) -> int:
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
     tables = _budget.get(_ChainTables, _chain_bytes,
                          "chain_rule tables for n={0} with these weights", n, w)
-    randrange, weighs = rng.randrange, tables.weighs
+    getrandbits, weighs = rng.getrandbits, tables.weighs
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count
     counts = [tables.total] * count  # per walker: its exact completion count
@@ -216,7 +249,7 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
             codes = [""] * count
             for k in range(count):
                 mask, have = masks[k], counts[k]
-                draw = randrange(have)
+                draw = _below(getrandbits, have)
                 total, cuts, code = weighs[flags[k]][mask >> shift & 1]
                 if total:
                     after = afters.get(mask)
@@ -257,6 +290,11 @@ def _check_count(count: int, name: str) -> None:
         raise ValueError(f"need at least one sample, got {name}={count}")
 
 
+def _check_rng(rng: random.Random) -> None:
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random, got {rng!r}")
+
+
 def sample(n: int, w: Weights, rng: random.Random,
            method: str = "chain_rule") -> Tableau:
     """Draw one tableau distributed exactly as the (a, b) measure."""
@@ -270,6 +308,7 @@ def sample_many(n: int, w: Weights, rng: random.Random, count: int,
     alias = method == "enum_alias"
     _check_size(n, 1, N_ENUM if alias else N_DP)
     _check_count(count, "count")
+    _check_rng(rng)
     return (_sample_enum if alias else _sample_chain)(n, w, rng, count)
 
 
@@ -282,11 +321,13 @@ def randomize_four_params(t: Tableau, fw: FourWeights,
     exactly (an integer below the denominator, compared to the
     numerator), visiting boxes in row-major order.
     """
+    _check_rng(rng)
     p_gamma = fw.gamma / (fw.alpha + fw.gamma)
     p_delta = fw.delta / (fw.beta + fw.delta)
+    getrandbits = rng.getrandbits
 
     def flip(p: Fraction) -> bool:
-        return p != 0 and rng.randrange(p.denominator) < p.numerator
+        return p != 0 and _below(getrandbits, p.denominator) < p.numerator
 
     rows = []
     for row in t.rows:

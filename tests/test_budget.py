@@ -107,8 +107,8 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     # nested build, and too little to keep every table: builds evict, none
     # is refused
     budget = ((workers - 1) * max(sweep, build) + enumeration._list_bytes(6)
-              + max(sampler._alias_bytes(6, w) for w in weights))
-    kept_all = (enumeration._list_bytes(6)
+              + sampler._codes_bytes(6) + max(sampler._alias_bytes(6, w) for w in weights))
+    kept_all = (enumeration._list_bytes(6) + sampler._codes_bytes(6)
                 + sum(sampler._alias_bytes(6, w) for w in weights)
                 + sum(sampler._chain_bytes(n, w) for _, n, w in jobs[:9]))
     assert budget < kept_all + sweep

@@ -40,3 +40,38 @@ def test_reference_routes_import_none_of_what_they_check(module, forbidden):
     imported = _imported_modules(module)
     assert "core" in imported  # the scan sees the module's own imports
     assert not imported & forbidden
+
+
+def _call_closure(module, root):
+    """The module-level functions and classes of ``module`` that the
+    function ``root`` names, directly or through one another."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), [root]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    return reached
+
+
+#: The two steady-state routes in ``asep`` and the functions each one
+#: alone may reach; they share only the integer rates.
+ASEP_ROUTES = {
+    "steady_state_via_generator": {"_transitions", "_check_irreducible", "_inverse_mod",
+                                   "_reconstruct", "_balanced"},
+    "steady_state_via_tableaux": {"_column_weights", "_accumulate", "_add"},
+}
+
+
+@pytest.mark.parametrize("route, other", [
+    ("steady_state_via_generator", "steady_state_via_tableaux"),
+    ("steady_state_via_tableaux", "steady_state_via_generator"),
+])
+def test_asep_routes_reach_none_of_each_other_s_functions(route, other):
+    reached = _call_closure("asep", route)
+    assert "_integer_rates" in reached  # the scan follows the route's own calls
+    assert ASEP_ROUTES[route] <= reached
+    assert not reached & ASEP_ROUTES[other]

@@ -169,10 +169,51 @@ class _Recording(random.Random):
 
 
 def _assert_walks_match(n, w, count, seed):
-    new, old = _Recording(seed), _Recording(seed)
-    assert sample_many(n, w, new, count) == _reference_chain(n, w, old, count)
-    assert new.bounds == old.bounds  # one randrange(count) per walker per box
+    new, old = random.Random(seed), _Recording(seed)
+    bounds, below = [], sampler._below
+
+    def recorded(getrandbits, bound):
+        assert getrandbits == new.getrandbits
+        bounds.append((bound,))
+        return below(getrandbits, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "_below", recorded)
+        drawn = sample_many(n, w, new, count)
+    assert drawn == _reference_chain(n, w, old, count)
+    assert bounds == old.bounds  # one draw below the walker's count per walker per box
     assert new.getstate() == old.getstate()
+
+
+class _Complemented(random.Random):
+    """A stream whose own getrandbits, which randrange then draws
+    with, hands out the complement of the Mersenne Twister's bits."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+
+#: Bounds on both sides of the word sizes getrandbits fills, up to
+#: 1000 bits: 2^k - 1 takes k bits, 2^k and 2^k + 1 take k + 1.
+BELOW_BOUNDS = [1, 2, 3] + [2 ** k + d for k in (31, 32, 33, 63, 64, 65, 1000)
+                            for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("stream", [random.Random, _Complemented])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 70 + 3, "below"])
+def test_below_draws_as_randrange(stream, seed):
+    mine, theirs = stream(seed), stream(seed)
+    for bound in BELOW_BOUNDS * 3:
+        assert sampler._below(mine.getrandbits, bound) == theirs.randrange(bound)
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_below_refuses_an_empty_range(bound):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="positive bound"):
+        sampler._below(rng.getrandbits, bound)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -367,11 +408,38 @@ def test_chain_build_refuses_a_wrong_total(monkeypatch, fresh_ledger):
     assert not ledger.kept and ledger.held == 0 and ledger.reserved == 0
 
 
+def _kept_codes(n):
+    return _budget.get(sampler._alias_codes, sampler._codes_bytes, "codes", n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_alias_codes_hold_each_tableau_s_symbol_counts(n):
+    codes = _kept_codes(n)
+    assert len(codes) == len(all_tableaux(n))
+    for code, t in zip(codes, all_tableaux(n)):
+        counts = t.symbol_counts()
+        assert divmod(code, n + 1) == (counts.alpha, counts.beta)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_alias_code_estimate_is_tight(n):
+    all_tableaux(n)  # charged on its own
+    gc.collect()
+    tracemalloc.start()
+    try:
+        codes = sampler._alias_codes(n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == math.factorial(n + 1)
+    assert kept <= peak <= sampler._codes_bytes(n) <= 1.3 * kept
+
+
 @pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
                                Weights(F(13, 7), F(1000, 3))])
 def test_alias_memory_estimate_is_tight(n, w):
-    all_tableaux(n)  # shared by every weight pair and charged on its own
+    _kept_codes(n)  # shared by every weight pair and charged on its own
     tracemalloc.start()
     try:
         sampler._alias_cumulative(n, w)
@@ -408,6 +476,7 @@ def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
     assert len(_chain_keys(ledger)) == _budget._CACHE_SIZE  # 9 keys: one evicted
     estimates = {sampler._ChainTables: sampler._chain_bytes,
                  sampler._alias_cumulative: sampler._alias_bytes,
+                 sampler._alias_codes: sampler._codes_bytes,
                  enumeration._build_list: enumeration._list_bytes}
     assert ledger.held == sum(estimates[key[0]](*key[1:]) for key in ledger.kept)
 
@@ -465,6 +534,21 @@ def test_method_and_size_validation():
                 sample_many(bad, w, rng, 2, method)
             with pytest.raises(ValueError, match=f"size must be an int, got {bad!r}"):
                 sample(bad, w, rng, method)
+
+
+@pytest.mark.parametrize("bad", [None, random, object(), "seed"])
+def test_a_stream_that_is_not_a_random_is_refused_before_any_table(fresh_ledger, bad):
+    ledger = fresh_ledger()
+    w = Weights(F(3, 5), F(7, 2))
+    for call in (lambda: sample_many(14, w, bad, 2),
+                 lambda: sample_many(6, w, bad, 2, "enum_alias"),
+                 lambda: sample(9, w, bad),
+                 lambda: empirical_pmf(5, w, "X2", 10, bad),
+                 lambda: randomize_four_params(Tableau(("BA", "B")),
+                                               FourWeights(1, 1, 1, 1), bad)):
+        with pytest.raises(ValueError, match=f"rng must be a random.Random, got {bad!r}"):
+            call()
+    assert not ledger.kept and ledger.held == 0
 
 
 def test_randomize_four_params_flips_exactly():
