@@ -115,7 +115,6 @@ def index_state(index: int, n: int) -> Tuple[int, ...]:
 class FilledGrid:
     """A tableau with every empty box resolved to a hop-rate letter."""
 
-    tableau: Tableau
     rows: Tuple[str, ...]
 
     def weight(self, p: AsepParams) -> Fraction:
@@ -165,7 +164,7 @@ def uq_fill(t: Tableau) -> FilledGrid:
                 )
                 cells.append("u" if below in "AD" else "q")
         out.append("".join(cells))
-    return FilledGrid(tableau=t, rows=tuple(out))
+    return FilledGrid(rows=tuple(out))
 
 
 def _integer_rates(p: AsepParams) -> Tuple[int, ...]:

@@ -33,7 +33,7 @@ class RationalType(click.ParamType):
             return value
         try:
             return parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             self.fail(f"{value!r} is not an exact rational: {exc}", param, ctx)
 
 

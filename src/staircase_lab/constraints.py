@@ -40,8 +40,9 @@ _ALLOWED = {
 class ConstraintSet:
     """A frozen mapping from boxes to requirements at a fixed size.
 
-    The items are stored sorted by box, so equal events hash and compare
-    equal regardless of construction order.
+    Every item is checked, but a free box is not stored: the items are
+    the constrained boxes only, sorted by box, so equal events hash and
+    compare equal whichever way they were built.
     """
 
     n: int
@@ -57,12 +58,12 @@ class ConstraintSet:
             if box in seen:
                 raise ValueError(f"box {box} is constrained twice")
             seen.add(box)
-        object.__setattr__(self, "items", tuple(sorted(items, key=lambda item: item[0])))
+        kept = (item for item in items if item[1] is not Requirement.FREE)
+        object.__setattr__(self, "items", tuple(sorted(kept, key=lambda item: item[0])))
 
     @classmethod
     def of(cls, n: int, boxes: Mapping[Box, Requirement]) -> "ConstraintSet":
-        return cls(n, tuple((box, req) for box, req in boxes.items()
-                            if req is not Requirement.FREE))
+        return cls(n, tuple(boxes.items()))
 
     @classmethod
     def empty(cls, n: int) -> "ConstraintSet":

@@ -466,8 +466,8 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     box = _check_box(n, box)
     base = given if given is not None else ConstraintSet.empty(n)
     # the box joins the event free, so a box outside it or already constrained raises
-    free = ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))
-    empty, alpha, beta = _masses_crt(n, w, _allowed_map(n, free), slots=3,
+    ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))
+    empty, alpha, beta = _masses_crt(n, w, _allowed_map(n, base), slots=3,
                                      lifts={box: (("A", 1), ("B", 2))})
     denominator = empty + alpha + beta
     if denominator == 0:

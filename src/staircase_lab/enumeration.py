@@ -207,5 +207,6 @@ def oracle_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     buckets: Dict[int, Counter] = defaultdict(Counter)
     for t in _tableaux(n):
         buckets[diagonal_statistic(t, statistic)][_symbol_counts(t)] += 1
-    return Pmf.from_weighted_counts(
-        {k: _grouped_weight_sum(n, w, hit) for k, hit in buckets.items()})
+    sums = [_grouped_weight_sum(n, w, buckets[k]) for k in range(max(buckets) + 1)]
+    total = sum(sums)
+    return Pmf([s / total for s in sums])

@@ -2,10 +2,13 @@
 
 A law is stored only as integer numerators over one denominator, in
 lowest terms, from zero up to the largest point with positive mass.
-Exact routes hand over the integers they end with through
-:meth:`Pmf.from_integers`; masses are derived as Fractions on demand.
-The reduced pair is unique, so equality between independently computed
-laws is literal, and exact sums over a law run in integers.
+There are two ways in: :meth:`Pmf.from_integers` takes integer weights
+and their total, as the exact routes end with them, and ``Pmf(masses)``
+takes the masses at 0, 1, 2, ... as Fractions, as the enumeration
+oracle, the reference route, hands them over.  Masses are derived as
+Fractions on demand.  The reduced pair is unique, so equality between
+independently computed laws is literal, and exact sums over a law run
+in integers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .core import _check_int
 
@@ -24,12 +27,6 @@ def _over_common_denominator(values: Iterable) -> Tuple[List[int], int]:
     fracs = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
-def _dense(masses: Mapping[int, Fraction]) -> List:
-    if any(k < 0 for k in masses):
-        raise ValueError("support must be nonnegative integers")
-    return [masses.get(k, 0) for k in range(max(masses, default=0) + 1)]
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -66,23 +63,6 @@ class Pmf:
         g = math.gcd(total, *nums)
         object.__setattr__(self, "numerators", tuple(x // g for x in nums))
         object.__setattr__(self, "denominator", total // g)
-
-    @classmethod
-    def from_mapping(cls, masses: Mapping[int, Fraction]) -> "Pmf":
-        return cls(_dense(masses))
-
-    @classmethod
-    def from_weighted_counts(cls, counts: Mapping[int, Fraction]) -> "Pmf":
-        """Normalize nonnegative weights on integer points into a pmf."""
-        nums, _ = _over_common_denominator(_dense(counts))
-        if sum(nums) <= 0:
-            raise ValueError("total weight must be positive")
-        return cls.from_integers(nums, sum(nums))
-
-    @classmethod
-    def point_mass(cls, k: int) -> "Pmf":
-        _check_int(k, "k")
-        return cls.from_mapping({k: Fraction(1)})
 
     # ------------------------------------------------------------------
 

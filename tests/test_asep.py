@@ -170,7 +170,8 @@ def reference_tableaux_law(n, p, convention):
             vec = [x * we for x in vec] + [x * wf for x in vec]
         for idx, value in enumerate(vec):
             totals[idx] = totals.get(idx, 0) + value
-    return Pmf.from_weighted_counts({idx: v for idx, v in totals.items() if v})
+    weights = [totals.get(idx, 0) for idx in range(1 << n)]
+    return Pmf.from_integers(weights, sum(weights))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -273,7 +274,7 @@ def reference_generator_law(n, p):
         for r in range(size):
             if r != col and m[r][col]:
                 m[r] = [x - m[r][col] / m[col][col] * y for x, y in zip(m[r], m[col])]
-    return Pmf.from_weighted_counts({s: m[s][size] / m[s][s] for s in range(size)})
+    return Pmf([m[s][size] / m[s][s] for s in range(size)])
 
 
 def random_rates(rng):

@@ -26,17 +26,27 @@ def run(runner, *args, expect=0):
     return result.output
 
 
-def _readme_commands():
+def _readme_block(heading, language):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.M | re.S)
+    pattern = rf"^## {heading}\n.*?^```{language}\n(.*?)^```"
+    return re.search(pattern, readme, re.M | re.S).group(1)
+
+
+def _readme_commands():
     return [shlex.split(line, comments=True)[1:]
-            for line in block.group(1).splitlines() if line.startswith("staircase ")]
+            for line in _readme_block("Command line", "sh").splitlines()
+            if line.startswith("staircase ")]
 
 
 @pytest.mark.parametrize("args", _readme_commands(), ids=" ".join)
 def test_every_readme_command_line_runs(runner, args):
     # an option the README documents and the CLI no longer has fails here
     run(runner, *args)
+
+
+def test_the_readme_library_tour_runs():
+    # a name the tour imports or a call it makes that the library no longer has fails here
+    exec(compile(_readme_block("Library tour", "python"), "README.md", "exec"), {})
 
 
 def test_count_golden(runner):

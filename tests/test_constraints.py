@@ -12,21 +12,31 @@ def test_construction_and_normalization():
     c2 = ConstraintSet.of(4, {(2, 2): R.MUST_ALPHA, (1, 1): R.MUST_EMPTY})
     assert c1 == c2 and hash(c1) == hash(c2)
     assert c1.as_dict() == {(1, 1): R.MUST_EMPTY, (2, 2): R.MUST_ALPHA}
-    # FREE entries are dropped entirely
-    assert ConstraintSet.of(4, {(1, 1): R.FREE}) == ConstraintSet.empty(4)
+    # FREE entries are dropped entirely, whichever way the set is built
+    free = ConstraintSet(4, (((1, 1), R.FREE),))
+    for other in (ConstraintSet.of(4, {(1, 1): R.FREE}), ConstraintSet.empty(4)):
+        assert free == other and hash(free) == hash(other)
+    assert free.items == () and free.as_dict() == {}
 
 
-def test_the_constructor_and_of_build_one_event():
+@pytest.mark.parametrize("free", [(), (((2, 1), R.FREE), ((4, 1), R.FREE))])
+def test_the_constructor_and_of_build_one_event(free):
+    # a free box is checked but not stored, so it leaves the event as it was
     items = (((2, 2), R.MUST_ALPHA), ((1, 3), R.MUST_BETA), ((1, 1), R.MUST_EMPTY))
-    built = ConstraintSet(4, items)
-    assert built == ConstraintSet.of(4, dict(items))
-    assert hash(built) == hash(ConstraintSet.of(4, dict(items)))
+    built = ConstraintSet(4, items + free)
+    for other in (ConstraintSet.of(4, dict(items)), ConstraintSet.of(4, dict(free + items))):
+        assert built == other and hash(built) == hash(other)
+        assert built.as_dict() == other.as_dict()
     assert built.items == (((1, 1), R.MUST_EMPTY), ((1, 3), R.MUST_BETA), ((2, 2), R.MUST_ALPHA))
 
 
 def test_validation():
     with pytest.raises(ValueError):
         ConstraintSet.of(3, {(3, 3): R.MUST_ALPHA})  # outside the staircase
+    with pytest.raises(ValueError):
+        ConstraintSet.of(3, {(3, 3): R.FREE})  # free, yet still outside
+    with pytest.raises(ValueError):
+        ConstraintSet(3, (((1, 1), R.FREE), ((1, 1), R.MUST_BETA)))
     with pytest.raises(ValueError):
         ConstraintSet(3, (((1, 1), R.MUST_ALPHA), ((1, 1), R.MUST_BETA)))
     with pytest.raises(TypeError):
@@ -53,6 +63,8 @@ def test_satisfied_by():
     assert ConstraintSet.of(2, {(1, 1): R.MUST_EMPTY}).satisfied_by(t)
     assert not ConstraintSet.of(2, {(1, 1): R.MUST_NONEMPTY}).satisfied_by(t)
     assert not ConstraintSet.of(2, {(1, 2): R.MUST_BETA}).satisfied_by(t)
+    # a free box holds any code, a gamma too
+    assert ConstraintSet(2, (((1, 2), R.FREE),)).satisfied_by(Tableau((".G", "D")))
     with pytest.raises(ValueError):
         ConstraintSet.empty(3).satisfied_by(t)
 

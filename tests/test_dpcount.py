@@ -117,10 +117,14 @@ def test_random_constraint_sets_match_oracle():
         for w in (Weights(1, 1), Weights(F(2, 7), F(5, 3)), Weights(0, F(1, 2))):
             for _ in range(12):
                 chosen = rng.sample(boxes, rng.randint(1, min(5, len(boxes))))
-                c = ConstraintSet.of(n, {box: rng.choice(reqs) for box in chosen})
+                items = tuple((box, rng.choice(reqs)) for box in chosen)
+                c = ConstraintSet.of(n, dict(items))
                 want = oracle_event_prob(n, w, c)
                 assert event_prob(n, w, c) == want
                 assert fractions_partition(n, w, c) / w.normalizer(n) == want
+                # the constructor form, free boxes and all, is the same event
+                built = ConstraintSet(n, items)
+                assert event_prob(n, w, built) == oracle_event_prob(n, w, built) == want
 
 
 def test_diagonal_events_match_closed_forms_beyond_enumeration():

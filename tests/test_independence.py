@@ -1,13 +1,18 @@
 """The two routes behind each exact answer must not share code."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import staircase_lab
 
 PACKAGE = Path(staircase_lab.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+TESTS = Path(__file__).parent
 
 
 def _imported_modules(name):
@@ -44,7 +49,9 @@ def test_reference_routes_import_none_of_what_they_check(module, forbidden):
 
 def _call_closure(module, root):
     """The module-level functions and classes of ``module`` that the
-    function ``root`` names, directly or through one another."""
+    function ``root`` names, directly or through one another, and each
+    attribute ``m.f`` of a package module ``m`` that they read, as the
+    string ``"m.f"``."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -54,6 +61,9 @@ def _call_closure(module, root):
             if isinstance(node, ast.Name) and node.id in defs and node.id not in reached:
                 reached.add(node.id)
                 todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in MODULES):
+                reached.add(f"{node.value.id}.{node.attr}")
     return reached
 
 
@@ -75,3 +85,140 @@ def test_asep_routes_reach_none_of_each_other_s_functions(route, other):
     assert "_integer_rates" in reached  # the scan follows the route's own calls
     assert ASEP_ROUTES[route] <= reached
     assert not reached & ASEP_ROUTES[other]
+
+
+#: The moment route of the second-diagonal laws: the public moments and
+#: the helpers that ``exact_statistic_pmf`` calls on diagonal 2.
+SECOND_DIAG_MOMENT_ROUTE = ("factorial_moments_second_diag", "_moment_numerators",
+                            "_tuple_sum_heads", "_invert")
+
+
+@pytest.mark.parametrize("root", SECOND_DIAG_MOMENT_ROUTE)
+def test_the_second_diagonal_moment_route_reaches_no_counting_code(root):
+    branches = _call_closure("moments", "exact_statistic_pmf")
+    # the scan sees the counting engine where the moments do call it
+    assert "dpcount.statistic_pmf" in branches
+    assert set(SECOND_DIAG_MOMENT_ROUTE[1:]) <= branches
+    reached = _call_closure("moments", root)
+    assert not {name for name in reached if name.startswith("dpcount.")}
+
+
+# ----------------------------------------------------------------------
+# the ledger of routes
+
+class Route(NamedTuple):
+    second: str  # a public name, or how the tests compute the answer
+    sizes: tuple  # the sizes n where ``test`` compares the two
+    test: str  # "file::function" under tests/
+
+
+#: For each exact public name, its second route and where the tests
+#: compare the two.  ``exact_statistic_pmf``'s row is its moment route,
+#: for A2, B2 and X2; it hands the other statistics to ``statistic_pmf``.
+ROUTES = {
+    "partition_closed": Route("brute_partition", tuple(range(1, 7)),
+                              "test_enumeration.py::test_brute_partition_matches_closed_form"),
+    "brute_partition": Route("partition_closed", tuple(range(1, 7)),
+                             "test_enumeration.py::test_brute_partition_matches_closed_form"),
+    "count_tableaux": Route("(n + 1)!", tuple(range(1, 9)),
+                            "test_acceptance.py::test_c01_partition_identities"),
+    "constrained_partition": Route(
+        "partition_closed", (1, 2, 3, 5, 6),
+        "test_dpcount.py::test_diagonal_factors_match_fractions_and_oracle"),
+    "event_prob": Route("oracle_event_prob", (3, 4, 5),
+                        "test_dpcount.py::test_random_constraint_sets_match_oracle"),
+    "oracle_event_prob": Route("event_prob", (3, 4, 5),
+                               "test_dpcount.py::test_random_constraint_sets_match_oracle"),
+    "conditional_cell_law": Route("box_law", (5, 6, 7),
+                                  "test_dpcount.py::test_conditional_cell_law_marginal_and_errors"),
+    "box_law": Route("event_prob", (13,),
+                     "test_dpcount.py::test_box_law_matches_dp_beyond_enumeration"),
+    "second_diag_joint_alpha": Route(
+        "event_prob", (12, 17),
+        "test_dpcount.py::test_diagonal_events_match_closed_forms_beyond_enumeration"),
+    "second_diag_joint_nonempty": Route(
+        "event_prob", (12, 17),
+        "test_dpcount.py::test_diagonal_events_match_closed_forms_beyond_enumeration"),
+    "third_diag_main_term": Route(
+        "factorial_moments_third_diag", (20,),
+        "test_moments.py::test_third_diag_main_moments_match_main_term_sums"),
+    "factorial_moments_second_diag": Route(
+        "oracle_statistic_pmf", (2, 4, 5, 7),
+        "test_moments.py::test_second_diag_moments_match_oracle"),
+    "factorial_moments_third_diag": Route(
+        "oracle_statistic_pmf", (3, 5, 7),
+        "test_moments.py::test_third_diag_exact_moments_match_oracle"),
+    "pmf_from_factorial_moments": Route("Pmf.factorial_moment", (2, 5, 9, 30, 100, 200),
+                                        "test_moments.py::test_inversion_round_trips"),
+    "exact_statistic_pmf": Route(
+        "statistic_pmf", (6, 10, 12),
+        "test_moments.py::test_inverted_second_diag_law_matches_counting_engine"),
+    "statistic_pmf": Route(
+        "oracle_statistic_pmf", (1, 2, 3, 5, 6),
+        "test_dpcount.py::test_diagonal_factors_match_fractions_and_oracle"),
+    "oracle_statistic_pmf": Route(
+        "statistic_pmf", (1, 2, 3, 5, 6),
+        "test_dpcount.py::test_diagonal_factors_match_fractions_and_oracle"),
+    "tv_to_poisson": Route("a per-point sum in mpmath interval arithmetic",
+                           (1, 2, 3, 5, 16, 31, 64, 128, 256),
+                           "test_moments.py::test_tv_matches_per_point_route"),
+    "steady_state_via_generator": Route(
+        "steady_state_via_tableaux", (9, 10),
+        "test_asep.py::test_alpha_delta_reading_matches_generator_at_the_largest_sizes"),
+    "steady_state_via_tableaux": Route(
+        "steady_state_via_generator", (9, 10),
+        "test_asep.py::test_alpha_delta_reading_matches_generator_at_the_largest_sizes"),
+}
+
+#: Exact public names with one route, and why.
+ONE_ROUTE = {
+    "parse_rational": "it reads a number from text and computes no law",
+    "cross_validate": "it is the comparison of the two steady-state routes",
+    "convergence_report": "its rows are tv_to_poisson of exact_statistic_pmf, "
+                          "whose rows are above; its output is pinned by a digest",
+}
+
+#: A public function is exact when it returns an exact value or law.
+_EXACT_RETURN = re.compile(r"\b(Fraction|Pmf|BoxLaw|JointValue|MainTerm)\b")
+
+
+def _exact_public_names():
+    names = set()
+    for name in staircase_lab.__all__:
+        obj = getattr(staircase_lab, name)
+        if inspect.isfunction(obj) and _EXACT_RETURN.search(
+                str(inspect.signature(obj).return_annotation)):
+            names.add(name)
+    return names
+
+
+def test_every_exact_public_name_is_in_the_ledger():
+    exact = _exact_public_names()
+    assert {"statistic_pmf", "box_law", "pmf_from_factorial_moments"} <= exact
+    assert not set(ROUTES) & set(ONE_ROUTE)
+    assert exact <= set(ROUTES) | set(ONE_ROUTE), "add these to ROUTES or ONE_ROUTE"
+    assert set(ROUTES) | set(ONE_ROUTE) <= set(staircase_lab.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_each_ledger_row_names_a_test_that_exists(name):
+    route = ROUTES[name]
+    file, function = route.test.split("::")
+    tree = ast.parse((TESTS / file).read_text())
+    assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert route.second != name and route.sizes == tuple(sorted(set(route.sizes)))
+
+
+def _readme_routes_paragraph():
+    readme = (TESTS.parent / "README.md").read_text()
+    return next(part for part in readme.split("\n\n")
+                if part.startswith("Each statistic's law has two independent routes"))
+
+
+def test_the_readme_states_the_statistic_routes_of_the_ledger():
+    sentences = " ".join(_readme_routes_paragraph().split()).split(". ")
+    for name in ("exact_statistic_pmf", "statistic_pmf"):
+        route = ROUTES[name]
+        assert any(f"`{name}`" in sentence and f"`{route.second}`" in sentence
+                   and f"up to n = {max(route.sizes)}" in sentence
+                   for sentence in sentences), name
