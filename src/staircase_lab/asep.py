@@ -72,10 +72,6 @@ class AsepParams:
         if self.u + self.q == 0:
             raise ValueError("some hop rate (u or q) must be positive")
 
-    def rate_of(self, code: str) -> Fraction:
-        return {"A": self.alpha, "B": self.beta, "G": self.gamma,
-                "D": self.delta, "u": self.u, "q": self.q}[code]
-
     def unit_u(self) -> "AsepParams":
         """Time-rescaled so the right-hop rate is 1."""
         if self.u == 0:
@@ -99,39 +95,8 @@ def tableau_type(t: Tableau, convention: str = "alpha_delta") -> Tuple[int, ...]
     return tuple(int(code in filled) for code in t.diagonal_entries())
 
 
-def state_index(state: Sequence[int]) -> int:
-    """Pack a configuration into an integer, site 1 most significant."""
-    index = 0
-    for bit in state:
-        index = index * 2 + (1 if bit else 0)
-    return index
-
-
-def index_state(index: int, n: int) -> Tuple[int, ...]:
-    return tuple((index >> (n - i)) & 1 for i in range(1, n + 1))
-
-
-@dataclass(frozen=True, slots=True)
-class FilledGrid:
-    """A tableau with every empty box resolved to a hop-rate letter."""
-
-    rows: Tuple[str, ...]
-
-    def weight(self, p: AsepParams) -> Fraction:
-        """Product of one rate per box, symbols and fill letters alike."""
-        return math.prod(
-            (p.rate_of(code) for row in self.rows for code in row),
-            start=Fraction(1),
-        )
-
-    def fill_counts(self) -> Tuple[int, int]:
-        """(number of u boxes, number of q boxes)."""
-        joined = "".join(self.rows)
-        return joined.count("u"), joined.count("q")
-
-
-def uq_fill(t: Tableau) -> FilledGrid:
-    """Resolve every empty box to u or q.
+def uq_fill(t: Tableau) -> Tuple[str, ...]:
+    """The rows of ``t`` with every empty box resolved to u or q.
 
     Boxes left of a beta become u and boxes left of a delta become q;
     since a beta or delta is always the leftmost symbol of its row,
@@ -164,7 +129,7 @@ def uq_fill(t: Tableau) -> FilledGrid:
                 )
                 cells.append("u" if below in "AD" else "q")
         out.append("".join(cells))
-    return FilledGrid(rows=tuple(out))
+    return tuple(out)
 
 
 def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
@@ -506,10 +471,12 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
 def cross_validate(n: int, p: AsepParams) -> Dict:
     """Compare both stationary-law routes state by state.
 
-    The comparison runs at u rescaled to 1: the generator's law is
-    invariant under uniform time scaling, the tableau weights are not,
-    and unit u is where they are claimed to coincide.  The report is
-    JSON-ready, and a mismatch is an outcome, not an error.
+    Both laws are invariant under a common scale of the six rates: the
+    generator's by time scaling, and the tableau law because every
+    filled grid carries one rate per box.  The comparison still runs at
+    u rescaled to 1, which the report records as ``rescaled_params``,
+    so u = 0 is refused.  The report is JSON-ready, and a mismatch is
+    an outcome, not an error.
     """
     _check_size(n, 1, _N_MAX)
     scaled = p.unit_u()
@@ -521,7 +488,7 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
         "conventions": [],
         "matching_conventions": [],
     }
-    labels = [format(s, f"0{n}b") for s in range(1 << n)]  # as index_state reads
+    labels = [format(s, f"0{n}b") for s in range(1 << n)]  # site 1 first
     generator_probs = generator.masses
     for convention in CONVENTIONS:
         tableaux_probs = steady_state_via_tableaux(n, scaled, convention).masses

@@ -16,7 +16,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import click
 

@@ -465,9 +465,10 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     _check_size(n, 1, N_DP)
     box = _check_box(n, box)
     base = given if given is not None else ConstraintSet.empty(n)
-    # the box joins the event free, so a box outside it or already constrained raises
-    ConstraintSet(base.n, base.items + ((box, Requirement.FREE),))
-    empty, alpha, beta = _masses_crt(n, w, _allowed_map(n, base), slots=3,
+    allowed = _allowed_map(n, base)  # refuses an event built for another size
+    # the box joins the event free, so a box already constrained raises
+    ConstraintSet(n, base.items + ((box, Requirement.FREE),))
+    empty, alpha, beta = _masses_crt(n, w, allowed, slots=3,
                                      lifts={box: (("A", 1), ("B", 2))})
     denominator = empty + alpha + beta
     if denominator == 0:

@@ -61,12 +61,7 @@ def rising_factorial(x: Fraction, k: int) -> Fraction:
 
 def falling_factorial(x: Fraction, k: int) -> Fraction:
     """``x (x-1) ... (x-k+1)``; the empty product for ``k = 0``."""
-    if k < 0:
-        raise ValueError("factorial length must be nonnegative")
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out
+    return rising_factorial(x - k + 1, k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,10 +12,7 @@ import pytest
 from staircase_lab.asep import (
     AsepParams,
     CONVENTIONS,
-    FilledGrid,
     cross_validate,
-    index_state,
-    state_index,
     steady_state_via_generator,
     steady_state_via_tableaux,
     tableau_type,
@@ -66,13 +63,6 @@ def test_params_validation():
         AsepParams(1, 1, 1, 1, u=0, q=1).unit_u()
 
 
-def test_state_index_round_trip():
-    assert state_index((1, 0, 1)) == 5
-    assert index_state(5, 3) == (1, 0, 1)
-    for idx in range(16):
-        assert state_index(index_state(idx, 4)) == idx
-
-
 def test_tableau_type_readings():
     assert GRID7.is_valid
     assert GRID7.diagonal_entries() == "ADGDBGB"
@@ -87,25 +77,33 @@ def test_tableau_type_readings():
         tableau_type(GRID7, "alpha_beta")
 
 
+def filled_weight(rows, p):
+    """Product of one rate per box of a u/q-filled grid."""
+    rate = dict(zip("ABGDuq", _rates(p)))
+    return math.prod((rate[code] for row in rows for code in row), start=F(1))
+
+
 def test_uq_fill_reference_grid():
-    grid = uq_fill(GRID7)
-    assert grid.rows == ("AqqGquA", "qqqqqD", "uuBuG", "qqqD", "uuB", "qG", "B")
-    assert grid.fill_counts() == (6, 12)
+    rows = uq_fill(GRID7)
+    assert type(rows) is tuple and all(type(row) is str for row in rows)
+    assert rows == ("AqqGquA", "qqqqqD", "uuBuG", "qqqD", "uuB", "qG", "B")
+    joined = "".join(rows)
+    assert (joined.count("u"), joined.count("q")) == (6, 12)
     p = AsepParams(2, 3, 5, 7, u=11, q=13)
-    assert grid.weight(p) == 2**2 * 3**3 * 5**3 * 7**2 * 11**6 * 13**12
-    flat = uq_fill(GRID7).weight(AsepParams(2, 3, 5, 7, u=1, q=1))
+    assert filled_weight(rows, p) == 2**2 * 3**3 * 5**3 * 7**2 * 11**6 * 13**12
+    flat = filled_weight(rows, AsepParams(2, 3, 5, 7, u=1, q=1))
     assert flat == 2**2 * 3**3 * 5**3 * 7**2
 
 
 def test_uq_fill_small_cases():
-    assert uq_fill(Tableau(("A",))).rows == ("A",)
-    assert uq_fill(Tableau(("A",))).weight(AsepParams(2, 1, 1, 1)) == 2
+    assert uq_fill(Tableau(("A",))) == ("A",)
+    assert filled_weight(uq_fill(Tableau(("A",))), AsepParams(2, 1, 1, 1)) == 2
     # left of a beta: u's; above nothing alpha-ish: q
-    assert uq_fill(Tableau((".B", "A"))).rows == ("uB", "A")
-    assert uq_fill(Tableau((".A", "B"))).rows == ("qA", "B")
-    assert uq_fill(Tableau((".A", "A"))).rows == ("uA", "A")
+    assert uq_fill(Tableau((".B", "A"))) == ("uB", "A")
+    assert uq_fill(Tableau((".A", "B"))) == ("qA", "B")
+    assert uq_fill(Tableau((".A", "A"))) == ("uA", "A")
     for t in enumerate_four_symbol(4):
-        rows = uq_fill(t).rows
+        rows = uq_fill(t)
         assert all("." not in row for row in rows)
         assert tuple(len(row) for row in rows) == (4, 3, 2, 1)
     with pytest.raises(ValueError, match=r"^box \(1, 2\) on the main diagonal is empty$"):
@@ -189,8 +187,8 @@ def test_tableaux_route_matches_four_symbol_enumeration(n):
     for convention in CONVENTIONS:
         totals = {}
         for t in enumerate_four_symbol(n):
-            idx = state_index(tableau_type(t, convention))
-            totals[idx] = totals.get(idx, 0) + uq_fill(t).weight(p)
+            idx = int("".join(map(str, tableau_type(t, convention))), 2)
+            totals[idx] = totals.get(idx, 0) + filled_weight(uq_fill(t), p)
         law = steady_state_via_tableaux(n, p, convention)
         z = sum(totals.values())
         for idx in range(1 << n):
@@ -511,6 +509,21 @@ def test_cross_validate_rescales_u():
         "u": "1", "q": "1/4",
     }
     assert "alpha_delta" in report["matching_conventions"]
+
+
+def test_each_route_is_unchanged_by_a_common_scale_of_the_rates():
+    routes = [steady_state_via_generator] + [
+        lambda n, p, c=convention: steady_state_via_tableaux(n, p, c)
+        for convention in CONVENTIONS]
+    for p in PINNED_RATES:
+        scaled = [AsepParams(*(r * F(3, 7) for r in _rates(p)))]
+        if p.u > 0:
+            scaled.append(p.unit_u())
+        for n in range(1, 7):
+            for route in routes:
+                law = route(n, p)
+                for other in scaled:
+                    assert route(n, other) == law, (n, p, other)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

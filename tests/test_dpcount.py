@@ -317,8 +317,10 @@ def test_conditional_cell_law_errors_are_unchanged():
         (5, (4, 3), given, "box (4, 3) lies outside the size-5 staircase"),
         (5, (0, 1), None, "box (0, 1) lies outside the size-5 staircase"),
         (6, (1, 1), given, "constraints built for size 5, not 6"),
-        # outside the size given was built for, though inside n's
-        (6, (1, 6), given, "box (1, 6) lies outside the size-5 staircase"),
+        # outside the size given was built for, though inside n's: the size
+        # mismatch is named first
+        (6, (1, 6), given, "constraints built for size 5, not 6"),
+        (5, (1, 5), ConstraintSet.empty(4), "constraints built for size 4, not 5"),
         (6, (1, 1), ConstraintSet.of(6, {(1, 6): R.MUST_EMPTY}),
          "conditioning event has probability zero"),
         # a beta needs every box left of it in its row empty
