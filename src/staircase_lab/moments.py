@@ -3,9 +3,10 @@
 The joint cell laws on the second and third diagonals have product
 form, so the r-th factorial moment of each diagonal count is r! times
 a sum of products over admissible column r-subsets.  A change of
-variables turns those sums into complete monotone-tuple sums that a
-small two-dimensional recurrence evaluates on a scaled integer table,
-so sizes in the hundreds are reachable: no tableau is ever enumerated.
+variables turns those sums into complete monotone-tuple sums; a
+two-dimensional recurrence sweeps their scaled integer table column by
+column, each column one running sum, so sizes in the hundreds are
+reachable: no tableau is ever enumerated.
 
 Moment sequences convert to exact laws by inclusion-exclusion, summed
 in integers over one denominator, the form a law itself is kept in (the
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul, neg
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import dpcount
@@ -49,22 +52,23 @@ def _tuple_sum_heads(b: Fraction, n: int, step: int, R: int) -> List[int]:
     scaled by ``bd**r`` to integers.
 
     ``T[t][k]`` sums ``prod_l (b + u_l + (step - 2)(l - 1))`` over tuples
-    ``0 <= u_1 <= ... <= u_k <= t - 1``, via ``T[t][k] = T[t-1][k] +
-    (b + t - 1 + (step - 2)(k - 1)) T[t][k-1]`` (the last coordinate
-    stays below t - 1 or sits there); ``bd`` is b's denominator.  Size
-    n reads only the last entry of every step-th row, so one row rolls
-    forward in place, ascending in k, and is cut short as t grows.
+    ``0 <= u_1 <= ... <= u_k <= t - 1``, so ``T[t][k] = sum_(s<=t) (b + s
+    - 1 + (step - 2)(k - 1)) T[s][k-1]`` (the last coordinate sits at
+    s - 1); ``bd`` is b's denominator.  Size n reads only ``t + step k <=
+    n + 1``, so the table is swept column by column: column k is a
+    running sum of the factors times column k - 1, and its last entry
+    is the head.  Past the support the heads are zero.
     """
     bn, bd = b.numerator, b.denominator
-    row, heads = [1] + [0] * R, [1] + [0] * R
-    for t in range(1, n - step + 2):
-        r, rest = divmod(n + 1 - t, step)
-        for k in range(1, min(R, r) + 1):
-            factor = bn + (t - 1 + (step - 2) * (k - 1)) * bd
-            row[k] += factor * row[k - 1]
-        if not rest and r <= R:
-            heads[r] = row[r]
-    return heads
+    heads, col = [1], [1] * (n + 1 - step)
+    for k in range(1, R + 1):
+        size = n + 1 - step * k
+        if size < 1:
+            break
+        start = bn + (step - 2) * (k - 1) * bd
+        col = list(accumulate(map(mul, range(start, start + size * bd, bd), col)))
+        heads.append(col[-1])
+    return heads + [0] * (R + 1 - len(heads))
 
 
 def _moment_numerators(n: int, w: Weights, kind: str, R: int,
@@ -88,29 +92,35 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
         heads = _tuple_sum_heads(w.b, n, step, top)
         g, j = w.b.denominator, 2
     c = [0] * (R + 1)
-    tail = 1  # g^(top - r) * prod_(j r <= i < j top) (S - i D)
+    Dj = D ** j
+    scale = Dj ** top  # D^(j r) g^(top - r) prod_(j r <= i < j top) (S - i D)
     for r in range(top, 0, -1):
-        c[r] = heads[r] * D ** (j * r) * tail
-        tail *= g * math.prod(S - i * D for i in range(j * r - j, j * r))
-    c[0] = tail
-    return c, tail
+        c[r] = heads[r] * scale
+        scale = scale // Dj * (g * math.prod(S - i * D for i in range(j * r - j, j * r)))
+    c[0] = scale
+    return c, scale
 
 
 def _invert(c: Sequence[int], L: int) -> Pmf:
     """The law with factorial moments ``m_r = r! c_r / L``.
 
     Masses ``sum_r (-1)^(r-k) C(r, k) c_r / L`` are the coefficients of
-    ``sum_r c_r (x - 1)^r / L``: a Taylor shift by -1, in integers.
+    ``sum_r c_r (x - 1)^r / L``: a Taylor shift by -1, in integers.  On
+    ``y_r = (-1)^r c_r`` the shift is repeated suffix sums, each over
+    one entry fewer, and mass k is ``(-1)^k y_k / L``.
     """
-    shifted = list(c)
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] -= shifted[j + 1]
-    for k, num in enumerate(shifted):
+    y = list(c)
+    y[1::2] = map(neg, y[1::2])
+    y.reverse()  # suffix sums of y are prefix sums of the reversal
+    for size in range(len(y), 1, -1):
+        y[:size] = accumulate(y[:size])
+    y.reverse()
+    y[1::2] = map(neg, y[1::2])
+    for k, num in enumerate(y):
         if num < 0:
             raise ValueError("moments are inconsistent: reconstructed mass "
                              f"at {k} is {Fraction(num, L)}")
-    return Pmf.from_integers(shifted, L)
+    return Pmf.from_integers(y, L)
 
 
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from itertools import repeat, zip_longest
+from operator import floordiv, index, mul, neg
 from typing import Dict, Iterable, List, Tuple
 
 from .core import _check_int
@@ -47,21 +48,22 @@ class Pmf:
         return law
 
     def _settle(self, weights: Iterable[int], total: int) -> None:
-        nums, total = [index(x) for x in weights], index(total)
+        nums, total = list(map(index, weights)), index(total)
         if total < 0:
-            nums, total = [-x for x in nums], -total
+            nums, total = list(map(neg, nums)), -total
         while len(nums) > 1 and nums[-1] == 0:
             nums.pop()
         if not nums:
             raise ValueError("a pmf needs at least the mass at zero")
-        if any(x < 0 for x in nums):
+        if min(nums) < 0:
             raise ValueError("masses must be nonnegative")
         if total == 0:
             raise ValueError("masses need a nonzero denominator")
         if sum(nums) != total:
             raise ValueError(f"masses must sum to 1, got {Fraction(sum(nums), total)}")
         g = math.gcd(total, *nums)
-        object.__setattr__(self, "numerators", tuple(x // g for x in nums))
+        divided = map(floordiv, nums, repeat(g)) if g > 1 else nums
+        object.__setattr__(self, "numerators", tuple(divided))
         object.__setattr__(self, "denominator", total // g)
 
     # ------------------------------------------------------------------
@@ -93,13 +95,15 @@ class Pmf:
         _check_int(r, "r")
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        return Fraction(sum(math.perm(k, r) * num
-                            for k, num in enumerate(self.numerators)), self.denominator)
+        nums = self.numerators
+        return Fraction(sum(map(mul, map(math.perm, range(len(nums)), repeat(r)), nums)),
+                        self.denominator)
 
     def tv_distance(self, other: "Pmf") -> Fraction:
         """Total variation distance to another pmf, exactly."""
-        top = max(self.max_value, other.max_value)
-        return sum(abs(self.mass(k) - other.mass(k)) for k in range(top + 1)) / 2
+        d, e = self.denominator, other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return Fraction(sum(abs(x * e - y * d) for x, y in pairs), 2 * d * e)
 
     def as_dict(self) -> Dict[int, Fraction]:
         return {k: m for k, m in self.items() if m != 0}

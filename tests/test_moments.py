@@ -59,6 +59,32 @@ def test_tuple_sum_table_matches_brute_listing(position_shift):
                     assert F(head, b.denominator ** r) == brute, (b, n, R, r)
 
 
+def _rolled_row_tuple_sum_heads(b, n, step, R):
+    """The heads as one row rolled forward in t, ascending in k: the
+    route the column sweep replaced."""
+    bn, bd = b.numerator, b.denominator
+    row, heads = [1] + [0] * R, [1] + [0] * R
+    for t in range(1, n - step + 2):
+        r, rest = divmod(n + 1 - t, step)
+        for k in range(1, min(R, r) + 1):
+            row[k] += (bn + (t - 1 + (step - 2) * (k - 1)) * bd) * row[k - 1]
+        if not rest and r <= R:
+            heads[r] = row[r]
+    return heads
+
+
+@pytest.mark.parametrize("b", [F(0), F(1, 2), F(7, 4), F(13, 7), F(1000, 143)], ids=str)
+@pytest.mark.parametrize("step", [2, 3])
+def test_column_sweep_matches_rolled_row(step, b):
+    # every R up to two past the support, so the zero padding is read too;
+    # the heads for R are a prefix of the heads for any larger R
+    for n in range(1, 161):
+        top = n // step + 2
+        rolled = _rolled_row_tuple_sum_heads(b, n, step, top)
+        for R in range(top + 1):
+            assert moments._tuple_sum_heads(b, n, step, R) == rolled[:R + 1], (n, R)
+
+
 # ----------------------------------------------------------------------
 # the integer route against the Fraction route it replaced
 
@@ -258,6 +284,61 @@ def test_exact_statistic_pmf_dispatch():
 
 # ----------------------------------------------------------------------
 # inversion
+
+def _nested_loop_invert(c, L):
+    """The Taylor shift as nested subtraction passes: the route the
+    suffix sums replaced."""
+    shifted = list(c)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] -= shifted[j + 1]
+    for k, num in enumerate(shifted):
+        if num < 0:
+            raise ValueError("moments are inconsistent: reconstructed mass "
+                             f"at {k} is {F(num, L)}")
+    return Pmf.from_integers(shifted, L)
+
+
+def _both_inversions(c, L):
+    """Each route's law, or the message of its ValueError."""
+    out = []
+    for invert in (moments._invert, _nested_loop_invert):
+        try:
+            out.append(invert(c, L))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_suffix_sums_match_nested_loop_on_moment_numerators():
+    # step 3 main-term numerators are not always a law's: those must fail alike
+    for n in list(range(1, 41)) + list(range(41, 257, 9)) + [256]:
+        w = _differential_weights(300 + n)[n % 6]
+        for kind in ("alpha", "beta", "nonempty"):
+            for step, cap in ((2, second_diag_max_count(n)), (3, third_diag_max_count(n))):
+                c, L = moments._moment_numerators(n, w, kind, cap, step)
+                new, old = _both_inversions(c, L)
+                assert new == old, (n, w, kind, step)
+
+
+def test_suffix_sums_match_nested_loop_on_random_vectors():
+    rng = random.Random(30)
+    failures = 0
+    for _ in range(400):
+        size = rng.randrange(1, 40)
+        if rng.random() < 0.5:
+            # a law's own numerators: c_r = sum_k C(k, r) N_k inverts back to N
+            nums = [rng.choice((0, rng.randrange(10 ** rng.randrange(1, 30))))
+                    for _ in range(size - 1)] + [rng.randrange(1, 10 ** 6)]
+            c = [sum(math.comb(k, r) * x for k, x in enumerate(nums)) for r in range(size)]
+        else:
+            c = [rng.randrange(1, 10 ** 9)] + [rng.randrange(-10 ** 6, 10 ** 9)
+                                               for _ in range(size - 1)]
+        new, old = _both_inversions(c, c[0])
+        assert new == old, c
+        failures += isinstance(new, str)
+    assert 50 < failures < 350  # both the law and the refusal are exercised
+
 
 def test_inversion_examples_and_errors():
     p = pmf_from_factorial_moments([1, F(1, 3)])

@@ -75,6 +75,35 @@ def test_tv_distance():
     assert Pmf((1,)).tv_distance(Pmf((0, 0, 0, 1))) == 1
 
 
+def test_tv_distance_over_coprime_denominators_and_unequal_supports():
+    p = Pmf((F(1, 3), F(2, 3)))
+    q = Pmf((F(1, 5), F(0), F(2, 5), F(2, 5)))
+    assert p.tv_distance(q) == q.tv_distance(p) == (F(2, 15) + F(2, 3) + F(4, 5)) / 2
+    rng = random.Random(7)
+    for _ in range(100):
+        laws = [_random_law(rng) for _ in range(2)]
+        top = max(law.max_value for law in laws)
+        assert laws[0].tv_distance(laws[1]) == sum(
+            abs(laws[0].mass(k) - laws[1].mass(k)) for k in range(top + 1)) / 2
+
+
+def _random_law(rng):
+    weights = [rng.choice((0, rng.randrange(1, 10 ** rng.randrange(1, 20))))
+               for _ in range(rng.randrange(1, 15))] + [rng.randrange(1, 1000)]
+    return Pmf.from_integers(weights, sum(weights))
+
+
+def test_factorial_moments_match_fraction_sums():
+    rng = random.Random(11)
+    for _ in range(100):
+        p = _random_law(rng)
+        for r in range(p.max_value + 3):
+            assert p.factorial_moment(r) == sum(
+                math.perm(k, r) * m for k, m in enumerate(p.masses)), (p, r)
+        assert p.factorial_moment(0) == 1
+        assert p.factorial_moment(p.max_value + 1) == p.factorial_moment(p.max_value + 2) == 0
+
+
 def test_from_integers_matches_fraction_construction():
     # interior zeros, trailing zeros and a shared factor, against Pmf(masses)
     rng = random.Random(2024)
