@@ -313,6 +313,16 @@ def _selftest_suites():
             for s in ("A2", "B2", "X2")
         )
 
+    def convergence_rows():
+        ns = range(6, 11)
+        for stat in ("A2", "X2", "A3"):
+            for n, row in zip(ns, moments.convergence_report(ns, mixed, stat)):
+                law = dpcount.statistic_pmf(n, mixed, stat)
+                if (row.moments != tuple(law.factorial_moment(r) for r in range(1, 5))
+                        or row.tv != moments.tv_to_poisson(law, moments.POISSON_RATES[stat])):
+                    return False
+        return True
+
     def sampler_chain():
         rng = random.Random(7)
         draws = [t for _ in range(20)
@@ -337,6 +347,7 @@ def _selftest_suites():
         ("statistic_laws_match_oracle", statistic_laws),
         ("moment_formulas_match_oracle", moment_formulas),
         ("moment_inversion_matches_counting_engine", inversion),
+        ("convergence_rows", convergence_rows),
         ("chain_sampler_emits_valid_tableaux", sampler_chain),
         ("asep_routes_agree", asep_bridge),
     ]

@@ -16,7 +16,9 @@ excess over it on the points where the exact law is the larger: an
 integer sum over the law's denominator minus e^(-lam) times an exact
 rational.  Rational bounds on e^(-lam), from Taylor terms of e^lam,
 enclose that distance between two exact rationals; more terms are
-taken until both round to one float.
+taken until both round to one float.  A second-diagonal convergence
+row inverts only the head of its law: the rest has an exact total
+mass, bounded by the next moment, and widens the enclosure by that.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, neg
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import dpcount
 from .core import (_STATISTICS, _check_choice, _check_int, _check_size, _statistic,
@@ -101,26 +103,33 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
     return c, scale
 
 
-def _invert(c: Sequence[int], L: int) -> Pmf:
-    """The law with factorial moments ``m_r = r! c_r / L``.
+def _head(c: Sequence[int], K: int) -> List[int]:
+    """Numerators over ``c_0`` of masses ``0..K-1`` of the law with
+    factorial moments ``m_r = r! c_r / c_0``, for ``K <= len(c)``.
 
-    Masses ``sum_r (-1)^(r-k) C(r, k) c_r / L`` are the coefficients of
-    ``sum_r c_r (x - 1)^r / L``: a Taylor shift by -1, in integers.  On
-    ``y_r = (-1)^r c_r`` the shift is repeated suffix sums, each over
-    one entry fewer, and mass k is ``(-1)^k y_k / L``.
+    Masses ``sum_r (-1)^(r-k) C(r, k) c_r / c_0`` are the coefficients
+    of ``sum_r c_r (x - 1)^r / c_0``: a Taylor shift by -1, in integers.
+    On ``y_r = (-1)^r c_r`` the shift is repeated suffix sums, each over
+    one entry fewer, and mass k is ``(-1)^k y_k / c_0``, final after
+    k + 1 of them; so K passes give the head.
     """
     y = list(c)
     y[1::2] = map(neg, y[1::2])
     y.reverse()  # suffix sums of y are prefix sums of the reversal
-    for size in range(len(y), 1, -1):
+    for size in range(len(y), len(y) - K, -1):
         y[:size] = accumulate(y[:size])
-    y.reverse()
-    y[1::2] = map(neg, y[1::2])
-    for k, num in enumerate(y):
+    head = y[:-K - 1:-1]
+    head[1::2] = map(neg, head[1::2])
+    for k, num in enumerate(head):
         if num < 0:
             raise ValueError("moments are inconsistent: reconstructed mass "
-                             f"at {k} is {Fraction(num, L)}")
-    return Pmf.from_integers(y, L)
+                             f"at {k} is {Fraction(num, c[0])}")
+    return head
+
+
+def _invert(c: Sequence[int], L: int) -> Pmf:
+    """The law with factorial moments ``m_r = r! c_r / L``, ``c_0 = L``."""
+    return Pmf.from_integers(_head(c, len(c)), L)
 
 
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
@@ -197,28 +206,26 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
 _TERM_LADDER = (1, 2, 4, 8, 16)
 
 
-def tv_to_poisson(p: Pmf, lam) -> float:
-    """Total variation distance between a finite law and Poisson(lam):
-    the float nearest its exact value.
+def _enclose(nums: Sequence[int], L: int, tail: int, lam: Fraction) -> Optional[float]:
+    """The float nearest the total variation distance to Poisson(lam)
+    of a law with masses ``nums[k] / L`` at ``k < len(nums)`` and the
+    rest, ``tail / L``, spread somewhere beyond; None, with a tail, when
+    the tail keeps the ends apart or ``_TERM_LADDER`` runs out.
 
     The distance is the positive-part sum ``P(S) - e^(-lam) C(S)`` over
     ``S = {k : p_k > pi_k}``, which lies inside p's support; with ``lam
-    = u/v`` and the masses ``N_k / L`` over their common denominator,
-    ``P(S)`` sums the ``N_k`` and ``C(S)`` sums ``u^k / (v^k k!)``, both
-    exactly.  Each k is placed by integer comparisons of ``N_k v^k k!``
-    with ``L u^k`` times rational bounds ``lo < e^(-lam) < hi``, which
-    put the distance in ``[P(S) - hi C(S), P(S) - lo C(S)]``; the answer
-    is the float both ends round to.  The bounds take K Taylor terms of
+    = u/v``, ``P(S)`` sums the ``N_k`` and ``C(S)`` sums ``u^k / (v^k
+    k!)``, both exactly.  Each k is placed by integer comparisons of
+    ``N_k v^k k!`` with ``L u^k`` times rational bounds ``lo < e^(-lam)
+    < hi``, which put the head's share in ``[P(S) - hi C(S), P(S) - lo
+    C(S)]``; the tail adds between 0 and ``tail / L``.  The answer is
+    the float both ends round to.  The bounds take K Taylor terms of
     ``e^lam``, K running through ``_TERM_LADDER``; at lam <= 1 its last
     rung pins ``e^(-lam)`` within a relative 10^-624.  ``e^(-lam)`` is
-    irrational, so enough terms decide every k; past the ladder the
-    search stops with an ``ArithmeticError``.
+    irrational, so enough terms decide every k; past the ladder, with
+    no tail, the search stops with an ``ArithmeticError``.
     """
-    lam = _as_fraction(lam, "lam")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     u, v = lam.numerator, lam.denominator
-    L = p.denominator
     for rung in _TERM_LADDER:
         # K terms sum, by Horner, to N / D with D = v^(K-1) (K-1)!; the rest is
         # below u^K / (v^K K!) times (K+1) v / g, as g = (K+1) v - u > 0
@@ -230,7 +237,7 @@ def tv_to_poisson(p: Pmf, lam) -> float:
         lo_n, lo_d, hi_n, hi_d = D * K * g, N * K * g + u ** K * (K + 1), D, N
         p_num, terms = 0, []  # P(S) = p_num / L; (u^k, v^k k!) for k in S
         uk = vk = 1
-        for k, num in enumerate(p.numerators):
+        for k, num in enumerate(nums):
             if k:
                 uk, vk = uk * u, vk * v * k
             if not num:
@@ -242,12 +249,54 @@ def tv_to_poisson(p: Pmf, lam) -> float:
             elif x * lo_d >= y * lo_n:
                 break  # these bounds cannot place k
         else:
-            c_den = terms[-1][1]  # C(S) = c_num / c_den
+            c_den = terms[-1][1] if terms else 1  # C(S) = c_num / c_den
             c_num = sum(uk * (c_den // vk) for uk, vk in terms)
             low = (p_num * hi_d * c_den - hi_n * c_num * L) / (L * hi_d * c_den)
-            if low == (p_num * lo_d * c_den - lo_n * c_num * L) / (L * lo_d * c_den):
+            high = p_num * lo_d * c_den - lo_n * c_num * L
+            if low == (high + tail * lo_d * c_den) / (L * lo_d * c_den):
                 return low
+            if low == high / (L * lo_d * c_den):
+                return None  # only the tail keeps the ends apart
+    if tail:
+        return None
     raise ArithmeticError("could not enclose the distance tightly enough")
+
+
+def tv_to_poisson(p: Pmf, lam) -> float:
+    """Total variation distance between a finite law and Poisson(lam):
+    the float nearest its exact value, as ``_enclose`` finds it with no
+    tail."""
+    lam = _as_fraction(lam, "lam")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return _enclose(p.numerators, p.denominator, 0, lam)
+
+
+#: Masses inverted first for a distance from moments; doubled as needed.
+_FIRST_HEAD = 24
+
+
+def _tv_from_moments(c: Sequence[int], lam: Fraction) -> float:
+    """``tv_to_poisson`` of the law with factorial moments ``r! c_r /
+    c_0``, from the head of that law alone.
+
+    The masses past the first K sum to ``T = c_0 - sum(head)``, and
+    ``P(X >= K) <= E[C(X, K)]`` puts T in ``[0, c_K]``; the distance
+    lies within ``T / c_0`` above the head's, so K doubles until
+    ``_enclose`` settles it, at worst to the whole law with T = 0.
+    """
+    K = _FIRST_HEAD
+    while True:
+        K = min(K, len(c))
+        head = _head(c, K)
+        tail = c[0] - sum(head)
+        if not 0 <= tail <= (c[K] if K < len(c) else 0):
+            raise ValueError("moments are inconsistent: mass beyond "
+                             f"{K - 1} is {Fraction(tail, c[0])}")
+        tv = _enclose(head, c[0], tail, lam)
+        if tv is not None:
+            return tv
+        K *= 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,13 +321,19 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[Co
         raise ValueError("ns must be a nonempty list of sizes")
     for n in ns:
         _check_size(n)
-    _statistic(statistic)
+    diagonal, kind, _ = _statistic(statistic)
     lam = POISSON_RATES.get(statistic)
     if lam is None:
         raise ValueError(f"{statistic!r} has no Poisson limit pairing")
     rows = []
     for n in ns:
-        law = exact_statistic_pmf(n, w, statistic)
-        moments = tuple(law.factorial_moment(r) for r in range(1, 5))
-        rows.append(ConvergenceRow(n=n, moments=moments, tv=tv_to_poisson(law, lam)))
+        if diagonal == 2:
+            c, L = _moment_numerators(n, w, kind, max(4, n // 2), 2)
+            moments = tuple(Fraction(math.factorial(r) * c[r], L) for r in range(1, 5))
+            tv = _tv_from_moments(c, lam)
+        else:
+            law = exact_statistic_pmf(n, w, statistic)
+            moments = tuple(law.factorial_moment(r) for r in range(1, 5))
+            tv = tv_to_poisson(law, lam)
+        rows.append(ConvergenceRow(n=n, moments=moments, tv=tv))
     return rows

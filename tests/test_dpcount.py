@@ -127,6 +127,34 @@ def test_random_constraint_sets_match_oracle():
                 assert event_prob(n, w, built) == oracle_event_prob(n, w, built) == want
 
 
+_TRANSPOSED = {R.MUST_ALPHA: R.MUST_BETA, R.MUST_BETA: R.MUST_ALPHA}
+
+
+def test_event_prob_is_symmetric_under_transposition():
+    # transposing a tableau moves box (i, j) to (j, i) and swaps alphas
+    # with betas, so it carries the measure at (a, b) to the one at (b, a)
+    rng = random.Random(31)
+    weights = (Weights(0, F(5, 3)), Weights(F(13, 7), F(2, 5)), Weights(1, 1))
+    seen = 0
+    for n in (6, 9, 12):
+        boxes = list(staircase_boxes(n))
+        for w in weights:
+            for _ in range(7):
+                event = {box: rng.choice(list(R))
+                         for box in rng.sample(boxes, rng.randint(1, 4))}
+                flipped = {(j, i): _TRANSPOSED.get(req, req) for (i, j), req in event.items()}
+                p = event_prob(n, w, ConstraintSet.of(n, event))
+                assert p == event_prob(n, w.swapped(), ConstraintSet.of(n, flipped)), (n, w)
+                seen += p != 0
+    assert seen > 30
+
+
+@pytest.mark.parametrize("w", [Weights(0, F(5, 3)), Weights(F(13, 7), F(2, 5))], ids=str)
+def test_alpha_law_is_the_beta_law_of_the_swapped_weights(w):
+    for n in range(1, 15):
+        assert statistic_pmf(n, w, "A2") == statistic_pmf(n, w.swapped(), "B2"), n
+
+
 def test_diagonal_events_match_closed_forms_beyond_enumeration():
     # sizes far past what enumeration could visit
     w = Weights(F(3, 4), F(7, 5))

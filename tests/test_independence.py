@@ -87,15 +87,18 @@ def test_asep_routes_reach_none_of_each_other_s_functions(route, other):
     assert not reached & ASEP_ROUTES[other]
 
 
-#: The moment route of the second-diagonal laws: the public moments and
-#: the helpers that ``exact_statistic_pmf`` calls on diagonal 2.
+#: The moment route of the second-diagonal laws and convergence rows:
+#: the public moments and the helpers that ``exact_statistic_pmf`` and
+#: ``convergence_report`` call on diagonal 2.
 SECOND_DIAG_MOMENT_ROUTE = ("factorial_moments_second_diag", "_moment_numerators",
-                            "_tuple_sum_heads", "_invert")
+                            "_tuple_sum_heads", "_invert", "_head", "_tv_from_moments",
+                            "_enclose")
 
 
 @pytest.mark.parametrize("root", SECOND_DIAG_MOMENT_ROUTE)
 def test_the_second_diagonal_moment_route_reaches_no_counting_code(root):
-    branches = _call_closure("moments", "exact_statistic_pmf")
+    branches = (_call_closure("moments", "exact_statistic_pmf")
+                | _call_closure("moments", "convergence_report"))
     # the scan sees the counting engine where the moments do call it
     assert "dpcount.statistic_pmf" in branches
     assert set(SECOND_DIAG_MOMENT_ROUTE[1:]) <= branches
@@ -174,8 +177,13 @@ ROUTES = {
 ONE_ROUTE = {
     "parse_rational": "it reads a number from text and computes no law",
     "cross_validate": "it is the comparison of the two steady-state routes",
-    "convergence_report": "its rows are tv_to_poisson of exact_statistic_pmf, "
-                          "whose rows are above; its output is pinned by a digest",
+    "convergence_report": "it tabulates laws that have rows above: second-diagonal rows "
+                          "come from the moment numerators and the head of the law, "
+                          "equal to the factorial moments and tv_to_poisson of "
+                          "exact_statistic_pmf's whole law at n up to 1024 "
+                          "(test_moments.py::test_second_diagonal_rows_match_the_law_route), "
+                          "third-diagonal rows from statistic_pmf's law; both are pinned "
+                          "by digests",
 }
 
 #: A public function is exact when it returns an exact value or law.

@@ -577,3 +577,82 @@ def test_convergence_reports_are_pinned():
                 h.update(f"{stat} {w.a} {w.b} {row.n} {moms} {row.tv!r}\n".encode())
     assert h.hexdigest() == (
         "6b49779888fe6cbae43d4ad6981bf299f8b4a707f4fe6517540bbf351eff1a06")
+
+
+PINNED_WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1), Weights(2, 0),
+                  Weights(F(13, 7), F(1000, 3)), Weights(F(3, 4), F(5, 6))]
+
+
+def _law_route_row(n, law, lam):
+    return ConvergenceRow(n, tuple(law.factorial_moment(r) for r in range(1, 5)),
+                          tv_to_poisson(law, lam))
+
+
+def test_third_diagonal_convergence_reports_are_pinned():
+    # recorded while every row still read exact_statistic_pmf's law
+    ladder = [1, 2, 3, 5, 8, 12, 16]
+    h = hashlib.sha256()
+    for stat in ("A3", "X3"):
+        for w in PINNED_WEIGHTS:
+            rows = convergence_report(ladder, w, stat)
+            for n, row in zip(ladder, rows):
+                law = dpcount.statistic_pmf(n, w, stat)
+                assert row == _law_route_row(n, law, POISSON_RATES[stat]), (stat, w, n)
+                moms = " ".join(f"{m.numerator}/{m.denominator}" for m in row.moments)
+                h.update(f"{stat} {w.a} {w.b} {row.n} {moms} {row.tv!r}\n".encode())
+    assert h.hexdigest() == (
+        "55dfe9872ba3f6468a69fb607a1e9e705485ed36614f555c1feae01f1f2463ad")
+
+
+@pytest.mark.parametrize("statistic", ["A2", "B2", "X2"])
+def test_second_diagonal_rows_match_the_law_route(statistic):
+    # rows from the moment numerators and the head of the law against the
+    # whole inverted law's factorial moments and distance
+    lam = POISSON_RATES[statistic]
+    ladder = list(range(1, 41)) + [64, 128, 256]
+    for w in PINNED_WEIGHTS:
+        rows = convergence_report(ladder, w, statistic)
+        for n, row in zip(ladder, rows):
+            law = exact_statistic_pmf(n, w, statistic)
+            assert row == _law_route_row(n, law, lam), (w, n)
+    w = Weights(F(13, 7), F(1000, 3))
+    law = exact_statistic_pmf(1024, w, statistic)
+    assert convergence_report([1024], w, statistic) == [_law_route_row(1024, law, lam)]
+
+
+def test_a_head_too_short_for_the_answer_grows(monkeypatch):
+    settled = []
+    enclose = moments._enclose
+
+    def recording(nums, L, tail, lam):
+        tv = enclose(nums, L, tail, lam)
+        settled.append((len(nums), tv is not None))
+        return tv
+
+    monkeypatch.setattr(moments, "_enclose", recording)
+    monkeypatch.setattr(moments, "_FIRST_HEAD", 1)
+    # A2 at (0, 1) has p_0 < pi_0, so its first head holds no point of the
+    # distance's positive part
+    for w, statistic in ((Weights(F(1, 2), 3), "A2"), (Weights(F(1, 2), 3), "X2"),
+                         (Weights(0, 1), "A2")):
+        for n in (64, 256):
+            settled.clear()
+            row, = convergence_report([n], w, statistic)
+            # K runs 1, 2, 4, ... and only the last head settles the answer
+            assert settled == [(2 ** i, i == len(settled) - 1) for i in range(len(settled))]
+            assert len(settled) > 3
+            law = exact_statistic_pmf(n, w, statistic)
+            assert row == _law_route_row(n, law, POISSON_RATES[statistic])
+
+
+@pytest.mark.parametrize("c, first, message", [
+    ([1, 2, 0], 24, "reconstructed mass at 0 is -1"),  # a negative head mass
+    ([1, 0, 1], 1, "mass beyond 0 is -1"),  # the head outweighs the whole law
+    ([4, 1, 0, 1], 1, "mass beyond 0 is 1/2"),  # P(X >= 1) above E[X]
+])
+def test_numerators_that_are_not_a_law_s_are_refused(monkeypatch, c, first, message):
+    with pytest.raises(ValueError):
+        moments._invert(c, c[0])
+    monkeypatch.setattr(moments, "_FIRST_HEAD", first)
+    with pytest.raises(ValueError, match=f"^moments are inconsistent: {message}$"):
+        moments._tv_from_moments(c, F(1, 2))
