@@ -202,7 +202,7 @@ def converge(stat, ns, a, b, as_json):
     """Moment table and Poisson distances across sizes."""
     rows = moments.convergence_report(_ints(ns, "--ns"), Weights(a, b), stat)
     _emit(
-        moments.CSV_HEADER.split(","),
+        ("n", "r1", "r2", "r3", "r4", "tv"),
         [(r.n, *[repr(float(mu)) for mu in r.moments], repr(r.tv)) for r in rows],
         as_json,
     )

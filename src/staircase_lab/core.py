@@ -267,27 +267,21 @@ class Tableau:
     def delete_row_col(self, i: int, j: int) -> "Tableau":
         """Remove row ``i`` and column ``j`` entirely, re-indexing the rest.
 
-        Only deletions whose leftover rows again form the staircase
-        shape ``(n-1, ..., 1)`` are meaningful; anything else raises.
+        The rest is the size-(n-1) staircase exactly when
+        ``n + 1 <= i + j <= n + 2``; anything else raises.
         """
         n = self.n
         _check_int(i, "row")
         _check_int(j, "column")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"row {i} / column {j} out of range for size {n}")
-        kept = []
-        for r in range(1, n + 1):
-            if r == i:
-                continue
-            row = self.rows[r - 1]
-            kept.append(row[: j - 1] + row[j:] if j <= len(row) else row)
-        for k, row in enumerate(kept, start=1):
-            if len(row) != n - k:
-                raise ValueError(
-                    f"deleting row {i} and column {j} does not leave the "
-                    f"size-{n - 1} staircase shape"
-                )
-        return Tableau(tuple(kept))
+        if not n + 1 <= i + j <= n + 2:
+            raise ValueError(
+                f"deleting row {i} and column {j} does not leave the "
+                f"size-{n - 1} staircase shape"
+            )
+        kept = self.rows[: i - 1] + self.rows[i:]
+        return Tableau(tuple(row[: j - 1] + row[j:] for row in kept))
 
     def transpose(self) -> "Tableau":
         """Reflect across the NW-SE axis, swapping alpha/beta and gamma/delta.

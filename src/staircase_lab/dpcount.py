@@ -64,8 +64,7 @@ import numpy as np
 from . import _budget
 from .constraints import ConstraintSet, Requirement
 from .core import Box, _check_box, _check_size, _statistic_cells, staircase_boxes
-from .formulas import BoxLaw
-from .measure import Weights
+from .measure import BoxLaw, Weights
 from .pmf import Pmf
 
 #: Largest size the counting kernel accepts; 2^22 states per column is

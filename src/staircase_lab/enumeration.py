@@ -12,8 +12,9 @@ row already hold a symbol") is therefore enough state to enumerate
 without ever backtracking into a dead end, so the walk is linear in
 the number of tableaux produced.
 
-Oracles group tableaux by their symbol counts where possible, keeping
-the exact-rational arithmetic off the hot loop.
+Every oracle reads the tableaux from one source, the kept list up to
+n = 7 and a stream above, and groups them by their symbol counts where
+possible, keeping the exact-rational arithmetic off the hot loop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
 from . import _budget
@@ -141,12 +141,6 @@ def _symbol_counts(t: Tableau) -> Tuple[int, int]:
     return joined.count("A"), joined.count("B")
 
 
-@lru_cache(maxsize=None)
-def _symbol_count_profile(n: int) -> Counter:
-    """How many tableaux have each (N_alpha, N_beta) pair; not to be mutated."""
-    return Counter(map(_symbol_counts, enumerate_tableaux(n)))
-
-
 def _grouped_weight_sum(n: int, w: Weights, counts: Counter) -> Fraction:
     """Sum of weights over tableaux tallied by (N_alpha, N_beta)."""
     return sum((mult * w.a ** (n - na) * w.b ** (n - nb)
@@ -164,7 +158,7 @@ def brute_partition(n: int, w: Union[Weights, FourWeights]) -> Fraction:
     ``(alpha+gamma)^N_alpha (beta+delta)^N_beta`` together.
     """
     _check_size(n)
-    profile = _symbol_count_profile(n)
+    profile = Counter(map(_symbol_counts, _tableaux(n)))
     if isinstance(w, Weights):
         return _grouped_weight_sum(n, w, profile)
     sa, sb = w.alpha + w.gamma, w.beta + w.delta

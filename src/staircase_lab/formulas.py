@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .core import Box, _check_box, _check_choice, _check_int, _check_size, _diagonal_columns
-from .measure import FourWeights, Weights, falling_factorial, rising_factorial
+from .measure import BoxLaw, FourWeights, Weights, falling_factorial, rising_factorial
 
 __all__ = [
     "BoxLaw",
@@ -72,15 +72,6 @@ def partition_closed(n: int, w: Union[Weights, FourWeights]) -> Fraction:
     sa = w.alpha + w.gamma
     sb = w.beta + w.delta
     return math.prod((sa + sb + i * sa * sb for i in range(n)), start=Fraction(1))
-
-
-@dataclass(frozen=True, slots=True)
-class BoxLaw:
-    """Marginal law of a single box: P(alpha), P(beta), P(empty)."""
-
-    alpha: Fraction
-    beta: Fraction
-    empty: Fraction
 
 
 def box_law(n: int, w: Weights, box: Box) -> BoxLaw:

@@ -153,3 +153,13 @@ class FourWeights:
     def merged(self) -> "FourWeights":
         """Collapse to two symbols: (alpha+gamma, beta+delta, 0, 0)."""
         return FourWeights(self.alpha + self.gamma, self.beta + self.delta)
+
+
+@dataclass(frozen=True, slots=True)
+class BoxLaw:
+    """Marginal law of a single box: P(alpha), P(beta), P(empty), as
+    the closed forms and the counting kernel both return it."""
+
+    alpha: Fraction
+    beta: Fraction
+    empty: Fraction

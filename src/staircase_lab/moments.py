@@ -43,8 +43,6 @@ POISSON_RATES: Dict[str, Fraction] = {
     for name, (diagonal, kind, _) in _STATISTICS.items() if diagonal
 }
 
-CSV_HEADER = "n,r1,r2,r3,r4,tv"
-
 _KINDS = ("alpha", "beta", "nonempty")
 _MODES = ("exact_dp", "main_term")
 
@@ -157,17 +155,18 @@ def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
                                  mode: str = "exact_dp") -> List[Fraction]:
     """Factorial moments 1..R of a third-diagonal count.
 
-    ``exact_dp`` reads the exact law off the counting engine, so every
-    admissible column pattern contributes, including the
-    lower-probability adjacent ones.  ``main_term`` sums the
-    leading-order product laws over column subsets with all gaps at
-    least three; the two agree up to one extra power of 1/(n+a+b).
+    ``exact_dp`` reads the exact law from :func:`exact_statistic_pmf`,
+    which takes it off the counting engine, so every admissible column
+    pattern contributes, including the lower-probability adjacent
+    ones.  ``main_term`` sums the leading-order product laws over
+    column subsets with all gaps at least three; the two agree up to
+    one extra power of 1/(n+a+b).
     """
     _check(n, kind, R, third_diag_max_count)
     _check_choice(mode, "mode", _MODES)
     if mode == "exact_dp":
-        law = dpcount.statistic_pmf(n, w.swapped() if kind == "beta" else w,
-                                    "X3" if kind == "nonempty" else "A3")
+        law = exact_statistic_pmf(n, w.swapped() if kind == "beta" else w,
+                                  "X3" if kind == "nonempty" else "A3")
         return [law.factorial_moment(r) for r in range(1, R + 1)]
     c, L = _moment_numerators(n, w, kind, R, 3)
     return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]

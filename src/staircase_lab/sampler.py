@@ -161,8 +161,10 @@ class _ChainTables:
     ``slices[j][i - 1]`` holds, one row per modulus of the plan, the
     counts that :func:`~staircase_lab.dpcount._sweep` hands its ``keep``
     at box (i, j), flattened, so the state with dirty-row mask ``mask``
-    sits at ``(mask >> i) << (i-1) | low``; one run of
-    :func:`~staircase_lab.dpcount._masses_crt` over the plan fills them.
+    sits at ``(mask >> i) << (i-1) | low``: 2^(n-j) states per modulus
+    and 2^(i-1) in column 1, as :func:`_chain_bytes` charges them.  One
+    run of :func:`~staircase_lab.dpcount._masses_crt` over the plan
+    fills them.
     The kernel's diagonal factors carry no q, so a slice holds the
     count scaled by q^n less one q per diagonal box still to fill.
     :meth:`after` reads one entry per plane, combines the planes with
@@ -187,13 +189,11 @@ class _ChainTables:
                                 if self.factors[k]]) for moves in by_bit]
                        for by_bit in _OPEN_MOVES]
         self.powers = [scaled.q ** d for d in range(n + 1)]
-        plan = len(self.moduli)
         self.slices: List[List[np.ndarray]] = [[]] + [
-            [np.empty(0, dtype=np.uint64)] * (n + 1 - j) for j in range(1, n + 1)]
+            [np.empty((len(self.moduli), 1 << (i - 1 if j == 1 else n - j)), dtype=np.uint64)
+             for i in range(1, n + 2 - j)] for j in range(1, n + 1)]
 
         def keep(first: int, i: int, j: int, counts: np.ndarray) -> None:
-            if first == 0:  # the first pass sizes each box's slice
-                self.slices[j][i - 1] = np.empty((plan, counts[0].size), dtype=np.uint64)
             # counts may be a transposed view: copy it in place, with no flat temporary
             self.slices[j][i - 1][first:first + len(counts)].reshape(counts.shape)[...] = counts
         if _masses_crt(n, w, _allowed_map(n, None), 1, keep=keep) != [scaled.total_bound(n)]:

@@ -128,7 +128,7 @@ def test_subtableau():
 def test_delete_row_col():
     t = Tableau(SIZE7_ROWS)
     # Deleting row i and column j keeps the staircase shape exactly when
-    # the crossing box sits on the main or the second diagonal.
+    # the crossing box sits on the main diagonal or one step outside it.
     ok = {(i, j) for i in range(1, 8) for j in range(1, 8) if i + j in (8, 9)}
     for i in range(1, 8):
         for j in range(1, 8):
@@ -136,10 +136,18 @@ def test_delete_row_col():
                 s = t.delete_row_col(i, j)
                 assert s.n == 6
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=rf"^deleting row {i} and column {j} "
+                                                     r"does not leave the size-6 staircase"):
                     t.delete_row_col(i, j)
     s = t.delete_row_col(7, 1)
     assert s.rows == ("..G..A", "....D", ".B.G", "..D", ".B", "G")
+    # out of range is said before off the diagonals
+    for i, j in ((8, 1), (0, 9), (2, 8)):
+        with pytest.raises(ValueError, match=rf"^row {i} / column {j} out of range for size 7$"):
+            t.delete_row_col(i, j)
+    # at n = 1 the one box is on the main diagonal, and nothing is left
+    with pytest.raises(ValueError, match=r"^a tableau needs at least one row$"):
+        Tableau(("A",)).delete_row_col(1, 1)
 
 
 def test_text_round_trip():

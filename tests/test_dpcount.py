@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from staircase_lab import dpcount
+from staircase_lab.asep import AsepParams, steady_state_via_generator
 from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
@@ -29,6 +30,7 @@ from staircase_lab.formulas import (box_law, partition_closed,
                                     second_diag_joint_nonempty)
 from staircase_lab.measure import Weights
 from staircase_lab.moments import exact_statistic_pmf
+from staircase_lab.pmf import Pmf
 
 F = Fraction
 R = Requirement
@@ -125,6 +127,50 @@ def test_random_constraint_sets_match_oracle():
                 # the constructor form, free boxes and all, is the same event
                 built = ConstraintSet(n, items)
                 assert event_prob(n, w, built) == oracle_event_prob(n, w, built) == want
+
+
+def _main_diagonal_law(n, w):
+    """P(the main diagonal reads each alpha/beta pattern), one
+    ``event_prob`` per pattern: pattern s holds an alpha at box
+    (i, n + 1 - i) when bit n - i is set, so site 1 is the most
+    significant bit, as in ``asep``."""
+    return [event_prob(n, w, ConstraintSet.of(n, {
+        (i, n + 1 - i): R.MUST_ALPHA if s >> (n - i) & 1 else R.MUST_BETA
+        for i in range(1, n + 1)})) for s in range(1 << n)]
+
+
+@pytest.mark.parametrize("rates, sizes", [
+    ((1, 1, 0, 0), range(1, 9)),
+    ((2, 3, 0, 0), range(1, 9)),
+    ((F(1, 2), F(7, 5), 0, 0), range(1, 9)),
+    ((5, F(1, 3), 0, 0), range(1, 9)),
+    ((2, F(3, 7), 0, 0), (10,)),
+    ((1, 1, 1, 1), range(1, 7)),
+    ((2, 3, F(1, 3), F(3, 2)), range(1, 7)),
+    ((F(1, 2), F(2, 3), F(3, 5), F(5, 7)), range(1, 7)),
+    ((1, 2, 0, F(1, 4)), range(1, 7)),
+])
+def test_ssep_steady_state_is_the_main_diagonal_law(rates, sizes):
+    # At u = q = 1 the stationary law of the open exclusion process is
+    # the main-diagonal law under Weights(1/(alpha+gamma), 1/(beta+delta)),
+    # with each diagonal alpha a filled site with probability
+    # alpha/(alpha+gamma) and each beta with probability delta/(beta+delta),
+    # site by site on their own (Corteel and Williams, Duke Math. J. 159,
+    # 2011).  The generator solve reads no tableau and shares no code with
+    # the counting kernel.
+    alpha, beta, gamma, delta = map(F, rates)
+    by_alpha, by_beta = alpha / (alpha + gamma), delta / (beta + delta)
+    w = Weights(1 / (alpha + gamma), 1 / (beta + delta))
+    for n in sizes:
+        law = _main_diagonal_law(n, w)
+        for bit in (1 << k for k in range(n)):  # one site at a time
+            for s in range(1 << n):
+                if not s & bit:
+                    on_alpha, on_beta = law[s | bit], law[s]
+                    law[s | bit] = on_alpha * by_alpha + on_beta * by_beta
+                    law[s] = on_alpha + on_beta - law[s | bit]
+        params = AsepParams(alpha, beta, gamma, delta, u=1, q=1)
+        assert steady_state_via_generator(n, params) == Pmf(law), (n, rates)
 
 
 _TRANSPOSED = {R.MUST_ALPHA: R.MUST_BETA, R.MUST_BETA: R.MUST_ALPHA}

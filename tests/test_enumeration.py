@@ -97,6 +97,10 @@ def test_brute_partition_matches_closed_form():
     for n in range(1, 7):
         for w in AB_GRID:
             assert brute_partition(n, w) == partition_closed(n, w)
+    # n = 8 is above the largest kept list, so this sum reads the stream
+    assert 8 > enumeration._CACHE_MAX
+    w = Weights(F(2, 3), F(5, 4))
+    assert brute_partition(8, w) == partition_closed(8, w)
 
 
 def test_brute_partition_four_weights():

@@ -40,6 +40,9 @@ def _imported_modules(name):
     ("enumeration", {"dpcount", "sampler", "moments"}),
     # the generator solve and the tableaux route check each other
     ("asep", {"enumeration", "dpcount", "sampler"}),
+    # the counting kernel checks the closed forms, and they check it
+    ("dpcount", {"formulas", "enumeration", "moments", "sampler", "asep"}),
+    ("formulas", {"dpcount", "enumeration", "moments", "sampler", "asep"}),
 ])
 def test_reference_routes_import_none_of_what_they_check(module, forbidden):
     imported = _imported_modules(module)
@@ -106,6 +109,15 @@ def test_the_second_diagonal_moment_route_reaches_no_counting_code(root):
     assert not {name for name in reached if name.startswith("dpcount.")}
 
 
+def test_moments_reaches_the_counting_kernel_from_one_function():
+    tree = ast.parse((PACKAGE / "moments.py").read_text())
+    naming = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              for inner in ast.walk(node)
+              if isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name)
+              and inner.value.id == "dpcount"}
+    assert naming == {"exact_statistic_pmf"}
+
+
 # ----------------------------------------------------------------------
 # the ledger of routes
 
@@ -119,9 +131,9 @@ class Route(NamedTuple):
 #: compare the two.  ``exact_statistic_pmf``'s row is its moment route,
 #: for A2, B2 and X2; it hands the other statistics to ``statistic_pmf``.
 ROUTES = {
-    "partition_closed": Route("brute_partition", tuple(range(1, 7)),
+    "partition_closed": Route("brute_partition", tuple(range(1, 7)) + (8,),
                               "test_enumeration.py::test_brute_partition_matches_closed_form"),
-    "brute_partition": Route("partition_closed", tuple(range(1, 7)),
+    "brute_partition": Route("partition_closed", tuple(range(1, 7)) + (8,),
                              "test_enumeration.py::test_brute_partition_matches_closed_form"),
     "count_tableaux": Route("(n + 1)!", tuple(range(1, 9)),
                             "test_acceptance.py::test_c01_partition_identities"),
@@ -173,6 +185,12 @@ ROUTES = {
         "test_asep.py::test_alpha_delta_reading_matches_generator_at_the_largest_sizes"),
 }
 
+#: Further comparisons for a name of ``ROUTES``, beside its row there.
+MORE_ROUTES = {
+    "event_prob": Route("steady_state_via_generator", tuple(range(1, 9)) + (10,),
+                        "test_dpcount.py::test_ssep_steady_state_is_the_main_diagonal_law"),
+}
+
 #: Exact public names with one route, and why.
 ONE_ROUTE = {
     "parse_rational": "it reads a number from text and computes no law",
@@ -204,17 +222,19 @@ def test_every_exact_public_name_is_in_the_ledger():
     exact = _exact_public_names()
     assert {"statistic_pmf", "box_law", "pmf_from_factorial_moments"} <= exact
     assert not set(ROUTES) & set(ONE_ROUTE)
+    assert set(MORE_ROUTES) <= set(ROUTES)
     assert exact <= set(ROUTES) | set(ONE_ROUTE), "add these to ROUTES or ONE_ROUTE"
     assert set(ROUTES) | set(ONE_ROUTE) <= set(staircase_lab.__all__)
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_each_ledger_row_names_a_test_that_exists(name):
-    route = ROUTES[name]
-    file, function = route.test.split("::")
-    tree = ast.parse((TESTS / file).read_text())
-    assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert route.second != name and route.sizes == tuple(sorted(set(route.sizes)))
+    for route in filter(None, (ROUTES[name], MORE_ROUTES.get(name))):
+        file, function = route.test.split("::")
+        tree = ast.parse((TESTS / file).read_text())
+        assert function in {node.name for node in tree.body
+                            if isinstance(node, ast.FunctionDef)}
+        assert route.second != name and route.sizes == tuple(sorted(set(route.sizes)))
 
 
 def _readme_routes_paragraph():
@@ -225,8 +245,9 @@ def _readme_routes_paragraph():
 
 def test_the_readme_states_the_statistic_routes_of_the_ledger():
     sentences = " ".join(_readme_routes_paragraph().split()).split(". ")
-    for name in ("exact_statistic_pmf", "statistic_pmf"):
-        route = ROUTES[name]
+    rows = [(name, ROUTES[name]) for name in ("exact_statistic_pmf", "statistic_pmf")]
+    rows += MORE_ROUTES.items()
+    for name, route in rows:
         assert any(f"`{name}`" in sentence and f"`{route.second}`" in sentence
                    and f"up to n = {max(route.sizes)}" in sentence
                    for sentence in sentences), name
