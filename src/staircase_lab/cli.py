@@ -339,6 +339,22 @@ def _selftest_suites():
         return all("alpha_delta" in asep.cross_validate(n, p)["matching_conventions"]
                    for n in range(1, 9))
 
+    def ssep_bridge():
+        # at u = q = 1, gamma = delta = 0 the stationary law is the main
+        # diagonal's under Weights(1/alpha, 1/beta): a filled site i is an
+        # alpha at box (i, n + 1 - i), an empty one a beta
+        req = constraints.Requirement
+        alpha, beta = Fraction(1, 2), Fraction(7, 5)
+        p = asep.AsepParams(alpha, beta, 0, 0, u=1, q=1)
+        w = Weights(1 / alpha, 1 / beta)
+        for n in range(1, 6):
+            law = [dpcount.event_prob(n, w, constraints.ConstraintSet.of(n, {
+                (i, n + 1 - i): req.MUST_ALPHA if s >> (n - i) & 1 else req.MUST_BETA
+                for i in range(1, n + 1)})) for s in range(1 << n)]
+            if list(asep.steady_state_via_generator(n, p).masses) != law:
+                return False
+        return True
+
     return [
         ("counts_match_factorial", counts),
         ("brute_partition_matches_closed", partitions),
@@ -350,6 +366,7 @@ def _selftest_suites():
         ("convergence_rows", convergence_rows),
         ("chain_sampler_emits_valid_tableaux", sampler_chain),
         ("asep_routes_agree", asep_bridge),
+        ("ssep_law_matches_counting_engine", ssep_bridge),
     ]
 
 

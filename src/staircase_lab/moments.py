@@ -17,8 +17,12 @@ integer sum over the law's denominator minus e^(-lam) times an exact
 rational.  Rational bounds on e^(-lam), from Taylor terms of e^lam,
 enclose that distance between two exact rationals; more terms are
 taken until both round to one float.  A second-diagonal convergence
-row inverts only the head of its law: the rest has an exact total
-mass, bounded by the next moment, and widens the enclosure by that.
+row builds only moments 0..R+1 and inverts the first R+1 as if the
+rest vanished: by the Bonferroni inequalities each mass moves by at
+most C(R+1, k) times the next binomial moment, and the mass past R
+by at most that moment itself, so the enclosure widens by half their
+sum.  R doubles until both ends round to one float, at worst to the
+whole law.
 """
 
 from __future__ import annotations
@@ -96,38 +100,46 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
     scale = Dj ** top  # D^(j r) g^(top - r) prod_(j r <= i < j top) (S - i D)
     for r in range(top, 0, -1):
         c[r] = heads[r] * scale
-        scale = scale // Dj * (g * math.prod(S - i * D for i in range(j * r - j, j * r)))
+        factor = S - (j * r - 1) * D
+        if j == 2:
+            factor *= factor + D  # times S - (2 r - 2) D
+        scale = scale // Dj * (g * factor)
     c[0] = scale
     return c, scale
 
 
-def _head(c: Sequence[int], K: int) -> List[int]:
-    """Numerators over ``c_0`` of masses ``0..K-1`` of the law with
-    factorial moments ``m_r = r! c_r / c_0``, for ``K <= len(c)``.
+def _masses(c: Sequence[int]) -> List[int]:
+    """Numerators over ``c_0`` of the masses of the law with factorial
+    moments ``m_r = r! c_r / c_0``, taking moments past ``len(c) - 1``
+    to vanish; unchecked, so a mass may come out negative.
 
     Masses ``sum_r (-1)^(r-k) C(r, k) c_r / c_0`` are the coefficients
     of ``sum_r c_r (x - 1)^r / c_0``: a Taylor shift by -1, in integers.
     On ``y_r = (-1)^r c_r`` the shift is repeated suffix sums, each over
-    one entry fewer, and mass k is ``(-1)^k y_k / c_0``, final after
-    k + 1 of them; so K passes give the head.
+    one entry fewer, and mass k is ``(-1)^k y_k / c_0``.
     """
     y = list(c)
     y[1::2] = map(neg, y[1::2])
     y.reverse()  # suffix sums of y are prefix sums of the reversal
-    for size in range(len(y), len(y) - K, -1):
+    for size in range(len(y), 1, -1):
         y[:size] = accumulate(y[:size])
-    head = y[:-K - 1:-1]
-    head[1::2] = map(neg, head[1::2])
-    for k, num in enumerate(head):
+    y.reverse()
+    y[1::2] = map(neg, y[1::2])
+    return y
+
+
+def _refuse_negative(nums: Sequence[int], L: int) -> None:
+    for k, num in enumerate(nums):
         if num < 0:
             raise ValueError("moments are inconsistent: reconstructed mass "
-                             f"at {k} is {Fraction(num, c[0])}")
-    return head
+                             f"at {k} is {Fraction(num, L)}")
 
 
 def _invert(c: Sequence[int], L: int) -> Pmf:
     """The law with factorial moments ``m_r = r! c_r / L``, ``c_0 = L``."""
-    return Pmf.from_integers(_head(c, len(c)), L)
+    nums = _masses(c)
+    _refuse_negative(nums, L)
+    return Pmf.from_integers(nums, L)
 
 
 def _check(n: int, kind: str, R: int, max_count: Callable[[int], int]) -> None:
@@ -205,24 +217,25 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
 _TERM_LADDER = (1, 2, 4, 8, 16)
 
 
-def _enclose(nums: Sequence[int], L: int, tail: int, lam: Fraction) -> Optional[float]:
+def _enclose(nums: Sequence[int], L: int, slack: int, lam: Fraction) -> Optional[float]:
     """The float nearest the total variation distance to Poisson(lam)
-    of a law with masses ``nums[k] / L`` at ``k < len(nums)`` and the
-    rest, ``tail / L``, spread somewhere beyond; None, with a tail, when
-    the tail keeps the ends apart or ``_TERM_LADDER`` runs out.
+    of a law within total variation ``slack / L`` of the one with masses
+    ``nums[k] / L``, which sum to 1; None, with a slack, when it keeps
+    the ends apart or ``_TERM_LADDER`` runs out.
 
     The distance is the positive-part sum ``P(S) - e^(-lam) C(S)`` over
     ``S = {k : p_k > pi_k}``, which lies inside p's support; with ``lam
     = u/v``, ``P(S)`` sums the ``N_k`` and ``C(S)`` sums ``u^k / (v^k
     k!)``, both exactly.  Each k is placed by integer comparisons of
     ``N_k v^k k!`` with ``L u^k`` times rational bounds ``lo < e^(-lam)
-    < hi``, which put the head's share in ``[P(S) - hi C(S), P(S) - lo
-    C(S)]``; the tail adds between 0 and ``tail / L``.  The answer is
-    the float both ends round to.  The bounds take K Taylor terms of
-    ``e^lam``, K running through ``_TERM_LADDER``; at lam <= 1 its last
-    rung pins ``e^(-lam)`` within a relative 10^-624.  ``e^(-lam)`` is
-    irrational, so enough terms decide every k; past the ladder, with
-    no tail, the search stops with an ``ArithmeticError``.
+    < hi``, which put the distance in ``[P(S) - hi C(S), P(S) - lo
+    C(S)]``; by the triangle inequality, the slack widens that by
+    ``slack / L`` on each side.  The answer is the float both ends
+    round to.  The bounds take K Taylor terms of ``e^lam``, K running
+    through ``_TERM_LADDER``; at lam <= 1 its last rung pins
+    ``e^(-lam)`` within a relative 10^-624.  ``e^(-lam)`` is irrational,
+    so enough terms decide every k; past the ladder, with no slack, the
+    search stops with an ``ArithmeticError``.
     """
     u, v = lam.numerator, lam.denominator
     for rung in _TERM_LADDER:
@@ -250,13 +263,15 @@ def _enclose(nums: Sequence[int], L: int, tail: int, lam: Fraction) -> Optional[
         else:
             c_den = terms[-1][1] if terms else 1  # C(S) = c_num / c_den
             c_num = sum(uk * (c_den // vk) for uk, vk in terms)
-            low = (p_num * hi_d * c_den - hi_n * c_num * L) / (L * hi_d * c_den)
+            low = p_num * hi_d * c_den - hi_n * c_num * L
             high = p_num * lo_d * c_den - lo_n * c_num * L
-            if low == (high + tail * lo_d * c_den) / (L * lo_d * c_den):
-                return low
-            if low == high / (L * lo_d * c_den):
-                return None  # only the tail keeps the ends apart
-    if tail:
+            low_d, high_d = L * hi_d * c_den, L * lo_d * c_den
+            tv = (low - slack * hi_d * c_den) / low_d
+            if tv == (high + slack * lo_d * c_den) / high_d:
+                return tv
+            if slack and low / low_d == high / high_d:
+                return None  # only the slack keeps the ends apart
+    if slack:
         return None
     raise ArithmeticError("could not enclose the distance tightly enough")
 
@@ -264,38 +279,44 @@ def _enclose(nums: Sequence[int], L: int, tail: int, lam: Fraction) -> Optional[
 def tv_to_poisson(p: Pmf, lam) -> float:
     """Total variation distance between a finite law and Poisson(lam):
     the float nearest its exact value, as ``_enclose`` finds it with no
-    tail."""
+    slack."""
     lam = _as_fraction(lam, "lam")
     if lam <= 0:
         raise ValueError("lam must be positive")
     return _enclose(p.numerators, p.denominator, 0, lam)
 
 
-#: Masses inverted first for a distance from moments; doubled as needed.
-_FIRST_HEAD = 24
+def _first_order(lam: Fraction) -> int:
+    """Moment order R a convergence row tries first; doubled as needed.
 
-
-def _tv_from_moments(c: Sequence[int], lam: Fraction) -> float:
-    """``tv_to_poisson`` of the law with factorial moments ``r! c_r /
-    c_0``, from the head of that law alone.
-
-    The masses past the first K sum to ``T = c_0 - sum(head)``, and
-    ``P(X >= K) <= E[C(X, K)]`` puts T in ``[0, c_K]``; the distance
-    lies within ``T / c_0`` above the head's, so K doubles until
-    ``_enclose`` settles it, at worst to the whole law with T = 0.
+    Near Poisson(lam) the slack of ``_tv_from_moments`` is about ``(2
+    lam)^(R+1) / (2 (R+1)!)``: below 10^-25 at 24 for lam = 1/2 and at
+    32 for lam = 1.
     """
-    K = _FIRST_HEAD
-    while True:
-        K = min(K, len(c))
-        head = _head(c, K)
-        tail = c[0] - sum(head)
-        if not 0 <= tail <= (c[K] if K < len(c) else 0):
-            raise ValueError("moments are inconsistent: mass beyond "
-                             f"{K - 1} is {Fraction(tail, c[0])}")
-        tv = _enclose(head, c[0], tail, lam)
-        if tv is not None:
-            return tv
-        K *= 2
+    return 16 + 8 * math.ceil(2 * lam)
+
+
+def _tv_from_moments(c: Sequence[int], lam: Fraction) -> Optional[float]:
+    """``tv_to_poisson`` of the law p with factorial moments ``r! c_r /
+    c_0``, from ``c_0..c_R`` and ``c_(R+1) = c[-1]`` alone; None when
+    that order cannot settle it.
+
+    The masses ``A_k`` of the moments truncated at R sum to ``c_0``.  By
+    the Bonferroni inequalities each ``p_k c_0``, k <= R, lies within
+    ``C(R+1, k) c_(R+1)`` of ``A_k``, which sums to ``(2^(R+1) - 1)
+    c_(R+1)``, and the mass past R is at most ``E[C(X, R+1)] = c_(R+1)
+    / c_0``: p lies within total variation ``2^R c_(R+1) / c_0`` of A.
+    When ``c_(R+1)`` is 0 the truncation is the whole law, and a
+    negative mass refuses the numerators; before that, a negative
+    ``A_k`` only means R is too low.
+    """
+    *head, rest = c
+    nums = _masses(head)
+    if not rest:
+        _refuse_negative(nums, c[0])
+    elif min(nums) < 0:
+        return None
+    return _enclose(nums, c[0], rest << (len(head) - 1), lam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,9 +348,13 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[Co
     rows = []
     for n in ns:
         if diagonal == 2:
-            c, L = _moment_numerators(n, w, kind, max(4, n // 2), 2)
+            R, tv = _first_order(lam), None
+            while tv is None:
+                R = min(R, n // 2)
+                c, L = _moment_numerators(n, w, kind, max(R + 1, 4), 2)
+                tv = _tv_from_moments(c[:R + 2], lam)
+                R *= 2
             moments = tuple(Fraction(math.factorial(r) * c[r], L) for r in range(1, 5))
-            tv = _tv_from_moments(c, lam)
         else:
             law = exact_statistic_pmf(n, w, statistic)
             moments = tuple(law.factorial_moment(r) for r in range(1, 5))

@@ -285,8 +285,9 @@ def test_asep_verify_rejects_bad_rates(runner):
 def test_selftest_passes(runner):
     out = run(runner, "selftest")
     lines = out.splitlines()
-    assert len(lines) == 10 and all(line.startswith("ok ") for line in lines)
-    assert {"ok conditional_laws_match_oracle", "ok convergence_rows"} <= set(lines)
+    assert len(lines) == 11 and all(line.startswith("ok ") for line in lines)
+    assert {"ok conditional_laws_match_oracle", "ok convergence_rows",
+            "ok ssep_law_matches_counting_engine"} <= set(lines)
 
 
 def test_selftest_exits_three_on_mismatch(runner, monkeypatch):

@@ -94,8 +94,8 @@ def test_asep_routes_reach_none_of_each_other_s_functions(route, other):
 #: the public moments and the helpers that ``exact_statistic_pmf`` and
 #: ``convergence_report`` call on diagonal 2.
 SECOND_DIAG_MOMENT_ROUTE = ("factorial_moments_second_diag", "_moment_numerators",
-                            "_tuple_sum_heads", "_invert", "_head", "_tv_from_moments",
-                            "_enclose")
+                            "_tuple_sum_heads", "_invert", "_masses", "_refuse_negative",
+                            "_first_order", "_tv_from_moments", "_enclose")
 
 
 @pytest.mark.parametrize("root", SECOND_DIAG_MOMENT_ROUTE)
@@ -196,7 +196,7 @@ ONE_ROUTE = {
     "parse_rational": "it reads a number from text and computes no law",
     "cross_validate": "it is the comparison of the two steady-state routes",
     "convergence_report": "it tabulates laws that have rows above: second-diagonal rows "
-                          "come from the moment numerators and the head of the law, "
+                          "come from the moment numerators up to a doubling order, "
                           "equal to the factorial moments and tv_to_poisson of "
                           "exact_statistic_pmf's whole law at n up to 1024 "
                           "(test_moments.py::test_second_diagonal_rows_match_the_law_route), "

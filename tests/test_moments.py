@@ -620,39 +620,98 @@ def test_second_diagonal_rows_match_the_law_route(statistic):
     assert convergence_report([1024], w, statistic) == [_law_route_row(1024, law, lam)]
 
 
-def test_a_head_too_short_for_the_answer_grows(monkeypatch):
-    settled = []
-    enclose = moments._enclose
+def test_an_order_too_low_for_the_answer_doubles(monkeypatch):
+    orders = []
+    tv_from_moments = moments._tv_from_moments
 
-    def recording(nums, L, tail, lam):
-        tv = enclose(nums, L, tail, lam)
-        settled.append((len(nums), tv is not None))
+    def recording(c, lam):
+        tv = tv_from_moments(c, lam)
+        orders.append((len(c) - 2, tv is not None))
         return tv
 
-    monkeypatch.setattr(moments, "_enclose", recording)
-    monkeypatch.setattr(moments, "_FIRST_HEAD", 1)
-    # A2 at (0, 1) has p_0 < pi_0, so its first head holds no point of the
+    monkeypatch.setattr(moments, "_tv_from_moments", recording)
+    monkeypatch.setattr(moments, "_first_order", lambda lam: 1)
+    # A2 at (0, 1) has p_0 < pi_0, so its low orders place no point of the
     # distance's positive part
     for w, statistic in ((Weights(F(1, 2), 3), "A2"), (Weights(F(1, 2), 3), "X2"),
                          (Weights(0, 1), "A2")):
-        for n in (64, 256):
-            settled.clear()
+        for n in (64, 100, 256):
+            orders.clear()
             row, = convergence_report([n], w, statistic)
-            # K runs 1, 2, 4, ... and only the last head settles the answer
-            assert settled == [(2 ** i, i == len(settled) - 1) for i in range(len(settled))]
-            assert len(settled) > 3
+            # R runs 1, 2, 4, ... up to n // 2, and only the last order settles
+            assert orders == [(min(2 ** i, n // 2), i == len(orders) - 1)
+                              for i in range(len(orders))]
+            assert len(orders) > 3
             law = exact_statistic_pmf(n, w, statistic)
             assert row == _law_route_row(n, law, POISSON_RATES[statistic])
 
 
-@pytest.mark.parametrize("c, first, message", [
-    ([1, 2, 0], 24, "reconstructed mass at 0 is -1"),  # a negative head mass
-    ([1, 0, 1], 1, "mass beyond 0 is -1"),  # the head outweighs the whole law
-    ([4, 1, 0, 1], 1, "mass beyond 0 is 1/2"),  # P(X >= 1) above E[X]
+@pytest.mark.parametrize("c, message", [
+    ([1, 2, 0], "reconstructed mass at 0 is -1"),
+    ([1, 0, 1], "reconstructed mass at 1 is -2"),
+    ([4, 1, 0, 1], "reconstructed mass at 2 is -3/4"),  # P(X = 2) below 0
 ])
-def test_numerators_that_are_not_a_law_s_are_refused(monkeypatch, c, first, message):
-    with pytest.raises(ValueError):
-        moments._invert(c, c[0])
-    monkeypatch.setattr(moments, "_FIRST_HEAD", first)
-    with pytest.raises(ValueError, match=f"^moments are inconsistent: {message}$"):
-        moments._tv_from_moments(c, F(1, 2))
+def test_numerators_that_are_not_a_law_s_are_refused(c, message):
+    # at full order, c_(R+1) = 0: the row refuses as the whole inversion does
+    for refuse in (lambda: moments._invert(c, c[0]),
+                   lambda: moments._tv_from_moments(c + [0], F(1, 2))):
+        with pytest.raises(ValueError, match=f"^moments are inconsistent: {message}$"):
+            refuse()
+
+
+def test_a_negative_truncated_mass_asks_for_a_higher_order():
+    # c_0..c_1 = 1, 2 give A_0 = -1, but c_2 = 1 leaves the order open
+    assert moments._tv_from_moments([1, 2, 1], F(1, 2)) is None
+
+
+def _bracket_laws():
+    """(law, c_0..c_(R+1) at each order R below the top, lam): exact laws
+    with their truncated moment numerators, and seeded integer laws."""
+    for statistic, kind in (("A2", "alpha"), ("B2", "beta"), ("X2", "nonempty")):
+        for n in (2, 3, 7, 16, 25, 40):
+            for w in PINNED_WEIGHTS[::2]:
+                law = exact_statistic_pmf(n, w, statistic)
+                yield law, [moments._moment_numerators(n, w, kind, R + 1, 2)[0]
+                            for R in range(n // 2)], POISSON_RATES[statistic]
+    rng = random.Random(33)
+    for _ in range(40):
+        nums = [rng.choice((0, rng.randrange(10 ** rng.randrange(1, 12))))
+                for _ in range(rng.randrange(1, 30))] + [rng.randrange(1, 10 ** 6)]
+        c = [sum(math.comb(k, r) * x for k, x in enumerate(nums)) for r in range(len(nums))]
+        yield Pmf.from_integers(nums, sum(nums)), [c[:R + 2] for R in range(len(c) - 1)], 1
+
+
+def test_truncated_masses_bracket_the_law(monkeypatch):
+    # Bonferroni: the masses of the moments truncated at R and at R + 1
+    # lie on either side of each true mass, C(R+1, k) c_(R+1) apart; so
+    # the slack a row's enclosure takes covers the law's distance from
+    # the truncated one, and a settled row is the whole law's distance
+    slacks = []
+    enclose = moments._enclose
+
+    def recording(nums, L, slack, lam):
+        slacks.append(F(slack, L))
+        return enclose(nums, L, slack, lam)
+
+    monkeypatch.setattr(moments, "_enclose", recording)
+    settled = 0
+    for law, numerators, lam in _bracket_laws():
+        nums, L = law.numerators, law.denominator
+        for R, c in enumerate(numerators):
+            low, high = moments._masses(c[:R + 1]) + [0], moments._masses(c[:R + 2])
+            for k, (x, y) in enumerate(zip(low, high)):
+                true = nums[k] * c[0] if k < len(nums) else 0
+                assert (x * L - true) * (y * L - true) <= 0, (law, R, k)
+                assert abs(y - x) == math.comb(R + 1, k) * c[R + 1], (law, R, k)
+            slacks.clear()
+            tv = moments._tv_from_moments(c, F(lam))
+            if min(low) >= 0:  # the truncated masses are a law's
+                size = max(len(nums), R + 1)
+                truth = [F(x, L) for x in nums] + [0] * (size - len(nums))
+                trunc = [F(x, c[0]) for x in low[:-1]] + [0] * (size - R - 1)
+                apart = sum(abs(x - y) for x, y in zip(truth, trunc)) / 2
+                assert apart <= slacks[0], (law, R)
+            if tv is not None:
+                assert tv == tv_to_poisson(law, lam), (law, R)
+                settled += 1
+    assert settled > 50
