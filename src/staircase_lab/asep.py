@@ -16,7 +16,11 @@ integers after the rates are cleared of their common denominator:
 so their agreement is a machine-checked fact rather than an assumption.
 The mapping from diagonal symbols to occupied sites exists in two
 plausible readings, and ``cross_validate`` settles empirically which
-one the generator actually certifies.
+one the generator actually certifies.  It certifies first: the chain
+is irreducible, so a law that balances every state exactly is the
+stationary law, and the generator's balance equations accept a
+tableaux law without solving anything.  The solve runs only when
+neither reading balances.
 
 Sites are numbered 1..n from the top end of the diagonal, and a state
 packs site 1 into the most significant bit of its index.
@@ -266,6 +270,19 @@ def _transitions(n: int, rates: Sequence[int], s: int) -> Iterable[Tuple[int, in
                 yield s ^ pair, q
 
 
+def _chain(n: int, rates: Sequence[int]) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
+    """(moves, outflow): each state's moves with their summed rates and
+    its total rate out, for a chain checked to be irreducible."""
+    moves = []
+    for s in range(1 << n):  # at n = 1, alpha and delta both fill the one site
+        out: Dict[int, int] = {}
+        for t, rate in _transitions(n, rates, s):
+            out[t] = out.get(t, 0) + rate
+        moves.append(list(out.items()))
+    _check_irreducible(moves)
+    return moves, [sum(rate for _, rate in out) for out in moves]
+
+
 def _check_irreducible(moves: List[List[Tuple[int, int]]]) -> None:
     size = len(moves)
     forward = [[t for t, _ in out] for out in moves]
@@ -380,14 +397,15 @@ def _reconstruct(residues: Sequence[int], modulus: int):
 def _balanced(moves: List[List[Tuple[int, int]]], outflow: List[int],
               nums: Sequence[int], den: int) -> bool:
     """Whether nums/den sums to 1 and inflow equals outflow at every
-    state: for an irreducible chain, only the stationary law does."""
+    state: for an irreducible chain, only the stationary law does.
+    Numerators missing at the end, as a ``Pmf`` trims them, are 0."""
     if sum(nums) != den:
         return False
     inflow = [0] * len(moves)
     for out, a in zip(moves, nums):
         for t, rate in out:
             inflow[t] += rate * a
-    return all(i == o * a for i, o, a in zip(inflow, outflow, nums))
+    return all(i == o * a for i, o, a in zip_longest(inflow, outflow, nums, fillvalue=0))
 
 
 def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
@@ -412,15 +430,7 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     """
     _check_size(n, 1, _N_MAX)
     size = 1 << n
-    rates = _integer_rates(p)
-    moves = []
-    for s in range(size):  # at n = 1, alpha and delta both fill the one site
-        out: Dict[int, int] = {}
-        for t, rate in _transitions(n, rates, s):
-            out[t] = out.get(t, 0) + rate
-        moves.append(list(out.items()))
-    _check_irreducible(moves)
-    outflow = [sum(rate for _, rate in out) for out in moves]
+    moves, outflow = _chain(n, _integer_rates(p))
     squares = [0] * size  # A's squared row norms
     targets, sources, values = [], [], []
     for s, out in enumerate(moves):
@@ -477,10 +487,22 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     u rescaled to 1, which the report records as ``rescaled_params``,
     so u = 0 is refused.  The report is JSON-ready, and a mismatch is
     an outcome, not an error.
+
+    The generator certifies before it solves.  Once the chain is known
+    to be irreducible (reducible rates raise before any tableau is
+    summed), its stationary law is the one law that sums to 1 and
+    balances inflow and outflow at every state.  So a tableaux law that
+    passes ``_balanced`` is the generator's law, exactly, and it stands
+    in for it; ``steady_state_via_generator`` runs only when neither
+    convention's law balances.
     """
     _check_size(n, 1, _N_MAX)
     scaled = p.unit_u()
-    generator = steady_state_via_generator(n, scaled)
+    moves, outflow = _chain(n, _integer_rates(scaled))
+    laws = [steady_state_via_tableaux(n, scaled, c) for c in CONVENTIONS]
+    certified = (law for law in laws
+                 if _balanced(moves, outflow, law.numerators, law.denominator))
+    generator = next(certified, None) or steady_state_via_generator(n, scaled)
     report = {
         "n": n,
         "params": p.as_dict(),
@@ -488,15 +510,20 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
         "conventions": [],
         "matching_conventions": [],
     }
-    labels = [format(s, f"0{n}b") for s in range(1 << n)]  # site 1 first
-    generator_probs = generator.masses
-    for convention in CONVENTIONS:
-        tableaux_probs = steady_state_via_tableaux(n, scaled, convention).masses
-        per_state = [  # masses are trimmed, so the labels run longest
+    size = 1 << n
+    labels = [format(s, f"0{n}b") for s in range(size)]  # site 1 first
+
+    def padded(law: Pmf) -> Tuple[Fraction, ...]:  # masses are trimmed
+        return law.masses + (Fraction(0),) * (size - len(law.numerators))
+
+    generator_probs = padded(generator)
+    generator_strs = list(map(str, generator_probs))
+    for convention, law in zip(CONVENTIONS, laws):
+        per_state = [
             {"state": label, "tableaux_prob": str(t_prob),
-             "generator_prob": str(g_prob), "equal": t_prob == g_prob}
-            for label, t_prob, g_prob in zip_longest(
-                labels, tableaux_probs, generator_probs, fillvalue=Fraction(0))
+             "generator_prob": g_str, "equal": t_prob == g_prob}
+            for label, t_prob, g_prob, g_str in zip(
+                labels, padded(law), generator_probs, generator_strs)
         ]
         matches = all(entry["equal"] for entry in per_state)
         report["conventions"].append({

@@ -4,8 +4,10 @@ Every command writes deterministic machine-readable output: CSV by
 default with a ``--json`` alternative where tabular, JSON where the
 result is a structured report.  Exact rationals are printed as p/q
 and never silently rounded; the only float columns are the ones
-documented as approximations (total variation distances).  Exit code
-2 flags bad usage or a value the library refuses, 3 a self-test mismatch.
+documented as approximations: total variation distances, and the
+``r1``..``r4`` columns of ``converge``, each the nearest float to an
+exact factorial moment.  Exit code 2 flags bad usage or a value the
+library refuses, 3 a self-test mismatch.
 """
 
 from __future__ import annotations
@@ -235,7 +237,8 @@ def sample(n, a, b, count, seed, method):
 @click.option("--rates", required=True, metavar="A,B,G,D,U,Q",
               help="alpha,beta,gamma,delta,u,q as rationals.")
 def asep_verify(n, rates):
-    """Cross-validate the tableaux route against the generator solve."""
+    """Cross-validate the tableaux route against the generator: its exact
+    balance equations certify a tableaux law, or else it solves."""
     values = _rationals(rates, "--rates", "six", "A,B,G,D,U,Q")
     params = asep.AsepParams(*values[:4], u=values[4], q=values[5])
     report = asep.cross_validate(n, params)

@@ -551,14 +551,127 @@ def test_alpha_delta_reading_matches_generator_at_n7(p):
     (10, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))),
 ])
 def test_alpha_delta_reading_matches_generator_at_the_largest_sizes(n, p):
+    # cross_validate certifies the tableaux law here, so the solve runs only below
+    assert steady_state_via_generator(n, p) == steady_state_via_tableaux(n, p, "alpha_delta")
     assert "alpha_delta" in cross_validate(n, p)["matching_conventions"]
 
 
-def test_cross_validate_reports_are_pinned():
+def pinned_digest():
     digest = hashlib.sha256()
     for n in range(1, 7):
         for p in PINNED_RATES:
             report = cross_validate(n, p)
             digest.update((json.dumps(report, sort_keys=True, separators=(",", ":"))
                            + "\n").encode())
-    assert digest.hexdigest() == PINNED_REPORTS
+    return digest.hexdigest()
+
+
+def test_cross_validate_reports_are_pinned():
+    assert pinned_digest() == PINNED_REPORTS
+
+
+def _fails(*args):
+    raise AssertionError("this route must not run")
+
+
+def test_pinned_reports_need_no_generator_solve(monkeypatch):
+    monkeypatch.setattr(asep, "steady_state_via_generator", _fails)
+    assert pinned_digest() == PINNED_REPORTS
+
+
+def solve_first_report(n, p):
+    """The report as cross_validate built it before it certified: one
+    generator solve, then each convention's law state by state."""
+    scaled = p.unit_u()
+    solved = steady_state_via_generator(n, scaled)
+    conventions = []
+    for convention in CONVENTIONS:
+        law = asep.steady_state_via_tableaux(n, scaled, convention)
+        per_state = [{"state": format(s, f"0{n}b"), "tableaux_prob": str(law.mass(s)),
+                      "generator_prob": str(solved.mass(s)),
+                      "equal": law.mass(s) == solved.mass(s)} for s in range(1 << n)]
+        conventions.append({"convention": convention, "per_state": per_state,
+                            "matches": all(entry["equal"] for entry in per_state)})
+    return {"n": n, "params": p.as_dict(), "rescaled_params": scaled.as_dict(),
+            "conventions": conventions,
+            "matching_conventions": [c["convention"] for c in conventions if c["matches"]]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_the_certificate_accepts_exactly_the_generator_s_law(n, monkeypatch):
+    rng = random.Random(1000 + n)
+    cases = PINNED_RATES + ([random_rates(rng) for _ in range(6)] if n <= 6 else [])
+    solved = [steady_state_via_generator(n, p) for p in cases]
+    reports = [solve_first_report(n, p) for p in cases] if n <= 6 else None
+    monkeypatch.setattr(asep, "steady_state_via_generator", _fails)
+    for k, (p, law) in enumerate(zip(cases, solved)):
+        moves, outflow = asep._chain(n, _integer_rates(p))
+        for convention in CONVENTIONS:
+            reading = steady_state_via_tableaux(n, p, convention)
+            accepted = asep._balanced(moves, outflow, reading.numerators, reading.denominator)
+            assert accepted == (reading == law), (p, convention)
+        report = cross_validate(n, p)
+        for convention in report["conventions"]:
+            assert [F(entry["generator_prob"]) for entry in convention["per_state"]] == [
+                law.mass(s) for s in range(1 << n)], (p, convention["convention"])
+        if reports:
+            assert report == reports[k], p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_one_unit_of_mass_moved_breaks_the_certificate(n):
+    rng = random.Random(1100 + n)
+    for p in PINNED_RATES[:4] + [random_rates(rng)]:
+        moves, outflow = asep._chain(n, _integer_rates(p))
+        law = steady_state_via_tableaux(n, p)
+        nums, den = list(law.numerators), law.denominator
+        assert len(nums) == 1 << n and asep._balanced(moves, outflow, nums, den)
+        pairs = [(a, b) for a in range(1 << n) for b in range(1 << n) if a != b]
+        for a, b in pairs if n <= 3 else rng.sample(pairs, 60):
+            moved = nums.copy()
+            moved[a] -= 1
+            moved[b] += 1
+            assert not asep._balanced(moves, outflow, moved, den), (p, a, b)
+        emptied = [nums[0] + nums[-1]] + nums[1:-1]  # the last state's mass, trimmed
+        assert not asep._balanced(moves, outflow, emptied, den)
+
+
+def _perturbed(route):
+    """A tableaux route gone wrong: the stationary law, read as
+    alpha_delta, with one unit of its largest weight moved to the next
+    state, or to the one before for the other reading.  So no law it
+    returns balances, even where the two readings differ by one unit."""
+    def wrong(n, p, convention="alpha_delta"):
+        law = route(n, p, "alpha_delta")
+        nums = list(law.numerators)
+        k = nums.index(max(nums))
+        nums[k] -= 1
+        nums[(k + (1 if convention == "alpha_delta" else -1)) % len(nums)] += 1
+        return Pmf.from_integers(nums, law.denominator)
+    return wrong
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_a_law_that_does_not_balance_falls_back_to_the_solve(n, monkeypatch):
+    rng = random.Random(1200 + n)
+    monkeypatch.setattr(asep, "steady_state_via_tableaux",
+                        _perturbed(asep.steady_state_via_tableaux))
+    solves = []
+    solve = asep.steady_state_via_generator
+    monkeypatch.setattr(asep, "steady_state_via_generator",
+                        lambda n, p: solves.append(n) or solve(n, p))
+    for p in PINNED_RATES[:3] + [random_rates(rng)]:
+        expected = solve_first_report(n, p)
+        del solves[:]
+        assert cross_validate(n, p) == expected, p
+        assert solves == [n] and expected["matching_conventions"] == []
+
+
+def test_reducible_rates_are_refused_before_any_tableau_sum(monkeypatch):
+    monkeypatch.setattr(asep, "steady_state_via_tableaux", _fails)
+    for n, p in [(1, AsepParams(1, 0, 0, 1, u=1, q=1)),  # fills but can never empty
+                 (2, AsepParams(0, 1, 0, 1, u=1, q=0)),  # site 1 unreachable
+                 (6, AsepParams(0, 1, 0, 1, u=1, q=0))]:
+        with pytest.raises(ValueError, match="^the chain is reducible with these rates; "
+                                             "the stationary law is not unique$"):
+            cross_validate(n, p)

@@ -73,8 +73,8 @@ def _call_closure(module, root):
 #: The two steady-state routes in ``asep`` and the functions each one
 #: alone may reach; they share only the integer rates.
 ASEP_ROUTES = {
-    "steady_state_via_generator": {"_transitions", "_check_irreducible", "_inverse_mod",
-                                   "_reconstruct", "_balanced"},
+    "steady_state_via_generator": {"_chain", "_transitions", "_check_irreducible",
+                                   "_inverse_mod", "_reconstruct", "_balanced"},
     "steady_state_via_tableaux": {"_column_weights", "_accumulate", "_add"},
 }
 
@@ -194,7 +194,9 @@ MORE_ROUTES = {
 #: Exact public names with one route, and why.
 ONE_ROUTE = {
     "parse_rational": "it reads a number from text and computes no law",
-    "cross_validate": "it is the comparison of the two steady-state routes",
+    "cross_validate": "it is the comparison of the two steady-state routes: the "
+                      "generator certifies first, accepting a tableaux law that balances "
+                      "every state of the irreducible chain, and solves only on a miss",
     "convergence_report": "it tabulates laws that have rows above: second-diagonal rows "
                           "come from the moment numerators up to a doubling order, "
                           "equal to the factorial moments and tv_to_poisson of "
