@@ -519,11 +519,13 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     generator_probs = padded(generator)
     generator_strs = list(map(str, generator_probs))
     for convention, law in zip(CONVENTIONS, laws):
+        # the certified law is the generator's: its masses are built once
+        law_probs = generator_probs if law is generator else padded(law)
         per_state = [
             {"state": label, "tableaux_prob": str(t_prob),
              "generator_prob": g_str, "equal": t_prob == g_prob}
             for label, t_prob, g_prob, g_str in zip(
-                labels, padded(law), generator_probs, generator_strs)
+                labels, law_probs, generator_probs, generator_strs)
         ]
         matches = all(entry["equal"] for entry in per_state)
         report["conventions"].append({

@@ -27,10 +27,18 @@ no remainder operation.  A prime plane takes one remainder per box, on
 the slice every move reads; products accumulate unreduced, which
 primes this small leave room for within a column.  Moves that land on
 the same state add their factors, and moves with equal factors share
-one product, so an entry takes at most two products per box.  Column 1
-is the first column a tableau fills, so all rows enter it clean and
-its box i only works on the 2^i masks below 2^i.  Exact, with no
-modular inversions of data values.
+one product, so an entry takes at most two products per box.  Exact,
+with no modular inversions of data values.
+
+A pass computes nothing that no tableau reaches.  The diagonal box,
+which must hold a symbol, takes the incoming boundary as its source.
+A column's top box writes no state with the "symbol above" flag set,
+which the next column never reads.  Column 1 is the first column a
+tableau fills, so all rows enter it clean: its box i only works on
+the 2^i masks below 2^i and writes no state with row i dirty.  A
+statistic's counter slots grow by at most one alpha lift per column
+and one beta lift per row, since an alpha needs no symbol above it
+and a beta needs a clean row, and a pass touches no slot past that.
 
 Box i's row bit splits the level into runs of 2^(i-1) masks, and numpy
 pays one inner-loop call per run along an operand's last axis.  When a
@@ -62,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _budget
-from .constraints import ConstraintSet, Requirement
+from .constraints import _ALLOWED, ConstraintSet, Requirement
 from .core import Box, _check_box, _check_size, _statistic_cells, staircase_boxes
 from .measure import BoxLaw, Weights
 from .pmf import Pmf
@@ -150,7 +158,7 @@ def _is_prime(x: int) -> bool:
 
 
 #: Prime planes use primes below 2^29 so that the kernel may defer
-#: reductions.  Level entries enter a column reduced, below p, and each
+#: reductions.  A column reads the boundary reduced, below p, and each
 #: box adds at most two products of reduced values, each at most
 #: (p-1)^2, to any entry.  Only alpha-clean and beta-topmost share a
 #: target, and merged they take one product of their integer factor
@@ -207,15 +215,15 @@ def _crt(residues: Sequence[int], garner: Sequence[Tuple[int, int, int]]) -> int
 # shared per-box bookkeeping
 
 def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
-    """Cell codes each box may take, merging rules and constraints."""
+    """Cell codes each box may take, merging rules and constraints: the
+    fill rule gives ``.AB`` above the diagonal and ``AB`` on it, and
+    only the boxes ``c`` constrains narrow that."""
     if c is not None:
         c._check_built_for(n)
-    out = {}
-    for box in staircase_boxes(n):
-        codes = set(".AB") if box[0] + box[1] <= n else set("AB")
-        if c is not None:
-            codes &= c.allowed_cells(box)
-        out[box] = "".join(sorted(codes))
+    out = {box: ".AB" if box[0] + box[1] <= n else "AB" for box in staircase_boxes(n)}
+    if c is not None:
+        for box, req in c.items:
+            out[box] = "".join(code for code in out[box] if code in _ALLOWED[req])
     return out
 
 
@@ -260,13 +268,14 @@ def _per_plane(values: Sequence[int]):
 
 
 def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
-                 lift: Tuple[Tuple[str, int], ...]) -> Tuple[int, list]:
+                 lift: Tuple[Tuple[str, int], ...]) -> Tuple[Tuple[int, int], list]:
     """The moves open at a box, merged: moves onto one target, the same
     (lift, flag, bit), add their integer factors into one; targets with
     equal factors share one product; a factor of 1 needs no product and
-    a factor of 0 no move.  Returns the largest lift of a code that may
-    land there, and ``[(factor per plane, or None for 1, [target, ...]),
-    ...]``, each factor reduced modulo its plane's modulus."""
+    a factor of 0 no move.  Returns the lifts of an alpha and of a beta
+    that may land there, 0 for a code that may not, and ``[(factor per
+    plane, or None for 1, [target, ...]), ...]``, each factor reduced
+    modulo its plane's modulus."""
     up = dict(lift)
     factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
@@ -277,8 +286,8 @@ def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
     for target, factor in factor_of.items():
         if factor:
             targets_of.setdefault(factor, []).append(target)
-    reach = max([up.get(code, 0) for code in codes], default=0)
-    return reach, [(None if factor == 1 else _per_plane([factor % m for m in moduli]), targets)
+    lifts = (up.get("A", 0) if "A" in codes else 0, up.get("B", 0) if "B" in codes else 0)
+    return lifts, [(None if factor == 1 else _per_plane([factor % m for m in moduli]), targets)
                    for factor, targets in targets_of.items()]
 
 
@@ -313,14 +322,24 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     then loop along ``seg``.  Other boxes keep ``(seg, half)``, whose
     long runs loop faster than swapped ones.
 
-    A pass touches only the slots that can hold mass so far: one at
-    the start, growing by each box's largest lift.  Column 1 is the
-    first column a tableau fills, so every row enters it clean: before
-    its box i only masks below 2^(i-1) occur, and the box reads and
-    writes only ``level[..., :2^i]``.  Entries past that prefix are
-    never read again.  Moves onto the same target add their factors
-    and take one product, and moves with equal factors share one
-    (:func:`_merge_moves`).
+    A pass computes only what is read later.  It touches only the
+    slots that can hold mass so far: one at the start, growing by each
+    box's largest lift, and never past 1 + the largest alpha lift of
+    each column so far + the largest beta lift met so far in each row.
+    An alpha needs no symbol above it and a beta a clean row, so a
+    tableau holds one alpha per column and one beta per row at most.
+    The diagonal box, where ``.`` is never allowed, reads the incoming
+    boundary as it is, since its row bit must be set and the row then
+    retires, and writes onto a zeroed level; its products go to the
+    quarter with the flag and the row bit set, which no move writes,
+    and which it zeroes again.  A column's top box writes no target
+    with the flag set, since the next column starts with it clear.
+    Column 1 is the first column a tableau fills, so every row enters
+    it clean: before its box i only masks below 2^(i-1) occur, the box
+    reads and writes only ``level[..., :2^i]`` and skips the target
+    with its row bit set, and the column hands on mask 0 alone.  Moves
+    onto the same target add their factors and take one product, and
+    moves with equal factors share one (:func:`_merge_moves`).
 
     Before a box's moves run, ``keep(i, j, counts)`` sees the slice
     they read, reduced: ``counts[plane, slot, high, low]`` for the slots
@@ -337,52 +356,74 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
     primes = _per_plane(moduli[wraps:]) if wraps < planes else None
-    # merged moves by (codes, lift, diagonal), built once per pass
-    merged: Dict[Tuple[str, tuple, bool], Tuple[int, list]] = {}
+    # merged moves and the alpha and beta lifts by (codes, lift, diagonal), built once per pass
+    merged: Dict[Tuple[str, tuple, bool], Tuple[Tuple[int, int], list]] = {}
     live = 1  # the slots that may hold mass so far
+    # 1 + the largest alpha lift of each column done + the largest beta
+    # lift met so far in each row: a column takes one alpha, a row one beta
+    window, row_lifts = 1, [0] * (n + 1)
     boundary = np.ones((planes, live, 1, 1), dtype=np.uint64)  # no step to come
     for j in range(n, 0, -1):
         height = n + 1 - j
         level = np.zeros((planes, slots, 2, 1 << height), dtype=np.uint64)
-        # past the diagonal box, whose row bit must be set, the bottom row retires
-        level.reshape(planes, slots, 2, 2, -1)[:, :live, :, 1, :] = boundary
-        del boundary
-        buffers = np.empty(planes * slots << height, dtype=np.uint64)
+        column_lift = 0  # the largest alpha lift met so far in this column
         for i in range(height, 0, -1):
             codes = allowed[(i, j)]
             lift = lifts.get((i, j), ()) if lifts else ()
             key = (codes, lift, i == height)
             if key not in merged:
                 merged[key] = _merge_moves(moduli, factors[i == height], codes, lift)
-            reach, moves = merged[key]
+            (alpha, beta), moves = merged[key]
+            reach = max(alpha, beta)
             width = 1 << (height if j > 1 else i)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
             view = level[..., :width].reshape(planes, slots, 2, seg, 2, half)
             flip = half < _LINE_ENTRIES and seg > half
             if flip:
                 view = view.swapaxes(3, 5)
-            src, step = buffers[:planes * live * width].reshape(
-                (2, planes, live) + ((half, seg) if flip else (seg, half)))
-            # every move sets the flag and the row bit, and none writes there
-            np.copyto(src, view[:, :live, 1, :, 1, :])
-            if primes is not None:
-                np.remainder(src[wraps:], primes, out=src[wraps:])
+            if i == height:
+                # the boundary, reduced, is what the diagonal box reads; its
+                # products go to the quarter that no move writes
+                src, step = boundary, view[:, :live, 1, :, 1, :]
+            else:
+                src, step = buffers[:planes * live * width].reshape(
+                    (2, planes, live) + ((half, seg) if flip else (seg, half)))
+                # every move sets the flag and the row bit, and none writes there
+                np.copyto(src, view[:, :live, 1, :, 1, :])
+                if primes is not None:
+                    np.remainder(src[wraps:], primes, out=src[wraps:])
+                if "." not in codes:
+                    view[:, :live].fill(0)
             if keep is not None:
                 keep(i, j, src.swapaxes(2, 3) if flip else src)
-            if "." not in codes:
-                view[:, :live].fill(0)
             if slots - reach < live and src[:, slots - reach:].any():
                 raise RuntimeError("statistic counter overflowed its cap")
             for factor, targets in moves:
                 product = src if factor is None else np.multiply(src, factor, out=step)
                 for up, above, bit in targets:
+                    # a column's top box hands on only the flag clear, and
+                    # in column 1 row i is clean until box i
+                    if above and i == 1 or bit and j == 1:
+                        continue
                     into = view[:, up:up + live, above, :, bit, :]
                     np.add(into, product[:, :into.shape[1]], out=into)
-                del product, into  # views of the buffers and level, which must not outlive them
-            live = min(slots, live + reach)
+            product = into = None  # views of the buffers and level, which must not outlive them
+            if i == height:
+                if any(factor is not None for factor, _ in moves):
+                    step.fill(0)
+                # the boundary is freed before the buffers exist, as _sweep_bytes assumes
+                boundary = src = step = None
+                buffers = np.empty(planes * slots << height, dtype=np.uint64)
+            if alpha > column_lift:
+                column_lift = alpha
+            if beta > row_lifts[i]:
+                window += beta - row_lifts[i]
+                row_lifts[i] = beta
+            live = min(slots, live + reach, window + column_lift)
+        window += column_lift
         # each freed as soon as it is done with, as _sweep_bytes assumes
         del buffers, view, src, step
-        boundary = level[:, :live, :1, :].copy()
+        boundary = level[:, :live, :1, :1 if j == 1 else None].copy()
         if primes is not None:
             np.remainder(boundary[wraps:], primes, out=boundary[wraps:])
         del level
@@ -397,18 +438,24 @@ def _sweep_bytes(n: int, slots: int, moduli: Sequence[int]) -> int:
     of a pass, which every caller of :func:`_masses_crt` reserves.
 
     In units of ``8 * planes * slots * 2^n`` bytes for that group: 2
-    for the level and 1 for the two buffers; the previous level and the
-    incoming boundary are freed by then, and the outgoing boundary
-    takes the buffers' place.  A pass of one plane and one slot runs
-    without numpy iteration buffers; any other may buffer the three
-    operands of a box's moves, each at most 64 KiB and half a unit.
-    Then 64 bytes per slot and modulus for the residues and their
-    recombination, 192 bytes per box for the allowed map and the merged
-    moves, and 8 KiB for the call's other small objects.
+    for the level and 1 for the two buffers.  The previous level is
+    freed by then, and so is the incoming boundary, half a unit at
+    most, before the buffers exist; column 1 hands on one mask.  A pass
+    of one plane and one slot runs without numpy iteration buffers; in
+    any other, a numpy call may buffer up to three operands, each at
+    most 64 KiB and the size of the call.  The diagonal box's calls
+    span half a unit at most and run beside the level and the boundary:
+    2.5 units and three times the lesser of half a unit and 64 KiB.
+    Later calls span a quarter unit at most and run beside the level
+    and the buffers: 3 units and three times the lesser of a quarter
+    unit and 64 KiB.  Both stay within 3 units and the lesser of a unit
+    and 192 KiB.  Then 64 bytes per slot and modulus for the residues
+    and their recombination, 192 bytes per box for the allowed map and
+    the merged moves, and 8 KiB for the call's other small objects.
     """
     planes = max(map(len, _groups(moduli, slots, n)))
     unit = 8 * planes * slots << n
-    iteration = min(3 * unit // 2, 3 << 16) if planes * slots > 1 else 0
+    iteration = min(unit, 3 << 16) if planes * slots > 1 else 0
     return 3 * unit + iteration + 64 * slots * len(moduli) + 96 * n * (n + 1) + (1 << 13)
 
 

@@ -201,6 +201,38 @@ def test_alpha_law_is_the_beta_law_of_the_swapped_weights(w):
         assert statistic_pmf(n, w, "A2") == statistic_pmf(n, w.swapped(), "B2"), n
 
 
+def _alpha_count_law(n, w):
+    """Nalpha from its product form: a sum of independent indicators,
+    one per column (Hitczenko and Janson), so its generating function is
+    prod_{i<n} (pa + (pb + i q) x) over the kernel's total."""
+    scaled = ScaledWeights.of(w)
+    coefficients = [1]
+    for i in range(n):
+        hit = scaled.pb + i * scaled.q
+        coefficients = [scaled.pa * miss + hit * before
+                        for miss, before in zip(coefficients + [0], [0] + coefficients)]
+    return Pmf.from_integers(coefficients, scaled.total_bound(n))
+
+
+#: Weights for the alpha-count law past enumeration: a zero on either
+#: side, a plan of one modulus at every size, and plans that take up to
+#: 4 and 6 moduli by n = 16
+ALPHA_COUNT_WEIGHTS = [Weights(0, F(3, 7)), Weights(F(5, 2), 0), Weights(1, 1),
+                       Weights(F(13, 7), F(2, 5)), Weights(F(13, 7), F(1000, 3))]
+
+
+@pytest.mark.parametrize("w", ALPHA_COUNT_WEIGHTS, ids=str)
+def test_alpha_and_beta_counts_match_the_product_form(w):
+    # past the oracle's n <= 7, where the slot window (one alpha lift per
+    # column, one beta lift per row) is narrower than one lift per box
+    for n in range(1, 17):
+        law = _alpha_count_law(n, w)
+        assert statistic_pmf(n, w, "Nalpha") == law, n
+        assert statistic_pmf(n, w.swapped(), "Nbeta") == law, n
+    # a = b = 1 runs on the 2^64 plane alone; the others take primes by n = 16
+    assert (len(ScaledWeights.of(w).moduli(16)) == 1) == (w == Weights(1, 1))
+
+
 def test_diagonal_events_match_closed_forms_beyond_enumeration():
     # sizes far past what enumeration could visit
     w = Weights(F(3, 4), F(7, 5))
@@ -645,39 +677,45 @@ KERNEL_WEIGHTS = [Weights(1, 1), Weights(5, 7), Weights(F(13, 7), F(1000, 3)),
                   Weights(1, 536870909), Weights(F(1, 536870879), 1)]
 
 
-def _kernel_cases(n, rng):
+def _kernel_cases(n, rng, statistics=STATISTIC_NAMES):
     """(allowed map, lifts, slots) for the differential test: random
     constraints under no lift, each statistic's plan and the 3-slot cell
-    law at a free box.  From n = 8 on, one more event forbids ``.`` at
-    boxes that run along the long axis (rows 2 and 3 of columns 2-4)."""
+    law at a free box; only the plans of ``statistics`` when it is not
+    all of them.  From n = 8 on, one more event forbids ``.`` at boxes
+    that run along the long axis (rows 2 and 3 of columns 2-4)."""
     events = [_random_constraints(rng, n, rng.randint(0, min(4, n * (n + 1) // 2)))
               for _ in range(3)]
     if n >= 8:
         events.append(ConstraintSet.of(n, {(2, 2): R.MUST_ALPHA, (3, 2): R.MUST_NONEMPTY,
                                            (3, 3): R.MUST_BETA, (2, 4): R.MUST_NONEMPTY}))
+    every = statistics == STATISTIC_NAMES
     for given in events:
         allowed = dpcount._allowed_map(n, given)
-        yield allowed, None, 1
-        for statistic in STATISTIC_NAMES:
+        if every:
+            yield allowed, None, 1
+        for statistic in statistics:
             lifts, cap = _statistic_plan(n, statistic)
             yield allowed, lifts, cap + 2
         free = [box for box in staircase_boxes(n) if box not in given.as_dict()]
-        if free:
+        if free and every:
             yield allowed, {rng.choice(free): (("A", 1), ("B", 2))}, 3
 
 
 #: Every kernel weight up to n = 7, and n = 8-9 for one weight whose plan
 #: is 2^64 alone and one whose plan needs primes beside it.  Up to n = 7
 #: a box with half = 4 runs along its long axis only in column 2; from
-#: n = 8 on, in several columns.
-KERNEL_SIZES = ([(w, range(1, 8)) for w in KERNEL_WEIGHTS]
-                + [(KERNEL_WEIGHTS[0], range(8, 10)), (KERNEL_WEIGHTS[2], range(8, 10))])
+#: n = 8 on, in several columns.  At n = 10-11 the alpha and beta counts
+#: alone, on one modulus.
+KERNEL_SIZES = ([(w, range(1, 8), STATISTIC_NAMES) for w in KERNEL_WEIGHTS]
+                + [(KERNEL_WEIGHTS[0], range(8, 10), STATISTIC_NAMES),
+                   (KERNEL_WEIGHTS[2], range(8, 10), STATISTIC_NAMES),
+                   (KERNEL_WEIGHTS[0], range(10, 12), ("Nalpha", "Nbeta"))])
 
 
-@pytest.mark.parametrize("w, sizes", KERNEL_SIZES,
+@pytest.mark.parametrize("w, sizes, statistics", KERNEL_SIZES,
                          ids=[f"w{k}" for k in range(len(KERNEL_WEIGHTS))]
-                         + ["single-modulus-n8-9", "primes-n8-9"])
-def test_kernel_matches_the_reference_pass(w, sizes):
+                         + ["single-modulus-n8-9", "primes-n8-9", "counts-n10-11"])
+def test_kernel_matches_the_reference_pass(w, sizes, statistics):
     # every modulus of the plan and a foreign prime small enough that
     # merged factors such as q * (pa + pb) often vanish or reduce to 1,
     # run alone, in runs of two and all together in one pass
@@ -689,7 +727,10 @@ def test_kernel_matches_the_reference_pass(w, sizes):
         moduli = plan + (7,)
         groups = ([(m,) for m in moduli] + [moduli[k:k + 2] for k in range(0, len(moduli), 2)]
                   + [plan, moduli])
-        for allowed, lifts, slots in _kernel_cases(n, rng):
+        counts_plans = [_statistic_plan(n, s)[0] for s in ("Nalpha", "Nbeta")]
+        for allowed, lifts, slots in _kernel_cases(n, rng, statistics):
+            # one alpha per column, one beta per row: by column j, n - j + 1 lifts at most
+            windowed = lifts in counts_plans
             want, reference = {}, {}
             for m in moduli:
                 reference[m] = {}
@@ -708,6 +749,8 @@ def test_kernel_matches_the_reference_pass(w, sizes):
                     if flip:
                         flipped.add((half, bool(lifts) and (i, j) in lifts,
                                      "." not in allowed[(i, j)], len(group)))
+                    if windowed:
+                        assert counts.shape[1] <= n - j + 2, (n, i, j)
                     kept[(i, j)] = counts.copy()
 
                 got = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts, keep)
@@ -721,7 +764,7 @@ def test_kernel_matches_the_reference_pass(w, sizes):
                         live = counts.shape[1]
                         assert np.array_equal(counts[plane], full[:live]), (n, m, i, j)
                         assert not full[live:].any(), (n, m, i, j)
-    if sizes[-1] >= 8:
+    if 8 in sizes:
         # the long-axis boxes ran at both short run lengths, lifted and
         # not, forbidding "." and not, alone and stacked with other planes
         for half in (2, 4):
