@@ -7,20 +7,14 @@ a hop rate u or q, gives that configuration's stationary weight.  This
 module computes the stationary law two independent ways, both in
 integers after the rates are cleared of their common denominator:
 
-* summing u/q-filled four-symbol tableau weights by type, with a
-  right-to-left column transfer over the number of closed rows, and
-* solving the continuous-time Markov generator by p-adic lifting from
-  one inverse modulo a prime, accepting only the rational law that
-  balances every state exactly, which never reads a tableau,
+* summing u/q-filled four-symbol tableau weights by type
+  (:func:`steady_state_via_tableaux`), and
+* solving the continuous-time Markov generator, which never reads a
+  tableau (:func:`steady_state_via_generator`),
 
-so their agreement is a machine-checked fact rather than an assumption.
-The mapping from diagonal symbols to occupied sites exists in two
-plausible readings, and ``cross_validate`` settles empirically which
-one the generator actually certifies.  It certifies first: the chain
-is irreducible, so a law that balances every state exactly is the
-stationary law, and the generator's balance equations accept a
-tableaux law without solving anything.  The solve runs only when
-neither reading balances.
+so their agreement is a machine-checked fact rather than an assumption:
+:func:`cross_validate` compares them under both readings of the
+diagonal (:func:`tableau_type`).
 
 Sites are numbered 1..n from the top end of the diagonal, and a state
 packs site 1 into the most significant bit of its index.
@@ -137,12 +131,8 @@ def uq_fill(t: Tableau) -> Tuple[str, ...]:
 
 
 def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
-    """The six rates times their common denominator.
-
-    Neither stationary law moves under a common scale: the generator's
-    is invariant under time scaling, and every filled grid carries one
-    rate per box, so the scale cancels in the tableau normalization.
-    """
+    """The six rates times their common denominator, a scale that moves
+    neither stationary law (see :func:`cross_validate`)."""
     scale = math.lcm(*(getattr(p, f).denominator for f in _RATE_NAMES))
     return tuple(int(getattr(p, f) * scale) for f in _RATE_NAMES)
 
@@ -397,8 +387,7 @@ def _reconstruct(residues: Sequence[int], modulus: int):
 def _balanced(moves: List[List[Tuple[int, int]]], outflow: List[int],
               nums: Sequence[int], den: int) -> bool:
     """Whether nums/den sums to 1 and inflow equals outflow at every
-    state: for an irreducible chain, only the stationary law does.
-    Numerators missing at the end, as a ``Pmf`` trims them, are 0."""
+    state; numerators missing at the end, as a ``Pmf`` trims them, are 0."""
     if sum(nums) != den:
         return False
     inflow = [0] * len(moves)

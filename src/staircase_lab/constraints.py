@@ -74,10 +74,8 @@ class ConstraintSet:
 
     def allowed_cells(self, box: Box) -> frozenset:
         """Cell codes an alpha/beta tableau may hold at ``box``."""
-        for item_box, req in self.items:
-            if item_box == box:
-                return _ALLOWED[req]
-        return _ALLOWED[Requirement.FREE]
+        box = _check_box(self.n, box)
+        return _ALLOWED[self.as_dict().get(box, Requirement.FREE)]
 
     def _check_built_for(self, n: int) -> None:
         if self.n != n:

@@ -3,59 +3,17 @@
 The enumeration oracle answers every question by visiting all
 ``(n+1)!`` tableaux; this module answers the same questions in
 polynomial time per state by sweeping columns and remembering only
-what the filling rules can still see: one bit per live row ("does it
-hold a symbol yet", which decides whether a beta may land there) and
-one flag per column ("is there a symbol above in this column", which
-decides whether an alpha may land).  Weights attach locally: a
-column's ``a`` factor is resolved the moment its topmost symbol turns
-out to be a beta, a row's ``b`` factor the moment its first symbol
-turns out to be an alpha.
-
-State space is ``2^height`` per column, so sizes up to :data:`N_DP`
-are practical.  The kernel counts completions right to left, bottom-up
-in each column, in numpy ``uint64`` arrays.  Weights are scaled to
-integers by q^n, q the common denominator of a and b (see
-:class:`ScaledWeights`); the plan is 2^64 and, when the scaled total
-needs more, enough primes below 2^29 to cover it, recombined by the
-Chinese remainder theorem.  One pass of :func:`_sweep` walks the boxes
-once for a group of moduli, stacked as planes of one array, so the
-Python work per box is paid once per group; a plan runs in as few
-groups as keep each level within :data:`_GROUP_ENTRIES`.
-
-The 2^64 plane is unsigned arithmetic's own wrap-around, so it costs
-no remainder operation.  A prime plane takes one remainder per box, on
-the slice every move reads; products accumulate unreduced, which
-primes this small leave room for within a column.  Moves that land on
-the same state add their factors, and moves with equal factors share
-one product, so an entry takes at most two products per box.  Exact,
-with no modular inversions of data values.
-
-A pass computes nothing that no tableau reaches.  The diagonal box,
-which must hold a symbol, takes the incoming boundary as its source.
-A column's top box writes no state with the "symbol above" flag set,
-which the next column never reads.  Column 1 is the first column a
-tableau fills, so all rows enter it clean: its box i only works on
-the 2^i masks below 2^i and writes no state with row i dirty.  A
-statistic's counter slots grow by at most one alpha lift per column
-and one beta lift per row, since an alpha needs no symbol above it
-and a beta needs a clean row, and a pass touches no slot past that.
-
-Box i's row bit splits the level into runs of 2^(i-1) masks, and numpy
-pays one inner-loop call per run along an operand's last axis.  When a
-run is shorter than a cache line (:data:`_LINE_ENTRIES`) and there are
-more runs than entries in each, the box works on the level with the
-two axes swapped, so its loops run across the runs instead: the values
-and the buffers are the same, only the strides change.
-
-:func:`_masses_crt` alone runs the passes; the chain-rule sampler
-keeps, through it, the slices they read.
-
-The kernel honours :class:`~staircase_lab.constraints.ConstraintSet`
-restrictions box by box, which is what turns the partition sum into
-joint probabilities of cell events.  Kernel arrays grow with the
-group's planes, counter slots and ``2^n``; a sweep reserves its peak
-in the process's one memory ledger, which evicts kept tables to fit,
-before it allocates.
+what the filling rules can still see: one bit per live row and one
+flag per column.  :class:`ScaledWeights` gives the integer move
+factors and the modulus plan, :func:`_groups` cuts the plan into
+groups, :func:`_sweep` is the one counting pass over a group and
+:func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
+alone runs the passes and recombines the moduli, exactly, with no
+modular inversion of data values; the chain-rule sampler keeps,
+through it, the slices the passes read.  The public operations honour
+:class:`~staircase_lab.constraints.ConstraintSet` restrictions box by
+box, which is what turns the partition sum into joint probabilities
+of cell events.
 """
 
 from __future__ import annotations
@@ -123,8 +81,7 @@ class ScaledWeights:
 
     def moduli(self, n: int) -> Tuple[int, ...]:
         """The modulus plan of every size-n count and chain-rule table:
-        2^64, then the largest primes below 2^29, as few as take the
-        product past the bound."""
+        2^64, then the primes :func:`_primes_covering` adds."""
         return (_WRAP,) + _primes_covering(self.total_bound(n) >> 64)
 
 
@@ -166,7 +123,7 @@ def _is_prime(x: int) -> bool:
 #: different lifts to later counter slots.  A factor of 1 adds the
 #: reduced slice itself.  A column has at most N_DP boxes, so every
 #: entry stays below p + 2 * N_DP * (p-1)^2, which is below 2^64: a
-#: prime plane never wraps.
+#: prime plane never wraps, and a box reduces only the slice it reads.
 _PRIME_LIMIT = 1 << 29
 assert _PRIME_LIMIT + 2 * N_DP * (_PRIME_LIMIT - 1) ** 2 < _WRAP
 
@@ -237,14 +194,13 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
 _MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 #: Most level entries, planes * slots * 2^n, that one kernel pass walks
-#: at once: a plan runs in as few groups of moduli as stay within it.
-#: Below it, walking the boxes once for several moduli saves Python
-#: work per box; above it, the arrays fit the cache worse.
+#: at once (see :func:`_groups`).  Below it, walking the boxes once for
+#: several moduli saves Python work per box; above it, the arrays fit
+#: the cache worse.
 _GROUP_ENTRIES = 1 << 18
 
 #: uint64 entries per 64-byte cache line.  Below a line per run, numpy's
-#: per-run loop calls, not the arithmetic, set a box's cost, so a box
-#: with shorter runs loops across them (see :func:`_sweep`).
+#: per-run loop calls, not the arithmetic, set a box's cost (see :func:`_sweep`).
 _LINE_ENTRIES = 8
 
 
@@ -310,8 +266,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     never does.  A lift that would pass the last slot while the slots
     it lifts from hold mass raises.  Every plane walks the boxes
     together: moves and merged factors are worked out once per box, and
-    each numpy call spans all planes.  The 2^64 plane, which a plan
-    puts first, wraps on its own; only the prime planes take remainders.
+    each numpy call spans all planes.
 
     Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
     above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
@@ -338,8 +293,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     it clean: before its box i only masks below 2^(i-1) occur, the box
     reads and writes only ``level[..., :2^i]`` and skips the target
     with its row bit set, and the column hands on mask 0 alone.  Moves
-    onto the same target add their factors and take one product, and
-    moves with equal factors share one (:func:`_merge_moves`).
+    are merged as :func:`_merge_moves` describes.
 
     Before a box's moves run, ``keep(i, j, counts)`` sees the slice
     they read, reduced: ``counts[plane, slot, high, low]`` for the slots
@@ -347,11 +301,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     ``high << i | 1 << (i-1) | low``, the state just after a symbol
     lands in box (i, j); in column 1, ``high`` is 0 alone.  The next
     box overwrites it, so a caller that keeps it copies it; it may be a
-    transposed view, whatever the box's axis order.  Modulo a
-    prime p, level entries are congruent to the counts but not reduced:
-    they stay below p + 2 * height * (p-1)^2 (see ``_PRIME_LIMIT``), and
-    only the slice each box reads is reduced.  Modulo 2^64 nothing is:
-    uint64 arithmetic wraps.
+    transposed view, whatever the box's axis order.
     """
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
@@ -359,8 +309,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     # merged moves and the alpha and beta lifts by (codes, lift, diagonal), built once per pass
     merged: Dict[Tuple[str, tuple, bool], Tuple[Tuple[int, int], list]] = {}
     live = 1  # the slots that may hold mass so far
-    # 1 + the largest alpha lift of each column done + the largest beta
-    # lift met so far in each row: a column takes one alpha, a row one beta
     window, row_lifts = 1, [0] * (n + 1)
     boundary = np.ones((planes, live, 1, 1), dtype=np.uint64)  # no step to come
     for j in range(n, 0, -1):
@@ -382,8 +330,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
             if flip:
                 view = view.swapaxes(3, 5)
             if i == height:
-                # the boundary, reduced, is what the diagonal box reads; its
-                # products go to the quarter that no move writes
                 src, step = boundary, view[:, :live, 1, :, 1, :]
             else:
                 src, step = buffers[:planes * live * width].reshape(
@@ -401,8 +347,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
             for factor, targets in moves:
                 product = src if factor is None else np.multiply(src, factor, out=step)
                 for up, above, bit in targets:
-                    # a column's top box hands on only the flag clear, and
-                    # in column 1 row i is clean until box i
                     if above and i == 1 or bit and j == 1:
                         continue
                     into = view[:, up:up + live, above, :, bit, :]

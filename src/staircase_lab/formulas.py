@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from .core import Box, _check_box, _check_choice, _check_int, _check_size, _diagonal_columns
 from .measure import BoxLaw, FourWeights, Weights, falling_factorial, rising_factorial
@@ -110,10 +110,6 @@ class JointValue:
     reason: Optional[str] = None
 
 
-def _min_gap(cols: Tuple[int, ...]) -> int:
-    return min((c2 - c1 for c1, c2 in itertools.pairwise(cols)), default=0)
-
-
 def _joint_alpha_product(n: int, w: Weights, cols: Tuple[int, ...]) -> Fraction:
     # prod over k = 1..r of (b + j_{r-k+1} - 2r + 2k - 1)
     #                      / falling(n + a + b - 2r + 2k - 1, 2)
@@ -134,6 +130,16 @@ def _joint_nonempty_product(n: int, w: Weights, r: int) -> Fraction:
                          start=Fraction(1))
 
 
+def _second_diag_joint(n: int, cols: Iterable[int],
+                       value: Callable[[Tuple[int, ...]], Fraction]) -> JointValue:
+    """``value`` at the checked, sorted columns, or 0 with a reason code
+    when two of them are adjacent."""
+    cols = _diagonal_columns(n, 2, cols)
+    if any(c2 - c1 < 2 for c1, c2 in itertools.pairwise(cols)):
+        return JointValue(Fraction(0), ADJACENT_COLUMNS)
+    return JointValue(value(cols))
+
+
 def second_diag_joint_alpha(n: int, w: Weights, cols: Iterable[int]) -> JointValue:
     """P(alpha in every given second-diagonal column), exactly.
 
@@ -141,10 +147,7 @@ def second_diag_joint_alpha(n: int, w: Weights, cols: Iterable[int]) -> JointVal
     boxes would force contradictory symbols into the main-diagonal box
     wedged between them; that case returns 0 with a reason code.
     """
-    cols = _diagonal_columns(n, 2, cols)
-    if len(cols) > 1 and _min_gap(cols) < 2:
-        return JointValue(Fraction(0), ADJACENT_COLUMNS)
-    return JointValue(_joint_alpha_product(n, w, cols))
+    return _second_diag_joint(n, cols, lambda cols: _joint_alpha_product(n, w, cols))
 
 
 def second_diag_joint_nonempty(n: int, w: Weights, cols: Iterable[int]) -> JointValue:
@@ -154,10 +157,7 @@ def second_diag_joint_nonempty(n: int, w: Weights, cols: Iterable[int]) -> Joint
     which, as long as they are pairwise at distance 2 or more; adjacent
     columns are impossible just as in the alpha case.
     """
-    cols = _diagonal_columns(n, 2, cols)
-    if len(cols) > 1 and _min_gap(cols) < 2:
-        return JointValue(Fraction(0), ADJACENT_COLUMNS)
-    return JointValue(_joint_nonempty_product(n, w, len(cols)))
+    return _second_diag_joint(n, cols, lambda cols: _joint_nonempty_product(n, w, len(cols)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,28 +1,14 @@
 """Factorial moments of diagonal statistics and Poisson comparisons.
 
-The joint cell laws on the second and third diagonals have product
-form, so the r-th factorial moment of each diagonal count is r! times
-a sum of products over admissible column r-subsets.  A change of
-variables turns those sums into complete monotone-tuple sums; a
-two-dimensional recurrence sweeps their scaled integer table column by
-column, each column one running sum, so sizes in the hundreds are
-reachable: no tableau is ever enumerated.
+The r-th factorial moment of a second- or third-diagonal count sums
+the product-form joint laws over column r-subsets, which
+:func:`_moment_numerators` takes in integers from the monotone-tuple
+sums of :func:`_tuple_sum_heads`: no tableau is ever enumerated.
 
-Moment sequences convert to exact laws by inclusion-exclusion, summed
-in integers over one denominator, the form a law itself is kept in (the
-support is finite, so finitely many factorial moments pin it down).
-The total variation distance to a Poisson limit is the exact law's
-excess over it on the points where the exact law is the larger: an
-integer sum over the law's denominator minus e^(-lam) times an exact
-rational.  Rational bounds on e^(-lam), from Taylor terms of e^lam,
-enclose that distance between two exact rationals; more terms are
-taken until both round to one float.  A second-diagonal convergence
-row builds only moments 0..R+1 and inverts the first R+1 as if the
-rest vanished: by the Bonferroni inequalities each mass moves by at
-most C(R+1, k) times the next binomial moment, and the mass past R
-by at most that moment itself, so the enclosure widens by half their
-sum.  R doubles until both ends round to one float, at worst to the
-whole law.
+Moments convert to exact laws by :func:`_masses`, and a law's
+distance to its Poisson limit is enclosed by :func:`_enclose`; a
+second-diagonal convergence row reads only the first moments, through
+:func:`_tv_from_moments`.
 """
 
 from __future__ import annotations
@@ -108,6 +94,11 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
     return c, scale
 
 
+def _factorial_moments(c: Sequence[int], L: int, R: int) -> List[Fraction]:
+    """Factorial moments ``r! c_r / L`` for ``r = 1..R``."""
+    return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]
+
+
 def _masses(c: Sequence[int]) -> List[int]:
     """Numerators over ``c_0`` of the masses of the law with factorial
     moments ``m_r = r! c_r / c_0``, taking moments past ``len(c) - 1``
@@ -159,8 +150,7 @@ def factorial_moments_second_diag(n: int, w: Weights, kind: str,
     the gap-two subsets reindex to monotone tuples.
     """
     _check(n, kind, R, second_diag_max_count)
-    c, L = _moment_numerators(n, w, kind, R, 2)
-    return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]
+    return _factorial_moments(*_moment_numerators(n, w, kind, R, 2), R)
 
 
 def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
@@ -180,8 +170,7 @@ def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
         law = exact_statistic_pmf(n, w.swapped() if kind == "beta" else w,
                                   "X3" if kind == "nonempty" else "A3")
         return [law.factorial_moment(r) for r in range(1, R + 1)]
-    c, L = _moment_numerators(n, w, kind, R, 3)
-    return [Fraction(math.factorial(r) * c[r], L) for r in range(1, R + 1)]
+    return _factorial_moments(*_moment_numerators(n, w, kind, R, 3), R)
 
 
 def pmf_from_factorial_moments(m: Sequence) -> Pmf:
@@ -287,7 +276,8 @@ def tv_to_poisson(p: Pmf, lam) -> float:
 
 
 def _first_order(lam: Fraction) -> int:
-    """Moment order R a convergence row tries first; doubled as needed.
+    """Moment order R a convergence row tries first; doubled until both
+    ends of the distance round to one float, at worst to the whole law.
 
     Near Poisson(lam) the slack of ``_tv_from_moments`` is about ``(2
     lam)^(R+1) / (2 (R+1)!)``: below 10^-25 at 24 for lam = 1/2 and at
@@ -354,7 +344,7 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[Co
                 c, L = _moment_numerators(n, w, kind, max(R + 1, 4), 2)
                 tv = _tv_from_moments(c[:R + 2], lam)
                 R *= 2
-            moments = tuple(Fraction(math.factorial(r) * c[r], L) for r in range(1, 5))
+            moments = tuple(_factorial_moments(c, L, 4))
         else:
             law = exact_statistic_pmf(n, w, statistic)
             moments = tuple(law.factorial_moment(r) for r in range(1, 5))

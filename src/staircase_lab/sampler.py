@@ -1,48 +1,11 @@
 """Exact random generation of weighted staircase tableaux.
 
-Two interchangeable backends draw from the same measure:
-
-* ``enum_alias``: invert a uniform integer draw into the running sums
-  of scaled integer weights over ``all_tableaux(n)``, the one list per
-  size that the oracles also read.  Each size also keeps one byte per
-  tableau, its symbol counts as (n+1) * alphas + betas, so a new weight
-  pair sums a lookup of (n+1)^2 weights and keeps only its sums.
-  Exact and cheap per draw; the memory budget admits n <= 8.
-* ``chain_rule``: walk the column sweep box by box, drawing each cell
-  from its exact conditional law given everything placed so far.  The
-  conditionals come from completion counts: integer counts of the
-  total weight of ways to finish the tableau from each reachable
-  state, computed right to left by the counting engine's kernel over
-  its own modulus plan: 2^64, then primes below 2^29 when the scaled
-  total needs more.  For each (n, w), one run of the counting engine's
-  passes over the plan keeps for every box only the reduced counts
-  just after a symbol lands there; the Chinese remainder step combines
-  the moduli where a draw reads them.
-  Each walker carries its own state's exact count, so an empty box
-  takes what the symbol moves leave of it.  The plan covers the
-  scaled total, which bounds every count a draw reads.  No rejection
-  and no rounding; every draw consumes one uniform integer below the
-  exact number of weighted continuations.
-
-Both backends keep their tables in the process's one memory ledger,
-up to eight (n, w) keys each (and ``enum_alias`` one code table per
-size), so a warm call builds nothing.  A kept table is charged the
-bytes it keeps; a ``chain_rule`` build's passes reserve their own
-while they run, as every counting pass does.  A build that does not
-fit the one budget, beside the running passes, first evicts the least
-recently used tables of every holder.
-
-Both backends take the caller's :class:`random.Random` stream, so a
-seed pins down the whole sample sequence.  Every draw of an integer
-below a bound goes through :func:`_below`, which consumes the stream
-as ``random.Random.randrange(bound)`` does, by ``getrandbits``
-rejection; a subclass's own ``randrange`` is not consulted.  Batch
-draws walk all samples through the boxes together, each drawing one
-integer per box in walker order.  Walkers with the same dirty-row
-mask share that box's count after a symbol lands, read from the
-tables once; each weighs its own cells from that count and the move
-factors.  A batch of k therefore consumes the stream in a different
-order than k single draws (each path is deterministic on its own).
+Two backends draw from the same measure, as :func:`sample_many`
+describes: ``enum_alias`` from the running sums of
+:func:`_alias_cumulative`, and ``chain_rule`` box by box from the
+completion counts of :class:`_ChainTables`.  Both keep their tables in
+the process's one memory ledger (``_budget.get``), and every draw of
+an integer goes through :func:`_below`.
 """
 
 from __future__ import annotations
@@ -72,7 +35,8 @@ _METHODS = ("enum_alias", "chain_rule")
 def _below(getrandbits, bound: int) -> int:
     """A uniform integer in [0, bound), drawn as ``randrange(bound)``
     draws it from the stream whose ``getrandbits`` this is: bound's bit
-    length in bits at a time until a draw falls below it."""
+    length in bits at a time until a draw falls below it.  A subclass's
+    own ``randrange`` is not consulted."""
     if bound < 1:  # getrandbits(0) is 0, so the loop would never end
         raise ValueError(f"need a positive bound to draw below, got {bound}")
     bits = bound.bit_length()
@@ -104,7 +68,8 @@ def _codes_bytes(n: int) -> int:
 
 def _alias_cumulative(n: int, w: Weights) -> List[int]:
     """Running sums of the integer weights of ``all_tableaux(n)``, each
-    scaled by q^(2n)."""
+    scaled by q^(2n): a lookup of (n+1)^2 weights by the tableau's code,
+    so a new weight pair keeps only its sums."""
     codes = _budget.get(_alias_codes, _codes_bytes, "the symbol-count codes for n={0}", n)
     scaled = ScaledWeights.of(w)
     weights = [scaled.pa ** (n - na) * scaled.pb ** (n - nb) * scaled.q ** (na + nb)
@@ -161,15 +126,11 @@ class _ChainTables:
     ``slices[j][i - 1]`` holds, one row per modulus of the plan, the
     counts that :func:`~staircase_lab.dpcount._sweep` hands its ``keep``
     at box (i, j), flattened, so the state with dirty-row mask ``mask``
-    sits at ``(mask >> i) << (i-1) | low``: 2^(n-j) states per modulus
-    and 2^(i-1) in column 1, as :func:`_chain_bytes` charges them.  One
-    run of :func:`~staircase_lab.dpcount._masses_crt` over the plan
-    fills them.
+    sits at ``(mask >> i) << (i-1) | low``.  One run of
+    :func:`~staircase_lab.dpcount._masses_crt` over the plan fills them.
     The kernel's diagonal factors carry no q, so a slice holds the
-    count scaled by q^n less one q per diagonal box still to fill.
-    :meth:`after` reads one entry per plane, combines the planes with
-    the plan's Garner constants and multiplies those q back, so a
-    walker sees every count at the q^(2n) scale.  There a symbol move
+    count scaled by q^n less one q per diagonal box still to fill;
+    :meth:`after` multiplies those q back.  At its scale a symbol move
     weighs ``factors[k]`` times the count after it, and all symbol
     moves open at a state lead to the same state, so that one count
     weighs them all: ``weighs[above][bit]`` holds their factors, as
@@ -303,7 +264,19 @@ def sample(n: int, w: Weights, rng: random.Random,
 
 def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
-    """Draw a batch, walking all samples through each column together."""
+    """Draw a batch, exactly, with no rejection and no rounding.
+
+    ``enum_alias`` inverts one uniform integer per sample into the
+    running sums of the weights over :func:`all_tableaux`; the memory
+    budget admits it up to n = 8.  ``chain_rule`` walks all samples
+    through the boxes together, up to n = 22 as the memory budget admits
+    its tables, each drawing its cell from the exact conditional law
+    given everything placed so far: one uniform integer below its exact
+    number of weighted continuations per box, in walker order.  So a
+    ``chain_rule`` batch of k consumes ``rng`` in a different order than
+    k single draws; each path is deterministic on its own, and a seed
+    pins down the whole sequence.
+    """
     _check_choice(method, "method", _METHODS)
     alias = method == "enum_alias"
     _check_size(n, 1, N_ENUM if alias else N_DP)

@@ -55,6 +55,10 @@ def test_allowed_cells():
     assert c.allowed_cells((1, 1)) == frozenset("AB")
     assert c.allowed_cells((2, 1)) == frozenset(".")
     assert c.allowed_cells((1, 2)) == frozenset(".AB")
+    # a box outside the staircase is refused, not read as a free box
+    for box in ((99, 99), (3, 2)):
+        with pytest.raises(ValueError, match="lies outside the size-3 staircase"):
+            c.allowed_cells(box)
 
 
 def test_satisfied_by():

@@ -217,6 +217,7 @@ BOX_TAKERS = {
     "oracle_event_prob": lambda box: enumeration.oracle_event_prob(
         6, W, ConstraintSet.of(6, {box: Requirement.MUST_ALPHA})),
     "conditional_cell_law": lambda box: dpcount.conditional_cell_law(6, W, box),
+    "ConstraintSet.allowed_cells": lambda box: ConstraintSet.empty(6).allowed_cells(box),
     "Tableau.from_cells": lambda box: Tableau.from_cells(6, {box: "A"}),
 }
 ROW_COLUMN_TAKERS = {"Tableau.cell": T6.cell, "Tableau.subtableau": T6.subtableau,
