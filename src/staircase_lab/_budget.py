@@ -1,7 +1,7 @@
 """One memory budget for the whole process, kept in one ledger.
 
-Counting sweeps, chain-rule tables, alias sums and code tables and
-tableau lists all claim their peak bytes here: a table for as long as
+Counting sweeps, chain-rule tables, alias trees and sums and tableau
+lists all claim their peak bytes here: a table for as long as
 it is kept, a sweep while it runs.  A claim that does not fit evicts the least
 recently used tables of every builder; one that still does not fit
 raises ``ValueError`` before anything is allocated.

@@ -79,6 +79,10 @@ class ScaledWeights:
         """
         return math.prod(self.pa + self.pb + i * self.q for i in range(n))
 
+    def total(self, n: int) -> int:
+        """The partition total at the q^(2n) scale: :meth:`total_bound` times q^n."""
+        return self.total_bound(n) * self.q ** n
+
     def moduli(self, n: int) -> Tuple[int, ...]:
         """The modulus plan of every size-n count and chain-rule table:
         2^64, then the primes :func:`_primes_covering` adds."""

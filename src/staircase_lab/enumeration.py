@@ -2,19 +2,8 @@
 
 This is the ground-truth backend: every distributional claim the
 library makes is checked against plain sums over all ``(n+1)!``
-tableaux of a given size.  Generation walks columns left to right.
-Within a column the filling rules leave few choices: at most one box
-holds the column's topmost symbol (an alpha, or a beta if its row has
-no symbol further left), boxes below it may hold betas in rows that
-are still symbol-free, and the bottom box, which lies on the main
-diagonal, must be filled.  Tracking one bit per live row ("does this
-row already hold a symbol") is therefore enough state to enumerate
-without ever backtracking into a dead end, so the walk is linear in
-the number of tableaux produced.
-
-Every oracle reads the tableaux from one source, the kept list up to
-n = 7 and a stream above, and groups them by their symbol counts where
-possible, keeping the exact-rational arithmetic off the hot loop.
+tableaux of a given size.  Generation walks columns left to right,
+through :func:`_column_configs`, and never backtracks into a dead end.
 """
 
 from __future__ import annotations
@@ -124,9 +113,9 @@ def _build_list(n: int) -> Tuple[Tableau, ...]:
 
 
 def all_tableaux(n: int) -> Tuple[Tableau, ...]:
-    """Every size-n tableau in enumeration order, shared by the oracles
-    and the ``enum_alias`` sampler; the memory ledger keeps it like any
-    other table, and its budget admits n = 8 but not n = 9."""
+    """Every size-n tableau in enumeration order, for the oracles; the
+    memory ledger keeps it like any other table, and its budget admits
+    n = 8 but not n = 9."""
     _check_size(n)
     return _budget.get(_build_list, _list_bytes, "the tableau list for n={0}", n)
 

@@ -1,11 +1,11 @@
 """Exact random generation of weighted staircase tableaux.
 
 Two backends draw from the same measure, as :func:`sample_many`
-describes: ``enum_alias`` from the running sums of
-:func:`_alias_cumulative`, and ``chain_rule`` box by box from the
-completion counts of :class:`_ChainTables`.  Both keep their tables in
-the process's one memory ledger (``_budget.get``), and every draw of
-an integer goes through :func:`_below`.
+describes: ``enum_alias`` down the tree of :func:`_alias_shape` by the
+running sums of :func:`_alias_sums`, and ``chain_rule`` box by box
+from the completion counts of :class:`_ChainTables`.  Both keep their
+tables in the process's one memory ledger (``_budget.get``), and every
+draw of an integer goes through :func:`_below`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import _budget
 from .core import Tableau, _check_choice, _check_int, _check_size, _statistic, diagonal_statistic
 from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
-from .enumeration import N_ENUM, _symbol_counts, all_tableaux
+from .enumeration import N_ENUM, _column_configs
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
@@ -49,54 +49,91 @@ def _below(getrandbits, bound: int) -> int:
 # ----------------------------------------------------------------------
 # enum_alias backend
 
-def _alias_codes(n: int) -> bytearray:
-    """One byte per tableau of ``all_tableaux(n)``, in its order: the
-    tableau's (n+1) * alphas + betas.  Shared by every weight pair; not
-    to be mutated."""
-    tableaux = all_tableaux(n)
-    codes = bytearray(len(tableaux))  # sized once, so the build keeps what it allocates
-    for k, (alphas, betas) in enumerate(map(_symbol_counts, tableaux)):
-        codes[k] = (n + 1) * alphas + betas
-    return codes
+def _alias_shape(n: int) -> List[Tuple[List[Tuple[str, int, int]], List[int]]]:
+    """The weight-free enumeration tree, as (fillings, starts) per
+    column of height h = n - j: on the dirty-row mask ``mask`` (0 in
+    column 1, any below 2^h past it) it has the fillings ``starts[mask]``
+    to ``starts[mask + 1]`` in enumeration order, each as (column, mask
+    after it, code).  A filling weighs ``factors[code]`` of
+    :func:`_alias_sums`: ``pa`` if it holds no alpha, ``pb`` if its
+    alpha is a clean row's first symbol and 1 on a dirty row, times
+    ``q`` per symbol.  A row has no beta exactly when its first symbol
+    is an alpha, so a path multiplies to its tableau's weight."""
+    shape = []
+    for j in range(n):
+        height, fillings, starts = n - j, [], [0]
+        for mask in range(1 << height if j else 1):
+            for column, after in _column_configs(height, mask):
+                alpha = column.find("A")
+                kind = 0 if alpha < 0 else 1 + (mask >> alpha & 1)
+                fillings.append((column, after, 3 * (height - column.count(".")) + kind))
+            starts.append(len(fillings))
+        shape.append((fillings, starts))
+    return shape
 
 
-def _codes_bytes(n: int) -> int:
-    """Bytes of the code table: one per tableau, plus the array object
-    and its build's loop state."""
-    return math.factorial(n + 1) + 1024
+def _column_sizes(n: int) -> List[Tuple[int, int, int]]:
+    """(h, fillings, masks) per column: 2^n on one mask, then 3^h on 2^h."""
+    return [(n, 1 << n, 1)] + [(h, 3 ** h, 1 << h) for h in range(1, n)]
 
 
-def _alias_cumulative(n: int, w: Weights) -> List[int]:
-    """Running sums of the integer weights of ``all_tableaux(n)``, each
-    scaled by q^(2n): a lookup of (n+1)^2 weights by the tableau's code,
-    so a new weight pair keeps only its sums."""
-    codes = _budget.get(_alias_codes, _codes_bytes, "the symbol-count codes for n={0}", n)
+def _shape_bytes(n: int) -> int:
+    """Bytes of the shape: per filling of height h, its tuple, its
+    string of 49 + h bytes and a list slot; per mask, its start."""
+    return sum(size * (h + 130) + masks * 40 for h, size, masks in _column_sizes(n)) + 2048
+
+
+def _alias_sums(n: int, w: Weights) -> Tuple[List[List[int]], List[int]]:
+    """Per column of :func:`_alias_shape`, the running sums from 0 of
+    its fillings' exact subtree weights at the q^(2n) scale, across its
+    masks; and the factor of each code."""
+    shape = _budget.get(_alias_shape, _shape_bytes, "the enumeration tree for n={0}", n)
     scaled = ScaledWeights.of(w)
-    weights = [scaled.pa ** (n - na) * scaled.pb ** (n - nb) * scaled.q ** (na + nb)
-               for na in range(n + 1) for nb in range(n + 1)]  # at code (n+1) * na + nb
-    cumulative = list(itertools.accumulate(map(weights.__getitem__, codes)))
-    if cumulative[-1] != scaled.total_bound(n) * scaled.q ** n:
+    factors = [kind * scaled.q ** symbols for symbols in range(n + 1)
+               for kind in (scaled.pa, scaled.pb, 1)]
+    sums, below = [], [1]  # below: by mask, the subtree weights one column on
+    for fillings, starts in reversed(shape):
+        sums.append(list(itertools.accumulate(
+            (factors[code] * below[after] for _, after, code in fillings), initial=0)))
+        below = [sums[-1][hi] - sums[-1][lo] for lo, hi in zip(starts, starts[1:])]
+    if below != [scaled.total(n)]:
         raise RuntimeError("alias table weights do not sum to the partition total")
-    return cumulative
+    return sums[::-1], factors
 
 
-def _alias_bytes(n: int, w: Weights) -> int:
-    """Bytes of the running sums: per tableau, an int no larger than the
-    total plus the carry digit its addition allocates, and a list slot
-    with the list's one-eighth over-allocation."""
+def _sums_bytes(n: int, w: Weights) -> int:
+    """Bytes of the running sums: per filling, a list slot and an int at
+    most its column's top, q^h prod_i (1 + pa + pb + (i-1) q) as a dirty
+    row i weighs 1, bar the ~128/top share Python caches; then the
+    factors and one column's subtree weights."""
     scaled = ScaledWeights.of(w)
-    total = scaled.total_bound(n) * scaled.q ** n
-    return math.factorial(n + 1) * (sys.getsizeof(total) + 13)
+    spread = ScaledWeights(scaled.q, scaled.pa + 1, scaled.pb)
+    used = 2048 + (3 * n + 3 + (1 << (n - 1))) * (sys.getsizeof(scaled.total(n)) + 4)
+    for h, size, _ in _column_sizes(n):
+        top = spread.total(h) if h < n else scaled.total(n)
+        used += size * (10 + max(0.0, 1 - 128 / top) * (sys.getsizeof(top) + 4))
+    return int(used)
 
 
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    # the sums first: their build fetches the list and may evict one fetched before
-    cumulative = _budget.get(_alias_cumulative, _alias_bytes,
-                             "enum_alias sums for n={0} with these weights", n, w)
-    tableaux = all_tableaux(n)
-    getrandbits, total = rng.getrandbits, cumulative[-1]
-    return [tableaux[bisect.bisect_right(cumulative, _below(getrandbits, total))]
-            for _ in range(count)]
+    # the sums first: their build fetches the shape and may evict one fetched before
+    sums, factors = _budget.get(_alias_sums, _sums_bytes,
+                                "enum_alias sums for n={0} with these weights", n, w)
+    shape = _budget.get(_alias_shape, _shape_bytes, "the enumeration tree for n={0}", n)
+    getrandbits, total = rng.getrandbits, sums[0][-1]
+    draws = []
+    for _ in range(count):
+        draw, mask, columns = _below(getrandbits, total), 0, []
+        for (fillings, starts), running in zip(shape, sums):
+            draw += running[starts[mask]]
+            k = bisect.bisect_right(running, draw, starts[mask], starts[mask + 1]) - 1
+            draw -= running[k]  # now below the pick's factor times its subtree's weight
+            column, mask, code = fillings[k]
+            draw //= factors[code]
+            columns.append(column)
+        draws.append(Tableau._trusted(tuple(map(
+            "".join, itertools.zip_longest(*columns, fillvalue="")))))
+    return draws
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +179,7 @@ class _ChainTables:
     def __init__(self, n: int, w: Weights):
         self.n = n
         scaled = ScaledWeights.of(w)
-        self.q, self.total = scaled.q, scaled.total_bound(n) * scaled.q ** n
+        self.q, self.total = scaled.q, scaled.total(n)
         self.moduli, self.factors = scaled.moduli(n), scaled.factors()[0]
         self.garner = _garner(self.moduli)
         # a move of factor 0 never lands, and past it the plan need not cover the count
@@ -266,16 +303,16 @@ def sample_many(n: int, w: Weights, rng: random.Random, count: int,
                 method: str = "chain_rule") -> List[Tableau]:
     """Draw a batch, exactly, with no rejection and no rounding.
 
-    ``enum_alias`` inverts one uniform integer per sample into the
-    running sums of the weights over :func:`all_tableaux`; the memory
-    budget admits it up to n = 8.  ``chain_rule`` walks all samples
-    through the boxes together, up to n = 22 as the memory budget admits
-    its tables, each drawing its cell from the exact conditional law
-    given everything placed so far: one uniform integer below its exact
-    number of weighted continuations per box, in walker order.  So a
-    ``chain_rule`` batch of k consumes ``rng`` in a different order than
-    k single draws; each path is deterministic on its own, and a seed
-    pins down the whole sequence.
+    ``enum_alias`` inverts one uniform integer per sample, descending
+    the enumeration tree to the tableau that running sums over all
+    (n+1)! tableaux would pick, up to n = 9.  ``chain_rule`` walks all
+    samples through the boxes together, up to n = 22 as the memory
+    budget admits its tables, each drawing its cell from the exact
+    conditional law given everything placed so far: one uniform integer
+    below its exact number of weighted continuations per box, in walker
+    order.  So a ``chain_rule`` batch of k consumes ``rng`` in a
+    different order than k single draws; each path is deterministic on
+    its own, and a seed pins down the whole sequence.
     """
     _check_choice(method, "method", _METHODS)
     alias = method == "enum_alias"

@@ -23,8 +23,8 @@ def _charges(ledger):
 
 def test_kept_tables_and_lists_stay_within_one_budget(monkeypatch, fresh_ledger):
     # eight n = 14 chain tables, then eight n = 7 alias sums over their
-    # shared tableau list: each fits alone, together they do not
-    budget = 30_000_000
+    # shared tree: each fits alone, together they do not
+    budget = 8 * sampler._chain_bytes(14, Weights(1, 1))
     ledger = fresh_ledger()
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
     tracemalloc.start()
@@ -39,8 +39,10 @@ def test_kept_tables_and_lists_stay_within_one_budget(monkeypatch, fresh_ledger)
         tracemalloc.stop()
     assert held <= budget
     assert ledger.held == _charges(ledger) <= budget and ledger.reserved == 0
-    # the list was read last, so it outlived the sums built before it
-    assert list(ledger.kept)[-1] == (enumeration._build_list, 7)
+    assert len([key for key in ledger.kept if key[0] is sampler._ChainTables]) < 8
+    assert len([key for key in ledger.kept if key[0] is sampler._alias_sums]) == 8
+    # the tree was read last, so it outlived the sums built before it
+    assert list(ledger.kept)[-1] == (sampler._alias_shape, 7)
 
 
 def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledger):
@@ -80,7 +82,8 @@ def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
 def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh_ledger):
     weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(F(13, 7), F(1000, 3))]
     jobs = [("chain_rule", n, w) for n in (8, 9, 10) for w in weights]
-    jobs += [("enum_alias", 6, w) for w in weights]
+    alias_weights = weights + [Weights(2, 1), Weights(F(2, 7), F(5, 3)), Weights(F(5, 2), 0)]
+    jobs += [("enum_alias", 9, w) for w in alias_weights]
     jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (7, 8)
              for w in weights]
     jobs += [("cell", 8, w) for w in weights]
@@ -103,13 +106,13 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     build = max(sampler._chain_bytes(n, w)
                 + dpcount._sweep_bytes(n, 1, dpcount.ScaledWeights.of(w).moduli(n))
                 for _, n, w in jobs[:9])
-    # room for every other worker's sweep or chain build beside the largest
-    # nested build, and too little to keep every table: builds evict, none
-    # is refused
-    budget = ((workers - 1) * max(sweep, build) + enumeration._list_bytes(6)
-              + sampler._codes_bytes(6) + max(sampler._alias_bytes(6, w) for w in weights))
-    kept_all = (enumeration._list_bytes(6) + sampler._codes_bytes(6)
-                + sum(sampler._alias_bytes(6, w) for w in weights)
+    sums = max(sampler._sums_bytes(9, w) for w in alias_weights)
+    # room for one worker's nested alias build, the tree beside its sums,
+    # and every other worker's largest hold: a sweep, a chain build or
+    # alias sums waiting on that tree; and too little to keep every
+    # table: builds evict, none is refused
+    budget = sampler._shape_bytes(9) + sums + (workers - 1) * max(sweep, build, sums)
+    kept_all = (sampler._shape_bytes(9) + sum(sampler._sums_bytes(9, w) for w in alias_weights)
                 + sum(sampler._chain_bytes(n, w) for _, n, w in jobs[:9]))
     assert budget < kept_all + sweep
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
@@ -132,13 +135,14 @@ def test_failed_build_leaves_the_tally_unchanged(monkeypatch, fresh_ledger):
     enumeration.all_tableaux(4)
     before = (dict(ledger.kept), ledger.held)
 
-    def broken(n):
+    def broken(*args):
         raise RuntimeError("enumeration failed")
 
     monkeypatch.setattr(enumeration, "enumerate_tableaux", broken)
+    monkeypatch.setattr(sampler, "_column_configs", broken)
     with pytest.raises(RuntimeError):
         enumeration.all_tableaux(5)
-    with pytest.raises(RuntimeError):  # the alias build fails inside its list's build
+    with pytest.raises(RuntimeError):  # the alias build fails inside its tree's build
         sampler.sample(5, Weights(1, 1), random.Random(0), "enum_alias")
     assert (dict(ledger.kept), ledger.held) == before
     assert len(enumeration.all_tableaux(4)) == 120  # still kept, not rebuilt

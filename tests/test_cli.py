@@ -4,13 +4,14 @@ import hashlib
 import json
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from staircase_lab import cli, dpcount
+from staircase_lab import _budget, cli, dpcount, sampler
 from staircase_lab.core import STATISTIC_NAMES, Tableau
 from staircase_lab.measure import Weights
 
@@ -248,11 +249,31 @@ def test_sample_is_deterministic_per_seed(runner):
     assert other != run(runner, *args)
 
 
-def test_sample_refuses_an_alias_table_over_budget(runner):
-    result = runner.invoke(cli.main, ["sample", "--n", "9", "--method", "enum_alias",
-                                      "--seed", "1"])
+def test_sample_refuses_an_alias_table_over_budget(runner, monkeypatch, fresh_ledger):
+    fresh_ledger()
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", sampler._shape_bytes(9))
+    tracemalloc.start()
+    try:
+        result = runner.invoke(cli.main, ["sample", "--n", "9", "--method", "enum_alias",
+                                          "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert result.exit_code == 2
-    assert "GB" in result.output
+    assert "the enumeration tree for n=9 would need about" in result.output
+    assert peak < 100_000
+
+
+def test_sample_draws_at_size_nine_by_enum_alias(runner):
+    header, *blocks = run(runner, "sample", "--n", "9", "--count", "5", "--seed", "7",
+                          "--method", "enum_alias").split("\n\n")
+    head_line, first_block = header.split("\n", 1)
+    assert json.loads(head_line)["n"] == 9
+    texts = [first_block] + [b for b in blocks if b]
+    assert len(texts) == 5
+    for text in texts:
+        t = Tableau.parse(text)
+        assert t.n == 9 and t.is_valid
 
 
 def test_sample_requires_seed(runner):
@@ -324,8 +345,8 @@ REFUSALS = [
      "size must be in 1..22, got 30"),
     (("pmf", "--stat", "A3", "--n", "30"), "size must be in 1..22, got 30"),
     (("converge", "--stat", "A2", "--ns", "4,-1"), "size must be at least 1, got -1"),
-    (("sample", "--n", "9", "--method", "enum_alias", "--seed", "1"),
-     "the tableau list for n=9 would need about 2.7 GB; use a smaller size"),
+    (("sample", "--n", "10", "--method", "enum_alias", "--seed", "1"),
+     "size must be in 1..9, got 10"),
     (("asep-verify", "--n", "2", "--rates", "-1,1,1,1,1,0"), "alpha must be nonnegative, got -1"),
     (("asep-verify", "--n", "11", "--rates", "2,1,3,1,1,1/2"), "size must be in 1..10, got 11"),
     (("asep-verify", "--n", "2", "--rates", "0,1,0,1,1,0"),

@@ -1,5 +1,6 @@
 """Exact and statistical checks for the tableau samplers."""
 
+import bisect
 import gc
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_lab import _budget, dpcount, enumeration, sampler
+from staircase_lab import _budget, dpcount, sampler
 from staircase_lab.core import Tableau, diagonal_statistic
 from staircase_lab.enumeration import all_tableaux
 from staircase_lab.measure import FourWeights, Weights
@@ -168,7 +169,7 @@ class _Recording(random.Random):
         return super().randrange(*args)
 
 
-def _assert_walks_match(n, w, count, seed):
+def _assert_walks_match(n, w, count, seed, method="chain_rule", reference=_reference_chain):
     new, old = random.Random(seed), _Recording(seed)
     bounds, below = [], sampler._below
 
@@ -179,9 +180,9 @@ def _assert_walks_match(n, w, count, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "_below", recorded)
-        drawn = sample_many(n, w, new, count)
-    assert drawn == _reference_chain(n, w, old, count)
-    assert bounds == old.bounds  # one draw below the walker's count per walker per box
+        drawn = sample_many(n, w, new, count, method)
+    assert drawn == reference(n, w, old, count)
+    assert bounds == old.bounds  # the same draws, below the same bounds
     assert new.getstate() == old.getstate()
 
 
@@ -228,6 +229,27 @@ def test_chain_walk_matches_the_reference_on_large_batches_and_plans():
     large = Weights(F(1, 2 ** 63 + 11), F(7, 3 * 2 ** 62 + 1))  # 24 moduli at n = 6
     for count in (1, 5, 64):
         _assert_walks_match(6, large, count, count)
+
+
+def _flat_alias(n, w, rng, count):
+    """The flat inversion the tree descent replaced: one draw below the
+    total per sample, bisected into running sums of the q^(2n)-scaled
+    weights of all_tableaux(n)."""
+    scaled = dpcount.ScaledWeights.of(w)
+    tableaux = all_tableaux(n)
+    cumulative = list(itertools.accumulate(
+        scaled.pa ** (n - c.alpha) * scaled.pb ** (n - c.beta) * scaled.q ** (c.alpha + c.beta)
+        for c in map(Tableau.symbol_counts, tableaux)))
+    return [tableaux[bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_alias_descent_matches_the_flat_inversion_draw_for_draw(n):
+    for k, w in enumerate(GOLDEN_WEIGHTS):
+        for count in (1, 5, 64):
+            _assert_walks_match(n, w, count, 1000 * n + 10 * k + count, "enum_alias",
+                                _flat_alias)
 
 
 @pytest.mark.parametrize("w, plane", [(Weights(1, 1), 0),
@@ -280,15 +302,30 @@ def test_fixed_seed_alias_draws_are_pinned():
     assert digest.hexdigest() == GOLDEN_ALIAS_DRAWS
 
 
-def test_alias_refuses_size_nine_before_allocating():
+@pytest.mark.parametrize("room, what", [
+    (lambda w: sampler._sums_bytes(9, w) - 1, "enum_alias sums for n=9"),
+    (lambda w: sampler._sums_bytes(9, w) + sampler._shape_bytes(9) // 2,
+     "the enumeration tree for n=9")])
+def test_alias_refuses_a_table_over_budget_before_allocating(monkeypatch, fresh_ledger,
+                                                            room, what):
+    # the sums are charged first, then the tree their build fetches
+    ledger, w = fresh_ledger(), Weights(1, 1)
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", room(w))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="GB"):
-            sample(9, Weights(1, 1), random.Random(0), "enum_alias")
+        with pytest.raises(ValueError, match=f"^{what}.* GB"):
+            sample(9, w, random.Random(0), "enum_alias")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+    assert not ledger.kept and ledger.held == 0
+
+
+def test_alias_draws_at_size_nine_are_valid():
+    draws = sample_many(9, Weights(F(13, 7), F(2, 5)), random.Random(9), 40, "enum_alias")
+    assert all(t.n == 9 and t.is_valid for t in draws)
+    assert len({t.rows for t in draws}) > 1
 
 
 def test_memory_budget_is_checked_before_allocating(monkeypatch):
@@ -408,45 +445,61 @@ def test_chain_build_refuses_a_wrong_total(monkeypatch, fresh_ledger):
     assert not ledger.kept and ledger.held == 0 and ledger.reserved == 0
 
 
-def _kept_codes(n):
-    return _budget.get(sampler._alias_codes, sampler._codes_bytes, "codes", n)
+def _shape_leaves(shape, j=0, mask=0, columns=(), codes=()):
+    """Every path down the shape from column j on ``mask``, in order:
+    its columns and its codes."""
+    if j == len(shape):
+        yield columns, codes
+        return
+    fillings, starts = shape[j]
+    for column, after, code in fillings[starts[mask]:starts[mask + 1]]:
+        yield from _shape_leaves(shape, j + 1, after, columns + (column,), codes + (code,))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_alias_codes_hold_each_tableau_s_symbol_counts(n):
-    codes = _kept_codes(n)
-    assert len(codes) == len(all_tableaux(n))
-    for code, t in zip(codes, all_tableaux(n)):
-        counts = t.symbol_counts()
-        assert divmod(code, n + 1) == (counts.alpha, counts.beta)
+def test_alias_shape_leaves_are_the_tableaux_with_their_weights(n):
+    shape = sampler._alias_shape(n)
+    leaves = list(_shape_leaves(shape))
+    assert [tuple(map("".join, itertools.zip_longest(*columns, fillvalue="")))
+            for columns, _ in leaves] == [t.rows for t in all_tableaux(n)]
+    # a product reads only the codes, a weight only the symbol counts
+    kinds = {}
+    for (_, codes), t in zip(leaves, all_tableaux(n)):
+        kinds.setdefault((tuple(sorted(codes)), t.symbol_counts()), t)
+    for w in GOLDEN_WEIGHTS:
+        sums, factors = sampler._alias_sums(n, w)
+        scale = dpcount.ScaledWeights.of(w).q ** (2 * n)
+        for (codes, _), t in kinds.items():
+            assert math.prod(factors[code] for code in codes) == w.tableau_weight(t) * scale
+        assert sums[0][-1] == w.normalizer(n) * scale
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_alias_code_estimate_is_tight(n):
-    all_tableaux(n)  # charged on its own
+@pytest.mark.parametrize("n", [6, 7, 9])
+def test_alias_shape_estimate_is_tight(n):
     gc.collect()
     tracemalloc.start()
     try:
-        codes = sampler._alias_codes(n)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(codes) == math.factorial(n + 1)
-    assert kept <= peak <= sampler._codes_bytes(n) <= 1.3 * kept
-
-
-@pytest.mark.parametrize("n", [6, 7])
-@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
-                               Weights(F(13, 7), F(1000, 3))])
-def test_alias_memory_estimate_is_tight(n, w):
-    _kept_codes(n)  # shared by every weight pair and charged on its own
-    tracemalloc.start()
-    try:
-        sampler._alias_cumulative(n, w)
+        shape = sampler._alias_shape(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sampler._alias_bytes(n, w) <= 1.3 * peak
+    assert sum(len(fillings) for fillings, _ in shape) == 2 ** n + (3 ** n - 3) // 2
+    assert peak <= sampler._shape_bytes(n) <= 1.3 * peak
+
+
+@pytest.mark.parametrize("n", [6, 7, 9])
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
+                               Weights(F(13, 7), F(1000, 3))])
+def test_alias_sums_estimate_is_tight(n, w):
+    _budget.get(sampler._alias_shape, sampler._shape_bytes, "shape", n)  # charged on its own
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sampler._alias_sums(n, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampler._sums_bytes(n, w) <= 1.3 * peak
 
 
 def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
@@ -475,9 +528,8 @@ def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
     assert threaded == serial
     assert len(_chain_keys(ledger)) == _budget._CACHE_SIZE  # 9 keys: one evicted
     estimates = {sampler._ChainTables: sampler._chain_bytes,
-                 sampler._alias_cumulative: sampler._alias_bytes,
-                 sampler._alias_codes: sampler._codes_bytes,
-                 enumeration._build_list: enumeration._list_bytes}
+                 sampler._alias_sums: sampler._sums_bytes,
+                 sampler._alias_shape: sampler._shape_bytes}
     assert ledger.held == sum(estimates[key[0]](*key[1:]) for key in ledger.kept)
 
 
