@@ -1,8 +1,8 @@
 """One memory budget for the whole process, kept in one ledger.
 
-Counting sweeps, chain-rule tables, alias trees and sums and tableau
-lists all claim their peak bytes here: a table for as long as
-it is kept, a sweep while it runs.  A claim that does not fit evicts the least
+Counting sweeps, alias trees and sums and tableau lists all claim
+their peak bytes here: a table for as long as it is kept, a sweep
+while it runs.  A claim that does not fit evicts the least
 recently used tables of every builder; one that still does not fit
 raises ``ValueError`` before anything is allocated.
 """
@@ -39,8 +39,8 @@ class _Ledger:
             while self.kept and self.held + self.reserved + need > _MEM_BUDGET:
                 self.held -= self.kept.popitem(last=False)[1][1]
         if self.held + self.reserved + need > _MEM_BUDGET:
-            raise ValueError(f"{what} would need about {need / 1e9:.1f} GB; "
-                             "use a smaller size")
+            size = f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.1f} MB"
+            raise ValueError(f"{what} would need about {size}; use a smaller size")
 
     def trim(self, build: Optional[Callable]) -> None:
         """Evict the builder's least recently used table if it keeps its

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from itertools import zip_longest
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Box = Tuple[int, int]
 
@@ -157,6 +158,11 @@ class Tableau:
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
         return t
+
+    @classmethod
+    def _from_columns(cls, columns: Sequence[str]) -> "Tableau":
+        """The tableau of these columns, each top down; trusted as :meth:`_trusted`."""
+        return cls._trusted(tuple(map("".join, zip_longest(*columns, fillvalue=""))))
 
     @classmethod
     def from_cells(cls, n: int, cells: Mapping[Box, str]) -> "Tableau":

@@ -9,8 +9,7 @@ factors and the modulus plan, :func:`_groups` cuts the plan into
 groups, :func:`_sweep` is the one counting pass over a group and
 :func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
 alone runs the passes and recombines the moduli, exactly, with no
-modular inversion of data values; the chain-rule sampler keeps,
-through it, the slices the passes read.  The public operations honour
+modular inversion of data values.  The public operations honour
 :class:`~staircase_lab.constraints.ConstraintSet` restrictions box by
 box, which is what turns the partition sum into joint probabilities
 of cell events.
@@ -18,12 +17,11 @@ of cell events.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,8 +72,8 @@ class ScaledWeights:
         """The kernel's unconstrained total, prod_i (pa + pb + i q).
 
         It is the normalizer scaled by q^n.  Every quantity the kernel
-        reads out (constrained totals, per-count masses, completion
-        counts) is a subsum of it, so it bounds them all.
+        reads out (constrained totals, per-count masses) is a subsum of
+        it, so it bounds them all.
         """
         return math.prod(self.pa + self.pb + i * self.q for i in range(n))
 
@@ -84,8 +82,8 @@ class ScaledWeights:
         return self.total_bound(n) * self.q ** n
 
     def moduli(self, n: int) -> Tuple[int, ...]:
-        """The modulus plan of every size-n count and chain-rule table:
-        2^64, then the primes :func:`_primes_covering` adds."""
+        """The modulus plan of every size-n count: 2^64, then the primes
+        :func:`_primes_covering` adds."""
         return (_WRAP,) + _primes_covering(self.total_bound(n) >> 64)
 
 
@@ -253,8 +251,7 @@ def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str], slots: int = 1,
-           lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None,
-           keep: Optional[Callable[[int, int, np.ndarray], None]] = None) -> List[List[int]]:
+           lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[List[int]]:
     """One right-to-left counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
 
@@ -298,14 +295,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     reads and writes only ``level[..., :2^i]`` and skips the target
     with its row bit set, and the column hands on mask 0 alone.  Moves
     are merged as :func:`_merge_moves` describes.
-
-    Before a box's moves run, ``keep(i, j, counts)`` sees the slice
-    they read, reduced: ``counts[plane, slot, high, low]`` for the slots
-    that may hold mass so far, the flag set and the mask
-    ``high << i | 1 << (i-1) | low``, the state just after a symbol
-    lands in box (i, j); in column 1, ``high`` is 0 alone.  The next
-    box overwrites it, so a caller that keeps it copies it; it may be a
-    transposed view, whatever the box's axis order.
     """
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
@@ -344,8 +333,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
                     np.remainder(src[wraps:], primes, out=src[wraps:])
                 if "." not in codes:
                     view[:, :live].fill(0)
-            if keep is not None:
-                keep(i, j, src.swapaxes(2, 3) if flip else src)
             if slots - reach < live and src[:, slots - reach:].any():
                 raise RuntimeError("statistic counter overflowed its cap")
             for factor, targets in moves:
@@ -408,19 +395,15 @@ def _sweep_bytes(n: int, slots: int, moduli: Sequence[int]) -> int:
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
-                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None,
-                keep: Optional[Callable[[int, int, int, np.ndarray], None]] = None) -> List[int]:
+                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
-    of the plan's moduli.  ``keep(first, i, j, counts)`` sees what
-    :func:`_sweep`'s ``keep`` sees, ``first`` the plan index of the
-    group's first modulus."""
+    of the plan's moduli."""
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
     residues: List[List[int]] = []
     with _budget.reserve(_sweep_bytes(n, slots, moduli), f"{slots}-slot sweeps at n={n}"):
         for group in _groups(moduli, slots, n):
-            residues += _sweep(n, group, factors, allowed, slots, lifts,
-                               keep and functools.partial(keep, len(residues)))
+            residues += _sweep(n, group, factors, allowed, slots, lifts)
     garner = _garner(moduli)
     return [_crt(slot, garner) for slot in zip(*residues)]
 

@@ -81,9 +81,7 @@ def enumerate_tableaux(n: int) -> Iterator[Tableau]:
         for column, next_mask in configs(n - j, mask):
             columns[j] = column
             if j + 1 == n:
-                # column c holds n - c boxes, so row i reads columns 0..n-i-1
-                yield Tableau._trusted(tuple(map(
-                    "".join, itertools.zip_longest(*columns, fillvalue=""))))
+                yield Tableau._from_columns(columns)
             else:
                 yield from walk(j + 1, next_mask)
 

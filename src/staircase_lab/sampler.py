@@ -2,10 +2,10 @@
 
 Two backends draw from the same measure, as :func:`sample_many`
 describes: ``enum_alias`` down the tree of :func:`_alias_shape` by the
-running sums of :func:`_alias_sums`, and ``chain_rule`` box by box
-from the completion counts of :class:`_ChainTables`.  Both keep their
-tables in the process's one memory ledger (``_budget.get``), and every
-draw of an integer goes through :func:`_below`.
+running sums of :func:`_alias_sums`, which it keeps in the process's
+one memory ledger (``_budget.get``), and ``chain_rule`` box by box from
+the closed-form completion counts of :func:`_sample_chain`, which keeps
+nothing.  Every draw of an integer goes through :func:`_below`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from . import _budget
 from .core import Tableau, _check_choice, _check_int, _check_size, _statistic, diagonal_statistic
-from .dpcount import _MOVES, N_DP, ScaledWeights, _allowed_map, _crt, _garner, _masses_crt
+from .dpcount import _MOVES, N_DP, ScaledWeights
 from .enumeration import N_ENUM, _column_configs
 from .measure import FourWeights, Weights
 from .pmf import Pmf
@@ -131,8 +129,7 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
             column, mask, code = fillings[k]
             draw //= factors[code]
             columns.append(column)
-        draws.append(Tableau._trusted(tuple(map(
-            "".join, itertools.zip_longest(*columns, fillvalue="")))))
+        draws.append(Tableau._from_columns(columns))
     return draws
 
 
@@ -157,88 +154,48 @@ def _weigh(moves: List[Tuple[int, str]]) -> Tuple[int, List[Tuple[int, str]], st
     return running, cuts[:-1], cuts[-1][1] if cuts else ""
 
 
-class _ChainTables:
-    """Completion counts after every symbol move, for one (n, w).
-
-    ``slices[j][i - 1]`` holds, one row per modulus of the plan, the
-    counts that :func:`~staircase_lab.dpcount._sweep` hands its ``keep``
-    at box (i, j), flattened, so the state with dirty-row mask ``mask``
-    sits at ``(mask >> i) << (i-1) | low``.  One run of
-    :func:`~staircase_lab.dpcount._masses_crt` over the plan fills them.
-    The kernel's diagonal factors carry no q, so a slice holds the
-    count scaled by q^n less one q per diagonal box still to fill;
-    :meth:`after` multiplies those q back.  At its scale a symbol move
-    weighs ``factors[k]`` times the count after it, and all symbol
-    moves open at a state lead to the same state, so that one count
-    weighs them all: ``weighs[above][bit]`` holds their factors, as
-    :func:`_weigh` reads them, for each "symbol above" flag and row
-    bit.  A walker carries its own exact count, so the count after an
-    empty box is that count less the symbol moves' weights.
-    """
-
-    def __init__(self, n: int, w: Weights):
-        self.n = n
-        scaled = ScaledWeights.of(w)
-        self.q, self.total = scaled.q, scaled.total(n)
-        self.moduli, self.factors = scaled.moduli(n), scaled.factors()[0]
-        self.garner = _garner(self.moduli)
-        # a move of factor 0 never lands, and past it the plan need not cover the count
-        self.weighs = [[_weigh([(self.factors[k], code) for code, k in moves
-                                if self.factors[k]]) for moves in by_bit]
-                       for by_bit in _OPEN_MOVES]
-        self.powers = [scaled.q ** d for d in range(n + 1)]
-        self.slices: List[List[np.ndarray]] = [[]] + [
-            [np.empty((len(self.moduli), 1 << (i - 1 if j == 1 else n - j)), dtype=np.uint64)
-             for i in range(1, n + 2 - j)] for j in range(1, n + 1)]
-
-        def keep(first: int, i: int, j: int, counts: np.ndarray) -> None:
-            # counts may be a transposed view: copy it in place, with no flat temporary
-            self.slices[j][i - 1][first:first + len(counts)].reshape(counts.shape)[...] = counts
-        if _masses_crt(n, w, _allowed_map(n, None), 1, keep=keep) != [scaled.total_bound(n)]:
-            raise RuntimeError("chain-rule tables do not add up to the partition total")
-
-    def after(self, j: int, i: int, mask: int) -> int:
-        """The exact completion count, at the q^(2n) scale, just after a
-        symbol lands in box (i, j) on the dirty-row mask ``mask``.  The
-        plan covers it wherever a move of positive weight leads there."""
-        index = (mask >> i) << (i - 1) | mask & ((1 << (i - 1)) - 1)
-        kept = self.slices[j][i - 1]
-        if len(self.garner) == 1:
-            count = kept.item(0, index)
-        else:
-            count = _crt([kept.item(plane, index) for plane in range(len(self.garner))],
-                         self.garner)
-        if self.q > 1:  # one q per diagonal box still to fill
-            count *= self.powers[self.n - j + (i < self.n + 1 - j)]
-        return count
-
-
-def _chain_bytes(n: int, w: Weights) -> int:
-    """Bytes a :class:`_ChainTables` keeps: the charge it holds in the
-    ledger for as long as it is kept.
-
-    ``plan * h * 2^(h-1)`` counts of 8 bytes per column of height h
-    below n, and ``plan * (2^n - 1)`` in column 1, so
-    ``plan * n * 2^(n-1)`` in all; then 200 bytes per box for its
-    slice's array object, 512 per modulus for the moduli and Garner
-    constants and 2 * plan more for the Garner products, which grow
-    along the plan, and 8 KiB for the other small objects.  The build's
-    pass is not charged here: :func:`~staircase_lab.dpcount._masses_crt`
-    reserves it while it runs.
-    """
-    plan = len(ScaledWeights.of(w).moduli(n))
-    return (8 * plan * n << (n - 1)) + 100 * n * (n + 1) + (512 + 2 * plan) * plan + (1 << 13)
+def _tails(height: int, mask: int, g: List[int], q: int) -> List[int]:
+    """Per box i of a column of height h entered on ``mask``, the factor
+    of :func:`_sample_chain`'s count from the rows below the box: q times
+    g_r + q per clean row i < r < h, 0 if row h is dirty, 1 at i = h;
+    ``g[r - 1]`` is g_r."""
+    tails, run = [1] * height, q if not mask >> (height - 1) & 1 else 0
+    for r in range(height - 1, 0, -1):
+        tails[r - 1] = run
+        if not mask >> (r - 1) & 1:
+            run *= g[r - 1] + q
+    return tails
 
 
 def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    tables = _budget.get(_ChainTables, _chain_bytes,
-                         "chain_rule tables for n={0} with these weights", n, w)
-    getrandbits, weighs = rng.getrandbits, tables.weighs
+    """The walkers go down each column together, each carrying its
+    exact completion count at the q^(2n) scale.  Hitczenko and Janson's
+    row product gives it for a partly filled tableau too: with
+    g_r = pa + pb + (r - 1) q, a walk entering a column of height h has
+    q^h times g_r of each clean row r <= h completions, a dirty row
+    weighing 1.  Just after a symbol lands in box i, a clean row
+    i < r < h stays empty or takes a beta of weight q, so it weighs
+    g_r + q, and the diagonal box must take that beta: the count is
+    ``tops``, q^(h-1) times g_r of each clean row above, times
+    :func:`_tails`.  All symbol moves open at a state lead to that
+    count, ``weighs`` holds their factors as :func:`_weigh` reads them,
+    by "symbol above" flag and row bit, and the empty cell takes what
+    they leave."""
+    scaled = ScaledWeights.of(w)
+    q, factors = scaled.q, scaled.factors()[0]
+    # a move of factor 0 never lands
+    weighs = [[_weigh([(factors[k], code) for code, k in moves if factors[k]])
+               for moves in by_bit] for by_bit in _OPEN_MOVES]
+    g = [scaled.pa + scaled.pb + r * q for r in range(n)]
+    getrandbits = rng.getrandbits
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count
-    counts = [tables.total] * count  # per walker: its exact completion count
+    counts = [scaled.total(n)] * count  # per walker: its exact completion count
     for j in range(1, n + 1):
         height = n + 1 - j
+        below = {mask: _tails(height, mask, g, q) for mask in set(masks)}
+        tails = [below[mask] for mask in masks]  # per walker: by its entry mask
+        tops = [q ** (height - 1)] * count
         flags = [0] * count
         column = []  # per box: each walker's cell code
         for i in range(1, height + 1):
@@ -252,7 +209,7 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
                 if total:
                     after = afters.get(mask)
                     if after is None:
-                        after = afters[mask] = tables.after(j, i, mask)
+                        after = afters[mask] = tops[k] * tails[k][shift]
                     rest = have - total * after
                 else:
                     rest = have
@@ -260,6 +217,8 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
                     raise RuntimeError("chain-rule weights do not add up to the completion count")
                 if draw < rest:
                     codes[k], counts[k] = ".", rest
+                    if not mask & bit:
+                        tops[k] *= g[shift]
                     continue
                 draw -= rest
                 for cut, cut_code in cuts:
@@ -273,10 +232,7 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
         for k, cells in enumerate(zip(*column)):
             grids[k].append("".join(cells))
             masks[k] &= keep
-    return [
-        Tableau._trusted(tuple(map("".join, itertools.zip_longest(*grid, fillvalue=""))))
-        for grid in grids
-    ]
+    return [Tableau._from_columns(grid) for grid in grids]
 
 
 # ----------------------------------------------------------------------
@@ -306,11 +262,10 @@ def sample_many(n: int, w: Weights, rng: random.Random, count: int,
     ``enum_alias`` inverts one uniform integer per sample, descending
     the enumeration tree to the tableau that running sums over all
     (n+1)! tableaux would pick, up to n = 9.  ``chain_rule`` walks all
-    samples through the boxes together, up to n = 22 as the memory
-    budget admits its tables, each drawing its cell from the exact
-    conditional law given everything placed so far: one uniform integer
-    below its exact number of weighted continuations per box, in walker
-    order.  So a ``chain_rule`` batch of k consumes ``rng`` in a
+    samples through the boxes together, up to n = 22, each drawing its
+    cell from the exact conditional law given everything placed so far:
+    one uniform integer below its exact number of weighted continuations
+    per box, in walker order.  So a ``chain_rule`` batch of k consumes ``rng`` in a
     different order than k single draws; each path is deterministic on
     its own, and a seed pins down the whole sequence.
     """

@@ -314,6 +314,33 @@ def test_c07_third_diag_main_terms():
     _line(7, "third-diagonal main terms and remainders", ok)
 
 
+class _Completions:
+    """The chain-rule walk's completion counts at the q^(2n) scale, by
+    the row product: with g_r = pa + pb + (r - 1) q, a walk entering a
+    column of height h on the dirty-row mask m has q^h times g_r of
+    each clean row r <= h completions."""
+
+    def __init__(self, n, w):
+        scaled = dpcount.ScaledWeights.of(w)
+        self.n, self.q, self.factors = n, scaled.q, scaled.factors()[0]
+        self.total = scaled.total(n)
+        self.g = [None] + [scaled.pa + scaled.pb + (r - 1) * scaled.q for r in range(1, n + 1)]
+
+    def after(self, j, i, mask):
+        """The count just after a symbol lands in box (i, j) on ``mask``:
+        clean rows above it weigh g_r; below it, a clean row stays empty
+        or takes a beta of weight q and then weighs 1, so g_r + q, and
+        the diagonal box h must take that beta."""
+        h, q, g = self.n + 1 - j, self.q, self.g
+        clean = [r for r in range(1, h + 1) if not mask >> (r - 1) & 1]
+        if i == h:
+            return q ** (h - 1) * math.prod(g[r] for r in clean if r < h)
+        if h not in clean:
+            return 0
+        return (q ** h * math.prod(g[r] for r in clean if r < i)
+                * math.prod(g[r] + q for r in clean if i < r < h))
+
+
 def _split(tables, j, i, mask, above, count):
     """(cell code, weight, next mask, next flag, count after) of each
     legal cell at box (i, j) with weight > 0, empty first, alpha before
@@ -359,7 +386,7 @@ def test_c08_sampler_exactness():
     ok = True
     for w in (Weights(1, 1), Weights(F(1, 2), 3)):
         for n in range(1, 7):
-            tables = sampler._ChainTables(n, w)
+            tables = _Completions(n, w)
             memo = {}
             total = F(0)
             for t in all_tableaux(n):

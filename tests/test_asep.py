@@ -465,7 +465,7 @@ def test_generator_solve_reserves_its_peak_first(monkeypatch):
         steady_state_via_generator(10, AsepParams(0, 1, 0, 1, u=1, q=0))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="GB"):
+        with pytest.raises(ValueError, match="MB"):
             steady_state_via_generator(10, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

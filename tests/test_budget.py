@@ -21,35 +21,40 @@ def _charges(ledger):
     return sum(charge for _, charge in ledger.kept.values())
 
 
+def _kept(ledger, build, n):
+    return [key for key in ledger.kept if key[0] is build and key[1] == n]
+
+
 def test_kept_tables_and_lists_stay_within_one_budget(monkeypatch, fresh_ledger):
-    # eight n = 14 chain tables, then eight n = 7 alias sums over their
-    # shared tree: each fits alone, together they do not
-    budget = 8 * sampler._chain_bytes(14, Weights(1, 1))
+    # a tableau list and eight n = 8 alias sums over their shared tree,
+    # then eight n = 6 sums over theirs: each fits alone, together they do not
+    budget = 8 * sampler._sums_bytes(8, Weights(8, 1))
     ledger = fresh_ledger()
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
     tracemalloc.start()
     try:
-        for k in range(1, 9):
-            sampler.sample_many(14, Weights(k, 1), random.Random(k), 2)
-        for k in range(1, 9):
-            sampler.sample_many(7, Weights(k, 1), random.Random(k), 2, "enum_alias")
+        enumeration.all_tableaux(5)
+        for n in (8, 6):
+            for k in range(1, 9):
+                sampler.sample_many(n, Weights(k, 1), random.Random(k), 2, "enum_alias")
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held <= budget
     assert ledger.held == _charges(ledger) <= budget and ledger.reserved == 0
-    assert len([key for key in ledger.kept if key[0] is sampler._ChainTables]) < 8
-    assert len([key for key in ledger.kept if key[0] is sampler._alias_sums]) == 8
+    assert not _kept(ledger, enumeration._build_list, 5)
+    assert len(_kept(ledger, sampler._alias_sums, 8)) < 8
+    assert len(_kept(ledger, sampler._alias_sums, 6)) == 8
     # the tree was read last, so it outlived the sums built before it
-    assert list(ledger.kept)[-1] == (sampler._alias_shape, 7)
+    assert list(ledger.kept)[-1] == (sampler._alias_shape, 6)
 
 
 def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledger):
     n, w, statistic = 10, Weights(F(13, 7), F(1000, 3)), "X2"
     expected = dpcount.statistic_pmf(n, w, statistic)
     ledger = fresh_ledger()
-    sampler.sample(n, w, random.Random(0))
+    sampler.sample(8, w, random.Random(0), "enum_alias")
     kept = ledger.held
     # one grouped pass, all the plan's planes at once, and its reservation
     moduli = dpcount.ScaledWeights.of(w).moduli(n)
@@ -57,8 +62,9 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
     assert dpcount._groups(moduli, slots, n) == [moduli] and len(moduli) > 1
     sweep = dpcount._sweep_bytes(n, slots, moduli)
     assert sweep > dpcount._sweep_bytes(n, slots, moduli[:1])
-    assert kept == sampler._chain_bytes(n, w) and ledger.reserved == 0
-    # the sweep fits the budget alone, but not beside the kept table
+    assert kept == sampler._shape_bytes(8) + sampler._sums_bytes(8, w)
+    assert ledger.reserved == 0
+    # the sweep fits the budget alone, but not beside the kept tables
     monkeypatch.setattr(_budget, "_MEM_BUDGET", sweep + kept // 2)
     assert dpcount.statistic_pmf(n, w, statistic) == expected
     assert not ledger.kept and ledger.held == 0 and ledger.reserved == 0
@@ -68,13 +74,14 @@ def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
     # one plane, then a plan of three that one grouped pass runs together
     for w, planes in ((Weights(1, 1), 1), (Weights(F(13, 7), F(1000, 3)), 3)):
         ledger = fresh_ledger()
-        sampler.sample(8, w, random.Random(0))
+        sampler.sample(6, w, random.Random(0), "enum_alias")
         before = dict(ledger.kept)
+        assert before
         moduli = dpcount.ScaledWeights.of(w).moduli(8)
         assert len(moduli) == planes and dpcount._groups(moduli, 1, 8) == [moduli]
         with monkeypatch.context() as patch:
             patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli) - 1)
-            with pytest.raises(ValueError, match="GB"):
+            with pytest.raises(ValueError, match="MB"):
                 dpcount.constrained_partition(8, w)
         assert ledger.kept == before and ledger.reserved == 0
 
@@ -102,18 +109,13 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2,
                                      dpcount.ScaledWeights.of(w).moduli(n))
                 for s, n, w in jobs if s in ("X2", "Nalpha"))
-    # a chain build holds its table's charge and reserves its own pass
-    build = max(sampler._chain_bytes(n, w)
-                + dpcount._sweep_bytes(n, 1, dpcount.ScaledWeights.of(w).moduli(n))
-                for _, n, w in jobs[:9])
     sums = max(sampler._sums_bytes(9, w) for w in alias_weights)
     # room for one worker's nested alias build, the tree beside its sums,
-    # and every other worker's largest hold: a sweep, a chain build or
-    # alias sums waiting on that tree; and too little to keep every
-    # table: builds evict, none is refused
-    budget = sampler._shape_bytes(9) + sums + (workers - 1) * max(sweep, build, sums)
-    kept_all = (sampler._shape_bytes(9) + sum(sampler._sums_bytes(9, w) for w in alias_weights)
-                + sum(sampler._chain_bytes(n, w) for _, n, w in jobs[:9]))
+    # and every other worker's largest hold: a sweep or alias sums
+    # waiting on that tree; chain draws hold nothing; and too little to
+    # keep every table: builds evict, none is refused
+    budget = sampler._shape_bytes(9) + sums + (workers - 1) * max(sweep, sums)
+    kept_all = sampler._shape_bytes(9) + sum(sampler._sums_bytes(9, w) for w in alias_weights)
     assert budget < kept_all + sweep
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
     ledger = fresh_ledger()
@@ -152,10 +154,9 @@ def test_builder_keeps_at_most_its_cap_beside_others(fresh_ledger):
     ledger = fresh_ledger()
     enumeration.all_tableaux(3)  # the oldest entry, of another builder
     for k in range(_budget._CACHE_SIZE + 1):
-        sampler.sample(3, Weights(k, 1), random.Random(0))
-    chains = [key for key in ledger.kept if key[0] is sampler._ChainTables]
-    assert len(chains) == _budget._CACHE_SIZE
-    assert (sampler._ChainTables, 3, Weights(0, 1)) not in ledger.kept
+        sampler.sample(3, Weights(k, 1), random.Random(0), "enum_alias")
+    assert len(_kept(ledger, sampler._alias_sums, 3)) == _budget._CACHE_SIZE
+    assert (sampler._alias_sums, 3, Weights(0, 1)) not in ledger.kept
     assert (enumeration._build_list, 3) in ledger.kept
 
 
@@ -184,7 +185,7 @@ def test_forked_child_does_not_wait_on_a_lock_held_by_another_thread(fresh_ledge
 def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
     ledger = fresh_ledger()
     w = Weights(F(1, 2), 3)
-    warm = sampler.sample_many(6, w, random.Random(0), 3)  # builds and keeps (6, w)
+    warm = sampler.sample_many(6, w, random.Random(0), 3, "enum_alias")  # builds and keeps (6, w)
     started, release, done = threading.Event(), threading.Event(), threading.Event()
     builds, results = [], {}
 
@@ -199,7 +200,7 @@ def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
 
     def others():
         results["sweep"] = dpcount.constrained_partition(6, w)
-        results["draw"] = sampler.sample_many(6, w, random.Random(0), 3)
+        results["draw"] = sampler.sample_many(6, w, random.Random(0), 3, "enum_alias")
         done.set()
 
     threads = [threading.Thread(target=fetch, args=(0,))]
@@ -214,7 +215,7 @@ def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
         assert done.wait(60)
         assert not release.is_set() and threads[0].is_alive()
         assert (held_open, "key") in ledger.building
-        assert ledger.held == sampler._chain_bytes(6, w) + 1000
+        assert ledger.held == sampler._shape_bytes(6) + sampler._sums_bytes(6, w) + 1000
     finally:
         release.set()
         for thread in threads:

@@ -260,7 +260,8 @@ def test_sample_refuses_an_alias_table_over_budget(runner, monkeypatch, fresh_le
     finally:
         tracemalloc.stop()
     assert result.exit_code == 2
-    assert "the enumeration tree for n=9 would need about" in result.output
+    assert "the enumeration tree for n=9 would need about 1.4 MB; use a smaller size" \
+        in result.output
     assert peak < 100_000
 
 

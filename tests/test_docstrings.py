@@ -53,11 +53,13 @@ def test_every_docstring_pointer_resolves(name):
 
 
 def test_the_scan_sees_the_pointers_and_flags_a_stale_one():
-    text = (PACKAGE / "sampler.py").read_text()
-    found = _pointers(text)
+    found = {module: _pointers((PACKAGE / f"{module.__name__.rpartition('.')[2]}.py").read_text())
+             for module in (dpcount, sampler)}
     # a role into another module, a method of a class, and a private name
-    assert {"staircase_lab.dpcount._masses_crt", "after", "_budget.get"} <= set(found)
-    assert all(_resolves(sampler, target) for target in found)
+    assert {"staircase_lab.core._statistic_cells", "total_bound"} <= set(found[dpcount])
+    assert "_budget.get" in found[sampler]
+    assert all(_resolves(module, target) for module, targets in found.items()
+               for target in targets)
     assert _pointers("see :func:`_gone` and ``_nowhere``") == ["_gone", "_nowhere"]
     assert not _resolves(dpcount, "_gone")
     assert not _resolves(dpcount, "ScaledWeights.gone")

@@ -620,7 +620,7 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
                 oracle_statistic_pmf(n, w, statistic), (n, statistic)
 
 
-def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None, keep=None):
+def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
     """The counting pass as it stood before column 1 skipped unreachable
     states, moves were merged and moduli were stacked as planes: one
     modulus, every box updates every slot of the whole level, one
@@ -645,8 +645,6 @@ def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None, keep=None):
             np.copyto(src, view[:, 1, :, 1, :])
             if modulus is not None:
                 np.remainder(src, modulus, out=src)
-            if keep is not None:
-                keep(i, j, src)
             if "." not in codes:
                 level.fill(0)
             for code, k, above, bit in moves:
@@ -712,6 +710,16 @@ KERNEL_SIZES = ([(w, range(1, 8), STATISTIC_NAMES) for w in KERNEL_WEIGHTS]
                    (KERNEL_WEIGHTS[0], range(10, 12), ("Nalpha", "Nbeta"))])
 
 
+def _flipped_boxes(n):
+    """(i, j, half) of each box that the kernel runs along its long
+    axis: its runs, of ``half`` masks, are shorter than a cache line,
+    and there are more of them, ``seg``, than each holds."""
+    for i, j in staircase_boxes(n):
+        seg, half = 1 << ((n + 1 - j if j > 1 else i) - i), 1 << (i - 1)
+        if half < dpcount._LINE_ENTRIES and seg > half:
+            yield i, j, half
+
+
 @pytest.mark.parametrize("w, sizes, statistics", KERNEL_SIZES,
                          ids=[f"w{k}" for k in range(len(KERNEL_WEIGHTS))]
                          + ["single-modulus-n8-9", "primes-n8-9", "counts-n10-11"])
@@ -727,43 +735,15 @@ def test_kernel_matches_the_reference_pass(w, sizes, statistics):
         moduli = plan + (7,)
         groups = ([(m,) for m in moduli] + [moduli[k:k + 2] for k in range(0, len(moduli), 2)]
                   + [plan, moduli])
-        counts_plans = [_statistic_plan(n, s)[0] for s in ("Nalpha", "Nbeta")]
         for allowed, lifts, slots in _kernel_cases(n, rng, statistics):
-            # one alpha per column, one beta per row: by column j, n - j + 1 lifts at most
-            windowed = lifts in counts_plans
-            want, reference = {}, {}
-            for m in moduli:
-                reference[m] = {}
-                want[m] = _reference_sweep(
-                    n, m, scaled.factors(), allowed, slots, lifts,
-                    lambda i, j, counts, m=m: reference[m].__setitem__((i, j), counts.copy()))
+            want = {m: _reference_sweep(n, m, scaled.factors(), allowed, slots, lifts)
+                    for m in moduli}
             for group in groups:
-                kept = {}
-
-                def keep(i, j, counts):
-                    # a box whose runs are shorter than a cache line, and
-                    # more of them than each holds, hands keep a transposed view
-                    seg, half = counts.shape[2:]
-                    flip = half < dpcount._LINE_ENTRIES and seg > half
-                    assert counts.flags.c_contiguous == (not flip or half == 1), (n, i, j)
-                    if flip:
-                        flipped.add((half, bool(lifts) and (i, j) in lifts,
-                                     "." not in allowed[(i, j)], len(group)))
-                    if windowed:
-                        assert counts.shape[1] <= n - j + 2, (n, i, j)
-                    kept[(i, j)] = counts.copy()
-
-                got = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts, keep)
+                got = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts)
                 assert got == [want[m] for m in group], (n, group, allowed, lifts)
-                for plane, m in enumerate(group):
-                    assert kept.keys() == reference[m].keys()
-                    for (i, j), counts in kept.items():
-                        # column 1 holds only the masks below 2^i: high = 0;
-                        # slots past those that may hold mass so far hold none
-                        full = reference[m][(i, j)][:, :1] if j == 1 else reference[m][(i, j)]
-                        live = counts.shape[1]
-                        assert np.array_equal(counts[plane], full[:live]), (n, m, i, j)
-                        assert not full[live:].any(), (n, m, i, j)
+                flipped.update((half, bool(lifts) and (i, j) in lifts,
+                                "." not in allowed[(i, j)], len(group))
+                               for i, j, half in _flipped_boxes(n))
     if 8 in sizes:
         # the long-axis boxes ran at both short run lengths, lifted and
         # not, forbidding "." and not, alone and stacked with other planes

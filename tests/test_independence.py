@@ -50,24 +50,53 @@ def test_reference_routes_import_none_of_what_they_check(module, forbidden):
     assert not imported & forbidden
 
 
-def _call_closure(module, root):
-    """The module-level functions and classes of ``module`` that the
-    function ``root`` names, directly or through one another, and each
-    attribute ``m.f`` of a package module ``m`` that they read, as the
-    string ``"m.f"``."""
+def _scope(module):
+    """The module-level functions and classes of ``module`` by name, and
+    the names it imports from other package modules, as (module, name)."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    reached, todo = set(), [root]
+    imported = {alias.asname or alias.name: (node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names}
+    return defs, imported
+
+
+def _call_closure(module, root):
+    """The functions and classes that the function ``root`` of ``module``
+    names, directly or through one another, across the package's
+    modules: those of ``module`` by name, and those of another module
+    ``m``, imported by name or read as the attribute ``m.f``, as the
+    string ``"m.f"``."""
+    scopes = {name: _scope(name) for name in MODULES}
+    reached, todo = set(), [(module, root)]
     while todo:
-        for node in ast.walk(defs[todo.pop()]):
-            if isinstance(node, ast.Name) and node.id in defs and node.id not in reached:
-                reached.add(node.id)
-                todo.append(node.id)
+        where, name = todo.pop()
+        defs, imported = scopes[where]
+        if name not in defs:  # a constant, read but not followed
+            continue
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                target = (where, node.id)
+            elif isinstance(node, ast.Name) and node.id in imported:
+                target = imported[node.id]
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in MODULES):
-                reached.add(f"{node.value.id}.{node.attr}")
+                target = (node.value.id, node.attr)
+            else:
+                continue
+            label = target[1] if target[0] == module else ".".join(target)
+            if label not in reached:
+                reached.add(label)
+                todo.append(target)
     return reached
+
+
+def test_chain_draws_reach_no_counting_pass():
+    reached = _call_closure("sampler", "sample_many")
+    # the scan follows the draws into the names they import
+    assert {"_sample_chain", "_sample_enum", "dpcount.ScaledWeights", "_budget.get"} <= reached
+    assert not reached & {"dpcount._sweep", "dpcount._masses_crt"}
 
 
 #: The two steady-state routes in ``asep`` and the functions each one
