@@ -29,8 +29,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from . import _budget
 from .core import Tableau, _check_choice, _check_size
 from .measure import _as_fraction
@@ -311,7 +309,7 @@ _PRIMES = (67108859, 67108837, 67108819, 67108777,
 assert max(_PRIMES) < _PRIME_LIMIT
 
 
-def _inverse_mod(matrix: np.ndarray, p: int):
+def _inverse_mod(matrix, p: int):
     """(C, perm) with C @ v[perm] = matrix^-1 @ v modulo p, by
     Gauss-Jordan in place, or None if p divides the determinant.
 
@@ -321,6 +319,8 @@ def _inverse_mod(matrix: np.ndarray, p: int):
     and column are reduced as they are used: every other entry takes
     one product below (p-1)^2 per step and is reduced once at the end.
     """
+    import numpy as np
+
     size = len(matrix)
     perm = np.arange(size)
     product = np.empty_like(matrix)
@@ -417,6 +417,8 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     masses are within reach of the reconstruction, so a further miss
     raises ``RuntimeError``.
     """
+    import numpy as np
+
     _check_size(n, 1, _N_MAX)
     size = 1 << n
     moves, outflow = _chain(n, _integer_rates(p))

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import _budget
 from .constraints import _ALLOWED, ConstraintSet, Requirement
 from .core import Box, _check_box, _check_size, _statistic_cells, staircase_boxes
@@ -59,8 +57,9 @@ class ScaledWeights:
 
     @classmethod
     def of(cls, w: Weights) -> "ScaledWeights":
-        q = math.lcm(w.a.denominator, w.b.denominator)
-        return cls(q, int(w.a * q), int(w.b * q))
+        a, b = w.a, w.b
+        q = math.lcm(a.denominator, b.denominator)
+        return cls(q, a.numerator * (q // a.denominator), b.numerator * (q // b.denominator))
 
     def factors(self) -> Tuple[Tuple[int, int, int, int], Tuple[int, int, int, int]]:
         """(alpha clean, alpha dirty, beta topmost, beta below) off the
@@ -220,6 +219,8 @@ def _per_plane(values: Sequence[int]):
     """``uint64`` values, one per plane, shaped to broadcast against a
     level slice; a numpy scalar for a single plane, which numpy applies
     with less overhead."""
+    import numpy as np
+
     if len(values) == 1:
         return np.uint64(values[0])
     return np.array(values, dtype=np.uint64).reshape(-1, 1, 1, 1)
@@ -296,6 +297,8 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     with its row bit set, and the column hands on mask 0 alone.  Moves
     are merged as :func:`_merge_moves` describes.
     """
+    import numpy as np
+
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
     primes = _per_plane(moduli[wraps:]) if wraps < planes else None

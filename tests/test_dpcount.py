@@ -46,6 +46,11 @@ def test_scaled_weights():
     # the bound is exactly the kernel's unconstrained total, scaled by q^n
     w = Weights(F(1, 2), F(2, 3))
     assert s.total_bound(4) == w.normalizer(4) * s.q ** 4
+    # the integer scaling equals the Fraction products it replaces
+    for v in GRID + [Weights(F(1000, 143), F(13, 11)), Weights(0, F(5, 3)),
+                     Weights(F(13, 7), 0), Weights(F(2, 2 ** 31 + 11), 7)]:
+        q = math.lcm(v.a.denominator, v.b.denominator)
+        assert ScaledWeights.of(v) == ScaledWeights(q, int(v.a * q), int(v.b * q))
 
 
 def _partition_fractions(n, w, allowed):
