@@ -2,11 +2,11 @@
 
 The enumeration oracle answers every question by visiting all
 ``(n+1)!`` tableaux; this module answers the same questions in
-polynomial time per state by sweeping columns and remembering only
-what the filling rules can still see: one bit per live row and one
-flag per column.  :class:`ScaledWeights` gives the integer move
-factors and the modulus plan, :func:`_groups` cuts the plan into
-groups, :func:`_sweep` is the one counting pass over a group and
+polynomial time per state by sweeping columns left to right and
+remembering only what the filling rules can still see: one bit per
+live row and one flag per column.  :class:`ScaledWeights` gives the
+integer move factors and the modulus plan, :func:`_groups` cuts the
+plan into groups, :func:`_sweep` is the one counting pass over a group and
 :func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
 alone runs the passes and recombines the moduli, exactly, with no
 modular inversion of data values.  The public operations honour
@@ -116,17 +116,15 @@ def _is_prime(x: int) -> bool:
 
 
 #: Prime planes use primes below 2^29 so that the kernel may defer
-#: reductions.  A column reads the boundary reduced, below p, and each
-#: box adds at most two products of reduced values, each at most
-#: (p-1)^2, to any entry.  Only alpha-clean and beta-topmost share a
-#: target, and merged they take one product of their integer factor
-#: sum reduced modulo p; a second reaches the entry only when the two take
-#: different lifts to later counter slots.  A factor of 1 adds the
-#: reduced slice itself.  A column has at most N_DP boxes, so every
-#: entry stays below p + 2 * N_DP * (p-1)^2, which is below 2^64: a
-#: prime plane never wraps, and a box reduces only the slice it reads.
+#: reductions.  A column starts from reduced entries, and a box adds to
+#: the entries it writes one sum of products reduced below p, so no
+#: entry passes (N_DP + 1) p.  The products a box sums, one per move
+#: left after merging and at most four, take reduced factors, and only
+#: beta-below reads flag-set entries, so the sum stays below
+#: (N_DP + 4) p^2, which is below 2^64: a prime plane never wraps, and
+#: a box reduces only the sum it adds.
 _PRIME_LIMIT = 1 << 29
-assert _PRIME_LIMIT + 2 * N_DP * (_PRIME_LIMIT - 1) ** 2 < _WRAP
+assert (N_DP + 4) * _PRIME_LIMIT ** 2 < _WRAP
 
 #: The primes below _PRIME_LIMIT in descending order, found on demand.
 _PRIMES: List[int] = []
@@ -227,174 +225,200 @@ def _per_plane(values: Sequence[int]):
 
 
 def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
-                 lift: Tuple[Tuple[str, int], ...]) -> Tuple[Tuple[int, int], list]:
-    """The moves open at a box, merged: moves onto one target, the same
-    (lift, flag, bit), add their integer factors into one; targets with
-    equal factors share one product; a factor of 1 needs no product and
-    a factor of 0 no move.  Returns the lifts of an alpha and of a beta
-    that may land there, 0 for a code that may not, and ``[(factor per
-    plane, or None for 1, [target, ...]), ...]``, each factor reduced
-    modulo its plane's modulus."""
+                 lift: Tuple[Tuple[str, int], ...], top: bool, first: bool) -> list:
+    """The moves open at a box, merged: moves from one source, the same
+    (flag, bit), that take the same lift add their integer factors into
+    one; sources with equal factor and lift are summed before one
+    product; a factor of 1 needs no product and a factor of 0 no move.
+    The ``top`` box reads no source with the flag set, and a box of
+    column 1 (``first``) no dirty-row source.  Returns ``[(factor per
+    plane, or None for 1, lift, [(flag, bit), ...]), ...]``, each factor
+    reduced modulo its plane's modulus."""
     up = dict(lift)
     factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
-        if code in codes:
-            target = (up.get(code, 0), above, bit)
-            factor_of[target] = factor_of.get(target, 0) + four[k]
-    targets_of: Dict[int, List[Tuple[int, int, int]]] = {}
-    for target, factor in factor_of.items():
+        if code in codes and not (above and top or bit and first):
+            source = (up.get(code, 0), above, bit)
+            factor_of[source] = factor_of.get(source, 0) + four[k]
+    sources_of: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (steps, above, bit), factor in factor_of.items():
         if factor:
-            targets_of.setdefault(factor, []).append(target)
-    lifts = (up.get("A", 0) if "A" in codes else 0, up.get("B", 0) if "B" in codes else 0)
-    return lifts, [(None if factor == 1 else _per_plane([factor % m for m in moduli]), targets)
-                   for factor, targets in targets_of.items()]
+            sources_of.setdefault((factor, steps), []).append((above, bit))
+    return [(None if factor == 1 else _per_plane([factor % m for m in moduli]), steps, sources)
+            for (factor, steps), sources in sources_of.items()]
+
+
+def _windows(n: int, slots: int,
+             lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]]) -> List[List[int]]:
+    """Per column, left to right, the slots that may hold mass after
+    each of its boxes, top-down.  One slot holds mass at the start and
+    each box adds its largest lift, but no count passes the largest
+    alpha lift of each column so far plus the largest beta lift met so
+    far in each row: an alpha needs no symbol above it and a beta a
+    clean row, so a tableau holds one alpha per column and one beta per
+    row at most."""
+    live, window, rows, out = 1, 1, [0] * (n + 1), []
+    for j in range(1, n + 1):
+        column, lives = 0, []
+        for i in range(1, n + 2 - j):
+            up = dict(lifts.get((i, j), ())) if lifts else None
+            if up:  # a box without lifts leaves the window as it is
+                alpha, beta = up.get("A", 0), up.get("B", 0)
+                column = max(column, alpha)
+                window += max(beta - rows[i], 0)
+                rows[i] = max(rows[i], beta)
+                live = min(slots, live + max(alpha, beta), window + column)
+            lives.append(live)
+        window += column
+        out.append(lives)
+    return out
 
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str], slots: int = 1,
            lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[List[int]]:
-    """One right-to-left counting pass for a group of moduli, one plane
+    """One left-to-right counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
 
     ``level[plane, slot, above, mask]`` counts, modulo the plane's
-    modulus, the weighted ways to fill the rest of the tableau from the
-    state with that "symbol above" flag and dirty-row mask, with
-    ``slot`` counter steps to come.  Columns run right to left and each
-    column bottom-up; the residues are the counts from the empty state
-    before column 1.  ``factors`` holds the four move factors off the
-    diagonal and on it, as :meth:`ScaledWeights.factors` gives them.
-    ``lifts`` maps a box to ``((code, steps), ...)``: a symbol of that
-    code there lifts the count by that many slots, and an empty cell
-    never does.  A lift that would pass the last slot while the slots
-    it lifts from hold mass raises.  Every plane walks the boxes
+    modulus, the weighted fillings so far that end in the state with
+    that "symbol above" flag and dirty-row mask, with ``slot`` counter
+    steps so far.  Columns run left to right and each column top-down,
+    from the one empty state before column 1; the residues are the
+    counts that leave column n.  ``factors`` holds the four move factors
+    off the diagonal and on it, as :meth:`ScaledWeights.factors` gives
+    them.  ``lifts`` maps a box to ``((code, steps), ...)``: a symbol of
+    that code there lifts the count by that many slots, and an empty
+    cell never does.  A lift that would pass the last slot while the
+    slots it lifts from hold mass raises.  Every plane walks the boxes
     together: moves and merged factors are worked out once per box, and
     each numpy call spans all planes.
+
+    Every symbol move sets the flag and the box's row bit, so a box
+    reads the three other quarters of the level, sums their products in
+    a buffer, reduces the sum and adds it into the quarter with both
+    set.  The empty cell keeps every quarter; where it is forbidden, the
+    box zeroes the three it read and keeps only its sum.  The diagonal
+    box's sum, over the rows still alive, is the next column's level
+    with the flag clear, written into a fresh array, while its own
+    target quarter, which nothing reads, holds its products.  The top
+    box reads no source with the flag set.  Column 1 is the
+    first column a tableau fills, so every row enters it clean: before
+    its box i only masks below 2^(i-1) occur, and the box touches only
+    ``level[..., :2^i]``.  Moves are merged, and sources that hold no
+    mass skipped, as :func:`_merge_moves` describes.
 
     Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
     above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
     inner loop follows the last axis, so when ``half`` is below
     :data:`_LINE_ENTRIES` and ``seg`` exceeds it, the box takes the
     level with those two axes swapped and lays its buffers out as
-    ``(half, seg)``: the copy, the remainder, the products and the adds
+    ``(half, seg)``: the sums, the products, the adds and the remainder
     then loop along ``seg``.  Other boxes keep ``(seg, half)``, whose
     long runs loop faster than swapped ones.
 
-    A pass computes only what is read later.  It touches only the
-    slots that can hold mass so far: one at the start, growing by each
-    box's largest lift, and never past 1 + the largest alpha lift of
-    each column so far + the largest beta lift met so far in each row.
-    An alpha needs no symbol above it and a beta a clean row, so a
-    tableau holds one alpha per column and one beta per row at most.
-    The diagonal box, where ``.`` is never allowed, reads the incoming
-    boundary as it is, since its row bit must be set and the row then
-    retires, and writes onto a zeroed level; its products go to the
-    quarter with the flag and the row bit set, which no move writes,
-    and which it zeroes again.  A column's top box writes no target
-    with the flag set, since the next column starts with it clear.
-    Column 1 is the first column a tableau fills, so every row enters
-    it clean: before its box i only masks below 2^(i-1) occur, the box
-    reads and writes only ``level[..., :2^i]`` and skips the target
-    with its row bit set, and the column hands on mask 0 alone.  Moves
-    are merged as :func:`_merge_moves` describes.
+    A box touches only the slots :func:`_windows` counts live, and a
+    column's level holds the slots live at its end.
     """
     import numpy as np
 
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
     primes = _per_plane(moduli[wraps:]) if wraps < planes else None
-    # merged moves and the alpha and beta lifts by (codes, lift, diagonal), built once per pass
-    merged: Dict[Tuple[str, tuple, bool], Tuple[Tuple[int, int], list]] = {}
-    live = 1  # the slots that may hold mass so far
-    window, row_lifts = 1, [0] * (n + 1)
-    boundary = np.ones((planes, live, 1, 1), dtype=np.uint64)  # no step to come
-    for j in range(n, 0, -1):
+    merged: Dict[tuple, list] = {}  # merged moves by kind of box, built once per pass
+    windows = _windows(n, slots, lifts)
+    caps = [column[-1] for column in windows] + [slots]
+    level = np.zeros((planes, caps[0], 2, 1 << n), dtype=np.uint64)
+    level[:, 0, 0, 0] = 1
+    live = 1
+    for j in range(1, n + 1):
         height = n + 1 - j
-        level = np.zeros((planes, slots, 2, 1 << height), dtype=np.uint64)
-        column_lift = 0  # the largest alpha lift met so far in this column
-        for i in range(height, 0, -1):
-            codes = allowed[(i, j)]
+        buffers = np.empty((2, planes * caps[j - 1] << (height - 1)), dtype=np.uint64)
+        for i in range(1, height + 1):
+            codes, diagonal = allowed[(i, j)], i == height
             lift = lifts.get((i, j), ()) if lifts else ()
-            key = (codes, lift, i == height)
+            key = (codes, lift, diagonal, i == 1, j == 1)
             if key not in merged:
-                merged[key] = _merge_moves(moduli, factors[i == height], codes, lift)
-            (alpha, beta), moves = merged[key]
-            reach = max(alpha, beta)
+                merged[key] = _merge_moves(moduli, factors[diagonal], codes, lift, i == 1, j == 1)
+            moves, after = merged[key], windows[j - 1][i - 1]
             width = 1 << (height if j > 1 else i)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
-            view = level[..., :width].reshape(planes, slots, 2, seg, 2, half)
-            flip = half < _LINE_ENTRIES and seg > half
-            if flip:
+            view = level[..., :width].reshape(planes, caps[j - 1], 2, seg, 2, half)
+            if half < _LINE_ENTRIES and seg > half:
                 view = view.swapaxes(3, 5)
-            if i == height:
-                src, step = boundary, view[:, :live, 1, :, 1, :]
-            else:
-                src, step = buffers[:planes * live * width].reshape(
-                    (2, planes, live) + ((half, seg) if flip else (seg, half)))
-                # every move sets the flag and the row bit, and none writes there
-                np.copyto(src, view[:, :live, 1, :, 1, :])
-                if primes is not None:
-                    np.remainder(src[wraps:], primes, out=src[wraps:])
-                if "." not in codes:
-                    view[:, :live].fill(0)
-            if slots - reach < live and src[:, slots - reach:].any():
-                raise RuntimeError("statistic counter overflowed its cap")
-            for factor, targets in moves:
-                product = src if factor is None else np.multiply(src, factor, out=step)
-                for up, above, bit in targets:
-                    if above and i == 1 or bit and j == 1:
-                        continue
-                    into = view[:, up:up + live, above, :, bit, :]
-                    np.add(into, product[:, :into.shape[1]], out=into)
-            product = into = None  # views of the buffers and level, which must not outlive them
-            if i == height:
-                if any(factor is not None for factor, _ in moves):
-                    step.fill(0)
-                # the boundary is freed before the buffers exist, as _sweep_bytes assumes
-                boundary = src = step = None
-                buffers = np.empty(planes * slots << height, dtype=np.uint64)
-            if alpha > column_lift:
-                column_lift = alpha
-            if beta > row_lifts[i]:
-                window += beta - row_lifts[i]
-                row_lifts[i] = beta
-            live = min(slots, live + reach, window + column_lift)
-        window += column_lift
-        # each freed as soon as it is done with, as _sweep_bytes assumes
-        del buffers, view, src, step
-        boundary = level[:, :live, :1, :1 if j == 1 else None].copy()
-        if primes is not None:
-            np.remainder(boundary[wraps:], primes, out=boundary[wraps:])
-        del level
-    residues = np.zeros((planes, slots), dtype=np.uint64)
-    residues[:, :live] = boundary[:, :, 0, 0]
-    return residues.tolist()
+            target = view[:, :after, 1, :, 1, :]
+            if diagonal:
+                # the buffers are freed before the next level exists, as _sweep_bytes assumes
+                buffers = None
+                following = np.zeros((planes, caps[j], 2, half), dtype=np.uint64)
+                sums, spare = following[:, :after, 0, None], target
+            elif moves:
+                sums, spare = buffers[:, :planes * after * width >> 1].reshape(
+                    2, planes, after, view.shape[3], view.shape[5])
+                if moves[0][1] or live < after:  # the first move leaves sums to fill
+                    sums.fill(0)
+            for k, (factor, up, sources) in enumerate(moves):
+                if slots - up < live and any(view[:, slots - up:live, above, :, bit, :].any()
+                                             for above, bit in sources):
+                    raise RuntimeError("statistic counter overflowed its cap")
+                into = sums[:, up:up + live]
+                reads = [view[:, :into.shape[1], above, :, bit, :] for above, bit in sources]
+                if factor is None and k:
+                    for read in reads:
+                        np.add(into, read, out=into)
+                    continue
+                product = spare[:, :into.shape[1]] if k else into
+                total = reads[0]
+                for read in reads[1:]:
+                    total = np.add(total, read, out=product)
+                if factor is not None:
+                    total = np.multiply(total, factor, out=product)
+                if k:
+                    np.add(into, total, out=into)
+                elif total is not into:
+                    np.copyto(into, total)
+            if moves and primes is not None:
+                np.remainder(sums[wraps:], primes, out=sums[wraps:])
+            if diagonal:
+                level, view, target = following, None, None
+            elif "." not in codes:
+                target[...] = sums if moves else 0
+                view[:, :live, 0].fill(0)
+                view[:, :live, 1, :, 0, :].fill(0)
+            elif moves:
+                np.add(target, sums, out=target)
+            # views of the buffers and the level, which must not outlive them
+            sums = spare = reads = read = into = product = total = None
+            live = after
+    return level[:, :, 0, 0].tolist()
 
 
-def _sweep_bytes(n: int, slots: int, moduli: Sequence[int]) -> int:
-    """Peak bytes of the counting passes over the plan ``moduli``,
-    reached in column 1 of a pass over its largest group: the one model
-    of a pass, which every caller of :func:`_masses_crt` reserves.
+def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
+                 lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> int:
+    """Peak bytes of the counting passes over the plan ``moduli`` under
+    ``lifts``, reached at the diagonal box of a column in a pass over
+    the plan's largest group: the one model of a pass, which every
+    caller of :func:`_masses_crt` reserves.
 
-    In units of ``8 * planes * slots * 2^n`` bytes for that group: 2
-    for the level and 1 for the two buffers.  The previous level is
-    freed by then, and so is the incoming boundary, half a unit at
-    most, before the buffers exist; column 1 hands on one mask.  A pass
-    of one plane and one slot runs without numpy iteration buffers; in
-    any other, a numpy call may buffer up to three operands, each at
-    most 64 KiB and the size of the call.  The diagonal box's calls
-    span half a unit at most and run beside the level and the boundary:
-    2.5 units and three times the lesser of half a unit and 64 KiB.
-    Later calls span a quarter unit at most and run beside the level
-    and the buffers: 3 units and three times the lesser of a quarter
-    unit and 64 KiB.  Both stay within 3 units and the lesser of a unit
-    and 192 KiB.  Then 64 bytes per slot and modulus for the residues
-    and their recombination, 192 bytes per box for the allowed map and
-    the merged moves, and 8 KiB for the call's other small objects.
+    A column of height h holds a level of ``8 * planes * c * 2^(h+1)``
+    bytes, c the slots live at its end, and two box buffers of a quarter
+    of that at most.  Its diagonal box frees the buffers and allocates
+    the next level, on half the masks and the next column's c: the peak
+    is the largest sum of two such levels.  A pass of one plane runs
+    without numpy iteration buffers; in any other, a numpy call may
+    buffer up to three operands, each at most 64 KiB and the size of the
+    call, a quarter of the level at the peak.  Then 64 bytes per slot
+    and modulus for the residues and their recombination, 256 bytes per
+    box for the allowed map, the merged moves and the slot windows, and
+    8 KiB for the call's other small objects.
     """
     planes = max(map(len, _groups(moduli, slots, n)))
-    unit = 8 * planes * slots << n
-    iteration = min(unit, 3 << 16) if planes * slots > 1 else 0
-    return 3 * unit + iteration + 64 * slots * len(moduli) + 96 * n * (n + 1) + (1 << 13)
+    caps = [column[-1] for column in _windows(n, slots, lifts)] + [slots]
+    levels, quarter = max(((2 * caps[j - 1] + caps[j]) << (n + 1 - j), caps[j - 1] << (n - j))
+                          for j in range(1, n + 1))
+    iteration = 3 * min(8 * planes * quarter, 1 << 16) if planes > 1 else 0
+    small = 64 * slots * len(moduli) + 128 * n * (n + 1) + (1 << 13)
+    return 8 * planes * levels + iteration + small
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
@@ -404,7 +428,7 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
     residues: List[List[int]] = []
-    with _budget.reserve(_sweep_bytes(n, slots, moduli), f"{slots}-slot sweeps at n={n}"):
+    with _budget.reserve(_sweep_bytes(n, slots, moduli, lifts), f"{slots}-slot sweeps at n={n}"):
         for group in _groups(moduli, slots, n):
             residues += _sweep(n, group, factors, allowed, slots, lifts)
     garner = _garner(moduli)
@@ -470,11 +494,17 @@ def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, Tuple[Tuple[str, 
 def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     """Exact law of a named counting statistic, in one counting sweep.
 
-    The sweep carries the count still to come as an extra array axis;
-    one sentinel slot past the structural cap stays empty and any
-    attempt to spill past it raises rather than miscounting.
+    The sweep carries the count so far as an extra array axis; one
+    sentinel slot past the structural cap ends empty and any attempt to
+    spill past it raises rather than miscounting.  ``Nbeta`` is counted
+    as ``Nalpha`` under ``w.swapped()``: transposing a tableau swaps its
+    alphas with its betas and carries the measure at (a, b) to the one
+    at (b, a) (Hitczenko and Janson), while a beta lift per row would
+    carry a slot per row through column 1.
     """
     _check_size(n, 1, N_DP)
+    if statistic == "Nbeta":
+        statistic, w = "Nalpha", w.swapped()
     lifts, cap = _statistic_plan(n, statistic)
     masses = _masses_crt(n, w, _allowed_map(n, None), slots=cap + 2, lifts=lifts)
     total = ScaledWeights.of(w).total_bound(n)

@@ -58,10 +58,11 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
     kept = ledger.held
     # one grouped pass, all the plan's planes at once, and its reservation
     moduli = dpcount.ScaledWeights.of(w).moduli(n)
-    slots = dpcount._statistic_plan(n, statistic)[1] + 2
+    lifts, cap = dpcount._statistic_plan(n, statistic)
+    slots = cap + 2
     assert dpcount._groups(moduli, slots, n) == [moduli] and len(moduli) > 1
-    sweep = dpcount._sweep_bytes(n, slots, moduli)
-    assert sweep > dpcount._sweep_bytes(n, slots, moduli[:1])
+    sweep = dpcount._sweep_bytes(n, slots, moduli, lifts)
+    assert sweep > dpcount._sweep_bytes(n, slots, moduli[:1], lifts)
     assert kept == sampler._shape_bytes(8) + sampler._sums_bytes(8, w)
     assert ledger.reserved == 0
     # the sweep fits the budget alone, but not beside the kept tables
@@ -106,9 +107,9 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
 
     serial = [run(k) for k in range(len(jobs))]
     workers = 4
-    sweep = max(dpcount._sweep_bytes(n, dpcount._statistic_plan(n, s)[1] + 2,
-                                     dpcount.ScaledWeights.of(w).moduli(n))
-                for s, n, w in jobs if s in ("X2", "Nalpha"))
+    sweep = max(dpcount._sweep_bytes(n, cap + 2, dpcount.ScaledWeights.of(w).moduli(n), lifts)
+                for s, n, w in jobs if s in ("X2", "Nalpha")
+                for lifts, cap in [dpcount._statistic_plan(n, s)])
     sums = max(sampler._sums_bytes(9, w) for w in alias_weights)
     # room for one worker's nested alias build, the tree beside its sums,
     # and every other worker's largest hold: a sweep or alias sums

@@ -206,6 +206,21 @@ def test_alpha_law_is_the_beta_law_of_the_swapped_weights(w):
         assert statistic_pmf(n, w, "A2") == statistic_pmf(n, w.swapped(), "B2"), n
 
 
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(2, 5)), Weights(0, F(3, 7)),
+                               Weights(F(5, 2), 0), Weights(F(13, 7), F(1000, 3))], ids=str)
+def test_beta_count_is_the_alpha_count_of_the_swapped_weights(w):
+    # statistic_pmf counts Nbeta as Nalpha under w.swapped(): against the
+    # oracle and the beta plan run as it stands; the product form of the
+    # swapped weights follows at n <= 16 below
+    for n in range(1, 11):
+        law = statistic_pmf(n, w, "Nbeta")
+        if n <= 7:
+            assert law == oracle_statistic_pmf(n, w, "Nbeta"), n
+        lifts, cap = _statistic_plan(n, "Nbeta")
+        masses = dpcount._masses_crt(n, w, dpcount._allowed_map(n, None), cap + 2, lifts)
+        assert law == Pmf.from_integers(masses, ScaledWeights.of(w).total_bound(n)), n
+
+
 def _alpha_count_law(n, w):
     """Nalpha from its product form: a sum of independent indicators,
     one per column (Hitczenko and Janson), so its generating function is
@@ -467,15 +482,16 @@ def test_counting_memory_estimate_is_tight():
     sizes = set()
     for n in (10, 11, 12, 13):
         event = ConstraintSet.of(n, {(1, 2): R.MUST_ALPHA, (n, 1): R.MUST_BETA})
-        calls = {"partition": (1, lambda w: constrained_partition(n, w)),
-                 "event": (1, lambda w: event_prob(n, w, event))}
+        calls = {"partition": (1, None, lambda w: constrained_partition(n, w)),
+                 "event": (1, None, lambda w: event_prob(n, w, event))}
         for statistic in ("Nalpha", "A2"):
-            calls[statistic] = (_statistic_plan(n, statistic)[1] + 2,
+            lifts, cap = _statistic_plan(n, statistic)
+            calls[statistic] = (cap + 2, lifts,
                                 lambda w, statistic=statistic: statistic_pmf(n, w, statistic))
-        for what, (slots, call) in calls.items():
+        for what, (slots, lifts, call) in calls.items():
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
                 sizes.add(_largest_group(n, w, slots))
-                estimate = _sweep_bytes(n, slots, ScaledWeights.of(w).moduli(n))
+                estimate = _sweep_bytes(n, slots, ScaledWeights.of(w).moduli(n), lifts)
                 gc.collect()  # empty the free lists, so every allocation is traced
                 tracemalloc.start()
                 try:
@@ -486,12 +502,15 @@ def test_counting_memory_estimate_is_tight():
                 assert peak <= estimate <= 1.3 * peak, (n, what, w, peak, estimate)
     assert {1, 2, 3, 4, 5} <= sizes  # single planes and groups of two to five
     # past the group bound every pass runs one plane; so the budget admits
-    # the diagonal statistics up to n = 22, and Nalpha up to n = 21
+    # every statistic at n = 22, Nbeta as Nalpha under swapped weights,
+    # while the beta plan run as it stands would not fit
     assert _largest_group(18, Weights(F(13, 7), F(1000, 3)), 1) == 1
     one = (2 ** 64,)
-    slots = {s: _statistic_plan(22, s)[1] + 2 for s in ("X2", "Nalpha")}
-    assert _sweep_bytes(22, slots["X2"], one) <= _MEM_BUDGET < _sweep_bytes(22, slots["Nalpha"], one)
-    assert _sweep_bytes(21, _statistic_plan(21, "Nalpha")[1] + 2, one) <= _MEM_BUDGET
+    plans = {s: _statistic_plan(22, s) for s in STATISTIC_NAMES}
+    assert all(_sweep_bytes(22, cap + 2, one, lifts) <= _MEM_BUDGET
+               for s, (lifts, cap) in plans.items() if s != "Nbeta")
+    lifts, cap = plans["Nbeta"]
+    assert _sweep_bytes(22, cap + 2, one, lifts) > _MEM_BUDGET
 
 
 def test_groups_cut_the_plan_in_order_under_the_bound():
@@ -507,13 +526,14 @@ def test_groups_cut_the_plan_in_order_under_the_bound():
 
 
 def test_prime_limit_leaves_room_for_unreduced_products():
-    # a level entry starts below p and takes at most two products of
-    # reduced values per box, in at most N_DP boxes of one column
+    # a flag-set entry takes one reduced sum per box, so it stays below
+    # (N_DP + 1) p, and a box sums at most four products of such entries
+    # and reduced factors before it reduces them
     largest = _primes_covering(1)[0]
     assert largest < _PRIME_LIMIT == 2 ** 29
-    assert largest + 2 * N_DP * (largest - 1) ** 2 < 2 ** 64
+    assert (N_DP + 4) * largest ** 2 < 2 ** 64
     # while primes just below 2^31 would let uint64 wrap
-    assert 2 ** 31 + 2 * N_DP * (2 ** 31 - 2) ** 2 >= 2 ** 64
+    assert (N_DP + 4) * (2 ** 31 - 1) ** 2 >= 2 ** 64
 
 
 def test_prime_list_grows_once_under_threads(monkeypatch):
@@ -626,8 +646,9 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
 
 
 def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
-    """The counting pass as it stood before column 1 skipped unreachable
-    states, moves were merged and moduli were stacked as planes: one
+    """The counting pass as it stood before passes ran left to right,
+    column 1 skipped unreachable states, moves were merged and moduli
+    were stacked as planes: right to left, counting completions, on one
     modulus, every box updates every slot of the whole level, one
     product per move.  A symbol of a code that ``lifts`` names at a box
     moves the count up that many slots.  Kept as the reference the
@@ -708,11 +729,15 @@ def _kernel_cases(n, rng, statistics=STATISTIC_NAMES):
 #: is 2^64 alone and one whose plan needs primes beside it.  Up to n = 7
 #: a box with half = 4 runs along its long axis only in column 2; from
 #: n = 8 on, in several columns.  At n = 10-11 the alpha and beta counts
-#: alone, on one modulus.
+#: alone, on one modulus.  At n = 12-13, where the kernel's slot window
+#: and the reference's all-slot level differ most, B2, A3 and X3 on 2^64
+#: alone and on a plan with primes.
 KERNEL_SIZES = ([(w, range(1, 8), STATISTIC_NAMES) for w in KERNEL_WEIGHTS]
                 + [(KERNEL_WEIGHTS[0], range(8, 10), STATISTIC_NAMES),
                    (KERNEL_WEIGHTS[2], range(8, 10), STATISTIC_NAMES),
-                   (KERNEL_WEIGHTS[0], range(10, 12), ("Nalpha", "Nbeta"))])
+                   (KERNEL_WEIGHTS[0], range(10, 12), ("Nalpha", "Nbeta")),
+                   (KERNEL_WEIGHTS[0], range(12, 14), ("B2", "A3", "X3")),
+                   (KERNEL_WEIGHTS[2], range(12, 14), ("B2", "A3", "X3"))])
 
 
 def _flipped_boxes(n):
@@ -727,7 +752,8 @@ def _flipped_boxes(n):
 
 @pytest.mark.parametrize("w, sizes, statistics", KERNEL_SIZES,
                          ids=[f"w{k}" for k in range(len(KERNEL_WEIGHTS))]
-                         + ["single-modulus-n8-9", "primes-n8-9", "counts-n10-11"])
+                         + ["single-modulus-n8-9", "primes-n8-9", "counts-n10-11",
+                            "single-modulus-n12-13", "primes-n12-13"])
 def test_kernel_matches_the_reference_pass(w, sizes, statistics):
     # every modulus of the plan and a foreign prime small enough that
     # merged factors such as q * (pa + pb) often vanish or reduce to 1,
@@ -785,18 +811,24 @@ def test_factors_congruent_to_zero_or_one_match_independent_routes(w):
         assert (law.alpha, law.beta, law.empty) == (direct.alpha, direct.beta, direct.empty)
 
 
-@pytest.mark.parametrize("statistic", ["Nalpha", "X2"])
+@pytest.mark.parametrize("statistic", ["Nalpha", "X2", "B2"])
 @pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3))])
 def test_counter_guards_refuse_a_cap_too_small(monkeypatch, statistic, w):
     # Nalpha bumps in column 1, where the kernel skips unreachable
-    # states; X2 only past it.  One modulus at a = b = 1, several at
+    # states; X2 and B2 only past it, and B2 by beta lifts, which a
+    # forward pass meets per row.  One modulus at a = b = 1, several at
     # (13/7, 1000/3).
     n = 9
     plan = _statistic_plan(n, statistic)
     assert (len(ScaledWeights.of(w).moduli(n)) == 1) == (w == Weights(1, 1))
-    # one below the cap: the sentinel slot fills, and the masses check sees it
+    # one below the cap: the top count lands in the sentinel slot.  Nalpha
+    # reaches its cap only in column n, so the masses check sees it; X2 and
+    # B2 reach theirs a column early or more, and a forward pass also counts
+    # the fillings that a later diagonal box kills, whose next lift spills
+    # past the last slot, so the kernel refuses first
     monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 1))
-    with pytest.raises(RuntimeError, match="reached past its structural cap"):
+    first = "reached past its structural cap" if statistic == "Nalpha" else "overflowed its cap"
+    with pytest.raises(RuntimeError, match=first):
         statistic_pmf(n, w, statistic)
     # two below: the count spills past the last slot, and the kernel refuses it
     monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 2))
