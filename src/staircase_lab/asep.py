@@ -138,14 +138,6 @@ def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 # stationary law via weighted tableaux
 
-def _accumulate(acc: Dict, key, vec: List[int], factor: int) -> None:
-    """Add factor * vec into acc[key], entry by entry."""
-    if factor:
-        old = acc.get(key)
-        acc[key] = ([x * factor for x in vec] if old is None
-                    else [y + x * factor for x, y in zip(vec, old)])
-
-
 def _add(acc: Dict, key, value: int) -> None:
     """Add a nonzero value into acc[key]."""
     if value:
@@ -219,7 +211,10 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
         halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
         for closed, vec in states.items():
             for (closes, bit), weight in weights[n - j - closed].items():
-                _accumulate(halves, (closed + closes, bit), vec, weight)
+                key = (closed + closes, bit)
+                old = halves.get(key)
+                halves[key] = ([x * weight for x in vec] if old is None
+                               else [y + x * weight for x, y in zip(vec, old)])
         states = {}
         for (closed, bit), half in halves.items():
             if closed not in states:

@@ -56,14 +56,11 @@ def _rationals(text: str, option: str, count: str, names: str) -> List[Fraction]
     return [RATIONAL.convert(part, None, None) for part in parts]
 
 
-def _cell(value):
-    return value if isinstance(value, (int, float, str)) else str(value)
-
-
 def _emit(header: Sequence[str], rows: Sequence[Sequence], as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps(
-            [dict(zip(header, map(_cell, row))) for row in rows], indent=2
+            [{key: cell if isinstance(cell, (int, float, str)) else str(cell)
+              for key, cell in zip(header, row)} for row in rows], indent=2
         ))
     else:
         click.echo(",".join(header))
@@ -155,7 +152,7 @@ def joint(diag, kind, cols, n, a, b, as_json):
              else constraints.third_diag_event)(n, columns, constraints.Requirement(kind))
     if n <= dpcount.N_DP:
         rows.append(("exact_dp", dpcount.event_prob(n, w, event), "exact"))
-    if n <= 7:
+    if n <= enumeration._CACHE_MAX:
         rows.append(("oracle", enumeration.oracle_event_prob(n, w, event), "exact"))
     _emit(("route", "value", "note"), rows, as_json)
 
@@ -284,8 +281,6 @@ def _selftest_suites():
                     if p_given == 0:
                         return False
                     for box in ((1, n), (n, 1), (1, 2), (3, 2)):
-                        if box in event:
-                            continue
                         law = dpcount.conditional_cell_law(n, w, box, given)
                         for cell, got in ((req.MUST_ALPHA, law.alpha), (req.MUST_BETA, law.beta),
                                           (req.MUST_EMPTY, law.empty)):

@@ -17,6 +17,7 @@ of cell events.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -225,20 +226,20 @@ def _per_plane(values: Sequence[int]):
 
 
 def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
-                 lift: Tuple[Tuple[str, int], ...], top: bool, first: bool) -> list:
+                 lift: Tuple[int, int], top: bool, first: bool) -> list:
     """The moves open at a box, merged: moves from one source, the same
     (flag, bit), that take the same lift add their integer factors into
     one; sources with equal factor and lift are summed before one
     product; a factor of 1 needs no product and a factor of 0 no move.
-    The ``top`` box reads no source with the flag set, and a box of
-    column 1 (``first``) no dirty-row source.  Returns ``[(factor per
-    plane, or None for 1, lift, [(flag, bit), ...]), ...]``, each factor
-    reduced modulo its plane's modulus."""
-    up = dict(lift)
+    ``lift`` is the box's (alpha steps, beta steps).  The ``top`` box
+    reads no source with the flag set, and a box of column 1
+    (``first``) no dirty-row source.  Returns ``[(factor per plane, or
+    None for 1, lift, [(flag, bit), ...]), ...]``, each factor reduced
+    modulo its plane's modulus."""
     factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
         if code in codes and not (above and top or bit and first):
-            source = (up.get(code, 0), above, bit)
+            source = (lift[code == "B"], above, bit)
             factor_of[source] = factor_of.get(source, 0) + four[k]
     sources_of: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for (steps, above, bit), factor in factor_of.items():
@@ -248,25 +249,21 @@ def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
             for (factor, steps), sources in sources_of.items()]
 
 
-def _windows(n: int, slots: int,
-             lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]]) -> List[List[int]]:
+def _windows(n: int, slots: int, lifts: Optional[Dict[Box, Tuple[int, int]]]) -> List[List[int]]:
     """Per column, left to right, the slots that may hold mass after
     each of its boxes, top-down.  One slot holds mass at the start and
     each box adds its largest lift, but no count passes the largest
-    alpha lift of each column so far plus the largest beta lift met so
-    far in each row: an alpha needs no symbol above it and a beta a
-    clean row, so a tableau holds one alpha per column and one beta per
-    row at most."""
-    live, window, rows, out = 1, 1, [0] * (n + 1), []
+    alpha lift of each column so far plus every beta lift met so far:
+    an alpha needs no symbol above it, so a tableau holds one alpha per
+    column at most."""
+    live, window, out = 1, 1, []
     for j in range(1, n + 1):
         column, lives = 0, []
         for i in range(1, n + 2 - j):
-            up = dict(lifts.get((i, j), ())) if lifts else None
-            if up:  # a box without lifts leaves the window as it is
-                alpha, beta = up.get("A", 0), up.get("B", 0)
+            if lifts and (i, j) in lifts:  # a box without lifts leaves the window as it is
+                alpha, beta = lifts[(i, j)]
                 column = max(column, alpha)
-                window += max(beta - rows[i], 0)
-                rows[i] = max(rows[i], beta)
+                window += beta
                 live = min(slots, live + max(alpha, beta), window + column)
             lives.append(live)
         window += column
@@ -276,7 +273,7 @@ def _windows(n: int, slots: int,
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str], slots: int = 1,
-           lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[List[int]]:
+           lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> List[List[int]]:
     """One left-to-right counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
 
@@ -287,9 +284,9 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     from the one empty state before column 1; the residues are the
     counts that leave column n.  ``factors`` holds the four move factors
     off the diagonal and on it, as :meth:`ScaledWeights.factors` gives
-    them.  ``lifts`` maps a box to ``((code, steps), ...)``: a symbol of
-    that code there lifts the count by that many slots, and an empty
-    cell never does.  A lift that would pass the last slot while the
+    them.  ``lifts`` maps a box to ``(alpha steps, beta steps)``: a
+    symbol there lifts the count by its code's steps, and an empty cell
+    never does.  A lift that would pass the last slot while the
     slots it lifts from hold mass raises.  Every plane walks the boxes
     together: moves and merged factors are worked out once per box, and
     each numpy call spans all planes.
@@ -325,7 +322,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
     primes = _per_plane(moduli[wraps:]) if wraps < planes else None
-    merged: Dict[tuple, list] = {}  # merged moves by kind of box, built once per pass
+    merged = functools.cache(functools.partial(_merge_moves, moduli))  # once per kind of box
     windows = _windows(n, slots, lifts)
     caps = [column[-1] for column in windows] + [slots]
     level = np.zeros((planes, caps[0], 2, 1 << n), dtype=np.uint64)
@@ -336,11 +333,9 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
         buffers = np.empty((2, planes * caps[j - 1] << (height - 1)), dtype=np.uint64)
         for i in range(1, height + 1):
             codes, diagonal = allowed[(i, j)], i == height
-            lift = lifts.get((i, j), ()) if lifts else ()
-            key = (codes, lift, diagonal, i == 1, j == 1)
-            if key not in merged:
-                merged[key] = _merge_moves(moduli, factors[diagonal], codes, lift, i == 1, j == 1)
-            moves, after = merged[key], windows[j - 1][i - 1]
+            lift = lifts.get((i, j), (0, 0)) if lifts else (0, 0)
+            moves = merged(factors[diagonal], codes, lift, i == 1, j == 1)
+            after = windows[j - 1][i - 1]
             width = 1 << (height if j > 1 else i)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
             view = level[..., :width].reshape(planes, caps[j - 1], 2, seg, 2, half)
@@ -394,7 +389,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
 
 
 def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
-                 lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> int:
+                 lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> int:
     """Peak bytes of the counting passes over the plan ``moduli`` under
     ``lifts``, reached at the diagonal box of a column in a pass over
     the plan's largest group: the one model of a pass, which every
@@ -422,7 +417,7 @@ def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
-                lifts: Optional[Dict[Box, Tuple[Tuple[str, int], ...]]] = None) -> List[int]:
+                lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
     of the plan's moduli."""
     scaled = ScaledWeights.of(w)
@@ -473,7 +468,7 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
     # the box joins the event free, so a box already constrained raises
     ConstraintSet(n, base.items + ((box, Requirement.FREE),))
     empty, alpha, beta = _masses_crt(n, w, allowed, slots=3,
-                                     lifts={box: (("A", 1), ("B", 2))})
+                                     lifts={box: (1, 2)})
     denominator = empty + alpha + beta
     if denominator == 0:
         raise ValueError("conditioning event has probability zero")
@@ -481,14 +476,13 @@ def conditional_cell_law(n: int, w: Weights, box: Box,
                   empty=Fraction(empty, denominator))
 
 
-def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, Tuple[Tuple[str, int], ...]], int]:
+def _statistic_plan(n: int, statistic: str) -> Tuple[Dict[Box, Tuple[int, int]], int]:
     """Which codes lift the counter by one at which boxes, and the
     statistic's largest value, which the sweep verifies by refusing to
     overflow it: :func:`~staircase_lab.core._statistic_cells` on the
     alpha/beta tableaux the kernel fills."""
     boxes, codes, cap = _statistic_cells(n, statistic)
-    lift = tuple((code, 1) for code in codes if code in "AB")
-    return {box: lift for box in boxes}, cap
+    return dict.fromkeys(boxes, (int("A" in codes), int("B" in codes))), cap
 
 
 def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:

@@ -8,6 +8,7 @@ through :func:`_column_configs`, and never backtracks into a dead end.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -65,17 +66,11 @@ def _column_configs(height: int, mask: int) -> List[Tuple[str, int]]:
 
 
 def enumerate_tableaux(n: int) -> Iterator[Tableau]:
-    """Yield every valid size-n tableau exactly once, streaming."""
+    """Yield every valid size-n tableau exactly once, streaming; each
+    stream caches the fillings of each (height, mask) it meets."""
     _check_size(n)
-    memo: Dict[Tuple[int, int], List[Tuple[str, int]]] = {}
+    configs = functools.cache(_column_configs)
     columns: List[str] = [""] * n
-
-    def configs(height: int, mask: int) -> List[Tuple[str, int]]:
-        key = (height, mask)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _column_configs(height, mask)
-        return got
 
     def walk(j: int, mask: int) -> Iterator[Tableau]:
         for column, next_mask in configs(n - j, mask):

@@ -362,3 +362,10 @@ def test_library_refusals_print_the_usage_and_the_library_message(runner, args, 
         f"Usage: main {command} [OPTIONS]\n"
         f"Try 'main {command} --help' for help.\n\n"
         f"Error: {message}\n")
+
+
+def test_converge_refuses_sizes_that_are_not_integers(runner):
+    assert run(runner, "converge", "--stat", "A2", "--ns", "8,x", expect=2) == (
+        "Usage: main converge [OPTIONS]\n"
+        "Try 'main converge --help' for help.\n\n"
+        "Error: --ns must be comma-separated integers, got '8,x'\n")

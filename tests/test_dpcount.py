@@ -513,6 +513,47 @@ def test_counting_memory_estimate_is_tight():
     assert _sweep_bytes(22, cap + 2, one, lifts) > _MEM_BUDGET
 
 
+def _row_book_windows(n, slots, lifts):
+    """The slot windows as they stood with a book of the largest beta
+    lift met in each row: no count passes the largest alpha lift of
+    each column so far plus the largest beta lift so far in each row."""
+    live, window, rows, out = 1, 1, [0] * (n + 1), []
+    for j in range(1, n + 1):
+        column, lives = 0, []
+        for i in range(1, n + 2 - j):
+            if lifts and (i, j) in lifts:
+                alpha, beta = lifts[(i, j)]
+                column = max(column, alpha)
+                window += max(beta - rows[i], 0)
+                rows[i] = max(rows[i], beta)
+                live = min(slots, live + max(alpha, beta), window + column)
+            lives.append(live)
+        window += column
+        out.append(lives)
+    return out
+
+
+def test_windows_match_the_row_book_on_every_plan_the_library_runs():
+    # no plan the library runs lifts two betas in one row (Nbeta runs as
+    # Nalpha), so adding each beta lift to the window is the row book:
+    # the lift-free pass, a cell law at every box and six statistics
+    plans = 0
+    for n in range(1, N_DP + 1):
+        runs = [(1, None)] + [(3, {box: (1, 2)}) for box in staircase_boxes(n)]
+        runs += [(cap + 2, lifts) for lifts, cap in
+                 (_statistic_plan(n, s) for s in STATISTIC_NAMES if s != "Nbeta")]
+        for slots, lifts in runs:
+            assert dpcount._windows(n, slots, lifts) == _row_book_windows(n, slots, lifts), \
+                (n, slots, lifts)
+        plans += len(runs)
+    assert plans == 2178
+    # the beta plan as it stands lifts every box of a row, and its window
+    # is one slot wider than the book's from column 2 on
+    lifts, cap = _statistic_plan(12, "Nbeta")
+    wide, book = dpcount._windows(12, cap + 2, lifts), _row_book_windows(12, cap + 2, lifts)
+    assert [c[-1] for c in wide] == [c[-1] for c in book[:1]] + [c[-1] + 1 for c in book[1:]]
+
+
 def test_groups_cut_the_plan_in_order_under_the_bound():
     plan = ScaledWeights.of(Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))).moduli(12)
     assert len(plan) == 25
@@ -650,8 +691,8 @@ def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
     column 1 skipped unreachable states, moves were merged and moduli
     were stacked as planes: right to left, counting completions, on one
     modulus, every box updates every slot of the whole level, one
-    product per move.  A symbol of a code that ``lifts`` names at a box
-    moves the count up that many slots.  Kept as the reference the
+    product per move.  A symbol at a box that ``lifts`` maps to (alpha
+    steps, beta steps) moves the count up its code's steps.  Kept as the reference the
     kernel must match."""
     moves = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
     modulus = None if m == 2 ** 64 else np.uint64(m)
@@ -664,7 +705,7 @@ def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
         buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
         for i in range(height, 0, -1):
             codes, fac = allowed[(i, j)], facs[i == height]
-            up = dict(lifts.get((i, j), ())) if lifts else {}
+            up = lifts.get((i, j), (0, 0)) if lifts else (0, 0)
             seg, half = 1 << (height - i), 1 << (i - 1)
             view = level.reshape(slots, 2, seg, 2, half)
             src, step = buffers.reshape(2, slots, seg, half)
@@ -677,7 +718,7 @@ def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
                 if code not in codes:
                     continue
                 np.multiply(src, fac[k], out=step)
-                lift = up.get(code, 0)
+                lift = up[code == "B"]
                 if src[slots - lift:].any():
                     raise RuntimeError("statistic counter overflowed its cap")
                 view[lift:, above, :, bit, :] += step[:slots - lift]
@@ -722,7 +763,7 @@ def _kernel_cases(n, rng, statistics=STATISTIC_NAMES):
             yield allowed, lifts, cap + 2
         free = [box for box in staircase_boxes(n) if box not in given.as_dict()]
         if free and every:
-            yield allowed, {rng.choice(free): (("A", 1), ("B", 2))}, 3
+            yield allowed, {rng.choice(free): (1, 2)}, 3
 
 
 #: Every kernel weight up to n = 7, and n = 8-9 for one weight whose plan

@@ -152,6 +152,12 @@ def test_gap_index_sets():
         assert all(c2 - c1 >= 2 for c1, c2 in zip(cols, cols[1:]))
 
 
+@pytest.mark.parametrize("r, m, min_gap", [(-1, 3, 2), (2, 4, 0)])
+def test_gap_index_sets_refuse_a_negative_size_or_a_gap_below_one(r, m, min_gap):
+    with pytest.raises(ValueError, match="need r >= 0 and min_gap >= 1"):
+        list(gap_index_sets(r, m, min_gap))
+
+
 def test_gap_index_set_count():
     import math
     for r, m, gap in [(2, 7, 2), (3, 10, 2), (2, 9, 3), (4, 14, 3)]:
