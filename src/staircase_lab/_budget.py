@@ -1,23 +1,20 @@
 """One memory budget for the whole process, kept in one ledger.
 
-Counting sweeps, alias trees and sums and tableau lists all claim
-their peak bytes here: a table for as long as it is kept, a sweep
-while it runs.  A claim that does not fit evicts the least
-recently used tables of every builder; one that still does not fit
-raises ``ValueError`` before anything is allocated.
+Counting sweeps, alias trees and tableau lists all claim their peak
+bytes here: a table for as long as it is kept, a sweep while it runs.
+A claim that does not fit evicts the least recently used tables of
+every builder; one that still does not fit raises ``ValueError``
+before anything is allocated.
 """
 
 import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Set, Tuple
+from typing import Callable, Iterator, Set, Tuple
 
 #: Peak bytes that kept tables and running sweeps may claim together.
 _MEM_BUDGET = 1_500_000_000
-
-#: Tables each builder keeps, the least recently used evicted first.
-_CACHE_SIZE = 8
 
 
 class _Ledger:
@@ -32,22 +29,14 @@ class _Ledger:
         self.held = 0  # bytes charged to kept tables and to builds under way
         self.reserved = 0  # bytes reserved by running sweeps
 
-    def admit(self, need: int, what: str, build: Optional[Callable] = None) -> None:
+    def admit(self, need: int, what: str) -> None:
         """Evict until ``need`` more bytes fit, or raise; under the lock."""
         if need <= _MEM_BUDGET:
-            self.trim(build)
             while self.kept and self.held + self.reserved + need > _MEM_BUDGET:
                 self.held -= self.kept.popitem(last=False)[1][1]
         if self.held + self.reserved + need > _MEM_BUDGET:
             size = f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.1f} MB"
             raise ValueError(f"{what} would need about {size}; use a smaller size")
-
-    def trim(self, build: Optional[Callable]) -> None:
-        """Evict the builder's least recently used table if it keeps its
-        cap; under the lock."""
-        own = [key for key in self.kept if key[0] is build]
-        if len(own) >= _CACHE_SIZE:
-            self.held -= self.kept.pop(own[0])[1]
 
 
 _ledger = _Ledger()
@@ -69,7 +58,7 @@ def get(build: Callable, estimate: Callable[..., int], what: str, *key):
             ledger.kept.move_to_end(entry)
             return ledger.kept[entry][0]
         need = estimate(*key)
-        ledger.admit(need, what.format(*key), build)
+        ledger.admit(need, what.format(*key))
         ledger.held += need
         ledger.building.add(entry)
     try:
@@ -82,7 +71,6 @@ def get(build: Callable, estimate: Callable[..., int], what: str, *key):
         raise
     with ledger.lock:
         ledger.building.discard(entry)
-        ledger.trim(build)  # builds of one builder may have run side by side
         ledger.kept[entry] = (table, need)
         ledger.lock.notify_all()
     return table

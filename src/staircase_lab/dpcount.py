@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,20 +89,15 @@ class ScaledWeights:
 #: The free modulus: numpy's uint64 arithmetic wraps around it.
 _WRAP = 1 << 64
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    for p in _MR_BASES:
-        if x % p == 0:
-            return x == p
+    """Miller-Rabin on bases 2, 3, 5 and 7, which decides every odd x
+    from 9 below 3,215,031,751 > 2^29, all that the plan asks about."""
     d, s = x - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES:  # deterministic far beyond 64 bits
+    for base in (2, 3, 5, 7):
         y = pow(base, d, x)
         if y in (1, x - 1):
             continue
@@ -127,26 +121,24 @@ def _is_prime(x: int) -> bool:
 _PRIME_LIMIT = 1 << 29
 assert (N_DP + 4) * _PRIME_LIMIT ** 2 < _WRAP
 
-#: The primes below _PRIME_LIMIT in descending order, found on demand.
-_PRIMES: List[int] = []
-_PRIMES_LOCK = threading.Lock()
+
+@functools.cache
+def _prime_below(p: int) -> int:
+    """The largest prime below the odd number ``p``."""
+    p -= 2
+    while not _is_prime(p):
+        p -= 2
+    return p
 
 
 def _primes_covering(bound: int) -> Tuple[int, ...]:
     """The largest primes below 2^29, as few as take the product past
     ``bound``."""
-    product, count = 1, 0
+    primes, product = [], 1
     while product <= bound:
-        if count == len(_PRIMES):
-            with _PRIMES_LOCK:
-                if count == len(_PRIMES):
-                    candidate = _PRIMES[-1] - 2 if _PRIMES else _PRIME_LIMIT - 1
-                    while not _is_prime(candidate):
-                        candidate -= 2
-                    _PRIMES.append(candidate)
-        product *= _PRIMES[count]
-        count += 1
-    return tuple(_PRIMES[:count])
+        primes.append(_prime_below(primes[-1] if primes else _PRIME_LIMIT + 1))
+        product *= primes[-1]
+    return tuple(primes)
 
 
 def _garner(moduli: Sequence[int]) -> Tuple[Tuple[int, int, int], ...]:

@@ -215,8 +215,8 @@ def gap_index_sets(r: int, m: int, min_gap: int = 2) -> Iterator[Tuple[int, ...]
     shift = min_gap - 1
     top = m - shift * (r - 1)
     offsets = [shift * k for k in range(r)]
-    for base in itertools.combinations(range(1, top + 1), r):
-        yield tuple(map(operator.add, base, offsets))
+    return (tuple(map(operator.add, base, offsets))
+            for base in itertools.combinations(range(1, top + 1), r))
 
 
 def gap_index_product_sum(r: int, m: int) -> Tuple[Fraction, Fraction]:

@@ -1,11 +1,12 @@
 """Exact random generation of weighted staircase tableaux.
 
 Two backends draw from the same measure, as :func:`sample_many`
-describes: ``enum_alias`` down the tree of :func:`_alias_shape` by the
-running sums of :func:`_alias_sums`, which it keeps in the process's
-one memory ledger (``_budget.get``), and ``chain_rule`` box by box from
-the closed-form completion counts of :func:`_sample_chain`, which keeps
-nothing.  Every draw of an integer goes through :func:`_below`.
+describes, both from Hitczenko and Janson's closed-form completion
+counts: ``enum_alias`` down the tree of :func:`_alias_shape`, which it
+keeps in the process's one memory ledger (``_budget.get``), weighing
+only the states a call reaches (:func:`_sample_enum`), and
+``chain_rule`` box by box (:func:`_sample_chain`), which keeps nothing.
+Every draw of an integer goes through :func:`_below`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import bisect
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +53,7 @@ def _alias_shape(n: int) -> List[Tuple[List[Tuple[str, int, int]], List[int]]]:
     column 1, any below 2^h past it) it has the fillings ``starts[mask]``
     to ``starts[mask + 1]`` in enumeration order, each as (column, mask
     after it, code).  A filling weighs ``factors[code]`` of
-    :func:`_alias_sums`: ``pa`` if it holds no alpha, ``pb`` if its
+    :func:`_sample_enum`: ``pa`` if it holds no alpha, ``pb`` if its
     alpha is a clean row's first symbol and 1 on a dirty row, times
     ``q`` per symbol.  A row has no beta exactly when its first symbol
     is an alpha, so a path multiplies to its tableau's weight."""
@@ -81,52 +81,41 @@ def _shape_bytes(n: int) -> int:
     return sum(size * (h + 130) + masks * 40 for h, size, masks in _column_sizes(n)) + 2048
 
 
-def _alias_sums(n: int, w: Weights) -> Tuple[List[List[int]], List[int]]:
-    """Per column of :func:`_alias_shape`, the running sums from 0 of
-    its fillings' exact subtree weights at the q^(2n) scale, across its
-    masks; and the factor of each code."""
-    shape = _budget.get(_alias_shape, _shape_bytes, "the enumeration tree for n={0}", n)
-    scaled = ScaledWeights.of(w)
-    factors = [kind * scaled.q ** symbols for symbols in range(n + 1)
-               for kind in (scaled.pa, scaled.pb, 1)]
-    sums, below = [], [1]  # below: by mask, the subtree weights one column on
-    for fillings, starts in reversed(shape):
-        sums.append(list(itertools.accumulate(
-            (factors[code] * below[after] for _, after, code in fillings), initial=0)))
-        below = [sums[-1][hi] - sums[-1][lo] for lo, hi in zip(starts, starts[1:])]
-    if below != [scaled.total(n)]:
-        raise RuntimeError("alias table weights do not sum to the partition total")
-    return sums[::-1], factors
-
-
-def _sums_bytes(n: int, w: Weights) -> int:
-    """Bytes of the running sums: per filling, a list slot and an int at
-    most its column's top, q^h prod_i (1 + pa + pb + (i-1) q) as a dirty
-    row i weighs 1, bar the ~128/top share Python caches; then the
-    factors and one column's subtree weights."""
-    scaled = ScaledWeights.of(w)
-    spread = ScaledWeights(scaled.q, scaled.pa + 1, scaled.pb)
-    used = 2048 + (3 * n + 3 + (1 << (n - 1))) * (sys.getsizeof(scaled.total(n)) + 4)
-    for h, size, _ in _column_sizes(n):
-        top = spread.total(h) if h < n else scaled.total(n)
-        used += size * (10 + max(0.0, 1 - 128 / top) * (sys.getsizeof(top) + 4))
-    return int(used)
-
-
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
-    # the sums first: their build fetches the shape and may evict one fetched before
-    sums, factors = _budget.get(_alias_sums, _sums_bytes,
-                                "enum_alias sums for n={0} with these weights", n, w)
+    """Each draw descends the tree from one uniform integer below the
+    partition total.  A state of height h on the dirty-row mask ``mask``
+    has q^h times g_r = pa + pb + (r - 1) q of each clean row r <= h
+    completions, the row product :func:`_sample_chain` reads, and
+    ``counts`` holds them for the call.  The first draw to reach a state
+    sums its fillings' factors times the counts after them, checks the
+    sum against the state's own count, and keeps the running sums for
+    the rest of the call."""
     shape = _budget.get(_alias_shape, _shape_bytes, "the enumeration tree for n={0}", n)
-    getrandbits, total = rng.getrandbits, sums[0][-1]
-    draws = []
+    scaled = ScaledWeights.of(w)
+    q = scaled.q
+    factors = [kind * q ** symbols for symbols in range(n + 1)
+               for kind in (scaled.pa, scaled.pb, 1)]
+    counts = [[1]]  # by height, by mask: the completion count
+    for r in range(1, n):
+        clean = q * (scaled.pa + scaled.pb + (r - 1) * q)
+        counts.append([clean * c for c in counts[-1]] + [q * c for c in counts[-1]])
+    counts.append([scaled.total(n)])  # column 1 is entered on mask 0 alone
+    reached: List[Dict[int, List[int]]] = [{} for _ in shape]  # per column, by mask
+    getrandbits, draws = rng.getrandbits, []
     for _ in range(count):
-        draw, mask, columns = _below(getrandbits, total), 0, []
-        for (fillings, starts), running in zip(shape, sums):
-            draw += running[starts[mask]]
-            k = bisect.bisect_right(running, draw, starts[mask], starts[mask + 1]) - 1
-            draw -= running[k]  # now below the pick's factor times its subtree's weight
-            column, mask, code = fillings[k]
+        draw, mask, columns = _below(getrandbits, counts[n][0]), 0, []
+        for j, (fillings, starts) in enumerate(shape):
+            start, running = starts[mask], reached[j].get(mask)
+            if running is None:
+                after = counts[n - j - 1]
+                running = reached[j][mask] = list(itertools.accumulate(
+                    (factors[code] * after[to]
+                     for _, to, code in fillings[start:starts[mask + 1]]), initial=0))
+                if running[-1] != counts[n - j][mask]:
+                    raise RuntimeError("alias weights do not add up to the completion count")
+            k = bisect.bisect_right(running, draw) - 1
+            draw -= running[k]  # now below the pick's factor times its count after
+            column, mask, code = fillings[start + k]
             draw //= factors[code]
             columns.append(column)
         draws.append(Tableau._from_columns(columns))

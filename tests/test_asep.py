@@ -399,6 +399,15 @@ def test_lift_moves_past_a_prime_dividing_the_determinant(monkeypatch):
     assert tried == [(factor, True), (asep._PRIMES[1], False)]
 
 
+def test_solve_refuses_a_generator_singular_modulo_every_prime(monkeypatch):
+    tried = []
+    monkeypatch.setattr(asep, "_inverse_mod", lambda matrix, prime: tried.append(prime))
+    with pytest.raises(RuntimeError, match="^the generator is singular modulo every prime "
+                                           "tried$"):
+        steady_state_via_generator(3, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)))
+    assert tried == list(asep._PRIMES)
+
+
 def test_lift_gives_up_at_the_hadamard_cap(monkeypatch):
     n, p = 3, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
     size, rates = 1 << n, _integer_rates(p)

@@ -21,39 +21,36 @@ def _charges(ledger):
     return sum(charge for _, charge in ledger.kept.values())
 
 
-def _kept(ledger, build, n):
-    return [key for key in ledger.kept if key[0] is build and key[1] == n]
-
-
 def test_kept_tables_and_lists_stay_within_one_budget(monkeypatch, fresh_ledger):
-    # a tableau list and eight n = 8 alias sums over their shared tree,
-    # then eight n = 6 sums over theirs: each fits alone, together they do not
-    budget = 8 * sampler._sums_bytes(8, Weights(8, 1))
+    # tableau lists and alias trees: each fits alone, together they do
+    # not; the list at n = 6 and the tree at n = 9 fit side by side, with
+    # room for half the tree at n = 8
+    budget = (enumeration._list_bytes(6) + sampler._shape_bytes(9)
+              + sampler._shape_bytes(8) // 2)
     ledger = fresh_ledger()
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
     tracemalloc.start()
     try:
         enumeration.all_tableaux(5)
-        for n in (8, 6):
-            for k in range(1, 9):
-                sampler.sample_many(n, Weights(k, 1), random.Random(k), 2, "enum_alias")
+        for n in (7, 8):
+            sampler.sample_many(n, Weights(n, 1), random.Random(n), 2, "enum_alias")
+        enumeration.all_tableaux(6)
+        sampler.sample_many(9, Weights(9, 1), random.Random(9), 2, "enum_alias")
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held <= budget
     assert ledger.held == _charges(ledger) <= budget and ledger.reserved == 0
-    assert not _kept(ledger, enumeration._build_list, 5)
-    assert len(_kept(ledger, sampler._alias_sums, 8)) < 8
-    assert len(_kept(ledger, sampler._alias_sums, 6)) == 8
-    # the tree was read last, so it outlived the sums built before it
-    assert list(ledger.kept)[-1] == (sampler._alias_shape, 6)
+    # the least recently used went first, whoever built them
+    assert list(ledger.kept) == [(enumeration._build_list, 6), (sampler._alias_shape, 9)]
 
 
 def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledger):
     n, w, statistic = 10, Weights(F(13, 7), F(1000, 3)), "X2"
     expected = dpcount.statistic_pmf(n, w, statistic)
     ledger = fresh_ledger()
+    enumeration.all_tableaux(5)
     sampler.sample(8, w, random.Random(0), "enum_alias")
     kept = ledger.held
     # one grouped pass, all the plan's planes at once, and its reservation
@@ -63,7 +60,7 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
     assert dpcount._groups(moduli, slots, n) == [moduli] and len(moduli) > 1
     sweep = dpcount._sweep_bytes(n, slots, moduli, lifts)
     assert sweep > dpcount._sweep_bytes(n, slots, moduli[:1], lifts)
-    assert kept == sampler._shape_bytes(8) + sampler._sums_bytes(8, w)
+    assert kept == enumeration._list_bytes(5) + sampler._shape_bytes(8)
     assert ledger.reserved == 0
     # the sweep fits the budget alone, but not beside the kept tables
     monkeypatch.setattr(_budget, "_MEM_BUDGET", sweep + kept // 2)
@@ -91,13 +88,16 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
     weights = [Weights(1, 1), Weights(F(1, 2), 3), Weights(F(13, 7), F(1000, 3))]
     jobs = [("chain_rule", n, w) for n in (8, 9, 10) for w in weights]
     alias_weights = weights + [Weights(2, 1), Weights(F(2, 7), F(5, 3)), Weights(F(5, 2), 0)]
-    jobs += [("enum_alias", 9, w) for w in alias_weights]
+    jobs += [("enum_alias", n, w) for n, w in zip((7, 8, 9) * 2, alias_weights)]
+    jobs += [("list", n, None) for n in (5, 6)]
     jobs += [(statistic, n, w) for statistic in ("X2", "Nalpha") for n in (7, 8)
              for w in weights]
     jobs += [("cell", 8, w) for w in weights]
 
     def run(k):
         what, n, w = jobs[k]
+        if what == "list":
+            return enumeration.all_tableaux(n)
         if what in sampler._METHODS:
             return sampler.sample_many(n, w, random.Random(k), 10, what)
         if what == "cell":
@@ -105,19 +105,24 @@ def test_threaded_sweeps_and_samplers_leave_a_balanced_ledger(monkeypatch, fresh
             return dpcount.conditional_cell_law(n, w, (1, 3), given)
         return dpcount.statistic_pmf(n, w, what)
 
+    reserve, reserved = _budget.reserve, []
+
+    def recording(need, what):
+        reserved.append(need)
+        return reserve(need, what)
+
+    monkeypatch.setattr(_budget, "reserve", recording)
     serial = [run(k) for k in range(len(jobs))]
-    workers = 4
-    sweep = max(dpcount._sweep_bytes(n, cap + 2, dpcount.ScaledWeights.of(w).moduli(n), lifts)
-                for s, n, w in jobs if s in ("X2", "Nalpha")
-                for lifts, cap in [dpcount._statistic_plan(n, s)])
-    sums = max(sampler._sums_bytes(9, w) for w in alias_weights)
-    # room for one worker's nested alias build, the tree beside its sums,
-    # and every other worker's largest hold: a sweep or alias sums
-    # waiting on that tree; chain draws hold nothing; and too little to
-    # keep every table: builds evict, none is refused
-    budget = sampler._shape_bytes(9) + sums + (workers - 1) * max(sweep, sums)
-    kept_all = sampler._shape_bytes(9) + sum(sampler._sums_bytes(9, w) for w in alias_weights)
-    assert budget < kept_all + sweep
+    workers, sweep = 4, max(reserved)
+    other = max(sweep, sampler._shape_bytes(8))
+    # room for the list at n = 6 and the tree at n = 9 built at once,
+    # beside every other worker's largest hold: a smaller tree, a smaller
+    # list or a sweep; chain draws hold nothing; and too little to keep
+    # every table: builds evict, none is refused
+    budget = enumeration._list_bytes(6) + sampler._shape_bytes(9) + (workers - 2) * other
+    kept_all = (sum(map(enumeration._list_bytes, (5, 6)))
+                + sum(map(sampler._shape_bytes, (7, 8, 9))))
+    assert enumeration._list_bytes(5) <= other and budget < kept_all + sweep
     monkeypatch.setattr(_budget, "_MEM_BUDGET", budget)
     ledger = fresh_ledger()
     interval = sys.getswitchinterval()
@@ -145,20 +150,10 @@ def test_failed_build_leaves_the_tally_unchanged(monkeypatch, fresh_ledger):
     monkeypatch.setattr(sampler, "_column_configs", broken)
     with pytest.raises(RuntimeError):
         enumeration.all_tableaux(5)
-    with pytest.raises(RuntimeError):  # the alias build fails inside its tree's build
+    with pytest.raises(RuntimeError):  # the tree's build fails
         sampler.sample(5, Weights(1, 1), random.Random(0), "enum_alias")
     assert (dict(ledger.kept), ledger.held) == before
     assert len(enumeration.all_tableaux(4)) == 120  # still kept, not rebuilt
-
-
-def test_builder_keeps_at_most_its_cap_beside_others(fresh_ledger):
-    ledger = fresh_ledger()
-    enumeration.all_tableaux(3)  # the oldest entry, of another builder
-    for k in range(_budget._CACHE_SIZE + 1):
-        sampler.sample(3, Weights(k, 1), random.Random(0), "enum_alias")
-    assert len(_kept(ledger, sampler._alias_sums, 3)) == _budget._CACHE_SIZE
-    assert (sampler._alias_sums, 3, Weights(0, 1)) not in ledger.kept
-    assert (enumeration._build_list, 3) in ledger.kept
 
 
 def test_forked_child_does_not_wait_on_a_lock_held_by_another_thread(fresh_ledger):
@@ -186,7 +181,7 @@ def test_forked_child_does_not_wait_on_a_lock_held_by_another_thread(fresh_ledge
 def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
     ledger = fresh_ledger()
     w = Weights(F(1, 2), 3)
-    warm = sampler.sample_many(6, w, random.Random(0), 3, "enum_alias")  # builds and keeps (6, w)
+    warm = sampler.sample_many(6, w, random.Random(0), 3, "enum_alias")  # keeps the n = 6 tree
     started, release, done = threading.Event(), threading.Event(), threading.Event()
     builds, results = [], {}
 
@@ -216,7 +211,7 @@ def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
         assert done.wait(60)
         assert not release.is_set() and threads[0].is_alive()
         assert (held_open, "key") in ledger.building
-        assert ledger.held == sampler._shape_bytes(6) + sampler._sums_bytes(6, w) + 1000
+        assert ledger.held == sampler._shape_bytes(6) + 1000
     finally:
         release.set()
         for thread in threads:
@@ -226,33 +221,3 @@ def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
     assert results["sweep"] == partition_closed(6, w) and results["draw"] == warm
     assert not ledger.building and ledger.held == _charges(ledger)
     assert list(ledger.kept)[-1] == (held_open, "key")
-
-
-def test_builds_side_by_side_keep_their_builder_within_its_cap(fresh_ledger):
-    ledger = fresh_ledger()
-    cap = _budget._CACHE_SIZE
-    release = threading.Event()
-    started = {cap - 1: threading.Event(), cap: threading.Event()}
-
-    def build(k):
-        if k in started:
-            started[k].set()
-            assert release.wait(60)
-        return k
-
-    for k in range(cap - 1):
-        _budget.get(build, lambda k: 1, "table {0}", k)
-    threads = [threading.Thread(target=_budget.get,
-                                args=(build, lambda k: 1, "table {0}", k))
-               for k in started]
-    for thread in threads:
-        thread.start()
-    try:  # both admitted while the builder keeps one less than its cap
-        assert all(event.wait(60) for event in started.values())
-    finally:
-        release.set()
-        for thread in threads:
-            thread.join(60)
-    assert not any(thread.is_alive() for thread in threads)
-    assert [key[1] for key in ledger.kept][:-2] == list(range(1, cap - 1))
-    assert len(ledger.kept) == cap and ledger.held == cap

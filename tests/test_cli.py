@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from staircase_lab import _budget, cli, dpcount, sampler
+from staircase_lab import _budget, cli, dpcount, enumeration, formulas, moments, sampler
 from staircase_lab.core import STATISTIC_NAMES, Tableau
 from staircase_lab.measure import Weights
 
@@ -251,7 +251,7 @@ def test_sample_is_deterministic_per_seed(runner):
 
 def test_sample_refuses_an_alias_table_over_budget(runner, monkeypatch, fresh_ledger):
     fresh_ledger()
-    monkeypatch.setattr(_budget, "_MEM_BUDGET", sampler._shape_bytes(9))
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", sampler._shape_bytes(9) - 1)
     tracemalloc.start()
     try:
         result = runner.invoke(cli.main, ["sample", "--n", "9", "--method", "enum_alias",
@@ -318,6 +318,29 @@ def test_selftest_exits_three_on_mismatch(runner, monkeypatch):
     result = runner.invoke(cli.main, ["selftest"])
     assert result.exit_code == 3
     assert "MISMATCH forced_failure" in result.output
+
+
+@pytest.mark.parametrize("suite, module, name", [
+    ("box_laws_match_counting_engine", formulas, "box_law"),
+    ("conditional_laws_match_oracle", enumeration, "oracle_event_prob"),
+    ("conditional_laws_match_oracle", dpcount, "conditional_cell_law"),
+    ("moment_formulas_match_oracle", moments, "factorial_moments_second_diag"),
+    ("convergence_rows", moments, "convergence_report"),
+    ("ssep_law_matches_counting_engine", dpcount, "event_prob")])
+def test_selftest_names_a_suite_whose_route_is_planted_wrong(runner, monkeypatch,
+                                                             suite, module, name):
+    # the route runs at the swapped weights, or the oracle finds the
+    # conditioning event impossible
+    real = getattr(module, name)
+    if name == "oracle_event_prob":
+        monkeypatch.setattr(module, name, lambda *args: Fraction(0))
+    else:
+        monkeypatch.setattr(module, name, lambda first, w, *rest: real(first, w.swapped(), *rest))
+    check = dict(cli._selftest_suites())[suite]
+    monkeypatch.setattr(cli, "_selftest_suites", lambda: [(suite, check)])
+    result = runner.invoke(cli.main, ["selftest"])
+    assert result.exit_code == 3
+    assert result.output == f"MISMATCH {suite}\n"
 
 
 def test_rational_option_reads_decimals_exactly(runner):

@@ -577,13 +577,13 @@ def test_prime_limit_leaves_room_for_unreduced_products():
     assert (N_DP + 4) * (2 ** 31 - 1) ** 2 >= 2 ** 64
 
 
-def test_prime_list_grows_once_under_threads(monkeypatch):
+def test_threads_building_the_prime_plan_get_one_plan():
     bound = 1 << 600  # about 21 primes
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(dpcount, "_PRIMES", [])
+            dpcount._prime_below.cache_clear()
             results = []
             threads = [threading.Thread(
                 target=lambda: results.append(_primes_covering(bound)))
@@ -594,10 +594,24 @@ def test_prime_list_grows_once_under_threads(monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert len(results) == 6 and len(set(results)) == 1
-            assert dpcount._PRIMES == sorted(set(dpcount._PRIMES), reverse=True)
     finally:
         sys.setswitchinterval(switch)
-    assert math.prod(results[0][:-1]) <= bound < math.prod(results[0])
+    plan = results[0]
+    assert list(plan) == sorted(set(plan), reverse=True)
+    assert math.prod(plan[:-1]) <= bound < math.prod(plan)
+
+
+def test_miller_rabin_on_four_bases_matches_a_sieve_below_the_limit():
+    size = 1 << 16
+    low = _PRIME_LIMIT - size
+    sieve = bytearray([1]) * size
+    for p in range(2, math.isqrt(_PRIME_LIMIT) + 1):
+        start = max(p * p, -(-low // p) * p)
+        sieve[start - low::p] = bytes(len(range(start - low, size, p)))
+    odd = range(low + 1, _PRIME_LIMIT, 2)
+    assert [x for x in odd if _is_prime(x)] == [x for x in odd if sieve[x - low]]
+    # 2251 * 11251 is a strong pseudoprime to bases 2, 3 and 5; base 7 tells
+    assert not _is_prime(25326001)
 
 
 def test_crt_ignores_multiples_of_each_modulus():
@@ -875,3 +889,17 @@ def test_counter_guards_refuse_a_cap_too_small(monkeypatch, statistic, w):
     monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 2))
     with pytest.raises(RuntimeError, match="overflowed its cap"):
         statistic_pmf(n, w, statistic)
+
+
+def test_statistic_law_refuses_masses_that_miss_the_partition_total(monkeypatch):
+    masses_crt = dpcount._masses_crt
+
+    def one_short(*args, **kwargs):
+        masses = masses_crt(*args, **kwargs)
+        masses[0] -= 1
+        return masses
+
+    monkeypatch.setattr(dpcount, "_masses_crt", one_short)
+    with pytest.raises(RuntimeError, match="^statistic masses do not add up to the partition "
+                                           "total$"):
+        statistic_pmf(5, Weights(F(13, 7), F(1000, 3)), "X2")

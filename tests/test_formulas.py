@@ -154,8 +154,9 @@ def test_gap_index_sets():
 
 @pytest.mark.parametrize("r, m, min_gap", [(-1, 3, 2), (2, 4, 0)])
 def test_gap_index_sets_refuse_a_negative_size_or_a_gap_below_one(r, m, min_gap):
+    # at the call, not at the first next()
     with pytest.raises(ValueError, match="need r >= 0 and min_gap >= 1"):
-        list(gap_index_sets(r, m, min_gap))
+        gap_index_sets(r, m, min_gap)
 
 
 def test_gap_index_set_count():

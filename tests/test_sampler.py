@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -313,19 +314,14 @@ def test_fixed_seed_alias_draws_are_pinned():
     assert digest.hexdigest() == GOLDEN_ALIAS_DRAWS
 
 
-@pytest.mark.parametrize("room, what", [
-    (lambda w: sampler._sums_bytes(9, w) - 1, "enum_alias sums for n=9"),
-    (lambda w: sampler._sums_bytes(9, w) + sampler._shape_bytes(9) // 2,
-     "the enumeration tree for n=9")])
-def test_alias_refuses_a_table_over_budget_before_allocating(monkeypatch, fresh_ledger,
-                                                            room, what):
-    # the sums are charged first, then the tree their build fetches
-    ledger, w = fresh_ledger(), Weights(1, 1)
-    monkeypatch.setattr(_budget, "_MEM_BUDGET", room(w))
+def test_alias_refuses_a_table_over_budget_before_allocating(monkeypatch, fresh_ledger):
+    ledger = fresh_ledger()
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", sampler._shape_bytes(9) // 2)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^{what}.* would need about [0-9.]+ MB; "):
-            sample(9, w, random.Random(0), "enum_alias")
+        with pytest.raises(ValueError, match="^the enumeration tree for n=9 would need "
+                                             "about [0-9.]+ MB; "):
+            sample(9, Weights(1, 1), random.Random(0), "enum_alias")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -339,9 +335,10 @@ def test_alias_draws_at_size_nine_are_valid():
     assert len({t.rows for t in draws}) > 1
 
 
-def test_memory_budget_is_checked_before_allocating(monkeypatch):
+def test_memory_budget_is_checked_before_allocating(monkeypatch, fresh_ledger):
+    fresh_ledger()  # the n = 8 tree, which other tests keep, must be built
     monkeypatch.setattr(_budget, "_MEM_BUDGET", 1000)
-    w = Weights(F(7, 11), F(3, 13))  # no other test builds tables for it
+    w = Weights(F(7, 11), F(3, 13))
     with pytest.raises(ValueError, match="MB"):
         dpcount.statistic_pmf(8, w, "X2")
     with pytest.raises(ValueError, match="MB"):
@@ -371,37 +368,32 @@ def _kept(ledger, build):
 
 
 def _charged(ledger):
-    """What the ledger's kept tables are charged by their builders' estimates."""
-    estimates = {sampler._alias_sums: sampler._sums_bytes,
-                 sampler._alias_shape: sampler._shape_bytes}
-    return sum(estimates[key[0]](*key[1:]) for key in ledger.kept)
+    """What the ledger's kept trees are charged by their estimate."""
+    return sum(sampler._shape_bytes(*key[1:]) for key in ledger.kept)
 
 
-def test_cache_evicts_the_least_recently_used_table(fresh_ledger):
+def test_cache_evicts_the_least_recently_used_table(monkeypatch, fresh_ledger):
     ledger = fresh_ledger()
-    keys = [(3, Weights(k, 1)) for k in range(_budget._CACHE_SIZE + 1)]
-    for key in keys[:-1]:
-        sample(*key, random.Random(0), "enum_alias")
-    sample(*keys[0], random.Random(0), "enum_alias")  # now the most recently used
-    sample(*keys[-1], random.Random(0), "enum_alias")
-    assert _kept(ledger, sampler._alias_sums) == keys[2:-1] + [keys[0], keys[-1]]
-    assert list(ledger.kept)[-1] == (sampler._alias_shape, 3)  # every draw reads it
+    # room for the trees at n = 5 and 7 and half the one at n = 6
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", sum(map(sampler._shape_bytes, (5, 7)))
+                        + sampler._shape_bytes(6) // 2)
+    for n in (5, 6, 5, 7):  # the n = 5 tree read again: now the most recently used
+        sample(n, Weights(F(1, 2), 3), random.Random(0), "enum_alias")
+    assert _kept(ledger, sampler._alias_shape) == [(5,), (7,)]
     assert ledger.held == _charged(ledger)
 
 
 def test_budget_evicts_before_it_refuses(monkeypatch, fresh_ledger):
     ledger = fresh_ledger()
-    first, second = (7, Weights(1, 1)), (7, Weights(2, 1))
-    shape, need = sampler._shape_bytes(7), sampler._sums_bytes(*second)
-    assert sampler._sums_bytes(*first) <= need
-    # room for the tree and one weight pair's sums, not for a second beside
-    # them; the sums at n = 9 exceed the whole budget
-    monkeypatch.setattr(_budget, "_MEM_BUDGET", shape + need + need // 2)
-    sample(*first, random.Random(0), "enum_alias")
-    sample(*second, random.Random(0), "enum_alias")
-    kept = [(sampler._alias_sums,) + second, (sampler._alias_shape, 7)]
+    first, second = sampler._shape_bytes(6), sampler._shape_bytes(7)
+    # room for the tree at n = 7 and not for the one at n = 6 beside it;
+    # the tree at n = 9 exceeds the whole budget
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", second + first // 2)
+    sample(6, Weights(1, 1), random.Random(0), "enum_alias")
+    sample(7, Weights(2, 1), random.Random(0), "enum_alias")
+    kept = [(sampler._alias_shape, 7)]
     assert list(ledger.kept) == kept
-    assert ledger.held == shape + need
+    assert ledger.held == second
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MB"):
@@ -435,7 +427,7 @@ def test_alias_shape_leaves_are_the_tableaux_with_their_weights(n):
     for (_, codes), t in zip(leaves, all_tableaux(n)):
         kinds.setdefault((tuple(sorted(codes)), t.symbol_counts()), t)
     for w in GOLDEN_WEIGHTS:
-        sums, factors = sampler._alias_sums(n, w)
+        sums, factors = _backward_sums(n, w)
         scale = dpcount.ScaledWeights.of(w).q ** (2 * n)
         for (codes, _), t in kinds.items():
             assert math.prod(factors[code] for code in codes) == w.tableau_weight(t) * scale
@@ -455,19 +447,97 @@ def test_alias_shape_estimate_is_tight(n):
     assert peak <= sampler._shape_bytes(n) <= 1.3 * peak
 
 
-@pytest.mark.parametrize("n", [6, 7, 9])
-@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(1, 2), 3),
-                               Weights(F(13, 7), F(1000, 3))])
-def test_alias_sums_estimate_is_tight(n, w):
-    _budget.get(sampler._alias_shape, sampler._shape_bytes, "shape", n)  # charged on its own
-    gc.collect()
-    tracemalloc.start()
-    try:
-        sampler._alias_sums(n, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= sampler._sums_bytes(n, w) <= 1.3 * peak
+def _backward_sums(n, w):
+    """The running sums enum_alias once kept per weight pair, from one
+    backward pass over the whole tree: per column, from 0 across all its
+    masks, each filling's factor times the weight of its subtree; and
+    the factor of each code."""
+    scaled = dpcount.ScaledWeights.of(w)
+    factors = [kind * scaled.q ** symbols for symbols in range(n + 1)
+               for kind in (scaled.pa, scaled.pb, 1)]
+    sums, below = [], [1]  # below: by mask, the subtree weights one column on
+    for fillings, starts in reversed(sampler._alias_shape(n)):
+        sums.append(list(itertools.accumulate(
+            (factors[code] * below[after] for _, after, code in fillings), initial=0)))
+        below = [sums[-1][hi] - sums[-1][lo] for lo, hi in zip(starts, starts[1:])]
+    assert below == [scaled.total(n)]
+    return sums[::-1], factors
+
+
+class _Steered(random.Random):
+    """A stream whose ``getrandbits`` gives the listed integers in turn."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def getrandbits(self, bits):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_per_call_sums_match_the_backward_pass_at_every_state(monkeypatch, n):
+    # one steered draw per state, on the first path down the tree that
+    # reaches it with no share left over; the sums the draws bisect at
+    # their target states are the backward pass's, shifted to start at 0
+    shape = sampler._alias_shape(n)
+    bisected = []
+
+    def spy(running, draw):
+        bisected.append(running)
+        return bisect.bisect_right(running, draw)
+
+    monkeypatch.setattr(sampler, "bisect", types.SimpleNamespace(bisect_right=spy))
+    for w in GOLDEN_WEIGHTS + [Weights(0, F(1000, 3)), Weights(F(13, 7), 0)]:
+        sums, factors = _backward_sums(n, w)
+        paths = {(0, 0): []}  # per state (column, mask): (share, factor) per pick
+        for j, (fillings, starts) in enumerate(shape[:-1]):
+            for mask in [m for c, m in list(paths) if c == j]:
+                lo = starts[mask]
+                for k in range(lo, starts[mask + 1]):
+                    _, after, code = fillings[k]
+                    if factors[code]:
+                        paths.setdefault((j + 1, after), paths[j, mask] + [
+                            (sums[j][k] - sums[j][lo], factors[code])])
+        assert len(paths) == 2 ** n - 1  # every state
+        draws = []
+        for path in paths.values():
+            draw = 0
+            for share, factor in reversed(path):
+                draw = share + factor * draw
+            draws.append(draw)
+        bisected.clear()
+        sample_many(n, w, _Steered(draws), len(draws), "enum_alias")
+        for d, (j, mask) in enumerate(paths):
+            lo, hi = shape[j][1][mask], shape[j][1][mask + 1]
+            assert bisected[d * n + j] == [s - sums[j][lo] for s in sums[j][lo:hi + 1]]
+
+
+def test_a_tree_missing_a_filling_fails_the_state_check(fresh_ledger):
+    fresh_ledger()
+    n, w = 5, Weights(F(1, 2), 3)
+    first = sample_many(n, w, random.Random(5), 64, "enum_alias")
+    fillings, starts = _budget.get(sampler._alias_shape, sampler._shape_bytes, "", n)[-1]
+    for mask in (0, 1):  # each draw ends on one of the last column's two states
+        dropped = fillings.pop(starts[mask])
+        starts[mask + 1:] = [start - 1 for start in starts[mask + 1:]]
+        try:
+            with pytest.raises(RuntimeError, match="^alias weights do not add up to the "
+                                                   "completion count$"):
+                sample_many(n, w, random.Random(5), 64, "enum_alias")
+        finally:
+            fillings.insert(starts[mask], dropped)
+            starts[mask + 1:] = [start + 1 for start in starts[mask + 1:]]
+    assert sample_many(n, w, random.Random(5), 64, "enum_alias") == first
+
+
+def test_draws_on_fresh_weights_keep_only_the_trees(fresh_ledger):
+    ledger = fresh_ledger()
+    for k in range(20):
+        for n in (3, 6):
+            sample(n, Weights(F(k, 3), F(7, k + 1)), random.Random(k), "enum_alias")
+    assert list(ledger.kept) == [(sampler._alias_shape, 3), (sampler._alias_shape, 6)]
+    assert ledger.held == _charged(ledger)
 
 
 def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
@@ -494,7 +564,7 @@ def test_threads_on_distinct_keys_draw_as_a_serial_run(fresh_ledger):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert len(_kept(ledger, sampler._alias_sums)) == _budget._CACHE_SIZE  # 9 keys: one evicted
+    assert sorted(_kept(ledger, sampler._alias_shape)) == [(5,), (6,), (7,)]  # 9 keys
     assert ledger.held == _charged(ledger)
 
 
