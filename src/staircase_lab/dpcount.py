@@ -9,7 +9,10 @@ integer move factors and the modulus plan, :func:`_groups` cuts the
 plan into groups, :func:`_sweep` is the one counting pass over a group and
 :func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
 alone runs the passes and recombines the moduli, exactly, with no
-modular inversion of data values.  The public operations honour
+modular inversion of data values.  It runs them on the :func:`_corner`,
+the sub-staircase that holds every box an event narrows or a counter
+lifts, and the rest of the tableau enters the pass in closed form, as
+its start.  The public operations honour
 :class:`~staircase_lab.constraints.ConstraintSet` restrictions box by
 box, which is what turns the partition sum into joint probabilities
 of cell events.
@@ -67,14 +70,20 @@ class ScaledWeights:
         q, pa, pb = self.q, self.pa, self.pb
         return (q * pb, q, q * pa, q), (pb, 1, pa, 1)
 
+    def row_factors(self, n: int) -> List[int]:
+        """g_r = pa + pb + (r - 1) q for the rows r = 1..n: Hitczenko and
+        Janson's partition function is one such factor per row."""
+        return [self.pa + self.pb + r * self.q for r in range(n)]
+
     def total_bound(self, n: int) -> int:
-        """The kernel's unconstrained total, prod_i (pa + pb + i q).
+        """The kernel's unconstrained total, the product of the
+        :meth:`row_factors`.
 
         It is the normalizer scaled by q^n.  Every quantity the kernel
         reads out (constrained totals, per-count masses) is a subsum of
         it, so it bounds them all.
         """
-        return math.prod(self.pa + self.pb + i * self.q for i in range(n))
+        return math.prod(self.row_factors(n))
 
     def total(self, n: int) -> int:
         """The partition total at the q^(2n) scale: :meth:`total_bound` times q^n."""
@@ -163,13 +172,18 @@ def _crt(residues: Sequence[int], garner: Sequence[Tuple[int, int, int]]) -> int
 # ----------------------------------------------------------------------
 # shared per-box bookkeeping
 
+def _fill_rule(n: int, box: Box) -> str:
+    """The cell codes the fill rule leaves a box: ``.AB`` above the
+    diagonal and ``AB`` on it."""
+    return ".AB" if box[0] + box[1] <= n else "AB"
+
+
 def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
     """Cell codes each box may take, merging rules and constraints: the
-    fill rule gives ``.AB`` above the diagonal and ``AB`` on it, and
-    only the boxes ``c`` constrains narrow that."""
+    :func:`_fill_rule`, narrowed only at the boxes ``c`` constrains."""
     if c is not None:
         c._check_built_for(n)
-    out = {box: ".AB" if box[0] + box[1] <= n else "AB" for box in staircase_boxes(n)}
+    out = {box: _fill_rule(n, box) for box in staircase_boxes(n)}
     if c is not None:
         for box, req in c.items:
             out[box] = "".join(code for code in out[box] if code in _ALLOWED[req])
@@ -218,19 +232,19 @@ def _per_plane(values: Sequence[int]):
 
 
 def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
-                 lift: Tuple[int, int], top: bool, first: bool) -> list:
+                 lift: Tuple[int, int], clear: bool, clean: bool) -> list:
     """The moves open at a box, merged: moves from one source, the same
     (flag, bit), that take the same lift add their integer factors into
     one; sources with equal factor and lift are summed before one
     product; a factor of 1 needs no product and a factor of 0 no move.
-    ``lift`` is the box's (alpha steps, beta steps).  The ``top`` box
-    reads no source with the flag set, and a box of column 1
-    (``first``) no dirty-row source.  Returns ``[(factor per plane, or
-    None for 1, lift, [(flag, bit), ...]), ...]``, each factor reduced
-    modulo its plane's modulus."""
+    ``lift`` is the box's (alpha steps, beta steps).  A box whose flag
+    is ``clear`` in every state reads no source with the flag set, and
+    one whose row is ``clean`` in every state no dirty-row source.
+    Returns ``[(factor per plane, or None for 1, lift, [(flag, bit),
+    ...]), ...]``, each factor reduced modulo its plane's modulus."""
     factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
-        if code in codes and not (above and top or bit and first):
+        if code in codes and not (above and clear or bit and clean):
             source = (lift[code == "B"], above, bit)
             factor_of[source] = factor_of.get(source, 0) + four[k]
     sources_of: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -265,23 +279,30 @@ def _windows(n: int, slots: int, lifts: Optional[Dict[Box, Tuple[int, int]]]) ->
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str], slots: int = 1,
-           lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> List[List[int]]:
+           lifts: Optional[Dict[Box, Tuple[int, int]]] = None,
+           start: Tuple[int, int, int] = (1, 0, 0)) -> List[List[int]]:
     """One left-to-right counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
 
     ``level[plane, slot, above, mask]`` counts, modulo the plane's
     modulus, the weighted fillings so far that end in the state with
     that "symbol above" flag and dirty-row mask, with ``slot`` counter
-    steps so far.  Columns run left to right and each column top-down,
-    from the one empty state before column 1; the residues are the
-    counts that leave column n.  ``factors`` holds the four move factors
-    off the diagonal and on it, as :meth:`ScaledWeights.factors` gives
-    them.  ``lifts`` maps a box to ``(alpha steps, beta steps)``: a
-    symbol there lifts the count by its code's steps, and an empty cell
-    never does.  A lift that would pass the last slot while the
-    slots it lifts from hold mass raises.  Every plane walks the boxes
-    together: moves and merged factors are worked out once per box, and
-    each numpy call spans all planes.
+    steps so far.  Columns run left to right and each column top-down;
+    the residues are the counts that leave column n.  The pass may run
+    on the :func:`_corner` of a larger tableau, whose outside enters
+    through ``start = (base, x, y)``, each reduced per plane: column 1
+    starts from ``base * x^|mask|`` on every mask with the flag clear,
+    and at each column's start the flag-set half is y times the
+    flag-clear half.  (1, 0, 0) is a whole tableau, which starts from
+    the one empty state before column 1.  ``factors`` holds the four
+    move factors off the diagonal and on it, as
+    :meth:`ScaledWeights.factors` gives them.  ``lifts`` maps a box to
+    ``(alpha steps, beta steps)``: a symbol there lifts the count by its
+    code's steps, and an empty cell never does.  A lift that would pass
+    the last slot while the slots it lifts from hold mass raises.  Every
+    plane walks the boxes together: moves and merged factors are worked
+    out once per box, and each numpy call spans all planes; the start
+    alone runs a plane at a time.
 
     Every symbol move sets the flag and the box's row bit, so a box
     reads the three other quarters of the level, sums their products in
@@ -290,12 +311,12 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     box zeroes the three it read and keeps only its sum.  The diagonal
     box's sum, over the rows still alive, is the next column's level
     with the flag clear, written into a fresh array, while its own
-    target quarter, which nothing reads, holds its products.  The top
-    box reads no source with the flag set.  Column 1 is the
-    first column a tableau fills, so every row enters it clean: before
-    its box i only masks below 2^(i-1) occur, and the box touches only
-    ``level[..., :2^i]``.  Moves are merged, and sources that hold no
-    mass skipped, as :func:`_merge_moves` describes.
+    target quarter, which nothing reads, holds its products.  Where
+    y = 0 the top box reads no source with the flag set, and where
+    x = 0 every row enters column 1 clean: before its box i only masks
+    below 2^(i-1) occur, and the box touches only ``level[..., :2^i]``.
+    Moves are merged, and sources that hold no mass skipped, as
+    :func:`_merge_moves` describes.
 
     Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
     above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
@@ -314,21 +335,33 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     planes = len(moduli)
     wraps = int(moduli[0] == _WRAP)  # the planes before the prime ones
     primes = _per_plane(moduli[wraps:]) if wraps < planes else None
+
+    def scale(source, factor: int, out, m: int) -> None:  # out = source * factor mod m
+        np.multiply(source, np.uint64(factor % m), out=out)
+        if m != _WRAP:
+            np.remainder(out, np.uint64(m), out=out)
+
     merged = functools.cache(functools.partial(_merge_moves, moduli))  # once per kind of box
     windows = _windows(n, slots, lifts)
     caps = [column[-1] for column in windows] + [slots]
+    base, x, y = start
     level = np.zeros((planes, caps[0], 2, 1 << n), dtype=np.uint64)
-    level[:, 0, 0, 0] = 1
+    for plane, m in enumerate(moduli):  # a plane at a time, so numpy neither buffers nor copies
+        level[plane, 0, 0, 0] = base % m
+        for r in range(n if x else 0):  # the masks with row r + 1 dirty: x times those without
+            scale(level[plane, 0, 0, :1 << r], x, level[plane, 0, 0, 1 << r:2 << r], m)
     live = 1
     for j in range(1, n + 1):
         height = n + 1 - j
+        for plane, m in enumerate(moduli if y else ()):  # flag set: y times flag clear
+            scale(level[plane, :, 0], y, level[plane, :, 1], m)
         buffers = np.empty((2, planes * caps[j - 1] << (height - 1)), dtype=np.uint64)
         for i in range(1, height + 1):
             codes, diagonal = allowed[(i, j)], i == height
             lift = lifts.get((i, j), (0, 0)) if lifts else (0, 0)
-            moves = merged(factors[diagonal], codes, lift, i == 1, j == 1)
+            moves = merged(factors[diagonal], codes, lift, i == 1 and not y, j == 1 and not x)
             after = windows[j - 1][i - 1]
-            width = 1 << (height if j > 1 else i)  # the reachable prefix
+            width = 1 << (i if j == 1 and not x else height)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
             view = level[..., :width].reshape(planes, caps[j - 1], 2, seg, 2, half)
             if half < _LINE_ENTRIES and seg > half:
@@ -381,11 +414,14 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
 
 
 def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
-                 lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> int:
-    """Peak bytes of the counting passes over the plan ``moduli`` under
-    ``lifts``, reached at the diagonal box of a column in a pass over
-    the plan's largest group: the one model of a pass, which every
-    caller of :func:`_masses_crt` reserves.
+                 lifts: Optional[Dict[Box, Tuple[int, int]]] = None,
+                 s: Optional[int] = None) -> int:
+    """Peak bytes of a call on a size-n tableau whose counting passes
+    over the plan ``moduli`` run on its :func:`_corner` of size ``s``
+    (n when None) under ``lifts`` in the corner's coordinates, reached
+    at the diagonal box of a column in a pass over the plan's largest
+    group: the one model of a pass, which every caller of
+    :func:`_masses_crt` reserves.
 
     A column of height h holds a level of ``8 * planes * c * 2^(h+1)``
     bytes, c the slots live at its end, and two box buffers of a quarter
@@ -394,30 +430,62 @@ def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
     is the largest sum of two such levels.  A pass of one plane runs
     without numpy iteration buffers; in any other, a numpy call may
     buffer up to three operands, each at most 64 KiB and the size of the
-    call, a quarter of the level at the peak.  Then 64 bytes per slot
-    and modulus for the residues and their recombination, 256 bytes per
-    box for the allowed map, the merged moves and the slot windows, and
-    8 KiB for the call's other small objects.
+    call, a quarter of the level at the peak.  Then 512 bytes per slot
+    and modulus for the residues, their recombination and the merged
+    moves' factors, 128 bytes per box of the tableau for the caller's
+    allowed map and as many per box of the corner for its own maps and
+    slot windows, and 8 KiB for the call's other small objects.
     """
-    planes = max(map(len, _groups(moduli, slots, n)))
-    caps = [column[-1] for column in _windows(n, slots, lifts)] + [slots]
-    levels, quarter = max(((2 * caps[j - 1] + caps[j]) << (n + 1 - j), caps[j - 1] << (n - j))
-                          for j in range(1, n + 1))
+    s = n if s is None else s
+    planes = max(map(len, _groups(moduli, slots, s)))
+    caps = [column[-1] for column in _windows(s, slots, lifts)] + [slots]
+    levels, quarter = max(((2 * caps[j - 1] + caps[j]) << (s + 1 - j), caps[j - 1] << (s - j))
+                          for j in range(1, s + 1))
     iteration = 3 * min(8 * planes * quarter, 1 << 16) if planes > 1 else 0
-    small = 64 * slots * len(moduli) + 128 * n * (n + 1) + (1 << 13)
+    small = 512 * slots * len(moduli) + 64 * (n * (n + 1) + s * (s + 1)) + (1 << 13)
     return 8 * planes * levels + iteration + small
+
+
+def _corner(n: int, scaled: ScaledWeights, allowed: Dict[Box, str],
+            lifts: Optional[Dict[Box, Tuple[int, int]]]) -> tuple:
+    """The sub-staircase a pass runs on, as (its size s, its allowed
+    map and lifts in its own coordinates, the :func:`_sweep` start).
+
+    Its corner (r1, k1) is the least row and the least column among the
+    boxes that ``allowed`` narrows below the :func:`_fill_rule` or that
+    ``lifts`` touches, (1, 1) when there are none.  It holds the rows
+    from r1 and the columns from k1, s = n + 2 - r1 - k1 of each, and
+    shares the tableau's diagonal.  A box inside reads the outside only
+    through its row's dirty bit and its column's "symbol above" flag,
+    and the fillings outside with d of its rows dirty and f of its
+    columns flagged weigh, summed, :meth:`ScaledWeights.total_bound` of
+    r1 + k1 - 2 times ((k1 - 1) q)^d ((r1 - 1) q)^f: the start
+    (base, x, y)."""
+    boxes = [box for box, codes in allowed.items() if codes != _fill_rule(n, box)]
+    boxes += lifts or ()
+    r1, k1 = (min((box[k] for box in boxes), default=1) for k in (0, 1))
+    if r1 + k1 > 2:  # renumber the boxes inside; the whole tableau keeps its maps
+        allowed = {(i + 1 - r1, j + 1 - k1): codes for (i, j), codes in allowed.items()
+                   if i >= r1 and j >= k1}
+        if lifts:
+            lifts = {(i + 1 - r1, j + 1 - k1): lift for (i, j), lift in lifts.items()}
+    start = scaled.total_bound(r1 + k1 - 2), (k1 - 1) * scaled.q, (r1 - 1) * scaled.q
+    return n + 2 - r1 - k1, allowed, lifts, start
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
                 lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
-    of the plan's moduli."""
+    of the plan's moduli, on the :func:`_corner` that holds every box
+    the allowed map narrows or the lifts touch."""
     scaled = ScaledWeights.of(w)
     moduli, factors = scaled.moduli(n), scaled.factors()
+    s, allowed, lifts, start = _corner(n, scaled, allowed, lifts)
     residues: List[List[int]] = []
-    with _budget.reserve(_sweep_bytes(n, slots, moduli, lifts), f"{slots}-slot sweeps at n={n}"):
-        for group in _groups(moduli, slots, n):
-            residues += _sweep(n, group, factors, allowed, slots, lifts)
+    need = _sweep_bytes(n, slots, moduli, lifts, s)
+    with _budget.reserve(need, f"{slots}-slot sweeps at n={n}"):
+        for group in _groups(moduli, slots, s):
+            residues += _sweep(s, group, factors, allowed, slots, lifts, start)
     garner = _garner(moduli)
     return [_crt(slot, garner) for slot in zip(*residues)]
 

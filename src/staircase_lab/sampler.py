@@ -84,20 +84,19 @@ def _shape_bytes(n: int) -> int:
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:
     """Each draw descends the tree from one uniform integer below the
     partition total.  A state of height h on the dirty-row mask ``mask``
-    has q^h times g_r = pa + pb + (r - 1) q of each clean row r <= h
-    completions, the row product :func:`_sample_chain` reads, and
-    ``counts`` holds them for the call.  The first draw to reach a state
-    sums its fillings' factors times the counts after them, checks the
-    sum against the state's own count, and keeps the running sums for
-    the rest of the call."""
+    has q^h times g_r (:meth:`ScaledWeights.row_factors`) of each clean
+    row r <= h completions, the row product :func:`_sample_chain` reads,
+    and ``counts`` holds them for the call.  The first draw to reach a
+    state sums its fillings' factors times the counts after them, checks
+    the sum against the state's own count, and keeps the running sums
+    for the rest of the call."""
     shape = _budget.get(_alias_shape, _shape_bytes, "the enumeration tree for n={0}", n)
     scaled = ScaledWeights.of(w)
     q = scaled.q
     factors = [kind * q ** symbols for symbols in range(n + 1)
                for kind in (scaled.pa, scaled.pb, 1)]
     counts = [[1]]  # by height, by mask: the completion count
-    for r in range(1, n):
-        clean = q * (scaled.pa + scaled.pb + (r - 1) * q)
+    for clean in (q * g for g in scaled.row_factors(n - 1)):
         counts.append([clean * c for c in counts[-1]] + [q * c for c in counts[-1]])
     counts.append([scaled.total(n)])  # column 1 is entered on mask 0 alone
     reached: List[Dict[int, List[int]]] = [{} for _ in shape]  # per column, by mask
@@ -160,9 +159,9 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
     """The walkers go down each column together, each carrying its
     exact completion count at the q^(2n) scale.  Hitczenko and Janson's
     row product gives it for a partly filled tableau too: with
-    g_r = pa + pb + (r - 1) q, a walk entering a column of height h has
-    q^h times g_r of each clean row r <= h completions, a dirty row
-    weighing 1.  Just after a symbol lands in box i, a clean row
+    g_r = pa + pb + (r - 1) q (:meth:`ScaledWeights.row_factors`), a walk
+    entering a column of height h has q^h times g_r of each clean row
+    r <= h completions, a dirty row weighing 1.  Just after a symbol lands in box i, a clean row
     i < r < h stays empty or takes a beta of weight q, so it weighs
     g_r + q, and the diagonal box must take that beta: the count is
     ``tops``, q^(h-1) times g_r of each clean row above, times
@@ -175,7 +174,7 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
     # a move of factor 0 never lands
     weighs = [[_weigh([(factors[k], code) for code, k in moves if factors[k]])
                for moves in by_bit] for by_bit in _OPEN_MOVES]
-    g = [scaled.pa + scaled.pb + r * q for r in range(n)]
+    g = scaled.row_factors(n)
     getrandbits = rng.getrandbits
     grids = [[] for _ in range(count)]  # per walker: list of column strings
     masks = [0] * count

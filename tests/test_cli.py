@@ -148,6 +148,16 @@ def test_joint_second_diag_routes_agree(runner):
     assert Fraction(values["closed"]) > 0
 
 
+def test_joint_second_diag_at_the_kernel_ceiling_matches_the_closed_form(runner):
+    # the counting pass runs on the corner of rows 14-21 and columns 2-9
+    out = json.loads(run(runner, "joint", "--diag", "2", "--kind", "alpha",
+                         "--cols", "2,5,8", "--n", "22", "--a", "13/7", "--b", "1000/3",
+                         "--json"))
+    values = {row["route"]: row["value"] for row in out}
+    assert set(values) == {"closed", "exact_dp"}
+    assert values["closed"] == values["exact_dp"] == "1612171188621/83694063951232460000"
+
+
 def test_joint_third_diag_reports_main_term_and_exact(runner):
     out = run(runner, "joint", "--diag", "3", "--kind", "alpha",
               "--cols", "1,4", "--n", "8", "--a", "1/2", "--b", "3")

@@ -478,20 +478,31 @@ def _largest_group(n, w, slots):
 
 def test_counting_memory_estimate_is_tight():
     # the budget check's estimate against the traced peak of the whole call:
-    # one-slot passes, with and without constraints, and two statistics
-    sizes = set()
+    # one-slot passes, with and without constraints, and two statistics, all
+    # on the whole tableau; at n = 13 also an event and a cell law whose
+    # passes run on the corner of size 8 that holds their boxes
+    sizes, corners = set(), set()
     for n in (10, 11, 12, 13):
         event = ConstraintSet.of(n, {(1, 2): R.MUST_ALPHA, (n, 1): R.MUST_BETA})
-        calls = {"partition": (1, None, lambda w: constrained_partition(n, w)),
-                 "event": (1, None, lambda w: event_prob(n, w, event))}
+        calls = {"partition": (1, None, None, lambda w: constrained_partition(n, w)),
+                 "event": (1, event, None, lambda w: event_prob(n, w, event))}
         for statistic in ("Nalpha", "A2"):
             lifts, cap = _statistic_plan(n, statistic)
-            calls[statistic] = (cap + 2, lifts,
+            calls[statistic] = (cap + 2, None, lifts,
                                 lambda w, statistic=statistic: statistic_pmf(n, w, statistic))
-        for what, (slots, lifts, call) in calls.items():
+        if n == 13:
+            corner = ConstraintSet.of(n, {(3, 4): R.MUST_ALPHA})
+            calls["corner event"] = (1, corner, None, lambda w: event_prob(n, w, corner))
+            calls["corner cell law"] = (3, corner, {(5, 5): (1, 2)},
+                                        lambda w: conditional_cell_law(n, w, (5, 5), corner))
+        for what, (slots, given, lifts, call) in calls.items():
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
-                sizes.add(_largest_group(n, w, slots))
-                estimate = _sweep_bytes(n, slots, ScaledWeights.of(w).moduli(n), lifts)
+                scaled = ScaledWeights.of(w)
+                moduli = scaled.moduli(n)
+                s, _, inside, _ = dpcount._corner(n, scaled, dpcount._allowed_map(n, given), lifts)
+                corners.add((what, s))
+                sizes.add(max(map(len, _groups(moduli, slots, s))))
+                estimate = _sweep_bytes(n, slots, moduli, inside, s)
                 gc.collect()  # empty the free lists, so every allocation is traced
                 tracemalloc.start()
                 try:
@@ -500,6 +511,7 @@ def test_counting_memory_estimate_is_tight():
                 finally:
                     tracemalloc.stop()
                 assert peak <= estimate <= 1.3 * peak, (n, what, w, peak, estimate)
+    assert {s for what, s in corners if what.startswith("corner")} == {8}
     assert {1, 2, 3, 4, 5} <= sizes  # single planes and groups of two to five
     # past the group bound every pass runs one plane; so the budget admits
     # every statistic at n = 22, Nbeta as Nalpha under swapped weights,
@@ -903,3 +915,153 @@ def test_statistic_law_refuses_masses_that_miss_the_partition_total(monkeypatch)
     with pytest.raises(RuntimeError, match="^statistic masses do not add up to the partition "
                                            "total$"):
         statistic_pmf(5, Weights(F(13, 7), F(1000, 3)), "X2")
+
+
+def _corner_cases(n, rng):
+    """(event, lifts, slots) whose boxes lie in a random corner:
+    three events of one to three boxes from rows >= r1 and columns >= k1
+    (a free box among them narrows nothing), each also as the given of a
+    3-slot cell law at a free box of the corner; then the top-left box
+    of a corner of each start, on row 1, on column 1 and on neither,
+    empty and lifted."""
+    for _ in range(3):
+        r1 = rng.randint(1, n)
+        k1 = rng.randint(1, n + 1 - r1)
+        inside = [(i, j) for i, j in staircase_boxes(n) if i >= r1 and j >= k1]
+        chosen = rng.sample(inside, rng.randint(1, min(3, len(inside))))
+        given = ConstraintSet.of(n, {box: rng.choice(list(R)) for box in chosen})
+        yield given, None, 1
+        free = [box for box in inside if box not in given.as_dict()]
+        if free:
+            yield given, {rng.choice(free): (1, 2)}, 3
+    for box in ((1, 1 + n // 2), (1 + n // 2, 1), (1 + n // 3, 1 + n // 3)):
+        yield ConstraintSet.of(n, {box: R.MUST_EMPTY}), None, 1
+        yield ConstraintSet.empty(n), {box: (1, 2)}, 3
+
+
+#: Corner passes at up to n = 14: every kernel weight at n = 2-7 (a = 0,
+#: b = 0, factors that vanish or reduce to 1 modulo a plan prime), then
+#: a plan of 2^64 alone and one of four to five moduli at n = 10, 12 and 14.
+CORNER_SIZES = ([(w, range(2, 8)) for w in KERNEL_WEIGHTS]
+                + [(KERNEL_WEIGHTS[0], (10, 12, 14)), (KERNEL_WEIGHTS[2], (10, 12, 14))])
+
+
+@pytest.mark.parametrize("w, sizes", CORNER_SIZES,
+                         ids=[f"w{k}" for k in range(len(KERNEL_WEIGHTS))]
+                         + ["single-modulus-n10-14", "primes-n10-14"])
+def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
+    # the pass on the corner from its start against the pass on the whole
+    # tableau, which starts from the empty state before column 1: every
+    # modulus of the plan alone, with the foreign prime 7 (which divides
+    # q = 21 of (13/7, 1000/3), so x and y vanish on its plane alone), the
+    # plan in one group and the plan with 7 beside it
+    rng = random.Random(f"corner {w}")
+    scaled = ScaledWeights.of(w)
+    starts = set()  # (x != 0, y != 0) of each corner smaller than the tableau
+    for n in sizes:
+        plan = scaled.moduli(n)
+        groups = [(m,) for m in plan + (7,)] + [plan, plan + (7,)]
+        for given, lifts, slots in _corner_cases(n, rng):
+            allowed = dpcount._allowed_map(n, given)
+            s, inside, moved, start = dpcount._corner(n, scaled, allowed, lifts)
+            if s < n:
+                starts.add((start[1] != 0, start[2] != 0))
+            for group in groups:
+                whole = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts)
+                assert dpcount._sweep(s, group, scaled.factors(), inside, slots, moved,
+                                      start) == whole, (n, group, allowed, lifts)
+    assert starts == {(True, False), (False, True), (True, True)}
+    if max(sizes) == 14:
+        assert len(scaled.moduli(14)) == (1 if w == KERNEL_WEIGHTS[0] else 5)
+
+
+@pytest.mark.parametrize("n, weights", [
+    (6, (Weights(1, 1), Weights(F(13, 7), F(2, 5)), Weights(0, F(3, 2)), Weights(F(5, 2), 0))),
+    (7, (Weights(F(13, 7), F(2, 5)), Weights(F(5, 2), 0)))])
+def test_corner_laws_match_the_oracle(n, weights):
+    rng = random.Random(n)
+    for w in weights:
+        for given, lifts, slots in _corner_cases(n, rng):
+            want = oracle_event_prob(n, w, given)
+            assert event_prob(n, w, given) == want, (n, w, given)
+            if lifts is None or not want:
+                continue
+            (box, _), = lifts.items()
+            law = conditional_cell_law(n, w, box, given)
+            for req, got in ((R.MUST_ALPHA, law.alpha), (R.MUST_BETA, law.beta),
+                             (R.MUST_EMPTY, law.empty)):
+                joint = ConstraintSet(n, given.items + ((box, req),))
+                assert got == oracle_event_prob(n, w, joint) / want, (n, w, box, given, req)
+
+
+def test_outside_of_a_corner_weighs_the_start_product():
+    # every filling of the tableau outside the corner (r1, k1), at the
+    # kernel's scale (each symbol's factor carries one q off the
+    # diagonal), summed by the corner's rows that a symbol left of
+    # column k1 makes dirty and its columns that a symbol above row r1
+    # flags, is Z_(r1 + k1 - 2) ((k1 - 1) q)^dirty ((r1 - 1) q)^flagged;
+    # a state never met either has no such filling (a dirty row with
+    # k1 = 1 or a flagged column with r1 = 1), where the product is 0
+    # too, or has a dirty row and a flagged column that meet on the
+    # diagonal, whose box no symbol can fill, so the kernel gives it nothing
+    weights = [(1, 1, 1), (13, 7, 5), (0, 3, 2), (3, 0, 2)]  # (pa, pb, q)
+    for n, most in ((6, 7), (7, 4)):  # every corner at n = 6, the largest at n = 7
+        tableaux = all_tableaux(n)
+        for r1, k1 in ((r1, k1) for r1 in range(1, n + 1) for k1 in range(1, n + 2 - r1)
+                       if 2 < r1 + k1 <= most):
+            s = n + 2 - r1 - k1
+            outside = {}  # each filling outside the corner, by its rows: (dirty, flagged)
+            for t in tableaux:
+                key = t.rows[:r1 - 1] + tuple(row[:k1 - 1] for row in t.rows[r1 - 1:])
+                if key not in outside:
+                    dirty = frozenset(i for i in range(r1, r1 + s) if key[i - 1] != "." * (k1 - 1))
+                    flagged = frozenset(j for j in range(k1, k1 + s)
+                                        if any(row[j - 1] != "." for row in key[:r1 - 1]))
+                    outside[key] = dirty, flagged
+            for pa, pb, q in weights:
+                sums = defaultdict(int)
+                for key, state in outside.items():
+                    sums[state] += _outside_weight(n, key, pa, pb, q)
+                z = math.prod(pa + pb + i * q for i in range(r1 + k1 - 2))
+
+                def start(dirty, flagged):
+                    return z * ((k1 - 1) * q) ** len(dirty) * ((r1 - 1) * q) ** len(flagged)
+
+                for (dirty, flagged), total in sums.items():
+                    assert total == start(dirty, flagged), (n, r1, k1, pa, pb, q, dirty, flagged)
+                for d in range(1 << s):
+                    for f in range(1 << s):
+                        dirty = frozenset(r1 + i for i in range(s) if d >> i & 1)
+                        flagged = frozenset(k1 + j for j in range(s) if f >> j & 1)
+                        if (dirty, flagged) not in sums and start(dirty, flagged):
+                            assert any(i + j == n + 1 for i in dirty for j in flagged), \
+                                (n, r1, k1, dirty, flagged)
+
+
+def _outside_weight(n, key, pa, pb, q):
+    """The kernel-scale weight of the cells ``key`` holds: the rows above
+    the corner whole, then the rest of each row left of it."""
+    weight = 1
+    for i, row in enumerate(key, start=1):
+        for j, code in enumerate(row, start=1):
+            if code == "A":
+                clean = all(c == "." for c in row[:j - 1])
+                weight *= (pb if clean else 1) * (1 if i + j == n + 1 else q)
+            elif code == "B":
+                top = all(key[k][j - 1] == "." for k in range(i - 1))
+                weight *= (pa if top else 1) * (1 if i + j == n + 1 else q)
+    return weight
+
+
+@pytest.mark.parametrize("w", [Weights(1, 1), Weights(F(13, 7), F(1000, 3)),
+                               Weights(0, F(3, 7)), Weights(F(5, 2), 0)])
+def test_a_row_is_clean_with_its_closed_form_probability(w):
+    # rows are independent at a column boundary: boxes (r, 1..k) off the
+    # diagonal are all empty with probability (a + b + r - 1) / (a + b + r - 1 + k),
+    # and the event's corner is (r, 1), so its start reads the rows above
+    for n in range(1, 13):
+        for r in range(1, n):
+            for k in range(1, n + 1 - r):
+                c = ConstraintSet.of(n, {(r, j): R.MUST_EMPTY for j in range(1, k + 1)})
+                g = w.a + w.b + r - 1
+                assert event_prob(n, w, c) == g / (g + k), (n, r, k)
