@@ -20,7 +20,6 @@ from itertools import accumulate
 from operator import mul, neg
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import dpcount
 from .core import (_STATISTICS, _check_choice, _check_int, _check_size, _statistic,
                    second_diag_max_count, third_diag_max_count)
 from .measure import Weights, _as_fraction
@@ -199,6 +198,8 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     diagonal, kind, _ = _statistic(statistic)
     if diagonal == 2:
         return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))
+    from . import dpcount
+
     return dpcount.statistic_pmf(n, w, statistic)
 
 

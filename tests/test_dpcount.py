@@ -480,12 +480,21 @@ def test_counting_memory_estimate_is_tight():
     # the budget check's estimate against the traced peak of the whole call:
     # one-slot passes, with and without constraints, and two statistics, all
     # on the whole tableau; at n = 13 also an event and a cell law whose
-    # passes run on the corner of size 8 that holds their boxes
+    # passes run on the corner of size 8 that holds their boxes.  Passes of
+    # a few boxes (the laws of two diagonal boxes and an event next to the
+    # diagonal, on corners of size 1 and 2) are held to the budget's side
+    # alone: the estimate's small-object terms over-reserve them, by up to
+    # 1.64 times.
     sizes, corners = set(), set()
     for n in (10, 11, 12, 13):
         event = ConstraintSet.of(n, {(1, 2): R.MUST_ALPHA, (n, 1): R.MUST_BETA})
+        small = ConstraintSet.of(n, {(2, n - 2): R.MUST_ALPHA})
         calls = {"partition": (1, None, None, lambda w: constrained_partition(n, w)),
-                 "event": (1, event, None, lambda w: event_prob(n, w, event))}
+                 "event": (1, event, None, lambda w: event_prob(n, w, event)),
+                 "small event": (1, small, None, lambda w: event_prob(n, w, small))}
+        for box in ((1, n), (2, n - 1)):
+            calls[f"small law {box}"] = (3, None, {box: (1, 2)},
+                                         lambda w, box=box: conditional_cell_law(n, w, box))
         for statistic in ("Nalpha", "A2"):
             lifts, cap = _statistic_plan(n, statistic)
             calls[statistic] = (cap + 2, None, lifts,
@@ -510,8 +519,11 @@ def test_counting_memory_estimate_is_tight():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= estimate <= 1.3 * peak, (n, what, w, peak, estimate)
+                assert peak <= estimate, (n, what, w, peak, estimate)
+                assert what.startswith("small") or estimate <= 1.3 * peak, \
+                    (n, what, w, peak, estimate)
     assert {s for what, s in corners if what.startswith("corner")} == {8}
+    assert {s for what, s in corners if what.startswith("small")} == {1, 2}
     assert {1, 2, 3, 4, 5} <= sizes  # single planes and groups of two to five
     # past the group bound every pass runs one plane; so the budget admits
     # every statistic at n = 22, Nbeta as Nalpha under swapped weights,
