@@ -310,7 +310,7 @@ class Tableau:
     def to_text(self) -> str:
         return "\n".join((str(self.n), *self.rows))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.to_text()
 
 

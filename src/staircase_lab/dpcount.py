@@ -9,10 +9,12 @@ integer move factors and the modulus plan, :func:`_groups` cuts the
 plan into groups, :func:`_sweep` is the one counting pass over a group and
 :func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
 alone runs the passes and recombines the moduli, exactly, with no
-modular inversion of data values.  It runs them on the :func:`_corner`,
-the sub-staircase that holds every box an event narrows or a counter
-lifts, and the rest of the tableau enters the pass in closed form, as
-its start.  The public operations honour
+modular inversion of data values.  A pass reads two sparse box maps,
+the boxes an event narrows (:func:`_allowed_map`) and the boxes a
+counter lifts; every other box keeps the fill rule.  It runs on the
+:func:`_corner`, the sub-staircase that holds every key of both maps,
+and the rest of the tableau enters the pass in closed form, as its
+start.  The public operations honour
 :class:`~staircase_lab.constraints.ConstraintSet` restrictions box by
 box, which is what turns the partition sum into joint probabilities
 of cell events.
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _budget
 from .constraints import _ALLOWED, ConstraintSet, Requirement
-from .core import Box, _check_box, _check_size, _statistic_cells, staircase_boxes
+from .core import Box, _check_box, _check_size, _statistic_cells
 from .measure import BoxLaw, Weights
 from .pmf import Pmf
 
@@ -172,21 +174,20 @@ def _crt(residues: Sequence[int], garner: Sequence[Tuple[int, int, int]]) -> int
 # ----------------------------------------------------------------------
 # shared per-box bookkeeping
 
-def _fill_rule(n: int, box: Box) -> str:
-    """The cell codes the fill rule leaves a box: ``.AB`` above the
-    diagonal and ``AB`` on it."""
-    return ".AB" if box[0] + box[1] <= n else "AB"
-
-
 def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
-    """Cell codes each box may take, merging rules and constraints: the
-    :func:`_fill_rule`, narrowed only at the boxes ``c`` constrains."""
-    if c is not None:
-        c._check_built_for(n)
-    out = {box: _fill_rule(n, box) for box in staircase_boxes(n)}
-    if c is not None:
-        for box, req in c.items:
-            out[box] = "".join(code for code in out[box] if code in _ALLOWED[req])
+    """The boxes ``c`` narrows, each with the cell codes it leaves of
+    the fill rule's (``.AB`` above the diagonal, ``AB`` on it): none
+    where ``c`` asks what the box cannot hold.  A box the map omits
+    keeps the fill rule's codes, which :func:`_sweep` gives it."""
+    if c is None:
+        return {}
+    c._check_built_for(n)
+    out = {}
+    for box, req in c.items:
+        rule = ".AB" if box[0] + box[1] <= n else "AB"
+        codes = "".join(code for code in rule if code in _ALLOWED[req])
+        if codes != rule:
+            out[box] = codes
     return out
 
 
@@ -255,7 +256,7 @@ def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
             for (factor, steps), sources in sources_of.items()]
 
 
-def _windows(n: int, slots: int, lifts: Optional[Dict[Box, Tuple[int, int]]]) -> List[List[int]]:
+def _windows(n: int, slots: int, lifts: Dict[Box, Tuple[int, int]]) -> List[List[int]]:
     """Per column, left to right, the slots that may hold mass after
     each of its boxes, top-down.  One slot holds mass at the start and
     each box adds its largest lift, but no count passes the largest
@@ -266,7 +267,7 @@ def _windows(n: int, slots: int, lifts: Optional[Dict[Box, Tuple[int, int]]]) ->
     for j in range(1, n + 1):
         column, lives = 0, []
         for i in range(1, n + 2 - j):
-            if lifts and (i, j) in lifts:  # a box without lifts leaves the window as it is
+            if (i, j) in lifts:  # a box without lifts leaves the window as it is
                 alpha, beta = lifts[(i, j)]
                 column = max(column, alpha)
                 window += beta
@@ -278,8 +279,7 @@ def _windows(n: int, slots: int, lifts: Optional[Dict[Box, Tuple[int, int]]]) ->
 
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
-           allowed: Dict[Box, str], slots: int = 1,
-           lifts: Optional[Dict[Box, Tuple[int, int]]] = None,
+           allowed: Dict[Box, str], slots: int, lifts: Dict[Box, Tuple[int, int]],
            start: Tuple[int, int, int] = (1, 0, 0)) -> List[List[int]]:
     """One left-to-right counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
@@ -296,9 +296,12 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     flag-clear half.  (1, 0, 0) is a whole tableau, which starts from
     the one empty state before column 1.  ``factors`` holds the four
     move factors off the diagonal and on it, as
-    :meth:`ScaledWeights.factors` gives them.  ``lifts`` maps a box to
-    ``(alpha steps, beta steps)``: a symbol there lifts the count by its
-    code's steps, and an empty cell never does.  A lift that would pass
+    :meth:`ScaledWeights.factors` gives them.  ``allowed`` maps a box to
+    its cell codes where an event narrows them, as :func:`_allowed_map`
+    gives them; every other box may hold ``.AB`` above the diagonal and
+    ``AB`` on it.  ``lifts`` maps a box to ``(alpha steps, beta
+    steps)``: a symbol there lifts the count by its code's steps, and an
+    empty cell or a box the map omits never does.  A lift that would pass
     the last slot while the slots it lifts from hold mass raises.  Every
     plane walks the boxes together: moves and merged factors are worked
     out once per box, and each numpy call spans all planes; the start
@@ -357,8 +360,9 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
             scale(level[plane, :, 0], y, level[plane, :, 1], m)
         buffers = np.empty((2, planes * caps[j - 1] << (height - 1)), dtype=np.uint64)
         for i in range(1, height + 1):
-            codes, diagonal = allowed[(i, j)], i == height
-            lift = lifts.get((i, j), (0, 0)) if lifts else (0, 0)
+            diagonal = i == height
+            codes = allowed.get((i, j), "AB" if diagonal else ".AB")
+            lift = lifts.get((i, j), (0, 0))
             moves = merged(factors[diagonal], codes, lift, i == 1 and not y, j == 1 and not x)
             after = windows[j - 1][i - 1]
             width = 1 << (i if j == 1 and not x else height)  # the reachable prefix
@@ -413,15 +417,13 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     return level[:, :, 0, 0].tolist()
 
 
-def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
-                 lifts: Optional[Dict[Box, Tuple[int, int]]] = None,
-                 s: Optional[int] = None) -> int:
-    """Peak bytes of a call on a size-n tableau whose counting passes
-    over the plan ``moduli`` run on its :func:`_corner` of size ``s``
-    (n when None) under ``lifts`` in the corner's coordinates, reached
-    at the diagonal box of a column in a pass over the plan's largest
-    group: the one model of a pass, which every caller of
-    :func:`_masses_crt` reserves.
+def _sweep_bytes(s: int, slots: int, moduli: Sequence[int],
+                 lifts: Dict[Box, Tuple[int, int]]) -> int:
+    """Peak bytes of a call whose counting passes over the plan
+    ``moduli`` run on a size-s staircase under ``lifts``, reached at the
+    diagonal box of a column in a pass over the plan's largest group:
+    the one model of a pass, which every caller of :func:`_masses_crt`
+    reserves.
 
     A column of height h holds a level of ``8 * planes * c * 2^(h+1)``
     bytes, c the slots live at its end, and two box buffers of a quarter
@@ -432,49 +434,42 @@ def _sweep_bytes(n: int, slots: int, moduli: Sequence[int],
     buffer up to three operands, each at most 64 KiB and the size of the
     call, a quarter of the level at the peak.  Then 512 bytes per slot
     and modulus for the residues, their recombination and the merged
-    moves' factors, 128 bytes per box of the tableau for the caller's
-    allowed map and as many per box of the corner for its own maps and
-    slot windows, and 8 KiB for the call's other small objects.
+    moves' factors, 128 bytes per box for the slot windows and 10 KiB
+    for the call's other small objects.
     """
-    s = n if s is None else s
     planes = max(map(len, _groups(moduli, slots, s)))
     caps = [column[-1] for column in _windows(s, slots, lifts)] + [slots]
     levels, quarter = max(((2 * caps[j - 1] + caps[j]) << (s + 1 - j), caps[j - 1] << (s - j))
                           for j in range(1, s + 1))
     iteration = 3 * min(8 * planes * quarter, 1 << 16) if planes > 1 else 0
-    small = 512 * slots * len(moduli) + 64 * (n * (n + 1) + s * (s + 1)) + (1 << 13)
+    small = 512 * slots * len(moduli) + 64 * s * (s + 1) + (10 << 10)
     return 8 * planes * levels + iteration + small
 
 
 def _corner(n: int, scaled: ScaledWeights, allowed: Dict[Box, str],
-            lifts: Optional[Dict[Box, Tuple[int, int]]]) -> tuple:
+            lifts: Dict[Box, Tuple[int, int]]) -> tuple:
     """The sub-staircase a pass runs on, as (its size s, its allowed
     map and lifts in its own coordinates, the :func:`_sweep` start).
 
     Its corner (r1, k1) is the least row and the least column among the
-    boxes that ``allowed`` narrows below the :func:`_fill_rule` or that
-    ``lifts`` touches, (1, 1) when there are none.  It holds the rows
-    from r1 and the columns from k1, s = n + 2 - r1 - k1 of each, and
-    shares the tableau's diagonal.  A box inside reads the outside only
+    keys of ``allowed`` and ``lifts``, the boxes an event narrows and a
+    counter lifts, (1, 1) when there are none.  It holds the rows from
+    r1 and the columns from k1, s = n + 2 - r1 - k1 of each, and shares
+    the tableau's diagonal.  A box inside reads the outside only
     through its row's dirty bit and its column's "symbol above" flag,
     and the fillings outside with d of its rows dirty and f of its
     columns flagged weigh, summed, :meth:`ScaledWeights.total_bound` of
     r1 + k1 - 2 times ((k1 - 1) q)^d ((r1 - 1) q)^f: the start
     (base, x, y)."""
-    boxes = [box for box, codes in allowed.items() if codes != _fill_rule(n, box)]
-    boxes += lifts or ()
-    r1, k1 = (min((box[k] for box in boxes), default=1) for k in (0, 1))
-    if r1 + k1 > 2:  # renumber the boxes inside; the whole tableau keeps its maps
-        allowed = {(i + 1 - r1, j + 1 - k1): codes for (i, j), codes in allowed.items()
-                   if i >= r1 and j >= k1}
-        if lifts:
-            lifts = {(i + 1 - r1, j + 1 - k1): lift for (i, j), lift in lifts.items()}
+    r1, k1 = (min((box[k] for box in [*allowed, *lifts]), default=1) for k in (0, 1))
+    allowed, lifts = ({(i + 1 - r1, j + 1 - k1): value for (i, j), value in boxes.items()}
+                      for boxes in (allowed, lifts))
     start = scaled.total_bound(r1 + k1 - 2), (k1 - 1) * scaled.q, (r1 - 1) * scaled.q
     return n + 2 - r1 - k1, allowed, lifts, start
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
-                lifts: Optional[Dict[Box, Tuple[int, int]]] = None) -> List[int]:
+                lifts: Dict[Box, Tuple[int, int]]) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
     of the plan's moduli, on the :func:`_corner` that holds every box
     the allowed map narrows or the lifts touch."""
@@ -482,8 +477,7 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
     moduli, factors = scaled.moduli(n), scaled.factors()
     s, allowed, lifts, start = _corner(n, scaled, allowed, lifts)
     residues: List[List[int]] = []
-    need = _sweep_bytes(n, slots, moduli, lifts, s)
-    with _budget.reserve(need, f"{slots}-slot sweeps at n={n}"):
+    with _budget.reserve(_sweep_bytes(s, slots, moduli, lifts), f"{slots}-slot sweeps at n={n}"):
         for group in _groups(moduli, slots, s):
             residues += _sweep(s, group, factors, allowed, slots, lifts, start)
     garner = _garner(moduli)
@@ -501,13 +495,15 @@ def constrained_partition(n: int, w: Weights,
     constraint sets simply sum an empty set of tableaux and return 0.
     """
     _check_size(n, 1, N_DP)
-    total = _masses_crt(n, w, _allowed_map(n, c), slots=1)[0]
+    total = _masses_crt(n, w, _allowed_map(n, c), slots=1, lifts={})[0]
     return Fraction(total, ScaledWeights.of(w).q ** n)
 
 
 def event_prob(n: int, w: Weights, c: ConstraintSet) -> Fraction:
-    """Probability that a random tableau satisfies every constraint."""
-    return constrained_partition(n, w, c) / w.normalizer(n)
+    """Probability that a random tableau satisfies every constraint: its
+    scaled mass over :meth:`ScaledWeights.total_bound`."""
+    scaled = ScaledWeights.of(w)
+    return constrained_partition(n, w, c) * scaled.q ** n / scaled.total_bound(n)
 
 
 def conditional_cell_law(n: int, w: Weights, box: Box,
@@ -560,7 +556,7 @@ def statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     if statistic == "Nbeta":
         statistic, w = "Nalpha", w.swapped()
     lifts, cap = _statistic_plan(n, statistic)
-    masses = _masses_crt(n, w, _allowed_map(n, None), slots=cap + 2, lifts=lifts)
+    masses = _masses_crt(n, w, {}, slots=cap + 2, lifts=lifts)
     total = ScaledWeights.of(w).total_bound(n)
     if sum(masses) != total:
         raise RuntimeError("statistic masses do not add up to the partition total")

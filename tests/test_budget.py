@@ -78,7 +78,7 @@ def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
         moduli = dpcount.ScaledWeights.of(w).moduli(8)
         assert len(moduli) == planes and dpcount._groups(moduli, 1, 8) == [moduli]
         with monkeypatch.context() as patch:
-            patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli) - 1)
+            patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli, {}) - 1)
             with pytest.raises(ValueError, match="MB"):
                 dpcount.constrained_partition(8, w)
         assert ledger.kept == before and ledger.reserved == 0

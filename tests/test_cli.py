@@ -77,6 +77,12 @@ def test_exact_rationals_print_past_the_int_to_str_digit_cap(runner):
     assert len(masses) == 601 and sum(masses) == 1
 
 
+def test_rational_option_passes_a_fraction_through():
+    # click hands a default or a value already converted back to convert
+    value = Fraction(1, 3)
+    assert cli.RATIONAL.convert(value, None, None) is value
+
+
 @pytest.mark.parametrize("box", ["1,2,3", "5"])
 def test_prob_refuses_a_box_that_is_not_a_pair(runner, box):
     given = "[" + box.replace(",", ", ") + "]"

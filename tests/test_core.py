@@ -154,6 +154,7 @@ def test_text_round_trip():
     t = Tableau(SIZE7_ROWS)
     assert Tableau.parse(t.to_text()) == t
     assert t.to_text().splitlines()[0] == "7"
+    assert str(t) == t.to_text()
     with pytest.raises(ValueError):
         Tableau.parse("")
     with pytest.raises(ValueError):

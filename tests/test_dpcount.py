@@ -62,7 +62,7 @@ def _partition_fractions(n, w, allowed):
         height = n + 1 - j
         col = {(mask, False): wt for mask, wt in states.items()}
         for i in range(1, height + 1):
-            codes = allowed[(i, j)]
+            codes = allowed.get((i, j), "AB" if i == height else ".AB")
             bit = 1 << (i - 1)
             new = defaultdict(Fraction)
             for (mask, above), wt in col.items():
@@ -484,14 +484,14 @@ def test_counting_memory_estimate_is_tight():
     # a few boxes (the laws of two diagonal boxes and an event next to the
     # diagonal, on corners of size 1 and 2) are held to the budget's side
     # alone: the estimate's small-object terms over-reserve them, by up to
-    # 1.64 times.
+    # 1.96 times.
     sizes, corners = set(), set()
     for n in (10, 11, 12, 13):
         event = ConstraintSet.of(n, {(1, 2): R.MUST_ALPHA, (n, 1): R.MUST_BETA})
         small = ConstraintSet.of(n, {(2, n - 2): R.MUST_ALPHA})
-        calls = {"partition": (1, None, None, lambda w: constrained_partition(n, w)),
-                 "event": (1, event, None, lambda w: event_prob(n, w, event)),
-                 "small event": (1, small, None, lambda w: event_prob(n, w, small))}
+        calls = {"partition": (1, None, {}, lambda w: constrained_partition(n, w)),
+                 "event": (1, event, {}, lambda w: event_prob(n, w, event)),
+                 "small event": (1, small, {}, lambda w: event_prob(n, w, small))}
         for box in ((1, n), (2, n - 1)):
             calls[f"small law {box}"] = (3, None, {box: (1, 2)},
                                          lambda w, box=box: conditional_cell_law(n, w, box))
@@ -501,7 +501,7 @@ def test_counting_memory_estimate_is_tight():
                                 lambda w, statistic=statistic: statistic_pmf(n, w, statistic))
         if n == 13:
             corner = ConstraintSet.of(n, {(3, 4): R.MUST_ALPHA})
-            calls["corner event"] = (1, corner, None, lambda w: event_prob(n, w, corner))
+            calls["corner event"] = (1, corner, {}, lambda w: event_prob(n, w, corner))
             calls["corner cell law"] = (3, corner, {(5, 5): (1, 2)},
                                         lambda w: conditional_cell_law(n, w, (5, 5), corner))
         for what, (slots, given, lifts, call) in calls.items():
@@ -511,7 +511,7 @@ def test_counting_memory_estimate_is_tight():
                 s, _, inside, _ = dpcount._corner(n, scaled, dpcount._allowed_map(n, given), lifts)
                 corners.add((what, s))
                 sizes.add(max(map(len, _groups(moduli, slots, s))))
-                estimate = _sweep_bytes(n, slots, moduli, inside, s)
+                estimate = _sweep_bytes(s, slots, moduli, inside)
                 gc.collect()  # empty the free lists, so every allocation is traced
                 tracemalloc.start()
                 try:
@@ -563,7 +563,7 @@ def test_windows_match_the_row_book_on_every_plan_the_library_runs():
     # the lift-free pass, a cell law at every box and six statistics
     plans = 0
     for n in range(1, N_DP + 1):
-        runs = [(1, None)] + [(3, {box: (1, 2)}) for box in staircase_boxes(n)]
+        runs = [(1, {})] + [(3, {box: (1, 2)}) for box in staircase_boxes(n)]
         runs += [(cap + 2, lifts) for lifts, cap in
                  (_statistic_plan(n, s) for s in STATISTIC_NAMES if s != "Nbeta")]
         for slots, lifts in runs:
@@ -724,13 +724,14 @@ def test_diagonal_factors_match_fractions_and_oracle(w):
                 oracle_statistic_pmf(n, w, statistic), (n, statistic)
 
 
-def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
+def _reference_sweep(n, m, factors, allowed, slots, lifts):
     """The counting pass as it stood before passes ran left to right,
     column 1 skipped unreachable states, moves were merged and moduli
     were stacked as planes: right to left, counting completions, on one
     modulus, every box updates every slot of the whole level, one
     product per move.  A symbol at a box that ``lifts`` maps to (alpha
-    steps, beta steps) moves the count up its code's steps.  Kept as the reference the
+    steps, beta steps) moves the count up its code's steps.  A box that
+    ``allowed`` omits keeps the fill rule's codes.  Kept as the reference the
     kernel must match."""
     moves = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
     modulus = None if m == 2 ** 64 else np.uint64(m)
@@ -742,8 +743,8 @@ def _reference_sweep(n, m, factors, allowed, slots=1, lifts=None):
         level.reshape(slots, 2, 2, -1)[:, :, 1, :] = boundary[:, None, :]
         buffers = np.empty((2, slots, 1 << (height - 1)), dtype=np.uint64)
         for i in range(height, 0, -1):
-            codes, fac = allowed[(i, j)], facs[i == height]
-            up = lifts.get((i, j), (0, 0)) if lifts else (0, 0)
+            codes, fac = allowed.get((i, j), "AB" if i == height else ".AB"), facs[i == height]
+            up = lifts.get((i, j), (0, 0))
             seg, half = 1 << (height - i), 1 << (i - 1)
             view = level.reshape(slots, 2, seg, 2, half)
             src, step = buffers.reshape(2, slots, seg, half)
@@ -795,7 +796,7 @@ def _kernel_cases(n, rng, statistics=STATISTIC_NAMES):
     for given in events:
         allowed = dpcount._allowed_map(n, given)
         if every:
-            yield allowed, None, 1
+            yield allowed, {}, 1
         for statistic in statistics:
             lifts, cap = _statistic_plan(n, statistic)
             yield allowed, lifts, cap + 2
@@ -851,8 +852,9 @@ def test_kernel_matches_the_reference_pass(w, sizes, statistics):
             for group in groups:
                 got = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts)
                 assert got == [want[m] for m in group], (n, group, allowed, lifts)
-                flipped.update((half, bool(lifts) and (i, j) in lifts,
-                                "." not in allowed[(i, j)], len(group))
+                flipped.update((half, (i, j) in lifts,
+                                "." not in allowed.get((i, j), ".AB" if i + j <= n else "AB"),
+                                len(group))
                                for i, j, half in _flipped_boxes(n))
     if 8 in sizes:
         # the long-axis boxes ran at both short run lengths, lifted and
@@ -935,20 +937,25 @@ def _corner_cases(n, rng):
     (a free box among them narrows nothing), each also as the given of a
     3-slot cell law at a free box of the corner; then the top-left box
     of a corner of each start, on row 1, on column 1 and on neither,
-    empty and lifted."""
+    empty and lifted; then an alpha at that last box beside a diagonal
+    box in row 1 or column 1 that must hold a symbol, which narrows
+    nothing, so the corner stays the alpha's."""
     for _ in range(3):
         r1 = rng.randint(1, n)
         k1 = rng.randint(1, n + 1 - r1)
         inside = [(i, j) for i, j in staircase_boxes(n) if i >= r1 and j >= k1]
         chosen = rng.sample(inside, rng.randint(1, min(3, len(inside))))
         given = ConstraintSet.of(n, {box: rng.choice(list(R)) for box in chosen})
-        yield given, None, 1
+        yield given, {}, 1
         free = [box for box in inside if box not in given.as_dict()]
         if free:
             yield given, {rng.choice(free): (1, 2)}, 3
     for box in ((1, 1 + n // 2), (1 + n // 2, 1), (1 + n // 3, 1 + n // 3)):
-        yield ConstraintSet.of(n, {box: R.MUST_EMPTY}), None, 1
+        yield ConstraintSet.of(n, {box: R.MUST_EMPTY}), {}, 1
         yield ConstraintSet.empty(n), {box: (1, 2)}, 3
+    for box in ((1, n), (n, 1)):
+        yield ConstraintSet.of(n, {box: R.MUST_NONEMPTY,
+                                   (1 + n // 3, 1 + n // 3): R.MUST_ALPHA}), {}, 1
 
 
 #: Corner passes at up to n = 14: every kernel weight at n = 2-7 (a = 0,
@@ -970,6 +977,7 @@ def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
     rng = random.Random(f"corner {w}")
     scaled = ScaledWeights.of(w)
     starts = set()  # (x != 0, y != 0) of each corner smaller than the tableau
+    passed = 0  # events whose non-narrowing boxes lie outside a corner smaller than the tableau
     for n in sizes:
         plan = scaled.moduli(n)
         groups = [(m,) for m in plan + (7,)] + [plan, plan + (7,)]
@@ -978,11 +986,19 @@ def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
             s, inside, moved, start = dpcount._corner(n, scaled, allowed, lifts)
             if s < n:
                 starts.add((start[1] != 0, start[2] != 0))
+            # a diagonal box that must hold a symbol narrows nothing, so the
+            # event gets the corner of its other boxes alone
+            narrowing = ConstraintSet(n, tuple((box, req) for box, req in given.items
+                                               if req is not R.MUST_NONEMPTY or sum(box) <= n))
+            alone = dpcount._corner(n, scaled, dpcount._allowed_map(n, narrowing), lifts)
+            assert (alone[0], alone[3]) == (s, start), (n, given, lifts)
+            passed += narrowing != given and s < n
             for group in groups:
                 whole = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts)
                 assert dpcount._sweep(s, group, scaled.factors(), inside, slots, moved,
                                       start) == whole, (n, group, allowed, lifts)
     assert starts == {(True, False), (False, True), (True, True)}
+    assert passed >= 2 * sum(n >= 3 for n in sizes)
     if max(sizes) == 14:
         assert len(scaled.moduli(14)) == (1 if w == KERNEL_WEIGHTS[0] else 5)
 
@@ -996,7 +1012,7 @@ def test_corner_laws_match_the_oracle(n, weights):
         for given, lifts, slots in _corner_cases(n, rng):
             want = oracle_event_prob(n, w, given)
             assert event_prob(n, w, given) == want, (n, w, given)
-            if lifts is None or not want:
+            if not lifts or not want:
                 continue
             (box, _), = lifts.items()
             law = conditional_cell_law(n, w, box, given)
