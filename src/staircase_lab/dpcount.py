@@ -4,9 +4,11 @@ The enumeration oracle answers every question by visiting all
 ``(n+1)!`` tableaux; this module answers the same questions in
 polynomial time per state by sweeping columns left to right and
 remembering only what the filling rules can still see: one bit per
-live row and one flag per column.  :class:`ScaledWeights` gives the
-integer move factors and the modulus plan, :func:`_groups` cuts the
-plan into groups, :func:`_sweep` is the one counting pass over a group and
+live row and one flag per column.  The fill rules' moves
+(:data:`_MOVES`) and the integer move factors (:class:`ScaledWeights`)
+come from :mod:`staircase_lab._rules`; :func:`_moduli` gives the
+modulus plan, :func:`_groups` cuts the plan into groups,
+:func:`_sweep` is the one counting pass over a group and
 :func:`_sweep_bytes` the one model of its memory.  :func:`_masses_crt`
 alone runs the passes and recombines the moduli, exactly, with no
 modular inversion of data values.  A pass reads two sparse box maps,
@@ -23,12 +25,11 @@ of cell events.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _budget
+from ._rules import _MOVES, ScaledWeights
 from .constraints import _ALLOWED, ConstraintSet, Requirement
 from .core import Box, _check_box, _check_size, _statistic_cells
 from .measure import BoxLaw, Weights
@@ -40,62 +41,7 @@ N_DP = 22
 
 
 # ----------------------------------------------------------------------
-# scaled integer weights and the prime plan
-
-@dataclass(frozen=True, slots=True)
-class ScaledWeights:
-    """(a, b) = (pa/q, pb/q) over the least common denominator q.
-
-    Scaling every tableau weight by ``q^(2n)`` makes all four local
-    factors integers: an alpha contributes ``q * pb`` in a clean row
-    and ``q`` in a dirty one, a beta ``q * pa`` as the column's topmost
-    symbol and ``q`` otherwise.  Each factor carries exactly one q, and
-    each of the n diagonal boxes holds a symbol, so q^n divides every
-    count; the counting kernel divides it out by giving a diagonal
-    box's moves the factors without their q, ``(pb, 1, pa, 1)``.  Its
-    counts are the tableau weights scaled by ``q^n``.
-    """
-
-    q: int
-    pa: int
-    pb: int
-
-    @classmethod
-    def of(cls, w: Weights) -> "ScaledWeights":
-        a, b = w.a, w.b
-        q = math.lcm(a.denominator, b.denominator)
-        return cls(q, a.numerator * (q // a.denominator), b.numerator * (q // b.denominator))
-
-    def factors(self) -> Tuple[Tuple[int, int, int, int], Tuple[int, int, int, int]]:
-        """(alpha clean, alpha dirty, beta topmost, beta below) off the
-        diagonal, then on it."""
-        q, pa, pb = self.q, self.pa, self.pb
-        return (q * pb, q, q * pa, q), (pb, 1, pa, 1)
-
-    def row_factors(self, n: int) -> List[int]:
-        """g_r = pa + pb + (r - 1) q for the rows r = 1..n: Hitczenko and
-        Janson's partition function is one such factor per row."""
-        return [self.pa + self.pb + r * self.q for r in range(n)]
-
-    def total_bound(self, n: int) -> int:
-        """The kernel's unconstrained total, the product of the
-        :meth:`row_factors`.
-
-        It is the normalizer scaled by q^n.  Every quantity the kernel
-        reads out (constrained totals, per-count masses) is a subsum of
-        it, so it bounds them all.
-        """
-        return math.prod(self.row_factors(n))
-
-    def total(self, n: int) -> int:
-        """The partition total at the q^(2n) scale: :meth:`total_bound` times q^n."""
-        return self.total_bound(n) * self.q ** n
-
-    def moduli(self, n: int) -> Tuple[int, ...]:
-        """The modulus plan of every size-n count: 2^64, then the primes
-        :func:`_primes_covering` adds."""
-        return (_WRAP,) + _primes_covering(self.total_bound(n) >> 64)
-
+# the prime plan
 
 #: The free modulus: numpy's uint64 arithmetic wraps around it.
 _WRAP = 1 << 64
@@ -152,6 +98,12 @@ def _primes_covering(bound: int) -> Tuple[int, ...]:
     return tuple(primes)
 
 
+def _moduli(bound: int) -> Tuple[int, ...]:
+    """The modulus plan of counts up to ``bound``: 2^64, then the
+    primes :func:`_primes_covering` adds."""
+    return (_WRAP,) + _primes_covering(bound >> 64)
+
+
 def _garner(moduli: Sequence[int]) -> Tuple[Tuple[int, int, int], ...]:
     """Garner's constants of a plan, for :func:`_crt`: each modulus m_i
     with the product M_i of those before it and M_i^-1 mod m_i."""
@@ -193,12 +145,6 @@ def _allowed_map(n: int, c: Optional[ConstraintSet]) -> Dict[Box, str]:
 
 # ----------------------------------------------------------------------
 # counting kernel
-
-#: The fill rules as (cell code, factor index, "symbol above" flag, row
-#: bit): alpha in a clean and in a dirty row, beta topmost in its column
-#: and below another symbol.  Each applies where the flag and the box's
-#: row bit hold these values, and sets both.
-_MOVES = (("A", 0, 0, 0), ("A", 1, 0, 1), ("B", 2, 0, 0), ("B", 3, 1, 0))
 
 #: Most level entries, planes * slots * 2^n, that one kernel pass walks
 #: at once (see :func:`_groups`).  Below it, walking the boxes once for
@@ -472,16 +418,22 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
                 lifts: Dict[Box, Tuple[int, int]]) -> List[int]:
     """Scaled integer masses per counter slot, one kernel pass per group
     of the plan's moduli, on the :func:`_corner` that holds every box
-    the allowed map narrows or the lifts touch."""
+    the allowed map narrows or the lifts touch.
+
+    A pass is linear in its start's base, so it runs from (1, x, y) and
+    base multiplies its masses back after the recombination: they are
+    then subsums of ``total_bound(n) // base``, the product of the
+    corner's own row factors, and the plan need only cover that."""
     scaled = ScaledWeights.of(w)
-    moduli, factors = scaled.moduli(n), scaled.factors()
-    s, allowed, lifts, start = _corner(n, scaled, allowed, lifts)
+    factors = scaled.factors()
+    s, allowed, lifts, (base, x, y) = _corner(n, scaled, allowed, lifts)
+    moduli = _moduli(scaled.total_bound(n) // base)
     residues: List[List[int]] = []
     with _budget.reserve(_sweep_bytes(s, slots, moduli, lifts), f"{slots}-slot sweeps at n={n}"):
         for group in _groups(moduli, slots, s):
-            residues += _sweep(s, group, factors, allowed, slots, lifts, start)
+            residues += _sweep(s, group, factors, allowed, slots, lifts, (1, x, y))
     garner = _garner(moduli)
-    return [_crt(slot, garner) for slot in zip(*residues)]
+    return [base * _crt(slot, garner) for slot in zip(*residues)]
 
 
 # ----------------------------------------------------------------------

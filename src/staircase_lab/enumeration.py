@@ -3,7 +3,9 @@
 This is the ground-truth backend: every distributional claim the
 library makes is checked against plain sums over all ``(n+1)!``
 tableaux of a given size.  Generation walks columns left to right,
-through :func:`_column_configs`, and never backtracks into a dead end.
+through the whole-column fillings of :func:`_column_configs` (in
+:mod:`staircase_lab._rules`, beside the kernel's box moves, which the
+oracle never reads), and never backtracks into a dead end.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple, Union
 
 from . import _budget
+from ._rules import _column_configs
 from .constraints import ConstraintSet
 from .core import Tableau, _check_size, diagonal_statistic
 from .measure import FourWeights, Weights
@@ -28,41 +31,6 @@ N_ENUM = 9
 
 #: Largest size whose oracle passes read the cached list, not a stream.
 _CACHE_MAX = 7
-
-
-def _column_configs(height: int, mask: int) -> List[Tuple[str, int]]:
-    """All legal fillings of one column of the given height.
-
-    ``mask`` holds one bit per row (bit i-1 for row i), set when the row
-    already has a symbol in an earlier column and so cannot take a
-    beta.  Returns (column string top to bottom, mask for the next
-    column); the bottom row retires afterwards, so its bit is dropped.
-    """
-    diag_bit = 1 << (height - 1)
-    keep = diag_bit - 1
-    if mask & diag_bit:
-        # The diagonal row is already dirty: no beta may land there and
-        # an alpha forbids symbols above it, so the column is forced.
-        return [("." * (height - 1) + "A", mask & keep)]
-    out = []
-    for t in range(1, height + 1):
-        symbols = "A" if mask & (1 << (t - 1)) else "AB"
-        free_below = [i for i in range(t + 1, height) if not mask & (1 << (i - 1))]
-        for sym in symbols:
-            base = ["."] * height
-            base[t - 1] = sym
-            if t < height:
-                base[height - 1] = "B"
-            base_mask = mask | (1 << (t - 1)) | diag_bit
-            for size in range(len(free_below) + 1):
-                for rows in itertools.combinations(free_below, size):
-                    cells = base.copy()
-                    new_mask = base_mask
-                    for i in rows:
-                        cells[i - 1] = "B"
-                        new_mask |= 1 << (i - 1)
-                    out.append(("".join(cells), new_mask & keep))
-    return out
 
 
 def enumerate_tableaux(n: int) -> Iterator[Tableau]:

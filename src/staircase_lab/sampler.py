@@ -6,7 +6,10 @@ counts: ``enum_alias`` down the tree of :func:`_alias_shape`, which it
 keeps in the process's one memory ledger (``_budget.get``), weighing
 only the states a call reaches (:func:`_sample_enum`), and
 ``chain_rule`` box by box (:func:`_sample_chain`), which keeps nothing.
-Every draw of an integer goes through :func:`_below`.
+Every draw of an integer goes through :func:`_below`.  The column
+fillings, the box moves and the integer weights that the backends read
+come from :mod:`staircase_lab._rules`, so a draw loads neither the
+counting kernel nor the enumeration.
 """
 
 from __future__ import annotations
@@ -21,13 +24,20 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import _budget
+from ._rules import _MOVES, ScaledWeights, _column_configs
 from .core import Tableau, _check_choice, _check_int, _check_size, _statistic, diagonal_statistic
-from .dpcount import _MOVES, N_DP, ScaledWeights
-from .enumeration import N_ENUM, _column_configs
 from .measure import FourWeights, Weights
 from .pmf import Pmf
 
 _METHODS = ("enum_alias", "chain_rule")
+
+#: Largest size ``enum_alias`` draws at: its tree holds 3^h fillings of
+#: each column of height h, about 1.5 MB at n = 9.
+N_ALIAS = 9
+
+#: Largest size ``chain_rule`` draws at, the counting kernel's own; its
+#: walkers keep no table, so nothing else bounds it.
+N_CHAIN = 22
 
 
 def _below(getrandbits, bound: int) -> int:
@@ -86,7 +96,8 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
     partition total.  A state of height h on the dirty-row mask ``mask``
     has q^h times g_r (:meth:`ScaledWeights.row_factors`) of each clean
     row r <= h completions, the row product :func:`_sample_chain` reads,
-    and ``counts`` holds them for the call.  The first draw to reach a
+    and ``counts`` holds them for the call, from
+    :meth:`ScaledWeights.completions`.  The first draw to reach a
     state sums its fillings' factors times the counts after them, checks
     the sum against the state's own count, and keeps the running sums
     for the rest of the call."""
@@ -95,10 +106,7 @@ def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tab
     q = scaled.q
     factors = [kind * q ** symbols for symbols in range(n + 1)
                for kind in (scaled.pa, scaled.pb, 1)]
-    counts = [[1]]  # by height, by mask: the completion count
-    for clean in (q * g for g in scaled.row_factors(n - 1)):
-        counts.append([clean * c for c in counts[-1]] + [q * c for c in counts[-1]])
-    counts.append([scaled.total(n)])  # column 1 is entered on mask 0 alone
+    counts = scaled.completions(n)  # by height, by mask
     reached: List[Dict[int, List[int]]] = [{} for _ in shape]  # per column, by mask
     getrandbits, draws = rng.getrandbits, []
     for _ in range(count):
@@ -259,7 +267,7 @@ def sample_many(n: int, w: Weights, rng: random.Random, count: int,
     """
     _check_choice(method, "method", _METHODS)
     alias = method == "enum_alias"
-    _check_size(n, 1, N_ENUM if alias else N_DP)
+    _check_size(n, 1, N_ALIAS if alias else N_CHAIN)
     _check_count(count, "count")
     _check_rng(rng)
     return (_sample_enum if alias else _sample_chain)(n, w, rng, count)

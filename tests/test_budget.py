@@ -54,7 +54,7 @@ def test_sweep_evicts_a_kept_table_rather_than_refusing(monkeypatch, fresh_ledge
     sampler.sample(8, w, random.Random(0), "enum_alias")
     kept = ledger.held
     # one grouped pass, all the plan's planes at once, and its reservation
-    moduli = dpcount.ScaledWeights.of(w).moduli(n)
+    moduli = dpcount._moduli(dpcount.ScaledWeights.of(w).total_bound(n))
     lifts, cap = dpcount._statistic_plan(n, statistic)
     slots = cap + 2
     assert dpcount._groups(moduli, slots, n) == [moduli] and len(moduli) > 1
@@ -75,7 +75,7 @@ def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
         sampler.sample(6, w, random.Random(0), "enum_alias")
         before = dict(ledger.kept)
         assert before
-        moduli = dpcount.ScaledWeights.of(w).moduli(8)
+        moduli = dpcount._moduli(dpcount.ScaledWeights.of(w).total_bound(8))
         assert len(moduli) == planes and dpcount._groups(moduli, 1, 8) == [moduli]
         with monkeypatch.context() as patch:
             patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli, {}) - 1)

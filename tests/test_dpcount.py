@@ -12,14 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from staircase_lab import dpcount
+from staircase_lab import _budget, dpcount
 from staircase_lab.asep import AsepParams, steady_state_via_generator
 from staircase_lab.constraints import (ConstraintSet, Requirement,
                                        second_diag_event, third_diag_event)
 from staircase_lab.core import STATISTIC_NAMES, staircase_boxes
 from staircase_lab._budget import _MEM_BUDGET
-from staircase_lab.dpcount import (_GROUP_ENTRIES, _PRIME_LIMIT, N_DP, ScaledWeights,
-                                   _crt, _garner, _groups, _is_prime, _primes_covering,
+from staircase_lab._rules import ScaledWeights
+from staircase_lab.dpcount import (_GROUP_ENTRIES, _PRIME_LIMIT, N_DP, _crt, _garner,
+                                   _groups, _is_prime, _moduli, _primes_covering,
                                    _statistic_plan, _sweep_bytes, conditional_cell_law,
                                    constrained_partition, event_prob,
                                    statistic_pmf)
@@ -250,7 +251,7 @@ def test_alpha_and_beta_counts_match_the_product_form(w):
         assert statistic_pmf(n, w, "Nalpha") == law, n
         assert statistic_pmf(n, w.swapped(), "Nbeta") == law, n
     # a = b = 1 runs on the 2^64 plane alone; the others take primes by n = 16
-    assert (len(ScaledWeights.of(w).moduli(16)) == 1) == (w == Weights(1, 1))
+    assert (len(_moduli(ScaledWeights.of(w).total_bound(16))) == 1) == (w == Weights(1, 1))
 
 
 def test_diagonal_events_match_closed_forms_beyond_enumeration():
@@ -360,7 +361,7 @@ def test_moduli_start_with_the_free_wrap_and_cover_the_bound():
     assert below < 2 ** 64 < above
     for n, w in AROUND_WRAP + [(14, Weights(F(13, 7), F(1000, 3)))]:
         scaled = ScaledWeights.of(w)
-        moduli = scaled.moduli(n)
+        moduli = _moduli(scaled.total_bound(n))
         assert moduli[0] == 2 ** 64
         assert math.prod(moduli) > scaled.total_bound(n)
         # the primes alone do not cover it: no prime is wasted
@@ -370,8 +371,8 @@ def test_moduli_start_with_the_free_wrap_and_cover_the_bound():
         # the largest primes below the limit, none skipped
         assert list(moduli[1:]) == [x for x in range(_PRIME_LIMIT - 1, moduli[-1] - 1, -1)
                                     if _is_prime(x)]
-    assert ScaledWeights.of(Weights(50, 50)).moduli(9) == (2 ** 64,)
-    assert len(ScaledWeights.of(Weights(50, 50)).moduli(10)) == 2
+    assert _moduli(ScaledWeights.of(Weights(50, 50)).total_bound(9)) == (2 ** 64,)
+    assert len(_moduli(ScaledWeights.of(Weights(50, 50)).total_bound(10))) == 2
 
 
 def test_counts_around_the_wrap_match_closed_form_and_fractions():
@@ -472,8 +473,14 @@ def test_a_size_that_is_not_an_int_is_refused(size):
             call()
 
 
+def _corner_plan(scaled, n, base):
+    """The plan that ``_masses_crt`` reserves and runs for a corner
+    whose start has this base."""
+    return _moduli(scaled.total_bound(n) // base)
+
+
 def _largest_group(n, w, slots):
-    return max(map(len, _groups(ScaledWeights.of(w).moduli(n), slots, n)))
+    return max(map(len, _groups(_moduli(ScaledWeights.of(w).total_bound(n)), slots, n)))
 
 
 def test_counting_memory_estimate_is_tight():
@@ -507,8 +514,9 @@ def test_counting_memory_estimate_is_tight():
         for what, (slots, given, lifts, call) in calls.items():
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
                 scaled = ScaledWeights.of(w)
-                moduli = scaled.moduli(n)
-                s, _, inside, _ = dpcount._corner(n, scaled, dpcount._allowed_map(n, given), lifts)
+                allowed = dpcount._allowed_map(n, given)
+                s, _, inside, (base, _, _) = dpcount._corner(n, scaled, allowed, lifts)
+                moduli = _corner_plan(scaled, n, base)
                 corners.add((what, s))
                 sizes.add(max(map(len, _groups(moduli, slots, s))))
                 estimate = _sweep_bytes(s, slots, moduli, inside)
@@ -579,7 +587,8 @@ def test_windows_match_the_row_book_on_every_plan_the_library_runs():
 
 
 def test_groups_cut_the_plan_in_order_under_the_bound():
-    plan = ScaledWeights.of(Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1))).moduli(12)
+    wide = ScaledWeights.of(Weights(F(1, 2 ** 31 + 11), F(7, 3 * 2 ** 30 + 1)))
+    plan = _moduli(wide.total_bound(12))
     assert len(plan) == 25
     for n, slots in ((6, 1), (10, 7), (12, 1), (12, 8), (13, 15), (15, 9), (18, 1)):
         groups = _groups(plan, slots, n)
@@ -641,7 +650,7 @@ def test_miller_rabin_on_four_bases_matches_a_sieve_below_the_limit():
 def test_crt_ignores_multiples_of_each_modulus():
     # the kernel hands over entries that are congruent, not reduced
     rng = random.Random(29)
-    moduli = ScaledWeights.of(Weights(F(2999, 1000), F(400, 143))).moduli(6)
+    moduli = _moduli(ScaledWeights.of(Weights(F(2999, 1000), F(400, 143))).total_bound(6))
     garner = _garner(moduli)
     for _ in range(20):
         x = rng.randrange(math.prod(moduli))
@@ -667,7 +676,7 @@ def test_large_factors_match_independent_routes(n, w):
     scaled = ScaledWeights.of(w)
     assert max(scaled.factors()[0]) > 2 ** 31
     if w in LARGE_FACTORS:
-        assert len(scaled.moduli(n)) >= 6
+        assert len(_moduli(scaled.total_bound(n))) >= 6
     assert constrained_partition(n, w) == partition_closed(n, w)
     for statistic in STATISTIC_NAMES:
         assert statistic_pmf(n, w, statistic) == \
@@ -842,7 +851,7 @@ def test_kernel_matches_the_reference_pass(w, sizes, statistics):
     scaled = ScaledWeights.of(w)
     flipped = set()  # (half, lifted, forbids ".", planes) of each box run along seg
     for n in sizes:
-        plan = scaled.moduli(n)
+        plan = _moduli(scaled.total_bound(n))
         moduli = plan + (7,)
         groups = ([(m,) for m in moduli] + [moduli[k:k + 2] for k in range(0, len(moduli), 2)]
                   + [plan, moduli])
@@ -868,7 +877,7 @@ def test_kernel_matches_the_reference_on_a_wrap_only_plan():
     # at n = 9 the 2^64 plane alone carries every count of (50, 50)
     n, w = AROUND_WRAP[0]
     scaled = ScaledWeights.of(w)
-    assert scaled.moduli(n) == (2 ** 64,)
+    assert _moduli(scaled.total_bound(n)) == (2 ** 64,)
     rng = random.Random(9)
     for allowed, lifts, slots in _kernel_cases(n, rng):
         want = _reference_sweep(n, 2 ** 64, scaled.factors(), allowed, slots, lifts)
@@ -879,7 +888,7 @@ def test_kernel_matches_the_reference_on_a_wrap_only_plan():
 def test_factors_congruent_to_zero_or_one_match_independent_routes(w):
     scaled = ScaledWeights.of(w)
     n = 6
-    plan = scaled.moduli(n)
+    plan = _moduli(scaled.total_bound(n))
     off, on = scaled.factors()
     # single and merged factors above 1, some of them 0 and 1 modulo a plan prime
     merged = [f for f in (off[0], off[1], off[0] + off[2], on[0], on[0] + on[2]) if f > 1]
@@ -901,7 +910,7 @@ def test_counter_guards_refuse_a_cap_too_small(monkeypatch, statistic, w):
     # (13/7, 1000/3).
     n = 9
     plan = _statistic_plan(n, statistic)
-    assert (len(ScaledWeights.of(w).moduli(n)) == 1) == (w == Weights(1, 1))
+    assert (len(_moduli(ScaledWeights.of(w).total_bound(n))) == 1) == (w == Weights(1, 1))
     # one below the cap: the top count lands in the sentinel slot.  Nalpha
     # reaches its cap only in column n, so the masses check sees it; X2 and
     # B2 reach theirs a column early or more, and a forward pass also counts
@@ -979,7 +988,7 @@ def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
     starts = set()  # (x != 0, y != 0) of each corner smaller than the tableau
     passed = 0  # events whose non-narrowing boxes lie outside a corner smaller than the tableau
     for n in sizes:
-        plan = scaled.moduli(n)
+        plan = _moduli(scaled.total_bound(n))
         groups = [(m,) for m in plan + (7,)] + [plan, plan + (7,)]
         for given, lifts, slots in _corner_cases(n, rng):
             allowed = dpcount._allowed_map(n, given)
@@ -1000,7 +1009,68 @@ def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
     assert starts == {(True, False), (False, True), (True, True)}
     assert passed >= 2 * sum(n >= 3 for n in sizes)
     if max(sizes) == 14:
-        assert len(scaled.moduli(14)) == (1 if w == KERNEL_WEIGHTS[0] else 5)
+        assert len(_moduli(scaled.total_bound(14))) == (1 if w == KERNEL_WEIGHTS[0] else 5)
+
+
+def _whole_plan_masses(n, w, allowed, slots, lifts):
+    """The masses of the corner pass from its own start on the whole
+    tableau's plan, as ``_masses_crt`` ran it before corners got plans
+    of their own."""
+    scaled = ScaledWeights.of(w)
+    moduli = _moduli(scaled.total_bound(n))
+    s, inside, moved, start = dpcount._corner(n, scaled, allowed, lifts)
+    residues = []
+    for group in _groups(moduli, slots, s):
+        residues += dpcount._sweep(s, group, scaled.factors(), inside, slots, moved, start)
+    return [_crt(slot, _garner(moduli)) for slot in zip(*residues)]
+
+
+@pytest.mark.parametrize("w", [Weights(F(13, 7), F(1000, 3)), Weights(F(7, 13), F(2, 5))],
+                         ids=["13/7,1000/3", "7/13,2/5"])
+def test_corner_plans_match_the_whole_tableau_plan(w, monkeypatch):
+    # events and cell laws on corners of size 1-12 at n = 12-22, each
+    # counted on the plan of its corner, which covers the corner's own
+    # row factors, against the plan of the whole tableau; the library
+    # reserves for the corner's plan
+    reserved, reserve = [], _budget.reserve
+    monkeypatch.setattr(_budget, "reserve",
+                        lambda need, what: reserved.append(need) or reserve(need, what))
+    scaled, rng = ScaledWeights.of(w), random.Random(f"corner plans {w}")
+    lengths = {}  # (n, corner size): planes of the corner's plan
+    for n in (12, 15, 18, 22):
+        for size in range(1, 13):
+            r1 = rng.randint(1, n + 1 - size)
+            corner = (r1, n + 2 - size - r1)
+            i = rng.randint(r1, n + 1 - corner[1])
+            inner = {(i, rng.randint(corner[1], n + 1 - i)): rng.choice(list(R)[1:])}
+            inner.pop(corner, None)
+            # the event narrows the corner box, the cell law lifts it
+            event = ConstraintSet.of(n, {corner: rng.choice([R.MUST_ALPHA, R.MUST_BETA]),
+                                         **inner})
+            given = ConstraintSet.of(n, inner) if inner and rng.random() < 0.5 else None
+            cases = [(event, 1, {}, lambda: event_prob(n, w, event)),
+                     (given, 3, {corner: (1, 2)},
+                      lambda: conditional_cell_law(n, w, corner, given))]
+            for c, slots, lifts, call in cases:
+                allowed = dpcount._allowed_map(n, c)
+                s, _, inside, (base, _, _) = dpcount._corner(n, scaled, allowed, lifts)
+                assert s == size, (n, corner, c)
+                plan = _corner_plan(scaled, n, base)
+                lengths[n, s] = len(plan)
+                whole = _whole_plan_masses(n, w, allowed, slots, lifts)
+                assert dpcount._masses_crt(n, w, allowed, slots, lifts) == whole, (n, c, lifts)
+                assert reserved[-1] == _sweep_bytes(s, slots, plan, inside)
+                if slots == 1:
+                    assert call() == Fraction(whole[0], scaled.total_bound(n))
+                elif sum(whole):
+                    law = call()
+                    assert (law.empty, law.alpha, law.beta) == tuple(
+                        Fraction(mass, sum(whole)) for mass in whole)
+    whole_plans = {n: len(_moduli(scaled.total_bound(n))) for n in (12, 22)}
+    assert all(lengths[n, s] <= whole_plans.get(n, 9) for n, s in lengths)
+    if w.b == F(1000, 3):
+        assert (lengths[22, 8], whole_plans[22]) == (3, 9)
+        assert lengths[22, 12] == 5 and lengths[12, 2] == 1
 
 
 @pytest.mark.parametrize("n, weights", [

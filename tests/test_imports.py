@@ -108,6 +108,13 @@ _LAZY_ROUTES = {
     "certified asep law": ("report = s.cross_validate(5, s.AsepParams(2, 1, 3, 1, 1, F(1, 2)))\n"
                            "assert report['matching_conventions']\n",
                            {"asep"}, {"dpcount", "moments", "sampler", "enumeration"}),
+    "draws": ("import random\n"
+              "w, rng = s.Weights(F(13, 7), F(2, 5)), random.Random(7)\n"
+              "s.sample_many(14, w, rng, 3)\n"
+              "s.sample_many(7, w, rng, 3, 'enum_alias')\n"
+              "assert 'numpy' not in sys.modules\n",
+              {"sampler", "_rules"},
+              {"dpcount", "constraints", "enumeration", "moments", "asep", "formulas"}),
 }
 
 

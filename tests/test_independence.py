@@ -95,8 +95,25 @@ def _call_closure(module, root):
 def test_chain_draws_reach_no_counting_pass():
     reached = _call_closure("sampler", "sample_many")
     # the scan follows the draws into the names they import
-    assert {"_sample_chain", "_sample_enum", "dpcount.ScaledWeights", "_budget.get"} <= reached
+    assert {"_sample_chain", "_sample_enum", "_rules.ScaledWeights", "_budget.get"} <= reached
     assert not reached & {"dpcount._sweep", "dpcount._masses_crt"}
+
+
+def test_the_rules_module_imports_no_route():
+    # the fill rules and the integer measure sit below every route
+    assert _imported_modules("_rules") == {"measure"}
+    assert not _imported_modules("sampler") & {"dpcount", "enumeration", "constraints"}
+
+
+def test_the_oracle_and_the_kernel_share_no_object_of_the_rules():
+    oracle = set().union(*(_call_closure("enumeration", name)
+                           for name in staircase_lab._HOMES["enumeration"]))
+    assert {name for name in oracle if name.startswith("_rules.")} == {"_rules._column_configs"}
+    for root in ("statistic_pmf", "event_prob", "conditional_cell_law"):
+        reached = _call_closure("dpcount", root)
+        # the scan follows the kernel into the rules it reads
+        assert {"_rules.ScaledWeights", "_rules._MOVES"} <= reached, root
+        assert "_rules._column_configs" not in reached, root
 
 
 #: The two steady-state routes in ``asep`` and the functions each one

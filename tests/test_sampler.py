@@ -91,7 +91,7 @@ def test_chain_walk_refuses_a_count_its_moves_do_not_match():
 def test_chain_counts_split_exactly_with_large_factors():
     n, w = 6, LARGE
     tables = _Completions(n, w)
-    assert len(dpcount.ScaledWeights.of(w).moduli(n)) == 24
+    assert len(dpcount._moduli(dpcount.ScaledWeights.of(w).total_bound(n))) == 24
     memo = {}
     for t in all_tableaux(n):
         assert _walk_probability(n, t, tables, memo) == w.prob(t), t
@@ -357,7 +357,7 @@ def test_chain_draws_run_no_kernel_pass_and_keep_nothing(monkeypatch, fresh_ledg
     for n, w in ((9, Weights(F(13, 7), F(1000, 3))),
                  (13, Weights(F(1, 2 ** 61 - 1), F(7, 3 * 2 ** 60 + 1))),
                  (22, Weights(F(13, 7), F(1000, 3)))):
-        assert len(dpcount.ScaledWeights.of(w).moduli(n)) > 1
+        assert len(dpcount._moduli(dpcount.ScaledWeights.of(w).total_bound(n))) > 1
         assert all(t.is_valid for t in sample_many(n, w, random.Random(1), 5))
     assert not ledger.kept and ledger.held == ledger.reserved == 0
 
