@@ -226,7 +226,7 @@ def _windows(n: int, slots: int, lifts: Dict[Box, Tuple[int, int]]) -> List[List
 
 def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[int, ...]],
            allowed: Dict[Box, str], slots: int, lifts: Dict[Box, Tuple[int, int]],
-           start: Tuple[int, int, int] = (1, 0, 0)) -> List[List[int]]:
+           start: Tuple[int, int] = (0, 0)) -> List[List[int]]:
     """One left-to-right counting pass for a group of moduli, one plane
     each: per plane, each slot's residue.
 
@@ -236,13 +236,14 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     steps so far.  Columns run left to right and each column top-down;
     the residues are the counts that leave column n.  The pass may run
     on the :func:`_corner` of a larger tableau, whose outside enters
-    through ``start = (base, x, y)``, each reduced per plane: column 1
-    starts from ``base * x^|mask|`` on every mask with the flag clear,
-    and at each column's start the flag-set half is y times the
-    flag-clear half.  (1, 0, 0) is a whole tableau, which starts from
-    the one empty state before column 1.  ``factors`` holds the four
-    move factors off the diagonal and on it, as
-    :meth:`ScaledWeights.factors` gives them.  ``allowed`` maps a box to
+    through ``start = (x, y)``, each reduced per plane: column 1 starts
+    from ``x^|mask|`` on every mask with the flag clear, and at each
+    column's start the flag-set half is y times the flag-clear half.
+    The pass is linear in the outside's summed weight, the corner's
+    base, which multiplies its masses afterwards.  (0, 0) is a whole
+    tableau, which starts from the one empty state before column 1.
+    ``factors`` holds the four move factors off the diagonal and on it,
+    as :meth:`ScaledWeights.factors` gives them.  ``allowed`` maps a box to
     its cell codes where an event narrows them, as :func:`_allowed_map`
     gives them; every other box may hold ``.AB`` above the diagonal and
     ``AB`` on it.  ``lifts`` maps a box to ``(alpha steps, beta
@@ -293,10 +294,10 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     merged = functools.cache(functools.partial(_merge_moves, moduli))  # once per kind of box
     windows = _windows(n, slots, lifts)
     caps = [column[-1] for column in windows] + [slots]
-    base, x, y = start
+    x, y = start
     level = np.zeros((planes, caps[0], 2, 1 << n), dtype=np.uint64)
     for plane, m in enumerate(moduli):  # a plane at a time, so numpy neither buffers nor copies
-        level[plane, 0, 0, 0] = base % m
+        level[plane, 0, 0, 0] = 1
         for r in range(n if x else 0):  # the masks with row r + 1 dirty: x times those without
             scale(level[plane, 0, 0, :1 << r], x, level[plane, 0, 0, 1 << r:2 << r], m)
     live = 1
@@ -395,7 +396,8 @@ def _sweep_bytes(s: int, slots: int, moduli: Sequence[int],
 def _corner(n: int, scaled: ScaledWeights, allowed: Dict[Box, str],
             lifts: Dict[Box, Tuple[int, int]]) -> tuple:
     """The sub-staircase a pass runs on, as (its size s, its allowed
-    map and lifts in its own coordinates, the :func:`_sweep` start).
+    map and lifts in its own coordinates, its base, the :func:`_sweep`
+    start).
 
     Its corner (r1, k1) is the least row and the least column among the
     keys of ``allowed`` and ``lifts``, the boxes an event narrows and a
@@ -405,13 +407,13 @@ def _corner(n: int, scaled: ScaledWeights, allowed: Dict[Box, str],
     through its row's dirty bit and its column's "symbol above" flag,
     and the fillings outside with d of its rows dirty and f of its
     columns flagged weigh, summed, :meth:`ScaledWeights.total_bound` of
-    r1 + k1 - 2 times ((k1 - 1) q)^d ((r1 - 1) q)^f: the start
-    (base, x, y)."""
+    r1 + k1 - 2, the base, times ((k1 - 1) q)^d ((r1 - 1) q)^f: the
+    start (x, y)."""
     r1, k1 = (min((box[k] for box in [*allowed, *lifts]), default=1) for k in (0, 1))
     allowed, lifts = ({(i + 1 - r1, j + 1 - k1): value for (i, j), value in boxes.items()}
                       for boxes in (allowed, lifts))
-    start = scaled.total_bound(r1 + k1 - 2), (k1 - 1) * scaled.q, (r1 - 1) * scaled.q
-    return n + 2 - r1 - k1, allowed, lifts, start
+    start = (k1 - 1) * scaled.q, (r1 - 1) * scaled.q
+    return n + 2 - r1 - k1, allowed, lifts, scaled.total_bound(r1 + k1 - 2), start
 
 
 def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
@@ -420,18 +422,18 @@ def _masses_crt(n: int, w: Weights, allowed: Dict[Box, str], slots: int,
     of the plan's moduli, on the :func:`_corner` that holds every box
     the allowed map narrows or the lifts touch.
 
-    A pass is linear in its start's base, so it runs from (1, x, y) and
+    A pass is linear in its corner's base, so it runs without it and
     base multiplies its masses back after the recombination: they are
     then subsums of ``total_bound(n) // base``, the product of the
     corner's own row factors, and the plan need only cover that."""
     scaled = ScaledWeights.of(w)
     factors = scaled.factors()
-    s, allowed, lifts, (base, x, y) = _corner(n, scaled, allowed, lifts)
+    s, allowed, lifts, base, start = _corner(n, scaled, allowed, lifts)
     moduli = _moduli(scaled.total_bound(n) // base)
     residues: List[List[int]] = []
     with _budget.reserve(_sweep_bytes(s, slots, moduli, lifts), f"{slots}-slot sweeps at n={n}"):
         for group in _groups(moduli, slots, s):
-            residues += _sweep(s, group, factors, allowed, slots, lifts, (1, x, y))
+            residues += _sweep(s, group, factors, allowed, slots, lifts, start)
     garner = _garner(moduli)
     return [base * _crt(slot, garner) for slot in zip(*residues)]
 

@@ -6,10 +6,11 @@ counts: ``enum_alias`` down the tree of :func:`_alias_shape`, which it
 keeps in the process's one memory ledger (``_budget.get``), weighing
 only the states a call reaches (:func:`_sample_enum`), and
 ``chain_rule`` box by box (:func:`_sample_chain`), which keeps nothing.
-Every draw of an integer goes through :func:`_below`.  The column
-fillings, the box moves and the integer weights that the backends read
-come from :mod:`staircase_lab._rules`, so a draw loads neither the
-counting kernel nor the enumeration.
+Every integer is drawn as :func:`_below` draws it, the ``chain_rule``
+walker by the same loop inline.  The column fillings, the box moves and
+the integer weights that the backends read come from
+:mod:`staircase_lab._rules`, so a draw loads neither the counting
+kernel nor the enumeration.
 """
 
 from __future__ import annotations
@@ -139,15 +140,12 @@ _OPEN_MOVES = [[[(code, k) for code, k, flag, bit in _MOVES
                for above in (0, 1)]
 
 
-def _weigh(moves: List[Tuple[int, str]]) -> Tuple[int, List[Tuple[int, str]], str]:
+def _weigh(moves: List[Tuple[int, str]]) -> Tuple[int, int, str, str]:
     """The walker's reading of the (factor, cell code) moves open at a
-    state: their total factor, the running factor and code of each
-    move but the last, and the last move's code."""
-    cuts, running = [], 0
-    for factor, code in moves:
-        running += factor
-        cuts.append((running, code))
-    return running, cuts[:-1], cuts[-1][1] if cuts else ""
+    state, at most two, alpha then beta: their total factor, the first
+    move's factor and code, and the last move's code."""
+    (cut, first), (_, last) = (moves[0], moves[-1]) if moves else ((0, ""), (0, ""))
+    return sum(factor for factor, _ in moves), cut, first, last
 
 
 def _tails(height: int, mask: int, g: List[int], q: int) -> List[int]:
@@ -167,16 +165,18 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
     """The walkers go down each column together, each carrying its
     exact completion count at the q^(2n) scale.  Hitczenko and Janson's
     row product gives it for a partly filled tableau too: with
-    g_r = pa + pb + (r - 1) q (:meth:`ScaledWeights.row_factors`), a walk
-    entering a column of height h has q^h times g_r of each clean row
-    r <= h completions, a dirty row weighing 1.  Just after a symbol lands in box i, a clean row
-    i < r < h stays empty or takes a beta of weight q, so it weighs
-    g_r + q, and the diagonal box must take that beta: the count is
-    ``tops``, q^(h-1) times g_r of each clean row above, times
-    :func:`_tails`.  All symbol moves open at a state lead to that
-    count, ``weighs`` holds their factors as :func:`_weigh` reads them,
-    by "symbol above" flag and row bit, and the empty cell takes what
-    they leave."""
+    g_r = pa + pb + (r - 1) q (:meth:`ScaledWeights.row_factors`), a
+    walk entering a column of height h has q^h times g_r of each clean
+    row r <= h completions, a dirty row weighing 1.  Just after a symbol
+    lands in box i, a clean row i < r < h stays empty or takes a beta of
+    weight q, so it weighs g_r + q, and the diagonal box must take that
+    beta: the count is ``tops``, q^(h-1) times g_r of each clean row
+    above, times :func:`_tails`.  All symbol moves open at a state lead
+    to that count, ``weighs`` holds their factors as :func:`_weigh`
+    reads them, by "symbol above" flag and row bit, and the empty cell
+    takes what they leave.  A box costs a walker one draw, by
+    :func:`_below`'s loop inline, and a comparison with the empty
+    cell's share, then maybe the first move's."""
     scaled = ScaledWeights.of(w)
     q, factors = scaled.q, scaled.factors()[0]
     # a move of factor 0 never lands
@@ -196,32 +196,29 @@ def _sample_chain(n: int, w: Weights, rng: random.Random, count: int) -> List[Ta
         column = []  # per box: each walker's cell code
         for i in range(1, height + 1):
             bit, shift, diagonal = 1 << (i - 1), i - 1, i == height
-            afters: Dict[int, int] = {}  # per mask: the count after a symbol lands
-            codes = [""] * count
+            codes = ["."] * count
             for k in range(count):
                 mask, have = masks[k], counts[k]
-                draw = _below(getrandbits, have)
-                total, cuts, code = weighs[flags[k]][mask >> shift & 1]
+                if have < 1:  # as _below refuses it: getrandbits(0) is 0
+                    raise ValueError(f"need a positive bound to draw below, got {have}")
+                bits = have.bit_length()
+                draw = getrandbits(bits)
+                while draw >= have:
+                    draw = getrandbits(bits)
+                total, cut, first, last = weighs[flags[k]][mask >> shift & 1]
                 if total:
-                    after = afters.get(mask)
-                    if after is None:
-                        after = afters[mask] = tops[k] * tails[k][shift]
+                    after = tops[k] * tails[k][shift]
                     rest = have - total * after
                 else:
                     rest = have
                 if rest < 0 or (rest and diagonal):  # the diagonal box must fill
                     raise RuntimeError("chain-rule weights do not add up to the completion count")
                 if draw < rest:
-                    codes[k], counts[k] = ".", rest
+                    counts[k] = rest
                     if not mask & bit:
                         tops[k] *= g[shift]
                     continue
-                draw -= rest
-                for cut, cut_code in cuts:
-                    if draw < cut * after:
-                        code = cut_code
-                        break
-                codes[k] = code
+                codes[k] = first if draw - rest < cut * after else last
                 masks[k], flags[k], counts[k] = mask | bit, 1, after
             column.append(codes)
         keep = (1 << (height - 1)) - 1

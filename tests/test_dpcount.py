@@ -515,7 +515,7 @@ def test_counting_memory_estimate_is_tight():
             for w in (Weights(1, 1), Weights(F(13, 7), F(1000, 3))):
                 scaled = ScaledWeights.of(w)
                 allowed = dpcount._allowed_map(n, given)
-                s, _, inside, (base, _, _) = dpcount._corner(n, scaled, allowed, lifts)
+                s, _, inside, base, _ = dpcount._corner(n, scaled, allowed, lifts)
                 moduli = _corner_plan(scaled, n, base)
                 corners.add((what, s))
                 sizes.add(max(map(len, _groups(moduli, slots, s))))
@@ -992,24 +992,29 @@ def test_corner_pass_matches_the_whole_tableau_residue_for_residue(w, sizes):
         groups = [(m,) for m in plan + (7,)] + [plan, plan + (7,)]
         for given, lifts, slots in _corner_cases(n, rng):
             allowed = dpcount._allowed_map(n, given)
-            s, inside, moved, start = dpcount._corner(n, scaled, allowed, lifts)
+            s, inside, moved, base, start = dpcount._corner(n, scaled, allowed, lifts)
             if s < n:
-                starts.add((start[1] != 0, start[2] != 0))
+                starts.add((start[0] != 0, start[1] != 0))
             # a diagonal box that must hold a symbol narrows nothing, so the
             # event gets the corner of its other boxes alone
             narrowing = ConstraintSet(n, tuple((box, req) for box, req in given.items
                                                if req is not R.MUST_NONEMPTY or sum(box) <= n))
             alone = dpcount._corner(n, scaled, dpcount._allowed_map(n, narrowing), lifts)
-            assert (alone[0], alone[3]) == (s, start), (n, given, lifts)
+            assert (alone[0], *alone[3:]) == (s, base, start), (n, given, lifts)
             passed += narrowing != given and s < n
             for group in groups:
                 whole = dpcount._sweep(n, group, scaled.factors(), allowed, slots, lifts)
-                assert dpcount._sweep(s, group, scaled.factors(), inside, slots, moved,
-                                      start) == whole, (n, group, allowed, lifts)
+                corner = dpcount._sweep(s, group, scaled.factors(), inside, slots, moved, start)
+                assert _times(base, corner, group) == whole, (n, group, allowed, lifts)
     assert starts == {(True, False), (False, True), (True, True)}
     assert passed >= 2 * sum(n >= 3 for n in sizes)
     if max(sizes) == 14:
         assert len(_moduli(scaled.total_bound(14))) == (1 if w == KERNEL_WEIGHTS[0] else 5)
+
+
+def _times(base, residues, moduli):
+    """A pass's residues times the base it ran without, per modulus."""
+    return [[base * r % m for r in plane] for plane, m in zip(residues, moduli)]
 
 
 def _whole_plan_masses(n, w, allowed, slots, lifts):
@@ -1018,10 +1023,11 @@ def _whole_plan_masses(n, w, allowed, slots, lifts):
     of their own."""
     scaled = ScaledWeights.of(w)
     moduli = _moduli(scaled.total_bound(n))
-    s, inside, moved, start = dpcount._corner(n, scaled, allowed, lifts)
+    s, inside, moved, base, start = dpcount._corner(n, scaled, allowed, lifts)
     residues = []
     for group in _groups(moduli, slots, s):
-        residues += dpcount._sweep(s, group, scaled.factors(), inside, slots, moved, start)
+        corner = dpcount._sweep(s, group, scaled.factors(), inside, slots, moved, start)
+        residues += _times(base, corner, group)
     return [_crt(slot, _garner(moduli)) for slot in zip(*residues)]
 
 
@@ -1053,7 +1059,7 @@ def test_corner_plans_match_the_whole_tableau_plan(w, monkeypatch):
                       lambda: conditional_cell_law(n, w, corner, given))]
             for c, slots, lifts, call in cases:
                 allowed = dpcount._allowed_map(n, c)
-                s, _, inside, (base, _, _) = dpcount._corner(n, scaled, allowed, lifts)
+                s, _, inside, base, _ = dpcount._corner(n, scaled, allowed, lifts)
                 assert s == size, (n, corner, c)
                 plan = _corner_plan(scaled, n, base)
                 lengths[n, s] = len(plan)

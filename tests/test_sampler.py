@@ -40,6 +40,10 @@ GOLDEN_DRAWS = "56a67e7f0d323d0fa6df2a7469e7a56cc19d9be6a2089d7adf028904b6ca92cc
 #: sha256 over the fixed-seed draws of test_fixed_seed_alias_draws_are_pinned,
 #: recorded while enum_alias still kept its own rows per (n, weights).
 GOLDEN_ALIAS_DRAWS = "217526ad30e04d31031d7bf6e8bdda0d7a2a254a0633e13f9cdd702ffb0a8d5b"
+#: sha256 over the fixed-seed draws of test_fixed_seed_large_draws_are_pinned,
+#: recorded while the chain-rule walker still drew through _below and kept
+#: the count after a symbol per box and mask.
+GOLDEN_LARGE_DRAWS = "57c540262b484ce8397aab46d8d1562f5bedcb8ce8763c1ee4628a751601a6b5"
 GOLDEN_WEIGHTS = [Weights(1, 1), Weights(F(1, 2), 3), Weights(0, 1), Weights(F(5, 2), 0),
                   Weights(F(13, 7), F(1000, 3)), Weights(3, F(1, 2)),
                   Weights(F(2, 7), F(5, 3)), Weights(0, F(4, 9))]
@@ -172,32 +176,37 @@ def _reference_chain(n, w, rng, count):
             for grid in grids]
 
 
-class _Recording(random.Random):
-    """A stream that logs every randrange bound it is asked for."""
+class _Drawn(int):
+    """Bits drawn from a :class:`_Logging` stream, which log the right
+    operand of every ``>=`` they meet: a rejection loop's bound."""
+
+    def __ge__(self, bound):
+        self.log.append(bound)
+        return super().__ge__(bound)
+
+
+class _Logging(random.Random):
+    """A stream that logs the bound of every attempt to draw below one,
+    whether ``randrange`` or the library makes it: both reject a draw
+    by ``draw >= bound``."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.bounds = []
 
-    def randrange(self, *args):
-        self.bounds.append(args)
-        return super().randrange(*args)
+    def getrandbits(self, k):
+        drawn = _Drawn(super().getrandbits(k))
+        drawn.log = self.bounds
+        return drawn
 
 
 def _assert_walks_match(n, w, count, seed, method="chain_rule", reference=_reference_chain):
-    new, old = random.Random(seed), _Recording(seed)
-    bounds, below = [], sampler._below
-
-    def recorded(getrandbits, bound):
-        assert getrandbits == new.getrandbits
-        bounds.append((bound,))
-        return below(getrandbits, bound)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampler, "_below", recorded)
-        drawn = sample_many(n, w, new, count, method)
+    new, old = _Logging(seed), _Logging(seed)
+    drawn = sample_many(n, w, new, count, method)
     assert drawn == reference(n, w, old, count)
-    assert bounds == old.bounds  # the same draws, below the same bounds
+    draws = count * (n * (n + 1) // 2 if method == "chain_rule" else 1)
+    assert len(old.bounds) >= draws  # an attempt or more per draw
+    assert new.bounds == old.bounds  # the same attempts, below the same bounds
     assert new.getstate() == old.getstate()
 
 
@@ -266,6 +275,16 @@ def test_alias_descent_matches_the_flat_inversion_draw_for_draw(n):
                                 _flat_alias)
 
 
+def test_chain_walk_refuses_a_zero_count(monkeypatch):
+    # getrandbits(0) is 0, so a walker that drew below a count of 0 as
+    # _below draws would never leave its loop
+    monkeypatch.setattr(sampler.ScaledWeights, "total", lambda self, n: 0)
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="need a positive bound to draw below, got 0"):
+        sample_many(3, Weights(1, 1), rng, 2)
+    assert rng.getstate() == random.Random(3).getstate()
+
+
 @pytest.mark.parametrize("w", [Weights(1, 1), LARGE])
 @pytest.mark.parametrize("delta", [1, -1])
 def test_chain_walk_refuses_a_corrupted_count(monkeypatch, w, delta):
@@ -300,6 +319,17 @@ def test_fixed_seed_draws_are_pinned():
             for t in sample_many(n, w, rng, 12) + [sample(n, w, rng) for _ in range(2)]:
                 digest.update(("/".join(t.rows) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_DRAWS
+
+
+def test_fixed_seed_large_draws_are_pinned():
+    # the sizes above the draw-for-draw tests, up to N_CHAIN
+    digest = hashlib.sha256()
+    for n in (16, 18, 20, 22):
+        for k, w in enumerate(GOLDEN_WEIGHTS + [LARGE]):
+            rng = random.Random(100 * n + k)
+            for t in sample_many(n, w, rng, 3) + [sample(n, w, rng)]:
+                digest.update(("/".join(t.rows) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_LARGE_DRAWS
 
 
 def test_fixed_seed_alias_draws_are_pinned():
