@@ -168,30 +168,24 @@ def _groups(moduli: Sequence[int], slots: int, n: int) -> List[Tuple[int, ...]]:
 
 
 def _per_plane(values: Sequence[int]):
-    """``uint64`` values, one per plane, shaped to broadcast against a
-    level slice; a numpy scalar for a single plane, which numpy applies
-    with less overhead."""
+    """``uint64`` values, one per plane, shaped to broadcast on a level slice."""
     import numpy as np
 
-    if len(values) == 1:
-        return np.uint64(values[0])
     return np.array(values, dtype=np.uint64).reshape(-1, 1, 1, 1)
 
 
 def _merge_moves(moduli: Sequence[int], four: Tuple[int, ...], codes: str,
-                 lift: Tuple[int, int], clear: bool, clean: bool) -> list:
+                 lift: Tuple[int, int]) -> list:
     """The moves open at a box, merged: moves from one source, the same
     (flag, bit), that take the same lift add their integer factors into
     one; sources with equal factor and lift are summed before one
     product; a factor of 1 needs no product and a factor of 0 no move.
-    ``lift`` is the box's (alpha steps, beta steps).  A box whose flag
-    is ``clear`` in every state reads no source with the flag set, and
-    one whose row is ``clean`` in every state no dirty-row source.
-    Returns ``[(factor per plane, or None for 1, lift, [(flag, bit),
-    ...]), ...]``, each factor reduced modulo its plane's modulus."""
+    ``lift`` is the box's (alpha steps, beta steps).  Returns
+    ``[(factor per plane, or None for 1, lift, [(flag, bit), ...]),
+    ...]``, each factor reduced modulo its plane's modulus."""
     factor_of: Dict[Tuple[int, int, int], int] = {}
     for code, k, above, bit in _MOVES:
-        if code in codes and not (above and clear or bit and clean):
+        if code in codes:
             source = (lift[code == "B"], above, bit)
             factor_of[source] = factor_of.get(source, 0) + four[k]
     sources_of: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -262,11 +256,9 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     box's sum, over the rows still alive, is the next column's level
     with the flag clear, written into a fresh array, while its own
     target quarter, which nothing reads, holds its products.  Where
-    y = 0 the top box reads no source with the flag set, and where
     x = 0 every row enters column 1 clean: before its box i only masks
     below 2^(i-1) occur, and the box touches only ``level[..., :2^i]``.
-    Moves are merged, and sources that hold no mass skipped, as
-    :func:`_merge_moves` describes.
+    Moves are merged as :func:`_merge_moves` describes.
 
     Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
     above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
@@ -310,7 +302,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
             diagonal = i == height
             codes = allowed.get((i, j), "AB" if diagonal else ".AB")
             lift = lifts.get((i, j), (0, 0))
-            moves = merged(factors[diagonal], codes, lift, i == 1 and not y, j == 1 and not x)
+            moves = merged(factors[diagonal], codes, lift)
             after = windows[j - 1][i - 1]
             width = 1 << (i if j == 1 and not x else height)  # the reachable prefix
             seg, half = width >> i, 1 << (i - 1)
@@ -334,10 +326,6 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
                     raise RuntimeError("statistic counter overflowed its cap")
                 into = sums[:, up:up + live]
                 reads = [view[:, :into.shape[1], above, :, bit, :] for above, bit in sources]
-                if factor is None and k:
-                    for read in reads:
-                        np.add(into, read, out=into)
-                    continue
                 product = spare[:, :into.shape[1]] if k else into
                 total = reads[0]
                 for read in reads[1:]:
@@ -376,13 +364,14 @@ def _sweep_bytes(s: int, slots: int, moduli: Sequence[int],
     bytes, c the slots live at its end, and two box buffers of a quarter
     of that at most.  Its diagonal box frees the buffers and allocates
     the next level, on half the masks and the next column's c: the peak
-    is the largest sum of two such levels.  A pass of one plane runs
-    without numpy iteration buffers; in any other, a numpy call may
-    buffer up to three operands, each at most 64 KiB and the size of the
-    call, a quarter of the level at the peak.  Then 512 bytes per slot
-    and modulus for the residues, their recombination and the merged
-    moves' factors, 128 bytes per box for the slot windows and 10 KiB
-    for the call's other small objects.
+    is the largest sum of two such levels.  With more than one plane,
+    numpy may buffer up to three operands a call, each at most 64 KiB
+    and the size of the call, a quarter of the level at the peak.  One
+    plane is charged none, though numpy buffers a cell law's small
+    strided calls too: it reserves 0.78 of its traced peak (ROADMAP.md,
+    open item 4).  Then 512 bytes per slot and modulus for the residues,
+    their recombination and the merged moves' factors, 128 bytes per box
+    for the slot windows and 10 KiB for the call's other small objects.
     """
     planes = max(map(len, _groups(moduli, slots, s)))
     caps = [column[-1] for column in _windows(s, slots, lifts)] + [slots]

@@ -21,22 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from .core import Box, _check_box, _check_choice, _check_int, _check_size, _diagonal_columns
-from .measure import BoxLaw, FourWeights, Weights, falling_factorial, rising_factorial
-
-__all__ = [
-    "BoxLaw",
-    "JointValue",
-    "MainTerm",
-    "box_law",
-    "falling_factorial",
-    "gap_index_product_sum",
-    "gap_index_sets",
-    "partition_closed",
-    "rising_factorial",
-    "second_diag_joint_alpha",
-    "second_diag_joint_nonempty",
-    "third_diag_main_term",
-]
+from .measure import BoxLaw, FourWeights, Weights, falling_factorial
 
 #: Reason code for a structurally impossible second-diagonal pattern:
 #: two constrained boxes in adjacent columns.
