@@ -8,7 +8,8 @@ sums of :func:`_tuple_sum_heads`: no tableau is ever enumerated.
 Moments convert to exact laws by :func:`_masses`, and a law's
 distance to its Poisson limit is enclosed by :func:`_enclose`; a
 second-diagonal convergence row reads only the first moments, through
-:func:`_tv_from_moments`.
+:func:`_tv_from_moments`, and every row of a table reads its tuple
+sums off one sweep at the table's largest size.
 """
 
 from __future__ import annotations
@@ -36,33 +37,41 @@ _KINDS = ("alpha", "beta", "nonempty")
 _MODES = ("exact_dp", "main_term")
 
 
-def _tuple_sum_heads(b: Fraction, n: int, step: int, R: int) -> List[int]:
+def _tuple_sum_heads(b: Fraction, ns: Sequence[int], step: int,
+                     R: int) -> List[List[int]]:
     """Monotone-tuple sums ``T[n - step r + 1][r]`` for ``r = 0..R``,
-    scaled by ``bd**r`` to integers.
+    scaled by ``bd**r`` to integers, for each size n in ``ns``.
 
     ``T[t][k]`` sums ``prod_l (b + u_l + (step - 2)(l - 1))`` over tuples
     ``0 <= u_1 <= ... <= u_k <= t - 1``, so ``T[t][k] = sum_(s<=t) (b + s
     - 1 + (step - 2)(k - 1)) T[s][k-1]`` (the last coordinate sits at
     s - 1); ``bd`` is b's denominator.  Size n reads only ``t + step k <=
-    n + 1``, so the table is swept column by column: column k is a
-    running sum of the factors times column k - 1, and its last entry
-    is the head.  Past the support the heads are zero.
+    n + 1``, so the table is swept once, at the largest size N, column
+    by column: column k is a running sum of the factors times column k -
+    1, and as T does not depend on the size that reads it, size n's head
+    sits at index ``n - step k`` of column k.  Past a size's support its
+    heads are zero.
     """
     bn, bd = b.numerator, b.denominator
-    heads, col = [1], [1] * (n + 1 - step)
+    heads, N = [[1] for _ in ns], max(ns)
+    col = [1] * (N + 1 - step)
     for k in range(1, R + 1):
-        size = n + 1 - step * k
+        size = N + 1 - step * k
         if size < 1:
             break
         start = bn + (step - 2) * (k - 1) * bd
         col = list(accumulate(map(mul, range(start, start + size * bd, bd), col)))
-        heads.append(col[-1])
-    return heads + [0] * (R + 1 - len(heads))
+        for n, row in zip(ns, heads):
+            row.append(col[n - step * k] if n >= step * k else 0)
+    pad = [0] * (R + 1 - len(heads[0]))
+    return [row + pad for row in heads]
 
 
-def _moment_numerators(n: int, w: Weights, kind: str, R: int,
-                       step: int) -> Tuple[List[int], int]:
-    """Integers ``c_0..c_R`` and ``L`` with ``m_r / r! = c_r / L``.
+def _moment_numerators(ns: Sequence[int], w: Weights, kind: str, R: int,
+                       step: int) -> List[Tuple[List[int], int]]:
+    """Integers ``c_0..c_R`` and ``L`` with ``m_r / r! = c_r / L``, for
+    each size n in ``ns``; an alpha or beta count takes its tuple sums
+    from one sweep at the largest size.
 
     ``step`` is the least column gap: 2 on the second diagonal, 3 for
     the third's main term.  With ``s - 1 = S / D`` and ``P_j = prod_(i<j)
@@ -72,25 +81,29 @@ def _moment_numerators(n: int, w: Weights, kind: str, R: int,
     """
     if kind == "beta":
         w, kind = w.swapped(), "alpha"
-    top = min(R, n // step)
-    S, D = (n + w.a + w.b - 1).as_integer_ratio()
     if kind == "nonempty":
-        heads = [math.comb(n - (step - 1) * r, r) for r in range(top + 1)]
         g, j = 1, 1
+        sums = [[math.comb(n - (step - 1) * r, r) for r in range(min(R, n // step) + 1)]
+                for n in ns]
     else:
-        heads = _tuple_sum_heads(w.b, n, step, top)
         g, j = w.b.denominator, 2
-    c = [0] * (R + 1)
-    Dj = D ** j
-    scale = Dj ** top  # D^(j r) g^(top - r) prod_(j r <= i < j top) (S - i D)
-    for r in range(top, 0, -1):
-        c[r] = heads[r] * scale
-        factor = S - (j * r - 1) * D
-        if j == 2:
-            factor *= factor + D  # times S - (2 r - 2) D
-        scale = scale // Dj * (g * factor)
-    c[0] = scale
-    return c, scale
+        sums = _tuple_sum_heads(w.b, ns, step, min(R, max(ns) // step))
+    out = []
+    for n, heads in zip(ns, sums):
+        top = min(R, n // step)
+        S, D = (n + w.a + w.b - 1).as_integer_ratio()
+        c = [0] * (R + 1)
+        Dj = D ** j
+        scale = Dj ** top  # D^(j r) g^(top - r) prod_(j r <= i < j top) (S - i D)
+        for r in range(top, 0, -1):
+            c[r] = heads[r] * scale
+            factor = S - (j * r - 1) * D
+            if j == 2:
+                factor *= factor + D  # times S - (2 r - 2) D
+            scale = scale // Dj * (g * factor)
+        c[0] = scale
+        out.append((c, scale))
+    return out
 
 
 def _factorial_moments(c: Sequence[int], L: int, R: int) -> List[Fraction]:
@@ -149,7 +162,7 @@ def factorial_moments_second_diag(n: int, w: Weights, kind: str,
     the gap-two subsets reindex to monotone tuples.
     """
     _check(n, kind, R, second_diag_max_count)
-    return _factorial_moments(*_moment_numerators(n, w, kind, R, 2), R)
+    return _factorial_moments(*_moment_numerators([n], w, kind, R, 2)[0], R)
 
 
 def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
@@ -169,7 +182,7 @@ def factorial_moments_third_diag(n: int, w: Weights, kind: str, R: int,
         law = exact_statistic_pmf(n, w.swapped() if kind == "beta" else w,
                                   "X3" if kind == "nonempty" else "A3")
         return [law.factorial_moment(r) for r in range(1, R + 1)]
-    return _factorial_moments(*_moment_numerators(n, w, kind, R, 3), R)
+    return _factorial_moments(*_moment_numerators([n], w, kind, R, 3)[0], R)
 
 
 def pmf_from_factorial_moments(m: Sequence) -> Pmf:
@@ -197,7 +210,7 @@ def exact_statistic_pmf(n: int, w: Weights, statistic: str) -> Pmf:
     _check_size(n)
     diagonal, kind, _ = _statistic(statistic)
     if diagonal == 2:
-        return _invert(*_moment_numerators(n, w, kind, second_diag_max_count(n), 2))
+        return _invert(*_moment_numerators([n], w, kind, second_diag_max_count(n), 2)[0])
     from . import dpcount
 
     return dpcount.statistic_pmf(n, w, statistic)
@@ -325,7 +338,10 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[Co
     Each row holds the first four factorial moments of the statistic's
     exact law (beyond the support they are exact zeros) and its total
     variation distance to the statistic's own Poisson limit,
-    ``POISSON_RATES[statistic]``.
+    ``POISSON_RATES[statistic]``.  Second-diagonal rows take their
+    moment numerators at ``_first_order`` from one call for the whole
+    ladder, so an alpha or beta table sweeps its tuple sums once, at
+    its largest size; a row whose order doubles takes its own again.
     """
     ns = list(ns)
     if not ns:
@@ -337,18 +353,19 @@ def convergence_report(ns: Sequence[int], w: Weights, statistic: str) -> List[Co
     if lam is None:
         raise ValueError(f"{statistic!r} has no Poisson limit pairing")
     rows = []
-    for n in ns:
-        if diagonal == 2:
-            R, tv = _first_order(lam), None
-            while tv is None:
-                R = min(R, n // 2)
-                c, L = _moment_numerators(n, w, kind, max(R + 1, 4), 2)
-                tv = _tv_from_moments(c[:R + 2], lam)
-                R *= 2
-            moments = tuple(_factorial_moments(c, L, 4))
-        else:
+    if diagonal != 2:
+        for n in ns:
             law = exact_statistic_pmf(n, w, statistic)
             moments = tuple(law.factorial_moment(r) for r in range(1, 5))
-            tv = tv_to_poisson(law, lam)
-        rows.append(ConvergenceRow(n=n, moments=moments, tv=tv))
+            rows.append(ConvergenceRow(n=n, moments=moments, tv=tv_to_poisson(law, lam)))
+        return rows
+    first = _first_order(lam)
+    for n, (c, L) in zip(ns, _moment_numerators(ns, w, kind, max(first + 1, 4), 2)):
+        R = min(first, n // 2)
+        tv = _tv_from_moments(c[:R + 2], lam)
+        while tv is None:
+            R = min(2 * R, n // 2)
+            (c, L), = _moment_numerators([n], w, kind, max(R + 1, 4), 2)
+            tv = _tv_from_moments(c[:R + 2], lam)
+        rows.append(ConvergenceRow(n=n, moments=tuple(_factorial_moments(c, L, 4)), tv=tv))
     return rows

@@ -1,5 +1,6 @@
 """Moment formulas checked against brute sums, oracles, and inversion."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -48,7 +50,7 @@ def test_tuple_sum_table_matches_brute_listing(position_shift):
             value = lambda u, pos: b + u
         for n in range(1, 7 + 3 * step + 1):  # up to t = 7 at r = 3
             for R in range(4):
-                heads = moments._tuple_sum_heads(b, n, step, R)
+                heads, = moments._tuple_sum_heads(b, [n], step, R)
                 assert len(heads) == R + 1
                 for r, head in enumerate(heads):
                     brute = sum(
@@ -82,7 +84,25 @@ def test_column_sweep_matches_rolled_row(step, b):
         top = n // step + 2
         rolled = _rolled_row_tuple_sum_heads(b, n, step, top)
         for R in range(top + 1):
-            assert moments._tuple_sum_heads(b, n, step, R) == rolled[:R + 1], (n, R)
+            assert moments._tuple_sum_heads(b, [n], step, R) == [rolled[:R + 1]], (n, R)
+
+
+@pytest.mark.parametrize("b", [F(0), F(1, 2), F(7, 4), F(13, 7), F(1000, 143)], ids=str)
+@pytest.mark.parametrize("step", [2, 3])
+def test_one_sweep_serves_a_ladder_of_sizes(step, b):
+    # each size reads its heads off the sweep at the ladder's largest size:
+    # ladders unsorted and with repeats, and orders past a smaller size's
+    # support, so its zero padding is read while the sweep still runs
+    rolled = {n: _rolled_row_tuple_sum_heads(b, n, step, 160 // step + 2)
+              for n in range(1, 161)}
+    rng = random.Random(step)
+    ladders = [[1], [5, 5], [40, 3, 17, 40, 1, 2], [7, 160, 61, 6, 159, 160]]
+    ladders += [rng.choices(range(1, 161), k=rng.randrange(1, 7)) for _ in range(20)]
+    for ns in ladders:
+        top = max(ns) // step
+        for R in sorted({0, 1, min(ns) // step + 1, top, top + 2}):
+            expected = [rolled[n][:R + 1] for n in ns]
+            assert moments._tuple_sum_heads(b, ns, step, R) == expected, (ns, R)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +336,7 @@ def test_suffix_sums_match_nested_loop_on_moment_numerators():
         w = _differential_weights(300 + n)[n % 6]
         for kind in ("alpha", "beta", "nonempty"):
             for step, cap in ((2, second_diag_max_count(n)), (3, third_diag_max_count(n))):
-                c, L = moments._moment_numerators(n, w, kind, cap, step)
+                (c, L), = moments._moment_numerators([n], w, kind, cap, step)
                 new, old = _both_inversions(c, L)
                 assert new == old, (n, w, kind, step)
 
@@ -637,15 +657,69 @@ def test_an_order_too_low_for_the_answer_doubles(monkeypatch):
     # distance's positive part
     for w, statistic in ((Weights(F(1, 2), 3), "A2"), (Weights(F(1, 2), 3), "X2"),
                          (Weights(0, 1), "A2")):
-        for n in (64, 100, 256):
+        alone = {}
+        for ladder in ([64], [100], [256], [64, 100, 256]):
             orders.clear()
-            row, = convergence_report([n], w, statistic)
-            # R runs 1, 2, 4, ... up to n // 2, and only the last order settles
-            assert orders == [(min(2 ** i, n // 2), i == len(orders) - 1)
-                              for i in range(len(orders))]
-            assert len(orders) > 3
-            law = exact_statistic_pmf(n, w, statistic)
-            assert row == _law_route_row(n, law, POISSON_RATES[statistic])
+            rows = convergence_report(ladder, w, statistic)
+            runs = [[]]  # the orders each row tried, split after the one that settles
+            for order in orders:
+                runs[-1].append(order)
+                if order[1]:
+                    runs.append([])
+            assert runs.pop() == [] and len(runs) == len(ladder)
+            for n, row, run in zip(ladder, rows, runs):
+                # R runs 1, 2, 4, ... up to n // 2, and only the last order settles
+                assert run == [(min(2 ** i, n // 2), i == len(run) - 1)
+                               for i in range(len(run))]
+                assert len(run) > 3
+                # a row of a ladder tries the orders it tries alone
+                assert alone.setdefault(n, run) == run
+                law = exact_statistic_pmf(n, w, statistic)
+                assert row == _law_route_row(n, law, POISSON_RATES[statistic])
+
+
+def test_a_table_sweeps_the_tuple_sums_once(monkeypatch):
+    # every row of an A2 or B2 table that settles at the first order reads
+    # its heads off one sweep at the largest size; X2 rows need no sums
+    calls = []
+    sweep = moments._tuple_sum_heads
+
+    def counting(b, ns, step, R):
+        calls.append((b, list(ns), step, R))
+        return sweep(b, ns, step, R)
+
+    ladder = [12, 64, 128, 256]
+    for w in PINNED_WEIGHTS:
+        alone = {stat: [convergence_report([n], w, stat)[0] for n in ladder]
+                 for stat in ("A2", "B2", "X2")}
+        monkeypatch.setattr(moments, "_tuple_sum_heads", counting)
+        for statistic, b in (("A2", w.b), ("B2", w.a), ("X2", None)):
+            calls.clear()
+            assert convergence_report(ladder, w, statistic) == alone[statistic]
+            R = moments._first_order(POISSON_RATES[statistic]) + 1
+            assert calls == ([(b, ladder, 2, R)] if b is not None else []), (w, statistic)
+        monkeypatch.undo()
+
+
+def test_a_ladder_holds_one_column_of_the_sweep():
+    # the smaller sizes read the largest size's columns as they pass, so a
+    # ladder peaks about as high as its largest row alone, and far below
+    # the integers of the whole table, which column k at 256 lays out as
+    # the heads of the sizes 2k..256
+    w = Weights(F(13, 7), F(1000, 3))
+    peaks = []
+    for ladder in ([256], [12, 128, 256]):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            convergence_report(ladder, w, "A2")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    heads = moments._tuple_sum_heads(w.b, list(range(1, 257)), 2, 25)
+    table = sum(sys.getsizeof(head) for row in heads for head in row[1:] if head)
+    assert peaks[1] <= table / 4, (peaks, table)
 
 
 @pytest.mark.parametrize("c, message", [
@@ -673,7 +747,7 @@ def _bracket_laws():
         for n in (2, 3, 7, 16, 25, 40):
             for w in PINNED_WEIGHTS[::2]:
                 law = exact_statistic_pmf(n, w, statistic)
-                yield law, [moments._moment_numerators(n, w, kind, R + 1, 2)[0]
+                yield law, [moments._moment_numerators([n], w, kind, R + 1, 2)[0][0]
                             for R in range(n // 2)], POISSON_RATES[statistic]
     rng = random.Random(33)
     for _ in range(40):
