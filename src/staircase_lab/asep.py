@@ -14,7 +14,8 @@ integers after the rates are cleared of their common denominator:
 
 so their agreement is a machine-checked fact rather than an assumption:
 :func:`cross_validate` compares them under both readings of the
-diagonal (:func:`tableau_type`).
+diagonal (:func:`tableau_type`), from one sum of each tableau column,
+since a column's weights do not depend on the reading.
 
 Sites are numbered 1..n from the top end of the diagonal, and a state
 packs site 1 into the most significant bit of its index.
@@ -138,43 +139,77 @@ def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 # stationary law via weighted tableaux
 
-def _add(acc: Dict, key, value: int) -> None:
-    """Add a nonzero value into acc[key]."""
-    if value:
-        acc[key] = acc.get(key, 0) + value
+def _column_weights(j: int, rows: int, rates: Sequence[int]
+                    ) -> List[Tuple[int, int, List[int], List[int]]]:
+    """What column j adds, in integers, with 0..rows open rows above
+    its diagonal box, under either reading of the diagonal.
 
-
-def _column_weights(symbols: Sequence[Tuple[int, str, int, int]], rows: int,
-                    ru: int, rq: int) -> List[Dict[Tuple[int, int], int]]:
-    """What one column adds, in integers, with 0..rows open rows above
-    its diagonal box.
-
-    ``symbols`` lists a box's four symbols as (rows it closes, code,
-    type bit, factor).  Entry r maps (rows closed in the column, the
-    diagonal box's type bit) to the summed weight of every filling of
-    the diagonal box and the r open boxes above it.  Going up, the
-    symbol nearest below the current box says both how an empty box
-    reads (u above an alpha or delta, q above a beta or gamma) and
-    whether the box is blocked (empty above an alpha or gamma).
+    Entry r sums every filling of the diagonal box and the r open boxes
+    above it, by the diagonal box's code and the rows the column
+    closes: (A, G, B, D), where an alpha or a gamma closes no row and
+    B and D list the weights by rows closed, from 1.  Going up, the
+    symbol nearest below a box says both how an empty box reads (u
+    above an alpha or delta, q above a beta or gamma) and whether the
+    box is blocked (empty above an alpha or gamma).  So an alpha on the
+    diagonal weighs ra·u^r and a gamma rg·q^r, and only a beta or a
+    delta opens the boxes above it.  Those r boxes grow from their
+    bottom one: it is either empty, read by the symbol below, or the
+    diagonal box of a column with r − 1 open rows, which is entry
+    r − 1 summed over its codes.
     """
-    column: Dict[Tuple[int, str, int], int] = {}  # by (closed, symbol below, bit)
-    for closes, code, bit, factor in symbols:  # the diagonal box
-        _add(column, (closes, code, bit), factor)
+    ra, rb, rg, rd, ru, rq = rates
+    fb, fd = rb * ru ** (j - 1), rd * rq ** (j - 1)  # pay for the empties to the left
+    over_b, over_d = [1], [1]  # the open boxes above a beta, a delta, by rows closed
     weights = []
     for r in range(rows + 1):
         if r:  # one more open row above
-            above: Dict[Tuple[int, str, int], int] = {}
-            for (closed, below, bit), weight in column.items():
-                _add(above, (closed, below, bit), weight * (ru if below in "AD" else rq))
-                if below in "BD":
-                    for closes, code, _, factor in symbols:
-                        _add(above, (closed + closes, code, bit), weight * factor)
-            column = above
-        table: Dict[Tuple[int, int], int] = {}
-        for (closed, _, bit), weight in column.items():
-            _add(table, (closed, bit), weight)
-        weights.append(table)
+            a, g, b, d = weights[-1]
+            grown = [a + g] + [x + y for x, y in zip(b, d)]
+            over_b = [rq * x + y for x, y in zip(over_b + [0], grown)]
+            over_d = [ru * x + y for x, y in zip(over_d + [0], grown)]
+        weights.append((ra * ru ** r, rg * rq ** r,
+                        [fb * x for x in over_b], [fd * x for x in over_d]))
     return weights
+
+
+def _tableaux_laws(n: int, p: AsepParams, conventions: Sequence[str]) -> List[Pmf]:
+    """Each convention's tableaux law, from one sum of each column.
+
+    The state maps the closed-row count to the weights by type of the
+    columns processed so far.  Each column multiplies each count's
+    vector by one scalar per (rows closed, type bit) outcome and adds
+    it into the new count's vector at that bit's interleaved slots, so
+    site 1, processed first, ends as the most significant bit of the
+    index.  The convention only folds a column's four codes into the
+    two type bits.
+    """
+    rates = _integer_rates(p)
+    columns = [(j, _column_weights(j, n - j, rates)) for j in range(n, 0, -1)]
+    laws = []
+    for convention in conventions:
+        paper = convention == "paper_alpha_gamma"
+        states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
+        for j, weights in columns:
+            halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
+            for closed, vec in states.items():
+                a, g, b, d = weights[n - j - closed]
+                folded = (([0] + [x + y for x, y in zip(b, d)], [a + g]) if paper
+                          else ([g] + b, [a] + d))  # by type bit, then rows closed
+                for bit, by_closed in enumerate(folded):
+                    for closes, weight in enumerate(by_closed):
+                        if weight:
+                            key = (closed + closes, bit)
+                            old = halves.get(key)
+                            halves[key] = ([x * weight for x in vec] if old is None
+                                           else [y + x * weight for x, y in zip(vec, old)])
+            states = {}
+            for (closed, bit), half in halves.items():
+                if closed not in states:
+                    states[closed] = [0] * (2 * len(half))
+                states[closed][bit::2] = half
+        totals = [sum(weights) for weights in zip(*states.values())]
+        laws.append(Pmf.from_integers(totals, sum(totals)))
+    return laws
 
 
 def steady_state_via_tableaux(n: int, p: AsepParams,
@@ -189,39 +224,12 @@ def steady_state_via_tableaux(n: int, p: AsepParams,
     skips them.  So what column j adds depends only on j and on the
     number r of open rows above its diagonal box, not on which rows
     they are.  ``_column_weights`` sums the column once in integers,
-    by the rows it closes and its type bit, for every r.
-
-    The state maps the closed-row count to the weights by type of the
-    columns processed so far.  Each column multiplies each count's
-    vector by one scalar per (rows closed, type bit) outcome and adds
-    it into the new count's vector at that bit's interleaved slots, so
-    site 1, processed first, ends as the most significant bit of the
-    index.
+    by its diagonal code and the rows it closes, for every r, and
+    ``_tableaux_laws`` runs the transfer over the closed-row count.
     """
     _check_choice(convention, "convention", CONVENTIONS)
     _check_size(n, 1, _N_MAX)
-    ra, rb, rg, rd, ru, rq = _integer_rates(p)
-    gamma_bit = int(convention == "paper_alpha_gamma")
-    states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
-    for j in range(n, 0, -1):
-        symbols = ((0, "A", 1, ra), (0, "G", gamma_bit, rg),
-                   (1, "B", 0, rb * ru ** (j - 1)),
-                   (1, "D", 1 - gamma_bit, rd * rq ** (j - 1)))
-        weights = _column_weights(symbols, n - j, ru, rq)
-        halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
-        for closed, vec in states.items():
-            for (closes, bit), weight in weights[n - j - closed].items():
-                key = (closed + closes, bit)
-                old = halves.get(key)
-                halves[key] = ([x * weight for x in vec] if old is None
-                               else [y + x * weight for x, y in zip(vec, old)])
-        states = {}
-        for (closed, bit), half in halves.items():
-            if closed not in states:
-                states[closed] = [0] * (2 * len(half))
-            states[closed][bit::2] = half
-    totals = [sum(weights) for weights in zip(*states.values())]
-    return Pmf.from_integers(totals, sum(totals))
+    return _tableaux_laws(n, p, [convention])[0]
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +472,15 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
 # ----------------------------------------------------------------------
 # the two routes against each other
 
+def _mass_strings(law: Pmf, size: int) -> List[str]:
+    """``str`` of each of the ``size`` masses' ``Fraction``, built from
+    the law's integers: "0" past its trimmed tail."""
+    d = law.denominator
+    out = [str(x // g) if (g := math.gcd(x, d)) == d else f"{x // g}/{d // g}"
+           for x in law.numerators]
+    return out + ["0"] * (size - len(out))
+
+
 def cross_validate(n: int, p: AsepParams) -> Dict:
     """Compare both stationary-law routes state by state.
 
@@ -480,12 +497,15 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     balances inflow and outflow at every state.  So a tableaux law that
     passes ``_balanced`` is the generator's law, exactly, and it stands
     in for it; ``steady_state_via_generator`` runs only when neither
-    convention's law balances.
+    convention's law balances.  Both laws come from one sum of each
+    column (``_tableaux_laws``), and each mass is written from the
+    law's integers, as ``str(Fraction)`` writes it; states are equal
+    when their strings are, which are canonical.
     """
     _check_size(n, 1, _N_MAX)
     scaled = p.unit_u()
     moves, outflow = _chain(n, _integer_rates(scaled))
-    laws = [steady_state_via_tableaux(n, scaled, c) for c in CONVENTIONS]
+    laws = _tableaux_laws(n, scaled, CONVENTIONS)
     certified = (law for law in laws
                  if _balanced(moves, outflow, law.numerators, law.denominator))
     generator = next(certified, None) or steady_state_via_generator(n, scaled)
@@ -498,20 +518,14 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     }
     size = 1 << n
     labels = [format(s, f"0{n}b") for s in range(size)]  # site 1 first
-
-    def padded(law: Pmf) -> Tuple[Fraction, ...]:  # masses are trimmed
-        return law.masses + (Fraction(0),) * (size - len(law.numerators))
-
-    generator_probs = padded(generator)
-    generator_strs = list(map(str, generator_probs))
+    generator_strs = _mass_strings(generator, size)
     for convention, law in zip(CONVENTIONS, laws):
-        # the certified law is the generator's: its masses are built once
-        law_probs = generator_probs if law is generator else padded(law)
+        # the certified law is the generator's: its strings are built once
+        law_strs = generator_strs if law is generator else _mass_strings(law, size)
         per_state = [
-            {"state": label, "tableaux_prob": str(t_prob),
-             "generator_prob": g_str, "equal": t_prob == g_prob}
-            for label, t_prob, g_prob, g_str in zip(
-                labels, law_probs, generator_probs, generator_strs)
+            {"state": label, "tableaux_prob": t_str,
+             "generator_prob": g_str, "equal": t_str == g_str}
+            for label, t_str, g_str in zip(labels, law_strs, generator_strs)
         ]
         matches = all(entry["equal"] for entry in per_state)
         report["conventions"].append({

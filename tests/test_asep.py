@@ -258,6 +258,48 @@ def test_tableaux_route_matches_the_box_by_box_transfer_at_n10(p):
         expected = reference_closed_count_law(10, p, convention)
         assert steady_state_via_tableaux(10, p, convention) == expected
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_cross_validate_sums_each_column_once(n, monkeypatch):
+    rng = random.Random(800 + n)
+    cases = [random_rates(rng) for _ in range(12 if n < 7 else 4)] + [
+        AsepParams(F(3, 2), F(2, 3), F(1, 3), F(1, 5), u=1, q=0),       # q = 0
+        AsepParams(F(1, 2), F(4, 3), 0, 0, u=F(7, 4), q=F(11, 13)),     # gamma = delta = 0
+        AsepParams(F(13, 7), F(1000, 3), 0, 0, u=1, q=0),               # both
+    ]
+    sums, laws = [], []
+    column_weights, tableaux_laws = asep._column_weights, asep._tableaux_laws
+    monkeypatch.setattr(asep, "_column_weights",
+                        lambda j, *args: sums.append(j) or column_weights(j, *args))
+    monkeypatch.setattr(asep, "_tableaux_laws",
+                        lambda *args: laws.append(tableaux_laws(*args)) or laws[-1])
+    for p in cases:
+        del sums[:], laws[:]
+        cross_validate(n, p)
+        assert sums == list(range(n, 0, -1)) and len(laws) == 1, p
+        for convention, law in zip(CONVENTIONS, laws[0]):
+            assert law == reference_closed_count_law(n, p, convention), (p, convention)
+            assert law == steady_state_via_tableaux(n, p, convention), (p, convention)
+
+
+def test_report_strings_are_the_masses_fractions():
+    rng = random.Random(1300)
+    laws = [Pmf.from_integers([1], 1),                       # one whole mass, the rest trimmed
+            Pmf.from_integers([0, 0, 7, 0], 7),              # a whole mass among zeros
+            Pmf.from_integers([2, 0, 6, 4, 0, 0, 0], 12),    # zeros inside, a trimmed tail
+            Pmf.from_integers([3, 5, 0, 4], 12)]
+    for _ in range(40):
+        weights = [rng.choice((0, 0, rng.randint(1, 50), rng.randint(1, 10 ** 12)))
+                   * rng.randint(1, 6) for _ in range(16)]
+        weights[rng.randrange(16)] += 1
+        laws.append(Pmf.from_integers(weights, sum(weights)))
+    for n in range(1, 5):
+        for p in PINNED_RATES:
+            laws += [steady_state_via_tableaux(n, p, c) for c in CONVENTIONS]
+    for law in laws:
+        for size in (len(law.numerators), 16):
+            assert asep._mass_strings(law, size) == [str(law.mass(s)) for s in range(size)]
+
 def reference_generator_law(n, p):
     """Gauss-Jordan on Fractions, as the generator route once solved it."""
     size = 1 << n
@@ -646,25 +688,28 @@ def test_one_unit_of_mass_moved_breaks_the_certificate(n):
 
 
 def _perturbed(route):
-    """A tableaux route gone wrong: the stationary law, read as
-    alpha_delta, with one unit of its largest weight moved to the next
-    state, or to the one before for the other reading.  So no law it
-    returns balances, even where the two readings differ by one unit."""
-    def wrong(n, p, convention="alpha_delta"):
-        law = route(n, p, "alpha_delta")
-        nums = list(law.numerators)
-        k = nums.index(max(nums))
-        nums[k] -= 1
-        nums[(k + (1 if convention == "alpha_delta" else -1)) % len(nums)] += 1
-        return Pmf.from_integers(nums, law.denominator)
+    """A tableaux route gone wrong: each law it returns is the
+    stationary law, read as alpha_delta, with one unit of its largest
+    weight moved to the next state, or to the one before for the other
+    reading.  So no law it returns balances, even where the two
+    readings differ by one unit."""
+    def wrong(n, p, conventions):
+        law = route(n, p, ["alpha_delta"])[0]
+        laws = []
+        for convention in conventions:
+            nums = list(law.numerators)
+            k = nums.index(max(nums))
+            nums[k] -= 1
+            nums[(k + (1 if convention == "alpha_delta" else -1)) % len(nums)] += 1
+            laws.append(Pmf.from_integers(nums, law.denominator))
+        return laws
     return wrong
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_a_law_that_does_not_balance_falls_back_to_the_solve(n, monkeypatch):
     rng = random.Random(1200 + n)
-    monkeypatch.setattr(asep, "steady_state_via_tableaux",
-                        _perturbed(asep.steady_state_via_tableaux))
+    monkeypatch.setattr(asep, "_tableaux_laws", _perturbed(asep._tableaux_laws))
     solves = []
     solve = asep.steady_state_via_generator
     monkeypatch.setattr(asep, "steady_state_via_generator",
@@ -677,7 +722,7 @@ def test_a_law_that_does_not_balance_falls_back_to_the_solve(n, monkeypatch):
 
 
 def test_reducible_rates_are_refused_before_any_tableau_sum(monkeypatch):
-    monkeypatch.setattr(asep, "steady_state_via_tableaux", _fails)
+    monkeypatch.setattr(asep, "_tableaux_laws", _fails)
     for n, p in [(1, AsepParams(1, 0, 0, 1, u=1, q=1)),  # fills but can never empty
                  (2, AsepParams(0, 1, 0, 1, u=1, q=0)),  # site 1 unreachable
                  (6, AsepParams(0, 1, 0, 1, u=1, q=0))]:

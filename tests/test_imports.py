@@ -107,7 +107,8 @@ _LAZY_ROUTES = {
                      {"moments"}, {"dpcount", "asep", "sampler", "enumeration", "formulas",
                                    "_rules", "_budget", "constraints"}),
     "certified asep law": ("report = s.cross_validate(5, s.AsepParams(2, 1, 3, 1, 1, F(1, 2)))\n"
-                           "assert report['matching_conventions']\n",
+                           "assert report['matching_conventions']\n"
+                           "assert 'numpy' not in sys.modules\n",
                            {"asep"}, {"dpcount", "moments", "sampler", "enumeration",
                                       "_rules", "constraints", "formulas"}),
     "draws": ("import random\n"

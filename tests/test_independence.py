@@ -121,7 +121,7 @@ def test_the_oracle_and_the_kernel_share_no_object_of_the_rules():
 ASEP_ROUTES = {
     "steady_state_via_generator": {"_chain", "_transitions", "_check_irreducible",
                                    "_inverse_mod", "_reconstruct", "_balanced"},
-    "steady_state_via_tableaux": {"_column_weights", "_add"},
+    "steady_state_via_tableaux": {"_tableaux_laws", "_column_weights"},
 }
 
 
