@@ -4,7 +4,9 @@ The enumeration oracle answers every question by visiting all
 ``(n+1)!`` tableaux; this module answers the same questions in
 polynomial time per state by sweeping columns left to right and
 remembering only what the filling rules can still see: one bit per
-live row and one flag per column.  The fill rules' moves
+live row and one flag per column, and skipping above a column's
+diagonal the states whose diagonal row is dirty, which only an empty
+column finishes (:func:`_sweep`).  The fill rules' moves
 (:data:`_MOVES`) and the integer move factors (:class:`ScaledWeights`)
 come from :mod:`staircase_lab._rules`; :func:`_moduli` gives the
 modulus plan, :func:`_groups` cuts the plan into groups,
@@ -258,7 +260,15 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     target quarter, which nothing reads, holds its products.  Where
     x = 0 every row enters column 1 clean: before its box i only masks
     below 2^(i-1) occur, and the box touches only ``level[..., :2^i]``.
-    Moves are merged as :func:`_merge_moves` describes.
+    Elsewhere a box above the diagonal of a column of height h touches
+    only ``level[..., :2^(h-1)]``, the masks with the diagonal row
+    clean: with that row dirty the diagonal box takes an alpha alone,
+    under an empty column, so a symbol above makes a filling it drops.
+    Those masks keep their flag-clear entries from the column's start,
+    which the diagonal box reads as its alpha-dirty source; a box that
+    forbids the empty cell zeroes them too, and nothing reads their
+    flag-set entries, so the start's y scale skips them.  Moves are
+    merged as :func:`_merge_moves` describes.
 
     Box i sees the level as ``(seg, half)`` runs: ``seg`` mask prefixes
     above its row bit and ``half = 2^(i-1)`` masks below it.  numpy's
@@ -295,16 +305,17 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
     live = 1
     for j in range(1, n + 1):
         height = n + 1 - j
+        clean = 1 << (height - 1)  # the masks with the diagonal row clean
         for plane, m in enumerate(moduli if y else ()):  # flag set: y times flag clear
-            scale(level[plane, :, 0], y, level[plane, :, 1], m)
-        buffers = np.empty((2, planes * caps[j - 1] << (height - 1)), dtype=np.uint64)
+            scale(level[plane, :, 0, :clean], y, level[plane, :, 1, :clean], m)
+        buffers = np.empty((2, planes * caps[j - 1] * clean >> 1), dtype=np.uint64)
         for i in range(1, height + 1):
             diagonal = i == height
             codes = allowed.get((i, j), "AB" if diagonal else ".AB")
             lift = lifts.get((i, j), (0, 0))
             moves = merged(factors[diagonal], codes, lift)
             after = windows[j - 1][i - 1]
-            width = 1 << (i if j == 1 and not x else height)  # the reachable prefix
+            width = 1 << i if diagonal or (j == 1 and not x) else clean  # the live prefix
             seg, half = width >> i, 1 << (i - 1)
             view = level[..., :width].reshape(planes, caps[j - 1], 2, seg, 2, half)
             if half < _LINE_ENTRIES and seg > half:
@@ -344,6 +355,7 @@ def _sweep(n: int, moduli: Sequence[int], factors: Tuple[Tuple[int, ...], Tuple[
                 target[...] = sums if moves else 0
                 view[:, :live, 0].fill(0)
                 view[:, :live, 1, :, 0, :].fill(0)
+                level[:, :live, 0, clean:].fill(0)
             elif moves:
                 np.add(target, sums, out=target)
             # views of the buffers and the level, which must not outlive them
@@ -361,25 +373,30 @@ def _sweep_bytes(s: int, slots: int, moduli: Sequence[int],
     reserves.
 
     A column of height h holds a level of ``8 * planes * c * 2^(h+1)``
-    bytes, c the slots live at its end, and two box buffers of a quarter
+    bytes, c the slots live at its end, and two box buffers of an eighth
     of that at most.  Its diagonal box frees the buffers and allocates
     the next level, on half the masks and the next column's c: the peak
-    is the largest sum of two such levels.  With more than one plane,
-    numpy may buffer up to three operands a call, each at most 64 KiB
-    and the size of the call, a quarter of the level at the peak.  One
-    plane is charged none, though numpy buffers a cell law's small
-    strided calls too: it reserves 0.78 of its traced peak (ROADMAP.md,
-    open item 4).  Then 512 bytes per slot and modulus for the residues,
-    their recombination and the merged moves' factors, 128 bytes per box
-    for the slot windows and 10 KiB for the call's other small objects.
+    is the largest sum of two such levels and what numpy buffers beside
+    them.  The diagonal box's calls span one contiguous run per plane
+    and slot, a quarter of the level; from four runs on, numpy 2.4 may
+    buffer up to three operands a call, each at most 64 KiB and the
+    size of the call, and with fewer it mostly iterates the runs in
+    place.  A cell law's three slots on one plane are so charged none,
+    though numpy buffers its calls that take a factor: it reserves 0.77
+    of its traced peak (ROADMAP.md, open item 5).  Then 512 bytes per
+    slot and modulus for the residues, their recombination and the
+    merged moves' factors, 64 bytes per box for the slot windows, 64
+    more per lifted box for the lift maps and 10 KiB for the call's
+    other small objects.
     """
     planes = max(map(len, _groups(moduli, slots, s)))
     caps = [column[-1] for column in _windows(s, slots, lifts)] + [slots]
-    levels, quarter = max(((2 * caps[j - 1] + caps[j]) << (s + 1 - j), caps[j - 1] << (s - j))
-                          for j in range(1, s + 1))
-    iteration = 3 * min(8 * planes * quarter, 1 << 16) if planes > 1 else 0
-    small = 512 * slots * len(moduli) + 64 * s * (s + 1) + (10 << 10)
-    return 8 * planes * levels + iteration + small
+    peak = max(8 * planes * ((2 * caps[j - 1] + caps[j]) << (s + 1 - j))
+               + (3 * min(8 * planes * caps[j - 1] << (s - j), 1 << 16)
+                  if planes * caps[j - 1] >= 4 else 0)
+               for j in range(1, s + 1))
+    small = 512 * slots * len(moduli) + 32 * s * (s + 1) + 64 * len(lifts) + (10 << 10)
+    return peak + small
 
 
 def _corner(n: int, scaled: ScaledWeights, allowed: Dict[Box, str],

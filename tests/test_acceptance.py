@@ -15,6 +15,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from gap_index import gap_index_product_sum, gap_index_sets
 from staircase_lab import asep, dpcount, formulas, moments, sampler
 from staircase_lab.constraints import (
     ConstraintSet,
@@ -138,9 +139,9 @@ def test_c03_second_diag_joint_laws():
 
 def test_c04_gap_index_identity():
     ok = all(lhs == rhs for r in range(1, 5) for m in range(1, 31)
-             for lhs, rhs in [formulas.gap_index_product_sum(r, m)])
+             for lhs, rhs in [gap_index_product_sum(r, m)])
     ok = ok and all(
-        sum(1 for _ in formulas.gap_index_sets(r, m))
+        sum(1 for _ in gap_index_sets(r, m))
         == math.comb(max(m - r + 1, 0), r)
         for r in range(0, 7) for m in range(1, 41)
     )

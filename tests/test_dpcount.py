@@ -911,14 +911,13 @@ def test_counter_guards_refuse_a_cap_too_small(monkeypatch, statistic, w):
     n = 9
     plan = _statistic_plan(n, statistic)
     assert (len(_moduli(ScaledWeights.of(w).total_bound(n))) == 1) == (w == Weights(1, 1))
-    # one below the cap: the top count lands in the sentinel slot.  Nalpha
-    # reaches its cap only in column n, so the masses check sees it; X2 and
-    # B2 reach theirs a column early or more, and a forward pass also counts
-    # the fillings that a later diagonal box kills, whose next lift spills
-    # past the last slot, so the kernel refuses first
+    # one below the cap: the top count lands in the sentinel slot, and the
+    # masses check sees it.  Nalpha reaches its cap only in column n; X2 and
+    # B2 reach theirs a column early or more, but no lift spills past the
+    # last slot, since above a column's diagonal the pass skips the states
+    # whose fillings the diagonal box would kill
     monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 1))
-    first = "reached past its structural cap" if statistic == "Nalpha" else "overflowed its cap"
-    with pytest.raises(RuntimeError, match=first):
+    with pytest.raises(RuntimeError, match="reached past its structural cap"):
         statistic_pmf(n, w, statistic)
     # two below: the count spills past the last slot, and the kernel refuses it
     monkeypatch.setattr(dpcount, "_statistic_plan", lambda n, s: (plan[0], plan[1] - 2))

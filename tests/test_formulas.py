@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from gap_index import gap_index_product_sum, gap_index_sets
 from staircase_lab import formulas
 from staircase_lab.formulas import (ADJACENT_COLUMNS, GAP_BELOW_THREE,
                                     GAP_TWO_ZERO, box_law,
-                                    gap_index_product_sum, gap_index_sets,
                                     partition_closed, second_diag_joint_alpha,
                                     second_diag_joint_nonempty,
                                     third_diag_main_term)
