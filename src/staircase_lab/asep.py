@@ -8,7 +8,8 @@ module computes the stationary law two independent ways, both in
 integers after the rates are cleared of their common denominator:
 
 * summing u/q-filled four-symbol tableau weights by type
-  (:func:`steady_state_via_tableaux`), and
+  (:func:`steady_state_via_tableaux`, by the column transfer of
+  :mod:`growth`), and
 * solving the continuous-time Markov generator, which never reads a
   tableau (:func:`steady_state_via_generator`),
 
@@ -30,12 +31,14 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from . import _budget
+from . import _budget, growth
 from .core import Tableau, _check_choice, _check_size
 from .measure import _as_fraction
 from .pmf import Pmf
 
-CONVENTIONS = ("paper_alpha_gamma", "alpha_delta")
+#: Each reading of the diagonal by the two codes it reads as a filled site.
+_FILLED = {"paper_alpha_gamma": "AG", "alpha_delta": "AD"}
+CONVENTIONS = tuple(_FILLED)
 
 _RATE_NAMES = ("alpha", "beta", "gamma", "delta", "u", "q")
 #: Largest size either route, and so cross_validate, accepts.
@@ -88,8 +91,7 @@ def tableau_type(t: Tableau, convention: str = "alpha_delta") -> Tuple[int, ...]
     "filled" is the convention choice that cross_validate resolves.
     """
     _check_choice(convention, "convention", CONVENTIONS)
-    filled = "AG" if convention == "paper_alpha_gamma" else "AD"
-    return tuple(int(code in filled) for code in t.diagonal_entries())
+    return tuple(int(code in _FILLED[convention]) for code in t.diagonal_entries())
 
 
 def uq_fill(t: Tableau) -> Tuple[str, ...]:
@@ -139,97 +141,16 @@ def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 # stationary law via weighted tableaux
 
-def _column_weights(j: int, rows: int, rates: Sequence[int]
-                    ) -> List[Tuple[int, int, List[int], List[int]]]:
-    """What column j adds, in integers, with 0..rows open rows above
-    its diagonal box, under either reading of the diagonal.
-
-    Entry r sums every filling of the diagonal box and the r open boxes
-    above it, by the diagonal box's code and the rows the column
-    closes: (A, G, B, D), where an alpha or a gamma closes no row and
-    B and D list the weights by rows closed, from 1.  Going up, the
-    symbol nearest below a box says both how an empty box reads (u
-    above an alpha or delta, q above a beta or gamma) and whether the
-    box is blocked (empty above an alpha or gamma).  So an alpha on the
-    diagonal weighs ra·u^r and a gamma rg·q^r, and only a beta or a
-    delta opens the boxes above it.  Those r boxes grow from their
-    bottom one: it is either empty, read by the symbol below, or the
-    diagonal box of a column with r − 1 open rows, which is entry
-    r − 1 summed over its codes.
-    """
-    ra, rb, rg, rd, ru, rq = rates
-    fb, fd = rb * ru ** (j - 1), rd * rq ** (j - 1)  # pay for the empties to the left
-    over_b, over_d = [1], [1]  # the open boxes above a beta, a delta, by rows closed
-    weights = []
-    for r in range(rows + 1):
-        if r:  # one more open row above
-            a, g, b, d = weights[-1]
-            grown = [a + g] + [x + y for x, y in zip(b, d)]
-            over_b = [rq * x + y for x, y in zip(over_b + [0], grown)]
-            over_d = [ru * x + y for x, y in zip(over_d + [0], grown)]
-        weights.append((ra * ru ** r, rg * rq ** r,
-                        [fb * x for x in over_b], [fd * x for x in over_d]))
-    return weights
-
-
-def _tableaux_laws(n: int, p: AsepParams, conventions: Sequence[str]) -> List[Pmf]:
-    """Each convention's tableaux law, from one sum of each column.
-
-    The state maps the closed-row count to the weights by type of the
-    columns processed so far.  Each column multiplies each count's
-    vector by one scalar per (rows closed, type bit) outcome and adds
-    it into the new count's vector at that bit's interleaved slots, so
-    site 1, processed first, ends as the most significant bit of the
-    index.  The convention only folds a column's four codes into the
-    two type bits.
-    """
-    rates = _integer_rates(p)
-    columns = [(j, _column_weights(j, n - j, rates)) for j in range(n, 0, -1)]
-    laws = []
-    for convention in conventions:
-        paper = convention == "paper_alpha_gamma"
-        states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
-        for j, weights in columns:
-            halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
-            for closed, vec in states.items():
-                a, g, b, d = weights[n - j - closed]
-                folded = (([0] + [x + y for x, y in zip(b, d)], [a + g]) if paper
-                          else ([g] + b, [a] + d))  # by type bit, then rows closed
-                for bit, by_closed in enumerate(folded):
-                    for closes, weight in enumerate(by_closed):
-                        if weight:
-                            key = (closed + closes, bit)
-                            old = halves.get(key)
-                            halves[key] = ([x * weight for x in vec] if old is None
-                                           else [y + x * weight for x, y in zip(vec, old)])
-            states = {}
-            for (closed, bit), half in halves.items():
-                if closed not in states:
-                    states[closed] = [0] * (2 * len(half))
-                states[closed][bit::2] = half
-        totals = [sum(weights) for weights in zip(*states.values())]
-        laws.append(Pmf.from_integers(totals, sum(totals)))
-    return laws
-
-
 def steady_state_via_tableaux(n: int, p: AsepParams,
                               convention: str = "alpha_delta") -> Pmf:
     """Stationary law as normalized type-grouped tableau weights.
 
-    Sums every u/q-filled four-symbol tableau by a column transfer
-    from right to left, so no tableau is ever materialized.  A row is
-    closed once its leftmost symbol so far is a beta or delta: every
-    box left of it is empty, choosing that symbol in column j paid
-    u^(j-1) or q^(j-1) for them, and the "nearest symbol below" rule
-    skips them.  So what column j adds depends only on j and on the
-    number r of open rows above its diagonal box, not on which rows
-    they are.  ``_column_weights`` sums the column once in integers,
-    by its diagonal code and the rows it closes, for every r, and
-    ``_tableaux_laws`` runs the transfer over the closed-row count.
+    Sums every u/q-filled four-symbol tableau by the column transfer
+    of :func:`growth.type_laws`, so no tableau is ever materialized.
     """
     _check_choice(convention, "convention", CONVENTIONS)
     _check_size(n, 1, _N_MAX)
-    return _tableaux_laws(n, p, [convention])[0]
+    return growth.type_laws(n, _integer_rates(p), [_FILLED[convention]])[0]
 
 
 # ----------------------------------------------------------------------
@@ -498,14 +419,15 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     passes ``_balanced`` is the generator's law, exactly, and it stands
     in for it; ``steady_state_via_generator`` runs only when neither
     convention's law balances.  Both laws come from one sum of each
-    column (``_tableaux_laws``), and each mass is written from the
+    column (:func:`growth.type_laws`), and each mass is written from the
     law's integers, as ``str(Fraction)`` writes it; states are equal
     when their strings are, which are canonical.
     """
     _check_size(n, 1, _N_MAX)
     scaled = p.unit_u()
-    moves, outflow = _chain(n, _integer_rates(scaled))
-    laws = _tableaux_laws(n, scaled, CONVENTIONS)
+    rates = _integer_rates(scaled)
+    moves, outflow = _chain(n, rates)
+    laws = growth.type_laws(n, rates, list(_FILLED.values()))
     certified = (law for law in laws
                  if _balanced(moves, outflow, law.numerators, law.denominator))
     generator = next(certified, None) or steady_state_via_generator(n, scaled)

@@ -18,7 +18,7 @@ from staircase_lab.asep import (
     tableau_type,
     uq_fill,
 )
-from staircase_lab import _budget, asep
+from staircase_lab import _budget, asep, growth
 from staircase_lab.asep import _RATE_NAMES, _integer_rates, _transitions
 from staircase_lab.core import Tableau
 from staircase_lab.enumeration import enumerate_four_symbol, enumerate_tableaux
@@ -268,11 +268,11 @@ def test_cross_validate_sums_each_column_once(n, monkeypatch):
         AsepParams(F(13, 7), F(1000, 3), 0, 0, u=1, q=0),               # both
     ]
     sums, laws = [], []
-    column_weights, tableaux_laws = asep._column_weights, asep._tableaux_laws
-    monkeypatch.setattr(asep, "_column_weights",
+    column_weights, type_laws = growth._column_weights, growth.type_laws
+    monkeypatch.setattr(growth, "_column_weights",
                         lambda j, *args: sums.append(j) or column_weights(j, *args))
-    monkeypatch.setattr(asep, "_tableaux_laws",
-                        lambda *args: laws.append(tableaux_laws(*args)) or laws[-1])
+    monkeypatch.setattr(growth, "type_laws",
+                        lambda *args: laws.append(type_laws(*args)) or laws[-1])
     for p in cases:
         del sums[:], laws[:]
         cross_validate(n, p)
@@ -693,14 +693,16 @@ def _perturbed(route):
     weight moved to the next state, or to the one before for the other
     reading.  So no law it returns balances, even where the two
     readings differ by one unit."""
-    def wrong(n, p, conventions):
-        law = route(n, p, ["alpha_delta"])[0]
+    alpha_delta = asep._FILLED["alpha_delta"]
+
+    def wrong(n, rates, readings):
+        law = route(n, rates, [alpha_delta])[0]
         laws = []
-        for convention in conventions:
+        for filled in readings:
             nums = list(law.numerators)
             k = nums.index(max(nums))
             nums[k] -= 1
-            nums[(k + (1 if convention == "alpha_delta" else -1)) % len(nums)] += 1
+            nums[(k + (1 if filled == alpha_delta else -1)) % len(nums)] += 1
             laws.append(Pmf.from_integers(nums, law.denominator))
         return laws
     return wrong
@@ -709,7 +711,7 @@ def _perturbed(route):
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_a_law_that_does_not_balance_falls_back_to_the_solve(n, monkeypatch):
     rng = random.Random(1200 + n)
-    monkeypatch.setattr(asep, "_tableaux_laws", _perturbed(asep._tableaux_laws))
+    monkeypatch.setattr(growth, "type_laws", _perturbed(growth.type_laws))
     solves = []
     solve = asep.steady_state_via_generator
     monkeypatch.setattr(asep, "steady_state_via_generator",
@@ -722,7 +724,7 @@ def test_a_law_that_does_not_balance_falls_back_to_the_solve(n, monkeypatch):
 
 
 def test_reducible_rates_are_refused_before_any_tableau_sum(monkeypatch):
-    monkeypatch.setattr(asep, "_tableaux_laws", _fails)
+    monkeypatch.setattr(growth, "type_laws", _fails)
     for n, p in [(1, AsepParams(1, 0, 0, 1, u=1, q=1)),  # fills but can never empty
                  (2, AsepParams(0, 1, 0, 1, u=1, q=0)),  # site 1 unreachable
                  (6, AsepParams(0, 1, 0, 1, u=1, q=0))]:

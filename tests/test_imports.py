@@ -109,7 +109,7 @@ _LAZY_ROUTES = {
     "certified asep law": ("report = s.cross_validate(5, s.AsepParams(2, 1, 3, 1, 1, F(1, 2)))\n"
                            "assert report['matching_conventions']\n"
                            "assert 'numpy' not in sys.modules\n",
-                           {"asep"}, {"dpcount", "moments", "sampler", "enumeration",
+                           {"asep", "growth"}, {"dpcount", "moments", "sampler", "enumeration",
                                       "_rules", "constraints", "formulas"}),
     "draws": ("import random\n"
               "w, rng = s.Weights(F(13, 7), F(2, 5)), random.Random(7)\n"

@@ -35,18 +35,21 @@ def _imported_modules(name):
     return found
 
 
-@pytest.mark.parametrize("module, forbidden", [
+@pytest.mark.parametrize("module, witness, forbidden", [
     # the oracle checks the counting engine and the samplers
-    ("enumeration", {"dpcount", "sampler", "moments"}),
+    ("enumeration", "core", {"dpcount", "sampler", "moments"}),
     # the generator solve and the tableaux route check each other
-    ("asep", {"enumeration", "dpcount", "sampler"}),
+    ("asep", "core", {"enumeration", "dpcount", "sampler"}),
     # the counting kernel checks the closed forms, and they check it
-    ("dpcount", {"formulas", "enumeration", "moments", "sampler", "asep"}),
-    ("formulas", {"dpcount", "enumeration", "moments", "sampler", "asep"}),
+    ("dpcount", "core", {"formulas", "enumeration", "moments", "sampler", "asep"}),
+    ("formulas", "core", {"dpcount", "enumeration", "moments", "sampler", "asep"}),
+    # the column growth checks the counting kernel and the generator solve
+    ("growth", "pmf", {"asep", "dpcount", "sampler", "enumeration", "moments", "formulas",
+                       "constraints", "_rules", "_budget"}),
 ])
-def test_reference_routes_import_none_of_what_they_check(module, forbidden):
+def test_reference_routes_import_none_of_what_they_check(module, witness, forbidden):
     imported = _imported_modules(module)
-    assert "core" in imported  # the scan sees the module's own imports
+    assert witness in imported  # the scan sees the module's own imports
     assert not imported & forbidden
 
 
@@ -121,7 +124,7 @@ def test_the_oracle_and_the_kernel_share_no_object_of_the_rules():
 ASEP_ROUTES = {
     "steady_state_via_generator": {"_chain", "_transitions", "_check_irreducible",
                                    "_inverse_mod", "_reconstruct", "_balanced"},
-    "steady_state_via_tableaux": {"_tableaux_laws", "_column_weights"},
+    "steady_state_via_tableaux": {"growth.type_laws", "growth._column_weights"},
 }
 
 
@@ -235,6 +238,9 @@ ROUTES = {
 MORE_ROUTES = {
     "event_prob": Route("steady_state_via_generator", tuple(range(1, 9)) + (10,),
                         "test_dpcount.py::test_ssep_steady_state_is_the_main_diagonal_law"),
+    "steady_state_via_tableaux": Route(
+        "event_prob", tuple(range(1, 9)) + (10,),
+        "test_dpcount.py::test_ssep_steady_state_is_the_main_diagonal_law"),
 }
 
 #: Exact public names with one route, and why.
