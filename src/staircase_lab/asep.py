@@ -25,10 +25,8 @@ packs site 1 into the most significant bit of its index.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _budget, growth
@@ -182,39 +180,55 @@ def _transitions(n: int, rates: Sequence[int], s: int) -> Iterable[Tuple[int, in
                 yield s ^ pair, q
 
 
-def _chain(n: int, rates: Sequence[int]) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
-    """(moves, outflow): each state's moves with their summed rates and
-    its total rate out, for a chain checked to be irreducible."""
-    moves = []
-    for s in range(1 << n):  # at n = 1, alpha and delta both fill the one site
-        out: Dict[int, int] = {}
-        for t, rate in _transitions(n, rates, s):
-            out[t] = out.get(t, 0) + rate
-        moves.append(list(out.items()))
-    _check_irreducible(moves)
-    return moves, [sum(rate for _, rate in out) for out in moves]
+def _moves(n: int) -> List[Tuple[List[int], List[int]]]:
+    """The chain's moves at n sites by the rate that drives them, in the
+    order of ``_RATE_NAMES``: (sources, targets) per rate."""
+    table: List[Tuple[List[int], List[int]]] = [([], []) for _ in _RATE_NAMES]
+    for s in range(1 << n):
+        for t, k in _transitions(n, range(1, 7), s):  # each rate tagged by its place, from 1
+            sources, targets = table[k - 1]
+            sources.append(s)
+            targets.append(t)
+    return table
 
 
-def _check_irreducible(moves: List[List[Tuple[int, int]]]) -> None:
-    size = len(moves)
-    forward = [[t for t, _ in out] for out in moves]
-    backward: List[List[int]] = [[] for _ in range(size)]
-    for s, targets in enumerate(forward):
-        for t in targets:
-            backward[t].append(s)
-    for edges in (forward, backward):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for t in edges[queue.popleft()]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        if len(seen) != size:
-            raise ValueError(
-                "the chain is reducible with these rates; "
-                "the stationary law is not unique"
-            )
+def _moves_bytes(n: int) -> int:
+    """Bytes of the table: per move a slot in each of two lists, with
+    their spare room, and per state past the small ints Python keeps
+    (0 to 256), its own int and one per move into it."""
+    size = 1 << n
+    moves = (n + 3) * size // 2  # 2^(n-1) per boundary rate, (n-1) 2^(n-2) per hop
+    big = max(0, size - 257)
+    return 19 * moves + 32 * big * (size + moves) // size + 2048
+
+
+def _chain(n: int, rates: Sequence[int]) -> List[Tuple[int, List[int], List[int]]]:
+    """(rate, sources, targets) per nonzero rate, from the table of
+    moves kept for n, once the zero rates are known to leave the chain
+    irreducible: a particle can enter (alpha or delta) and leave (beta
+    or gamma), and every state is reached at one site, with hops both
+    ways, with right hops fed at site 1 and emptied at site n or the
+    mirror of that, or at two sites with all four boundary rates."""
+    alpha, beta, gamma, delta, u, q = rates
+    if not ((alpha or delta) and (beta or gamma) and (
+            n == 1 or u and q or u and alpha and beta or q and delta and gamma
+            or n == 2 and alpha and beta and gamma and delta)):
+        raise ValueError("the chain is reducible with these rates; "
+                         "the stationary law is not unique")
+    table = _budget.get(_moves, _moves_bytes, "the chain's moves for n={0}", n)
+    return [(rate, *moves) for rate, moves in zip(rates, table) if rate]
+
+
+def _net_flow(chain: List[Tuple[int, List[int], List[int]]], x: Sequence[int]) -> List[int]:
+    """Inflow minus outflow at each state under the masses x: the
+    transpose generator times x."""
+    net = [0] * len(x)
+    for rate, sources, targets in chain:
+        for s, t in zip(sources, targets):
+            flow = rate * x[s]
+            net[t] += flow
+            net[s] -= flow
+    return net
 
 
 #: Dixon's lift reduces the replaced generator and its inverse modulo
@@ -308,27 +322,25 @@ def _reconstruct(residues: Sequence[int], modulus: int):
     return nums, den
 
 
-def _balanced(moves: List[List[Tuple[int, int]]], outflow: List[int],
+def _balanced(n: int, chain: List[Tuple[int, List[int], List[int]]],
               nums: Sequence[int], den: int) -> bool:
     """Whether nums/den sums to 1 and inflow equals outflow at every
-    state; numerators missing at the end, as a ``Pmf`` trims them, are 0."""
+    state of ``chain``; numerators missing at the end, as a ``Pmf``
+    trims them, are 0."""
     if sum(nums) != den:
         return False
-    inflow = [0] * len(moves)
-    for out, a in zip(moves, nums):
-        for t, rate in out:
-            inflow[t] += rate * a
-    return all(i == o * a for i, o, a in zip_longest(inflow, outflow, nums, fillvalue=0))
+    return not any(_net_flow(chain, [*nums, *[0] * ((1 << n) - len(nums))]))
 
 
 def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
     """Exact stationary vector of the continuous-time generator.
 
     Builds the transpose generator over all 2^n configurations at
-    integer rates and swaps one (redundant) balance equation for the
-    normalization.  The rows of the transpose generator sum to zero, so
-    dropping any one of them keeps full information and the replaced
-    system A x = e_last is nonsingular for an irreducible chain.
+    integer rates, from the moves kept for n (:func:`_chain`), and
+    swaps one (redundant) balance equation for the normalization.  The
+    rows of the transpose generator sum to zero, so dropping any one of
+    them keeps full information and the replaced system A x = e_last is
+    nonsingular for an irreducible chain.
 
     It is solved by Dixon's p-adic lifting (Numer. Math. 40, 1982): A
     is inverted once modulo a prime p, and each step takes one more
@@ -345,22 +357,23 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
 
     _check_size(n, 1, _N_MAX)
     size = 1 << n
-    moves, outflow = _chain(n, _integer_rates(p))
+    chain = _chain(n, _integer_rates(p))
+    entries: Dict[Tuple[int, int], int] = {}  # A by (row, column)
+    for rate, sources, targets in chain:  # at n = 1 two rates drive each move
+        for s, t in zip(sources, targets):
+            entries[t, s] = entries.get((t, s), 0) + rate
+            entries[s, s] = entries.get((s, s), 0) - rate
     squares = [0] * size  # A's squared row norms
-    targets, sources, values = [], [], []
-    for s, out in enumerate(moves):
-        for t, rate in out + [(s, -outflow[s])]:
-            targets.append(t)
-            sources.append(s)
-            values.append(rate)
-            squares[t] += rate * rate
+    for (t, _), value in entries.items():
+        squares[t] += value * value
     squares[-1] = size  # A's last row is the normalization, all ones
+    targets, sources = zip(*entries)
     cap = 2 * math.prod(squares)  # twice the squared Hadamard bound on det A
     # the numpy peak: the int64 matrix, inverted in place, and one product
     with _budget.reserve(2 * 8 * size * size, f"a generator solve at n={n}"):
         for prime in _PRIMES:
             matrix = np.zeros((size, size), dtype=np.int64)
-            matrix[targets, sources] = [v % prime for v in values]
+            matrix[targets, sources] = [v % prime for v in entries.values()]
             matrix[-1] = 1
             solved = _inverse_mod(matrix, prime)
             if solved is not None:
@@ -374,16 +387,13 @@ def steady_state_via_generator(n: int, p: AsepParams) -> Pmf:
         while True:
             reduced = np.array([r % prime for r in residual], dtype=np.int64)
             digits = (inverse @ reduced[perm] % prime).tolist()
-            image = [-o * y for o, y in zip(outflow, digits)]  # A @ digits
-            for out, y in zip(moves, digits):
-                for t, rate in out:
-                    image[t] += rate * y
+            image = _net_flow(chain, digits)  # A @ digits
             image[-1] = sum(digits)
             residual = [(r - a) // prime for r, a in zip(residual, image)]
             x = [xi + y * modulus for xi, y in zip(x, digits)]
             modulus *= prime
             candidate = _reconstruct(x, modulus)
-            if candidate is not None and _balanced(moves, outflow, *candidate):
+            if candidate is not None and _balanced(n, chain, *candidate):
                 return Pmf.from_integers(*candidate)
             if modulus > cap:
                 raise RuntimeError("p-adic lifting passed the Hadamard bound "
@@ -412,12 +422,13 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     so u = 0 is refused.  The report is JSON-ready, and a mismatch is
     an outcome, not an error.
 
-    The generator certifies before it solves.  Once the chain is known
-    to be irreducible (reducible rates raise before any tableau is
-    summed), its stationary law is the one law that sums to 1 and
-    balances inflow and outflow at every state.  So a tableaux law that
-    passes ``_balanced`` is the generator's law, exactly, and it stands
-    in for it; ``steady_state_via_generator`` runs only when neither
+    The generator certifies before it solves.  :func:`_chain` reads
+    from the zero rates that the chain is irreducible (reducible rates
+    raise before any tableau is summed), so its stationary law is the
+    one law that sums to 1 and balances inflow and outflow at every
+    state.  So a tableaux law that passes ``_balanced`` over the moves
+    kept for n is the generator's law, exactly, and it stands in for
+    it; ``steady_state_via_generator`` runs only when neither
     convention's law balances.  Both laws come from one sum of each
     column (:func:`growth.type_laws`), and each mass is written from the
     law's integers, as ``str(Fraction)`` writes it; states are equal
@@ -426,10 +437,11 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     _check_size(n, 1, _N_MAX)
     scaled = p.unit_u()
     rates = _integer_rates(scaled)
-    moves, outflow = _chain(n, rates)
+    chain = _chain(n, rates)
     laws = growth.type_laws(n, rates, list(_FILLED.values()))
-    certified = (law for law in laws
-                 if _balanced(moves, outflow, law.numerators, law.denominator))
+    # alpha_delta first: it balances at every rate set run, so most calls check one law
+    certified = (law for law in reversed(laws)
+                 if _balanced(n, chain, law.numerators, law.denominator))
     generator = next(certified, None) or steady_state_via_generator(n, scaled)
     report = {
         "n": n,

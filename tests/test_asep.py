@@ -1,11 +1,14 @@
 """Both stationary-law routes, the u/q filling, and the type reading."""
 
+import gc
 import hashlib
 import json
 import math
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -475,11 +478,10 @@ def test_certificate_needs_balance_and_normalization():
     n, p = 3, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2))
     law = steady_state_via_generator(n, p)
     nums, den = list(law.numerators), law.denominator
-    moves = [list(_transitions(n, _integer_rates(p), s)) for s in range(1 << n)]
-    outflow = [sum(rate for _, rate in out) for out in moves]
-    assert asep._balanced(moves, outflow, nums, den)
-    assert not asep._balanced(moves, outflow, [1] * 8, 8)  # sums to 1 only
-    assert not asep._balanced(moves, outflow, [2 * a for a in nums], den)  # balanced only
+    chain = asep._chain(n, _integer_rates(p))
+    assert asep._balanced(n, chain, nums, den)
+    assert not asep._balanced(n, chain, [1] * 8, 8)  # sums to 1 only
+    assert not asep._balanced(n, chain, [2 * a for a in nums], den)  # balanced only
 
 
 def test_lift_passes_over_rejected_candidates(monkeypatch):
@@ -656,10 +658,10 @@ def test_the_certificate_accepts_exactly_the_generator_s_law(n, monkeypatch):
     reports = [solve_first_report(n, p) for p in cases] if n <= 6 else None
     monkeypatch.setattr(asep, "steady_state_via_generator", _fails)
     for k, (p, law) in enumerate(zip(cases, solved)):
-        moves, outflow = asep._chain(n, _integer_rates(p))
+        chain = asep._chain(n, _integer_rates(p))
         for convention in CONVENTIONS:
             reading = steady_state_via_tableaux(n, p, convention)
-            accepted = asep._balanced(moves, outflow, reading.numerators, reading.denominator)
+            accepted = asep._balanced(n, chain, reading.numerators, reading.denominator)
             assert accepted == (reading == law), (p, convention)
         report = cross_validate(n, p)
         for convention in report["conventions"]:
@@ -673,18 +675,18 @@ def test_the_certificate_accepts_exactly_the_generator_s_law(n, monkeypatch):
 def test_one_unit_of_mass_moved_breaks_the_certificate(n):
     rng = random.Random(1100 + n)
     for p in PINNED_RATES[:4] + [random_rates(rng)]:
-        moves, outflow = asep._chain(n, _integer_rates(p))
+        chain = asep._chain(n, _integer_rates(p))
         law = steady_state_via_tableaux(n, p)
         nums, den = list(law.numerators), law.denominator
-        assert len(nums) == 1 << n and asep._balanced(moves, outflow, nums, den)
+        assert len(nums) == 1 << n and asep._balanced(n, chain, nums, den)
         pairs = [(a, b) for a in range(1 << n) for b in range(1 << n) if a != b]
         for a, b in pairs if n <= 3 else rng.sample(pairs, 60):
             moved = nums.copy()
             moved[a] -= 1
             moved[b] += 1
-            assert not asep._balanced(moves, outflow, moved, den), (p, a, b)
+            assert not asep._balanced(n, chain, moved, den), (p, a, b)
         emptied = [nums[0] + nums[-1]] + nums[1:-1]  # the last state's mass, trimmed
-        assert not asep._balanced(moves, outflow, emptied, den)
+        assert not asep._balanced(n, chain, emptied, den)
 
 
 def _perturbed(route):
@@ -731,3 +733,93 @@ def test_reducible_rates_are_refused_before_any_tableau_sum(monkeypatch):
         with pytest.raises(ValueError, match="^the chain is reducible with these rates; "
                                              "the stationary law is not unique$"):
             cross_validate(n, p)
+
+
+def _irreducible(n, rates):
+    """Whether state 0 reaches every state and every state reaches it
+    along ``_transitions``' moves: the breadth-first search that once
+    checked each chain as it was built."""
+    forward = [[t for t, _ in _transitions(n, rates, s)] for s in range(1 << n)]
+    backward = [[] for _ in forward]
+    for s, targets in enumerate(forward):
+        for t in targets:
+            backward[t].append(s)
+    for edges in (forward, backward):
+        seen, queue = {0}, deque([0])
+        while queue:
+            for t in edges[queue.popleft()]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        if len(seen) != len(edges):
+            return False
+    return True
+
+
+#: Every pattern of zero rates, with the nonzero ones distinct.
+ZERO_PATTERNS = [[rate * bit for rate, bit in zip((2, 3, 5, 7, 11, 13), bits)]
+                 for bits in product((0, 1), repeat=6)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_irreducibility_read_from_the_zero_rates_matches_a_search(n):
+    for rates in ZERO_PATTERNS:
+        if _irreducible(n, rates):
+            asep._chain(n, rates)
+        else:
+            with pytest.raises(ValueError, match="^the chain is reducible with these rates; "
+                                                 "the stationary law is not unique$"):
+                asep._chain(n, rates)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_table_holds_every_state_s_moves(n):
+    table = asep._moves(n)
+    for rates in ZERO_PATTERNS:
+        expected = [{} for _ in range(1 << n)]
+        for s, out in enumerate(expected):
+            for t, rate in _transitions(n, rates, s):
+                out[t] = out.get(t, 0) + rate
+        merged = [{} for _ in range(1 << n)]
+        for rate, (sources, targets) in zip(rates, table):
+            if rate:
+                for s, t in zip(sources, targets):
+                    merged[s][t] = merged[s].get(t, 0) + rate
+        assert merged == expected, rates
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_moves_estimate_is_tight_and_charged_before_the_build(n, monkeypatch, fresh_ledger):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        asep._moves(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= asep._moves_bytes(n) <= 1.3 * peak
+    fresh_ledger()
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", asep._moves_bytes(n) - 1)
+    monkeypatch.setattr(asep, "_moves", _fails)
+    with pytest.raises(ValueError, match=f"^the chain's moves for n={n} would need about"):
+        cross_validate(n, AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)))
+
+
+def test_the_chain_is_built_once_per_size(monkeypatch, fresh_ledger):
+    fresh_ledger()
+    n, log = 5, []
+    transitions, moves = asep._transitions, asep._moves
+
+    def build(n):
+        log.append("build")
+        table = moves(n)
+        log.append("built")
+        return table
+
+    monkeypatch.setattr(asep, "_transitions",
+                        lambda *args: log.append("state") or transitions(*args))
+    monkeypatch.setattr(asep, "_moves", build)
+    for p in (AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)), AsepParams(1, 1, 0, 0, u=3, q=0)):
+        log.append("call")
+        cross_validate(n, p)
+    assert log == ["call", "build"] + ["state"] * (1 << n) + ["built", "call"]

@@ -122,7 +122,7 @@ def test_the_oracle_and_the_kernel_share_no_object_of_the_rules():
 #: The two steady-state routes in ``asep`` and the functions each one
 #: alone may reach; they share only the integer rates.
 ASEP_ROUTES = {
-    "steady_state_via_generator": {"_chain", "_transitions", "_check_irreducible",
+    "steady_state_via_generator": {"_chain", "_moves", "_transitions", "_net_flow",
                                    "_inverse_mod", "_reconstruct", "_balanced"},
     "steady_state_via_tableaux": {"growth.type_laws", "growth._column_weights"},
 }
