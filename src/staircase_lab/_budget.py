@@ -35,7 +35,8 @@ class _Ledger:
             while self.kept and self.held + self.reserved + need > _MEM_BUDGET:
                 self.held -= self.kept.popitem(last=False)[1][1]
         if self.held + self.reserved + need > _MEM_BUDGET:
-            size = f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.1f} MB"
+            size = (f"{need / 1e9:.1f} GB" if need >= 1e9 else f"{need / 1e6:.1f} MB"
+                    if need >= 1e6 else f"{need / 1e3:.1f} kB")
             raise ValueError(f"{what} would need about {size}; use a smaller size")
 
 

@@ -4,7 +4,7 @@ the transfer that sums their weights by the main diagonal's type.
 An empty box reads as u when the nearest symbol to its right is a
 beta, as q when it is a delta, and otherwise by the nearest symbol
 below it: u above an alpha or a delta, q above a beta or a gamma.
-The transfer runs over the columns from right to left, in integers,
+The transfer runs over the columns from left to right, in integers,
 and never lists a tableau.
 
 A row is closed once its leftmost symbol so far is a beta or a delta:
@@ -21,20 +21,21 @@ opens the boxes above it.  Those r boxes grow from their bottom one:
 it is either empty, read by the symbol below, or the diagonal box of a
 column with r − 1 open rows.
 
-:func:`type_laws` runs the transfer.  Its state maps the closed-row
-count to the weights by type of the columns done so far.  A reading of
-the diagonal names the codes it counts as a filled site; it folds a
-column's four codes into the two type bits, and each count's vector
-takes one scaled add per (rows closed, type bit) outcome, at that
-bit's interleaved slots.  So site 1, the diagonal box of column n and
-the first one done, ends as the most significant bit of the index.
-The column sums do not depend on the reading, so all readings share
-them.
+:func:`type_laws` runs the transfer from column 1 to column n.  Column
+j keeps one vector per count c of rows closed right of it: the summed
+weights of columns j..1 by their types.  A reading of the diagonal
+names the codes it counts as a filled site, and folds a column's four
+codes into the two type bits.  Column j's vector at c is its half for
+bit 0, then for bit 1, each the sum over the rows column j closes of
+that outcome's weight times column j − 1's vector at c plus them.  So
+site 1, the diagonal box of column n, is the most significant bit, and
+the law is column n's vector at c = 0.  All readings share the column
+sums, which do not depend on the reading.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .pmf import Pmf
 
@@ -71,7 +72,7 @@ def _column_weights(j: int, rows: int, rates: Sequence[int]
 def type_laws(n: int, rates: Sequence[int], readings: Sequence[str]) -> List[Pmf]:
     """The law of the size-n diagonal's type under each reading, the
     codes it counts as filled, from one sum of each column at the six
-    integer rates (α, β, γ, δ, u, q)."""
+    integer rates (α, β, γ, δ, u, q), run from column 1."""
     columns = [(j, _column_weights(j, n - j, rates)) for j in range(n, 0, -1)]
     laws = []
     for filled in readings:
@@ -79,23 +80,21 @@ def type_laws(n: int, rates: Sequence[int], readings: Sequence[str]) -> List[Pmf
         # column entry: (none, A, G, both), then (none, B, D, both)
         picks = [(("A" in codes) + 2 * ("G" in codes), ("B" in codes) + 2 * ("D" in codes))
                  for codes in ([code for code in "AGBD" if code not in filled], filled)]
-        states: Dict[int, List[int]] = {0: [1]}  # by closed-row count
-        for j, weights in columns:
-            halves: Dict[Tuple[int, int], List[int]] = {}  # by (closed count, bit)
-            for closed, vec in states.items():
+        vecs = [[1]] * (n + 1)  # no column yet, by closed-row count
+        for j, weights in reversed(columns):
+            after = []
+            for closed in range(n - j + 1):
                 stays, closings = weights[n - j - closed]
-                for bit, (stay, closing) in enumerate(picks):
+                vec: List[int] = []
+                for stay, closing in picks:
+                    part: List[int] = []
                     for closes, weight in enumerate([stays[stay]] + closings[closing]):
                         if weight:
-                            key = (closed + closes, bit)
-                            old = halves.get(key)
-                            halves[key] = ([x * weight for x in vec] if old is None
-                                           else [y + x * weight for x, y in zip(vec, old)])
-            states = {}
-            for (closed, bit), half in halves.items():
-                if closed not in states:
-                    states[closed] = [0] * (2 * len(half))
-                states[closed][bit::2] = half
-        totals = [sum(weights) for weights in zip(*states.values())]
-        laws.append(Pmf.from_integers(totals, sum(totals)))
+                            v = vecs[closed + closes]
+                            part = ([y + x * weight for x, y in zip(v, part)] if part
+                                    else [x * weight for x in v])
+                    vec += part or [0] * len(vecs[0])
+                after.append(vec)
+            vecs = after
+        laws.append(Pmf.from_integers(vecs[0], sum(vecs[0])))
     return laws

@@ -262,6 +262,14 @@ def test_tableaux_route_matches_the_box_by_box_transfer_at_n10(p):
         assert steady_state_via_tableaux(10, p, convention) == expected
 
 
+@pytest.mark.parametrize("p", README_RATES)
+def test_the_transfer_matches_the_box_by_box_transfer_past_the_ceiling(p):
+    assert asep._N_MAX < 11  # past the routes' cap, so growth is called directly
+    laws = growth.type_laws(11, asep._integer_rates(p), [asep._FILLED[c] for c in CONVENTIONS])
+    for convention, law in zip(CONVENTIONS, laws):
+        assert law == reference_closed_count_law(11, p, convention), convention
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_cross_validate_sums_each_column_once(n, monkeypatch):
     rng = random.Random(800 + n)

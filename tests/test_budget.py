@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_lab import _budget, dpcount, enumeration, sampler
+from staircase_lab import _budget, asep, dpcount, enumeration, sampler
 from staircase_lab.constraints import ConstraintSet, Requirement
 from staircase_lab.formulas import partition_closed
 from staircase_lab.measure import Weights
@@ -79,7 +79,7 @@ def test_sweep_past_the_whole_budget_evicts_nothing(monkeypatch, fresh_ledger):
         assert len(moduli) == planes and dpcount._groups(moduli, 1, 8) == [moduli]
         with monkeypatch.context() as patch:
             patch.setattr(_budget, "_MEM_BUDGET", dpcount._sweep_bytes(8, 1, moduli, {}) - 1)
-            with pytest.raises(ValueError, match="MB"):
+            with pytest.raises(ValueError, match="kB"):
                 dpcount.constrained_partition(8, w)
         assert ledger.kept == before and ledger.reserved == 0
 
@@ -221,3 +221,11 @@ def test_a_build_under_way_holds_up_only_callers_of_its_key(fresh_ledger):
     assert results["sweep"] == partition_closed(6, w) and results["draw"] == warm
     assert not ledger.building and ledger.held == _charges(ledger)
     assert list(ledger.kept)[-1] == (held_open, "key")
+
+
+def test_a_refusal_under_a_megabyte_names_its_size_in_kilobytes(monkeypatch, fresh_ledger):
+    fresh_ledger()
+    monkeypatch.setattr(_budget, "_MEM_BUDGET", 1000)
+    # a nonzero size, 1.0 to 999.9 kB
+    with pytest.raises(ValueError, match=r"would need about [1-9][0-9]{0,2}\.[0-9] kB;"):
+        asep.cross_validate(6, asep.AsepParams(2, 1, 3, 1, u=1, q=F(1, 2)))

@@ -369,9 +369,9 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch, fresh_ledger):
     fresh_ledger()  # the n = 8 tree, which other tests keep, must be built
     monkeypatch.setattr(_budget, "_MEM_BUDGET", 1000)
     w = Weights(F(7, 11), F(3, 13))
-    with pytest.raises(ValueError, match="MB"):
+    with pytest.raises(ValueError, match="kB"):
         dpcount.statistic_pmf(8, w, "X2")
-    with pytest.raises(ValueError, match="MB"):
+    with pytest.raises(ValueError, match="kB"):
         sample(8, w, random.Random(0), "enum_alias")
 
 
