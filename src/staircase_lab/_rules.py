@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .measure import Weights
+from .measure import Weights, _over_common_denominator
 
 #: The fill rules as (cell code, factor index, "symbol above" flag, row
 #: bit): alpha in a clean and in a dirty row, beta topmost in its column
@@ -81,9 +81,8 @@ class ScaledWeights:
 
     @classmethod
     def of(cls, w: Weights) -> "ScaledWeights":
-        a, b = w.a, w.b
-        q = math.lcm(a.denominator, b.denominator)
-        return cls(q, a.numerator * (q // a.denominator), b.numerator * (q // b.denominator))
+        (pa, pb), q = _over_common_denominator((w.a, w.b))
+        return cls(q, pa, pb)
 
     def factors(self) -> Tuple[Tuple[int, int, int, int], Tuple[int, int, int, int]]:
         """(alpha clean, alpha dirty, beta topmost, beta below) off the

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _budget, growth
 from .core import Tableau, _check_choice, _check_size
-from .measure import _as_fraction
+from .measure import _as_fraction, _over_common_denominator
 from .pmf import Pmf
 
 #: Each reading of the diagonal by the two codes it reads as a filled site.
@@ -129,11 +129,10 @@ def uq_fill(t: Tableau) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def _integer_rates(p: AsepParams) -> Tuple[int, ...]:
+def _integer_rates(p: AsepParams) -> List[int]:
     """The six rates times their common denominator, a scale that moves
     neither stationary law (see :func:`cross_validate`)."""
-    scale = math.lcm(*(getattr(p, f).denominator for f in _RATE_NAMES))
-    return tuple(int(getattr(p, f) * scale) for f in _RATE_NAMES)
+    return _over_common_denominator(getattr(p, f) for f in _RATE_NAMES)[0]
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +416,10 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
 
     Both laws are invariant under a common scale of the six rates: the
     generator's by time scaling, and the tableau law because every
-    filled grid carries one rate per box.  The comparison still runs at
-    u rescaled to 1, which the report records as ``rescaled_params``,
-    so u = 0 is refused.  The report is JSON-ready, and a mismatch is
-    an outcome, not an error.
+    filled grid carries one rate per box.  So both run on the rates
+    cleared of their common denominator (:func:`_integer_rates`), and
+    ``rescaled_params`` records the rates over u, so u = 0 is refused.
+    The report is JSON-ready, and a mismatch is an outcome, not an error.
 
     The generator certifies before it solves.  :func:`_chain` reads
     from the zero rates that the chain is irreducible (reducible rates
@@ -435,18 +434,19 @@ def cross_validate(n: int, p: AsepParams) -> Dict:
     when their strings are, which are canonical.
     """
     _check_size(n, 1, _N_MAX)
-    scaled = p.unit_u()
-    rates = _integer_rates(scaled)
+    rates = _integer_rates(p)
+    if not (u := rates[4]):
+        raise ValueError("u must be positive to normalize by it")
     chain = _chain(n, rates)
     laws = growth.type_laws(n, rates, list(_FILLED.values()))
     # alpha_delta first: it balances at every rate set run, so most calls check one law
     certified = (law for law in reversed(laws)
                  if _balanced(n, chain, law.numerators, law.denominator))
-    generator = next(certified, None) or steady_state_via_generator(n, scaled)
+    generator = next(certified, None) or steady_state_via_generator(n, p)
     report = {
         "n": n,
         "params": p.as_dict(),
-        "rescaled_params": scaled.as_dict(),
+        "rescaled_params": {name: str(Fraction(r, u)) for name, r in zip(_RATE_NAMES, rates)},
         "conventions": [],
         "matching_conventions": [],
     }

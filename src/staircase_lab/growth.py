@@ -96,5 +96,7 @@ def type_laws(n: int, rates: Sequence[int], readings: Sequence[str]) -> List[Pmf
                     vec += part or [0] * len(vecs[0])
                 after.append(vec)
             vecs = after
-        laws.append(Pmf.from_integers(vecs[0], sum(vecs[0])))
+        if not (total := sum(vecs[0])):
+            raise ValueError("every tableau weighs 0 at these rates, so they give no law")
+        laws.append(Pmf.from_integers(vecs[0], total))
     return laws

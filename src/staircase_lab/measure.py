@@ -20,10 +20,11 @@ the partition function after multiplying through by (alpha*beta)^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import Iterable, List, Tuple, Union
 
 from .core import Tableau
 
@@ -47,6 +48,14 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"{what} must be a rational number, got {value!r}")
+
+
+def _over_common_denominator(values: Iterable[Rational]) -> Tuple[List[int], int]:
+    """Ints or Fractions as integer numerators over their least common
+    denominator, read off their own numerators and denominators."""
+    values = list(values)
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def rising_factorial(x: Fraction, k: int) -> Fraction:

@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (_STATISTICS, _check_choice, _check_int, _check_size, _statistic,
                    second_diag_max_count, third_diag_max_count)
-from .measure import Weights, _as_fraction
-from .pmf import Pmf, _over_common_denominator
+from .measure import Weights, _as_fraction, _over_common_denominator
+from .pmf import Pmf
 
 #: Limit law rates of the diagonal statistics: alpha or beta counts
 #: tend to Poisson(1/2), nonempty counts to Poisson(1).

@@ -18,16 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from operator import floordiv, index, mul, neg
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .core import _check_int
-
-
-def _over_common_denominator(values: Iterable) -> Tuple[List[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    fracs = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+from .measure import _over_common_denominator
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -37,7 +31,7 @@ class Pmf:
     denominator: int
 
     def __init__(self, masses: Iterable[Fraction]) -> None:
-        self._settle(*_over_common_denominator(masses))
+        self._settle(*_over_common_denominator(map(Fraction, masses)))
 
     @classmethod
     def from_integers(cls, weights: Iterable[int], total: int) -> "Pmf":

@@ -81,15 +81,11 @@ def _alias_shape(n: int) -> List[Tuple[List[Tuple[str, int, int]], List[int]]]:
     return shape
 
 
-def _column_sizes(n: int) -> List[Tuple[int, int, int]]:
-    """(h, fillings, masks) per column: 2^n on one mask, then 3^h on 2^h."""
-    return [(n, 1 << n, 1)] + [(h, 3 ** h, 1 << h) for h in range(1, n)]
-
-
 def _shape_bytes(n: int) -> int:
     """Bytes of the shape: per filling of height h, its tuple, its
-    string of 49 + h bytes and a list slot; per mask, its start."""
-    return sum(size * (h + 130) + masks * 40 for h, size, masks in _column_sizes(n)) + 2048
+    string of 49 + h bytes and a list slot; per mask, its start.
+    Column 1 has 2^n fillings on one mask, height h < n 3^h on 2^h."""
+    return ((n + 130) << n) + 40 + sum(3 ** h * (h + 130) + (40 << h) for h in range(1, n)) + 2048
 
 
 def _sample_enum(n: int, w: Weights, rng: random.Random, count: int) -> List[Tableau]:

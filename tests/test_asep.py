@@ -587,6 +587,26 @@ def test_each_route_is_unchanged_by_a_common_scale_of_the_rates():
                     assert route(n, other) == law, (n, p, other)
 
 
+def test_cross_validate_reports_are_unchanged_by_a_common_scale_of_the_rates():
+    for p in PINNED_RATES:
+        for scale in (F(3, 7), 1 / p.u):
+            other = AsepParams(*(r * scale for r in _rates(p)))
+            for n in range(1, 7):
+                report, scaled = cross_validate(n, p), cross_validate(n, other)
+                assert scaled.pop("params") == other.as_dict()
+                del report["params"]
+                assert scaled == report, (n, p, scale)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_rates_under_which_every_tableau_weighs_0_are_refused(n, convention):
+    # only deltas may sit on the diagonal, and one past column 1 pays q = 0 per empty box
+    p = AsepParams(0, 0, 0, 1, u=1, q=0)
+    with pytest.raises(ValueError, match="^every tableau weighs 0 at these rates"):
+        steady_state_via_tableaux(n, p, convention)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_alpha_delta_reading_matches_generator_on_random_rates(n):
     rng = random.Random(90 + n)
